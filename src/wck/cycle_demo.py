@@ -124,19 +124,10 @@ def _verify_generator_period(model):
                 char_phi(model, n, i, x)
 
 
-def _start_pos(g, level, i):
-    """Index of the unique level path starting at vertex i."""
-    for j, pth in enumerate(g.paths(level)):
-        if pth.source == i:
-            return j
-    raise DomainError(
-        "no path of length %d starts at vertex index %d" % (level, i)
-    )
-
-
 def _diag_entry(model, level, i, x):
     """Diagonal entry of x at the level path starting at vertex i."""
-    pos = _start_pos(model.graph, level, i)
+    g = model.graph
+    pos = g.path_index(g.xi(i, level))
     total = 0j
     for word, c in x.terms.items():
         if el.word_offset(word) != 0:

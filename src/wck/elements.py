@@ -322,6 +322,8 @@ def parse_element(graph, text):
     the unit. Decimal scalars must use the '*' form, since a dot inside
     a term separates factors.
     """
+    if not isinstance(text, str):
+        raise ElementError("element must be a string, got %r" % (text,))
     text = text.strip()
     if not text:
         raise ElementError("empty element string")
@@ -369,11 +371,11 @@ def _parse_term(graph, chunk, sign):
             exp = int(m.group("zexp") or 1)
             word.append((Z, exp))
         elif m.group("u") is not None:
-            word.append((U, _edge_index(graph, m.group("u"))))
+            word.append((U, _lookup(graph.eindex, "edge", m.group("u"))))
         elif m.group("us") is not None:
-            word.append((US, _edge_index(graph, m.group("us"))))
+            word.append((US, _lookup(graph.eindex, "edge", m.group("us"))))
         elif m.group("p") is not None:
-            word.append((P, _vertex_index(graph, m.group("p"))))
+            word.append((P, _lookup(graph.vindex, "vertex", m.group("p"))))
     if not word:
         return scale(coeff, unit(graph))
     return make(graph, tuple(word), coeff)
@@ -385,20 +387,12 @@ def _parse_number(text):
     return complex(text)
 
 
-def _edge_index(graph, name):
+def _lookup(table, kind, name):
+    """Index of a named edge or vertex (graph.eindex / graph.vindex)."""
     name = name.strip()
-    for i, e in enumerate(graph.edges):
-        if e.name == name:
-            return i
-    raise ElementError("unknown edge %r" % name)
-
-
-def _vertex_index(graph, name):
-    name = name.strip()
-    for i, v in enumerate(graph.vertices):
-        if v == name:
-            return i
-    raise ElementError("unknown vertex %r" % name)
+    if name not in table:
+        raise ElementError("unknown %s %r" % (kind, name))
+    return table[name]
 
 
 def _fmt_scalar(x):

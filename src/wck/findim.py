@@ -25,10 +25,9 @@ from .errors import (
     DecompositionError,
     MultiplicityError,
 )
-from .windows import in_span, onb
+from .windows import RANK_TOL, in_span, onb
 
 CLUSTER_GAP = 1e-6
-RANK_TOL = 1e-8
 INT_TOL = 1e-4
 MAX_RESAMPLE = 8
 
@@ -441,11 +440,6 @@ def _minimal_projection(A, summand, rng):
     )
 
 
-def minimal_projection(dec, index):
-    """Minimal projection of one summand of a decomposition."""
-    return dec.summands[index].minimal_projection
-
-
 # -- embeddings ---------------------------------------------------------------
 
 
@@ -510,62 +504,3 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
                 % (j, got, sb.d)
             )
     return m
-
-
-# -- ideals -------------------------------------------------------------------
-
-
-@dataclass
-class AlgebraIdealLattice:
-    """All two-sided ideals of a decomposed algebra, one per summand set."""
-
-    subsets: list          # frozensets of summand indices, sorted
-    dims: dict             # subset -> linear dimension
-
-    def __len__(self):
-        return len(self.subsets)
-
-    def leq(self, a, b):
-        return a <= b
-
-    def hasse_edges(self):
-        edges = []
-        for a in self.subsets:
-            for b in self.subsets:
-                if a < b and len(b - a) and not any(
-                    a < c < b for c in self.subsets
-                ):
-                    edges.append((a, b))
-        return edges
-
-
-def ideal_lattice(dec, verify_samples=4, seed=0):
-    """Two-sided ideals of a finite-dimensional algebra, by summand sets."""
-    A = dec.algebra
-    rng = np.random.default_rng(seed)
-    n = len(dec.summands)
-    subsets = [
-        frozenset(i for i in range(n) if b & (1 << i)) for b in range(2 ** n)
-    ]
-    subsets = sorted(subsets, key=lambda s: (len(s), sorted(s)))
-    dims = {}
-    for subset in subsets:
-        dims[subset] = sum(dec.summands[i].d ** 2 for i in subset)
-    # spot-check two-sidedness on a few nontrivial subsets
-    check = [s for s in subsets if 0 < len(s) < n][:verify_samples]
-    for subset in check:
-        proj = blocks_zero(A.dims)
-        for i in subset:
-            proj = blocks_add(proj, dec.summands[i].projection)
-        ideal_rows = onb(
-            np.array([blocks_vec(blocks_mul(proj, b)) for b in A.basis])
-        )
-        for _ in range(verify_samples):
-            x = A.element(rng.normal(size=A.dim))
-            y = blocks_mul(blocks_mul(x, proj), A.element(rng.normal(size=A.dim)))
-            if not in_span(blocks_vec(y), ideal_rows, 1e-7):
-                raise DecompositionError(
-                    "summand subset %s failed the two-sided ideal check"
-                    % sorted(subset)
-                )
-    return AlgebraIdealLattice(subsets=subsets, dims=dims)

@@ -49,14 +49,13 @@ class FockRep:
         if got is not None:
             return got
         g = self.graph
-        rows, cols = [], []
+        edge = Path((e,), g.esrc[e])
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for k in range(self.K):
-            for j, path in enumerate(g.paths(k)):
-                if g.range_of(path) != g.esrc[e]:
-                    continue
-                ext = Path((e,) + path.edges, path.source)
-                rows.append(self.offsets[k + 1] + g.path_index(ext))
-                cols.append(self.offsets[k] + j)
+            idx = g.ending_at(k, g.esrc[e])
+            rows.append(self.offsets[k + 1] + g.prepend_index(k, edge)[idx])
+            cols.append(self.offsets[k] + idx)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
         data = np.ones(len(rows), dtype=np.complex128)
         out = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
         self._S_cache[e] = out
@@ -75,12 +74,9 @@ class FockRep:
         got = self._P_cache.get(v)
         if got is not None:
             return got
-        g = self.graph
         diag = np.zeros(self.dim)
         for k in range(self.K + 1):
-            for j, path in enumerate(g.paths(k)):
-                if g.range_of(path) == v:
-                    diag[self.offsets[k] + j] = 1.0
+            diag[self.offsets[k] + self.graph.ending_at(k, v)] = 1.0
         out = sp.diags(diag).tocsr().astype(np.complex128)
         self._P_cache[v] = out
         return out

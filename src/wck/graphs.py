@@ -10,12 +10,34 @@ vertices.
 
 Composition a*b is defined when r(b) = s(a) and concatenates the edge
 tuples, so paths multiply the way the shift operators they index do.
+
+Path index. paths(k) is lexicographic in the operator-order edge tuple,
+so the level-(k+1) paths starting with edge e form one contiguous run,
+ordered like their tails. Hence
+
+    index_{k+1}((e,) + b) = start_{k+1}[e] + rank_k[b],
+
+where start_{k+1}[e] is the index of the first level-(k+1) path that
+starts with e, and rank_k[b] is the position of b among the level-k
+paths with the same range. These arrays, with the range and the source
+of every path, are cached per level as small int arrays, and two
+methods read all index gathers off them:
+
+  - prepend_index(k, prefix) is an int array over paths(k): entry i is
+    the index of prefix*b_i at level k + len(prefix), or -1 where
+    r(b_i) != s(prefix);
+  - ending_at(k, v) is the ascending int array of the indices of the
+    level-k paths whose range is v; starting_at(k, v) is the same for
+    the paths whose source is v.
+
+Path objects remain for parsing, printing, paths() and path_index().
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +65,19 @@ class Path:
 
     def __len__(self):
         return len(self.edges)
+
+
+class _Level(NamedTuple):
+    """Int arrays over paths(k); start is over edges and None at k = 0.
+
+    ending[v] is the read-only array ending_at(k, v).
+    """
+
+    range: np.ndarray
+    source: np.ndarray
+    rank: np.ndarray
+    start: np.ndarray | None
+    ending: list
 
 
 @dataclass(frozen=True)
@@ -98,6 +133,8 @@ class Graph:
             self.in_edges[self.edst[i]].append(i)
         self._paths = {}
         self._pidx = {}
+        self._levels = {}
+        self._prepend = {}
         self._shape = None
 
     # -- basic queries ---------------------------------------------------
@@ -124,12 +161,6 @@ class Graph:
         if ei is None:
             raise GraphError("unknown edge %r" % name)
         return Path((ei,), self.esrc[ei])
-
-    def vertex_path(self, name):
-        vi = self.vindex.get(name)
-        if vi is None:
-            raise GraphError("unknown vertex %r" % name)
-        return Path((), vi)
 
     def compose(self, a, b):
         """The path a*b, defined when r(b) = s(a)."""
@@ -161,13 +192,11 @@ class Graph:
             ps = [Path((), v) for v in range(self.n_vertices)]
         else:
             prev = self.paths(k - 1)
-            by_range = [[] for _ in self.vertices]
-            for b in prev:
-                by_range[self.range_of(b)].append(b)
-            ps = []
-            for ei in range(self.n_edges):
-                for b in by_range[self.esrc[ei]]:
-                    ps.append(Path((ei,) + b.edges, b.source))
+            ps = [
+                Path((ei,) + prev[j].edges, prev[j].source)
+                for ei in range(self.n_edges)
+                for j in self.ending_at(k - 1, self.esrc[ei])
+            ]
         self._paths[k] = ps
         self._pidx[k] = {p.edges: i for i, p in enumerate(ps)}
         return ps
@@ -186,6 +215,59 @@ class Graph:
     def level_dim(self, k):
         return len(self.paths(k))
 
+    def _level(self, k):
+        got = self._levels.get(k)
+        if got is not None:
+            return got
+        if k < 0:
+            raise GraphError("path length must be nonnegative")
+        if k == 0:
+            ranges = sources = np.arange(self.n_vertices)
+            start = None
+        else:
+            prev = self._level(k - 1)
+            tails = [prev.ending[s] for s in self.esrc]
+            counts = np.array([len(t) for t in tails], dtype=int)
+            start = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
+            ranges = np.repeat(np.array(self.edst, dtype=int), counts)
+            sources = np.concatenate(
+                [np.zeros(0, dtype=int)] + [prev.source[t] for t in tails]
+            )
+        ending = [np.flatnonzero(ranges == v) for v in range(self.n_vertices)]
+        rank = np.empty_like(ranges)
+        for arr in ending:
+            rank[arr] = np.arange(len(arr))
+            arr.setflags(write=False)
+        got = self._levels[k] = _Level(ranges, sources, rank, start, ending)
+        return got
+
+    def prepend_index(self, k, prefix):
+        """Level-(k + len(prefix)) index of prefix*b for each b in paths(k).
+
+        Entries are -1 where r(b) != s(prefix). The array is cached and
+        read-only.
+        """
+        key = (k, prefix.edges, prefix.source)
+        got = self._prepend.get(key)
+        if got is None:
+            fits = self.ending_at(k, prefix.source)
+            idx = fits
+            for j, e in enumerate(reversed(prefix.edges)):
+                idx = self._level(k + j + 1).start[e] + self._level(k + j).rank[idx]
+            got = np.full(len(self._level(k).range), -1, dtype=int)
+            got[fits] = idx
+            got.setflags(write=False)
+            self._prepend[key] = got
+        return got
+
+    def ending_at(self, k, v):
+        """Ascending indices of the level-k paths with range v (read-only)."""
+        return self._level(k).ending[v]
+
+    def starting_at(self, k, v):
+        """Ascending indices of the level-k paths with source v."""
+        return np.flatnonzero(self._level(k).source == v)
+
     def xi(self, v, q, choice="min"):
         """Deterministic length-q path starting at vertex index v.
 
@@ -194,13 +276,13 @@ class Graph:
         """
         if choice not in ("min", "max"):
             raise GraphError("xi choice must be 'min' or 'max'")
-        candidates = [p for p in self.paths(q) if p.source == v]
-        if not candidates:
+        starts = self.starting_at(q, v)
+        if not starts.size:
             raise GraphError(
                 "no length-%d path starts at %r (sink encountered)"
                 % (q, self.vertices[v])
             )
-        return candidates[0] if choice == "min" else candidates[-1]
+        return self.paths(q)[starts[0] if choice == "min" else starts[-1]]
 
     # -- serialization ---------------------------------------------------
 
@@ -248,12 +330,17 @@ class Graph:
             isinstance(v, str) for v in vertices
         ):
             raise GraphError("'vertices' must be a list of strings")
+        if not isinstance(edge_docs, list):
+            raise GraphError("'edges' must be a list of edge objects")
         edges = []
         for ed in edge_docs:
             try:
-                edges.append(Edge(ed["name"], ed["src"], ed["dst"]))
+                fields = (ed["name"], ed["src"], ed["dst"])
             except (TypeError, KeyError) as exc:
                 raise GraphError("malformed edge entry %r" % (ed,)) from exc
+            if not all(isinstance(x, str) for x in fields):
+                raise GraphError("edge entry %r needs string fields" % (ed,))
+            edges.append(Edge(*fields))
         return cls(vertices, edges)
 
     # -- shape predicates --------------------------------------------------

@@ -18,8 +18,9 @@ ideals of the ambient algebra:
 
 Everything here computes in structural stage coordinates: a stage-n
 element is a dict keyed by source vertex with one coordinate tensor
-per pair of index paths, path conjugation is an exact index copy, and
-the maps between stages reuse the certified tower fibers. Window
+per pair of index paths, path conjugation is an exact index copy
+(Graph.prepend_index on the stage index arrays), and the maps between
+stages reuse the certified tower fibers. Window
 renders enter only where a statement genuinely lives on the observable
 window (the transport gathers and the strip / push re-verification),
 always behind a residual certificate.
@@ -47,6 +48,7 @@ from .graphs import Path
 from .tower import TowerConfig, build_tower
 from .weights import minimal_period, reperiodize
 from .windows import RANK_TOL, in_span, onb, span_contains, span_intersect
+from .windows import span_residual
 
 MAX_CANDIDATES = 2 ** 20
 
@@ -255,11 +257,12 @@ def ideal_subspace(tower, v, subset, tol=RANK_TOL):
     return basis
 
 
-def _span_residual(vec, basis):
-    if basis.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    coeffs = basis.conj() @ vec
-    return float(np.linalg.norm(vec - basis.T @ coeffs))
+def _family_subspaces(tower, family, tol=RANK_TOL):
+    """The corner ideal subspace the family picks at every vertex."""
+    return {
+        v: ideal_subspace(tower, v, family.choices[v], tol)
+        for v in range(tower.graph.n_vertices)
+    }
 
 
 # -- transport maps between corners -------------------------------------------
@@ -300,51 +303,17 @@ def pi_map(tower, a, b):
         raise GraphError(
             "transport needs paths with a common start and a common end"
         )
-    ln = len(a)
-    s = g.source_of(a)
-    w = g.range_of(a)
-    cs = tower.corners[s]
-    cw = tower.corners[w]
-    lo, hi = tower.G0, tower.G1 - ln
+    lo, hi = tower.G0, tower.G1 - len(a)
     if hi <= lo:
         raise GraphError(
-            "the window is too short to transport a length-%d path" % ln
+            "the window is too short to transport a length-%d path" % len(a)
         )
-    cs.restricted(lo, hi)
-    gathers = []
-    for ell in range(lo, hi):
-        out_slot = cs.slot_lists[ell - tower.G0]
-        in_pos = cw.slot_pos[ell + ln - tower.G0]
-        r1 = np.array(
-            [in_pos[g.compose(a, rho).edges] for rho in out_slot], dtype=int
-        )
-        r2 = np.array(
-            [in_pos[g.compose(b, rho).edges] for rho in out_slot], dtype=int
-        )
-        gathers.append((ell + ln - tower.G0, r1, r2))
-    cols = []
-    eye = np.eye(cw.r, dtype=np.complex128)
-    for t in range(cw.r):
-        blocks = cw.element(eye[t])
-        slot_blocks = []
-        for src_idx, r1, r2 in gathers:
-            slot_blocks.append(
-                blocks[src_idx][np.ix_(r1, r2)]
-                if r1.size
-                else np.zeros((0, 0), dtype=np.complex128)
-            )
-        coords, resid = cs.coords_from_partial(lo, hi, slot_blocks)
-        scale = max(
-            1.0,
-            max((np.abs(m).max() for m in slot_blocks if m.size), default=0.0),
-        )
-        if resid > 100 * tower.config.tol * scale:
-            raise WindowUnstableError(
-                "transported corner element leaves the corner span at %r"
-                % g.vertices[s]
-            )
-        cols.append(coords)
-    return np.array(cols).T
+    return tower.transport(
+        a,
+        b,
+        "transported corner element leaves the corner span at %r"
+        % g.vertices[g.source_of(a)],
+    )
 
 
 def _parallel_edge_pairs(g):
@@ -364,10 +333,7 @@ def check_H(tower, family, tol=RANK_TOL):
     membership residual.
     """
     g = tower.graph
-    subs = {
-        v: ideal_subspace(tower, v, family.choices[v], tol)
-        for v in range(g.n_vertices)
-    }
+    subs = _family_subspaces(tower, family, tol)
     violations = []
     for e, f in _parallel_edge_pairs(g):
         vd = g.edst[e]
@@ -375,7 +341,7 @@ def check_H(tower, family, tol=RANK_TOL):
         mat = pi_map(tower, Path((e,), vc), Path((f,), vc))
         for row in subs[vd]:
             img = mat @ row
-            resid = _span_residual(img, subs[vc])
+            resid = span_residual(img, subs[vc])
             if resid > tol * max(1.0, float(np.linalg.norm(img))):
                 violations.append(
                     {
@@ -391,13 +357,6 @@ def check_H(tower, family, tol=RANK_TOL):
 
 
 # -- structural stage helpers -------------------------------------------------
-
-
-def _stage_pos(tower, n):
-    return [
-        {pth.edges: i for i, pth in enumerate(tower.stages[n].paths[v])}
-        for v in range(tower.graph.n_vertices)
-    ]
 
 
 def _stage_unvec(tower, n, vec):
@@ -426,23 +385,19 @@ def _shift_pair(tower, n, x, delta, gamma):
     m = n + len(delta) // tower.p
     if m > tower.config.n_max:
         raise DomainError("stage %d exceeds the built tower" % m)
-    pos = _stage_pos(tower, m)
+    length = n * tower.p + tower.q
     out = tower.stage_zero(m)
-    sd = g.source_of(delta)
-    sg = g.source_of(gamma)
     for v, blk in x.items():
         src = tower.stages[n].paths[v]
-        rows_d, dst_d, rows_g, dst_g = [], [], [], []
-        for i, pth in enumerate(src):
-            end = g.range_of(pth)
-            if end == sd:
-                rows_d.append(i)
-                dst_d.append(pos[v][g.compose(delta, pth).edges])
-            if end == sg:
-                rows_g.append(i)
-                dst_g.append(pos[v][g.compose(gamma, pth).edges])
-        if rows_d and rows_g:
-            out[v][np.ix_(dst_d, dst_g)] = blk[np.ix_(rows_d, rows_g)]
+        dst_d = g.prepend_index(length, delta)[src]
+        dst_g = g.prepend_index(length, gamma)[src]
+        rows_d = np.flatnonzero(dst_d >= 0)
+        rows_g = np.flatnonzero(dst_g >= 0)
+        # stage-m positions: searchsorted in the ascending index list at v
+        hi = tower.stages[m].paths[v]
+        pos_d = np.searchsorted(hi, dst_d[rows_d])
+        pos_g = np.searchsorted(hi, dst_g[rows_g])
+        out[v][np.ix_(pos_d, pos_g)] = blk[np.ix_(rows_d, rows_g)]
     return out
 
 
@@ -485,10 +440,7 @@ def check_S(tower, family, n_cap=None, tol=RANK_TOL):
         cap = int(n_cap)
     if cap < 1:
         raise DomainError("the step cap must be at least 1")
-    subs = {
-        v: ideal_subspace(tower, v, family.choices[v], tol)
-        for v in range(nv)
-    }
+    subs = _family_subspaces(tower, family, tol)
     steps = {v: [] for v in range(nv)}
     for mi, mu in enumerate(g.paths(tower.p)):
         steps[g.range_of(mu)].append((tower.fibers[mi], g.source_of(mu)))
@@ -540,10 +492,7 @@ def _ideal_chain(tower, family, n, tol=RANK_TOL):
     g = tower.graph
     if n > tower.config.n_max:
         raise DomainError("stage %d exceeds the built tower" % n)
-    subs = {
-        v: ideal_subspace(tower, v, family.choices[v], tol)
-        for v in range(g.n_vertices)
-    }
+    subs = _family_subspaces(tower, family, tol)
     seeds = []
     for w in range(g.n_vertices):
         m = tower.stages[0].counts[w]
@@ -627,86 +576,38 @@ def _sample_pairs(m):
     return pairs
 
 
-def _strip_render(tower, blocks, n, v, mu1, mu2):
-    """Flattened (mu1, mu2) strip of a stage render, in slot coordinates.
+def _strip_render(blocks, rows, i1, i2):
+    """Flattened (i1, i2) strip of a stage render, rows from stage_rows.
 
-    The result is laid out exactly like the rows of the corner's
-    restricted basis matrix on levels [M - n p, M + W - n p), so span
-    arithmetic against the corner subspace needs no further alignment.
+    It is laid out like the rows of the corner's restricted basis matrix
+    on levels [M - n p, M + W - n p), ready for span arithmetic.
     """
-    g = tower.graph
-    corner = tower.corners[v]
-    slot_blocks = []
-    for kk in range(tower.W):
-        ell = tower.M + kk - n * tower.p
-        slot = corner.slot_lists[ell - tower.G0]
-        r1 = np.array(
-            [g.path_index(g.compose(mu1, d)) for d in slot], dtype=int
-        )
-        r2 = np.array(
-            [g.path_index(g.compose(mu2, d)) for d in slot], dtype=int
-        )
-        slot_blocks.append(
-            blocks[kk][np.ix_(r1, r2)]
-            if r1.size
-            else np.zeros((0, 0), dtype=np.complex128)
-        )
-    return np.concatenate([blk.ravel() for blk in slot_blocks])
+    return np.concatenate(
+        [blk[np.ix_(r[i1], r[i2])].ravel() for blk, r in zip(blocks, rows)]
+    )
 
 
 def _flatten_levels(blocks, k0, k1):
     return np.concatenate([blocks[kk].ravel() for kk in range(k0, k1)])
 
 
-def _strip_edges_render(tower, blocks, e, f):
-    """Render of u_e^* x u_f on levels [M, M+W-1) from the render of x."""
+def _edge_render(tower, blocks, e, f, push):
+    """Render of u_e^* x u_f on levels [M, M+W-1) from the render of x,
+    or with push, of u_e x u_f^* on levels [M+1, M+W)."""
     g = tower.graph
-    ep = Path((e,), g.esrc[e])
-    fp = Path((f,), g.esrc[f])
     out = []
     for kk in range(tower.W - 1):
         k = tower.M + kk
-        paths_k = g.paths(k)
-        mat = np.zeros((len(paths_k), len(paths_k)), dtype=np.complex128)
-        rows = [
-            j for j, pth in enumerate(paths_k)
-            if g.range_of(pth) == g.esrc[e]
-        ]
-        cols = [
-            j for j, pth in enumerate(paths_k)
-            if g.range_of(pth) == g.esrc[f]
-        ]
-        if rows and cols:
-            src_r = [g.path_index(g.compose(ep, paths_k[j])) for j in rows]
-            src_c = [g.path_index(g.compose(fp, paths_k[j])) for j in cols]
-            mat[np.ix_(rows, cols)] = blocks[kk + 1][np.ix_(src_r, src_c)]
-        out.append(mat)
-    return np.concatenate([m.ravel() for m in out])
-
-
-def _push_edges_render(tower, blocks, e, f):
-    """Render of u_e x u_f^* on levels [M+1, M+W) from the render of x."""
-    g = tower.graph
-    ep = Path((e,), g.esrc[e])
-    fp = Path((f,), g.esrc[f])
-    out = []
-    for kk in range(1, tower.W):
-        k = tower.M + kk
-        paths_k = g.paths(k)
-        paths_low = g.paths(k - 1)
-        mat = np.zeros((len(paths_k), len(paths_k)), dtype=np.complex128)
-        rows = [
-            j for j, pth in enumerate(paths_low)
-            if g.range_of(pth) == g.esrc[e]
-        ]
-        cols = [
-            j for j, pth in enumerate(paths_low)
-            if g.range_of(pth) == g.esrc[f]
-        ]
-        if rows and cols:
-            dst_r = [g.path_index(g.compose(ep, paths_low[j])) for j in rows]
-            dst_c = [g.path_index(g.compose(fp, paths_low[j])) for j in cols]
-            mat[np.ix_(dst_r, dst_c)] = blocks[kk - 1][np.ix_(rows, cols)]
+        rows = g.ending_at(k, g.esrc[e])
+        cols = g.ending_at(k, g.esrc[f])
+        up_r = g.prepend_index(k, Path((e,), g.esrc[e]))[rows]
+        up_c = g.prepend_index(k, Path((f,), g.esrc[f]))[cols]
+        dim = g.level_dim(k + 1 if push else k)
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        if push:
+            mat[np.ix_(up_r, up_c)] = blocks[kk][np.ix_(rows, cols)]
+        else:
+            mat[np.ix_(rows, cols)] = blocks[kk + 1][np.ix_(up_r, up_c)]
         out.append(mat)
     return np.concatenate([m.ravel() for m in out])
 
@@ -734,10 +635,7 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
         )
     if cap < 1:
         raise DomainError("verification needs at least one stage")
-    subs = {
-        v: ideal_subspace(tower, v, family.choices[v], tol)
-        for v in range(g.n_vertices)
-    }
+    subs = _family_subspaces(tower, family, tol)
     chain = _ideal_chain(tower, family, cap, tol)
     failures = []
     fiber_checks = []
@@ -749,13 +647,16 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                mat, pinv = corner.restricted(lo, hi)
+                mat = corner.restricted(lo, hi)[0]
                 corner_span = onb(mat, tol)
+                index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
+                rows_low = tower.stage_rows(nlow, v)
                 for i1, i2 in _sample_pairs(len(paths_low)):
-                    mu1, mu2 = paths_low[i1], paths_low[i2]
+                    mu1 = index_paths[paths_low[i1]]
+                    mu2 = index_paths[paths_low[i2]]
                     strips = [
-                        _strip_render(tower, rnd, nlow, v, mu1, mu2)
+                        _strip_render(rnd, rows_low, i1, i2)
                         for rnd in renders
                     ]
                     if strips:
@@ -768,10 +669,10 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                     rows = []
                     uncertified = None
                     for vec in inter:
-                        coords = pinv @ vec
-                        resid = float(np.linalg.norm(mat.T @ coords - vec))
-                        scale = max(1.0, float(np.linalg.norm(vec)))
-                        if resid > 100 * tower.config.tol * scale:
+                        coords, resid = corner.certified_coords(
+                            lo, hi, [vec], max(1.0, float(np.linalg.norm(vec)))
+                        )
+                        if coords is None:
                             uncertified = resid
                             break
                         rows.append(coords)
@@ -845,12 +746,12 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                 worst_strip = 0.0
                 worst_push = 0.0
                 for rnd in j0_renders:
-                    cand = _strip_edges_render(tower, rnd, e, f)
-                    resid = _span_residual(cand, j0_low)
+                    cand = _edge_render(tower, rnd, e, f, push=False)
+                    resid = span_residual(cand, j0_low)
                     scale = max(1.0, float(np.linalg.norm(cand)))
                     worst_strip = max(worst_strip, resid / scale)
-                    cand = _push_edges_render(tower, rnd, e, f)
-                    resid = _span_residual(cand, j1_high)
+                    cand = _edge_render(tower, rnd, e, f, push=True)
+                    resid = span_residual(cand, j1_high)
                     scale = max(1.0, float(np.linalg.norm(cand)))
                     worst_push = max(worst_push, resid / scale)
                 names = (g.edges[e].name, g.edges[f].name)
@@ -931,7 +832,7 @@ def _enumerate_H(tower, max_candidates=MAX_CANDIDATES, tol=RANK_TOL):
         mat = mats[(e, f)]
         for row in dom:
             img = mat @ row
-            if _span_residual(img, cod) > tol * max(
+            if span_residual(img, cod) > tol * max(
                 1.0, float(np.linalg.norm(img))
             ):
                 return False

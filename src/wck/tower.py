@@ -15,12 +15,15 @@ window of levels of the path space:
   - C_0 is generated by the degree-zero words of path length below p
     together with the conjugated diagonal weight operators, and closed
     up with findim.star_closure;
-  - corners are plain submatrix compressions onto slots indexed by the
-    paths that end at v;
+  - corners are plain submatrix compressions onto slots, the int arrays
+    Graph.ending_at gives for the paths that end at v;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
-    gymnastics (conjugation by a shift of the slot basis), so the
+    gathers (Graph.prepend_index shifts the slot basis by mu), so the
     Bratteli diagram of the tower is stationary.
+
+Stage index paths, slots and all gathers are int arrays of positions in
+Graph.paths(k); Path objects appear only as prefixes and in messages.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .findim import (
     StarAlgebra,
+    blocks_unvec,
     blocks_vec,
     central_decomposition,
     star_closure,
@@ -80,22 +84,38 @@ class Corner:
     the orthonormalized basis, and products are tabulated once into a
     structure-constant tensor so later stage arithmetic never touches
     matrices again.
+
+    slot_lists[l - levels[0]] holds the ascending indices of the slot
+    paths inside paths(l - q), so a slot position is a searchsorted.
     """
 
-    def __init__(self, vertex, xi, levels, slot_lists, algebra, tol):
-        self.vertex = vertex
-        self.xi = xi
+    def __init__(self, graph, q, C0, v, levels, config):
+        g = graph
+        self.vertex = v
+        self.xi = g.xi(v, q, config.xi_choice)
         self.levels = levels
-        self.slot_lists = slot_lists        # per level: list of Path
-        self.slot_pos = [
-            {pth.edges: i for i, pth in enumerate(lst)} for lst in slot_lists
+        self.tol = config.tol
+        self.slot_lists = [g.ending_at(k - q, v) for k in levels]
+        slot_index = [
+            g.prepend_index(k - q, self.xi)[slots]
+            for k, slots in zip(levels, self.slot_lists)
         ]
-        self.algebra = algebra
-        self.tol = tol
-        self.r = algebra.dim
+        slot_dims = [len(slots) for slots in self.slot_lists]
+        unit = [np.eye(d, dtype=np.complex128) for d in slot_dims]
+        rows = [blocks_vec(unit)]
+        for b in C0.basis:
+            vec = blocks_vec(
+                [blk[np.ix_(idx, idx)] for blk, idx in zip(b, slot_index)]
+            )
+            if float(np.linalg.norm(vec)) > 1e-9:
+                rows.append(vec)
+        mat = onb(np.array(rows))
+        basis = [blocks_unvec(row, slot_dims) for row in mat]
+        self.algebra = StarAlgebra(tuple(slot_dims), basis, mat, unit)
+        self.r = self.algebra.dim
         self._restricted = {}
         self._tabulate()
-        self.dec = None                      # filled by build_tower
+        self.dec = central_decomposition(self.algebra, seed=config.seed)
 
     def _tabulate(self):
         r = self.r
@@ -104,33 +124,22 @@ class Corner:
         self.unit_coords = mat.conj() @ blocks_vec(self.algebra.unit)
         self.T = np.zeros((r, r, r), dtype=np.complex128)
         self.S = np.zeros((r, r), dtype=np.complex128)
+
+        def closed_coords(blocks, under):
+            vec = blocks_vec(blocks)
+            coords = mat.conj() @ vec
+            if np.linalg.norm(mat.T @ coords - vec) > 1e-7:
+                raise WindowUnstableError(
+                    "corner basis is not closed under %s" % under
+                )
+            return coords
+
         for i in range(r):
             adj = [blk.conj().T for blk in basis[i]]
-            vec = blocks_vec(adj)
-            coords = mat.conj() @ vec
-            resid = np.linalg.norm(mat.T @ coords - vec)
-            if resid > 1e-7:
-                raise WindowUnstableError(
-                    "corner basis is not closed under adjoints"
-                )
-            self.S[i] = coords
+            self.S[i] = closed_coords(adj, "adjoints")
             for j in range(r):
                 prod = [a @ b for a, b in zip(basis[i], basis[j])]
-                vec = blocks_vec(prod)
-                coords = mat.conj() @ vec
-                resid = np.linalg.norm(mat.T @ coords - vec)
-                if resid > 1e-7:
-                    raise WindowUnstableError(
-                        "corner basis is not closed under products"
-                    )
-                self.T[i, j] = coords
-
-    def element(self, coords):
-        out = [np.zeros_like(blk) for blk in self.algebra.basis[0]]
-        for c, b in zip(coords, self.algebra.basis):
-            for lev, blk in enumerate(b):
-                out[lev] = out[lev] + c * blk
-        return out
+                self.T[i, j] = closed_coords(prod, "products")
 
     def coords(self, blocks):
         return self.algebra.onb.conj() @ blocks_vec(blocks)
@@ -149,14 +158,7 @@ class Corner:
             return got
         i0 = lo - self.levels[0]
         i1 = hi - self.levels[0]
-        rows = []
-        for b in self.algebra.basis:
-            rows.append(
-                np.concatenate([blk.ravel() for blk in b[i0:i1]])
-                if i1 > i0
-                else np.zeros(0, dtype=np.complex128)
-            )
-        mat = np.array(rows)
+        mat = np.array([blocks_vec(b[i0:i1]) for b in self.algebra.basis])
         if self.r:
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0]):
@@ -168,33 +170,145 @@ class Corner:
         self._restricted[key] = (mat, pinv)
         return mat, pinv
 
-    def coords_from_partial(self, lo, hi, slot_blocks):
-        """Coordinates from slot data on a sub-range, with residual."""
+    def certified_coords(self, lo, hi, slot_blocks, scale, message=None):
+        """Coordinates of slot data on levels [lo, hi), and their residual.
+
+        The least-squares residual must stay within 100 * tol * scale.
+        Past that bound the call raises WindowUnstableError(message), or
+        returns None for the coordinates when no message is given.
+        """
         mat, pinv = self.restricted(lo, hi)
-        vec = (
-            np.concatenate([blk.ravel() for blk in slot_blocks])
-            if slot_blocks
-            else np.zeros(0, dtype=np.complex128)
-        )
+        vec = blocks_vec(slot_blocks)
         coords = pinv @ vec
         resid = float(np.linalg.norm(mat.T @ coords - vec))
+        if resid > 100 * self.tol * scale:
+            if message is not None:
+                raise WindowUnstableError(message)
+            coords = None
         return coords, resid
 
 
 @dataclass
 class StageData:
+    """Index paths of one stage: the paths of length n p + q.
+
+    paths[v] holds the ascending indices inside paths(n p + q) of the
+    index paths starting at v.
+    """
+
     n: int
-    paths: dict          # vertex index -> list of Path (source = vertex)
+    paths: dict
     counts: dict         # vertex index -> path count m_v(n)
     summand_sizes: list  # aligned with tower.labels
     dim: int
 
 
 class Tower:
+    """The core tower of a graph with weights, built on one window.
+
+    The window holds levels [G0, G1): the top evaluation window [M,
+    M + W) plus the n_max * p + q levels below it that the stage index
+    paths need.
+    """
+
     def __init__(self, graph, weights, config):
+        g = graph
+        shape = g.validate()
+        if not (shape.no_sources and shape.no_sinks):
+            raise GraphError(
+                "the core tower needs a graph without sources or sinks"
+            )
+        if config.xi_choice not in ("min", "max"):
+            raise GraphError("xi choice must be 'min' or 'max'")
         self.graph = graph
         self.weights = weights
         self.config = config
+        p, q, N = weights.p, weights.q, weights.N
+        self.p, self.q, self.N = p, q, N
+        M = config.M if config.M is not None else N + q + (config.n_max + 3) * p
+        W = config.W if config.W is not None else 3 * p
+        G0 = M - config.n_max * p - q
+        if G0 < q:
+            raise GraphError(
+                "window start %d leaves no room for the stage paths" % M
+            )
+        self.M, self.W, self.G0, self.G1 = M, W, G0, M + W
+        levels = list(range(G0, M + W))
+        worst = max(g.level_dim(k) for k in levels)
+        if worst > config.max_level_dim:
+            raise WindowUnstableError(
+                "level dimension %d exceeds the guard %d; pass a smaller "
+                "window" % (worst, config.max_level_dim)
+            )
+
+        self.C0 = build_C0(g, weights, levels)
+        self.corners = {
+            v: Corner(g, q, self.C0, v, levels, config)
+            for v in range(g.n_vertices)
+        }
+
+        # one fiber per length-p path; the Bratteli diagram is stationary
+        self.fibers = []
+        fiber_mults = []
+        for mu in g.paths(p):
+            # the fiber b -> V* b V of mu prepends mu on slots
+            message = "fiber image along %s left the corner at %r" % (
+                g.path_str(mu), g.vertices[g.source_of(mu)]
+            )
+            self.fibers.append(self.transport(mu, mu, message))
+            fiber_mults.append(_fiber_multiplicities(self, mu, self.fibers[-1]))
+
+        self.labels = [
+            (v, i)
+            for v in range(g.n_vertices)
+            for i in range(len(self.corners[v].dec.summands))
+        ]
+        lab_pos = {lab: k for k, lab in enumerate(self.labels)}
+        mult = np.zeros((len(self.labels), len(self.labels)), dtype=int)
+        for mi, mu in enumerate(g.paths(p)):
+            v = g.source_of(mu)
+            w = g.range_of(mu)
+            block = fiber_mults[mi]
+            for i in range(block.shape[0]):
+                for j in range(block.shape[1]):
+                    mult[lab_pos[(w, i)], lab_pos[(v, j)]] += block[i, j]
+        self.multiplicity = mult
+        for row in range(mult.shape[0]):
+            if not np.any(mult[row]):
+                raise MultiplicityError(
+                    "summand %s receives no connecting edges; the tower "
+                    "inclusion would not be injective" % (self.labels[row],)
+                )
+
+        self.stages = []
+        for n in range(config.n_max + 1):
+            paths = {
+                v: g.starting_at(n * p + q, v) for v in range(g.n_vertices)
+            }
+            counts = {v: len(idx) for v, idx in paths.items()}
+            sizes = [
+                counts[v] * self.corners[v].dec.summands[i].d
+                for (v, i) in self.labels
+            ]
+            dim = sum(
+                counts[v] ** 2 * self.corners[v].r for v in range(g.n_vertices)
+            )
+            self.stages.append(StageData(n, paths, counts, sizes, dim))
+
+        # dimension bookkeeping between consecutive stages
+        for n in range(config.n_max):
+            lo, hi = self.stages[n], self.stages[n + 1]
+            for bi in range(len(self.labels)):
+                got = sum(
+                    mult[ai, bi] * lo.summand_sizes[ai]
+                    for ai in range(len(self.labels))
+                )
+                if got != hi.summand_sizes[bi]:
+                    raise MultiplicityError(
+                        "stage %d summand %s has size %d, connecting maps "
+                        "give %d"
+                        % (n + 1, self.labels[bi], hi.summand_sizes[bi], got)
+                    )
 
     # -- structural stage elements ----------------------------------------
 
@@ -255,50 +369,87 @@ class Tower:
             raise DomainError("stage %d exceeds the built tower" % (n + 1))
         out = self.stage_zero(n + 1)
         g = self.graph
+        alphas = g.paths(n * self.p + self.q)
         for mi, mu in enumerate(g.paths(self.p)):
             v = g.source_of(mu)
             w = g.range_of(mu)
-            rows = self._hi_pos[(n + 1, mi)]
+            # stage-(n + 1) positions of alpha*mu, alpha over the stage-n paths at w
+            lo = self.stages[n].paths[w]
+            hi = [g.prepend_index(self.p, alphas[i])[mi] for i in lo]
+            rows = np.searchsorted(self.stages[n + 1].paths[v], hi)
             lifted = np.einsum("abj,ij->abi", x[w], self.fibers[mi])
             out[v][np.ix_(rows, rows)] += lifted
         return out
 
+    def stage_rows(self, n, v):
+        """Window rows of the stage-n index paths at v, level by level.
+
+        Entry kk is an int array with one row per index path gamma
+        starting at v: the level-(M + kk) indices of gamma*d over the
+        corner slot at level M + kk - n p, in slot order.
+        """
+        g = self.graph
+        length = n * self.p + self.q
+        gammas = [g.paths(length)[i] for i in self.stages[n].paths[v]]
+        out = []
+        for k in range(self.M, self.M + self.W):
+            slot = self.corners[v].slot_lists[k - n * self.p - self.G0]
+            out.append(
+                np.array(
+                    [g.prepend_index(k - length, gam)[slot] for gam in gammas],
+                    dtype=int,
+                )
+            )
+        return out
+
+    def transport(self, a, b, message):
+        """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
+
+        Columns run over the corner basis at r(a), rows over the corner
+        at s(a). On the window the image is an index gather len(a)
+        levels down, certified column by column against 100 * tol (the
+        basis is orthonormal, so no entry exceeds 1); a failure raises
+        WindowUnstableError(message).
+        """
+        g = self.graph
+        cs = self.corners[g.source_of(a)]
+        cw = self.corners[g.range_of(a)]
+        lo, hi = self.G0, self.G1 - len(a)
+        gathers = []
+        for ell in range(lo, hi):
+            # slot positions of a*d and b*d, d over the slot of cs at ell
+            slot = cs.slot_lists[ell - self.G0]
+            image = cw.slot_lists[ell + len(a) - self.G0]
+            gathers.append((
+                ell + len(a) - self.G0,
+                np.searchsorted(image, g.prepend_index(ell - self.q, a)[slot]),
+                np.searchsorted(image, g.prepend_index(ell - self.q, b)[slot]),
+            ))
+        cols = []
+        for blocks in cw.algebra.basis:
+            slot_blocks = [blocks[i][np.ix_(r1, r2)] for i, r1, r2 in gathers]
+            cols.append(
+                cs.certified_coords(lo, hi, slot_blocks, 1.0, message)[0]
+            )
+        return np.array(cols).T
+
     def tau_inverse(self, n, x):
         """Concrete window blocks of a structural stage element."""
         g = self.graph
-        length = n * self.p + self.q
         blocks = [
             np.zeros((g.level_dim(k), g.level_dim(k)), dtype=np.complex128)
             for k in range(self.M, self.M + self.W)
         ]
+        first = self.M - n * self.p - self.G0
         for v, blk in x.items():
-            corner = self.corners[v]
-            gammas = self.stages[n].paths[v]
-            scatter = {}
-            for kk, k in enumerate(range(self.M, self.M + self.W)):
-                j = k - length
-                ell = j + self.q
-                slot = corner.slot_lists[ell - self.G0]
-                rows = {
-                    gi: np.array(
-                        [g.path_index(g.compose(gam, d)) for d in slot],
-                        dtype=int,
-                    )
-                    for gi, gam in enumerate(gammas)
-                }
-                scatter[kk] = (ell, rows)
-            for a, g1 in enumerate(gammas):
-                for b, g2 in enumerate(gammas):
-                    coords = blk[a, b]
-                    if not np.any(coords):
+            rows = self.stage_rows(n, v)
+            for a in range(blk.shape[0]):
+                for b in range(blk.shape[0]):
+                    if not np.any(blk[a, b]):
                         continue
-                    mats = corner.element(coords)
-                    for kk in range(self.W):
-                        ell, rows = scatter[kk]
-                        sub = mats[ell - self.G0]
-                        if sub.size == 0:
-                            continue
-                        blocks[kk][np.ix_(rows[a], rows[b])] += sub
+                    mats = self.corners[v].algebra.element(blk[a, b])
+                    for kk, r in enumerate(rows):
+                        blocks[kk][np.ix_(r[a], r[b])] += mats[first + kk]
         return blocks
 
     def tau(self, n, blocks):
@@ -307,58 +458,24 @@ class Tower:
         The extraction certifies that every compressed entry actually
         lies in the corner span; garbage input raises.
         """
-        g = self.graph
-        length = n * self.p + self.q
         lo = self.M - n * self.p
-        hi = self.M + self.W - n * self.p
+        hi = lo + self.W
         x = self.stage_zero(n)
         for v, blk in x.items():
-            corner = self.corners[v]
-            gammas = self.stages[n].paths[v]
-            rows_per_level = []
-            for k in range(self.M, self.M + self.W):
-                j = k - length
-                ell = j + self.q
-                slot = corner.slot_lists[ell - self.G0]
-                rows_per_level.append(
-                    [
-                        np.array(
-                            [
-                                g.path_index(g.compose(gam, d))
-                                for d in slot
-                            ],
-                            dtype=int,
-                        )
-                        for gam in gammas
+            rows = self.stage_rows(n, v)
+            message = (
+                "window data at vertex %r does not lie in the stage-%d "
+                "algebra" % (self.graph.vertices[v], n)
+            )
+            for a in range(blk.shape[0]):
+                for b in range(blk.shape[0]):
+                    slot_blocks = [
+                        blocks[kk][np.ix_(r[a], r[b])]
+                        for kk, r in enumerate(rows)
                     ]
-                )
-            for a in range(len(gammas)):
-                for b in range(len(gammas)):
-                    slot_blocks = []
-                    for kk in range(self.W):
-                        r1 = rows_per_level[kk][a]
-                        r2 = rows_per_level[kk][b]
-                        slot_blocks.append(
-                            blocks[kk][np.ix_(r1, r2)]
-                            if r1.size
-                            else np.zeros((0, 0), dtype=np.complex128)
-                        )
-                    coords, resid = corner.coords_from_partial(
-                        lo, hi, slot_blocks
-                    )
-                    scale = max(
-                        1.0,
-                        max(
-                            (np.abs(s).max() for s in slot_blocks if s.size),
-                            default=0.0,
-                        ),
-                    )
-                    if resid > 100 * self.config.tol * scale:
-                        raise WindowUnstableError(
-                            "window data at vertex %r does not lie in the "
-                            "stage-%d algebra" % (self.graph.vertices[v], n)
-                        )
-                    blk[a, b] = coords
+                    blk[a, b] = self.corners[v].certified_coords(
+                        lo, hi, slot_blocks, _entry_scale(slot_blocks), message
+                    )[0]
         return x
 
     # -- reporting ----------------------------------------------------------
@@ -420,6 +537,11 @@ class Tower:
 # -- construction ---------------------------------------------------------
 
 
+def _entry_scale(blocks):
+    """The largest absolute entry of a list of blocks, at least 1."""
+    return max(1.0, max((np.abs(b).max() for b in blocks if b.size), default=0.0))
+
+
 def _c0_generators(graph, weights, levels, z_powers=3):
     """Window blocks of the stage-zero generators.
 
@@ -429,160 +551,50 @@ def _c0_generators(graph, weights, levels, z_powers=3):
     first few are seeded explicitly.
     """
     g = graph
-    p = weights.p
     gens = []
     dims = [g.level_dim(k) for k in levels]
-
-    for a in range(p):
-        zpow = []
-        for k in levels:
-            if k - a < 0:
-                zpow.append(None)
-                continue
-            z = weights.level_matrix(k - a)
-            zpow.append(
-                [np.linalg.matrix_power(z, power) for power in range(z_powers)]
-            )
+    for a in range(weights.p):
+        zpow = [
+            [
+                np.linalg.matrix_power(weights.level_matrix(k - a), power)
+                for power in range(z_powers)
+            ]
+            for k in levels
+        ]
         by_source = {}
         for pth in g.paths(a):
             by_source.setdefault(pth.source, []).append(pth)
         for v, group in by_source.items():
-            scatters = []
-            slices = []
-            for li, k in enumerate(levels):
-                if k - a < 0:
-                    scatters.append(None)
-                    slices.append(None)
-                    continue
-                tails = [d for d in g.paths(k - a) if g.range_of(d) == v]
-                didx = np.array(
-                    [g.path_index(d) for d in tails], dtype=int
-                )
-                rows = {
-                    pth.edges: np.array(
-                        [
-                            g.path_index(g.compose(pth, d))
-                            for d in tails
-                        ],
-                        dtype=int,
-                    )
-                    for pth in group
-                }
-                scatters.append(rows)
-                slices.append(didx)
-            for alpha in group:
-                for beta in group:
+            tails = [g.ending_at(k - a, v) for k in levels]
+            rows = [
+                [g.prepend_index(k - a, pth)[t] for pth in group]
+                for k, t in zip(levels, tails)
+            ]
+            for ai in range(len(group)):
+                for bi in range(len(group)):
                     for power in range(z_powers):
                         blocks = [
                             np.zeros((d, d), dtype=np.complex128)
                             for d in dims
                         ]
-                        for li in range(len(levels)):
-                            if scatters[li] is None:
-                                continue
-                            didx = slices[li]
-                            if didx.size == 0:
-                                continue
-                            mid = zpow[li][power][np.ix_(didx, didx)]
+                        for li, t in enumerate(tails):
                             blocks[li][
-                                np.ix_(
-                                    scatters[li][alpha.edges],
-                                    scatters[li][beta.edges],
-                                )
-                            ] = mid
+                                np.ix_(rows[li][ai], rows[li][bi])
+                            ] = zpow[li][power][np.ix_(t, t)]
                         gens.append(blocks)
     return gens
 
 
 def build_C0(graph, weights, levels, max_dim=4096):
     """Stage-zero algebra closed up on the given window levels."""
+    if min(levels) < weights.p - 1:
+        raise GraphError(
+            "stage-zero window levels must be at least p - 1 = %d"
+            % (weights.p - 1)
+        )
     dims = [graph.level_dim(k) for k in levels]
     gens = _c0_generators(graph, weights, levels)
     return star_closure(dims, gens, max_dim=max_dim)
-
-
-def _build_corner(graph, weights, C0, v, levels, xi_choice, tol):
-    g = graph
-    q = weights.q
-    xi = g.xi(v, q, xi_choice)
-    slot_lists = []
-    slot_index = []
-    for k in levels:
-        slots = [d for d in g.paths(k - q) if g.range_of(d) == v]
-        slot_lists.append(slots)
-        slot_index.append(
-            np.array(
-                [g.path_index(g.compose(xi, d)) for d in slots], dtype=int
-            )
-        )
-    slot_dims = [len(s) for s in slot_lists]
-
-    def compress(blocks):
-        return [
-            blk[np.ix_(idx, idx)] for blk, idx in zip(blocks, slot_index)
-        ]
-
-    unit = [np.eye(d, dtype=np.complex128) for d in slot_dims]
-    rows = [blocks_vec(unit)]
-    for b in C0.basis:
-        vec = blocks_vec(compress(b))
-        if float(np.linalg.norm(vec)) > 1e-9:
-            rows.append(vec)
-    mat = onb(np.array(rows))
-    basis = []
-    for row in mat:
-        blocks = []
-        pos = 0
-        for d in slot_dims:
-            blocks.append(np.asarray(row[pos:pos + d * d]).reshape(d, d))
-            pos += d * d
-        basis.append(blocks)
-    algebra = StarAlgebra(tuple(slot_dims), basis, mat, unit)
-    return Corner(v, xi, levels, slot_lists, algebra, tol)
-
-
-def _fiber_matrix(tower, mu):
-    """Matrix of the corner map b -> V* b V for one length-p path.
-
-    V is the partial isometry built from mu and the fixed prefixes; on
-    slots it acts by prepending mu, so the map is a pure index gather
-    from the corner at r(mu) into the corner at s(mu).
-    """
-    g = tower.graph
-    v = g.source_of(mu)
-    w = g.range_of(mu)
-    cv = tower.corners[v]
-    cw = tower.corners[w]
-    lo = tower.G0
-    hi = tower.G1 - tower.p
-    maps = []
-    for ell in range(lo, hi):
-        slot_v = cv.slot_lists[ell - tower.G0]
-        pos_w = cw.slot_pos[ell + tower.p - tower.G0]
-        maps.append(
-            np.array(
-                [pos_w[g.compose(mu, d).edges] for d in slot_v], dtype=int
-            )
-        )
-    cols = []
-    for b in cw.algebra.basis:
-        out_blocks = []
-        for oi, ell in enumerate(range(lo, hi)):
-            src = b[ell + tower.p - tower.G0]
-            idx = maps[oi]
-            out_blocks.append(
-                src[np.ix_(idx, idx)]
-                if idx.size
-                else np.zeros((0, 0), dtype=np.complex128)
-            )
-        coords, resid = cv.coords_from_partial(lo, hi, out_blocks)
-        if resid > 100 * tower.config.tol:
-            raise WindowUnstableError(
-                "fiber image along %s left the corner at %r"
-                % (g.path_str(mu), g.vertices[v])
-            )
-        cols.append(coords)
-    return np.array(cols).T if cols else np.zeros((cv.r, 0))
 
 
 def _fiber_multiplicities(tower, mu, fib):
@@ -611,11 +623,11 @@ def _fiber_multiplicities(tower, mu, fib):
         for j, sv in enumerate(cv.dec.summands):
             zj = cv.coords(sv.projection)
             zy = cv.mul_coords(zj, y)
-            rows = []
-            for t in range(cv.r):
-                e = np.zeros(cv.r, dtype=np.complex128)
-                e[t] = 1.0
-                rows.append(cv.mul_coords(zy, cv.mul_coords(e, cv.mul_coords(y, zj))))
+            yz = cv.mul_coords(y, zj)
+            rows = [
+                cv.mul_coords(zy, cv.mul_coords(e, yz))
+                for e in np.eye(cv.r, dtype=np.complex128)
+            ]
             # absolute floor on the rank cut: when the compression is zero
             # the rows are pure roundoff and a relative cut would count them
             sing = np.linalg.svd(np.array(rows), compute_uv=False)
@@ -632,130 +644,7 @@ def _fiber_multiplicities(tower, mu, fib):
 
 def build_tower(graph, weights, config=None):
     """Assemble the full tower structure for a graph and weight spec."""
-    cfg = config or TowerConfig()
-    g = graph
-    shape = g.validate()
-    if not (shape.no_sources and shape.no_sinks):
-        raise GraphError(
-            "the core tower needs a graph without sources or sinks"
-        )
-    if cfg.xi_choice not in ("min", "max"):
-        raise GraphError("xi choice must be 'min' or 'max'")
-    p, q, N = weights.p, weights.q, weights.N
-
-    tower = Tower(g, weights, cfg)
-    tower.p, tower.q, tower.N = p, q, N
-    M = cfg.M if cfg.M is not None else N + q + (cfg.n_max + 3) * p
-    W = cfg.W if cfg.W is not None else 3 * p
-    G0 = M - cfg.n_max * p - q
-    G1 = M + W
-    if G0 < q:
-        raise GraphError(
-            "window start %d leaves no room for the stage paths" % M
-        )
-    tower.M, tower.W, tower.G0, tower.G1 = M, W, G0, G1
-    levels = list(range(G0, G1))
-    worst = max(g.level_dim(k) for k in levels)
-    if worst > cfg.max_level_dim:
-        raise WindowUnstableError(
-            "level dimension %d exceeds the guard %d; pass a smaller "
-            "window" % (worst, cfg.max_level_dim)
-        )
-
-    tower.C0 = build_C0(g, weights, levels)
-    tower.corners = {}
-    for v in range(g.n_vertices):
-        corner = _build_corner(g, weights, tower.C0, v, levels,
-                               cfg.xi_choice, cfg.tol)
-        corner.dec = central_decomposition(corner.algebra, seed=cfg.seed)
-        tower.corners[v] = corner
-
-    # one fiber per length-p path; the Bratteli diagram is stationary
-    tower.fibers = []
-    fiber_mults = []
-    for mu in g.paths(p):
-        fib = _fiber_matrix(tower, mu)
-        tower.fibers.append(fib)
-        fiber_mults.append(_fiber_multiplicities(tower, mu, fib))
-
-    labels = []
-    for v in range(g.n_vertices):
-        for i in range(len(tower.corners[v].dec.summands)):
-            labels.append((v, i))
-    tower.labels = labels
-    lab_pos = {lab: k for k, lab in enumerate(labels)}
-    mult = np.zeros((len(labels), len(labels)), dtype=int)
-    for mi, mu in enumerate(g.paths(p)):
-        v = g.source_of(mu)
-        w = g.range_of(mu)
-        block = fiber_mults[mi]
-        for i in range(block.shape[0]):
-            for j in range(block.shape[1]):
-                mult[lab_pos[(w, i)], lab_pos[(v, j)]] += block[i, j]
-    tower.multiplicity = mult
-    for row in range(mult.shape[0]):
-        if not np.any(mult[row]):
-            raise MultiplicityError(
-                "summand %s receives no connecting edges; the tower "
-                "inclusion would not be injective" % (labels[row],)
-            )
-
-    tower.stages = []
-    for n in range(cfg.n_max + 1):
-        by_source = {v: [] for v in range(g.n_vertices)}
-        for pth in g.paths(n * p + q):
-            by_source[pth.source].append(pth)
-        counts = {v: len(lst) for v, lst in by_source.items()}
-        sizes = []
-        for (v, i) in labels:
-            sizes.append(counts[v] * tower.corners[v].dec.summands[i].d)
-        dim = sum(
-            counts[v] ** 2 * tower.corners[v].r
-            for v in range(g.n_vertices)
-        )
-        tower.stages.append(
-            StageData(
-                n=n,
-                paths=by_source,
-                counts=counts,
-                summand_sizes=sizes,
-                dim=dim,
-            )
-        )
-
-    # dimension bookkeeping between consecutive stages
-    for n in range(cfg.n_max):
-        lo, hi = tower.stages[n], tower.stages[n + 1]
-        for bi, (v, j) in enumerate(labels):
-            got = sum(
-                mult[ai, bi] * lo.summand_sizes[ai]
-                for ai in range(len(labels))
-            )
-            if got != hi.summand_sizes[bi]:
-                raise MultiplicityError(
-                    "stage %d summand %s has size %d, connecting maps "
-                    "give %d" % (n + 1, labels[bi], hi.summand_sizes[bi], got)
-                )
-
-    # positions of alpha*mu inside the stage-(n+1) path lists, per fiber
-    tower._hi_pos = {}
-    for n in range(cfg.n_max):
-        hi_stage = tower.stages[n + 1]
-        pos = {
-            v: {pth.edges: i for i, pth in enumerate(hi_stage.paths[v])}
-            for v in hi_stage.paths
-        }
-        for mi, mu in enumerate(g.paths(p)):
-            v = g.source_of(mu)
-            w = g.range_of(mu)
-            tower._hi_pos[(n + 1, mi)] = np.array(
-                [
-                    pos[v][g.compose(alpha, mu).edges]
-                    for alpha in tower.stages[n].paths[w]
-                ],
-                dtype=int,
-            )
-    return tower
+    return Tower(graph, weights, config or TowerConfig())
 
 
 def concrete_stage_algebra(tower, n):

@@ -22,7 +22,9 @@ through the residual sequence of `check_condition_Ap`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -56,9 +58,9 @@ class WeightSpec:
     def __init__(self, graph, kind, p, N, seed_levels, epsilon=None):
         if kind not in ("diagonal", "block"):
             raise WeightError("kind must be 'diagonal' or 'block', got %r" % kind)
-        if not isinstance(p, int) or p < 1:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
             raise WeightError("period p must be a positive integer")
-        if not isinstance(N, int) or N < 0:
+        if isinstance(N, bool) or not isinstance(N, int) or N < 0:
             raise WeightError("stabilization level N must be nonnegative")
         self.graph = graph
         self.kind = kind
@@ -75,6 +77,9 @@ class WeightSpec:
         eigs = [1.0]
         for k, data in sorted(self.seed_levels.items()):
             dim = graph.level_dim(k)
+            numeric = "iuf" if self.kind == "diagonal" else "iufc"
+            if data.dtype.kind not in numeric or not np.all(np.isfinite(data)):
+                raise WeightError("level %d holds a non-finite or ill-typed value" % k)
             if self.kind == "diagonal":
                 if data.shape != (dim,):
                     raise WeightError("level %d diagonal has wrong length" % k)
@@ -95,8 +100,13 @@ class WeightSpec:
         if epsilon is None:
             self.epsilon = min_eig
         else:
-            if epsilon <= 0:
-                raise WeightError("epsilon must be positive")
+            if (
+                isinstance(epsilon, bool)
+                or not isinstance(epsilon, Real)
+                or not math.isfinite(epsilon)
+                or epsilon <= 0
+            ):
+                raise WeightError("epsilon must be a positive finite number")
             if min_eig < epsilon - EXACTNESS_TOL:
                 raise WeightError(
                     "seed eigenvalue %g lies below declared epsilon %g"
@@ -153,14 +163,12 @@ class WeightSpec:
         g = self.graph
         pre = np.empty(g.level_dim(k), dtype=np.int64)
         suf = np.empty(g.level_dim(k), dtype=np.int64)
-        for i, path in enumerate(g.paths(k)):
-            head, tail = path.edges[:m], path.edges[m:]
-            # stripping an operator prefix keeps the walk start, so the
-            # suffix inherits the original source; the prefix starts where
-            # the suffix ends
-            suf[i] = g.path_index(Path(tail, path.source))
-            head_source = g.esrc[head[-1]] if m > 0 else path.source
-            pre[i] = g.path_index(Path(head, head_source))
+        # every level-k path is head*tail for exactly one level-m head
+        for h, head in enumerate(g.paths(m)):
+            dst = g.prepend_index(k - m, head)
+            tails = np.flatnonzero(dst >= 0)
+            pre[dst[tails]] = h
+            suf[dst[tails]] = tails
         self._split_cache[key] = (pre, suf)
         return pre, suf
 
@@ -321,7 +329,8 @@ def from_dict(doc, graph):
     levels_doc = doc.get("levels", {})
     if not isinstance(levels_doc, dict):
         raise WeightError("'levels' must be an object keyed by level")
-    if not isinstance(p, int) or not isinstance(N, int) or p < 1 or N < 0:
+    integers = all(isinstance(x, int) and not isinstance(x, bool) for x in (p, N))
+    if not integers or p < 1 or N < 0:
         raise WeightError("p must be a positive and N a nonnegative integer")
     seed_levels = {}
     for key, level_doc in levels_doc.items():
@@ -369,6 +378,13 @@ def _parse_diag_level(graph, k, level_doc):
     return diag
 
 
+def _holds_bool(rows):
+    """Whether a JSON value holds a bool at any depth of its lists."""
+    if isinstance(rows, list):
+        return any(_holds_bool(row) for row in rows)
+    return isinstance(rows, bool)
+
+
 def _parse_block_level(graph, k, level_doc):
     if not isinstance(level_doc, dict):
         raise WeightError("level %d entries must be a class->matrix object" % k)
@@ -388,7 +404,14 @@ def _parse_block_level(graph, k, level_doc):
                 "no level-%d paths from %s to %s" % (k, key[0], key[1])
             )
         idxs = classes[key]
-        block = np.asarray(rows, dtype=np.complex128)
+        if _holds_bool(rows):
+            raise WeightError("block %r must be a matrix of numbers" % key_text)
+        try:
+            block = np.asarray(rows, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise WeightError(
+                "block %r must be a matrix of numbers" % key_text
+            ) from exc
         if block.shape != (len(idxs), len(idxs)):
             raise WeightError(
                 "block %r must be %dx%d over the canonical path order "

@@ -54,19 +54,17 @@ def letter_matrix(w, letter, k):
     if kind == U:
         out = np.zeros((level_dim(g, k + 1), level_dim(g, k)), dtype=np.complex128)
         if k >= 0:
-            for j, path in enumerate(g.paths(k)):
-                if g.range_of(path) == g.esrc[payload]:
-                    ext = Path((payload,) + path.edges, path.source)
-                    out[g.path_index(ext), j] = 1.0
+            cols = g.ending_at(k, g.esrc[payload])
+            edge = Path((payload,), g.esrc[payload])
+            out[g.prepend_index(k, edge)[cols], cols] = 1.0
         return out
     if kind == US:
         return letter_matrix(w, (U, payload), k - 1).conj().T
     if kind == P:
         out = np.zeros((level_dim(g, k), level_dim(g, k)), dtype=np.complex128)
         if k >= 0:
-            for j, path in enumerate(g.paths(k)):
-                if g.range_of(path) == payload:
-                    out[j, j] = 1.0
+            idx = g.ending_at(k, payload)
+            out[idx, idx] = 1.0
         return out
     if kind == Z:
         if k < 0:
@@ -145,20 +143,6 @@ def window_rep(x, w, M, W):
     return WindowRep(x.graph, M, element_offset(x), blocks)
 
 
-def wr_add(a, b, alpha=1.0):
-    if a.offset != b.offset:
-        raise ElementError("cannot add window reps with different offsets")
-    lo, hi = max(a.M, b.M), min(a.hi, b.hi)
-    if lo >= hi:
-        raise ElementError("window reps do not overlap")
-    blocks = [a.level(k) + alpha * b.level(k) for k in range(lo, hi)]
-    return WindowRep(a.graph, lo, a.offset, blocks)
-
-
-def wr_scale(alpha, a):
-    return WindowRep(a.graph, a.M, a.offset, [alpha * blk for blk in a.blocks])
-
-
 def wr_mul(a, b):
     """Window rep of the product: (ab)(k) = a(k + offset(b)) b(k)."""
     lo = max(b.M, a.M - b.offset)
@@ -172,13 +156,6 @@ def wr_mul(a, b):
 def wr_adjoint(a):
     blocks = [blk.conj().T for blk in a.blocks]
     return WindowRep(a.graph, a.M + a.offset, -a.offset, blocks)
-
-
-def wr_norm(a):
-    return max(
-        (float(np.linalg.norm(blk, 2)) for blk in a.blocks if blk.size),
-        default=0.0,
-    )
 
 
 def annihilation_depth(x):
@@ -303,14 +280,17 @@ def onb(rows, tol=RANK_TOL):
     return vh[keep]
 
 
+def span_residual(vec, basis):
+    """Norm of the part of vec off the row span of an orthonormal basis."""
+    if basis.shape[0] == 0:
+        return float(np.linalg.norm(vec))
+    coeffs = basis.conj() @ vec
+    return float(np.linalg.norm(vec - basis.T @ coeffs))
+
+
 def in_span(vec, basis, tol=RANK_TOL):
     """Whether vec lies in the row span of an orthonormal basis."""
-    scale = max(1.0, float(np.linalg.norm(vec)))
-    if basis.shape[0] == 0:
-        return float(np.linalg.norm(vec)) <= tol * scale
-    coeffs = basis.conj() @ vec
-    residual = vec - basis.T @ coeffs
-    return float(np.linalg.norm(residual)) <= tol * scale
+    return span_residual(vec, basis) <= tol * max(1.0, float(np.linalg.norm(vec)))
 
 
 def span_contains(big, small, tol=RANK_TOL):

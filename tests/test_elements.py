@@ -228,6 +228,12 @@ def test_parse_errors(c3):
             el.parse_element(c3, bad)
 
 
+@pytest.mark.parametrize("bad", [5, None, ["u(e1)"]])
+def test_parse_non_string_raises_element_error(c3, bad):
+    with pytest.raises(ElementError):
+        el.parse_element(c3, bad)
+
+
 def test_render_roundtrip(c3):
     for text in [
         "u(e1).z^2.u*(e3)",

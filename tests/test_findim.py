@@ -12,7 +12,6 @@ from wck.findim import (
     blocks_vec,
     central_decomposition,
     embedding_multiplicities,
-    ideal_lattice,
     star_closure,
 )
 
@@ -118,8 +117,6 @@ class TestCentralDecomposition:
         for sm in dec.summands:
             assert sm.multiplicity == 1
             assert sm.ambient_rank == sm.d
-        lattice = ideal_lattice(dec)
-        assert len(lattice) == 2 ** len(dims)
 
     def test_commutative_diagonal_algebra(self):
         gens = [
@@ -225,26 +222,3 @@ class TestEmbeddings:
         with pytest.raises(MultiplicityError, match="multiplicative"):
             embedding_multiplicities(dec, dec, phi)
 
-
-class TestIdealLattice:
-    def test_counts_and_dims(self):
-        A = star_closure([1, 2, 3], matrix_units([1, 2, 3]))
-        dec = central_decomposition(A)
-        assert dec.dims == [1, 2, 3]
-        lattice = ideal_lattice(dec)
-        assert len(lattice) == 8
-        assert lattice.dims[frozenset()] == 0
-        assert lattice.dims[frozenset({0, 1, 2})] == 14
-        singles = sorted(
-            lattice.dims[s] for s in lattice.subsets if len(s) == 1
-        )
-        assert singles == [1, 4, 9]
-
-    def test_hasse_edges_of_two_summands(self):
-        A = star_closure([1, 2], matrix_units([1, 2]))
-        dec = central_decomposition(A)
-        lattice = ideal_lattice(dec)
-        edges = lattice.hasse_edges()
-        assert len(edges) == 4
-        for a, b in edges:
-            assert a < b and len(b) == len(a) + 1

@@ -220,3 +220,38 @@ def test_xi_requires_extendable_path():
     sink = mkgraph(["v1", "v2"], [("a", "v1", "v2")])
     with pytest.raises(GraphError):
         sink.xi(1, 1)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": ["v"], "edges": [{"name": 5, "src": "v", "dst": "v"}]},
+        {"vertices": ["v"], "edges": 5},
+    ],
+    ids=["integer_edge_name", "edges_not_a_list"],
+)
+def test_load_graph_malformed_edges_raise_graph_error(doc):
+    with pytest.raises(GraphError):
+        load_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_path_index_primitive_matches_composition(name):
+    """prepend_index, ending_at and starting_at against the slow path filters."""
+    g = CORPUS[name]
+    for k in range(6):
+        ps = g.paths(k)
+        for v in range(g.n_vertices):
+            expect = [i for i, b in enumerate(ps) if g.range_of(b) == v]
+            assert g.ending_at(k, v).tolist() == expect
+            expect = [i for i, b in enumerate(ps) if g.source_of(b) == v]
+            assert g.starting_at(k, v).tolist() == expect
+        for m in range(3):
+            for prefix in g.paths(m):
+                expect = [
+                    g.path_index(g.compose(prefix, b))
+                    if g.range_of(b) == g.source_of(prefix)
+                    else -1
+                    for b in ps
+                ]
+                assert g.prepend_index(k, prefix).tolist() == expect

@@ -6,7 +6,7 @@ import pytest
 from util import corpus_graphs, cycle_weight_spec, mkgraph, random_diag_spec
 from wck.errors import DomainError, GraphError, WindowUnstableError
 from wck.findim import central_decomposition, embedding_multiplicities
-from wck.tower import TowerConfig, build_tower, concrete_stage_algebra
+from wck.tower import TowerConfig, build_C0, build_tower, concrete_stage_algebra
 from wck.weights import WeightSpec
 
 RT_TOL = 1e-8
@@ -297,6 +297,12 @@ class TestGuards:
         w = cycle_weight_spec(g, (2.0, 1.0, 3.0))
         with pytest.raises(GraphError):
             build_tower(g, w, TowerConfig(n_max=2, M=4, W=2))
+
+    def test_build_C0_level_below_period(self, corpus):
+        g = corpus["C3"]
+        w = cycle_weight_spec(g, (2.0, 1.0, 3.0), p=3)
+        with pytest.raises(GraphError, match="p - 1"):
+            build_C0(g, w, [1, 2, 3])
 
     def test_stage_beyond_tower(self, c3_weighted):
         tw = c3_weighted

@@ -300,3 +300,41 @@ def test_bad_parameters_rejected():
         from_dict({"kind": "diagonal", "p": 1, "N": -1, "levels": {}}, g)
     with pytest.raises(WeightError, match="missing key"):
         from_dict({"kind": "diagonal", "levels": {}}, g)
+
+
+# JSON texts, since the standard JSON parser reads NaN and 1e400 (inf)
+NON_FINITE_DOCS = {
+    "nan_diagonal": '{"p": 2, "N": 0, "levels": {"1": {"e1": NaN}}}',
+    "inf_diagonal": '{"p": 2, "N": 0, "levels": {"1": {"e1": 1e400}}}',
+    "bool_period": '{"p": true, "N": 0, "levels": {}}',
+    "bool_offset": '{"p": 1, "N": true, "levels": {"1": {}}}',
+    "nan_epsilon": '{"p": 1, "N": 0, "epsilon": NaN, "levels": {}}',
+    "bool_epsilon": '{"p": 1, "N": 0, "epsilon": true, "levels": {}}',
+    "nan_block": '{"kind": "block", "p": 2, "N": 0, "levels": {"1": {"v1:v2": [[NaN]]}}}',
+    "bool_block": '{"kind": "block", "p": 1, "N": 1, "levels": {"1": {"v1:v2": [[true]]}}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_DOCS))
+def test_non_finite_or_bool_values_rejected(name):
+    with pytest.raises(WeightError):
+        load_weights(NON_FINITE_DOCS[name], cycle_graph(3))
+
+
+def test_constructor_rejects_non_finite_seed():
+    g = cycle_graph(3)
+    with pytest.raises(WeightError, match="non-finite"):
+        WeightSpec(g, "diagonal", 2, 0, {1: np.array([2.0, np.nan, 1.0])})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": 2, "N": 0, "epsilon": "x", "levels": {"1": {"e1": 2.0}}},
+        {"kind": "block", "p": 2, "N": 0, "levels": {"1": {"v1:v2": [["a"]]}}},
+    ],
+    ids=["string_epsilon", "string_block_entry"],
+)
+def test_load_weights_malformed_values_raise_weight_error(doc):
+    with pytest.raises(WeightError):
+        load_weights(json.dumps(doc), cycle_graph(3))
