@@ -9,6 +9,15 @@ adjoints, split off the center, cluster the spectrum of a generic
 central element into the matrix summands, and read multiplicities of
 an embedding from corner dimensions over minimal projections.
 
+The closure runs on the support blocks of its input. Per level, the
+indices i and j are joined when some generator, adjoint or the unit has
+an exact nonzero at (i, j); the classes of that relation split the
+level into diagonal blocks. Sums, products and adjoints of elements
+supported on those blocks stay on them, and every entry off them is an
+exact 0.0, so the closure is computed on the compressed blocks alone
+and scattered back at the end. A dense generator set is one class per
+level and takes the same route.
+
 Randomized steps (generic central elements, generic corner elements)
 always certify their output and resample on failure; a wrong answer is
 never returned silently.
@@ -48,7 +57,7 @@ def blocks_mul(a, b):
 
 
 def blocks_adj(a):
-    return [x.conj().T for x in a]
+    return [np.swapaxes(x.conj(), -1, -2) for x in a]
 
 
 def blocks_add(a, b, alpha=1.0):
@@ -66,11 +75,16 @@ def blocks_vec(a):
 
 
 def blocks_unvec(vec, dims):
+    return _unvec(vec, [(d, d) for d in dims])
+
+
+def _unvec(vec, shapes):
     out = []
     pos = 0
-    for d in dims:
-        out.append(np.asarray(vec[pos:pos + d * d]).reshape(d, d))
-        pos += d * d
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(np.asarray(vec[pos:pos + size]).reshape(shape))
+        pos += size
     return out
 
 
@@ -87,28 +101,6 @@ def blocks_rank(a, tol=RANK_TOL):
         if s.size and s[0] > 0:
             total += int(np.sum(s > tol * max(1.0, s[0])))
     return total
-
-
-def _absorb(onb_mat, vec, tol=RANK_TOL, floor=1e-9):
-    """Extend an orthonormal row basis by one vector, or return None.
-
-    Two rounds of Gram-Schmidt keep the basis numerically orthonormal
-    without re-running a full decomposition per insertion. Vectors below
-    the absolute floor are treated as zero: callers feed elements built
-    from unit-scale pieces, so anything that small is roundoff noise
-    whose direction must not enter the basis.
-    """
-    scale = float(np.linalg.norm(vec))
-    if scale <= floor:
-        return None
-    w = vec.astype(np.complex128, copy=True)
-    for _ in range(2):
-        if onb_mat.shape[0]:
-            w = w - onb_mat.T @ (onb_mat.conj() @ w)
-    resid = float(np.linalg.norm(w))
-    if resid <= tol * scale:
-        return None
-    return np.vstack([onb_mat, (w / resid)[None, :]])
 
 
 # -- star algebras ------------------------------------------------------------
@@ -143,40 +135,101 @@ class StarAlgebra:
         return blocks_scale(0.5, blocks_add(x, blocks_adj(x)))
 
 
+def _components(mask):
+    """Class label of each index under the relation mask[i, j].
+
+    Min-label propagation with pointer jumping; each class ends up
+    labelled by its smallest index.
+    """
+    rows, cols = np.nonzero(mask)
+    lab = np.arange(mask.shape[0])
+    while True:
+        low = np.minimum(lab[rows], lab[cols])
+        new = lab.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _support_layout(dims, elements):
+    """Stack shapes and vector positions of the support blocks.
+
+    The classes of each level are grouped by size into one
+    (count, s, s) stack per (level, size), each class in ascending
+    index order. pos[i] is the position in blocks_vec of the full
+    element of entry i of the compressed vector.
+    """
+    numbered = blocks_unvec(np.arange(sum(d * d for d in dims)), dims)
+    stacks = []
+    for lev, d in enumerate(dims):
+        mask = np.zeros((d, d), dtype=bool)
+        for x in elements:
+            mask |= x[lev] != 0
+        lab = _components(mask)
+        order = np.argsort(lab, kind="stable")
+        _, starts, sizes = np.unique(
+            lab[order], return_index=True, return_counts=True
+        )
+        for s in np.unique(sizes):
+            idx = np.array([order[i:i + s] for i in starts[sizes == s]])
+            stacks.append(numbered[lev][idx[:, :, None], idx[:, None, :]])
+    return [x.shape for x in stacks], blocks_vec(stacks).astype(int)
+
+
 def star_closure(dims, gens, unit=None, max_dim=4096):
     """Close generators under span, products, and adjoints.
 
     The ambient unit (or the given one, for corner algebras) is always
     included, so the result is unital. Growth beyond max_dim raises.
+
+    The closure runs on the support blocks of the unit and the
+    generators (see the module docstring): it is the same algebra, and
+    its vectors are the full-length ones with exact zeros dropped.
+    Candidates a*b and b*a, for a new and b over the basis so far, are
+    projected off the orthonormal rows by two rounds of Gram-Schmidt;
+    one below the 1e-9 floor or with a relative residual below RANK_TOL
+    is dropped. The basis and its orthonormal rows are scattered back to
+    full blocks and full length once, at the end.
     """
     dims = tuple(dims)
     if unit is None:
         unit = blocks_eye(dims)
-    pool = [unit]
-    for gen in gens:
-        pool.append(gen)
-        pool.append(blocks_adj(gen))
-    basis = []
-    basis_onb = np.zeros((0, sum(d * d for d in dims)), dtype=np.complex128)
-    fresh = []
+    shapes, pos = _support_layout(dims, [unit] + list(gens))
 
-    def absorb(cand):
-        vec = blocks_vec(cand)
-        extended = _absorb(basis_onb, vec)
-        if extended is None:
+    def compress(x):
+        return _unvec(blocks_vec(x)[pos].astype(np.complex128), shapes)
+
+    pool = [compress(unit)]
+    for gen in gens:
+        pool.append(compress(gen))
+        pool.append(blocks_adj(pool[-1]))
+    basis = []
+    rows = np.empty((min(len(pos), 64), len(pos)), dtype=np.complex128)
+
+    def absorb(cand, tol=RANK_TOL, floor=1e-9):
+        nonlocal rows
+        w = blocks_vec(cand)
+        scale = float(np.linalg.norm(w))
+        if scale <= floor:
             return None
+        q = rows[:len(basis)]
+        for _ in range(2):
+            w -= np.conj(q @ np.conj(w)) @ q
+        resid = float(np.linalg.norm(w))
+        if resid <= tol * scale:
+            return None
+        if len(basis) == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[len(basis)] = w / resid
         # keep stored basis elements at unit scale so later spectral
         # cuts see commutators of comparable size
-        scaled = blocks_scale(1.0 / float(np.linalg.norm(vec)), cand)
-        basis.append(scaled)
-        return extended, scaled
+        basis.append(blocks_scale(1.0 / scale, cand))
+        return basis[-1]
 
-    for cand in pool:
-        hit = absorb(cand)
-        if hit is None:
-            continue
-        basis_onb, scaled = hit
-        fresh.append(scaled)
+    fresh = [x for x in map(absorb, pool) if x is not None]
     while fresh:
         new = []
         for a in fresh:
@@ -185,14 +238,21 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
                     hit = absorb(cand)
                     if hit is None:
                         continue
-                    basis_onb, scaled = hit
-                    new.append(scaled)
+                    new.append(hit)
                     if len(basis) > max_dim:
                         raise ClosureOverflowError(
                             "closure exceeded %d dimensions" % max_dim
                         )
         fresh = new
-    return StarAlgebra(dims, basis, basis_onb, unit)
+    length = sum(d * d for d in dims)
+    full_onb = np.zeros((len(basis), length), dtype=np.complex128)
+    full_onb[:, pos] = rows[:len(basis)]
+    full = np.zeros((len(basis), length), dtype=np.complex128)
+    for row, b in zip(full, basis):
+        row[pos] = blocks_vec(b)
+    return StarAlgebra(
+        dims, [blocks_unvec(row, dims) for row in full], full_onb, unit
+    )
 
 
 # -- central decomposition ----------------------------------------------------

@@ -30,7 +30,8 @@ methods read all index gathers off them:
     level-k paths whose range is v; starting_at(k, v) is the same for
     the paths whose source is v.
 
-Path objects remain for parsing, printing, paths() and path_index().
+Path objects remain for parsing, printing and paths(); path_index()
+reads a Path's position off the same arrays.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ class Graph:
             self.out_edges[self.esrc[i]].append(i)
             self.in_edges[self.edst[i]].append(i)
         self._paths = {}
-        self._pidx = {}
         self._levels = {}
         self._prepend = {}
         self._shape = None
@@ -198,19 +198,25 @@ class Graph:
                 for j in self.ending_at(k - 1, self.esrc[ei])
             ]
         self._paths[k] = ps
-        self._pidx[k] = {p.edges: i for i, p in enumerate(ps)}
         return ps
 
     def path_index(self, path):
-        """Position of `path` inside paths(len(path))."""
-        k = len(path)
-        self.paths(k)
-        idx = self._pidx[k].get(path.edges)
-        if idx is None or (k == 0 and path.source >= self.n_vertices):
+        """Position of `path` inside paths(len(path)).
+
+        Read off the level arrays, last edge first: each step checks
+        that the edge starts where the tail so far ends, so a wrong
+        source or a broken concatenation raises.
+        """
+        idx = path.source
+        if not 0 <= idx < self.n_vertices:
             raise GraphError("path not in graph")
-        if k == 0:
-            return path.source
-        return idx
+        for j, e in enumerate(reversed(path.edges)):
+            if not 0 <= e < self.n_edges or (
+                self._level(j).range[idx] != self.esrc[e]
+            ):
+                raise GraphError("path not in graph")
+            idx = self._level(j + 1).start[e] + self._level(j).rank[idx]
+        return int(idx)
 
     def level_dim(self, k):
         return len(self.paths(k))

@@ -12,9 +12,10 @@ is the compression of the stage-zero algebra by a fixed path prefix of
 length q = p - 1 out of v. All of this is computed concretely on a
 window of levels of the path space:
 
-  - C_0 is generated by the degree-zero words of path length below p
-    together with the conjugated diagonal weight operators, and closed
-    up with findim.star_closure;
+  - C_0 is generated by the degree-zero words u_a Z^j u_b^* with
+    s(a) = s(b), |a| = |b| < p and j < 3, and closed up with
+    findim.star_closure, which works on the support blocks of these
+    generators;
   - corners are plain submatrix compressions onto slots, the int arrays
     Graph.ending_at gives for the paths that end at v;
   - the connecting maps between stages are assembled from one fiber map
@@ -645,24 +646,3 @@ def _fiber_multiplicities(tower, mu, fib):
 def build_tower(graph, weights, config=None):
     """Assemble the full tower structure for a graph and weight spec."""
     return Tower(graph, weights, config or TowerConfig())
-
-
-def concrete_stage_algebra(tower, n):
-    """The stage algebra as a plain StarAlgebra on the top window.
-
-    Used to cross-check the structural construction against the generic
-    finite-dimensional machinery.
-    """
-    g = tower.graph
-    dims = [g.level_dim(k) for k in range(tower.M, tower.M + tower.W)]
-    gens = []
-    for v in range(g.n_vertices):
-        m = tower.stages[n].counts[v]
-        r = tower.corners[v].r
-        for a in range(m):
-            for b in range(a, m):
-                for t in range(r):
-                    x = tower.stage_zero(n)
-                    x[v][a, b, t] = 1.0
-                    gens.append(tower.tau_inverse(n, x))
-    return star_closure(dims, gens)

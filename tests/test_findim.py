@@ -2,7 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from util import (
+    corpus_graphs,
+    cycle_weight_spec,
+    dense_star_closure,
+    random_diag_spec,
+)
+from wck import tower
 from wck.errors import ClosureOverflowError, MultiplicityError
 from wck.findim import (
     blocks_adj,
@@ -10,10 +19,12 @@ from wck.findim import (
     blocks_mul,
     blocks_rank,
     blocks_vec,
+    blocks_zero,
     central_decomposition,
     embedding_multiplicities,
     star_closure,
 )
+from wck.weights import from_dict
 
 
 def random_unitary(n, rng):
@@ -222,3 +233,120 @@ class TestEmbeddings:
         with pytest.raises(MultiplicityError, match="multiplicative"):
             embedding_multiplicities(dec, dec, phi)
 
+
+# -- support-block closure against the dense reference ------------------------
+
+
+def c0_inputs(g, w, n_max=2, M=None, W=None):
+    """Window dims and C0 generators, on the window a Tower would use."""
+    p, q = w.p, w.q
+    M = M if M is not None else w.N + q + (n_max + 3) * p
+    W = W if W is not None else 3 * p
+    levels = list(range(M - n_max * p - q, M + W))
+    dims = [g.level_dim(k) for k in levels]
+    return dims, tower._c0_generators(g, w, levels)
+
+
+THETA_BLOCK = {
+    "kind": "block",
+    "p": 2,
+    "N": 0,
+    "levels": {"1": {"v1:v2": [[2.0, 1.0], [1.0, 2.0]]}},
+}
+
+
+def closure_case(name):
+    corpus = corpus_graphs()
+    kind, _, key = name.partition(":")
+    if kind == "unweighted":
+        g = corpus[key]
+        return c0_inputs(g, from_dict({"p": 1, "N": 0}, g))
+    if kind == "dense":
+        rng = np.random.default_rng(int(key))
+        dims = random_dims(rng)
+        return [sum(dims)], conjugated_sum(dims, rng)
+    if name == "C3w":
+        g = corpus["C3"]
+        return c0_inputs(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)))
+    if name == "O2w":
+        g = corpus["O2"]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        return c0_inputs(g, w, n_max=0, M=4, W=3)
+    if name == "G2p3":
+        g = corpus["G2"]
+        w = random_diag_spec(g, 3, 0, np.random.default_rng(7))
+        return c0_inputs(g, w, n_max=1, M=9, W=3)
+    if name == "theta_block":
+        g = corpus["theta"]
+        return c0_inputs(g, from_dict(THETA_BLOCK, g), n_max=1, M=5, W=2)
+    raise KeyError(name)
+
+
+CLOSURE_CASES = (
+    ["unweighted:" + name for name in sorted(corpus_graphs())]
+    + ["C3w", "O2w", "G2p3", "theta_block"]
+    + ["dense:%d" % seed for seed in range(20)]
+)
+
+
+def support_masks(dims, elements):
+    """Per level, True where i and j share a class of the nonzero pattern."""
+    masks = []
+    for lev, d in enumerate(dims):
+        nz = np.zeros((d, d), dtype=bool)
+        for x in elements:
+            nz |= x[lev] != 0
+        _, label = connected_components(csr_matrix(nz), directed=False)
+        masks.append(label[:, None] == label[None, :])
+    return masks
+
+
+def projector_gap(q1, q2):
+    """||P1 - P2|| for the projectors onto two row spans of equal dimension."""
+    return float(np.linalg.norm(q2.T - q1.T @ (q1.conj() @ q2.T), 2))
+
+
+class TestSupportBlockClosure:
+    @pytest.mark.parametrize("name", CLOSURE_CASES)
+    def test_matches_dense_closure(self, name):
+        dims, gens = closure_case(name)
+        A = star_closure(dims, gens)
+        ref = dense_star_closure(dims, gens)
+        assert A.dim == ref.dim
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        masks = support_masks(dims, [blocks_eye(dims)] + gens)
+        off = np.concatenate([~m.ravel() for m in masks])
+        assert not np.any(A.onb[:, off])
+        for b in A.basis:
+            assert not np.any(blocks_vec(b)[off])
+
+    def test_block_weights_give_coarser_classes(self):
+        theta = corpus_graphs()["theta"]
+        diagonal = dict(THETA_BLOCK, kind="diagonal", levels={"1": {}})
+        block = c0_inputs(theta, from_dict(THETA_BLOCK, theta), n_max=1, M=5, W=2)
+        diag = c0_inputs(theta, from_dict(diagonal, theta), n_max=1, M=5, W=2)
+
+        def largest_class(dims, gens):
+            masks = support_masks(dims, [blocks_eye(dims)] + gens)
+            return max(int(m.sum(axis=1).max()) for m in masks)
+
+        assert largest_class(*block) > largest_class(*diag)
+
+    def test_multi_class_invariants(self):
+        dims, gens = closure_case("G2p3")
+        masks = support_masks(dims, [blocks_eye(dims)] + gens)
+        sizes = {int(n) for m in masks for n in m.sum(axis=1)}
+        assert sizes == {1, 3}
+        A = star_closure(dims, gens)
+        q = A.onb
+        assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
+        for a in A.basis:
+            for b in A.basis:
+                assert A.contains(blocks_mul(a, b))
+        with pytest.raises(ClosureOverflowError):
+            star_closure(dims, gens, max_dim=A.dim - 1)
+
+    def test_empty_levels_and_zero_generators(self):
+        A = star_closure([0, 2], [blocks_zero([0, 2])])
+        assert A.dim == 1
+        assert A.onb.shape == (1, 4)

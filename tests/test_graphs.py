@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from util import corpus_graphs, cycle_graph, mkgraph
 from wck.errors import GraphError
-from wck.graphs import Graph, load_graph
+from wck.graphs import Graph, Path, load_graph
 
 CORPUS = corpus_graphs()
 
@@ -163,6 +163,22 @@ def test_walk_order_serialization(c3):
         c3.parse_path("e1.e1")
     with pytest.raises(GraphError):
         c3.parse_path("e1.nope")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [Path((0,), 2), Path((1, 0), 1), Path((0, 0), 0), Path((3,), 0), Path((), 3)],
+    ids=[
+        "wrong_source",
+        "wrong_source_length_2",
+        "broken_concatenation",
+        "unknown_edge",
+        "unknown_vertex",
+    ],
+)
+def test_path_index_rejects_paths_not_in_graph(c3, path):
+    with pytest.raises(GraphError):
+        c3.path_index(path)
 
 
 @given(small_graphs(), st.integers(min_value=0, max_value=3))

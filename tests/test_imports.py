@@ -1,0 +1,34 @@
+"""Import cost of the package: no heavy module rides on `import wck`."""
+
+import os
+import subprocess
+import sys
+
+import wck
+
+SCRIPT = """
+import pkgutil, sys
+import wck
+names = sorted(m.name for m in pkgutil.iter_modules(wck.__path__))
+for name in names:
+    __import__("wck." + name)
+print(len(names), "scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+def test_importing_every_module_leaves_csgraph_unloaded():
+    src = os.path.dirname(list(wck.__path__)[0])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.split()
+    assert int(out[0]) >= 10
+    assert out[1] == "False"

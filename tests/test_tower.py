@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from util import corpus_graphs, cycle_weight_spec, mkgraph, random_diag_spec
+from util import (
+    concrete_stage_algebra,
+    corpus_graphs,
+    cycle_weight_spec,
+    mkgraph,
+    random_diag_spec,
+)
 from wck.errors import DomainError, GraphError, WindowUnstableError
 from wck.findim import central_decomposition, embedding_multiplicities
-from wck.tower import TowerConfig, build_C0, build_tower, concrete_stage_algebra
+from wck.tower import TowerConfig, build_C0, build_tower
 from wck.weights import WeightSpec
 
 RT_TOL = 1e-8
