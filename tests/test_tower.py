@@ -5,7 +5,6 @@ import pytest
 
 from util import (
     concrete_stage_algebra,
-    corpus_graphs,
     cycle_weight_spec,
     mkgraph,
     random_diag_spec,
