@@ -56,7 +56,3 @@ class DecompositionError(ProtocolError):
 
 class MultiplicityError(ProtocolError):
     """An embedding multiplicity failed its integrality or consistency check."""
-
-
-class StabilizationError(ProtocolError):
-    """A staged span computation hit its stage cap before stabilizing."""

@@ -6,8 +6,8 @@ complex arrays. A *-algebra is carried around as a span basis plus an
 orthonormalized vectorization for membership tests. The analysis
 follows the standard route: close the generators under products and
 adjoints, split off the center, cluster the spectrum of a generic
-central element into the matrix summands, and read multiplicities of
-an embedding from corner dimensions over minimal projections.
+central element into the matrix summands, and certify a minimal
+projection in each.
 
 The closure runs on the support blocks of its input. Per level, the
 indices i and j are joined when some generator, adjoint or the unit has
@@ -29,11 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClosureOverflowError,
-    DecompositionError,
-    MultiplicityError,
-)
+from .errors import ClosureOverflowError, DecompositionError
 from .windows import RANK_TOL, in_span, onb
 
 CLUSTER_GAP = 1e-6
@@ -90,17 +86,6 @@ def _unvec(vec, shapes):
 
 def blocks_norm(a):
     return max((float(np.linalg.norm(x, 2)) for x in a if x.size), default=0.0)
-
-
-def blocks_rank(a, tol=RANK_TOL):
-    total = 0
-    for x in a:
-        if x.size == 0:
-            continue
-        s = np.linalg.svd(x, compute_uv=False)
-        if s.size and s[0] > 0:
-            total += int(np.sum(s > tol * max(1.0, s[0])))
-    return total
 
 
 # -- star algebras ------------------------------------------------------------
@@ -281,9 +266,6 @@ class CentralDecomposition:
     @property
     def dims(self):
         return [s.d for s in self.summands]
-
-    def check_dimension(self):
-        return sum(s.d ** 2 for s in self.summands) == self.algebra.dim
 
 
 def _center_basis(A):
@@ -498,69 +480,3 @@ def _minimal_projection(A, summand, rng):
     raise DecompositionError(
         "no generic corner element produced a minimal projection"
     )
-
-
-# -- embeddings ---------------------------------------------------------------
-
-
-def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL):
-    """Multiplicity matrix of a unital *-homomorphism phi: A -> B.
-
-    phi is applied to block elements of A and must land in B. The entry
-    m[i][j] counts how often summand i of A sits inside summand j of B:
-    the corner of B over phi(minimal projection of summand i), cut to
-    summand j, is a full matrix algebra of size m[i][j].
-    """
-    A, B = dec_a.algebra, dec_b.algebra
-    rng = np.random.default_rng(seed)
-
-    image_unit = phi(A.unit)
-    if not np.allclose(blocks_vec(image_unit), blocks_vec(B.unit), atol=1e-8):
-        raise MultiplicityError("map is not unital")
-    for _ in range(samples):
-        ca = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
-        cb = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
-        x, y = A.element(ca), A.element(cb)
-        lhs = phi(blocks_mul(x, y))
-        rhs = blocks_mul(phi(x), phi(y))
-        if np.linalg.norm(blocks_vec(lhs) - blocks_vec(rhs)) > 1e-8 * max(
-            1.0, np.linalg.norm(blocks_vec(lhs))
-        ):
-            raise MultiplicityError("map is not multiplicative")
-        star = phi(blocks_adj(x))
-        if np.linalg.norm(
-            blocks_vec(star) - blocks_vec(blocks_adj(phi(x)))
-        ) > 1e-8 * max(1.0, np.linalg.norm(blocks_vec(star))):
-            raise MultiplicityError("map is not star-preserving")
-        if not B.contains(phi(x), 100 * tol):
-            raise MultiplicityError("image leaves the target algebra")
-
-    m = np.zeros((len(dec_a.summands), len(dec_b.summands)), dtype=int)
-    for i, sa in enumerate(dec_a.summands):
-        q = phi(sa.minimal_projection)
-        for j, sb in enumerate(dec_b.summands):
-            zq = blocks_mul(sb.projection, q)
-            rows = np.array([
-                blocks_vec(blocks_mul(blocks_mul(zq, b), blocks_adj(zq)))
-                for b in B.basis
-            ])
-            # absolute floor on the rank cut: a zero compression leaves
-            # pure roundoff rows and a relative cut would count them
-            sing = np.linalg.svd(rows, compute_uv=False)
-            corner_dim = int(np.sum(sing > tol * max(1.0, sing[0])))
-            mij = int(round(np.sqrt(corner_dim)))
-            if abs(mij * mij - corner_dim) > INT_TOL:
-                raise MultiplicityError(
-                    "corner dimension %d of summand pair (%d, %d) is not a "
-                    "perfect square" % (corner_dim, i, j)
-                )
-            m[i, j] = mij
-    # column sums against the target summand sizes
-    for j, sb in enumerate(dec_b.summands):
-        got = int(sum(m[i, j] * dec_a.summands[i].d for i in range(m.shape[0])))
-        if got != sb.d:
-            raise MultiplicityError(
-                "multiplicity column %d sums to %d, expected %d"
-                % (j, got, sb.d)
-            )
-    return m

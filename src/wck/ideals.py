@@ -2,19 +2,30 @@
 
 The finite-dimensional corners C_v of the stage-0 algebra carry the
 ideal data: a family assigns to every vertex a two-sided ideal of its
-corner, encoded as a subset of the corner's minimal central summands.
-Two conditions cut out the families that correspond to gauge-invariant
-ideals of the ambient algebra:
+corner, encoded as a subset of the corner's minimal central summands,
+that is, as a set of tower labels (v, i). Two conditions cut out the
+families that correspond to gauge-invariant ideals of the ambient
+algebra, and both are exact statements about labels:
 
-* transport invariance: for every ordered pair of parallel edges e, f
-  (common source and common range, e = f allowed) the sandwich map
-  pi(e, f) carries the ideal at the walk end of e into the ideal at
-  its walk start;
-* transport closure: the corner elements whose deep embeddings fall
-  into the ideal generated by the family never leave the ideal chosen
-  at their own vertex. These elements are cut out by fiber transport
-  alone, so the condition is a fixed-point iteration on tuples of
-  corner subspaces.
+* transport invariance (H): for every ordered pair of parallel edges
+  e, f (common source and common range, e = f allowed) the sandwich
+  map pi(e, f) carries the ideal at the walk end of e into the ideal
+  at its walk start. Central summands are orthogonal in corner
+  coordinates, so this holds iff no summand i of the family at the
+  walk end w sends a component into a summand j outside the family at
+  the walk start s: the H-edges (w, i) => (s, j) are the nonzero
+  components, read once per tower from pi_map and ideal_subspace;
+* transport closure (S): the corner elements whose deep embeddings
+  fall into the ideal generated by the family never leave the ideal
+  chosen at their own vertex. The fibers are *-homomorphisms, so the
+  preimage of a summand ideal is the set of labels whose every
+  successor in tower.multiplicity lies in it; the S-rule forces such a
+  label into the family. The rule is monotone, so the family is closed
+  exactly when this one step adds nothing.
+
+So the invariant families are the label sets closed under both rules,
+listed by Ganter's NextClosure, and the H-edges alone decide
+simplicity.
 
 Everything here computes in structural stage coordinates: a stage-n
 element is a dict keyed by source vertex with one coordinate tensor
@@ -33,24 +44,15 @@ lattice of invariant families once every weight equals 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GraphError,
-    StabilizationError,
-    WeightError,
-    WindowUnstableError,
-)
+from .errors import DomainError, GraphError, WeightError, WindowUnstableError
 from .graphs import Path
 from .tower import TowerConfig, build_tower
 from .weights import minimal_period, reperiodize
 from .windows import RANK_TOL, in_span, onb, span_contains, span_intersect
 from .windows import span_residual
-
-MAX_CANDIDATES = 2 ** 20
 
 
 # -- families and the lattice -------------------------------------------------
@@ -325,34 +327,136 @@ def _parallel_edge_pairs(g):
     return out
 
 
+# -- the label-implication graph ----------------------------------------------
+
+
+def _transport_edges(tower, tol=RANK_TOL):
+    """H-edges (e, f, a, b, margin): pi(e, f) sends label a into label b.
+
+    The margin is the largest component in the summand ideal of b of
+    the image of a summand-ideal row of a, relative to max(1, |image|)
+    as in in_span; the edge exists when it exceeds tol.
+    """
+    g = tower.graph
+    pos = {lab: k for k, lab in enumerate(tower.labels)}
+    single = {
+        (v, i): ideal_subspace(tower, v, {i}, tol) for v, i in tower.labels
+    }
+    edges = []
+    for e, f in _parallel_edge_pairs(g):
+        w, s = g.edst[e], g.esrc[e]
+        mat = pi_map(tower, Path((e,), s), Path((f,), s))
+        for i in range(len(tower.corners[w].dec.summands)):
+            img = single[(w, i)] @ mat.T
+            scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
+            for j in range(len(tower.corners[s].dec.summands)):
+                comp = np.linalg.norm(img @ single[(s, j)].conj().T, axis=1)
+                margin = float((comp / scale).max())
+                if margin > tol:
+                    edges.append((e, f, pos[(w, i)], pos[(s, j)], margin))
+    return edges
+
+
+def _successors(tower, tol=RANK_TOL):
+    """Mask of the H-successors of every label."""
+    succ = [0] * len(tower.labels)
+    for _, _, a, b, _ in _transport_edges(tower, tol):
+        succ[a] |= 1 << b
+    return succ
+
+
+def _premises(tower):
+    """Per label, the mask of its successors in tower.multiplicity."""
+    return [
+        sum(1 << int(b) for b in np.flatnonzero(row))
+        for row in tower.multiplicity
+    ]
+
+
+def _close(mask, succ, premises=None):
+    """The least superset of mask closed under the H-edges.
+
+    Given premises, it is closed under the S-rule as well.
+    """
+    while True:
+        grown = mask
+        for a, nxt in enumerate(succ):
+            if mask >> a & 1:
+                grown |= nxt
+            elif premises is not None and not premises[a] & ~mask:
+                grown |= 1 << a
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _mask(tower, family):
+    return sum(
+        1 << k
+        for k, (v, i) in enumerate(tower.labels)
+        if i in family.choices[v]
+    )
+
+
+def _family(tower, mask):
+    nv = tower.graph.n_vertices
+    choices = [set() for _ in range(nv)]
+    for k, (v, i) in enumerate(tower.labels):
+        if mask >> k & 1:
+            choices[v].add(i)
+    counts = [len(tower.corners[v].dec.summands) for v in range(nv)]
+    return IdealFamily(choices, counts)
+
+
 def check_H(tower, family, tol=RANK_TOL):
     """Whether every parallel-pair transport maps ideals into ideals.
 
-    Returns (ok, violations); a violation records the edge pair, the
-    vertex the ideal came from, the vertex it had to land in, and the
-    membership residual.
+    The family fails when an H-edge leaves it. Returns (ok,
+    violations); a violation records the edge pair, the vertex the
+    ideal came from, the vertex it had to land in, and the largest
+    relative component that escapes.
     """
     g = tower.graph
-    subs = _family_subspaces(tower, family, tol)
-    violations = []
-    for e, f in _parallel_edge_pairs(g):
-        vd = g.edst[e]
-        vc = g.esrc[e]
-        mat = pi_map(tower, Path((e,), vc), Path((f,), vc))
-        for row in subs[vd]:
-            img = mat @ row
-            resid = span_residual(img, subs[vc])
-            if resid > tol * max(1.0, float(np.linalg.norm(img))):
-                violations.append(
-                    {
-                        "e": g.edges[e].name,
-                        "f": g.edges[f].name,
-                        "from": g.vertices[vd],
-                        "to": g.vertices[vc],
-                        "residual": resid,
-                    }
-                )
-                break
+    mask = _mask(tower, family)
+    worst = {}
+    for e, f, a, b, margin in _transport_edges(tower, tol):
+        if mask >> a & 1 and not mask >> b & 1:
+            worst[(e, f)] = max(margin, worst.get((e, f), 0.0))
+    violations = [
+        {
+            "e": g.edges[e].name,
+            "f": g.edges[f].name,
+            "from": g.vertices[g.edst[e]],
+            "to": g.vertices[g.esrc[e]],
+            "residual": resid,
+        }
+        for (e, f), resid in worst.items()
+    ]
+    return (not violations, violations)
+
+
+def check_S(tower, family):
+    """Whether the transported-ideal closure stays inside the family J.
+
+    The corner subspace I_k(v) collects the elements whose transports
+    along every path of length k periods ending at v land in J at the
+    walk start; I_0 = J and I_{k+1} is the fiber preimage of I_k. The
+    fibers are *-homomorphisms, so the preimage of a summand ideal is
+    the set sat(J) of labels whose every multiplicity successor lies
+    in J. sat is monotone, so once sat(J) lies in J every I_k does: J
+    is closed iff sat(J) is inside J. Unweighted, this is saturation
+    of vertex sets.
+
+    Returns (ok, violations); a violation names a label of sat(J)
+    outside J.
+    """
+    g = tower.graph
+    mask = _mask(tower, family)
+    violations = [
+        {"vertex": g.vertices[v], "summand": i}
+        for k, ((v, i), prem) in enumerate(zip(tower.labels, _premises(tower)))
+        if not mask >> k & 1 and not prem & ~mask
+    ]
     return (not violations, violations)
 
 
@@ -399,79 +503,6 @@ def _shift_pair(tower, n, x, delta, gamma):
         pos_g = np.searchsorted(hi, dst_g[rows_g])
         out[v][np.ix_(pos_d, pos_g)] = blk[np.ix_(rows_d, rows_g)]
     return out
-
-
-# -- transport closure ----------------------------------------------------------
-
-
-def _null_rows(mat, tol=RANK_TOL):
-    """Orthonormal rows spanning the right null space of mat."""
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=np.complex128)
-    s, vh = np.linalg.svd(mat)[1:]
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
-    return vh[rank:].conj()
-
-
-def check_S(tower, family, n_cap=None, tol=RANK_TOL):
-    """Whether the transported-ideal closure stays inside the family.
-
-    The corner subspace I_k(v) collects the elements whose transports
-    along every path of length k periods ending at v land in the
-    chosen ideal at the walk start; I_0(v) is the ideal at v itself.
-    The I_k obey a one-step recursion: I_{k+1}(v) is the intersection
-    over length-p paths ending at v of the fiber preimages of I_k at
-    their walk starts. The family is closed when no I_k grows past the
-    ideal at v; a violating vector is an exact corner element of the
-    generated ideal that escapes the family. In the unweighted case
-    the iteration degenerates to the classical saturation closure on
-    vertex sets.
-
-    The recursion iterates one fixed map, so two consecutive equal
-    subspace tuples certify stationarity forever. Returns (ok, step);
-    raises StabilizationError when the spaces are still moving at the
-    step cap.
-    """
-    g = tower.graph
-    nv = g.n_vertices
-    if n_cap is None:
-        cap = sum(tower.corners[v].r for v in range(nv)) + 1
-    else:
-        cap = int(n_cap)
-    if cap < 1:
-        raise DomainError("the step cap must be at least 1")
-    subs = _family_subspaces(tower, family, tol)
-    steps = {v: [] for v in range(nv)}
-    for mi, mu in enumerate(g.paths(tower.p)):
-        steps[g.range_of(mu)].append((tower.fibers[mi], g.source_of(mu)))
-
-    cur = subs
-    for step in range(1, cap + 1):
-        nxt = {}
-        for v in range(nv):
-            rows = []
-            for fib, src in steps[v]:
-                basis = cur[src]
-                rows.append(fib - basis.T @ (basis.conj() @ fib))
-            if rows:
-                nxt[v] = _null_rows(np.concatenate(rows, axis=0), tol)
-            else:
-                nxt[v] = np.eye(tower.corners[v].r, dtype=np.complex128)
-        for v in range(nv):
-            if not span_contains(subs[v], nxt[v], tol):
-                return (False, step)
-        if all(
-            nxt[v].shape[0] == cur[v].shape[0]
-            and span_contains(cur[v], nxt[v], tol)
-            for v in range(nv)
-        ):
-            return (True, step)
-        cur = nxt
-    raise StabilizationError(
-        "transported-ideal spaces were still moving after %d steps (dims "
-        "per vertex %r); raise the step cap"
-        % (cap, [cur[v].shape[0] for v in range(nv)])
-    )
 
 
 # -- invariant ideals stage by stage ------------------------------------------
@@ -784,91 +815,49 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
 # -- enumeration ---------------------------------------------------------------
 
 
-def _subsets(items):
-    items = list(items)
-    out = []
-    for r in range(len(items) + 1):
-        out.extend(frozenset(c) for c in combinations(items, r))
+def _closed_masks(succ, premises):
+    """Every label mask closed under both rules, by Ganter's NextClosure.
+
+    The closed sets come out in lectic order, each after one closure
+    per bit position at most, so the cost follows the output.
+    """
+    n = len(succ)
+    full = (1 << n) - 1
+    mask = _close(0, succ, premises)
+    out = [mask]
+    while mask != full:
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if mask & bit:
+                mask ^= bit
+                continue
+            nxt = _close(mask | bit, succ, premises)
+            if not (nxt ^ mask) & (bit - 1):
+                mask = nxt
+                out.append(mask)
+                break
     return out
 
 
-def _enumerate_H(tower, max_candidates=MAX_CANDIDATES, tol=RANK_TOL):
-    """All families passing the transport condition, by backtracking."""
-    g = tower.graph
-    nv = g.n_vertices
-    counts = [len(tower.corners[v].dec.summands) for v in range(nv)]
-    total = 1
-    for s in counts:
-        total *= 2 ** s
-        if total > max_candidates:
-            raise DomainError(
-                "the family search space exceeds %d candidates; prune per "
-                "vertex or raise max_candidates" % max_candidates
-            )
-    subset_lists = [_subsets(range(s)) for s in counts]
-    memo = {}
-
-    def sub(v, choice):
-        key = (v, choice)
-        if key not in memo:
-            memo[key] = ideal_subspace(tower, v, choice, tol)
-        return memo[key]
-
-    pairs = _parallel_edge_pairs(g)
-    mats = {
-        (e, f): pi_map(tower, Path((e,), g.esrc[e]), Path((f,), g.esrc[f]))
-        for e, f in pairs
-    }
-    groups = [[] for _ in range(nv)]
-    for e, f in pairs:
-        groups[max(g.edst[e], g.esrc[e])].append((e, f))
-
-    found = []
-    choice = [None] * nv
-
-    def pair_ok(e, f):
-        dom = sub(g.edst[e], choice[g.edst[e]])
-        cod = sub(g.esrc[e], choice[g.esrc[e]])
-        mat = mats[(e, f)]
-        for row in dom:
-            img = mat @ row
-            if span_residual(img, cod) > tol * max(
-                1.0, float(np.linalg.norm(img))
-            ):
-                return False
-        return True
-
-    def assign(k):
-        if k == nv:
-            found.append(IdealFamily(tuple(choice), counts))
-            return
-        for c in subset_lists[k]:
-            choice[k] = c
-            if all(pair_ok(e, f) for e, f in groups[k]):
-                assign(k + 1)
-        choice[k] = None
-
-    assign(0)
-    return found
-
-
-def enumerate_families(tower, n_cap=None, max_candidates=MAX_CANDIDATES,
-                       tol=RANK_TOL):
+def enumerate_families(tower, tol=RANK_TOL):
     """The lattice of invariant families over the tower.
 
-    Every assignment of corner ideals is enumerated, pruned vertex by
-    vertex with the transport condition, and kept when its transport
-    closure stays inside the family. Families carry their stage-0
-    ideal as annotations: the orthonormal basis j0_basis in stage-0
-    coordinates and its dimension j0_dim.
+    A family is a set of tower labels (v, i). Transport invariance
+    holds iff no H-edge leaves the set, and the transport closure stays
+    inside it iff the S-rule forces no new label (see check_H and
+    check_S), so the families are the label sets closed under both,
+    listed by NextClosure on the label-implication graph. Families
+    carry their stage-0 ideal as annotations: the orthonormal basis
+    j0_basis in stage-0 coordinates and its dimension j0_dim.
     """
+    succ = _successors(tower, tol)
+    premises = _premises(tower)
     families = []
-    for fam in _enumerate_H(tower, max_candidates, tol):
-        ok, _ = check_S(tower, fam, n_cap, tol)
-        if ok:
-            fam.j0_basis = build_fully_invariant(tower, fam, 0, tol)
-            fam.j0_dim = fam.j0_basis.shape[0]
-            families.append(fam)
+    for mask in _closed_masks(succ, premises):
+        fam = _family(tower, mask)
+        fam.j0_basis = build_fully_invariant(tower, fam, 0, tol)
+        fam.j0_dim = fam.j0_basis.shape[0]
+        families.append(fam)
     return GaugeIdealLattice(tower.graph, families)
 
 
@@ -900,14 +889,15 @@ def unweighted_simplicity(g):
     return Verdict("Simple", "transitive and not a single cycle")
 
 
-def simplicity_verdict(g, w, config=None, max_candidates=MAX_CANDIDATES):
+def simplicity_verdict(g, w, config=None):
     """Simplicity of the weighted algebra over a transitive graph.
 
     The weight period is re-minimized first; the criterion presumes
     the smallest exact period. For a transitive non-cycle the algebra
     is simple exactly when the only transport-invariant families are
     the two trivial ones; the transport condition alone decides, so
-    the closure condition never enters here.
+    the closure condition never enters here. A nontrivial one exists
+    iff the H-closure of some single label is not every label.
     """
     shape = g.validate()
     if not (shape.no_sources and shape.no_sinks):
@@ -926,16 +916,15 @@ def simplicity_verdict(g, w, config=None, max_candidates=MAX_CANDIDATES):
     if config is None:
         config = TowerConfig(n_max=0, M=w.N + w.q + 2 * w.p, W=2 * w.p)
     tower = build_tower(g, w, config)
-    fams = _enumerate_H(tower, max_candidates)
-    nontrivial = [
-        f for f in fams if not (f.trivial_zero or f.trivial_full)
-    ]
-    if nontrivial:
-        return Verdict(
-            "NotSimple",
-            "found %d nontrivial invariant families of corner ideals"
-            % len(nontrivial),
-        )
+    succ = _successors(tower)
+    full = (1 << len(succ)) - 1
+    for k, (v, i) in enumerate(tower.labels):
+        if _close(1 << k, succ) != full:
+            return Verdict(
+                "NotSimple",
+                "the transport closure of summand %d at %r is a nontrivial "
+                "invariant family of corner ideals" % (i, g.vertices[v]),
+            )
     return Verdict("Simple", "only the trivial invariant families exist")
 
 

@@ -6,9 +6,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from util import (
+    blocks_rank,
     corpus_graphs,
     cycle_weight_spec,
     dense_star_closure,
+    dimension_adds_up,
+    embedding_multiplicities,
     random_diag_spec,
 )
 from wck import tower
@@ -17,11 +20,9 @@ from wck.findim import (
     blocks_adj,
     blocks_eye,
     blocks_mul,
-    blocks_rank,
     blocks_vec,
     blocks_zero,
     central_decomposition,
-    embedding_multiplicities,
     star_closure,
 )
 from wck.weights import from_dict
@@ -124,7 +125,7 @@ class TestCentralDecomposition:
         assert A.dim == sum(d * d for d in dims)
         dec = central_decomposition(A, seed=seed)
         assert sorted(dec.dims) == sorted(dims)
-        assert dec.check_dimension()
+        assert dimension_adds_up(dec)
         for sm in dec.summands:
             assert sm.multiplicity == 1
             assert sm.ambient_rank == sm.d

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import corpus_graphs, cycle_weight_spec, random_diag_spec
-from wck.errors import DomainError, GraphError, StabilizationError
+from util import (
+    corpus_graphs,
+    cycle_weight_spec,
+    dense_check_H,
+    dense_check_S,
+    dense_enumerate_families,
+    random_diag_spec,
+)
+from wck.cycle_demo import build_cycle, demo_tower_config
+from wck.errors import DomainError, GraphError
 from wck.ideals import (
     IdealFamily,
+    _family,
     build_fully_invariant,
     check_H,
     check_S,
@@ -66,17 +75,60 @@ def c13t():
     return unweighted_tower("chain13")
 
 
-@pytest.fixture(scope="module")
-def c3w_tower(corpus):
-    w = cycle_weight_spec(corpus["C3"], (2.0, 1.0, 3.0))
-    return build_tower(corpus["C3"], w, TowerConfig(n_max=3))
-
-
-@pytest.fixture(scope="module")
-def o2w_tower(corpus):
-    g = corpus["O2"]
+def _o2_weighted(cfg):
+    g = CORPUS["O2"]
     w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
-    return build_tower(g, w, TowerConfig(n_max=1, M=6, W=2))
+    return build_tower(g, w, cfg)
+
+
+def _demo_tower(k, t):
+    g, w, model = build_cycle(k, t)
+    return build_tower(g, w, demo_tower_config(model))
+
+
+WEIGHTED = {
+    "C3w": lambda: build_tower(
+        CORPUS["C3"],
+        cycle_weight_spec(CORPUS["C3"], (2.0, 1.0, 3.0)),
+        TowerConfig(n_max=3),
+    ),
+    "O2w": lambda: _o2_weighted(TowerConfig(n_max=1, M=6, W=2)),
+    # the tight window of the O2 simplicity verdict
+    "O2w:tight": lambda: _o2_weighted(TowerConfig(n_max=0, M=4, W=3)),
+    "demo:3": lambda: _demo_tower(3, [2, 1, 1]),
+    "demo:4": lambda: _demo_tower(4, [2, 1, 3, 1]),
+}
+
+
+def tower_of(key):
+    """An unweighted corpus tower by graph name, or a WEIGHTED tower."""
+    if key in CORPUS:
+        return unweighted_tower(key)
+    if key not in _CACHE:
+        _CACHE[key] = WEIGHTED[key]()
+    return _CACHE[key]
+
+
+@pytest.fixture(scope="module")
+def c3w_tower():
+    return tower_of("C3w")
+
+
+@pytest.fixture(scope="module")
+def o2w_tower():
+    return tower_of("O2w")
+
+
+@pytest.fixture(scope="module")
+def c3chord_w_tower(corpus):
+    g = corpus["C3chord"]
+    w = random_diag_spec(g, 2, 1, np.random.default_rng(1))
+    return build_tower(g, w, TowerConfig(n_max=1))
+
+
+@pytest.fixture(scope="module")
+def c3chord_w_lattice(c3chord_w_tower):
+    return enumerate_families(c3chord_w_tower)
 
 
 class TestPiMap:
@@ -153,27 +205,19 @@ class TestCheckS:
     def test_closure_failure_detected_at_stage_one(self, c13t):
         fam = family_of_subset(c13t, {"v1"})
         assert check_H(c13t, fam)[0]
-        assert check_S(c13t, fam) == (False, 1)
+        ok, violations = check_S(c13t, fam)
+        assert not ok
+        assert violations == [{"vertex": "v2", "summand": 0}]
 
     def test_closed_family_without_transport_invariance(self, g2t):
         fam = family_of_subset(g2t, {"v2"})
         assert not check_H(g2t, fam)[0]
-        assert check_S(g2t, fam) == (True, 2)
-
-    def test_step_cap_exhaustion_raises(self, g2t):
-        fam = family_of_subset(g2t, {"v2"})
-        with pytest.raises(StabilizationError):
-            check_S(g2t, fam, n_cap=1)
-
-    def test_zero_cap_rejected(self, g2t):
-        fam = family_of_subset(g2t, {"v1"})
-        with pytest.raises(DomainError):
-            check_S(g2t, fam, n_cap=0)
+        assert check_S(g2t, fam) == (True, [])
 
     def test_trivial_families_stabilize_immediately(self, g2t):
         for subset in (set(), {"v1", "v2"}):
             fam = family_of_subset(g2t, subset)
-            assert check_S(g2t, fam) == (True, 1)
+            assert check_S(g2t, fam) == (True, [])
 
 
 class TestFullyInvariantBasis:
@@ -371,15 +415,43 @@ class TestGuards:
         with pytest.raises(DomainError):
             IdealFamily([frozenset({3}), frozenset()], [1, 1])
 
-    def test_candidate_explosion_guard(self, g2t):
-        with pytest.raises(DomainError):
-            enumerate_families(g2t, max_candidates=1)
+
+class TestWeightedChordLattice:
+    """C3chord with generic p=2 weights: 30 labels, 2^30 label subsets."""
+
+    def test_lattice_has_unique_extremes(self, c3chord_w_lattice):
+        doc = c3chord_w_lattice.to_json()
+        assert len(doc["families"]) == 32
+        assert doc["minimum"] == 0
+        assert doc["maximum"] == len(doc["families"]) - 1
+
+    def test_families_pass_both_checks(self, c3chord_w_tower, c3chord_w_lattice):
+        tw = c3chord_w_tower
+        for fam in c3chord_w_lattice:
+            assert check_H(tw, fam) == (True, [])
+            assert check_S(tw, fam) == (True, [])
+
+    def test_nontrivial_family_verifies(self, c3chord_w_tower, c3chord_w_lattice):
+        fam = c3chord_w_lattice.families[1]
+        assert not (fam.trivial_zero or fam.trivial_full)
+        report = verify_fully_invariant(c3chord_w_tower, fam, n_cap=1)
+        assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS) + sorted(WEIGHTED))
+def test_families_match_linear_search(key):
+    tw = tower_of(key)
+    assert set(enumerate_families(tw)) == set(dense_enumerate_families(tw))
 
 
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_subset_families_match_closure_predicates(data):
-    """Full-corner families pass both checks exactly on the classical sets."""
+    """Full-corner families pass both checks exactly on the classical sets.
+
+    On the weighted C3 and O2 towers, arbitrary label subsets are drawn
+    as well, and the label checks must agree with the linear ones.
+    """
     name = data.draw(st.sampled_from(sorted(CORPUS)))
     tw = unweighted_tower(name)
     g = tw.graph
@@ -391,3 +463,8 @@ def test_subset_families_match_closure_predicates(data):
     }
     passes = check_H(tw, fam)[0] and check_S(tw, fam)[0]
     assert passes == classical
+
+    tw = tower_of(data.draw(st.sampled_from(["C3w", "O2w"])))
+    fam = _family(tw, data.draw(st.integers(0, 2 ** len(tw.labels) - 1)))
+    assert check_H(tw, fam)[0] == dense_check_H(tw, fam)
+    assert check_S(tw, fam)[0] == dense_check_S(tw, fam)

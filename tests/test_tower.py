@@ -6,11 +6,12 @@ import pytest
 from util import (
     concrete_stage_algebra,
     cycle_weight_spec,
+    embedding_multiplicities,
     mkgraph,
     random_diag_spec,
 )
 from wck.errors import DomainError, GraphError, WindowUnstableError
-from wck.findim import central_decomposition, embedding_multiplicities
+from wck.findim import central_decomposition
 from wck.tower import TowerConfig, build_C0, build_tower
 from wck.weights import WeightSpec
 

@@ -6,14 +6,18 @@ single-vertex multi-loop, non-transitive loop chains, plain cycles of
 several lengths, cycles with parallel edges, and a transitive non-cycle.
 
 It also holds the slow references that fast paths in wck are tested
-against: the dense full-length closure loop and the concrete stage
-algebra of a tower.
+against: the dense full-length closure loop, the concrete stage algebra
+of a tower, the multiplicity matrix of an embedding read off corner
+ranks, and the linear-algebra search for invariant families.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from wck.errors import ClosureOverflowError
+from wck.errors import ClosureOverflowError, MultiplicityError
 from wck.findim import (
+    INT_TOL,
     StarAlgebra,
     blocks_adj,
     blocks_eye,
@@ -22,8 +26,14 @@ from wck.findim import (
     blocks_vec,
     star_closure,
 )
-from wck.graphs import Edge, Graph
-from wck.windows import RANK_TOL
+from wck.graphs import Edge, Graph, Path
+from wck.ideals import (
+    IdealFamily,
+    _parallel_edge_pairs,
+    ideal_subspace,
+    pi_map,
+)
+from wck.windows import RANK_TOL, span_contains, span_residual
 
 
 def mkgraph(vertices, edges):
@@ -190,3 +200,211 @@ def concrete_stage_algebra(tower, n):
                     x[v][a, b, t] = 1.0
                     gens.append(tower.tau_inverse(n, x))
     return star_closure(dims, gens)
+
+
+# -- finite-dimensional references ---------------------------------------------
+
+
+def blocks_rank(a, tol=RANK_TOL):
+    total = 0
+    for x in a:
+        if x.size == 0:
+            continue
+        s = np.linalg.svd(x, compute_uv=False)
+        if s.size and s[0] > 0:
+            total += int(np.sum(s > tol * max(1.0, s[0])))
+    return total
+
+
+def dimension_adds_up(dec):
+    """Whether the summand sizes of a decomposition account for its algebra."""
+    return sum(s.d ** 2 for s in dec.summands) == dec.algebra.dim
+
+
+def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL):
+    """Multiplicity matrix of a unital *-homomorphism phi: A -> B.
+
+    phi is applied to block elements of A and must land in B. The entry
+    m[i][j] counts how often summand i of A sits inside summand j of B:
+    the corner of B over phi(minimal projection of summand i), cut to
+    summand j, is a full matrix algebra of size m[i][j].
+    """
+    A, B = dec_a.algebra, dec_b.algebra
+    rng = np.random.default_rng(seed)
+
+    image_unit = phi(A.unit)
+    if not np.allclose(blocks_vec(image_unit), blocks_vec(B.unit), atol=1e-8):
+        raise MultiplicityError("map is not unital")
+    for _ in range(samples):
+        ca = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
+        cb = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
+        x, y = A.element(ca), A.element(cb)
+        lhs = phi(blocks_mul(x, y))
+        rhs = blocks_mul(phi(x), phi(y))
+        if np.linalg.norm(blocks_vec(lhs) - blocks_vec(rhs)) > 1e-8 * max(
+            1.0, np.linalg.norm(blocks_vec(lhs))
+        ):
+            raise MultiplicityError("map is not multiplicative")
+        star = phi(blocks_adj(x))
+        if np.linalg.norm(
+            blocks_vec(star) - blocks_vec(blocks_adj(phi(x)))
+        ) > 1e-8 * max(1.0, np.linalg.norm(blocks_vec(star))):
+            raise MultiplicityError("map is not star-preserving")
+        if not B.contains(phi(x), 100 * tol):
+            raise MultiplicityError("image leaves the target algebra")
+
+    m = np.zeros((len(dec_a.summands), len(dec_b.summands)), dtype=int)
+    for i, sa in enumerate(dec_a.summands):
+        q = phi(sa.minimal_projection)
+        for j, sb in enumerate(dec_b.summands):
+            zq = blocks_mul(sb.projection, q)
+            rows = np.array([
+                blocks_vec(blocks_mul(blocks_mul(zq, b), blocks_adj(zq)))
+                for b in B.basis
+            ])
+            # absolute floor on the rank cut: a zero compression leaves
+            # pure roundoff rows and a relative cut would count them
+            sing = np.linalg.svd(rows, compute_uv=False)
+            corner_dim = int(np.sum(sing > tol * max(1.0, sing[0])))
+            mij = int(round(np.sqrt(corner_dim)))
+            if abs(mij * mij - corner_dim) > INT_TOL:
+                raise MultiplicityError(
+                    "corner dimension %d of summand pair (%d, %d) is not a "
+                    "perfect square" % (corner_dim, i, j)
+                )
+            m[i, j] = mij
+    # column sums against the target summand sizes
+    for j, sb in enumerate(dec_b.summands):
+        got = int(sum(m[i, j] * dec_a.summands[i].d for i in range(m.shape[0])))
+        if got != sb.d:
+            raise MultiplicityError(
+                "multiplicity column %d sums to %d, expected %d"
+                % (j, got, sb.d)
+            )
+    return m
+
+
+# -- the linear-algebra lattice search -------------------------------------------
+
+
+def _transport(tower, e, f):
+    g = tower.graph
+    return pi_map(tower, Path((e,), g.esrc[e]), Path((f,), g.esrc[f]))
+
+
+def _maps_into(mat, dom, cod, tol=RANK_TOL):
+    """Whether mat sends every row of the ideal basis dom into span cod."""
+    for row in dom:
+        img = mat @ row
+        if span_residual(img, cod) > tol * max(1.0, float(np.linalg.norm(img))):
+            return False
+    return True
+
+
+def dense_check_H(tower, family, tol=RANK_TOL):
+    """Transport invariance, tested on the family's corner ideal subspaces."""
+    g = tower.graph
+    subs = [
+        ideal_subspace(tower, v, family.choices[v], tol)
+        for v in range(g.n_vertices)
+    ]
+    return all(
+        _maps_into(_transport(tower, e, f), subs[g.edst[e]], subs[g.esrc[e]], tol)
+        for e, f in _parallel_edge_pairs(g)
+    )
+
+
+def _null_rows(mat, tol=RANK_TOL):
+    """Orthonormal rows spanning the right null space of mat."""
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=np.complex128)
+    s, vh = np.linalg.svd(mat)[1:]
+    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
+    return vh[rank:].conj()
+
+
+def dense_check_S(tower, family, tol=RANK_TOL):
+    """Transport closure by the fixed-point loop on corner subspaces.
+
+    I_0(v) is the ideal at v and I_{k+1}(v) intersects the fiber
+    preimages of I_k at the walk starts of the length-p paths ending at
+    v. The family is closed when no I_k leaves it; the loop stops at
+    the first repeated subspace tuple.
+    """
+    g = tower.graph
+    nv = g.n_vertices
+    subs = [ideal_subspace(tower, v, family.choices[v], tol) for v in range(nv)]
+    steps = {v: [] for v in range(nv)}
+    for mi, mu in enumerate(g.paths(tower.p)):
+        steps[g.range_of(mu)].append((tower.fibers[mi], g.source_of(mu)))
+    cur = subs
+    for _ in range(sum(tower.corners[v].r for v in range(nv)) + 1):
+        nxt = []
+        for v in range(nv):
+            rows = [
+                fib - cur[src].T @ (cur[src].conj() @ fib)
+                for fib, src in steps[v]
+            ]
+            if rows:
+                nxt.append(_null_rows(np.concatenate(rows, axis=0), tol))
+            else:
+                nxt.append(np.eye(tower.corners[v].r, dtype=np.complex128))
+        if not all(span_contains(subs[v], nxt[v], tol) for v in range(nv)):
+            return False
+        if all(
+            nxt[v].shape[0] == cur[v].shape[0]
+            and span_contains(cur[v], nxt[v], tol)
+            for v in range(nv)
+        ):
+            return True
+        cur = nxt
+    raise AssertionError("transported-ideal spaces never stabilized")
+
+
+def dense_enumerate_families(tower, tol=RANK_TOL):
+    """Families passing dense_check_H and dense_check_S, by backtracking.
+
+    Every subset of corner summands is tried vertex by vertex, pruned by
+    the transport pairs whose ends are both assigned.
+    """
+    g = tower.graph
+    nv = g.n_vertices
+    counts = [len(tower.corners[v].dec.summands) for v in range(nv)]
+    subsets = [
+        [frozenset(c) for r in range(s + 1) for c in combinations(range(s), r)]
+        for s in counts
+    ]
+    memo = {}
+
+    def sub(v, c):
+        if (v, c) not in memo:
+            memo[(v, c)] = ideal_subspace(tower, v, c, tol)
+        return memo[(v, c)]
+
+    groups = [[] for _ in range(nv)]
+    for e, f in _parallel_edge_pairs(g):
+        groups[max(g.edst[e], g.esrc[e])].append((e, _transport(tower, e, f)))
+
+    found = []
+    choice = [None] * nv
+
+    def assign(k):
+        if k == nv:
+            found.append(IdealFamily(tuple(choice), counts))
+            return
+        for c in subsets[k]:
+            choice[k] = c
+            if all(
+                _maps_into(
+                    mat,
+                    sub(g.edst[e], choice[g.edst[e]]),
+                    sub(g.esrc[e], choice[g.esrc[e]]),
+                    tol,
+                )
+                for e, mat in groups[k]
+            ):
+                assign(k + 1)
+        choice[k] = None
+
+    assign(0)
+    return [fam for fam in found if dense_check_S(tower, fam, tol)]
