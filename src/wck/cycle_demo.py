@@ -168,7 +168,7 @@ def char_phi(model, n, i, x):
     return complex(val)
 
 
-def K1_membership(model, x, tol=VANISH_TOL):
+def K1_membership(model, x):
     """Whether x lies in the common kernel of the i = 0 characters.
 
     The kernel ideal is an intersection over all level residues, and
@@ -176,7 +176,7 @@ def K1_membership(model, x, tol=VANISH_TOL):
     evaluations.
     """
     return all(
-        abs(char_phi(model, n, 0, x)) <= tol for n in range(model.L)
+        abs(char_phi(model, n, 0, x)) <= VANISH_TOL for n in range(model.L)
     )
 
 
@@ -234,17 +234,17 @@ def corner_character_vectors(model, tower, v):
     return out
 
 
-def distinct_character_count(model, tower, v, tol=VANISH_TOL):
+def distinct_character_count(model, tower, v):
     """Number of distinct character restrictions on the corner at v."""
     vecs = list(corner_character_vectors(model, tower, v).values())
     kept = []
     for vec in vecs:
-        if all(np.abs(vec - other).max() > tol for other in kept):
+        if all(np.abs(vec - other).max() > VANISH_TOL for other in kept):
             kept.append(vec)
     return len(kept)
 
 
-def kernel_family(model, tower, tol=VANISH_TOL):
+def kernel_family(model, tower):
     """The family of corner ideals cut out by the i = 0 characters.
 
     At vertex v the relevant characters are phi[n, 0] for the residues
@@ -274,7 +274,7 @@ def kernel_family(model, tower, tol=VANISH_TOL):
             values = [
                 summand.projection[ell - tower.G0][0, 0] for ell in levels
             ]
-            if all(abs(val) <= tol for val in values):
+            if all(abs(val) <= VANISH_TOL for val in values):
                 chosen.add(s)
         choices.append(frozenset(chosen))
     return IdealFamily(choices, counts)

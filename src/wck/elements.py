@@ -368,7 +368,12 @@ def _parse_term(graph, chunk, sign):
         if m.group("one"):
             continue
         if m.group("z"):
-            exp = int(m.group("zexp") or 1)
+            try:
+                exp = int(m.group("zexp") or 1)
+            except ValueError as exc:
+                raise ElementError(
+                    "exponent of z has %d digits" % len(m.group("zexp"))
+                ) from exc
             word.append((Z, exp))
         elif m.group("u") is not None:
             word.append((U, _lookup(graph.eindex, "edge", m.group("u"))))

@@ -27,14 +27,30 @@ So the invariant families are the label sets closed under both rules,
 listed by Ganter's NextClosure, and the H-edges alone decide
 simplicity.
 
+The ideals themselves are assembled, not searched for, from two facts:
+
+* summand ideals are orthogonal: for central summands i != j,
+  <z_i a, z_j b> = tr(a^* z_i z_j b) = 0, and corner coordinates are
+  isometric. Each summand ideal is verified once per tower
+  (Corner.summand_ideal), and the ideal of a label set at a vertex is
+  the stack of their rows;
+* stage ideals are placements: every stage-m index path at v factors
+  uniquely as delta*alpha with |delta| = m p and alpha a stage-0 index
+  path at v, and path conjugation is an exact index copy, so stage m
+  of the invariant ideal is the block pattern with J_v in every block
+  entry at v. Its dimension sum_v m_v(m)^2 dim J_v holds by
+  construction.
+
+The certificate kept on the stages is the one with numerical content:
+the connecting map psi sends each stage of the ideal into the next.
+
 Everything here computes in structural stage coordinates: a stage-n
 element is a dict keyed by source vertex with one coordinate tensor
-per pair of index paths, path conjugation is an exact index copy
-(Graph.prepend_index on the stage index arrays), and the maps between
-stages reuse the certified tower fibers. Window
-renders enter only where a statement genuinely lives on the observable
-window (the transport gathers and the strip / push re-verification),
-always behind a residual certificate.
+per pair of index paths, and the maps between stages reuse the
+certified tower fibers. Window renders enter only where a statement
+genuinely lives on the observable window (the transport gathers and
+the strip / push re-verification), always behind a residual
+certificate.
 
 The classical unweighted theory doubles as an oracle: hereditary and
 saturated vertex sets, enumerated by brute force, must biject with the
@@ -65,8 +81,8 @@ class IdealFamily:
     at vertex v whose direct sum is the chosen ideal J_v; the empty set
     is the zero ideal and the full index range is the corner itself.
     A subset of central summands is automatically a two-sided *-closed
-    ideal of the corner, and `ideal_subspace` re-verifies that on the
-    coordinate level whenever the subspace is materialized.
+    ideal of the corner; Corner.summand_ideal verifies that on the
+    coordinate level once per summand.
     """
 
     def __init__(self, choices, summand_counts):
@@ -93,6 +109,16 @@ class IdealFamily:
     def leq(self, other):
         return all(a <= b for a, b in zip(self.choices, other.choices))
 
+    @property
+    def mask(self):
+        """The family as a bitmask over the tower labels (v, i), in order."""
+        out = offset = 0
+        for c, s in zip(self.choices, self.summand_counts):
+            for i in c:
+                out |= 1 << (offset + i)
+            offset += s
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, IdealFamily) and self.choices == other.choices
@@ -117,6 +143,14 @@ class IdealFamily:
         }
 
 
+def _bits(mask):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _family_key(fam):
     return (
         sum(len(c) for c in fam.choices),
@@ -136,9 +170,6 @@ class GaugeIdealLattice:
 
     def __iter__(self):
         return iter(self.families)
-
-    def leq(self, i, j):
-        return self.families[i].leq(self.families[j])
 
     @property
     def minimum(self):
@@ -165,22 +196,23 @@ class GaugeIdealLattice:
         return maxs[0]
 
     def hasse_edges(self):
-        """Cover pairs (i, j): family i sits directly below family j."""
-        n = len(self.families)
+        """Cover pairs (i, j): family i sits directly below family j.
+
+        above[i] is the bitmask of the j with families[i] < families[j];
+        the covers of i are above[i] less everything above one of its
+        members.
+        """
+        masks = [f.mask for f in self.families]
+        above = [
+            sum(1 << j for j, mj in enumerate(masks) if j != i and not mi & ~mj)
+            for i, mi in enumerate(masks)
+        ]
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq(i, j):
-                    continue
-                cover = True
-                for k in range(n):
-                    if k in (i, j):
-                        continue
-                    if self.leq(i, k) and self.leq(k, j):
-                        cover = False
-                        break
-                if cover:
-                    edges.append((i, j))
+        for i, up in enumerate(above):
+            higher = 0
+            for j in _bits(up):
+                higher |= above[j]
+            edges.extend((i, j) for j in _bits(up & ~higher))
         return edges
 
     def to_json(self):
@@ -211,58 +243,41 @@ class HereditarySaturatedSet:
 # -- corner ideal subspaces ---------------------------------------------------
 
 
-def ideal_subspace(tower, v, subset, tol=RANK_TOL):
+def ideal_subspace(tower, v, subset):
     """Orthonormal coordinate basis of the corner ideal picked by subset.
 
-    The ideal is the two-sided span of the chosen central summands; the
-    rows are coordinates with respect to the corner's orthonormal
-    basis. The construction is re-verified: the dimension must equal
-    the sum of squared summand sizes and the subspace must be closed
-    under adjoints and under products with every basis element.
+    The ideal is the direct sum of the ideals of the chosen central
+    summands; the rows are coordinates with respect to the corner's
+    orthonormal basis. Each summand ideal is verified once per tower
+    (Corner.summand_ideal). Distinct central summands are orthogonal,
+    <z_i a, z_j b> = tr(a^* z_i z_j b) = 0, and corner coordinates are
+    isometric, so the stacked rows, in ascending summand order, are
+    already an orthonormal basis of the sum; their Gram matrix is
+    certified against the identity.
     """
     corner = tower.corners[v]
-    subset = frozenset(subset)
-    summands = corner.dec.summands
-    if any(i < 0 or i >= len(summands) for i in subset):
+    subset = sorted(frozenset(subset))
+    if any(i < 0 or i >= len(corner.dec.summands) for i in subset):
         raise DomainError(
             "summand index out of range at vertex %r"
             % tower.graph.vertices[v]
         )
     if not subset:
         return np.zeros((0, corner.r), dtype=np.complex128)
-    z = np.zeros(corner.r, dtype=np.complex128)
-    for i in subset:
-        z = z + corner.coords(summands[i].projection)
-    eye = np.eye(corner.r, dtype=np.complex128)
-    rows = np.array([corner.mul_coords(z, eye[j]) for j in range(corner.r)])
-    basis = onb(rows, tol)
-    expected = sum(summands[i].d ** 2 for i in subset)
-    if basis.shape[0] != expected:
+    basis = np.concatenate([corner.summand_ideal(i) for i in subset])
+    gram = basis.conj() @ basis.T
+    if np.linalg.norm(gram - np.eye(len(basis))) > RANK_TOL:
         raise WindowUnstableError(
-            "ideal at vertex %r has dimension %d, the summand sizes give %d"
-            % (tower.graph.vertices[v], basis.shape[0], expected)
+            "summand ideals at vertex %r are not orthonormal"
+            % tower.graph.vertices[v]
         )
-    for u in basis:
-        if not in_span(corner.adjoint_coords(u), basis, tol):
-            raise WindowUnstableError(
-                "ideal at vertex %r is not adjoint-closed"
-                % tower.graph.vertices[v]
-            )
-        for j in range(corner.r):
-            left = corner.mul_coords(eye[j], u)
-            right = corner.mul_coords(u, eye[j])
-            if not (in_span(left, basis, tol) and in_span(right, basis, tol)):
-                raise WindowUnstableError(
-                    "ideal at vertex %r is not a two-sided ideal"
-                    % tower.graph.vertices[v]
-                )
     return basis
 
 
-def _family_subspaces(tower, family, tol=RANK_TOL):
+def _family_subspaces(tower, family):
     """The corner ideal subspace the family picks at every vertex."""
     return {
-        v: ideal_subspace(tower, v, family.choices[v], tol)
+        v: ideal_subspace(tower, v, family.choices[v])
         for v in range(tower.graph.n_vertices)
     }
 
@@ -330,17 +345,17 @@ def _parallel_edge_pairs(g):
 # -- the label-implication graph ----------------------------------------------
 
 
-def _transport_edges(tower, tol=RANK_TOL):
+def _transport_edges(tower):
     """H-edges (e, f, a, b, margin): pi(e, f) sends label a into label b.
 
     The margin is the largest component in the summand ideal of b of
     the image of a summand-ideal row of a, relative to max(1, |image|)
-    as in in_span; the edge exists when it exceeds tol.
+    as in in_span; the edge exists when it exceeds RANK_TOL.
     """
     g = tower.graph
     pos = {lab: k for k, lab in enumerate(tower.labels)}
     single = {
-        (v, i): ideal_subspace(tower, v, {i}, tol) for v, i in tower.labels
+        (v, i): tower.corners[v].summand_ideal(i) for v, i in tower.labels
     }
     edges = []
     for e, f in _parallel_edge_pairs(g):
@@ -352,15 +367,15 @@ def _transport_edges(tower, tol=RANK_TOL):
             for j in range(len(tower.corners[s].dec.summands)):
                 comp = np.linalg.norm(img @ single[(s, j)].conj().T, axis=1)
                 margin = float((comp / scale).max())
-                if margin > tol:
+                if margin > RANK_TOL:
                     edges.append((e, f, pos[(w, i)], pos[(s, j)], margin))
     return edges
 
 
-def _successors(tower, tol=RANK_TOL):
+def _successors(tower):
     """Mask of the H-successors of every label."""
     succ = [0] * len(tower.labels)
-    for _, _, a, b, _ in _transport_edges(tower, tol):
+    for _, _, a, b, _ in _transport_edges(tower):
         succ[a] |= 1 << b
     return succ
 
@@ -390,14 +405,6 @@ def _close(mask, succ, premises=None):
         mask = grown
 
 
-def _mask(tower, family):
-    return sum(
-        1 << k
-        for k, (v, i) in enumerate(tower.labels)
-        if i in family.choices[v]
-    )
-
-
 def _family(tower, mask):
     nv = tower.graph.n_vertices
     choices = [set() for _ in range(nv)]
@@ -408,7 +415,7 @@ def _family(tower, mask):
     return IdealFamily(choices, counts)
 
 
-def check_H(tower, family, tol=RANK_TOL):
+def check_H(tower, family):
     """Whether every parallel-pair transport maps ideals into ideals.
 
     The family fails when an H-edge leaves it. Returns (ok,
@@ -417,9 +424,9 @@ def check_H(tower, family, tol=RANK_TOL):
     relative component that escapes.
     """
     g = tower.graph
-    mask = _mask(tower, family)
+    mask = family.mask
     worst = {}
-    for e, f, a, b, margin in _transport_edges(tower, tol):
+    for e, f, a, b, margin in _transport_edges(tower):
         if mask >> a & 1 and not mask >> b & 1:
             worst[(e, f)] = max(margin, worst.get((e, f), 0.0))
     violations = [
@@ -451,7 +458,7 @@ def check_S(tower, family):
     outside J.
     """
     g = tower.graph
-    mask = _mask(tower, family)
+    mask = family.mask
     violations = [
         {"vertex": g.vertices[v], "summand": i}
         for k, ((v, i), prem) in enumerate(zip(tower.labels, _premises(tower)))
@@ -460,7 +467,7 @@ def check_S(tower, family):
     return (not violations, violations)
 
 
-# -- structural stage helpers -------------------------------------------------
+# -- invariant ideals stage by stage ------------------------------------------
 
 
 def _stage_unvec(tower, n, vec):
@@ -473,118 +480,59 @@ def _stage_unvec(tower, n, vec):
     return x
 
 
-def _shift_pair(tower, n, x, delta, gamma):
-    """Exact stage coordinates of u_delta x u_gamma^* for stage-n x.
+def _placed(tower, subs, m):
+    """Stage-m rows of the pattern with J_v in every block entry at v.
 
-    The conjugating paths share a length divisible by the period, so
-    the result is a structural element len/p stages up. Slot paths
-    that do not concatenate with the conjugating paths contribute
-    nothing.
+    At vertex v the rows are kron(eye(m_v^2), J_v), in the layout of
+    Tower.stage_vec; the vertex blocks sit on the diagonal.
     """
-    g = tower.graph
-    if len(delta) != len(gamma) or len(delta) % tower.p:
-        raise DomainError(
-            "conjugating paths must share a length divisible by the period"
-        )
-    m = n + len(delta) // tower.p
-    if m > tower.config.n_max:
-        raise DomainError("stage %d exceeds the built tower" % m)
-    length = n * tower.p + tower.q
-    out = tower.stage_zero(m)
-    for v, blk in x.items():
-        src = tower.stages[n].paths[v]
-        dst_d = g.prepend_index(length, delta)[src]
-        dst_g = g.prepend_index(length, gamma)[src]
-        rows_d = np.flatnonzero(dst_d >= 0)
-        rows_g = np.flatnonzero(dst_g >= 0)
-        # stage-m positions: searchsorted in the ascending index list at v
-        hi = tower.stages[m].paths[v]
-        pos_d = np.searchsorted(hi, dst_d[rows_d])
-        pos_g = np.searchsorted(hi, dst_g[rows_g])
-        out[v][np.ix_(pos_d, pos_g)] = blk[np.ix_(rows_d, rows_g)]
+    counts = tower.stages[m].counts
+    blocks = [np.kron(np.eye(counts[v] ** 2), subs[v]) for v in sorted(counts)]
+    out = np.zeros(
+        (sum(b.shape[0] for b in blocks), tower.stages[m].dim),
+        dtype=np.complex128,
+    )
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
     return out
 
 
-# -- invariant ideals stage by stage ------------------------------------------
-
-
-def _ideal_pattern_dim(tower, family, n):
-    return sum(
-        tower.stages[n].counts[v] ** 2
-        * sum(
-            tower.corners[v].dec.summands[i].d ** 2
-            for i in family.choices[v]
-        )
-        for v in range(tower.graph.n_vertices)
-    )
-
-
-def _ideal_chain(tower, family, n, tol=RANK_TOL):
-    g = tower.graph
+def _ideal_chain(tower, family, n):
     if n > tower.config.n_max:
         raise DomainError("stage %d exceeds the built tower" % n)
-    subs = _family_subspaces(tower, family, tol)
-    seeds = []
-    for w in range(g.n_vertices):
-        m = tower.stages[0].counts[w]
-        for a in range(m):
-            for b in range(m):
-                for row in subs[w]:
-                    x = tower.stage_zero(0)
-                    x[w][a, b] = row
-                    seeds.append(x)
-    if seeds:
-        base = onb(np.array([tower.stage_vec(0, x) for x in seeds]), tol)
-    else:
-        base = np.zeros((0, tower.stages[0].dim), dtype=np.complex128)
-    if base.shape[0] != _ideal_pattern_dim(tower, family, 0):
-        raise WindowUnstableError(
-            "stage-0 ideal has dimension %d, the summand pattern gives %d"
-            % (base.shape[0], _ideal_pattern_dim(tower, family, 0))
-        )
-    chain = [base]
+    subs = _family_subspaces(tower, family)
+    chain = [_placed(tower, subs, m) for m in range(n + 1)]
     for m in range(1, n + 1):
-        gathered = []
-        long_paths = g.paths(m * tower.p)
-        for delta in long_paths:
-            for gamma in long_paths:
-                for x in seeds:
-                    y = _shift_pair(tower, 0, x, delta, gamma)
-                    gathered.append(tower.stage_vec(m, y))
-        if gathered:
-            basis = onb(np.array(gathered), tol)
-        else:
-            basis = np.zeros((0, tower.stages[m].dim), dtype=np.complex128)
-        expected = _ideal_pattern_dim(tower, family, m)
-        if basis.shape[0] != expected:
-            raise WindowUnstableError(
-                "stage-%d ideal has dimension %d, the summand pattern "
-                "gives %d" % (m, basis.shape[0], expected)
-            )
         for row in chain[m - 1]:
             lifted = tower.stage_vec(
                 m, tower.psi(m - 1, _stage_unvec(tower, m - 1, row))
             )
-            if not in_span(lifted, basis, tol):
+            if not in_span(lifted, chain[m]):
                 raise WindowUnstableError(
                     "the stage-%d ideal does not include into stage %d"
                     % (m - 1, m)
                 )
-        chain.append(basis)
     return chain
 
 
-def build_fully_invariant(tower, family, n, tol=RANK_TOL):
+def build_fully_invariant(tower, family, n):
     """Orthonormal stage-n coordinate basis of the invariant ideal.
 
     Stage m of the ideal is the span of all conjugates u_delta x
     u_gamma^* of stage-0 ideal elements x along path pairs of length
-    m times the period. The construction verifies at every step that
-    the span has the expected block-pattern dimension and that the
-    stage inclusion maps each stage into the next. Rows live in the
+    m times the period. Every stage-m index path at v factors uniquely
+    as delta*alpha with |delta| = m p and alpha a stage-0 index path at
+    v, and conjugation is an exact index copy, so that span is the
+    block pattern with the corner ideal J_v in every block entry at v:
+    the rows are placed, not gathered, and they are orthonormal because
+    those of J_v are. The certificate kept is the stage inclusion: psi
+    maps each stage of the ideal into the next. Rows live in the
     stage-n layout of Tower.stage_vec.
     """
-    return _ideal_chain(tower, family, n, tol)[n]
+    return _ideal_chain(tower, family, n)[n]
 
 
 # -- independent re-verification ----------------------------------------------
@@ -643,7 +591,7 @@ def _edge_render(tower, blocks, e, f, push):
     return np.concatenate([m.ravel() for m in out])
 
 
-def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
+def verify_fully_invariant(tower, family, n_cap=None):
     """Re-verify a constructed invariant ideal against its definition.
 
     Three independent checks, reported with witnesses instead of
@@ -666,8 +614,8 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
         )
     if cap < 1:
         raise DomainError("verification needs at least one stage")
-    subs = _family_subspaces(tower, family, tol)
-    chain = _ideal_chain(tower, family, cap, tol)
+    subs = _family_subspaces(tower, family)
+    chain = _ideal_chain(tower, family, cap)
     failures = []
     fiber_checks = []
     for nprime in sorted({1, cap}):
@@ -679,7 +627,7 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
                 mat = corner.restricted(lo, hi)[0]
-                corner_span = onb(mat, tol)
+                corner_span = onb(mat)
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
                 rows_low = tower.stage_rows(nlow, v)
@@ -691,12 +639,12 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                         for rnd in renders
                     ]
                     if strips:
-                        strip_span = onb(np.array(strips), tol)
+                        strip_span = onb(np.array(strips))
                     else:
                         strip_span = np.zeros(
                             (0, mat.shape[1]), dtype=np.complex128
                         )
-                    inter = span_intersect(strip_span, corner_span, tol)
+                    inter = span_intersect(strip_span, corner_span)
                     rows = []
                     uncertified = None
                     for vec in inter:
@@ -723,12 +671,12 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                         )
                     else:
                         rec = (
-                            onb(np.array(rows), tol)
+                            onb(np.array(rows))
                             if rows
                             else np.zeros((0, corner.r), dtype=np.complex128)
                         )
-                        contained = span_contains(subs[v], rec, tol)
-                        covers = span_contains(rec, subs[v], tol)
+                        contained = span_contains(subs[v], rec)
+                        covers = span_contains(rec, subs[v])
                         if contained and covers:
                             entry["relation"] = "equal"
                         elif covers:
@@ -759,8 +707,7 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
         j0_low = onb(
             np.array(
                 [_flatten_levels(r, 0, tower.W - 1) for r in j0_renders]
-            ),
-            tol,
+            )
         )
         j1_dicts = [_stage_unvec(tower, 1, row) for row in chain[1]]
         j1_high = onb(
@@ -769,8 +716,7 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                     _flatten_levels(tower.tau_inverse(1, x), 1, tower.W)
                     for x in j1_dicts
                 ]
-            ),
-            tol,
+            )
         )
         for e in range(g.n_edges):
             for f in range(g.n_edges):
@@ -792,12 +738,12 @@ def verify_fully_invariant(tower, family, n_cap=None, tol=RANK_TOL):
                 push_checks.append(
                     {"pair": names, "residual": worst_push}
                 )
-                if worst_strip > tol:
+                if worst_strip > RANK_TOL:
                     failures.append(
                         "strip of the stage-0 ideal between %s leaves it "
                         "(residual %.3g)" % (names, worst_strip)
                     )
-                if worst_push > tol:
+                if worst_push > RANK_TOL:
                     failures.append(
                         "push of the stage-0 ideal by %s leaves stage 1 "
                         "(residual %.3g)" % (names, worst_push)
@@ -839,7 +785,7 @@ def _closed_masks(succ, premises):
     return out
 
 
-def enumerate_families(tower, tol=RANK_TOL):
+def enumerate_families(tower):
     """The lattice of invariant families over the tower.
 
     A family is a set of tower labels (v, i). Transport invariance
@@ -850,12 +796,12 @@ def enumerate_families(tower, tol=RANK_TOL):
     carry their stage-0 ideal as annotations: the orthonormal basis
     j0_basis in stage-0 coordinates and its dimension j0_dim.
     """
-    succ = _successors(tower, tol)
+    succ = _successors(tower)
     premises = _premises(tower)
     families = []
     for mask in _closed_masks(succ, premises):
         fam = _family(tower, mask)
-        fam.j0_basis = build_fully_invariant(tower, fam, 0, tol)
+        fam.j0_basis = build_fully_invariant(tower, fam, 0)
         fam.j0_dim = fam.j0_basis.shape[0]
         families.append(fam)
     return GaugeIdealLattice(tower.graph, families)

@@ -51,7 +51,7 @@ from .findim import (
     central_decomposition,
     star_closure,
 )
-from .windows import onb
+from .windows import in_span, onb
 
 COORD_TOL = 1e-8
 
@@ -72,7 +72,6 @@ class TowerConfig:
     M: int | None = None
     W: int | None = None
     max_level_dim: int = 600
-    tol: float = COORD_TOL
     seed: int = 0
 
 
@@ -95,7 +94,6 @@ class Corner:
         self.vertex = v
         self.xi = g.xi(v, q, config.xi_choice)
         self.levels = levels
-        self.tol = config.tol
         self.slot_lists = [g.ending_at(k - q, v) for k in levels]
         slot_index = [
             g.prepend_index(k - q, self.xi)[slots]
@@ -115,6 +113,7 @@ class Corner:
         self.algebra = StarAlgebra(tuple(slot_dims), basis, mat, unit)
         self.r = self.algebra.dim
         self._restricted = {}
+        self._summand_ideals = {}
         self._tabulate()
         self.dec = central_decomposition(self.algebra, seed=config.seed)
 
@@ -171,10 +170,50 @@ class Corner:
         self._restricted[key] = (mat, pinv)
         return mat, pinv
 
+    def summand_ideal(self, i):
+        """Orthonormal coordinate rows of the ideal of central summand i.
+
+        The ideal is the corner times the central projection z_i, a full
+        matrix algebra of size d_i. It is verified once and cached: the
+        span must have dimension d_i^2 and be closed under adjoints and
+        under products on both sides with every basis element, or the
+        call raises WindowUnstableError. The cached rows are read-only.
+        """
+        got = self._summand_ideals.get(i)
+        if got is not None:
+            return got
+        summand = self.dec.summands[i]
+        z = self.coords(summand.projection)
+        eye = np.eye(self.r, dtype=np.complex128)
+        basis = onb([self.mul_coords(z, e) for e in eye])
+        if basis.shape[0] != summand.d ** 2:
+            raise WindowUnstableError(
+                "ideal of summand %d at vertex %r has dimension %d, its size "
+                "gives %d" % (i, self.vertex, basis.shape[0], summand.d ** 2)
+            )
+        for u in basis:
+            if not in_span(self.adjoint_coords(u), basis):
+                raise WindowUnstableError(
+                    "ideal of summand %d at vertex %r is not adjoint-closed"
+                    % (i, self.vertex)
+                )
+            for e in eye:
+                if not (
+                    in_span(self.mul_coords(e, u), basis)
+                    and in_span(self.mul_coords(u, e), basis)
+                ):
+                    raise WindowUnstableError(
+                        "ideal of summand %d at vertex %r is not a two-sided "
+                        "ideal" % (i, self.vertex)
+                    )
+        basis.flags.writeable = False
+        self._summand_ideals[i] = basis
+        return basis
+
     def certified_coords(self, lo, hi, slot_blocks, scale, message=None):
         """Coordinates of slot data on levels [lo, hi), and their residual.
 
-        The least-squares residual must stay within 100 * tol * scale.
+        The least-squares residual must stay within 100 * COORD_TOL * scale.
         Past that bound the call raises WindowUnstableError(message), or
         returns None for the coordinates when no message is given.
         """
@@ -182,7 +221,7 @@ class Corner:
         vec = blocks_vec(slot_blocks)
         coords = pinv @ vec
         resid = float(np.linalg.norm(mat.T @ coords - vec))
-        if resid > 100 * self.tol * scale:
+        if resid > 100 * COORD_TOL * scale:
             if message is not None:
                 raise WindowUnstableError(message)
             coords = None
@@ -408,9 +447,9 @@ class Tower:
 
         Columns run over the corner basis at r(a), rows over the corner
         at s(a). On the window the image is an index gather len(a)
-        levels down, certified column by column against 100 * tol (the
-        basis is orthonormal, so no entry exceeds 1); a failure raises
-        WindowUnstableError(message).
+        levels down, certified column by column against 100 * COORD_TOL
+        (the basis is orthonormal, so no entry exceeds 1); a failure
+        raises WindowUnstableError(message).
         """
         g = self.graph
         cs = self.corners[g.source_of(a)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Real
 
 import numpy as np
@@ -346,11 +347,13 @@ def from_dict(doc, graph):
             seed_levels[k] = _parse_diag_level(graph, k, level_doc)
         else:
             seed_levels[k] = _parse_block_level(graph, k, level_doc)
-    missing = set(range(1, N + p)) - set(seed_levels)
-    if missing:
+    # every key lies in 1..N+p-1, so counting decides; listing the first
+    # few gaps keeps a huge p from materializing the whole range
+    if len(seed_levels) < N + p - 1:
+        missing = (k for k in range(1, N + p) if k not in seed_levels)
         raise WeightError(
             "missing seed levels %s (levels 1..N+p-1 are required)"
-            % sorted(missing)
+            % list(islice(missing, 8))
         )
     return WeightSpec(graph, kind, p, N, seed_levels, epsilon)
 

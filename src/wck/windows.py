@@ -311,7 +311,9 @@ def span_intersect(a, b, tol=RANK_TOL):
     keep = s > 1.0 - tol
     if not np.any(keep):
         return np.zeros((0, a.shape[1]), dtype=np.complex128)
-    vecs = (u[:, keep].T.conj() @ a)
+    # a.conj() @ b.T = U S V^H, so the principal vectors in span(a) are
+    # the combinations u[:, k] of the rows of a, without conjugation
+    vecs = u[:, keep].T @ a
     vecs = onb(vecs, tol)
     out = [v for v in vecs if in_span(v, a, 10 * tol) and in_span(v, b, 10 * tol)]
     if not out:

@@ -223,7 +223,8 @@ def test_parse_integer_factor_scales(c3):
 
 
 def test_parse_errors(c3):
-    for bad in ["", "u(nope)", "p(nope)", "q(v1)", "u(e1", "z^", "u(e1)..z", "+"]:
+    too_long = "z^" + "9" * 5000  # past int()'s digit limit
+    for bad in ["", "u(nope)", "p(nope)", "q(v1)", "u(e1", "z^", "u(e1)..z", "+", too_long]:
         with pytest.raises(ElementError):
             el.parse_element(c3, bad)
 

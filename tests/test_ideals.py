@@ -11,6 +11,9 @@ from util import (
     dense_check_H,
     dense_check_S,
     dense_enumerate_families,
+    dense_hasse_edges,
+    dense_ideal_chain,
+    dense_ideal_subspace,
     random_diag_spec,
 )
 from wck.cycle_demo import build_cycle, demo_tower_config
@@ -24,6 +27,7 @@ from wck.ideals import (
     enumerate_families,
     family_of_subset,
     hereditary_saturated,
+    ideal_subspace,
     pi_map,
     simplicity_verdict,
     unweighted_simplicity,
@@ -53,6 +57,12 @@ FAMILY_COUNTS = {
 }
 
 _CACHE = {}
+
+
+def same_span(a, b):
+    """Whether two orthonormal row bases span the same space."""
+    off = b - (b @ a.conj().T) @ a
+    return a.shape == b.shape and np.abs(off).max(initial=0.0) <= RT_TOL
 
 
 def unweighted_tower(name, n_max=3):
@@ -252,6 +262,40 @@ class TestFullyInvariantBasis:
         gram = basis.conj() @ basis.T
         assert np.abs(gram - np.eye(basis.shape[0])).max() <= RT_TOL
 
+    @pytest.mark.parametrize(
+        "key", ["G2", "chain13", "C3w", "O2w", "demo:3", "demo:4"]
+    )
+    def test_placed_chain_matches_gathered_conjugates(self, key):
+        """Every stage of the placed ideal spans what the conjugates span.
+
+        Beside the lattice families, the single-vertex full families that
+        are transport invariant are compared, saturated or not.
+        """
+        tw = tower_of(key)
+        fams = set(enumerate_families(tw))
+        for v in tw.graph.vertices:
+            fam = family_of_subset(tw, {v})
+            if check_H(tw, fam)[0]:
+                fams.add(fam)
+        n = tw.config.n_max
+        for fam in fams:
+            placed = [build_fully_invariant(tw, fam, m) for m in range(n + 1)]
+            for m, (a, b) in enumerate(zip(placed, dense_ideal_chain(tw, fam, n))):
+                assert same_span(a, b), (fam, m)
+
+
+@pytest.mark.parametrize("key", ["C3w", "O2w"])
+def test_ideal_subspace_matches_one_span(key):
+    """The stacked summand ideals span the ideal of every summand subset."""
+    tw = tower_of(key)
+    for v, corner in tw.corners.items():
+        count = len(corner.dec.summands)
+        for bits in range(2 ** count):
+            subset = {i for i in range(count) if bits >> i & 1}
+            assert same_span(
+                ideal_subspace(tw, v, subset), dense_ideal_subspace(tw, v, subset)
+            )
+
 
 class TestVerify:
     def test_unweighted_lattice_families_verify(self, g2t):
@@ -272,6 +316,11 @@ class TestVerify:
         assert "grew" in relations
         assert "uncertified" not in relations
         assert any("grew" in msg for msg in report.failures)
+
+    def test_weighted_o2_family_verifies(self, o2w_tower):
+        fam = enumerate_families(o2w_tower).families[1]
+        report = verify_fully_invariant(o2w_tower, fam, n_cap=1)
+        assert report.ok, report.failures
 
     def test_bad_caps_rejected(self, g2t):
         fam = family_of_subset(g2t, {"v1"})
@@ -436,6 +485,15 @@ class TestWeightedChordLattice:
         assert not (fam.trivial_zero or fam.trivial_full)
         report = verify_fully_invariant(c3chord_w_tower, fam, n_cap=1)
         assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("key", ["C3w", "O2w", "C3chord:generic"])
+def test_hasse_edges_match_triple_search(key, request):
+    if key == "C3chord:generic":
+        lattice = request.getfixturevalue("c3chord_w_lattice")
+    else:
+        lattice = enumerate_families(tower_of(key))
+    assert lattice.hasse_edges() == dense_hasse_edges(lattice)
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS) + sorted(WEIGHTED))

@@ -237,6 +237,13 @@ def test_missing_level_rejected():
         from_dict(doc, g)
 
 
+def test_huge_period_rejected_without_listing_every_level():
+    # the required levels 1..N+p-1 must not be materialized to find a gap
+    doc = {"kind": "diagonal", "p": 10 ** 12, "N": 0, "levels": {}}
+    with pytest.raises(WeightError, match=r"missing seed levels \[1, 2,"):
+        from_dict(doc, cycle_graph(3))
+
+
 def test_extra_level_rejected():
     g = cycle_graph(3)
     doc = cycle_weight_doc(T)

@@ -255,3 +255,21 @@ def test_span_intersection_empty():
     b = win.onb(e[1:2])
     assert win.span_intersect(a, b).shape[0] == 0
     assert win.span_intersect(a, np.zeros((0, 4), dtype=np.complex128)).shape[0] == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_span_intersection_of_complex_spans(seed):
+    """The principal vectors must be combinations of the rows, not of their
+    conjugates: a shared complex row survives a unitary change of basis."""
+    rng = np.random.default_rng(seed)
+
+    def crand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    c, x1, x2, y1, y2 = crand(5, 9)
+    q, _ = np.linalg.qr(crand(3, 3))
+    a = q @ win.onb(np.array([c, x1, x2]))
+    b = win.onb(np.array([c, y1, y2]))
+    inter = win.span_intersect(a, b)
+    assert inter.shape[0] == 1
+    assert abs(abs(np.vdot(inter[0], c)) - np.linalg.norm(c)) <= 1e-8 * np.linalg.norm(c)

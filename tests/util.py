@@ -8,14 +8,21 @@ several lengths, cycles with parallel edges, and a transitive non-cycle.
 It also holds the slow references that fast paths in wck are tested
 against: the dense full-length closure loop, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
-ranks, and the linear-algebra search for invariant families.
+ranks, the linear-algebra search for invariant families, the corner
+ideal of a summand subset built and verified as one subspace, the stage
+ideals gathered from path conjugates, and the cubic cover search of a
+lattice.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from wck.errors import ClosureOverflowError, MultiplicityError
+from wck.errors import (
+    ClosureOverflowError,
+    MultiplicityError,
+    WindowUnstableError,
+)
 from wck.findim import (
     INT_TOL,
     StarAlgebra,
@@ -27,13 +34,8 @@ from wck.findim import (
     star_closure,
 )
 from wck.graphs import Edge, Graph, Path
-from wck.ideals import (
-    IdealFamily,
-    _parallel_edge_pairs,
-    ideal_subspace,
-    pi_map,
-)
-from wck.windows import RANK_TOL, span_contains, span_residual
+from wck.ideals import IdealFamily, _parallel_edge_pairs, pi_map
+from wck.windows import RANK_TOL, onb, span_contains, span_residual
 
 
 def mkgraph(vertices, edges):
@@ -287,6 +289,37 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
 # -- the linear-algebra lattice search -------------------------------------------
 
 
+def dense_ideal_subspace(tower, v, subset, tol=RANK_TOL):
+    """Corner ideal of a summand subset, built and verified as one span.
+
+    The span of the corner times the sum of the chosen central
+    projections, with its dimension, adjoint closure and two-sided
+    closure checked on the whole subspace.
+    """
+    corner = tower.corners[v]
+    summands = corner.dec.summands
+    if not subset:
+        return np.zeros((0, corner.r), dtype=np.complex128)
+    z = sum(corner.coords(summands[i].projection) for i in subset)
+    basis = onb(np.einsum("i,ijk->jk", z, corner.T), tol)
+    if basis.shape[0] != sum(summands[i].d ** 2 for i in subset):
+        raise WindowUnstableError("ideal dimension off the summand sizes")
+    adjoints = np.conj(basis) @ corner.S
+    if not _rows_in_span(adjoints, basis, tol):
+        raise WindowUnstableError("ideal is not adjoint-closed")
+    left = np.einsum("ul,jlk->ujk", basis, corner.T).reshape(-1, corner.r)
+    right = np.einsum("ul,ljk->ujk", basis, corner.T).reshape(-1, corner.r)
+    if not (_rows_in_span(left, basis, tol) and _rows_in_span(right, basis, tol)):
+        raise WindowUnstableError("ideal is not two-sided")
+    return basis
+
+
+def _rows_in_span(rows, basis, tol):
+    """Whether every row lies in the span of an orthonormal basis (in_span)."""
+    off = np.linalg.norm(rows - (rows @ basis.conj().T) @ basis, axis=1)
+    return bool(np.all(off <= tol * np.maximum(1.0, np.linalg.norm(rows, axis=1))))
+
+
 def _transport(tower, e, f):
     g = tower.graph
     return pi_map(tower, Path((e,), g.esrc[e]), Path((f,), g.esrc[f]))
@@ -305,7 +338,7 @@ def dense_check_H(tower, family, tol=RANK_TOL):
     """Transport invariance, tested on the family's corner ideal subspaces."""
     g = tower.graph
     subs = [
-        ideal_subspace(tower, v, family.choices[v], tol)
+        dense_ideal_subspace(tower, v, family.choices[v], tol)
         for v in range(g.n_vertices)
     ]
     return all(
@@ -333,7 +366,10 @@ def dense_check_S(tower, family, tol=RANK_TOL):
     """
     g = tower.graph
     nv = g.n_vertices
-    subs = [ideal_subspace(tower, v, family.choices[v], tol) for v in range(nv)]
+    subs = [
+        dense_ideal_subspace(tower, v, family.choices[v], tol)
+        for v in range(nv)
+    ]
     steps = {v: [] for v in range(nv)}
     for mi, mu in enumerate(g.paths(tower.p)):
         steps[g.range_of(mu)].append((tower.fibers[mi], g.source_of(mu)))
@@ -378,7 +414,7 @@ def dense_enumerate_families(tower, tol=RANK_TOL):
 
     def sub(v, c):
         if (v, c) not in memo:
-            memo[(v, c)] = ideal_subspace(tower, v, c, tol)
+            memo[(v, c)] = dense_ideal_subspace(tower, v, c, tol)
         return memo[(v, c)]
 
     groups = [[] for _ in range(nv)]
@@ -408,3 +444,92 @@ def dense_enumerate_families(tower, tol=RANK_TOL):
 
     assign(0)
     return [fam for fam in found if dense_check_S(tower, fam, tol)]
+
+
+# -- stage ideals and lattice covers ---------------------------------------------
+
+
+def shift_pair(tower, n, x, delta, gamma):
+    """Exact stage coordinates of u_delta x u_gamma^* for stage-n x.
+
+    The conjugating paths must share a length divisible by the period;
+    the result is a structural element len/p stages up. Slot paths
+    that do not concatenate with the conjugating paths contribute
+    nothing.
+    """
+    g = tower.graph
+    m = n + len(delta) // tower.p
+    length = n * tower.p + tower.q
+    out = tower.stage_zero(m)
+    for v, blk in x.items():
+        src = tower.stages[n].paths[v]
+        dst_d = g.prepend_index(length, delta)[src]
+        dst_g = g.prepend_index(length, gamma)[src]
+        rows_d = np.flatnonzero(dst_d >= 0)
+        rows_g = np.flatnonzero(dst_g >= 0)
+        hi = tower.stages[m].paths[v]
+        pos_d = np.searchsorted(hi, dst_d[rows_d])
+        pos_g = np.searchsorted(hi, dst_g[rows_g])
+        out[v][np.ix_(pos_d, pos_g)] = blk[np.ix_(rows_d, rows_g)]
+    return out
+
+
+def dense_ideal_chain(tower, family, n, tol=RANK_TOL):
+    """Stage bases 0..n of the invariant ideal, gathered from conjugates.
+
+    Stage m is the span of u_delta x u_gamma^* over every pair of
+    length-m p paths and every stage-0 seed x, which holds one row of
+    the corner ideal in one block entry; its dimension must match the
+    summand pattern.
+    """
+    g = tower.graph
+    seeds = []
+    for w in range(g.n_vertices):
+        m = tower.stages[0].counts[w]
+        for row in dense_ideal_subspace(tower, w, family.choices[w], tol):
+            for a in range(m):
+                for b in range(m):
+                    x = tower.stage_zero(0)
+                    x[w][a, b] = row
+                    seeds.append(x)
+    chain = []
+    for m in range(n + 1):
+        paths = g.paths(m * tower.p)
+        if m == 0:
+            gathered = [tower.stage_vec(0, x) for x in seeds]
+        else:
+            gathered = [
+                tower.stage_vec(m, shift_pair(tower, 0, x, delta, gamma))
+                for delta in paths
+                for gamma in paths
+                for x in seeds
+            ]
+        basis = onb(np.array(gathered), tol) if gathered else np.zeros(
+            (0, tower.stages[m].dim), dtype=np.complex128
+        )
+        expected = sum(
+            tower.stages[m].counts[v] ** 2
+            * sum(tower.corners[v].dec.summands[i].d ** 2 for i in family.choices[v])
+            for v in range(g.n_vertices)
+        )
+        if basis.shape[0] != expected:
+            raise WindowUnstableError("stage-%d ideal off the summand pattern" % m)
+        chain.append(basis)
+    return chain
+
+
+def dense_hasse_edges(lattice):
+    """Cover pairs (i, j) of a lattice by testing every triple."""
+    fams = lattice.families
+    n = len(fams)
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not fams[i].leq(fams[j]):
+                continue
+            if not any(
+                k not in (i, j) and fams[i].leq(fams[k]) and fams[k].leq(fams[j])
+                for k in range(n)
+            ):
+                edges.append((i, j))
+    return edges
