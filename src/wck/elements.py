@@ -19,6 +19,7 @@ same combination compare equal.
 
 from __future__ import annotations
 
+import cmath
 import re
 
 from .errors import ElementError
@@ -340,6 +341,8 @@ def parse_element(graph, text):
         if not chunk:
             raise ElementError("dangling sign in %r" % text)
         result = add(result, _parse_term(graph, chunk, sign))
+    if not all(map(cmath.isfinite, result.terms.values())):
+        raise ElementError("coefficients of %r overflow" % text)
     return result
 
 
@@ -347,20 +350,20 @@ def _parse_term(graph, chunk, sign):
     coeff = complex(sign)
     m = _SCALAR_PREFIX_RE.match(chunk)
     while m:
-        coeff *= complex(m.group(1))
+        coeff = _scaled(coeff, m.group(1))
         chunk = chunk[m.end():].strip()
         m = _SCALAR_PREFIX_RE.match(chunk)
     if not chunk:
         raise ElementError("scalar prefix without a factor")
     if _NUMBER_RE.match(chunk):
-        return scale(coeff * complex(chunk), unit(graph))
+        return scale(_scaled(coeff, chunk), unit(graph))
     word = []
     for factor in _split_top_level(chunk, "."):
         factor = factor.strip()
         if not factor:
             raise ElementError("empty factor in %r" % chunk)
         if _NUMBER_RE.match(factor):
-            coeff *= _parse_number(factor)
+            coeff = _scaled(coeff, factor)
             continue
         m = _FACTOR_RE.match(factor)
         if not m:
@@ -386,10 +389,12 @@ def _parse_term(graph, chunk, sign):
     return make(graph, tuple(word), coeff)
 
 
-def _parse_number(text):
-    if not _NUMBER_RE.match(text):
-        raise ElementError("cannot parse scalar %r" % text)
-    return complex(text)
+def _scaled(coeff, text):
+    """coeff times the scalar literal text; a non-finite product raises."""
+    out = coeff * complex(text)
+    if not cmath.isfinite(out):
+        raise ElementError("coefficient overflows at scalar %r" % text)
+    return out
 
 
 def _lookup(table, kind, name):

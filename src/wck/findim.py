@@ -18,6 +18,16 @@ exact 0.0, so the closure is computed on the compressed blocks alone
 and scattered back at the end. A dense generator set is one class per
 level and takes the same route.
 
+The closure works per element, not per candidate: the products of one
+fresh element with the whole basis, on both sides, are one stacked
+(n, 2, L) block over the compressed length L, projected off the
+orthonormal rows by matmuls. Candidates are taken in the order a*b_0,
+b_0*a, a*b_1, ..., and every pair of basis elements is tried in the
+round in which the later of the two is fresh, so the closure is
+complete when a round adds nothing. Only one block is held at a time,
+2 n L entries, the size of the rows already held; a whole round
+(every fresh element against the basis) is never stacked at once.
+
 Randomized steps (generic central elements, generic corner elements)
 always certify their output and resample on failure; a wrong answer is
 never returned silently.
@@ -71,16 +81,11 @@ def blocks_vec(a):
 
 
 def blocks_unvec(vec, dims):
-    return _unvec(vec, [(d, d) for d in dims])
-
-
-def _unvec(vec, shapes):
     out = []
     pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(np.asarray(vec[pos:pos + size]).reshape(shape))
-        pos += size
+    for d in dims:
+        out.append(np.asarray(vec[pos:pos + d * d]).reshape(d, d))
+        pos += d * d
     return out
 
 
@@ -140,15 +145,18 @@ def _components(mask):
 
 
 def _support_layout(dims, elements):
-    """Stack shapes and vector positions of the support blocks.
+    """Stacks, transpose and vector positions of the support blocks.
 
     The classes of each level are grouped by size into one
     (count, s, s) stack per (level, size), each class in ascending
-    index order. pos[i] is the position in blocks_vec of the full
-    element of entry i of the compressed vector.
+    index order; a compressed vector is the concatenation of the
+    raveled stacks. stacks lists (offset, count, s) per stack, tpos is
+    the permutation that transposes every block of a compressed vector,
+    and pos[i] is the position in blocks_vec of the full element of
+    entry i of the compressed vector.
     """
     numbered = blocks_unvec(np.arange(sum(d * d for d in dims)), dims)
-    stacks = []
+    pieces = []
     for lev, d in enumerate(dims):
         mask = np.zeros((d, d), dtype=bool)
         for x in elements:
@@ -160,8 +168,40 @@ def _support_layout(dims, elements):
         )
         for s in np.unique(sizes):
             idx = np.array([order[i:i + s] for i in starts[sizes == s]])
-            stacks.append(numbered[lev][idx[:, :, None], idx[:, None, :]])
-    return [x.shape for x in stacks], blocks_vec(stacks).astype(int)
+            pieces.append(numbered[lev][idx[:, :, None], idx[:, None, :]])
+    stacks = []
+    tpos = []
+    off = 0
+    for x in pieces:
+        c, s, _ = x.shape
+        stacks.append((off, c, s))
+        perm = np.arange(x.size).reshape(x.shape).swapaxes(1, 2)
+        tpos.append(off + perm.ravel())
+        off += x.size
+    return stacks, blocks_vec(tpos).astype(int), blocks_vec(pieces).astype(int)
+
+
+def _stack_products(a, basis, stacks):
+    """Products a b and b a for every row b of basis, as an (n, 2, L) block.
+
+    a and the rows of basis are compressed vectors. Each stack is
+    multiplied by a loop over the inner index with broadcast products,
+    which on stacks of small blocks beats einsum and stacked matmul.
+    """
+    n, length = basis.shape
+    out = np.empty((n, 2, length), dtype=np.complex128)
+    for off, c, s in stacks:
+        end = off + c * s * s
+        x = a[off:end].reshape(c, s, s)
+        y = basis[:, off:end].reshape(n, c, s, s)
+        ab = np.zeros((n, c, s, s), dtype=np.complex128)
+        ba = np.zeros((n, c, s, s), dtype=np.complex128)
+        for j in range(s):
+            ab += x[None, :, :, j, None] * y[:, :, j, None, :]
+            ba += y[:, :, :, j, None] * x[None, :, j, None, :]
+        out[:, 0, off:end] = ab.reshape(n, -1)
+        out[:, 1, off:end] = ba.reshape(n, -1)
+    return out
 
 
 def star_closure(dims, gens, unit=None, max_dim=4096):
@@ -172,69 +212,82 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
 
     The closure runs on the support blocks of the unit and the
     generators (see the module docstring): it is the same algebra, and
-    its vectors are the full-length ones with exact zeros dropped.
-    Candidates a*b and b*a, for a new and b over the basis so far, are
-    projected off the orthonormal rows by two rounds of Gram-Schmidt;
-    one below the 1e-9 floor or with a relative residual below RANK_TOL
-    is dropped. The basis and its orthonormal rows are scattered back to
-    full blocks and full length once, at the end.
+    its vectors are the full-length ones with exact zeros dropped. The
+    basis and its orthonormal rows are held as (n, L) arrays of these
+    compressed vectors and scattered back to full blocks once, at the
+    end.
+
+    The pool (unit, then each generator and its adjoint) is absorbed
+    first. Then, for each fresh element a in turn, the candidates a*b
+    and b*a for every b of the basis as it stands are built as one
+    (n, 2, L) block, in the order a*b_0, b_0*a, a*b_1, ... The block
+    is projected off the rows by two rounds of Gram-Schmidt, each one
+    matmul. A candidate below the 1e-9 floor or with a relative residual
+    at most RANK_TOL is dropped; the survivors, in candidate order, are
+    projected again off the rows accepted earlier in the same block and
+    pass the same test. Accepted elements are fresh in the next round.
+    A product x*y of basis elements is therefore tried in the round in
+    which the later of x and y is fresh, so the span is closed when a
+    round adds nothing. Only one block is held at a time: 2 n L entries,
+    the order of the rows themselves.
     """
     dims = tuple(dims)
     if unit is None:
         unit = blocks_eye(dims)
-    shapes, pos = _support_layout(dims, [unit] + list(gens))
-
-    def compress(x):
-        return _unvec(blocks_vec(x)[pos].astype(np.complex128), shapes)
-
-    pool = [compress(unit)]
+    stacks, tpos, pos = _support_layout(dims, [unit] + list(gens))
+    pool = [blocks_vec(unit)[pos]]
     for gen in gens:
-        pool.append(compress(gen))
-        pool.append(blocks_adj(pool[-1]))
-    basis = []
-    rows = np.empty((min(len(pos), 64), len(pos)), dtype=np.complex128)
+        pool.append(blocks_vec(gen)[pos])
+        pool.append(pool[-1][tpos].conj())
+    cap = min(len(pos), 64)
+    rows = np.empty((cap, len(pos)), dtype=np.complex128)
+    basis = np.empty_like(rows)
+    n = 0
 
-    def absorb(cand, tol=RANK_TOL, floor=1e-9):
-        nonlocal rows
-        w = blocks_vec(cand)
-        scale = float(np.linalg.norm(w))
-        if scale <= floor:
-            return None
-        q = rows[:len(basis)]
+    def absorb(cands, tol=RANK_TOL, floor=1e-9):
+        """Append the candidates that leave the span; return their indices."""
+        nonlocal rows, basis, n
+        scale = np.linalg.norm(cands, axis=1)
+        idx = np.flatnonzero(scale > floor)
+        w = cands[idx]
+        q = rows[:n]
         for _ in range(2):
-            w -= np.conj(q @ np.conj(w)) @ q
-        resid = float(np.linalg.norm(w))
-        if resid <= tol * scale:
-            return None
-        if len(basis) == len(rows):
-            rows = np.concatenate([rows, np.empty_like(rows)])
-        rows[len(basis)] = w / resid
-        # keep stored basis elements at unit scale so later spectral
-        # cuts see commutators of comparable size
-        basis.append(blocks_scale(1.0 / scale, cand))
-        return basis[-1]
+            w -= (w @ q.conj().T) @ q
+        keep = np.linalg.norm(w, axis=1) > tol * scale[idx]
+        start = n
+        for k, vec in zip(idx[keep], w[keep]):
+            new = rows[start:n]
+            for _ in range(2):
+                vec -= (new.conj() @ vec) @ new
+            resid = float(np.linalg.norm(vec))
+            if resid <= tol * scale[k]:
+                continue
+            if n == len(rows):
+                rows = np.concatenate([rows, np.empty_like(rows)])
+                basis = np.concatenate([basis, np.empty_like(basis)])
+            rows[n] = vec / resid
+            # keep stored basis elements at unit scale so later spectral
+            # cuts see commutators of comparable size
+            basis[n] = cands[k] / scale[k]
+            n += 1
+            if n > max_dim:
+                raise ClosureOverflowError(
+                    "closure exceeded %d dimensions" % max_dim
+                )
+        return range(start, n)
 
-    fresh = [x for x in map(absorb, pool) if x is not None]
+    fresh = absorb(np.array(pool, dtype=np.complex128))
     while fresh:
         new = []
         for a in fresh:
-            for b in list(basis):
-                for cand in (blocks_mul(a, b), blocks_mul(b, a)):
-                    hit = absorb(cand)
-                    if hit is None:
-                        continue
-                    new.append(hit)
-                    if len(basis) > max_dim:
-                        raise ClosureOverflowError(
-                            "closure exceeded %d dimensions" % max_dim
-                        )
+            block = _stack_products(basis[a], basis[:n], stacks)
+            new.extend(absorb(block.reshape(-1, len(pos))))
         fresh = new
     length = sum(d * d for d in dims)
-    full_onb = np.zeros((len(basis), length), dtype=np.complex128)
-    full_onb[:, pos] = rows[:len(basis)]
-    full = np.zeros((len(basis), length), dtype=np.complex128)
-    for row, b in zip(full, basis):
-        row[pos] = blocks_vec(b)
+    full_onb = np.zeros((n, length), dtype=np.complex128)
+    full_onb[:, pos] = rows[:n]
+    full = np.zeros((n, length), dtype=np.complex128)
+    full[:, pos] = basis[:n]
     return StarAlgebra(
         dims, [blocks_unvec(row, dims) for row in full], full_onb, unit
     )

@@ -148,16 +148,22 @@ def verify_relations(r):
     """
     g = r.graph
     dev = {}
+    ops = {}
+
+    def path_ops(k):
+        """(a, S_a) for the length-k paths, each operator built once a call."""
+        if k not in ops:
+            ops[k] = [(a, r.S_path(a)) for a in g.paths(k)]
+        return ops[k]
 
     # S_a* S_b = delta_ab P_{s(a)} on levels that are not clipped
     worst = 0.0
     for length in (1, 2):
-        paths = g.paths(length)
         keep = r.upto(r.K - length)
-        for a in paths:
-            Sa = r.S_path(a)
-            for b in paths:
-                prod = Sa.conj().T @ r.S_path(b)
+        for a, Sa in path_ops(length):
+            Sa_adj = Sa.conj().T
+            for b, Sb in path_ops(length):
+                prod = Sa_adj @ Sb
                 if a == b:
                     prod = prod - r.P(a.source)
                 worst = max(worst, _max_entry(prod @ keep))
@@ -171,8 +177,7 @@ def verify_relations(r):
         total = sp.csr_matrix((r.dim, r.dim), dtype=np.complex128)
         per_vertex = {v: sp.csr_matrix((r.dim, r.dim), dtype=np.complex128)
                       for v in range(g.n_vertices)}
-        for a in g.paths(k):
-            Sa = r.S_path(a)
+        for a, Sa in path_ops(k):
             term = Sa @ Sa.conj().T
             total = total + term
             per_vertex[g.range_of(a)] = per_vertex[g.range_of(a)] + term
@@ -195,8 +200,7 @@ def verify_relations(r):
     worst = 0.0
     for length in (1, 2):
         keep = r.upto(r.K - length)
-        for a in g.paths(length):
-            Sa = r.S_path(a)
+        for _, Sa in path_ops(length):
             worst = max(worst, _max_entry((Sa @ Sa.conj().T @ Sa - Sa) @ keep))
     dev["partial_isometry"] = worst
 

@@ -644,41 +644,47 @@ def _fiber_multiplicities(tower, mu, fib):
     summand j of the corner at s(mu)) under the fiber. Computed as the
     square root of the dimension of the compressed corner, which is
     insensitive to the scalar the fiber puts on minimal projections.
+
+    Everything is stacked over the summand pairs in corner coordinates:
+    the images y_i of the minimal projections are checked to be
+    projections in one product, the rows (z_j y_i) e (y_i z_j) of every
+    compressed corner, e over the corner basis, come from one einsum
+    chain over the structure tensor, and every (i, j) rank comes from
+    one stacked SVD of the (s_w, s_v, r, r) row array.
     """
     g = tower.graph
-    v = g.source_of(mu)
-    w = g.range_of(mu)
-    cv = tower.corners[v]
-    cw = tower.corners[w]
-    out = np.zeros((len(cw.dec.summands), len(cv.dec.summands)), dtype=int)
-    for i, sw in enumerate(cw.dec.summands):
-        fi = cw.coords(sw.minimal_projection)
-        y = fib @ fi
-        yy = cv.mul_coords(y, y)
-        if np.linalg.norm(yy - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
-            raise MultiplicityError(
-                "fiber along %s does not send minimal projections to "
-                "projections" % g.path_str(mu)
-            )
-        for j, sv in enumerate(cv.dec.summands):
-            zj = cv.coords(sv.projection)
-            zy = cv.mul_coords(zj, y)
-            yz = cv.mul_coords(y, zj)
-            rows = [
-                cv.mul_coords(zy, cv.mul_coords(e, yz))
-                for e in np.eye(cv.r, dtype=np.complex128)
-            ]
-            # absolute floor on the rank cut: when the compression is zero
-            # the rows are pure roundoff and a relative cut would count them
-            sing = np.linalg.svd(np.array(rows), compute_uv=False)
-            rank = int(np.sum(sing > 1e-8 * max(1.0, sing[0])))
-            mult = int(round(np.sqrt(rank)))
-            if mult * mult != rank:
-                raise MultiplicityError(
-                    "corner dimension %d along %s is not a perfect square"
-                    % (rank, g.path_str(mu))
-                )
-            out[i, j] = mult
+    cv = tower.corners[g.source_of(mu)]
+    cw = tower.corners[g.range_of(mu)]
+    T = cv.T
+    F = np.array([cw.coords(sw.minimal_projection) for sw in cw.dec.summands])
+    Z = np.array([cv.coords(sv.projection) for sv in cv.dec.summands])
+    Y = F @ fib.T
+    YY = np.einsum("ia,ib,abk->ik", Y, Y, T)
+    bound = 1e-6 * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    if np.any(np.linalg.norm(YY - Y, axis=1) > bound):
+        raise MultiplicityError(
+            "fiber along %s does not send minimal projections to "
+            "projections" % g.path_str(mu)
+        )
+    ZY = np.einsum("ja,ib,abk->ijk", Z, Y, T)
+    YZ = np.einsum("ia,jb,abk->ijk", Y, Z, T)
+    # row e is (zy) (e (yz)): right multiplication of e by yz, then of
+    # that by the left-multiplication matrix of zy
+    rows = np.einsum("ebc,ijb->ijec", T, YZ) @ np.einsum(
+        "ija,abk->ijbk", ZY, T
+    )
+    # absolute floor on the rank cut: when the compression is zero the
+    # rows are pure roundoff and a relative cut would count them
+    sing = np.linalg.svd(rows, compute_uv=False)
+    cut = 1e-8 * np.maximum(1.0, sing[..., :1])
+    ranks = np.sum(sing > cut, axis=-1)
+    out = np.rint(np.sqrt(ranks)).astype(int)
+    bad = np.argwhere(out * out != ranks)
+    if len(bad):
+        raise MultiplicityError(
+            "corner dimension %d along %s is not a perfect square"
+            % (ranks[tuple(bad[0])], g.path_str(mu))
+        )
     return out
 
 

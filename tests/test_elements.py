@@ -224,7 +224,9 @@ def test_parse_integer_factor_scales(c3):
 
 def test_parse_errors(c3):
     too_long = "z^" + "9" * 5000  # past int()'s digit limit
-    for bad in ["", "u(nope)", "p(nope)", "q(v1)", "u(e1", "z^", "u(e1)..z", "+", too_long]:
+    overflow = ["1e400*z", "-1e400", "1e200*1e200*z", "1e308*z + 1e308*z"]
+    malformed = ["", "u(nope)", "p(nope)", "q(v1)", "u(e1", "z^", "u(e1)..z", "+"]
+    for bad in malformed + [too_long] + overflow:
         with pytest.raises(ElementError):
             el.parse_element(c3, bad)
 

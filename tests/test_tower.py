@@ -8,9 +8,16 @@ from util import (
     cycle_weight_spec,
     embedding_multiplicities,
     mkgraph,
+    pairwise_fiber_multiplicities,
     random_diag_spec,
 )
-from wck.errors import DomainError, GraphError, WindowUnstableError
+from wck import tower
+from wck.errors import (
+    DomainError,
+    GraphError,
+    MultiplicityError,
+    WindowUnstableError,
+)
 from wck.findim import central_decomposition
 from wck.tower import TowerConfig, build_C0, build_tower
 from wck.weights import WeightSpec
@@ -343,3 +350,39 @@ class TestExports:
         dot = c3_weighted.bratteli_dot()
         assert dot.startswith("digraph")
         assert "->" in dot
+
+
+# -- stacked fiber multiplicities against the per-pair loop --------------------
+
+
+def fiber_tower(corpus, key):
+    if key in corpus:
+        g = corpus[key]
+        return build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=3))
+    if key == "C3w":
+        g = corpus["C3"]
+        return build_tower(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)))
+    if key == "O2w":
+        g = corpus["O2"]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        return build_tower(g, w, TowerConfig(n_max=1, M=6, W=2))
+    g = corpus["G2"]
+    w = random_diag_spec(g, 3, 0, np.random.default_rng(1))
+    return build_tower(g, w, TowerConfig(n_max=1, M=9, W=3))
+
+
+@pytest.mark.parametrize(
+    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3"]
+)
+def test_fiber_multiplicities_match_pairwise_loop(corpus, key):
+    tw = fiber_tower(corpus, key)
+    for mu, fib in zip(tw.graph.paths(tw.p), tw.fibers):
+        got = tower._fiber_multiplicities(tw, mu, fib)
+        assert np.array_equal(got, pairwise_fiber_multiplicities(tw, mu, fib))
+
+
+def test_scaled_fiber_is_rejected(c3_weighted):
+    tw = c3_weighted
+    mu = tw.graph.paths(tw.p)[0]
+    with pytest.raises(MultiplicityError):
+        tower._fiber_multiplicities(tw, mu, 2 * tw.fibers[0])

@@ -8,9 +8,10 @@ several lengths, cycles with parallel edges, and a transitive non-cycle.
 It also holds the slow references that fast paths in wck are tested
 against: the dense full-length closure loop, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
-ranks, the linear-algebra search for invariant families, the corner
-ideal of a summand subset built and verified as one subspace, the stage
-ideals gathered from path conjugates, and the cubic cover search of a
+ranks, the per-pair loop of the fiber multiplicities, the
+linear-algebra search for invariant families, the corner ideal of a
+summand subset built and verified as one subspace, the stage ideals
+gathered from path conjugates, and the cubic cover search of a
 lattice.
 """
 
@@ -284,6 +285,53 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
                 % (j, got, sb.d)
             )
     return m
+
+
+def pairwise_fiber_multiplicities(tower, mu, fib):
+    """Integer multiplicity block of one fiber map, one summand pair at a time.
+
+    The loop that tower._fiber_multiplicities stacks, kept as its
+    reference. Entry (i, j): how often summand i of the corner at r(mu)
+    appears in summand j of the corner at s(mu)) under the fiber.
+    Computed as the square root of the dimension of the compressed
+    corner, which is insensitive to the scalar the fiber puts on
+    minimal projections.
+    """
+    g = tower.graph
+    v = g.source_of(mu)
+    w = g.range_of(mu)
+    cv = tower.corners[v]
+    cw = tower.corners[w]
+    out = np.zeros((len(cw.dec.summands), len(cv.dec.summands)), dtype=int)
+    for i, sw in enumerate(cw.dec.summands):
+        fi = cw.coords(sw.minimal_projection)
+        y = fib @ fi
+        yy = cv.mul_coords(y, y)
+        if np.linalg.norm(yy - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
+            raise MultiplicityError(
+                "fiber along %s does not send minimal projections to "
+                "projections" % g.path_str(mu)
+            )
+        for j, sv in enumerate(cv.dec.summands):
+            zj = cv.coords(sv.projection)
+            zy = cv.mul_coords(zj, y)
+            yz = cv.mul_coords(y, zj)
+            rows = [
+                cv.mul_coords(zy, cv.mul_coords(e, yz))
+                for e in np.eye(cv.r, dtype=np.complex128)
+            ]
+            # absolute floor on the rank cut: when the compression is zero
+            # the rows are pure roundoff and a relative cut would count them
+            sing = np.linalg.svd(np.array(rows), compute_uv=False)
+            rank = int(np.sum(sing > 1e-8 * max(1.0, sing[0])))
+            mult = int(round(np.sqrt(rank)))
+            if mult * mult != rank:
+                raise MultiplicityError(
+                    "corner dimension %d along %s is not a perfect square"
+                    % (rank, g.path_str(mu))
+                )
+            out[i, j] = mult
+    return out
 
 
 # -- the linear-algebra lattice search -------------------------------------------
