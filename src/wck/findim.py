@@ -5,9 +5,8 @@ blocks, one per window level, represented as plain lists of square
 complex arrays. A *-algebra is carried around as a span basis plus an
 orthonormalized vectorization for membership tests. The analysis
 follows the standard route: close the generators under products and
-adjoints, split off the center, cluster the spectrum of a generic
-central element into the matrix summands, and certify a minimal
-projection in each.
+adjoints, split the center into its minimal projections, one per
+matrix summand, and certify a minimal projection in each.
 
 The closure runs on the support blocks of its input. Per level, the
 indices i and j are joined when some generator, adjoint or the unit has
@@ -28,14 +27,22 @@ complete when a round adds nothing. Only one block is held at a time,
 2 n L entries, the size of the rows already held; a whole round
 (every fresh element against the basis) is never stacked at once.
 
-Randomized steps (generic central elements, generic corner elements)
-always certify their output and resample on failure; a wrong answer is
-never returned silently.
+The decomposition is deterministic and works on the structure
+constants of the algebra in the coordinates of its orthonormal rows
+(StarAlgebra.tables). The center is the nullspace of the commutator
+map. Its joint eigenspaces under left multiplication by the hermitian
+parts of a center basis are refined one element at a time until each
+is a line, the line of one central projection; a minimal projection is
+split off each summand the same way, inside the commutative span of
+one hermitian element. Every result is certified, and a failed
+certificate raises; a wrong answer is never returned silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +50,6 @@ from .errors import ClosureOverflowError, DecompositionError
 from .windows import RANK_TOL, in_span, onb
 
 CLUSTER_GAP = 1e-6
-INT_TOL = 1e-4
-MAX_RESAMPLE = 8
 
 
 # -- block elements ----------------------------------------------------------
@@ -58,20 +63,8 @@ def blocks_zero(dims):
     return [np.zeros((d, d), dtype=np.complex128) for d in dims]
 
 
-def blocks_mul(a, b):
-    return [x @ y for x, y in zip(a, b)]
-
-
-def blocks_adj(a):
-    return [np.swapaxes(x.conj(), -1, -2) for x in a]
-
-
 def blocks_add(a, b, alpha=1.0):
     return [x + alpha * y for x, y in zip(a, b)]
-
-
-def blocks_scale(alpha, a):
-    return [alpha * x for x in a]
 
 
 def blocks_vec(a):
@@ -87,10 +80,6 @@ def blocks_unvec(vec, dims):
         out.append(np.asarray(vec[pos:pos + d * d]).reshape(d, d))
         pos += d * d
     return out
-
-
-def blocks_norm(a):
-    return max((float(np.linalg.norm(x, 2)) for x in a if x.size), default=0.0)
 
 
 # -- star algebras ------------------------------------------------------------
@@ -118,11 +107,31 @@ class StarAlgebra:
             out = blocks_add(out, b, c)
         return out
 
-    def random_hermitian(self, rng):
-        """Random self-adjoint element spread over the whole basis."""
-        coeffs = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-        x = self.element(coeffs)
-        return blocks_scale(0.5, blocks_add(x, blocks_adj(x)))
+    @cached_property
+    def tables(self):
+        """Structure constants in the coordinates of the rows of onb.
+
+        (T, S, resid): with e_i the element whose vector is row i of
+        onb, e_i e_j = sum_k T[i, j, k] e_k and e_i^* = sum_k S[i, k] e_k
+        up to what the span misses; resid[i] holds the norms of the part
+        of e_i^* and of the worst product e_i e_j off the span. Computed
+        once, on the support blocks of the rows, as in star_closure.
+        """
+        q = self.onb
+        stacks, tpos, pos = _support_layout(
+            self.dims, [blocks_unvec(row, self.dims) for row in q]
+        )
+        q = q[:, pos]
+        adj = q[:, tpos].conj()
+        S = adj @ q.conj().T
+        resid = np.zeros((len(q), 2))
+        resid[:, 0] = np.linalg.norm(adj - S @ q, axis=1)
+        T = np.empty((len(q),) * 3, dtype=np.complex128)
+        for i, a in enumerate(q):
+            prods = _stack_products(a, q, stacks)[:, 0]
+            T[i] = prods @ q.conj().T
+            resid[i, 1] = np.linalg.norm(prods - T[i] @ q, axis=1).max()
+        return T, S, resid
 
 
 def _components(mask):
@@ -321,57 +330,6 @@ class CentralDecomposition:
         return [s.d for s in self.summands]
 
 
-def _center_basis(A):
-    """Hermitian basis of the center of the algebra.
-
-    The commuting coefficient vectors are the nullspace of the Gram
-    matrix of all commutator rows, accumulated one basis element at a
-    time so nothing larger than (dim, dim) plus one row block is ever
-    held.
-    """
-    d = A.dim
-    if d == 0:
-        return []
-    length = sum(k * k for k in A.dims)
-    gram = np.zeros((d, d), dtype=np.complex128)
-    for bj in A.basis:
-        rows = np.empty((d, length), dtype=np.complex128)
-        for i, bi in enumerate(A.basis):
-            comm = blocks_add(blocks_mul(bi, bj), blocks_mul(bj, bi), -1.0)
-            rows[i] = blocks_vec(comm)
-        gram += rows.conj() @ rows.T
-    vals, vecs = np.linalg.eigh(gram)
-    cut = 1e-10 * max(1.0, float(vals[-1]))
-    coeff_basis = [vecs[:, i] for i in range(d) if vals[i] <= cut]
-    candidates = []
-    for coeffs in coeff_basis:
-        x = A.element(coeffs)
-        candidates.append(blocks_scale(0.5, blocks_add(x, blocks_adj(x))))
-        candidates.append(
-            blocks_scale(-0.5j, blocks_add(x, blocks_adj(x), -1.0))
-        )
-    if not candidates:
-        return []
-    # orthonormalize over the reals so the output stays hermitian, with
-    # the rank cut anchored at the largest singular value; per-candidate
-    # tests are unreliable here because candidate norms vary wildly
-    reals = np.array(
-        [
-            np.concatenate([blocks_vec(c).real, blocks_vec(c).imag])
-            for c in candidates
-        ]
-    )
-    u, sv, vh = np.linalg.svd(reals, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return []
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
-    out = []
-    for row in vh[:rank]:
-        vec = row[:length] + 1j * row[length:]
-        out.append(blocks_unvec(vec, A.dims))
-    return out
-
-
 def _cluster_eigenvalues(values, gap=CLUSTER_GAP):
     order = np.argsort(values)
     clusters = []
@@ -383,39 +341,57 @@ def _cluster_eigenvalues(values, gap=CLUSTER_GAP):
     return clusters
 
 
-def _spectral_projections(dims, y, gap=CLUSTER_GAP):
-    """Projections onto global eigenvalue clusters of a hermitian element."""
-    eigvals = []
-    eigvecs = []
-    for blk in y:
-        if blk.size == 0:
-            eigvals.append(np.zeros(0))
-            eigvecs.append(np.zeros((0, 0), dtype=np.complex128))
-            continue
-        vals, vecs = np.linalg.eigh(blk)
-        eigvals.append(vals)
-        eigvecs.append(vecs)
-    flat = np.concatenate([v for v in eigvals]) if eigvals else np.zeros(0)
-    if flat.size == 0:
-        return [], []
-    clusters = _cluster_eigenvalues(flat)
-    level_of = np.concatenate(
-        [np.full(v.size, lev) for lev, v in enumerate(eigvals)]
-    ).astype(int)
-    pos_in_level = np.concatenate(
-        [np.arange(v.size) for v in eigvals]
-    ).astype(int) if flat.size else np.zeros(0, dtype=int)
-    projections = []
-    means = []
-    for cluster in clusters:
-        proj = blocks_zero([blk.shape[0] for blk in y])
-        for idx in cluster:
-            lev = level_of[idx]
-            vec = eigvecs[lev][:, pos_in_level[idx]]
-            proj[lev] = proj[lev] + np.outer(vec, vec.conj())
-        projections.append(proj)
-        means.append(float(np.mean([flat[i] for i in cluster])))
-    return projections, means
+def _left(h, T):
+    """Matrix of x -> h x on coordinate vectors."""
+    return np.einsum("i,ijk->kj", h, T)
+
+
+def _hermitian_parts(x, S):
+    """The self-adjoint elements (x + x^*) / 2 and (i x + (i x)^*) / 2."""
+    return [0.5 * (y + np.conj(y) @ S) for y in (x, 1j * x)]
+
+
+def _refine(pieces, hs, T):
+    """Split subspaces into the joint eigenspaces of the maps x -> h x.
+
+    Each piece is an (r, m) matrix of orthonormal coordinate columns
+    spanning a subspace that every x -> h x maps into itself. For each
+    hermitian h in turn, every piece of dimension above one is split by
+    the eigenvalue clusters of that map restricted to it, in ascending
+    order of the eigenvalues.
+    """
+    for h in hs:
+        lh = _left(h, T)
+        out = []
+        for v in pieces:
+            if v.shape[1] == 1:
+                out.append(v)
+                continue
+            vals, vecs = np.linalg.eigh(v.conj().T @ lh @ v)
+            out.extend(v @ vecs[:, c] for c in _cluster_eigenvalues(vals))
+        pieces = out
+    return pieces
+
+
+def _idempotent(e, T):
+    """The idempotent on the line of e, where e e is a multiple of e."""
+    alpha = np.vdot(e, np.einsum("i,j,ijk->k", e, e, T)) / np.vdot(e, e)
+    if abs(alpha) <= RANK_TOL:
+        raise DecompositionError("a central piece squares to zero")
+    return e / alpha
+
+
+def _projection_defect(x, T, S):
+    """Largest of |x x - x| and |x^* - x|, relative to max(1, |x|)."""
+    xx = np.einsum("i,j,ijk->k", x, x, T)
+    scale = max(1.0, float(np.linalg.norm(x)))
+    off = max(np.linalg.norm(xx - x), np.linalg.norm(np.conj(x) @ S - x))
+    return off / scale
+
+
+def _rank(p):
+    """Rank of a coordinate matrix that is an orthogonal projection."""
+    return int(np.sum(np.linalg.svd(p, compute_uv=False) > 0.5))
 
 
 def _summand_sort_key(sm):
@@ -423,113 +399,99 @@ def _summand_sort_key(sm):
     return (sm.d, sm.ambient_rank, tuple(np.round(diag, 6)))
 
 
-def central_decomposition(A, seed=0):
+def central_decomposition(A):
     """Split a finite-dimensional *-algebra into matrix summands.
 
-    A generic self-adjoint central element separates the summands; its
-    eigenvalue clusters give the central projections. Every randomized
-    attempt is certified (cluster count equals the center dimension,
-    projections lie in the algebra, summand dimensions are integers and
-    sum to the algebra dimension) and failures resample. Summands come
-    back in a canonical order that only depends on the projections, so
-    repeated runs agree.
+    Everything runs on the structure constants A.tables, in the
+    coordinates of the orthonormal rows of A, where x -> h x is a
+    hermitian matrix for self-adjoint h. The center is the nullspace of
+    the commutator map, from a thin SVD. Its joint eigenspaces under
+    x -> h x, h over the hermitian parts of a center basis, are refined
+    one h at a time (_refine) down to one line per summand, and each
+    line is scaled to its central projection z. The result is certified
+    or the call raises DecompositionError: each z is a self-adjoint
+    idempotent, the z sum to the unit, the rank of x -> z x is a square
+    d^2, the d^2 sum to dim A and d divides the ambient rank of z.
+    Nothing is random, and the summands come back in a canonical order
+    that only depends on the projections.
     """
-    rng = np.random.default_rng(seed)
-    center = _center_basis(A)
+    T, S, _ = A.tables
+    r = A.dim
+    unit = A.onb.conj() @ blocks_vec(A.unit)
+    comm = (T - T.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
+    sv, vh = np.linalg.svd(comm, full_matrices=False)[1:]
+    rank = int(np.sum(sv > RANK_TOL * max(1.0, *sv[:1])))
+    center = vh[rank:].conj()
     s = len(center)
     if s == 0:
         raise DecompositionError("algebra has no central elements")
-    shift = 3.0
-    unit_vec = blocks_vec(A.unit)
-    for _ in range(MAX_RESAMPLE):
-        coeffs = rng.normal(size=s)
-        y = blocks_zero(A.dims)
-        for c, b in zip(coeffs, center):
-            y = blocks_add(y, b, c)
-        nrm = blocks_norm(y)
-        if nrm == 0 and s > 1:
-            continue
-        if nrm > 0:
-            y = blocks_scale(1.0 / nrm, y)
-        y = blocks_add(y, A.unit, shift)
-        projections, means = _spectral_projections(A.dims, y)
-        algebra_clusters = [
-            (p, m) for p, m in zip(projections, means) if abs(m) > shift / 2
-        ]
-        if len(algebra_clusters) != s:
-            continue
-        ok = True
-        summands = []
-        total_dimsq = 0
-        for i, (proj, _) in enumerate(algebra_clusters):
-            if not A.contains(proj, 100 * RANK_TOL):
-                ok = False
-                break
-            corner_rows = [
-                blocks_vec(blocks_mul(blocks_mul(proj, b), proj)) for b in A.basis
-            ]
-            corner_dim = onb(np.array(corner_rows)).shape[0]
-            d = int(round(np.sqrt(corner_dim)))
-            if abs(d * d - corner_dim) > INT_TOL:
-                ok = False
-                break
-            ambient_rank = int(round(sum(np.trace(b).real for b in proj)))
-            if d == 0 or ambient_rank % d != 0:
-                ok = False
-                break
-            total_dimsq += d * d
-            summands.append(
-                Summand(
-                    index=i,
-                    projection=proj,
-                    d=d,
-                    ambient_rank=ambient_rank,
-                    minimal_projection=None,
-                )
+    hs = [h for c in center for h in _hermitian_parts(c, S)]
+    pieces = _refine([center.T], hs, T)
+    if len(pieces) != s:
+        raise DecompositionError(
+            "the center of dimension %d split into %d pieces"
+            % (s, len(pieces))
+        )
+    trace = A.onb @ blocks_vec(blocks_eye(A.dims))
+    summands = []
+    total = np.zeros_like(unit)
+    for v in pieces:
+        z = _idempotent(v[:, 0], T)
+        if _projection_defect(z, T, S) > 100 * RANK_TOL:
+            raise DecompositionError("a central piece is not a projection")
+        rank = _rank(_left(z, T))
+        d = math.isqrt(rank)
+        ambient_rank = int(round(float(np.real(trace @ z))))
+        if d == 0 or d * d != rank or ambient_rank % d:
+            raise DecompositionError(
+                "central projection of rank %d in the algebra and %d in the "
+                "block space is not a matrix summand" % (rank, ambient_rank)
             )
-        if not ok or total_dimsq != A.dim:
-            continue
-        total_proj = blocks_zero(A.dims)
-        for sm in summands:
-            total_proj = blocks_add(total_proj, sm.projection)
-        if not np.allclose(blocks_vec(total_proj), unit_vec, atol=1e-7):
-            continue
-        summands.sort(key=_summand_sort_key)
-        for i, sm in enumerate(summands):
-            sm.index = i
-            sm.minimal_projection = _minimal_projection(A, sm, rng)
-        return CentralDecomposition(algebra=A, summands=summands)
-    raise DecompositionError(
-        "no generic central element produced a certified decomposition"
-    )
+        total += z
+        projection = blocks_unvec(z @ A.onb, A.dims)
+        f = _minimal_projection(z, T, S)
+        minimal = projection if f is z else blocks_unvec(f @ A.onb, A.dims)
+        summands.append(Summand(0, projection, d, ambient_rank, minimal))
+    bound = 100 * RANK_TOL * max(1.0, np.linalg.norm(unit))
+    if np.linalg.norm(total - unit) > bound:
+        raise DecompositionError(
+            "the central projections do not sum to the unit"
+        )
+    if sum(sm.d ** 2 for sm in summands) != r:
+        raise DecompositionError(
+            "summand sizes do not add up to the dimension %d" % r
+        )
+    summands.sort(key=_summand_sort_key)
+    for i, sm in enumerate(summands):
+        sm.index = i
+    return CentralDecomposition(algebra=A, summands=summands)
 
 
-def _minimal_projection(A, summand, rng):
-    """Projection f in the summand with dim(fAf) = 1."""
-    if summand.d == 1:
-        return summand.projection
-    proj = summand.projection
-    for _ in range(MAX_RESAMPLE):
-        x = A.random_hermitian(rng)
-        y = blocks_mul(blocks_mul(proj, x), proj)
-        y = blocks_scale(0.5, blocks_add(y, blocks_adj(y)))
-        nrm = blocks_norm(y)
-        if nrm == 0:
-            continue
-        y = blocks_add(blocks_scale(1.0 / nrm, y), proj, 3.0)
-        projections, means = _spectral_projections(A.dims, y)
-        candidates = [(p, m) for p, m in zip(projections, means) if abs(m) > 1.0]
-        if len(candidates) != summand.d:
-            continue
-        f = candidates[0][0]
-        if not A.contains(f, 100 * RANK_TOL):
-            continue
-        corner_rows = [
-            blocks_vec(blocks_mul(blocks_mul(f, b), f)) for b in A.basis
-        ]
-        if onb(np.array(corner_rows)).shape[0] != 1:
-            continue
-        return f
-    raise DecompositionError(
-        "no generic corner element produced a minimal projection"
-    )
+def _minimal_projection(z, T, S):
+    """Coordinates of a projection f <= z with dim(f A f) = 1.
+
+    f starts at z. While f A f has dimension k^2 > 1, the first
+    hermitian part h of a column f e_j f of x -> f x f that is not a
+    multiple of f splits f: the span of f, h f, ..., h^k f is refined
+    by x -> h x into lines, and the first line, scaled to an idempotent,
+    replaces f. Each step lowers the rank of f; the result is certified.
+    """
+    f = z
+    for _ in range(len(z)):
+        corner = _left(f, T) @ np.einsum("j,ijk->ki", f, T)
+        k = math.isqrt(_rank(corner))
+        if k == 1 and _projection_defect(f, T, S) <= 100 * RANK_TOL:
+            return f
+        for h in (h for x in corner.T for h in _hermitian_parts(x, S)):
+            lh = _left(h, T)
+            powers = [f]
+            for _ in range(k):
+                w = lh @ powers[-1]
+                powers.append(w / max(float(np.linalg.norm(w)), RANK_TOL))
+            pieces = _refine([onb(powers).T], [h], T)
+            if len(pieces) > 1:
+                f = _idempotent(pieces[0][:, 0], T)
+                break
+        else:
+            break
+    raise DecompositionError("no certified minimal projection in a summand")

@@ -72,7 +72,6 @@ class TowerConfig:
     M: int | None = None
     W: int | None = None
     max_level_dim: int = 600
-    seed: int = 0
 
 
 class Corner:
@@ -108,38 +107,38 @@ class Corner:
             )
             if float(np.linalg.norm(vec)) > 1e-9:
                 rows.append(vec)
-        mat = onb(np.array(rows))
+        rows = np.array(rows)
+        # the span is zero wherever every row is; orthonormalizing on the
+        # other entries keeps those exact zeros, so the tabulation runs on
+        # the support blocks of the corner
+        support = np.any(rows != 0, axis=0)
+        part = onb(rows[:, support])
+        mat = np.zeros((len(part), rows.shape[1]), dtype=np.complex128)
+        mat[:, support] = part
         basis = [blocks_unvec(row, slot_dims) for row in mat]
         self.algebra = StarAlgebra(tuple(slot_dims), basis, mat, unit)
         self.r = self.algebra.dim
         self._restricted = {}
         self._summand_ideals = {}
         self._tabulate()
-        self.dec = central_decomposition(self.algebra, seed=config.seed)
+        self.dec = central_decomposition(self.algebra)
 
     def _tabulate(self):
-        r = self.r
-        basis = self.algebra.basis
-        mat = self.algebra.onb
-        self.unit_coords = mat.conj() @ blocks_vec(self.algebra.unit)
-        self.T = np.zeros((r, r, r), dtype=np.complex128)
-        self.S = np.zeros((r, r), dtype=np.complex128)
+        """Structure constants of the corner, certified closed.
 
-        def closed_coords(blocks, under):
-            vec = blocks_vec(blocks)
-            coords = mat.conj() @ vec
-            if np.linalg.norm(mat.T @ coords - vec) > 1e-7:
-                raise WindowUnstableError(
-                    "corner basis is not closed under %s" % under
-                )
-            return coords
-
-        for i in range(r):
-            adj = [blk.conj().T for blk in basis[i]]
-            self.S[i] = closed_coords(adj, "adjoints")
-            for j in range(r):
-                prod = [a @ b for a, b in zip(basis[i], basis[j])]
-                self.T[i, j] = closed_coords(prod, "products")
+        T and S come from the algebra's tables. Per basis element, first
+        its adjoint and then its products must stay within 1e-7 of the
+        span, or the call raises WindowUnstableError.
+        """
+        A = self.algebra
+        self.unit_coords = A.onb.conj() @ blocks_vec(A.unit)
+        self.T, self.S, resid = A.tables
+        for row in resid:
+            for value, under in zip(row, ("adjoints", "products")):
+                if value > 1e-7:
+                    raise WindowUnstableError(
+                        "corner basis is not closed under %s" % under
+                    )
 
     def coords(self, blocks):
         return self.algebra.onb.conj() @ blocks_vec(blocks)

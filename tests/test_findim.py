@@ -6,6 +6,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from util import (
+    assert_matches_oracle,
+    blocks_adj,
+    blocks_mul,
     blocks_rank,
     corpus_graphs,
     cycle_weight_spec,
@@ -15,11 +18,9 @@ from util import (
     random_diag_spec,
 )
 from wck import tower
-from wck.errors import ClosureOverflowError, MultiplicityError
+from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
-    blocks_adj,
     blocks_eye,
-    blocks_mul,
     blocks_vec,
     blocks_zero,
     central_decomposition,
@@ -123,12 +124,13 @@ class TestCentralDecomposition:
         n = sum(dims)
         A = star_closure([n], conjugated_sum(dims, rng))
         assert A.dim == sum(d * d for d in dims)
-        dec = central_decomposition(A, seed=seed)
+        dec = central_decomposition(A)
         assert sorted(dec.dims) == sorted(dims)
         assert dimension_adds_up(dec)
         for sm in dec.summands:
             assert sm.multiplicity == 1
             assert sm.ambient_rank == sm.d
+        assert_matches_oracle(dec)
 
     def test_commutative_diagonal_algebra(self):
         gens = [
@@ -168,14 +170,27 @@ class TestCentralDecomposition:
             )
 
     def test_summand_order_is_canonical(self):
-        A = star_closure([2, 3], matrix_units([2, 3]))
-        one = central_decomposition(A, seed=0)
-        two = central_decomposition(A, seed=17)
+        # the same algebra closed from two generator orders has other
+        # bases, and must still give the same summands in the same order
+        gens = matrix_units([2, 3])
+        one = central_decomposition(star_closure([2, 3], gens))
+        two = central_decomposition(star_closure([2, 3], gens[::-1]))
+        assert one.dims == two.dims == [2, 3]
         for a, b in zip(one.summands, two.summands):
-            assert a.d == b.d
             assert np.allclose(
                 blocks_vec(a.projection), blocks_vec(b.projection), atol=1e-7
             )
+
+    @pytest.mark.parametrize("mutate", [
+        lambda T: 2 * T,
+        lambda T: T + 1e-3 * np.random.default_rng(0).normal(size=T.shape),
+    ], ids=["scaled", "perturbed"])
+    def test_wrong_structure_tensor_raises(self, mutate):
+        A = star_closure([3, 2], matrix_units([3, 2]))
+        T, S, resid = A.tables
+        A.tables = (mutate(T), S, resid)
+        with pytest.raises(DecompositionError):
+            central_decomposition(A)
 
 
 class TestEmbeddings:

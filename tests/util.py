@@ -6,7 +6,8 @@ single-vertex multi-loop, non-transitive loop chains, plain cycles of
 several lengths, cycles with parallel edges, and a transitive non-cycle.
 
 It also holds the slow references that fast paths in wck are tested
-against: the dense full-length closure loop, the concrete stage algebra
+against: the dense full-length closure loop, the randomized central
+decomposition on full blocks, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
 ranks, the per-pair loop of the fiber multiplicities, the
 linear-algebra search for invariant families, the corner ideal of a
@@ -21,22 +22,45 @@ import numpy as np
 
 from wck.errors import (
     ClosureOverflowError,
+    DecompositionError,
     MultiplicityError,
     WindowUnstableError,
 )
 from wck.findim import (
-    INT_TOL,
+    CentralDecomposition,
     StarAlgebra,
-    blocks_adj,
+    Summand,
+    _cluster_eigenvalues,
+    _summand_sort_key,
+    blocks_add,
     blocks_eye,
-    blocks_mul,
-    blocks_scale,
+    blocks_unvec,
     blocks_vec,
+    blocks_zero,
     star_closure,
 )
 from wck.graphs import Edge, Graph, Path
 from wck.ideals import IdealFamily, _parallel_edge_pairs, pi_map
 from wck.windows import RANK_TOL, onb, span_contains, span_residual
+
+INT_TOL = 1e-4
+MAX_RESAMPLE = 8
+
+
+def blocks_mul(a, b):
+    return [x @ y for x, y in zip(a, b)]
+
+
+def blocks_adj(a):
+    return [np.swapaxes(x.conj(), -1, -2) for x in a]
+
+
+def blocks_scale(alpha, a):
+    return [alpha * x for x in a]
+
+
+def blocks_norm(a):
+    return max((float(np.linalg.norm(x, 2)) for x in a if x.size), default=0.0)
 
 
 def mkgraph(vertices, edges):
@@ -182,6 +206,174 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
                         )
         fresh = new
     return StarAlgebra(dims, basis, basis_onb, unit)
+
+
+# -- the randomized central decomposition ---------------------------------------
+
+
+def _random_hermitian(A, rng):
+    """Random self-adjoint element spread over the whole basis."""
+    x = A.element(rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim))
+    return blocks_scale(0.5, blocks_add(x, blocks_adj(x)))
+
+
+def _dense_center_basis(A):
+    """Hermitian basis of the center, from the Gram matrix of commutators."""
+    d = A.dim
+    if d == 0:
+        return []
+    length = sum(k * k for k in A.dims)
+    gram = np.zeros((d, d), dtype=np.complex128)
+    for bj in A.basis:
+        rows = np.empty((d, length), dtype=np.complex128)
+        for i, bi in enumerate(A.basis):
+            comm = blocks_add(blocks_mul(bi, bj), blocks_mul(bj, bi), -1.0)
+            rows[i] = blocks_vec(comm)
+        gram += rows.conj() @ rows.T
+    vals, vecs = np.linalg.eigh(gram)
+    cut = 1e-10 * max(1.0, float(vals[-1]))
+    candidates = []
+    for i in range(d):
+        if vals[i] > cut:
+            continue
+        x = A.element(vecs[:, i])
+        candidates.append(blocks_scale(0.5, blocks_add(x, blocks_adj(x))))
+        candidates.append(blocks_scale(-0.5j, blocks_add(x, blocks_adj(x), -1.0)))
+    if not candidates:
+        return []
+    # orthonormalize over the reals so the output stays hermitian
+    reals = np.array(
+        [np.concatenate([blocks_vec(c).real, blocks_vec(c).imag]) for c in candidates]
+    )
+    sv, vh = np.linalg.svd(reals, full_matrices=False)[1:]
+    if sv.size == 0 or sv[0] == 0.0:
+        return []
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return [blocks_unvec(row[:length] + 1j * row[length:], A.dims) for row in vh[:rank]]
+
+
+def _spectral_projections(y):
+    """Projections onto global eigenvalue clusters of a hermitian element."""
+    pairs = [np.linalg.eigh(blk) for blk in y]
+    flat = np.concatenate([vals for vals, _ in pairs]) if pairs else np.zeros(0)
+    where = [(lev, k) for lev, (vals, _) in enumerate(pairs) for k in range(vals.size)]
+    projections, means = [], []
+    for cluster in _cluster_eigenvalues(flat):
+        proj = blocks_zero([blk.shape[0] for blk in y])
+        for idx in cluster:
+            lev, k = where[idx]
+            vec = pairs[lev][1][:, k]
+            proj[lev] = proj[lev] + np.outer(vec, vec.conj())
+        projections.append(proj)
+        means.append(float(np.mean(flat[cluster])))
+    return projections, means
+
+
+def _corner_dim(A, f):
+    rows = [blocks_vec(blocks_mul(blocks_mul(f, b), f)) for b in A.basis]
+    return onb(np.array(rows)).shape[0]
+
+
+def _dense_minimal_projection(A, summand, rng):
+    """Projection f in the summand with dim(fAf) = 1, from random elements."""
+    if summand.d == 1:
+        return summand.projection
+    proj = summand.projection
+    for _ in range(MAX_RESAMPLE):
+        y = blocks_mul(blocks_mul(proj, _random_hermitian(A, rng)), proj)
+        y = blocks_scale(0.5, blocks_add(y, blocks_adj(y)))
+        nrm = blocks_norm(y)
+        if nrm == 0:
+            continue
+        y = blocks_add(blocks_scale(1.0 / nrm, y), proj, 3.0)
+        projections, means = _spectral_projections(y)
+        candidates = [p for p, m in zip(projections, means) if abs(m) > 1.0]
+        if len(candidates) != summand.d:
+            continue
+        f = candidates[0]
+        if A.contains(f, 100 * RANK_TOL) and _corner_dim(A, f) == 1:
+            return f
+    raise DecompositionError("no generic corner element produced a minimal projection")
+
+
+def dense_central_decomposition(A, seed=0):
+    """central_decomposition by random central elements on full blocks.
+
+    The eigenvalue clusters of a generic self-adjoint central element
+    give the central projections. Each attempt is certified (cluster
+    count equals the center dimension, projections lie in the algebra,
+    summand dimensions are integers and sum to the algebra dimension)
+    and a failure resamples, up to MAX_RESAMPLE times.
+    """
+    rng = np.random.default_rng(seed)
+    center = _dense_center_basis(A)
+    s = len(center)
+    if s == 0:
+        raise DecompositionError("algebra has no central elements")
+    shift = 3.0
+    for _ in range(MAX_RESAMPLE):
+        y = blocks_zero(A.dims)
+        for c, b in zip(rng.normal(size=s), center):
+            y = blocks_add(y, b, c)
+        nrm = blocks_norm(y)
+        if nrm == 0 and s > 1:
+            continue
+        if nrm > 0:
+            y = blocks_scale(1.0 / nrm, y)
+        projections, means = _spectral_projections(blocks_add(y, A.unit, shift))
+        clusters = [p for p, m in zip(projections, means) if abs(m) > shift / 2]
+        if len(clusters) != s:
+            continue
+        summands = []
+        for proj in clusters:
+            if not A.contains(proj, 100 * RANK_TOL):
+                break
+            corner_dim = _corner_dim(A, proj)
+            d = int(round(np.sqrt(corner_dim)))
+            ambient_rank = int(round(sum(np.trace(b).real for b in proj)))
+            if abs(d * d - corner_dim) > INT_TOL or d == 0 or ambient_rank % d:
+                break
+            summands.append(Summand(0, proj, d, ambient_rank, None))
+        if len(summands) != s or sum(sm.d ** 2 for sm in summands) != A.dim:
+            continue
+        total = blocks_zero(A.dims)
+        for sm in summands:
+            total = blocks_add(total, sm.projection)
+        if not np.allclose(blocks_vec(total), blocks_vec(A.unit), atol=1e-7):
+            continue
+        summands.sort(key=_summand_sort_key)
+        for i, sm in enumerate(summands):
+            sm.index = i
+            sm.minimal_projection = _dense_minimal_projection(A, sm, rng)
+        return CentralDecomposition(algebra=A, summands=summands)
+    raise DecompositionError(
+        "no generic central element produced a certified decomposition"
+    )
+
+
+def assert_matches_oracle(dec):
+    """dec agrees with dense_central_decomposition of its algebra.
+
+    Sizes, ambient ranks and central projections must agree summand by
+    summand, order included. Minimal projections are not unique, so
+    each is certified instead: a self-adjoint idempotent in the algebra
+    with dim(fAf) = 1, of ambient rank the summand's multiplicity.
+    """
+    A = dec.algebra
+    ref = dense_central_decomposition(A)
+    assert [(s.d, s.ambient_rank) for s in dec.summands] == [
+        (s.d, s.ambient_rank) for s in ref.summands
+    ]
+    for sm, rm in zip(dec.summands, ref.summands):
+        assert np.allclose(
+            blocks_vec(sm.projection), blocks_vec(rm.projection), atol=1e-7
+        )
+        f = sm.minimal_projection
+        assert blocks_rank(f) == sm.multiplicity
+        assert A.contains(f)
+        assert np.allclose(blocks_vec(blocks_mul(f, f)), blocks_vec(f), atol=1e-8)
+        assert np.allclose(blocks_vec(blocks_adj(f)), blocks_vec(f), atol=1e-8)
+        assert _corner_dim(A, f) == 1
 
 
 def concrete_stage_algebra(tower, n):
