@@ -215,7 +215,8 @@ def corner_character_vectors(model, tower, v):
     L characters per vertex. On a cycle every corner slot has exactly
     one path per level, so the restriction is the window-block entry at
     the level with the right residue, and the returned dict maps n to
-    the vector of values on the corner basis.
+    the vector of values on the corner basis: the column of the corner's
+    onb at that level.
     """
     corner = tower.corners[v]
     out = {}
@@ -227,10 +228,7 @@ def corner_character_vectors(model, tower, v):
                 "corner slot at level %d has %d paths; the character "
                 "reading needs a cycle" % (ell, len(slot))
             )
-        vec = np.array(
-            [b[ell - tower.G0][0, 0] for b in corner.algebra.basis]
-        )
-        out[n] = vec
+        out[n] = corner.columns(ell, ell + 1)[:, 0]
     return out
 
 
@@ -271,9 +269,8 @@ def kernel_family(model, tower):
                     "cycle corners should be abelian; summand %d at "
                     "vertex %r has dimension %d" % (s, g.vertices[v], summand.d)
                 )
-            values = [
-                summand.projection[ell - tower.G0][0, 0] for ell in levels
-            ]
+            blocks = corner.algebra.render(summand.z)
+            values = [blocks[ell - tower.G0][0, 0] for ell in levels]
             if all(abs(val) <= VANISH_TOL for val in values):
                 chosen.add(s)
         choices.append(frozenset(chosen))

@@ -14,7 +14,12 @@ that z is never resolved against the graph structure; it stays a free
 letter and all weight dependence enters later through evaluation.
 A normalized element stores each surviving word once with its
 accumulated coefficient, so syntactically different expressions of the
-same combination compare equal.
+same combination compare equal. The unit is the empty word, never
+expanded into vertex projections: the normal form of a product of
+normal forms is then the normal form of the concatenated raw words, so
+mul is associative on normal forms. An expanded unit would break that,
+since no p(v) rewrites against the free letter z: z . (z^-1 . z) would
+be the sum of the words z.p(v).
 """
 
 from __future__ import annotations
@@ -135,21 +140,15 @@ def _normalize_word(graph, word):
 
 
 def _accumulate(graph, terms, word, coeff):
-    """Add coeff times the normalized word into a term dict.
-
-    The empty word is the unit and is canonicalized to the sum of
-    vertex projections, so the unit has a single representation.
-    """
+    """Add coeff times the normalized word into a term dict."""
     normal = _normalize_word(graph, word)
     if normal is None or coeff == 0:
         return
-    words = [normal] if normal else [((P, v),) for v in range(graph.n_vertices)]
-    for wrd in words:
-        c = terms.get(wrd, 0j) + coeff
-        if c == 0:
-            terms.pop(wrd, None)
-        else:
-            terms[wrd] = c
+    c = terms.get(normal, 0j) + coeff
+    if c == 0:
+        terms.pop(normal, None)
+    else:
+        terms[normal] = c
 
 
 def make(graph, word, coeff=1.0):
@@ -176,9 +175,8 @@ def zero(graph):
 
 
 def unit(graph):
-    """The unit Σ_v p(v)."""
-    terms = {((P, v),): 1.0 + 0j for v in range(graph.n_vertices)}
-    return CalkinElement(graph, terms)
+    """The unit: the empty word, which acts as Σ_v p(v)."""
+    return CalkinElement(graph, {(): 1.0 + 0j})
 
 
 def add(a, b):

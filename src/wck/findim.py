@@ -1,12 +1,16 @@
 """Structure analysis of finite-dimensional *-algebras of block matrices.
 
 Elements live in a fixed block space: a direct sum of full matrix
-blocks, one per window level, represented as plain lists of square
-complex arrays. A *-algebra is carried around as a span basis plus an
-orthonormalized vectorization for membership tests. The analysis
-follows the standard route: close the generators under products and
-adjoints, split the center into its minimal projections, one per
-matrix summand, and certify a minimal projection in each.
+blocks, one per window level. A *-algebra is stored in one form only:
+the orthonormal rows onb of its span, each row the vectorization
+(blocks_vec) of one basis element. Its elements, the unit and the
+central and minimal projections included, are coordinate vectors c
+over those rows; c @ onb is the vectorized element, and
+StarAlgebra.render turns it into blocks for the few readers that need
+them. The analysis follows the standard route: close the generators
+under products and adjoints, split the center into its minimal
+projections, one per matrix summand, and certify a minimal projection
+in each.
 
 The closure runs on the support blocks of its input. Per level, the
 indices i and j are joined when some generator, adjoint or the unit has
@@ -18,14 +22,14 @@ and scattered back at the end. A dense generator set is one class per
 level and takes the same route.
 
 The closure works per element, not per candidate: the products of one
-fresh element with the whole basis, on both sides, are one stacked
-(n, 2, L) block over the compressed length L, projected off the
-orthonormal rows by matmuls. Candidates are taken in the order a*b_0,
-b_0*a, a*b_1, ..., and every pair of basis elements is tried in the
-round in which the later of the two is fresh, so the closure is
-complete when a round adds nothing. Only one block is held at a time,
-2 n L entries, the size of the rows already held; a whole round
-(every fresh element against the basis) is never stacked at once.
+fresh orthonormal row with all the rows, on both sides, are one stacked
+(n, 2, L) block over the compressed length L, projected off the rows by
+matmuls. Candidates are taken in the order a*b_0, b_0*a, a*b_1, ...,
+and every pair of rows is tried in the round in which the later of the
+two is fresh, so the closure is complete when a round adds nothing.
+Only one block is held at a time, 2 n L entries, the size of the rows
+already held; a whole round (every fresh row against the rows) is never
+stacked at once.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
@@ -47,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClosureOverflowError, DecompositionError
-from .windows import RANK_TOL, in_span, onb
+from .windows import RANK_TOL, onb
 
 CLUSTER_GAP = 1e-6
 
@@ -57,14 +61,6 @@ CLUSTER_GAP = 1e-6
 
 def blocks_eye(dims):
     return [np.eye(d, dtype=np.complex128) for d in dims]
-
-
-def blocks_zero(dims):
-    return [np.zeros((d, d), dtype=np.complex128) for d in dims]
-
-
-def blocks_add(a, b, alpha=1.0):
-    return [x + alpha * y for x, y in zip(a, b)]
 
 
 def blocks_vec(a):
@@ -86,26 +82,25 @@ def blocks_unvec(vec, dims):
 
 
 class StarAlgebra:
-    """Span basis of a unital *-subalgebra of a block space."""
+    """A unital *-subalgebra of a block space, as orthonormal rows.
 
-    def __init__(self, dims, basis, basis_onb, unit):
+    Row i of onb is the vectorized i-th element of an orthonormal basis
+    of the algebra; an element is its coordinate vector over the rows,
+    and unit holds the coordinates of the unit.
+    """
+
+    def __init__(self, dims, onb, unit):
         self.dims = tuple(dims)
-        self.basis = basis
-        self.onb = basis_onb
+        self.onb = onb
         self.unit = unit
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.onb)
 
-    def contains(self, x, tol=RANK_TOL):
-        return in_span(blocks_vec(x), self.onb, tol)
-
-    def element(self, coeffs):
-        out = blocks_zero(self.dims)
-        for c, b in zip(coeffs, self.basis):
-            out = blocks_add(out, b, c)
-        return out
+    def render(self, coeffs):
+        """Blocks of the element with the given coordinates."""
+        return blocks_unvec(coeffs @ self.onb, self.dims)
 
     @cached_property
     def tables(self):
@@ -118,9 +113,7 @@ class StarAlgebra:
         once, on the support blocks of the rows, as in star_closure.
         """
         q = self.onb
-        stacks, tpos, pos = _support_layout(
-            self.dims, [blocks_unvec(row, self.dims) for row in q]
-        )
+        stacks, tpos, pos = _support_layout(self.dims, np.any(q != 0, axis=0))
         q = q[:, pos]
         adj = q[:, tpos].conj()
         S = adj @ q.conj().T
@@ -153,23 +146,21 @@ def _components(mask):
         lab = new
 
 
-def _support_layout(dims, elements):
+def _support_layout(dims, support):
     """Stacks, transpose and vector positions of the support blocks.
 
-    The classes of each level are grouped by size into one
-    (count, s, s) stack per (level, size), each class in ascending
-    index order; a compressed vector is the concatenation of the
-    raveled stacks. stacks lists (offset, count, s) per stack, tpos is
-    the permutation that transposes every block of a compressed vector,
-    and pos[i] is the position in blocks_vec of the full element of
-    entry i of the compressed vector.
+    support flags the entries of a full vector that may be nonzero.
+    The classes of each level are grouped by size into one (count, s, s)
+    stack per (level, size), each class in ascending index order; a
+    compressed vector is the concatenation of the raveled stacks.
+    stacks lists (offset, count, s) per stack, tpos is the permutation
+    that transposes every block of a compressed vector, and pos[i] is
+    the position in blocks_vec of the full element of entry i of the
+    compressed vector.
     """
     numbered = blocks_unvec(np.arange(sum(d * d for d in dims)), dims)
     pieces = []
-    for lev, d in enumerate(dims):
-        mask = np.zeros((d, d), dtype=bool)
-        for x in elements:
-            mask |= x[lev] != 0
+    for lev, mask in enumerate(blocks_unvec(support, dims)):
         lab = _components(mask)
         order = np.argsort(lab, kind="stable")
         _, starts, sizes = np.unique(
@@ -222,40 +213,40 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     The closure runs on the support blocks of the unit and the
     generators (see the module docstring): it is the same algebra, and
     its vectors are the full-length ones with exact zeros dropped. The
-    basis and its orthonormal rows are held as (n, L) arrays of these
-    compressed vectors and scattered back to full blocks once, at the
-    end.
+    orthonormal rows are held as an (n, L) array of these compressed
+    vectors and scattered back to full length once, at the end.
 
     The pool (unit, then each generator and its adjoint) is absorbed
-    first. Then, for each fresh element a in turn, the candidates a*b
-    and b*a for every b of the basis as it stands are built as one
-    (n, 2, L) block, in the order a*b_0, b_0*a, a*b_1, ... The block
-    is projected off the rows by two rounds of Gram-Schmidt, each one
-    matmul. A candidate below the 1e-9 floor or with a relative residual
-    at most RANK_TOL is dropped; the survivors, in candidate order, are
+    first. Then, for each fresh row a in turn, the candidates a*b and
+    b*a for every row b as the rows stand are built as one (n, 2, L)
+    block, in the order a*b_0, b_0*a, a*b_1, ... The block is projected
+    off the rows by two rounds of Gram-Schmidt, each one matmul. A
+    candidate below the 1e-9 floor or with a relative residual at most
+    RANK_TOL is dropped; the survivors, in candidate order, are
     projected again off the rows accepted earlier in the same block and
-    pass the same test. Accepted elements are fresh in the next round.
-    A product x*y of basis elements is therefore tried in the round in
-    which the later of x and y is fresh, so the span is closed when a
-    round adds nothing. Only one block is held at a time: 2 n L entries,
-    the order of the rows themselves.
+    pass the same test. Accepted rows are fresh in the next round. A
+    product x*y of rows is therefore tried in the round in which the
+    later of x and y is fresh, so the span is closed when a round adds
+    nothing. Only one block is held at a time: 2 n L entries, the order
+    of the rows themselves.
     """
     dims = tuple(dims)
     if unit is None:
         unit = blocks_eye(dims)
-    stacks, tpos, pos = _support_layout(dims, [unit] + list(gens))
+    support = blocks_vec(unit) != 0
+    for gen in gens:
+        support |= blocks_vec(gen) != 0
+    stacks, tpos, pos = _support_layout(dims, support)
     pool = [blocks_vec(unit)[pos]]
     for gen in gens:
         pool.append(blocks_vec(gen)[pos])
         pool.append(pool[-1][tpos].conj())
-    cap = min(len(pos), 64)
-    rows = np.empty((cap, len(pos)), dtype=np.complex128)
-    basis = np.empty_like(rows)
+    rows = np.empty((min(len(pos), 64), len(pos)), dtype=np.complex128)
     n = 0
 
     def absorb(cands, tol=RANK_TOL, floor=1e-9):
         """Append the candidates that leave the span; return their indices."""
-        nonlocal rows, basis, n
+        nonlocal rows, n
         scale = np.linalg.norm(cands, axis=1)
         idx = np.flatnonzero(scale > floor)
         w = cands[idx]
@@ -273,11 +264,7 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
                 continue
             if n == len(rows):
                 rows = np.concatenate([rows, np.empty_like(rows)])
-                basis = np.concatenate([basis, np.empty_like(basis)])
             rows[n] = vec / resid
-            # keep stored basis elements at unit scale so later spectral
-            # cuts see commutators of comparable size
-            basis[n] = cands[k] / scale[k]
             n += 1
             if n > max_dim:
                 raise ClosureOverflowError(
@@ -289,17 +276,12 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     while fresh:
         new = []
         for a in fresh:
-            block = _stack_products(basis[a], basis[:n], stacks)
+            block = _stack_products(rows[a], rows[:n], stacks)
             new.extend(absorb(block.reshape(-1, len(pos))))
         fresh = new
-    length = sum(d * d for d in dims)
-    full_onb = np.zeros((n, length), dtype=np.complex128)
-    full_onb[:, pos] = rows[:n]
-    full = np.zeros((n, length), dtype=np.complex128)
-    full[:, pos] = basis[:n]
-    return StarAlgebra(
-        dims, [blocks_unvec(row, dims) for row in full], full_onb, unit
-    )
+    full = np.zeros((n, len(support)), dtype=np.complex128)
+    full[:, pos] = rows[:n]
+    return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
 
 
 # -- central decomposition ----------------------------------------------------
@@ -307,13 +289,16 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
 
 @dataclass
 class Summand:
-    """One matrix summand M_d of a finite-dimensional algebra."""
+    """One matrix summand M_d of a finite-dimensional algebra.
+
+    z and f are coordinate vectors over the rows of the algebra's onb.
+    """
 
     index: int
-    projection: list          # central projection, block element
-    d: int                    # matrix size
-    ambient_rank: int         # rank of the projection in the block space
-    minimal_projection: list  # block element with dim(fAf) = 1
+    z: np.ndarray       # central projection
+    d: int              # matrix size
+    ambient_rank: int   # rank of z in the block space
+    f: np.ndarray       # minimal projection, dim(f A f) = 1
 
     @property
     def multiplicity(self):
@@ -394,8 +379,8 @@ def _rank(p):
     return int(np.sum(np.linalg.svd(p, compute_uv=False) > 0.5))
 
 
-def _summand_sort_key(sm):
-    diag = np.concatenate([np.diag(blk).real for blk in sm.projection])
+def _summand_sort_key(A, sm):
+    diag = np.concatenate([np.diag(blk).real for blk in A.render(sm.z)])
     return (sm.d, sm.ambient_rank, tuple(np.round(diag, 6)))
 
 
@@ -417,7 +402,7 @@ def central_decomposition(A):
     """
     T, S, _ = A.tables
     r = A.dim
-    unit = A.onb.conj() @ blocks_vec(A.unit)
+    unit = A.unit
     comm = (T - T.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
     sv, vh = np.linalg.svd(comm, full_matrices=False)[1:]
     rank = int(np.sum(sv > RANK_TOL * max(1.0, *sv[:1])))
@@ -448,10 +433,9 @@ def central_decomposition(A):
                 "block space is not a matrix summand" % (rank, ambient_rank)
             )
         total += z
-        projection = blocks_unvec(z @ A.onb, A.dims)
-        f = _minimal_projection(z, T, S)
-        minimal = projection if f is z else blocks_unvec(f @ A.onb, A.dims)
-        summands.append(Summand(0, projection, d, ambient_rank, minimal))
+        summands.append(
+            Summand(0, z, d, ambient_rank, _minimal_projection(z, T, S))
+        )
     bound = 100 * RANK_TOL * max(1.0, np.linalg.norm(unit))
     if np.linalg.norm(total - unit) > bound:
         raise DecompositionError(
@@ -461,7 +445,7 @@ def central_decomposition(A):
         raise DecompositionError(
             "summand sizes do not add up to the dimension %d" % r
         )
-    summands.sort(key=_summand_sort_key)
+    summands.sort(key=lambda sm: _summand_sort_key(A, sm))
     for i, sm in enumerate(summands):
         sm.index = i
     return CentralDecomposition(algebra=A, summands=summands)

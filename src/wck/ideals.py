@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GraphError, WeightError, WindowUnstableError
+from .findim import blocks_vec
 from .graphs import Path
 from .tower import TowerConfig, build_tower
 from .weights import minimal_period, reperiodize
@@ -555,17 +556,6 @@ def _sample_pairs(m):
     return pairs
 
 
-def _strip_render(blocks, rows, i1, i2):
-    """Flattened (i1, i2) strip of a stage render, rows from stage_rows.
-
-    It is laid out like the rows of the corner's restricted basis matrix
-    on levels [M - n p, M + W - n p), ready for span arithmetic.
-    """
-    return np.concatenate(
-        [blk[np.ix_(r[i1], r[i2])].ravel() for blk, r in zip(blocks, rows)]
-    )
-
-
 def _flatten_levels(blocks, k0, k1):
     return np.concatenate([blocks[kk].ravel() for kk in range(k0, k1)])
 
@@ -620,7 +610,7 @@ def verify_fully_invariant(tower, family, n_cap=None):
     fiber_checks = []
     for nprime in sorted({1, cap}):
         dicts = [_stage_unvec(tower, nprime, row) for row in chain[nprime]]
-        renders = [tower.tau_inverse(nprime, x) for x in dicts]
+        renders = [blocks_vec(tower.tau_inverse(nprime, x)) for x in dicts]
         for nlow in range(nprime + 1):
             lo = tower.M - nlow * tower.p
             hi = tower.M + tower.W - nlow * tower.p
@@ -630,14 +620,11 @@ def verify_fully_invariant(tower, family, n_cap=None):
                 corner_span = onb(mat)
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
-                rows_low = tower.stage_rows(nlow, v)
+                index = tower.window_index(nlow, v)
                 for i1, i2 in _sample_pairs(len(paths_low)):
                     mu1 = index_paths[paths_low[i1]]
                     mu2 = index_paths[paths_low[i2]]
-                    strips = [
-                        _strip_render(rnd, rows_low, i1, i2)
-                        for rnd in renders
-                    ]
+                    strips = [rnd[index[i1, i2]] for rnd in renders]
                     if strips:
                         strip_span = onb(np.array(strips))
                     else:
@@ -645,36 +632,26 @@ def verify_fully_invariant(tower, family, n_cap=None):
                             (0, mat.shape[1]), dtype=np.complex128
                         )
                     inter = span_intersect(strip_span, corner_span)
-                    rows = []
-                    uncertified = None
-                    for vec in inter:
-                        coords, resid = corner.certified_coords(
-                            lo, hi, [vec], max(1.0, float(np.linalg.norm(vec)))
-                        )
-                        if coords is None:
-                            uncertified = resid
-                            break
-                        rows.append(coords)
+                    rows, resid = corner.certified_coords(
+                        lo, hi, inter,
+                        np.maximum(1.0, np.linalg.norm(inter, axis=1)),
+                    )
                     entry = {
                         "stage": nprime,
                         "strip_stage": nlow,
                         "vertex": g.vertices[v],
                         "pair": (g.path_str(mu1), g.path_str(mu2)),
                     }
-                    if uncertified is not None:
+                    if rows is None:
                         entry["relation"] = "uncertified"
-                        entry["residual"] = uncertified
+                        entry["residual"] = max(resid)
                         failures.append(
                             "a corner component of the stage-%d strip at %r "
                             "could not be certified (residual %.3g)"
-                            % (nprime, g.vertices[v], uncertified)
+                            % (nprime, g.vertices[v], max(resid))
                         )
                     else:
-                        rec = (
-                            onb(np.array(rows))
-                            if rows
-                            else np.zeros((0, corner.r), dtype=np.complex128)
-                        )
+                        rec = onb(rows)
                         contained = span_contains(subs[v], rec)
                         covers = span_contains(rec, subs[v])
                         if contained and covers:

@@ -17,7 +17,10 @@ window of levels of the path space:
     findim.star_closure, which works on the support blocks of these
     generators;
   - corners are plain submatrix compressions onto slots, the int arrays
-    Graph.ending_at gives for the paths that end at v;
+    Graph.ending_at gives for the paths that end at v; a corner, like
+    C_0, is stored only as the orthonormal rows of its span
+    (findim.StarAlgebra), and its elements are coordinate vectors over
+    those rows;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
     gathers (Graph.prepend_index shifts the slot basis by mu), so the
@@ -25,6 +28,10 @@ window of levels of the path space:
 
 Stage index paths, slots and all gathers are int arrays of positions in
 Graph.paths(k); Path objects appear only as prefixes and in messages.
+Moving between corner coordinates and window data is one gather or
+scatter of onb columns through a precomputed int array of entry
+positions (_block_positions): the corner compression, the transports,
+tau and tau_inverse.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -46,6 +53,7 @@ from .errors import (
 )
 from .findim import (
     StarAlgebra,
+    blocks_eye,
     blocks_unvec,
     blocks_vec,
     central_decomposition,
@@ -79,13 +87,14 @@ class Corner:
 
     A slot at global level l is the family of paths of length l - q
     that end at the vertex; the corner of C_0 acts on it as a plain
-    submatrix. Elements are identified by coordinates with respect to
-    the orthonormalized basis, and products are tabulated once into a
-    structure-constant tensor so later stage arithmetic never touches
-    matrices again.
+    submatrix, so its rows are one column gather of C0.onb. Elements are
+    coordinate vectors over the orthonormalized rows, and products are
+    tabulated once into a structure-constant tensor so later stage
+    arithmetic never touches matrices again.
 
     slot_lists[l - levels[0]] holds the ascending indices of the slot
-    paths inside paths(l - q), so a slot position is a searchsorted.
+    paths inside paths(l - q), so a slot position is a searchsorted;
+    offsets[l - levels[0]] is where level l starts in a corner vector.
     """
 
     def __init__(self, graph, q, C0, v, levels, config):
@@ -94,20 +103,17 @@ class Corner:
         self.xi = g.xi(v, q, config.xi_choice)
         self.levels = levels
         self.slot_lists = [g.ending_at(k - q, v) for k in levels]
-        slot_index = [
-            g.prepend_index(k - q, self.xi)[slots]
-            for k, slots in zip(levels, self.slot_lists)
-        ]
         slot_dims = [len(slots) for slots in self.slot_lists]
-        unit = [np.eye(d, dtype=np.complex128) for d in slot_dims]
-        rows = [blocks_vec(unit)]
-        for b in C0.basis:
-            vec = blocks_vec(
-                [blk[np.ix_(idx, idx)] for blk, idx in zip(b, slot_index)]
-            )
-            if float(np.linalg.norm(vec)) > 1e-9:
-                rows.append(vec)
-        rows = np.array(rows)
+        self.offsets = np.cumsum([0] + [d * d for d in slot_dims])
+        cols = []
+        off = 0
+        for k, slots, d in zip(levels, self.slot_lists, C0.dims):
+            idx = g.prepend_index(k - q, self.xi)[slots]
+            cols.append(_block_positions(off, d, idx, idx))
+            off += d * d
+        unit = blocks_vec(blocks_eye(slot_dims))
+        rows = C0.onb[:, np.concatenate(cols)]
+        rows = np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]])
         # the span is zero wherever every row is; orthonormalizing on the
         # other entries keeps those exact zeros, so the tabulation runs on
         # the support blocks of the corner
@@ -115,8 +121,7 @@ class Corner:
         part = onb(rows[:, support])
         mat = np.zeros((len(part), rows.shape[1]), dtype=np.complex128)
         mat[:, support] = part
-        basis = [blocks_unvec(row, slot_dims) for row in mat]
-        self.algebra = StarAlgebra(tuple(slot_dims), basis, mat, unit)
+        self.algebra = StarAlgebra(slot_dims, mat, mat.conj() @ unit)
         self.r = self.algebra.dim
         self._restricted = {}
         self._summand_ideals = {}
@@ -130,9 +135,7 @@ class Corner:
         its adjoint and then its products must stay within 1e-7 of the
         span, or the call raises WindowUnstableError.
         """
-        A = self.algebra
-        self.unit_coords = A.onb.conj() @ blocks_vec(A.unit)
-        self.T, self.S, resid = A.tables
+        self.T, self.S, resid = self.algebra.tables
         for row in resid:
             for value, under in zip(row, ("adjoints", "products")):
                 if value > 1e-7:
@@ -140,24 +143,25 @@ class Corner:
                         "corner basis is not closed under %s" % under
                     )
 
-    def coords(self, blocks):
-        return self.algebra.onb.conj() @ blocks_vec(blocks)
-
     def mul_coords(self, x, y):
         return np.einsum("i,j,ijk->k", x, y, self.T)
 
     def adjoint_coords(self, x):
         return np.einsum("j,jk->k", np.conj(x), self.S)
 
+    def columns(self, lo, hi):
+        """The columns of onb on the levels [lo, hi)."""
+        i0 = lo - self.levels[0]
+        i1 = hi - self.levels[0]
+        return self.algebra.onb[:, self.offsets[i0]:self.offsets[i1]]
+
     def restricted(self, lo, hi):
-        """Basis matrix over a sub-range of levels, rank certified."""
+        """Columns of onb over a sub-range of levels, rank certified."""
         key = (lo, hi)
         got = self._restricted.get(key)
         if got is not None:
             return got
-        i0 = lo - self.levels[0]
-        i1 = hi - self.levels[0]
-        mat = np.array([blocks_vec(b[i0:i1]) for b in self.algebra.basis])
+        mat = self.columns(lo, hi)
         if self.r:
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0]):
@@ -182,9 +186,8 @@ class Corner:
         if got is not None:
             return got
         summand = self.dec.summands[i]
-        z = self.coords(summand.projection)
         eye = np.eye(self.r, dtype=np.complex128)
-        basis = onb([self.mul_coords(z, e) for e in eye])
+        basis = onb([self.mul_coords(summand.z, e) for e in eye])
         if basis.shape[0] != summand.d ** 2:
             raise WindowUnstableError(
                 "ideal of summand %d at vertex %r has dimension %d, its size "
@@ -209,18 +212,19 @@ class Corner:
         self._summand_ideals[i] = basis
         return basis
 
-    def certified_coords(self, lo, hi, slot_blocks, scale, message=None):
-        """Coordinates of slot data on levels [lo, hi), and their residual.
+    def certified_coords(self, lo, hi, vecs, scales, message=None):
+        """Coordinates of slot data on levels [lo, hi), and the residuals.
 
-        The least-squares residual must stay within 100 * COORD_TOL * scale.
-        Past that bound the call raises WindowUnstableError(message), or
-        returns None for the coordinates when no message is given.
+        vecs holds one slot vector per row, laid out like columns(lo,
+        hi). The least-squares residual of each row must stay within
+        100 * COORD_TOL times its scale. Past that bound the call raises
+        WindowUnstableError(message), or returns None for the
+        coordinates when no message is given.
         """
         mat, pinv = self.restricted(lo, hi)
-        vec = blocks_vec(slot_blocks)
-        coords = pinv @ vec
-        resid = float(np.linalg.norm(mat.T @ coords - vec))
-        if resid > 100 * COORD_TOL * scale:
+        coords = vecs @ pinv.T
+        resid = np.linalg.norm(coords @ mat - vecs, axis=1)
+        if np.any(resid > 100 * COORD_TOL * scales):
             if message is not None:
                 raise WindowUnstableError(message)
             coords = None
@@ -272,6 +276,7 @@ class Tower:
                 "window start %d leaves no room for the stage paths" % M
             )
         self.M, self.W, self.G0, self.G1 = M, W, G0, M + W
+        self._window_index = {}
         levels = list(range(G0, M + W))
         worst = max(g.level_dim(k) for k in levels)
         if worst > config.max_level_dim:
@@ -363,7 +368,7 @@ class Tower:
         x = self.stage_zero(n)
         for v, blk in x.items():
             for a in range(blk.shape[0]):
-                blk[a, a] = self.corners[v].unit_coords
+                blk[a, a] = self.corners[v].algebra.unit
         return x
 
     def stage_random(self, n, rng):
@@ -441,80 +446,87 @@ class Tower:
             )
         return out
 
+    def window_index(self, n, v):
+        """Window positions of the stage-n entries at v, an (m, m, L) array.
+
+        Entry [a, b] lists the positions in blocks_vec of the window
+        blocks of the corner entries of block entry (a, b), laid out
+        like the columns of the corner on levels [M - n p, M + W - n p).
+        Built once per (n, v).
+        """
+        got = self._window_index.get((n, v))
+        if got is None:
+            parts = []
+            off = 0
+            for kk, r in enumerate(self.stage_rows(n, v)):
+                d = self.graph.level_dim(self.M + kk)
+                pos = off + r[:, None, :, None] * d + r[None, :, None, :]
+                parts.append(pos.reshape(len(r), len(r), -1))
+                off += d * d
+            got = self._window_index[(n, v)] = np.concatenate(parts, axis=2)
+        return got
+
     def transport(self, a, b, message):
         """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
 
         Columns run over the corner basis at r(a), rows over the corner
         at s(a). On the window the image is an index gather len(a)
-        levels down, certified column by column against 100 * COORD_TOL
-        (the basis is orthonormal, so no entry exceeds 1); a failure
-        raises WindowUnstableError(message).
+        levels down, one column gather of the onb rows at r(a), certified
+        column by column against 100 * COORD_TOL (the basis is
+        orthonormal, so no entry exceeds 1); a failure raises
+        WindowUnstableError(message).
         """
         g = self.graph
         cs = self.corners[g.source_of(a)]
         cw = self.corners[g.range_of(a)]
         lo, hi = self.G0, self.G1 - len(a)
-        gathers = []
+        cols = []
         for ell in range(lo, hi):
             # slot positions of a*d and b*d, d over the slot of cs at ell
             slot = cs.slot_lists[ell - self.G0]
-            image = cw.slot_lists[ell + len(a) - self.G0]
-            gathers.append((
-                ell + len(a) - self.G0,
-                np.searchsorted(image, g.prepend_index(ell - self.q, a)[slot]),
-                np.searchsorted(image, g.prepend_index(ell - self.q, b)[slot]),
-            ))
-        cols = []
-        for blocks in cw.algebra.basis:
-            slot_blocks = [blocks[i][np.ix_(r1, r2)] for i, r1, r2 in gathers]
-            cols.append(
-                cs.certified_coords(lo, hi, slot_blocks, 1.0, message)[0]
-            )
-        return np.array(cols).T
+            li = ell + len(a) - self.G0
+            image = cw.slot_lists[li]
+            r1 = np.searchsorted(image, g.prepend_index(ell - self.q, a)[slot])
+            r2 = np.searchsorted(image, g.prepend_index(ell - self.q, b)[slot])
+            cols.append(_block_positions(cw.offsets[li], len(image), r1, r2))
+        vecs = cw.algebra.onb[:, np.concatenate(cols)]
+        scales = np.ones(len(vecs))
+        return cs.certified_coords(lo, hi, vecs, scales, message)[0].T
 
     def tau_inverse(self, n, x):
         """Concrete window blocks of a structural stage element."""
         g = self.graph
-        blocks = [
-            np.zeros((g.level_dim(k), g.level_dim(k)), dtype=np.complex128)
-            for k in range(self.M, self.M + self.W)
-        ]
-        first = self.M - n * self.p - self.G0
+        dims = [g.level_dim(k) for k in range(self.M, self.M + self.W)]
+        lo = self.M - n * self.p
+        flat = np.zeros(sum(d * d for d in dims), dtype=np.complex128)
         for v, blk in x.items():
-            rows = self.stage_rows(n, v)
-            for a in range(blk.shape[0]):
-                for b in range(blk.shape[0]):
-                    if not np.any(blk[a, b]):
-                        continue
-                    mats = self.corners[v].algebra.element(blk[a, b])
-                    for kk, r in enumerate(rows):
-                        blocks[kk][np.ix_(r[a], r[b])] += mats[first + kk]
-        return blocks
+            flat[self.window_index(n, v)] = blk @ self.corners[v].columns(
+                lo, lo + self.W
+            )
+        return blocks_unvec(flat, dims)
 
     def tau(self, n, blocks):
         """Structural coordinates of concrete window blocks.
 
         The extraction certifies that every compressed entry actually
-        lies in the corner span; garbage input raises.
+        lies in the corner span, against its largest absolute entry (at
+        least 1); garbage input raises.
         """
         lo = self.M - n * self.p
-        hi = lo + self.W
+        flat = blocks_vec(blocks)
         x = self.stage_zero(n)
         for v, blk in x.items():
-            rows = self.stage_rows(n, v)
+            idx = self.window_index(n, v)
+            vecs = flat[idx].reshape(-1, idx.shape[2])
+            scales = np.maximum(1.0, np.abs(vecs).max(axis=1, initial=0.0))
             message = (
                 "window data at vertex %r does not lie in the stage-%d "
                 "algebra" % (self.graph.vertices[v], n)
             )
-            for a in range(blk.shape[0]):
-                for b in range(blk.shape[0]):
-                    slot_blocks = [
-                        blocks[kk][np.ix_(r[a], r[b])]
-                        for kk, r in enumerate(rows)
-                    ]
-                    blk[a, b] = self.corners[v].certified_coords(
-                        lo, hi, slot_blocks, _entry_scale(slot_blocks), message
-                    )[0]
+            coords = self.corners[v].certified_coords(
+                lo, lo + self.W, vecs, scales, message
+            )[0]
+            blk[...] = coords.reshape(blk.shape)
         return x
 
     # -- reporting ----------------------------------------------------------
@@ -576,9 +588,13 @@ class Tower:
 # -- construction ---------------------------------------------------------
 
 
-def _entry_scale(blocks):
-    """The largest absolute entry of a list of blocks, at least 1."""
-    return max(1.0, max((np.abs(b).max() for b in blocks if b.size), default=0.0))
+def _block_positions(offset, d, rows, cols):
+    """Positions in a vector of the entries rows x cols of one d x d block.
+
+    The block starts at offset and is raveled row-major, as in
+    blocks_vec; the positions come out raveled the same way.
+    """
+    return offset + (rows[:, None] * d + cols[None, :]).ravel()
 
 
 def _c0_generators(graph, weights, levels, z_powers=3):
@@ -655,8 +671,8 @@ def _fiber_multiplicities(tower, mu, fib):
     cv = tower.corners[g.source_of(mu)]
     cw = tower.corners[g.range_of(mu)]
     T = cv.T
-    F = np.array([cw.coords(sw.minimal_projection) for sw in cw.dec.summands])
-    Z = np.array([cv.coords(sv.projection) for sv in cv.dec.summands])
+    F = np.array([sw.f for sw in cw.dec.summands])
+    Z = np.array([sv.z for sv in cv.dec.summands])
     Y = F @ fib.T
     YY = np.einsum("ia,ib,abk->ik", Y, Y, T)
     bound = 1e-6 * np.maximum(1.0, np.linalg.norm(Y, axis=1))

@@ -162,7 +162,7 @@ class TestPiMap:
             cs = c3w_tower.corners[g.source_of(pth)]
             cw = c3w_tower.corners[g.range_of(pth)]
             mat = pi_map(c3w_tower, pth, pth)
-            dev = np.linalg.norm(mat @ cw.unit_coords - cs.unit_coords)
+            dev = np.linalg.norm(mat @ cw.algebra.unit - cs.algebra.unit)
             assert dev <= RT_TOL, edge.name
 
     def test_transport_composition_reverses_order(self, o2w_tower):

@@ -1,8 +1,6 @@
 """Core tower structure: corners, fibers, stage maps, Bratteli data."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +9,26 @@ from util import (
     assert_matches_oracle,
     concrete_stage_algebra,
     cycle_weight_spec,
+    element,
     embedding_multiplicities,
+    load_workloads,
+    looped_tau,
+    looped_tau_inverse,
+    looped_transport,
     mkgraph,
     pairwise_fiber_multiplicities,
     random_diag_spec,
 )
-from wck import tower
+from wck import ideals, tower
 from wck.errors import (
     DomainError,
     GraphError,
     MultiplicityError,
     WindowUnstableError,
 )
-from wck.findim import central_decomposition
-from wck.graphs import load_graph
+from wck.findim import blocks_vec, central_decomposition
+from wck.graphs import Path, load_graph
+from wck.ideals import _parallel_edge_pairs
 from wck.tower import TowerConfig, build_C0, build_tower
 from wck.weights import WeightSpec, load_weights
 
@@ -70,7 +74,7 @@ def roundtrip_dev(tw, n, rng):
 def stage_render(tw, n, v, i):
     """Window blocks of the minimal central projection of summand (v, i)."""
     corner = tw.corners[v]
-    z = corner.coords(corner.dec.summands[i].projection)
+    z = corner.dec.summands[i].z
     x = tw.stage_zero(n)
     for a in range(tw.stages[n].counts[v]):
         x[v][a, a] = z
@@ -229,7 +233,7 @@ class TestWeightedCycle:
         def match(dec, n):
             idx = []
             for sm in dec.summands:
-                vec = np.concatenate([b.ravel() for b in sm.projection])
+                vec = blocks_vec(element(dec.algebra, sm.z))
                 dists = []
                 for k, (v, i) in enumerate(tw.labels):
                     ren = stage_render(tw, n, v, i)
@@ -409,13 +413,41 @@ def test_corner_decompositions_match_oracle(corpus, key):
         assert_matches_oracle(corner.dec)
 
 
+def transport_pairs(tw):
+    """The fiber pairs (mu, mu) and the pairs of parallel edges."""
+    g = tw.graph
+    pairs = [(mu, mu) for mu in g.paths(tw.p)]
+    for e, f in _parallel_edge_pairs(g):
+        pairs.append((Path((e,), g.esrc[e]), Path((f,), g.esrc[f])))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3"]
+)
+def test_window_gathers_match_looped_oracles(corpus, key):
+    """transport, tau_inverse and tau against their per-element loops."""
+    tw = fiber_tower(corpus, key)
+    for a, b in transport_pairs(tw):
+        got = tw.transport(a, b, "transport left the corner")
+        assert np.abs(got - looped_transport(tw, a, b)).max() <= 1e-12
+    rng = np.random.default_rng(4)
+    for n in range(tw.config.n_max + 1):
+        x = tw.stage_random(n, rng)
+        ref = looped_tau_inverse(tw, n, x)
+        got = tw.tau_inverse(n, x)
+        assert max(np.abs(a - b).max() for a, b in zip(got, ref)) <= 1e-12
+        got, ref = tw.tau(n, ref), looped_tau(tw, n, ref)
+        assert max(np.abs(got[v] - ref[v]).max() for v in got) <= 1e-12
+
+
 def test_g3_generic_draws_agree():
     """G3 with the benchmark's p=2, N=1 weight draws, default window.
 
     All 8 resamples of a randomized central decomposition failed on draw
     15; the deterministic one builds it, with the diagram of draw 1.
     """
-    workloads = _load_workloads()
+    workloads = load_workloads()
     doc = workloads.corpus_docs()["G3"]
     g = load_graph(json.dumps(doc))
 
@@ -426,13 +458,37 @@ def test_g3_generic_draws_agree():
     assert bratteli(15) == bratteli(1)
 
 
-def _load_workloads():
-    """The benchmark's input generators, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("wck_bench_workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def bench_draw(name, draw):
+    """Tower of one draw of the lattice-g2p3 or closure-o2-uniform workload."""
+    workloads = load_workloads()
+    graph, p, N, cfg = {
+        "lattice-g2p3": ("G2", 3, 0, TowerConfig(n_max=1, M=9, W=3)),
+        "closure-o2-uniform": ("O2", 2, 1, TowerConfig(n_max=1, M=6, W=2)),
+    }[name]
+    doc = workloads.corpus_docs()[graph]
+    g = load_graph(json.dumps(doc))
+    wdoc = workloads.diagonal_weights_doc(doc, p, N, np.random.default_rng(draw))
+    return build_tower(g, load_weights(json.dumps(wdoc), g), cfg)
+
+
+# Corners compressed the unit-scaled candidate basis of C0, badly
+# conditioned enough that the corner onb dropped a true direction on
+# these draws ("corner basis is not closed under products"); they
+# compress the orthonormal rows of C0 now.
+
+
+def test_formerly_failing_g2p3_draw_builds_and_verifies():
+    tw = bench_draw("lattice-g2p3", 24)
+    assert tw.bratteli_json() == bench_draw("lattice-g2p3", 1).bratteli_json()
+    lattice = ideals.enumerate_families(tw)
+    for fam in lattice.families:
+        assert ideals.verify_fully_invariant(tw, fam, n_cap=1).ok
+
+
+def test_formerly_failing_uniform_o2_draw_builds():
+    tw = bench_draw("closure-o2-uniform", 664086002)
+    ref = bench_draw("closure-o2-uniform", 1)
+    assert tw.bratteli_json() == ref.bratteli_json()
 
 
 def test_scaled_fiber_is_rejected(c3_weighted):

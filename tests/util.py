@@ -10,12 +10,20 @@ against: the dense full-length closure loop, the randomized central
 decomposition on full blocks, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
 ranks, the per-pair loop of the fiber multiplicities, the
-linear-algebra search for invariant families, the corner ideal of a
-summand subset built and verified as one subspace, the stage ideals
-gathered from path conjugates, and the cubic cover search of a
-lattice.
+per-basis-element transport and the per-entry tau and tau_inverse
+loops, the linear-algebra search for invariant families, the corner
+ideal of a summand subset built and verified as one subspace, the
+stage ideals gathered from path conjugates, and the cubic cover search
+of a lattice.
+
+wck stores an algebra only as orthonormal rows and its elements as
+coordinates over them; the block-list helpers here (element,
+basis_elements, contains, coords) move between the two for the
+references, which work on full blocks.
 """
 
+import importlib.util
+import pathlib
 from itertools import combinations
 
 import numpy as np
@@ -32,19 +40,26 @@ from wck.findim import (
     Summand,
     _cluster_eigenvalues,
     _summand_sort_key,
-    blocks_add,
     blocks_eye,
     blocks_unvec,
     blocks_vec,
-    blocks_zero,
     star_closure,
 )
 from wck.graphs import Edge, Graph, Path
 from wck.ideals import IdealFamily, _parallel_edge_pairs, pi_map
-from wck.windows import RANK_TOL, onb, span_contains, span_residual
+from wck.tower import COORD_TOL
+from wck.windows import RANK_TOL, in_span, onb, span_contains, span_residual
 
 INT_TOL = 1e-4
 MAX_RESAMPLE = 8
+
+
+def blocks_zero(dims):
+    return [np.zeros((d, d), dtype=np.complex128) for d in dims]
+
+
+def blocks_add(a, b, alpha=1.0):
+    return [x + alpha * y for x, y in zip(a, b)]
 
 
 def blocks_mul(a, b):
@@ -61,6 +76,32 @@ def blocks_scale(alpha, a):
 
 def blocks_norm(a):
     return max((float(np.linalg.norm(x, 2)) for x in a if x.size), default=0.0)
+
+
+def element(A, coeffs):
+    """Blocks of the element of A with coordinates coeffs.
+
+    Summed one basis element at a time: the loop reference for
+    StarAlgebra.render.
+    """
+    out = blocks_zero(A.dims)
+    for c, row in zip(coeffs, A.onb):
+        out = blocks_add(out, blocks_unvec(row, A.dims), c)
+    return out
+
+
+def basis_elements(A):
+    """The orthonormal basis of A as block elements."""
+    return [blocks_unvec(row, A.dims) for row in A.onb]
+
+
+def coords(A, x):
+    """Coordinates of the block element x over the rows of A.onb."""
+    return A.onb.conj() @ blocks_vec(x)
+
+
+def contains(A, x, tol=RANK_TOL):
+    return in_span(blocks_vec(x), A.onb, tol)
 
 
 def mkgraph(vertices, edges):
@@ -123,6 +164,15 @@ def corpus_graphs():
     return graphs
 
 
+def load_workloads():
+    """The benchmark's input generators, loaded from perfbench/workloads.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("wck_bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def cycle_weight_doc(t, p=2, N=0):
     """Weights document for a cycle: edge e_i carries value t[i-1] at level 1."""
     level1 = {"e%d" % (i + 1): float(t[i]) for i in range(len(t))}
@@ -161,8 +211,9 @@ def _dense_absorb(onb_mat, vec, tol=RANK_TOL, floor=1e-9):
 def dense_star_closure(dims, gens, unit=None, max_dim=4096):
     """star_closure on full-length vectors: the reference for the fast path.
 
-    Same candidate order, rank cut and floor as findim.star_closure, but
-    every candidate is projected at the full ambient length.
+    Same candidate order, rank cut and floor as findim.star_closure:
+    products of the orthonormal rows, as block elements, projected at
+    the full ambient length one candidate at a time.
     """
     dims = tuple(dims)
     if unit is None:
@@ -173,39 +224,27 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
         pool.append(blocks_adj(gen))
     basis = []
     basis_onb = np.zeros((0, sum(d * d for d in dims)), dtype=np.complex128)
-    fresh = []
 
     def absorb(cand):
-        vec = blocks_vec(cand)
-        extended = _dense_absorb(basis_onb, vec)
+        nonlocal basis_onb
+        extended = _dense_absorb(basis_onb, blocks_vec(cand))
         if extended is None:
-            return None
-        scaled = blocks_scale(1.0 / float(np.linalg.norm(vec)), cand)
-        basis.append(scaled)
-        return extended, scaled
+            return []
+        basis_onb = extended
+        basis.append(blocks_unvec(extended[-1], dims))
+        if len(basis) > max_dim:
+            raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
+        return [basis[-1]]
 
-    for cand in pool:
-        hit = absorb(cand)
-        if hit is None:
-            continue
-        basis_onb, scaled = hit
-        fresh.append(scaled)
+    fresh = [x for cand in pool for x in absorb(cand)]
     while fresh:
         new = []
         for a in fresh:
             for b in list(basis):
                 for cand in (blocks_mul(a, b), blocks_mul(b, a)):
-                    hit = absorb(cand)
-                    if hit is None:
-                        continue
-                    basis_onb, scaled = hit
-                    new.append(scaled)
-                    if len(basis) > max_dim:
-                        raise ClosureOverflowError(
-                            "closure exceeded %d dimensions" % max_dim
-                        )
+                    new.extend(absorb(cand))
         fresh = new
-    return StarAlgebra(dims, basis, basis_onb, unit)
+    return StarAlgebra(dims, basis_onb, basis_onb.conj() @ blocks_vec(unit))
 
 
 # -- the randomized central decomposition ---------------------------------------
@@ -213,7 +252,7 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
 
 def _random_hermitian(A, rng):
     """Random self-adjoint element spread over the whole basis."""
-    x = A.element(rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim))
+    x = element(A, rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim))
     return blocks_scale(0.5, blocks_add(x, blocks_adj(x)))
 
 
@@ -224,9 +263,10 @@ def _dense_center_basis(A):
         return []
     length = sum(k * k for k in A.dims)
     gram = np.zeros((d, d), dtype=np.complex128)
-    for bj in A.basis:
+    basis = basis_elements(A)
+    for bj in basis:
         rows = np.empty((d, length), dtype=np.complex128)
-        for i, bi in enumerate(A.basis):
+        for i, bi in enumerate(basis):
             comm = blocks_add(blocks_mul(bi, bj), blocks_mul(bj, bi), -1.0)
             rows[i] = blocks_vec(comm)
         gram += rows.conj() @ rows.T
@@ -236,7 +276,7 @@ def _dense_center_basis(A):
     for i in range(d):
         if vals[i] > cut:
             continue
-        x = A.element(vecs[:, i])
+        x = element(A, vecs[:, i])
         candidates.append(blocks_scale(0.5, blocks_add(x, blocks_adj(x))))
         candidates.append(blocks_scale(-0.5j, blocks_add(x, blocks_adj(x), -1.0)))
     if not candidates:
@@ -270,15 +310,17 @@ def _spectral_projections(y):
 
 
 def _corner_dim(A, f):
-    rows = [blocks_vec(blocks_mul(blocks_mul(f, b), f)) for b in A.basis]
+    rows = [blocks_vec(blocks_mul(blocks_mul(f, b), f)) for b in basis_elements(A)]
     return onb(np.array(rows)).shape[0]
 
 
-def _dense_minimal_projection(A, summand, rng):
-    """Projection f in the summand with dim(fAf) = 1, from random elements."""
-    if summand.d == 1:
-        return summand.projection
-    proj = summand.projection
+def _dense_minimal_projection(A, proj, d, rng):
+    """Projection f <= proj with dim(fAf) = 1, from random elements.
+
+    proj is the central projection of a summand M_d, as blocks.
+    """
+    if d == 1:
+        return proj
     for _ in range(MAX_RESAMPLE):
         y = blocks_mul(blocks_mul(proj, _random_hermitian(A, rng)), proj)
         y = blocks_scale(0.5, blocks_add(y, blocks_adj(y)))
@@ -288,10 +330,10 @@ def _dense_minimal_projection(A, summand, rng):
         y = blocks_add(blocks_scale(1.0 / nrm, y), proj, 3.0)
         projections, means = _spectral_projections(y)
         candidates = [p for p, m in zip(projections, means) if abs(m) > 1.0]
-        if len(candidates) != summand.d:
+        if len(candidates) != d:
             continue
         f = candidates[0]
-        if A.contains(f, 100 * RANK_TOL) and _corner_dim(A, f) == 1:
+        if contains(A, f, 100 * RANK_TOL) and _corner_dim(A, f) == 1:
             return f
     raise DecompositionError("no generic corner element produced a minimal projection")
 
@@ -311,6 +353,7 @@ def dense_central_decomposition(A, seed=0):
     if s == 0:
         raise DecompositionError("algebra has no central elements")
     shift = 3.0
+    unit = element(A, A.unit)
     for _ in range(MAX_RESAMPLE):
         y = blocks_zero(A.dims)
         for c, b in zip(rng.normal(size=s), center):
@@ -320,32 +363,32 @@ def dense_central_decomposition(A, seed=0):
             continue
         if nrm > 0:
             y = blocks_scale(1.0 / nrm, y)
-        projections, means = _spectral_projections(blocks_add(y, A.unit, shift))
+        projections, means = _spectral_projections(blocks_add(y, unit, shift))
         clusters = [p for p, m in zip(projections, means) if abs(m) > shift / 2]
         if len(clusters) != s:
             continue
-        summands = []
+        found = []
         for proj in clusters:
-            if not A.contains(proj, 100 * RANK_TOL):
+            if not contains(A, proj, 100 * RANK_TOL):
                 break
             corner_dim = _corner_dim(A, proj)
             d = int(round(np.sqrt(corner_dim)))
             ambient_rank = int(round(sum(np.trace(b).real for b in proj)))
             if abs(d * d - corner_dim) > INT_TOL or d == 0 or ambient_rank % d:
                 break
-            summands.append(Summand(0, proj, d, ambient_rank, None))
-        if len(summands) != s or sum(sm.d ** 2 for sm in summands) != A.dim:
+            found.append((Summand(0, coords(A, proj), d, ambient_rank, None), proj))
+        if len(found) != s or sum(sm.d ** 2 for sm, _ in found) != A.dim:
             continue
         total = blocks_zero(A.dims)
-        for sm in summands:
-            total = blocks_add(total, sm.projection)
-        if not np.allclose(blocks_vec(total), blocks_vec(A.unit), atol=1e-7):
+        for _, proj in found:
+            total = blocks_add(total, proj)
+        if not np.allclose(blocks_vec(total), blocks_vec(unit), atol=1e-7):
             continue
-        summands.sort(key=_summand_sort_key)
-        for i, sm in enumerate(summands):
+        found.sort(key=lambda pair: _summand_sort_key(A, pair[0]))
+        for i, (sm, proj) in enumerate(found):
             sm.index = i
-            sm.minimal_projection = _dense_minimal_projection(A, sm, rng)
-        return CentralDecomposition(algebra=A, summands=summands)
+            sm.f = coords(A, _dense_minimal_projection(A, proj, sm.d, rng))
+        return CentralDecomposition(algebra=A, summands=[sm for sm, _ in found])
     raise DecompositionError(
         "no generic central element produced a certified decomposition"
     )
@@ -365,12 +408,12 @@ def assert_matches_oracle(dec):
         (s.d, s.ambient_rank) for s in ref.summands
     ]
     for sm, rm in zip(dec.summands, ref.summands):
-        assert np.allclose(
-            blocks_vec(sm.projection), blocks_vec(rm.projection), atol=1e-7
-        )
-        f = sm.minimal_projection
+        # coordinates over orthonormal rows: distances are those of the
+        # rendered projections
+        assert np.allclose(sm.z, rm.z, atol=1e-7)
+        f = element(A, sm.f)
         assert blocks_rank(f) == sm.multiplicity
-        assert A.contains(f)
+        assert contains(A, f)
         assert np.allclose(blocks_vec(blocks_mul(f, f)), blocks_vec(f), atol=1e-8)
         assert np.allclose(blocks_vec(blocks_adj(f)), blocks_vec(f), atol=1e-8)
         assert _corner_dim(A, f) == 1
@@ -395,6 +438,83 @@ def concrete_stage_algebra(tower, n):
                     x[v][a, b, t] = 1.0
                     gens.append(tower.tau_inverse(n, x))
     return star_closure(dims, gens)
+
+
+# -- the per-element window loops ------------------------------------------------
+
+
+def _looped_coords(corner, lo, hi, slot_blocks, scale, message):
+    """Certified corner coordinates of one list of slot blocks.
+
+    The restricted basis matrix is rebuilt from the basis elements on
+    levels [lo, hi), so nothing is shared with Corner.restricted.
+    """
+    i0, i1 = lo - corner.levels[0], hi - corner.levels[0]
+    mat = np.array([blocks_vec(b[i0:i1]) for b in basis_elements(corner.algebra)])
+    vec = blocks_vec(slot_blocks)
+    coords = np.linalg.pinv(mat.T) @ vec
+    if np.linalg.norm(mat.T @ coords - vec) > 100 * COORD_TOL * scale:
+        raise WindowUnstableError(message)
+    return coords
+
+
+def looped_transport(tower, a, b, message="transport left the corner"):
+    """Tower.transport, one corner basis element and one level at a time."""
+    g = tower.graph
+    cs = tower.corners[g.source_of(a)]
+    cw = tower.corners[g.range_of(a)]
+    lo, hi = tower.G0, tower.G1 - len(a)
+    gathers = []
+    for ell in range(lo, hi):
+        slot = cs.slot_lists[ell - tower.G0]
+        image = cw.slot_lists[ell + len(a) - tower.G0]
+        gathers.append((
+            ell + len(a) - tower.G0,
+            np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
+            np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
+        ))
+    cols = []
+    for blocks in basis_elements(cw.algebra):
+        slot_blocks = [blocks[i][np.ix_(r1, r2)] for i, r1, r2 in gathers]
+        cols.append(_looped_coords(cs, lo, hi, slot_blocks, 1.0, message))
+    return np.array(cols).T
+
+
+def looped_tau_inverse(tower, n, x):
+    """Tower.tau_inverse, one block entry (a, b) at a time."""
+    g = tower.graph
+    blocks = [
+        np.zeros((g.level_dim(k), g.level_dim(k)), dtype=np.complex128)
+        for k in range(tower.M, tower.M + tower.W)
+    ]
+    first = tower.M - n * tower.p - tower.G0
+    for v, blk in x.items():
+        rows = tower.stage_rows(n, v)
+        for a in range(blk.shape[0]):
+            for b in range(blk.shape[0]):
+                mats = element(tower.corners[v].algebra, blk[a, b])
+                for kk, r in enumerate(rows):
+                    blocks[kk][np.ix_(r[a], r[b])] += mats[first + kk]
+    return blocks
+
+
+def looped_tau(tower, n, blocks):
+    """Tower.tau, one block entry (a, b) at a time, each certified."""
+    lo = tower.M - n * tower.p
+    x = tower.stage_zero(n)
+    for v, blk in x.items():
+        rows = tower.stage_rows(n, v)
+        for a in range(blk.shape[0]):
+            for b in range(blk.shape[0]):
+                slot_blocks = [
+                    blocks[kk][np.ix_(r[a], r[b])] for kk, r in enumerate(rows)
+                ]
+                scale = max(1.0, max(np.abs(s).max() for s in slot_blocks))
+                blk[a, b] = _looped_coords(
+                    tower.corners[v], lo, lo + tower.W, slot_blocks, scale,
+                    "window data does not lie in the stage algebra",
+                )
+    return x
 
 
 # -- finite-dimensional references ---------------------------------------------
@@ -427,13 +547,15 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
     A, B = dec_a.algebra, dec_b.algebra
     rng = np.random.default_rng(seed)
 
-    image_unit = phi(A.unit)
-    if not np.allclose(blocks_vec(image_unit), blocks_vec(B.unit), atol=1e-8):
+    image_unit = phi(element(A, A.unit))
+    if not np.allclose(
+        blocks_vec(image_unit), blocks_vec(element(B, B.unit)), atol=1e-8
+    ):
         raise MultiplicityError("map is not unital")
     for _ in range(samples):
         ca = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
         cb = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
-        x, y = A.element(ca), A.element(cb)
+        x, y = element(A, ca), element(A, cb)
         lhs = phi(blocks_mul(x, y))
         rhs = blocks_mul(phi(x), phi(y))
         if np.linalg.norm(blocks_vec(lhs) - blocks_vec(rhs)) > 1e-8 * max(
@@ -445,17 +567,17 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
             blocks_vec(star) - blocks_vec(blocks_adj(phi(x)))
         ) > 1e-8 * max(1.0, np.linalg.norm(blocks_vec(star))):
             raise MultiplicityError("map is not star-preserving")
-        if not B.contains(phi(x), 100 * tol):
+        if not contains(B, phi(x), 100 * tol):
             raise MultiplicityError("image leaves the target algebra")
 
     m = np.zeros((len(dec_a.summands), len(dec_b.summands)), dtype=int)
     for i, sa in enumerate(dec_a.summands):
-        q = phi(sa.minimal_projection)
+        q = phi(element(A, sa.f))
         for j, sb in enumerate(dec_b.summands):
-            zq = blocks_mul(sb.projection, q)
+            zq = blocks_mul(element(B, sb.z), q)
             rows = np.array([
                 blocks_vec(blocks_mul(blocks_mul(zq, b), blocks_adj(zq)))
-                for b in B.basis
+                for b in basis_elements(B)
             ])
             # absolute floor on the rank cut: a zero compression leaves
             # pure roundoff rows and a relative cut would count them
@@ -496,8 +618,7 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
     cw = tower.corners[w]
     out = np.zeros((len(cw.dec.summands), len(cv.dec.summands)), dtype=int)
     for i, sw in enumerate(cw.dec.summands):
-        fi = cw.coords(sw.minimal_projection)
-        y = fib @ fi
+        y = fib @ sw.f
         yy = cv.mul_coords(y, y)
         if np.linalg.norm(yy - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
             raise MultiplicityError(
@@ -505,7 +626,7 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
                 "projections" % g.path_str(mu)
             )
         for j, sv in enumerate(cv.dec.summands):
-            zj = cv.coords(sv.projection)
+            zj = sv.z
             zy = cv.mul_coords(zj, y)
             yz = cv.mul_coords(y, zj)
             rows = [
@@ -540,7 +661,7 @@ def dense_ideal_subspace(tower, v, subset, tol=RANK_TOL):
     summands = corner.dec.summands
     if not subset:
         return np.zeros((0, corner.r), dtype=np.complex128)
-    z = sum(corner.coords(summands[i].projection) for i in subset)
+    z = sum(summands[i].z for i in subset)
     basis = onb(np.einsum("i,ijk->jk", z, corner.T), tol)
     if basis.shape[0] != sum(summands[i].d ** 2 for i in subset):
         raise WindowUnstableError("ideal dimension off the summand sizes")
