@@ -83,7 +83,8 @@ class IdealFamily:
     is the zero ideal and the full index range is the corner itself.
     A subset of central summands is automatically a two-sided *-closed
     ideal of the corner; Corner.summand_ideal verifies that on the
-    coordinate level once per summand.
+    coordinate level once per summand. j0_dim is the dimension of the
+    family's stage-0 ideal; enumerate_families sets it.
     """
 
     def __init__(self, choices, summand_counts):
@@ -95,7 +96,6 @@ class IdealFamily:
             if any(i < 0 or i >= s for i in c):
                 raise DomainError("summand index out of range in family")
         self.j0_dim = None
-        self.j0_basis = None
 
     @property
     def trivial_zero(self):
@@ -769,17 +769,19 @@ def enumerate_families(tower):
     holds iff no H-edge leaves the set, and the transport closure stays
     inside it iff the S-rule forces no new label (see check_H and
     check_S), so the families are the label sets closed under both,
-    listed by NextClosure on the label-implication graph. Families
-    carry their stage-0 ideal as annotations: the orthonormal basis
-    j0_basis in stage-0 coordinates and its dimension j0_dim.
+    listed by NextClosure on the label-implication graph. Each family
+    carries the dimension j0_dim of its stage-0 ideal: the sum of the
+    squared stage-0 summand sizes over its labels, which is the row
+    count of build_fully_invariant(tower, family, 0) because that
+    ideal is placed as whole summand blocks.
     """
     succ = _successors(tower)
     premises = _premises(tower)
+    sizes = tower.stages[0].summand_sizes
     families = []
     for mask in _closed_masks(succ, premises):
         fam = _family(tower, mask)
-        fam.j0_basis = build_fully_invariant(tower, fam, 0)
-        fam.j0_dim = fam.j0_basis.shape[0]
+        fam.j0_dim = sum(int(sizes[k]) ** 2 for k in _bits(mask))
         families.append(fam)
     return GaugeIdealLattice(tower.graph, families)
 

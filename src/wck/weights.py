@@ -247,15 +247,6 @@ class WeightSpec:
         inner = self.level_matrix(k)
         return inner[np.ix_(suf, suf)] * (pre[:, None] == pre[None, :])
 
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "trivial": self.is_trivial,
-        }
-
 
 def check_condition_Ap(w, p_test, k_max=None):
     """Residuals ||I_{p_test} (x) Z_k - Z_{k+p_test}|| for k = 0..k_max.

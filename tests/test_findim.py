@@ -6,6 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from util import (
+    THETA_BLOCK,
     assert_matches_oracle,
     basis_elements,
     blocks_adj,
@@ -266,14 +267,6 @@ def c0_inputs(g, w, n_max=2, M=None, W=None):
     levels = list(range(M - n_max * p - q, M + W))
     dims = [g.level_dim(k) for k in levels]
     return dims, tower._c0_generators(g, w, levels)
-
-
-THETA_BLOCK = {
-    "kind": "block",
-    "p": 2,
-    "N": 0,
-    "levels": {"1": {"v1:v2": [[2.0, 1.0], [1.0, 2.0]]}},
-}
 
 
 def closure_case(name):

@@ -357,10 +357,11 @@ class TestUnweightedLattice:
         assert lattice.hasse_edges() == [(0, 1), (1, 2)]
         assert [fam.j0_dim for fam in lattice] == [0, 1, 2]
 
-    def test_families_carry_stage_zero_annotations(self, g2t):
-        for fam in enumerate_families(g2t):
-            assert fam.j0_basis is not None
-            assert fam.j0_basis.shape[0] == fam.j0_dim
+    def test_families_carry_stage_zero_annotations(self):
+        for key in list(CORPUS) + ["C3w"]:
+            tw = tower_of(key)
+            for fam in enumerate_families(tw):
+                assert fam.j0_dim == build_fully_invariant(tw, fam, 0).shape[0]
 
 
 class TestWeightedCycleLattice:

@@ -12,11 +12,11 @@ import wck
 names = sorted(m.name for m in pkgutil.iter_modules(wck.__path__))
 for name in names:
     __import__("wck." + name)
-print(len(names), "scipy.sparse.csgraph" in sys.modules)
+print(len(names), any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
 
 
-def test_importing_every_module_leaves_csgraph_unloaded():
+def test_importing_every_module_leaves_scipy_unloaded():
     src = os.path.dirname(list(wck.__path__)[0])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

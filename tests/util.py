@@ -13,8 +13,9 @@ ranks, the per-pair loop of the fiber multiplicities, the
 per-basis-element transport and the per-entry tau and tau_inverse
 loops, the linear-algebra search for invariant families, the corner
 ideal of a summand subset built and verified as one subspace, the
-stage ideals gathered from path conjugates, and the cubic cover search
-of a lattice.
+stage ideals gathered from path conjugates, the cubic cover search
+of a lattice, and the truncated Fock representation as sparse
+operators with its relations checked by sparse products.
 
 wck stores an algebra only as orthonormal rows and its elements as
 coordinates over them; the block-list helpers here (element,
@@ -27,6 +28,7 @@ import pathlib
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from wck.errors import (
     ClosureOverflowError,
@@ -171,6 +173,15 @@ def load_workloads():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+# theta with a 2x2 block on the v1 -> v2 class at level 1
+THETA_BLOCK = {
+    "kind": "block",
+    "p": 2,
+    "N": 0,
+    "levels": {"1": {"v1:v2": [[2.0, 1.0], [1.0, 2.0]]}},
+}
 
 
 def cycle_weight_doc(t, p=2, N=0):
@@ -894,3 +905,201 @@ def dense_hasse_edges(lattice):
             ):
                 edges.append((i, j))
     return edges
+
+
+class SparseFock:
+    """The truncated Fock representation as sparse operators.
+
+    The reference for wck.fock, which keeps only the creators' index
+    maps: S_e prepends e and annihilates the top level, P_v selects
+    paths by range, Q_k selects one level, and Z acts block-diagonally
+    through the weight matrices. `creators` caches S_e by edge; a test
+    may put a corrupted creator there.
+    """
+
+    def __init__(self, graph, weights, K):
+        self.graph = graph
+        self.weights = weights
+        self.K = K
+        dims = [graph.level_dim(k) for k in range(K + 1)]
+        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        self.dim = int(self.offsets[-1])
+        self.creators = {}
+        self._P_cache = {}
+        self._Z = None
+
+    def basis_path(self, i):
+        k = int(np.searchsorted(self.offsets, i, side="right") - 1)
+        return self.graph.paths(k)[i - self.offsets[k]]
+
+    def identity(self):
+        return sp.identity(self.dim, dtype=np.complex128, format="csr")
+
+    def S(self, e):
+        """Creation operator of one edge: prepends e, clips the top level."""
+        got = self.creators.get(e)
+        if got is not None:
+            return got
+        g = self.graph
+        edge = Path((e,), g.esrc[e])
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        for k in range(self.K):
+            idx = g.ending_at(k, g.esrc[e])
+            rows.append(self.offsets[k + 1] + g.prepend_index(k, edge)[idx])
+            cols.append(self.offsets[k] + idx)
+        out = map_matrix(self.dim, np.concatenate(cols), np.concatenate(rows))
+        self.creators[e] = out
+        return out
+
+    def S_path(self, path):
+        """S_α as a product of edge creators (operator order)."""
+        out = self.identity()
+        for e in reversed(path.edges):
+            out = self.S(e) @ out
+        if len(path) == 0:
+            out = self.P(path.source) @ out
+        return out
+
+    def P(self, v):
+        got = self._P_cache.get(v)
+        if got is not None:
+            return got
+        diag = np.zeros(self.dim)
+        for k in range(self.K + 1):
+            diag[self.offsets[k] + self.graph.ending_at(k, v)] = 1.0
+        out = sp.diags(diag).tocsr().astype(np.complex128)
+        self._P_cache[v] = out
+        return out
+
+    def Q(self, k):
+        diag = np.zeros(self.dim)
+        diag[self.offsets[k]:self.offsets[k + 1]] = 1.0
+        return sp.diags(diag).tocsr().astype(np.complex128)
+
+    def below(self, k):
+        """Projection onto levels strictly below k (none for k < 0)."""
+        diag = np.zeros(self.dim)
+        diag[: self.offsets[max(k, 0)]] = 1.0
+        return sp.diags(diag).tocsr().astype(np.complex128)
+
+    def upto(self, k):
+        """Projection onto levels at most k."""
+        return self.below(k + 1)
+
+    @property
+    def Z(self):
+        if self._Z is None:
+            blocks = [self.weights.level_matrix(k) for k in range(self.K + 1)]
+            self._Z = sp.block_diag(blocks, format="csr", dtype=np.complex128)
+        return self._Z
+
+    def source_projection(self):
+        """Projection onto the level-0 vacua of source vertices."""
+        diag = np.zeros(self.dim)
+        for v in range(self.graph.n_vertices):
+            if not self.graph.in_edges[v]:
+                diag[v] = 1.0
+        return sp.diags(diag).tocsr().astype(np.complex128)
+
+
+def map_matrix(dim, src, dst):
+    """The 0/1 matrix of the partial map src[t] -> dst[t] on dim basis vectors."""
+    data = np.ones(len(dst), dtype=np.complex128)
+    return sp.csr_matrix((data, (dst, src)), shape=(dim, dim))
+
+
+def _max_entry(m):
+    m = sp.csr_matrix(m)
+    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+
+
+def sparse_relations(r):
+    """The deviations of wck.fock.verify_relations, by sparse products."""
+    g = r.graph
+    dev = {}
+    ops = {}
+
+    def path_ops(k):
+        """(a, S_a) for the length-k paths, each operator built once a call."""
+        if k not in ops:
+            ops[k] = [(a, r.S_path(a)) for a in g.paths(k)]
+        return ops[k]
+
+    # S_a* S_b = delta_ab P_{s(a)} on levels that are not clipped
+    worst = 0.0
+    for length in (1, 2):
+        keep = r.upto(r.K - length)
+        for a, Sa in path_ops(length):
+            Sa_adj = Sa.conj().T
+            for b, Sb in path_ops(length):
+                prod = Sa_adj @ Sb
+                if a == b:
+                    prod = prod - r.P(a.source)
+                worst = max(worst, _max_entry(prod @ keep))
+    dev["pair_isometry"] = worst
+
+    # sum over |a|=k of S_a S_a* = (I - sum_{i<k} Q_i) (1 - P_source)
+    ps_perp = r.identity() - r.source_projection()
+    worst = 0.0
+    worst_vertex = 0.0
+    for k in range(1, min(3, r.K) + 1):
+        total = sp.csr_matrix((r.dim, r.dim), dtype=np.complex128)
+        per_vertex = {v: sp.csr_matrix((r.dim, r.dim), dtype=np.complex128)
+                      for v in range(g.n_vertices)}
+        for a, Sa in path_ops(k):
+            term = Sa @ Sa.conj().T
+            total = total + term
+            per_vertex[g.range_of(a)] = per_vertex[g.range_of(a)] + term
+        expect = (r.identity() - r.below(k)) @ ps_perp
+        worst = max(worst, _max_entry(total - expect))
+        for v in range(g.n_vertices):
+            worst_vertex = max(
+                worst_vertex, _max_entry(per_vertex[v] - r.P(v) @ expect)
+            )
+    dev["range_sum"] = worst
+    dev["range_sum_per_vertex"] = worst_vertex
+
+    # Z commutes with every vertex projection
+    worst = 0.0
+    for v in range(g.n_vertices):
+        worst = max(worst, _max_entry(r.Z @ r.P(v) - r.P(v) @ r.Z))
+    dev["z_vertex_commutation"] = worst
+
+    # partial isometries: S_a S_a* S_a = S_a where not clipped
+    worst = 0.0
+    for length in (1, 2):
+        keep = r.upto(r.K - length)
+        for _, Sa in path_ops(length):
+            worst = max(worst, _max_entry((Sa @ Sa.conj().T @ Sa - Sa) @ keep))
+    dev["partial_isometry"] = worst
+    return dev
+
+
+def compact_decay(r, x):
+    """Per-level compression norms ||Q_k x Q_k|| for k = 0..K."""
+    out = []
+    for k in range(r.K + 1):
+        lo, hi = r.offsets[k], r.offsets[k + 1]
+        block = x[lo:hi, lo:hi]
+        block = block.toarray() if sp.issparse(block) else np.asarray(block)
+        out.append(float(np.linalg.norm(block, 2)) if block.size else 0.0)
+    return out
+
+
+def graded_commutator_decay(r, path):
+    """Norms ||Q_{k+|a|} (S_a Z - Z S_a) Q_k|| for the stable levels.
+
+    These vanish at every k exactly when |a| is a multiple of the
+    minimal period of the weights (above the stabilization level).
+    """
+    Sa = r.S_path(path)
+    C = Sa @ r.Z - r.Z @ Sa
+    d = len(path)
+    out = []
+    for k in range(r.K - d + 1):
+        rlo, rhi = r.offsets[k + d], r.offsets[k + d + 1]
+        clo, chi = r.offsets[k], r.offsets[k + 1]
+        block = C[rlo:rhi, clo:chi]
+        block = block.toarray() if sp.issparse(block) else np.asarray(block)
+        out.append(float(np.linalg.norm(block, 2)) if block.size else 0.0)
+    return out
