@@ -21,6 +21,17 @@ exact 0.0, so the closure is computed on the compressed blocks alone
 and scattered back at the end. A dense generator set is one class per
 level and takes the same route.
 
+Many of those blocks are copies: eventually periodic weights repeat
+the same entries at many levels and positions, so class blocks of one
+size hold bit-identical entries in the unit and in every generator.
+Products, sums and adjoints act block by block, so copies stay copies,
+and keeping one block per distinct content is an injective
+*-homomorphism. The closure runs on the distinct blocks only, found by
+exact byte equality; this needs no tolerance of its own. At the end
+the rows are orthonormalized once with each entry weighted by its
+number of copies and then copied back to every block, so they are
+orthonormal at full length.
+
 The closure works per element, not per candidate: the products of one
 fresh orthonormal row with all the rows, on both sides, are one stacked
 (n, 2, L) block over the compressed length L, projected off the rows by
@@ -110,7 +121,7 @@ class StarAlgebra:
         onb, e_i e_j = sum_k T[i, j, k] e_k and e_i^* = sum_k S[i, k] e_k
         up to what the span misses; resid[i] holds the norms of the part
         of e_i^* and of the worst product e_i e_j off the span. Computed
-        once, on the support blocks of the rows, as in star_closure.
+        once, on the support blocks of the rows, copies included.
         """
         q = self.onb
         stacks, tpos, pos = _support_layout(self.dims, np.any(q != 0, axis=0))
@@ -169,6 +180,15 @@ def _support_layout(dims, support):
         for s in np.unique(sizes):
             idx = np.array([order[i:i + s] for i in starts[sizes == s]])
             pieces.append(numbered[lev][idx[:, :, None], idx[:, None, :]])
+    return _stack_layout(pieces)
+
+
+def _stack_layout(pieces):
+    """Stacks, transpose and flat positions of (count, s, s) int stacks.
+
+    pieces[i][b] holds the positions, in some vector, of the entries of
+    block b of stack i; the layout concatenates the raveled stacks.
+    """
     stacks = []
     tpos = []
     off = 0
@@ -179,6 +199,48 @@ def _support_layout(dims, support):
         tpos.append(off + perm.ravel())
         off += x.size
     return stacks, blocks_vec(tpos).astype(int), blocks_vec(pieces).astype(int)
+
+
+def _distinct_blocks(stacks, vecs):
+    """Layout of one block per distinct content of the class blocks.
+
+    vecs holds compressed vectors, one per row, in the layout of stacks.
+    The class blocks of each size s, over all levels, are compared by
+    the bytes of their entries in every row, with one np.unique per
+    size; blocks that differ in any bit, -0.0 against 0.0 included, stay
+    apart. Returns (stacks, tpos, rep, copy, copies): the stacks and
+    transpose of the distinct blocks, one stack per size; rep, the
+    compressed position of each distinct entry in its first copy; copy,
+    the distinct position of each compressed entry, so that x[:, copy]
+    puts every copy back; and copies, how many class blocks share each
+    distinct entry.
+    """
+    pieces = []
+    groups = []
+    for s in sorted({s for _, _, s in stacks}):
+        blocks = np.concatenate([
+            np.arange(off, off + c * s * s).reshape(c, s * s)
+            for off, c, t in stacks
+            if t == s
+        ])
+        content = np.ascontiguousarray(vecs[:, blocks].swapaxes(0, 1))
+        content = content.view(np.uint64).reshape(len(blocks), -1)
+        _, first, inv, count = np.unique(
+            content,
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        pieces.append(blocks[first].reshape(-1, s, s))
+        groups.append((blocks, inv.ravel(), count))
+    stacks, tpos, rep = _stack_layout(pieces)
+    copy = np.empty(vecs.shape[1], dtype=int)
+    copies = [np.zeros(0, dtype=int)]
+    for (off, _, s), (blocks, inv, count) in zip(stacks, groups):
+        copy[blocks] = off + inv[:, None] * s * s + np.arange(s * s)
+        copies.append(np.repeat(count, s * s))
+    return stacks, tpos, rep, copy, np.concatenate(copies)
 
 
 def _stack_products(a, basis, stacks):
@@ -210,11 +272,14 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     The ambient unit (or the given one, for corner algebras) is always
     included, so the result is unital. Growth beyond max_dim raises.
 
-    The closure runs on the support blocks of the unit and the
-    generators (see the module docstring): it is the same algebra, and
-    its vectors are the full-length ones with exact zeros dropped. The
-    orthonormal rows are held as an (n, L) array of these compressed
-    vectors and scattered back to full length once, at the end.
+    The closure runs on one block per distinct content among the support
+    class blocks of the unit and the generators (see the module
+    docstring): it is an isomorphic copy of the algebra, and its vectors
+    are the full-length ones with exact zeros and repeated blocks
+    dropped. The rows are held as an (n, L) array of these compressed
+    vectors. At the end they are scaled by the square root of each
+    entry's copy count, orthonormalized once (onb), scaled back, and
+    gathered to every copy at full length.
 
     The pool (unit, then each generator and its adjoint) is absorbed
     first. Then, for each fresh row a in turn, the candidates a*b and
@@ -236,12 +301,17 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     support = blocks_vec(unit) != 0
     for gen in gens:
         support |= blocks_vec(gen) != 0
-    stacks, tpos, pos = _support_layout(dims, support)
-    pool = [blocks_vec(unit)[pos]]
-    for gen in gens:
-        pool.append(blocks_vec(gen)[pos])
-        pool.append(pool[-1][tpos].conj())
-    rows = np.empty((min(len(pos), 64), len(pos)), dtype=np.complex128)
+    stacks, _, pos = _support_layout(dims, support)
+    vecs = np.array(
+        [blocks_vec(x)[pos] for x in [unit, *gens]], dtype=np.complex128
+    )
+    stacks, tpos, rep, copy, copies = _distinct_blocks(stacks, vecs)
+    pool = [vecs[0, rep]]
+    for gen in vecs[1:, rep]:
+        pool.append(gen)
+        pool.append(gen[tpos].conj())
+    length = len(rep)
+    rows = np.empty((min(length, 64), length), dtype=np.complex128)
     n = 0
 
     def absorb(cands, tol=RANK_TOL, floor=1e-9):
@@ -277,10 +347,16 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
         new = []
         for a in fresh:
             block = _stack_products(rows[a], rows[:n], stacks)
-            new.extend(absorb(block.reshape(-1, len(pos))))
+            new.extend(absorb(block.reshape(-1, length)))
         fresh = new
+    # a distinct entry stands for `copies` entries of the full vector, so
+    # the rows are orthonormal at full length when they are orthonormal
+    # with those counts as weights; the weighted rows have singular values
+    # in [1, sqrt(max copies)], so onb keeps all n of them
+    root = np.sqrt(copies)
+    q = onb(rows[:n] * root) / root
     full = np.zeros((n, len(support)), dtype=np.complex128)
-    full[:, pos] = rows[:n]
+    full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
 
 

@@ -133,6 +133,7 @@ class Graph:
             self.out_edges[self.esrc[i]].append(i)
             self.in_edges[self.edst[i]].append(i)
         self._paths = {}
+        self._counts = [[1] * len(self.vertices)]
         self._levels = {}
         self._prepend = {}
         self._shape = None
@@ -219,7 +220,21 @@ class Graph:
         return int(idx)
 
     def level_dim(self, k):
-        return len(self.paths(k))
+        """Number of length-k paths, counted without building any.
+
+        counts[k][v] is the number of level-k paths with range v, and
+        counts[k] = A counts[k-1] through the adjacency; the counts are
+        exact Python ints, cached per level.
+        """
+        if k < 0:
+            raise GraphError("path length must be nonnegative")
+        counts = self._counts
+        while len(counts) <= k:
+            row = [0] * self.n_vertices
+            for s, r in zip(self.esrc, self.edst):
+                row[r] += counts[-1][s]
+            counts.append(row)
+        return sum(counts[k])
 
     def _level(self, k):
         got = self._levels.get(k)

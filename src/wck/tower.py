@@ -14,8 +14,9 @@ window of levels of the path space:
 
   - C_0 is generated by the degree-zero words u_a Z^j u_b^* with
     s(a) = s(b), |a| = |b| < p and j < 3, and closed up with
-    findim.star_closure, which works on the support blocks of these
-    generators;
+    findim.star_closure, which works on one copy of each distinct
+    support block of these generators (the periodic weights repeat
+    most blocks bit for bit across the window);
   - corners are plain submatrix compressions onto slots, the int arrays
     Graph.ending_at gives for the paths that end at v; a corner, like
     C_0, is stored only as the orthonormal rows of its span

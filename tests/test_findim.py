@@ -21,10 +21,13 @@ from util import (
     element,
     embedding_multiplicities,
     random_diag_spec,
+    support_star_closure,
 )
 from wck import tower
 from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
+    _distinct_blocks,
+    _support_layout,
     blocks_eye,
     blocks_vec,
     central_decomposition,
@@ -293,6 +296,17 @@ def closure_case(name):
     if name == "theta_block":
         g = corpus["theta"]
         return c0_inputs(g, from_dict(THETA_BLOCK, g), n_max=1, M=5, W=2)
+    if kind == "generic":
+        g = corpus[key]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        return c0_inputs(g, w, n_max=1, M=6, W=2)
+    if name == "C3w223":
+        g = corpus["C3"]
+        return c0_inputs(g, cycle_weight_spec(g, (2.0, 2.0, 3.0)))
+    if kind == "G3":
+        g = corpus["G3"]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(int(key)))
+        return c0_inputs(g, w, n_max=1, M=9, W=3)
     raise KeyError(name)
 
 
@@ -301,6 +315,19 @@ CLOSURE_CASES = (
     + ["C3w", "O2w", "G2p3", "theta_block"]
     + ["dense:%d" % seed for seed in range(20)]
 )
+
+# diagonal weights, on which the distinct blocks generate all of + M_s
+FULL_BLOCK_CASES = (
+    ["generic:" + name for name in sorted(corpus_graphs())] + ["C3w", "C3w223"]
+)
+
+
+def distinct_block_sizes(dims, gens):
+    """Size of each distinct class block that star_closure closes on."""
+    vecs = np.array([blocks_vec(x) for x in [blocks_eye(dims), *gens]])
+    stacks, _, pos = _support_layout(dims, np.any(vecs != 0, axis=0))
+    stacks = _distinct_blocks(stacks, vecs[:, pos])[0]
+    return [s for _, c, s in stacks for _ in range(c)]
 
 
 def support_masks(dims, elements):
@@ -331,6 +358,40 @@ class TestSupportBlockClosure:
         masks = support_masks(dims, [blocks_eye(dims)] + gens)
         off = np.concatenate([~m.ravel() for m in masks])
         assert not np.any(A.onb[:, off])
+
+    @pytest.mark.parametrize("seed", [1, 2, 15])
+    def test_g3_matches_closure_on_every_class_block(self, seed):
+        # the dense reference takes about 17 s per draw here
+        dims, gens = closure_case("G3:%d" % seed)
+        A = star_closure(dims, gens)
+        ref = support_star_closure(dims, gens)
+        assert A.dim == ref.dim == 56
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+
+    @pytest.mark.parametrize("name", FULL_BLOCK_CASES)
+    def test_dim_is_the_sum_of_squares_of_distinct_blocks(self, name):
+        dims, gens = closure_case(name)
+        sizes = distinct_block_sizes(dims, gens)
+        assert star_closure(dims, gens).dim == sum(s * s for s in sizes)
+
+    def test_block_weights_give_a_proper_subalgebra(self):
+        dims, gens = closure_case("theta_block")
+        sizes = distinct_block_sizes(dims, gens)
+        assert sum(s * s for s in sizes) == 40
+        assert star_closure(dims, gens).dim == 16
+
+    def test_blocks_merge_only_when_bit_identical(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        y = x.copy()
+        y[0, 1] = complex(np.nextafter(x[0, 1].real, np.inf), x[0, 1].imag)
+        for gens, distinct in (([[x, x]], 1), ([[x, y]], 2)):
+            assert distinct_block_sizes([2, 2], gens) == [2] * distinct
+            A = star_closure([2, 2], gens)
+            ref = dense_star_closure([2, 2], gens)
+            assert A.dim == ref.dim
+            assert projector_gap(A.onb, ref.onb) <= 1e-8
 
     def test_block_weights_give_coarser_classes(self):
         theta = corpus_graphs()["theta"]

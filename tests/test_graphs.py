@@ -56,7 +56,18 @@ def test_path_counts_match_adjacency_powers(name):
     power = np.eye(g.n_vertices, dtype=np.int64)
     for k in range(9):
         assert len(g.paths(k)) == int(power.sum()), (name, k)
+        assert g.level_dim(k) == len(g.paths(k)), (name, k)
         power = a @ power
+
+
+def test_level_dim_is_exact_and_builds_no_path():
+    g = corpus_graphs()["O2"]
+    assert g.level_dim(9) == 512
+    assert not g._paths and not g._levels
+    # past the int64 range: the counts are Python ints
+    assert g.level_dim(70) == 2 ** 70
+    with pytest.raises(GraphError):
+        g.level_dim(-1)
 
 
 @given(small_graphs())
@@ -64,6 +75,7 @@ def test_path_counts_match_adjacency_powers(name):
 def test_path_counts_match_brute_force(g):
     for k in range(4):
         assert len(g.paths(k)) == brute_force_walks(g, k)
+        assert g.level_dim(k) == len(g.paths(k))
 
 
 @given(small_graphs())

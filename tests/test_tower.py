@@ -8,6 +8,7 @@ import pytest
 from util import (
     assert_matches_oracle,
     concrete_stage_algebra,
+    corpus_graphs,
     cycle_weight_spec,
     element,
     embedding_multiplicities,
@@ -318,11 +319,17 @@ class TestGuards:
         with pytest.raises(GraphError):
             build_tower(g, WeightSpec.unweighted(g))
 
-    def test_level_dimension_guard(self, corpus):
-        g = corpus["theta"]
-        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
-        with pytest.raises(WindowUnstableError):
-            build_tower(g, w)
+    def test_level_dimension_guard(self):
+        # fresh graphs: the refusal must come before any level above the
+        # guard is enumerated into the path caches
+        guard = TowerConfig().max_level_dim
+        for name in ("O2", "theta"):
+            g = corpus_graphs()[name]
+            w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+            with pytest.raises(WindowUnstableError, match="exceeds the guard"):
+                build_tower(g, w)
+            built = set(g._paths) | set(g._levels)
+            assert all(g.level_dim(k) <= guard for k in built), name
 
     def test_window_too_low(self, corpus):
         g = corpus["C3"]

@@ -6,7 +6,8 @@ single-vertex multi-loop, non-transitive loop chains, plain cycles of
 several lengths, cycles with parallel edges, and a transitive non-cycle.
 
 It also holds the slow references that fast paths in wck are tested
-against: the dense full-length closure loop, the randomized central
+against: the dense full-length closure loop, the closure on every
+support class block (copies included), the randomized central
 decomposition on full blocks, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
 ranks, the per-pair loop of the fiber multiplicities, the
@@ -41,7 +42,9 @@ from wck.findim import (
     StarAlgebra,
     Summand,
     _cluster_eigenvalues,
+    _stack_products,
     _summand_sort_key,
+    _support_layout,
     blocks_eye,
     blocks_unvec,
     blocks_vec,
@@ -256,6 +259,61 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
                     new.extend(absorb(cand))
         fresh = new
     return StarAlgebra(dims, basis_onb, basis_onb.conj() @ blocks_vec(unit))
+
+
+def support_star_closure(dims, gens, unit=None, max_dim=4096):
+    """star_closure on every support class block, copies included.
+
+    The reference for the closure on distinct blocks where the dense
+    loop is too slow: the same absorb loop over stacked products, run on
+    all class blocks of every level, with the rows scattered back as
+    they come out of Gram-Schmidt.
+    """
+    dims = tuple(dims)
+    if unit is None:
+        unit = blocks_eye(dims)
+    support = blocks_vec(unit) != 0
+    for gen in gens:
+        support |= blocks_vec(gen) != 0
+    stacks, tpos, pos = _support_layout(dims, support)
+    pool = [blocks_vec(unit)[pos]]
+    for gen in gens:
+        pool.append(blocks_vec(gen)[pos])
+        pool.append(pool[-1][tpos].conj())
+    rows = np.zeros((0, len(pos)), dtype=np.complex128)
+
+    def absorb(cands, tol=RANK_TOL, floor=1e-9):
+        nonlocal rows
+        scale = np.linalg.norm(cands, axis=1)
+        idx = np.flatnonzero(scale > floor)
+        w = cands[idx]
+        for _ in range(2):
+            w -= (w @ rows.conj().T) @ rows
+        keep = np.linalg.norm(w, axis=1) > tol * scale[idx]
+        start = len(rows)
+        for k, vec in zip(idx[keep], w[keep]):
+            new = rows[start:]
+            for _ in range(2):
+                vec -= (new.conj() @ vec) @ new
+            resid = float(np.linalg.norm(vec))
+            if resid > tol * scale[k]:
+                rows = np.vstack([rows, vec / resid])
+                if len(rows) > max_dim:
+                    raise ClosureOverflowError(
+                        "closure exceeded %d dimensions" % max_dim
+                    )
+        return range(start, len(rows))
+
+    fresh = absorb(np.array(pool, dtype=np.complex128))
+    while fresh:
+        new = []
+        for a in fresh:
+            block = _stack_products(rows[a], rows, stacks)
+            new.extend(absorb(block.reshape(-1, len(pos))))
+        fresh = new
+    full = np.zeros((len(rows), len(support)), dtype=np.complex128)
+    full[:, pos] = rows
+    return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
 
 
 # -- the randomized central decomposition ---------------------------------------
