@@ -21,6 +21,7 @@ deeper.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -39,6 +40,8 @@ from .windows import annihilation_depth, word_matrix
 
 PHI_STABLE_TOL = 1e-12
 VANISH_TOL = 1e-9
+# stages of the demo towers, weighted and unweighted
+DEMO_STAGES = 2
 
 
 @dataclass(frozen=True)
@@ -58,28 +61,33 @@ class CycleModel:
     L: int
 
 
-def build_cycle(k, t, p=2):
+def build_cycle(k, t):
     """Cycle graph, alternating diagonal weights, and character model.
 
     The graph has vertices v1..vk and edges e_i from v_i to v_{i+1}
     (indices mod k); the weight spec is diagonal with period 2 and no
     pre-periodic part, value t[i] on edge e_{i+1} at odd levels and 1
-    at even levels. Degenerate weight vectors are rejected because the
+    at even levels. k must be an int and t a list, tuple or array of k
+    finite positive reals, bools excluded; anything else raises a
+    DomainError. Degenerate weight vectors are rejected because the
     construction exists to exhibit a weighting with more ideals than
     the unweighted cycle.
     """
-    k = int(k)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise DomainError("the cycle length must be an int, got %r" % (k,))
     if k < 2:
         raise DomainError("the cycle needs at least two vertices")
-    if int(p) != 2:
-        raise DomainError("the alternating construction needs period 2")
+    if not isinstance(t, (list, tuple, np.ndarray)) or not all(
+        isinstance(x, Real) and not isinstance(x, bool) for x in t
+    ):
+        raise WeightError("weight values must be a list of reals, got %r" % (t,))
     values = [float(x) for x in t]
     if len(values) != k:
         raise DomainError(
             "expected %d weight values, got %d" % (k, len(values))
         )
-    if any(x <= 0 for x in values):
-        raise WeightError("weight values must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in values):
+        raise WeightError("weight values must be positive and finite")
     if len(set(values)) == 1:
         raise WeightError(
             "constant weight values give the unweighted cycle; "
@@ -183,8 +191,8 @@ def K1_membership(model, x):
 # -- character data on corners --------------------------------------------------
 
 
-def demo_tower_config(model, n_max=2):
-    """Tower window wide enough to show every character residue.
+def demo_tower_config(model):
+    """Tower of DEMO_STAGES stages, its window wide enough for every residue.
 
     The window width is at least L, so each residue class mod L owns a
     window level, and at least 2p, the general corner-stability floor.
@@ -192,7 +200,9 @@ def demo_tower_config(model, n_max=2):
     w = model.weights
     width = max(model.L, 2 * model.p)
     return TowerConfig(
-        n_max=n_max, M=w.N + w.q + n_max * model.p + width, W=width
+        n_max=DEMO_STAGES,
+        M=w.N + w.q + DEMO_STAGES * model.p + width,
+        W=width,
     )
 
 
@@ -280,17 +290,18 @@ def kernel_family(model, tower):
 # -- end-to-end report -----------------------------------------------------------
 
 
-def demo_report(k, t, p=2):
+def demo_report(k, t):
     """End-to-end check that weighting a cycle creates ideals.
 
-    Builds the model, enumerates invariant families for the weighted
-    and the unweighted cycle, confirms the weighted lattice has more
-    than the two trivial families while the unweighted one has exactly
-    two, re-verifies the character-kernel family against the enumerated
-    lattice, and returns everything as one JSON-ready report. Failures
-    raise with witnesses instead of degrading the report.
+    Builds the model (k and t are checked as in build_cycle), enumerates
+    invariant families for the weighted and the unweighted cycle,
+    confirms the weighted lattice has more than the two trivial families
+    while the unweighted one has exactly two, re-verifies the
+    character-kernel family against the enumerated lattice, and returns
+    everything as one JSON-ready report. Failures raise with witnesses
+    instead of degrading the report.
     """
-    g, w, model = build_cycle(k, t, p)
+    g, w, model = build_cycle(k, t)
     tower = build_tower(g, w, demo_tower_config(model))
     lattice = enumerate_families(tower)
     if len(lattice) <= 2:
@@ -299,7 +310,7 @@ def demo_report(k, t, p=2):
             "the weighting should add at least one" % len(lattice)
         )
     unweighted = build_tower(
-        g, WeightSpec.unweighted(g), TowerConfig(n_max=2)
+        g, WeightSpec.unweighted(g), TowerConfig(n_max=DEMO_STAGES)
     )
     lattice_u = enumerate_families(unweighted)
     if len(lattice_u) != 2:

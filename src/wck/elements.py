@@ -225,14 +225,6 @@ def adjoint(a):
     return CalkinElement(a.graph, terms)
 
 
-def path_isometry(graph, path):
-    """u_α = u(e_1)...u(e_k) for a path α in operator order."""
-    word = tuple((U, e) for e in path.edges)
-    if len(path) == 0:
-        word = ((P, path.source),)
-    return make(graph, word)
-
-
 def word_offset(word):
     """Grading offset: how many levels the word raises."""
     return sum(1 if k == U else -1 if k == US else 0 for k, _ in word)

@@ -266,11 +266,11 @@ def _stack_products(a, basis, stacks):
     return out
 
 
-def star_closure(dims, gens, unit=None, max_dim=4096):
+def star_closure(dims, gens, max_dim=4096):
     """Close generators under span, products, and adjoints.
 
-    The ambient unit (or the given one, for corner algebras) is always
-    included, so the result is unital. Growth beyond max_dim raises.
+    The identity of the block space is always included, so the result
+    is unital. Growth beyond max_dim raises.
 
     The closure runs on one block per distinct content among the support
     class blocks of the unit and the generators (see the module
@@ -279,7 +279,8 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     dropped. The rows are held as an (n, L) array of these compressed
     vectors. At the end they are scaled by the square root of each
     entry's copy count, orthonormalized once (onb), scaled back, and
-    gathered to every copy at full length.
+    gathered to every copy at full length. The coordinates of the unit
+    are read off the distinct entries, each weighted by its copy count.
 
     The pool (unit, then each generator and its adjoint) is absorbed
     first. Then, for each fresh row a in turn, the candidates a*b and
@@ -296,8 +297,7 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     of the rows themselves.
     """
     dims = tuple(dims)
-    if unit is None:
-        unit = blocks_eye(dims)
+    unit = blocks_eye(dims)
     support = blocks_vec(unit) != 0
     for gen in gens:
         support |= blocks_vec(gen) != 0
@@ -357,7 +357,7 @@ def star_closure(dims, gens, unit=None, max_dim=4096):
     q = onb(rows[:n] * root) / root
     full = np.zeros((n, len(support)), dtype=np.complex128)
     full[:, pos] = q[:, copy]
-    return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
+    return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])
 
 
 # -- central decomposition ----------------------------------------------------
@@ -391,11 +391,11 @@ class CentralDecomposition:
         return [s.d for s in self.summands]
 
 
-def _cluster_eigenvalues(values, gap=CLUSTER_GAP):
+def _cluster_eigenvalues(values):
     order = np.argsort(values)
     clusters = []
     for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
+        if clusters and values[idx] - values[clusters[-1][-1]] <= CLUSTER_GAP:
             clusters[-1].append(idx)
         else:
             clusters.append([idx])

@@ -163,19 +163,6 @@ class Graph:
             raise GraphError("unknown edge %r" % name)
         return Path((ei,), self.esrc[ei])
 
-    def compose(self, a, b):
-        """The path a*b, defined when r(b) = s(a)."""
-        if self.range_of(b) != self.source_of(a):
-            raise GraphError("composition undefined: r(b) != s(a)")
-        return Path(a.edges + b.edges, b.source)
-
-    def adjacency(self):
-        """A[i][j] = number of edges with s(e) = v_j and r(e) = v_i."""
-        a = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
-        for ei in range(self.n_edges):
-            a[self.edst[ei], self.esrc[ei]] += 1
-        return a
-
     # -- path tables -----------------------------------------------------
 
     def paths(self, k):
@@ -329,14 +316,6 @@ class Graph:
             if self.esrc[edges[j]] != self.edst[edges[j + 1]]:
                 raise GraphError("edges in %r do not concatenate" % text)
         return Path(edges, self.esrc[edges[-1]])
-
-    def to_dict(self):
-        return {
-            "vertices": list(self.vertices),
-            "edges": [
-                {"name": e.name, "src": e.src, "dst": e.dst} for e in self.edges
-            ],
-        }
 
     @classmethod
     def from_dict(cls, doc):

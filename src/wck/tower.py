@@ -63,6 +63,7 @@ from .findim import (
 from .windows import in_span, onb
 
 COORD_TOL = 1e-8
+Z_POWERS = 3
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,9 @@ class Tower:
             if not np.any(mult[row]):
                 raise MultiplicityError(
                     "summand %s receives no connecting edges; the tower "
-                    "inclusion would not be injective" % (self.labels[row],)
+                    "inclusion would not be injective on window levels "
+                    "[%d, %d) (M=%d, W=%d)"
+                    % (self.labels[row], G0, M + W, M, W)
                 )
 
         self.stages = []
@@ -365,13 +368,6 @@ class Tower:
             for v, m in self.stages[n].counts.items()
         }
 
-    def stage_unit(self, n):
-        x = self.stage_zero(n)
-        for v, blk in x.items():
-            for a in range(blk.shape[0]):
-                blk[a, a] = self.corners[v].algebra.unit
-        return x
-
     def stage_random(self, n, rng):
         x = self.stage_zero(n)
         for blk in x.values():
@@ -379,22 +375,6 @@ class Tower:
                 size=blk.shape
             )
         return x
-
-    def stage_mul(self, n, x, y):
-        out = self.stage_zero(n)
-        for v, blk in out.items():
-            blk[...] = np.einsum(
-                "abi,bcj,ijk->ack", x[v], y[v], self.corners[v].T
-            )
-        return out
-
-    def stage_adjoint(self, n, x):
-        out = self.stage_zero(n)
-        for v, blk in out.items():
-            blk[...] = np.einsum(
-                "baj,jk->abk", np.conj(x[v]), self.corners[v].S
-            )
-        return out
 
     def stage_vec(self, n, x):
         return np.concatenate(
@@ -598,13 +578,13 @@ def _block_positions(offset, d, rows, cols):
     return offset + (rows[:, None] * d + cols[None, :]).ravel()
 
 
-def _c0_generators(graph, weights, levels, z_powers=3):
+def _c0_generators(graph, weights, levels):
     """Window blocks of the stage-zero generators.
 
     The generators are the degree-zero words with a weight power in the
     middle and matching-source index paths of length below p on the
     outside. Higher weight powers come out of the closure, so only the
-    first few are seeded explicitly.
+    first Z_POWERS are seeded explicitly.
     """
     g = graph
     gens = []
@@ -613,7 +593,7 @@ def _c0_generators(graph, weights, levels, z_powers=3):
         zpow = [
             [
                 np.linalg.matrix_power(weights.level_matrix(k - a), power)
-                for power in range(z_powers)
+                for power in range(Z_POWERS)
             ]
             for k in levels
         ]
@@ -628,7 +608,7 @@ def _c0_generators(graph, weights, levels, z_powers=3):
             ]
             for ai in range(len(group)):
                 for bi in range(len(group)):
-                    for power in range(z_powers):
+                    for power in range(Z_POWERS):
                         blocks = [
                             np.zeros((d, d), dtype=np.complex128)
                             for d in dims
@@ -641,7 +621,7 @@ def _c0_generators(graph, weights, levels, z_powers=3):
     return gens
 
 
-def build_C0(graph, weights, levels, max_dim=4096):
+def build_C0(graph, weights, levels):
     """Stage-zero algebra closed up on the given window levels."""
     if min(levels) < weights.p - 1:
         raise GraphError(
@@ -650,7 +630,7 @@ def build_C0(graph, weights, levels, max_dim=4096):
         )
     dims = [graph.level_dim(k) for k in levels]
     gens = _c0_generators(graph, weights, levels)
-    return star_closure(dims, gens, max_dim=max_dim)
+    return star_closure(dims, gens)
 
 
 def _fiber_multiplicities(tower, mu, fib):

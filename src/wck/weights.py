@@ -30,7 +30,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import GraphError, WeightError
-from .graphs import Path
 
 EXACTNESS_TOL = 1e-12
 
@@ -204,42 +203,9 @@ class WeightSpec:
         elif k < self.N + self.p:
             m = self.seed_levels[k].astype(np.complex128)
         else:
-            pre, suf = self.split_table(k, self.p)
-            inner = self.level_matrix(k - self.p)
-            m = inner[np.ix_(suf, suf)] * (pre[:, None] == pre[None, :])
+            m = self.tensor_extension(k - self.p, self.p)
         self._matrix_cache[k] = m
         return m
-
-    def weight_of(self, path):
-        """Diagonal entry of Z_{|path|} at the path's basis vector."""
-        edges = path.edges
-        while len(edges) >= self.N + self.p:
-            edges = edges[self.p:]
-        k = len(edges)
-        if k == 0:
-            return 1.0
-        idx = self.graph.path_index(Path(edges, path.source))
-        if self.kind == "diagonal":
-            return float(self.level_diag(k)[idx])
-        return complex(self.level_matrix(k)[idx, idx])
-
-    def weight_entry(self, a, b):
-        """Entry of Z_k between two level-k paths (zero across prefixes)."""
-        if len(a) != len(b):
-            raise WeightError("weight entries pair paths of equal length")
-        ea, eb = a.edges, b.edges
-        while len(ea) >= self.N + self.p:
-            if ea[: self.p] != eb[: self.p]:
-                return 0.0
-            ea, eb = ea[self.p:], eb[self.p:]
-        k = len(ea)
-        if k == 0:
-            return 1.0 if a.source == b.source else 0.0
-        ia = self.graph.path_index(Path(ea, a.source))
-        ib = self.graph.path_index(Path(eb, b.source))
-        if self.kind == "diagonal":
-            return float(self.level_diag(k)[ia]) if ia == ib else 0.0
-        return complex(self.level_matrix(k)[ia, ib])
 
     def tensor_extension(self, k, m):
         """The matrix I_m (x) Z_k on the level-(k+m) basis."""

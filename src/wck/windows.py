@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import P, U, US, Z, word_offset
+from .elements import P, U, US, Z, CalkinElement, word_offset
 from .elements import offset as element_offset
 from .errors import ElementError, WindowUnstableError
 from .graphs import Path
 
 NORM_TOL = 1e-9
 RANK_TOL = 1e-8
+MAX_WIDENINGS = 12
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,6 @@ class WindowConfig:
     """Window-protocol parameters bound to a weight spec."""
 
     weights: object
-    M: int | None = None
-    W: int | None = None
-    tol: float = NORM_TOL
-    max_widenings: int = 12
     max_level_dim: int = 600
 
 
@@ -101,63 +98,6 @@ def eval_block(x, k, w):
     return out
 
 
-@dataclass
-class WindowRep:
-    """Blocks of a homogeneous element over levels [M, M + W).
-
-    blocks[i] is the matrix from level M + i to level M + i + offset,
-    so the representation is indexed by domain level.
-    """
-
-    graph: object
-    M: int
-    offset: int
-    blocks: list
-
-    @property
-    def W(self):
-        return len(self.blocks)
-
-    @property
-    def hi(self):
-        return self.M + len(self.blocks)
-
-    def level(self, k):
-        if not self.M <= k < self.hi:
-            raise ElementError(
-                "level %d outside stored window [%d, %d)" % (k, self.M, self.hi)
-            )
-        return self.blocks[k - self.M]
-
-    def vector(self, M=None, W=None):
-        """Flatten a sub-window into one vector for span arithmetic."""
-        M = self.M if M is None else M
-        W = self.W if W is None else W
-        return np.concatenate(
-            [self.level(k).ravel() for k in range(M, M + W)]
-        ) if W > 0 else np.zeros(0, dtype=np.complex128)
-
-
-def window_rep(x, w, M, W):
-    blocks = [eval_block(x, k, w) for k in range(M, M + W)]
-    return WindowRep(x.graph, M, element_offset(x), blocks)
-
-
-def wr_mul(a, b):
-    """Window rep of the product: (ab)(k) = a(k + offset(b)) b(k)."""
-    lo = max(b.M, a.M - b.offset)
-    hi = min(b.hi, a.hi - b.offset)
-    if lo >= hi:
-        raise ElementError("window reps do not overlap for multiplication")
-    blocks = [a.level(k + b.offset) @ b.level(k) for k in range(lo, hi)]
-    return WindowRep(a.graph, lo, a.offset + b.offset, blocks)
-
-
-def wr_adjoint(a):
-    blocks = [blk.conj().T for blk in a.blocks]
-    return WindowRep(a.graph, a.M + a.offset, -a.offset, blocks)
-
-
 def annihilation_depth(x):
     """Deepest level reach below the starting level over all terms."""
     depth = 0
@@ -181,53 +121,43 @@ def max_rise(x):
 
 
 def _window_matrix(x, w, M, W):
-    """Compression of x to the span of levels [M, M + W), as one matrix."""
+    """Compression of x to the span of levels [M, M + W), as one matrix.
+
+    Each homogeneous part of x fills its block diagonal by eval_block.
+    """
     g = x.graph
-    dims = [level_dim(g, k) for k in range(M, M + W)]
-    starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(starts[-1])
-    out = np.zeros((total, total), dtype=np.complex128)
-    by_offset = {}
+    starts = np.cumsum([0] + [level_dim(g, k) for k in range(M, M + W)])
+    out = np.zeros((starts[-1], starts[-1]), dtype=np.complex128)
+    parts = {}
     for word, c in x.terms.items():
-        by_offset.setdefault(word_offset(word), []).append((word, c))
-    for d, terms in by_offset.items():
-        for i, k in enumerate(range(M, M + W)):
-            j = k + d - M
-            if not 0 <= j < W:
-                continue
-            blk = np.zeros((dims[j], dims[i]), dtype=np.complex128)
-            for word, c in terms:
-                blk += c * word_matrix(w, word, k)
-            out[starts[j]:starts[j] + dims[j], starts[i]:starts[i] + dims[i]] += blk
+        parts.setdefault(word_offset(word), {})[word] = c
+    for d, terms in parts.items():
+        part = CalkinElement(g, terms)
+        for i in range(max(0, -d), min(W, W - d)):
+            out[starts[i + d]:starts[i + d + 1], starts[i]:starts[i + 1]] = (
+                eval_block(part, M + i, w)
+            )
     return out
-
-
-def _start_width(x, w, cfg):
-    p = w.p
-    reach = max(annihilation_depth(x), max_rise(x))
-    width = p
-    while width < reach + p:
-        width += p
-    return width if cfg.W is None else cfg.W
 
 
 def calkin_norm(x, cfg):
     """Stable compressed-window norm of an element.
 
-    The window [M, M + W) is widened by p until the norm stops moving
-    (within cfg.tol), then certified against the window translated by
-    p. Levels are capped so no single level exceeds cfg.max_level_dim;
-    hitting the cap before stabilization raises, it never degrades the
-    answer silently.
+    The window [M, M + W) is chosen by rule: M = N + the annihilation
+    depth of x + 2p, and W is the first multiple of p that is at least
+    the reach of x plus p. It is widened by p until the norm stops moving
+    (within NORM_TOL), at most MAX_WIDENINGS times, then certified
+    against the window translated by p. Levels are capped so no single
+    level exceeds cfg.max_level_dim; hitting the cap before
+    stabilization raises, it never degrades the answer silently.
     """
     w = cfg.weights
     if x.is_zero:
         return 0.0
     p = w.p
-    M = cfg.M
-    if M is None:
-        M = w.N + annihilation_depth(x) + 2 * p
-    W = _start_width(x, w, cfg)
+    M = w.N + annihilation_depth(x) + 2 * p
+    reach = max(annihilation_depth(x), max_rise(x))
+    W = p * (1 + -(-reach // p))  # the least multiple of p >= reach + p
     g = x.graph
 
     def fits(width):
@@ -241,28 +171,22 @@ def calkin_norm(x, cfg):
             "estimate is possible; the graph grows too fast for this window"
         )
     prev = float(np.linalg.norm(_window_matrix(x, w, M, W), 2))
-    for _ in range(cfg.max_widenings):
+    for _ in range(MAX_WIDENINGS):
         wider = W + p
         if not fits(wider):
             raise WindowUnstableError(
                 "norm did not stabilize before the level-dimension guard"
             )
         cur = float(np.linalg.norm(_window_matrix(x, w, M, wider), 2))
-        if abs(cur - prev) <= cfg.tol:
+        if abs(cur - prev) <= NORM_TOL:
             shifted = float(np.linalg.norm(_window_matrix(x, w, M + p, wider), 2))
-            if abs(shifted - cur) <= cfg.tol:
+            if abs(shifted - cur) <= NORM_TOL:
                 return cur
         prev = cur
         W = wider
     raise WindowUnstableError(
-        "norm did not stabilize after %d widenings" % cfg.max_widenings
+        "norm did not stabilize after %d widenings" % MAX_WIDENINGS
     )
-
-
-def calkin_equal(x, y, cfg):
-    from .elements import sub
-
-    return calkin_norm(sub(x, y), cfg) <= cfg.tol
 
 
 # -- span arithmetic ----------------------------------------------------------

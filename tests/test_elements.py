@@ -169,14 +169,6 @@ def test_offsets(c3):
         el.offset(el.parse_element(c3, "u(e1) + z"))
 
 
-def test_path_isometry(c3):
-    path = c3.parse_path("e1.e2")
-    x = el.path_isometry(c3, path)
-    assert list(x.terms) == [((U, 1), (U, 0))]
-    v = c3.paths(0)[2]
-    assert el.path_isometry(c3, v) == el.make(c3, ((P, 2),))
-
-
 # -- grammar ------------------------------------------------------------------
 
 

@@ -424,6 +424,18 @@ class TestSupportBlockClosure:
         with pytest.raises(ClosureOverflowError):
             star_closure(dims, gens, max_dim=A.dim - 1)
 
+    @pytest.mark.parametrize("name", sorted(corpus_graphs()))
+    def test_unit_coordinates_match_the_full_window(self, name):
+        # star_closure reads the unit's coordinates off the distinct
+        # entries weighted by their copy counts; over the full window
+        # they are the inner products of the onb rows with the identity
+        g = corpus_graphs()[name]
+        for seed in (1, 2):
+            w = random_diag_spec(g, 2, 1, np.random.default_rng(seed))
+            C0 = tower.build_C0(g, w, list(range(3, 7)))
+            full = C0.onb.conj() @ blocks_vec(blocks_eye(C0.dims))
+            assert np.abs(C0.unit - full).max() <= 1e-12, (name, seed)
+
     def test_empty_levels_and_zero_generators(self):
         A = star_closure([0, 2], [blocks_zero([0, 2])])
         assert A.dim == 1

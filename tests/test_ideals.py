@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import (
+    compose,
     corpus_graphs,
     cycle_weight_spec,
     dense_check_H,
@@ -176,7 +177,7 @@ class TestPiMap:
                     for b2 in singles:
                         inner = pi_map(o2w_tower, a2, b2)
                         left = pi_map(
-                            o2w_tower, g.compose(a1, a2), g.compose(b1, b2)
+                            o2w_tower, compose(g, a1, a2), compose(g, b1, b2)
                         )
                         worst = max(
                             worst,

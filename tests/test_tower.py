@@ -1,11 +1,13 @@
 """Core tower structure: corners, fibers, stage maps, Bratteli data."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from util import (
+    adjacency,
     assert_matches_oracle,
     concrete_stage_algebra,
     corpus_graphs,
@@ -19,6 +21,9 @@ from util import (
     mkgraph,
     pairwise_fiber_multiplicities,
     random_diag_spec,
+    stage_adjoint,
+    stage_mul,
+    stage_unit,
 )
 from wck import ideals, tower
 from wck.errors import (
@@ -134,7 +139,7 @@ class TestUnweightedCorpus:
         for name, g in corpus.items():
             tw = build_tower(g, WeightSpec.unweighted(g))
             assert [c.r for c in tw.corners.values()] == [1] * g.n_vertices
-            assert np.array_equal(tw.multiplicity, g.adjacency()), name
+            assert np.array_equal(tw.multiplicity, adjacency(g)), name
             assert tw.stage_dims() == UNWEIGHTED_DIMS[name], name
 
     def test_o2_summand_sizes_double(self, o2):
@@ -193,21 +198,21 @@ class TestWeightedCycle:
         x = tw.stage_random(0, rng)
         y = tw.stage_random(0, rng)
 
-        lhs = tw.psi(0, tw.stage_mul(0, x, y))
-        rhs = tw.stage_mul(1, tw.psi(0, x), tw.psi(0, y))
+        lhs = tw.psi(0, stage_mul(tw, 0, x, y))
+        rhs = stage_mul(tw, 1, tw.psi(0, x), tw.psi(0, y))
         assert max(np.abs(lhs[v] - rhs[v]).max() for v in lhs) <= RT_TOL
 
-        lhs = tw.psi(0, tw.stage_adjoint(0, x))
-        rhs = tw.stage_adjoint(1, tw.psi(0, x))
+        lhs = tw.psi(0, stage_adjoint(tw, 0, x))
+        rhs = stage_adjoint(tw, 1, tw.psi(0, x))
         assert max(np.abs(lhs[v] - rhs[v]).max() for v in lhs) <= RT_TOL
 
-        lhs = tw.psi(0, tw.stage_unit(0))
-        rhs = tw.stage_unit(1)
+        lhs = tw.psi(0, stage_unit(tw, 0))
+        rhs = stage_unit(tw, 1)
         assert max(np.abs(lhs[v] - rhs[v]).max() for v in lhs) <= RT_TOL
 
     def test_stage_unit_renders_to_identity(self, c3_weighted):
         tw = c3_weighted
-        blocks = tw.tau_inverse(0, tw.stage_unit(0))
+        blocks = tw.tau_inverse(0, stage_unit(tw, 0))
         for off, blk in enumerate(blocks):
             d = tw.graph.level_dim(tw.M + off)
             assert np.abs(blk - np.eye(d)).max() <= RT_TOL
@@ -336,6 +341,25 @@ class TestGuards:
         w = cycle_weight_spec(g, (2.0, 1.0, 3.0))
         with pytest.raises(GraphError):
             build_tower(g, w, TowerConfig(n_max=2, M=4, W=2))
+
+    @pytest.mark.parametrize(
+        "name, p, W, shallow, deep, levels",
+        [("G2", 3, 3, 8, 9, "[3, 11)"), ("theta", 2, 2, 4, 5, "[1, 6)")],
+        ids=["G2", "theta"],
+    )
+    def test_shallow_window_is_named_in_the_refusal(
+        self, name, p, W, shallow, deep, levels
+    ):
+        # one level below the deep window no summand of the top corner
+        # receives a connecting edge; the refusal names the window
+        g = corpus_graphs()[name]
+        w = random_diag_spec(g, p, 0, np.random.default_rng(1))
+        message = "window levels %s (M=%d, W=%d)" % (levels, shallow, W)
+        with pytest.raises(MultiplicityError, match=re.escape(message)) as info:
+            build_tower(g, w, TowerConfig(n_max=1, M=shallow, W=W))
+        assert info.value.exit_code == 2
+        tw = build_tower(g, w, TowerConfig(n_max=1, M=deep, W=W))
+        assert (tw.M, tw.W) == (deep, W)
 
     def test_build_C0_level_below_period(self, corpus):
         g = corpus["C3"]

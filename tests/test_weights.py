@@ -13,7 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import corpus_graphs, cycle_graph, cycle_weight_doc, cycle_weight_spec, random_diag_spec
+from util import (
+    THETA_BLOCK,
+    compose,
+    corpus_graphs,
+    cycle_graph,
+    cycle_weight_doc,
+    cycle_weight_spec,
+    inline_level_matrix,
+    random_diag_spec,
+    weight_entry,
+    weight_of,
+)
 from wck.errors import WeightError
 from wck.graphs import Path
 from wck.weights import (
@@ -79,7 +90,7 @@ def test_weight_of_cycle_closed_form(c3w):
         for v in range(3):
             path = g.xi(v, k)
             expected = T[v] if k % 2 == 1 else 1.0
-            assert c3w.weight_of(path) == pytest.approx(expected, abs=0)
+            assert weight_of(c3w, path) == pytest.approx(expected, abs=0)
 
 
 def test_level_five_diagonal_order(c3w):
@@ -100,7 +111,7 @@ def test_level_matrix_matches_entry_oracle():
         for ia in range(len(ps)):
             for ib in range(len(ps)):
                 assert mat[ia, ib] == pytest.approx(
-                    w.weight_entry(ps[ia], ps[ib]), abs=1e-13
+                    weight_entry(w, ps[ia], ps[ib]), abs=1e-13
                 )
 
 
@@ -119,8 +130,8 @@ def test_prefix_stripping_invariance(seed, name, p, N):
             for beta in g.paths(p):
                 if beta.source != g.range_of(gamma):
                     continue
-                assert w.weight_of(g.compose(beta, gamma)) == pytest.approx(
-                    w.weight_of(gamma), abs=1e-13
+                assert weight_of(w, compose(g, beta, gamma)) == pytest.approx(
+                    weight_of(w, gamma), abs=1e-13
                 )
 
 
@@ -184,8 +195,20 @@ def test_block_extension_matches_entry_oracle():
         for ia in range(len(ps)):
             for ib in range(len(ps)):
                 assert mat[ia, ib] == pytest.approx(
-                    w.weight_entry(ps[ia], ps[ib]), abs=1e-13
+                    weight_entry(w, ps[ia], ps[ib]), abs=1e-13
                 )
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "block"])
+def test_level_matrix_matches_the_inline_extension(kind):
+    """The periodic branch through tensor_extension equals I_p (x) Z_{k-p} inline."""
+    g = corpus_graphs()["theta"]
+    if kind == "diagonal":
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+    else:
+        w = from_dict(THETA_BLOCK, g)
+    for k in range(w.N + 3 * w.p + 1):
+        assert np.array_equal(w.level_matrix(k), inline_level_matrix(w, k)), k
 
 
 def test_block_spec_rejects_non_hermitian():
@@ -221,7 +244,7 @@ def test_load_weights_parses_json():
     g = cycle_graph(3)
     w = load_weights(json.dumps(cycle_weight_doc(T)), g)
     assert w.p == 2 and w.N == 0
-    assert w.weight_of(g.xi(0, 1)) == 2.0
+    assert weight_of(w, g.xi(0, 1)) == 2.0
 
 
 def test_load_weights_rejects_bad_json():
@@ -294,7 +317,7 @@ def test_missing_paths_default_to_one():
     doc = cycle_weight_doc(T)
     del doc["levels"]["1"]["e2"]
     w = from_dict(doc, g)
-    assert w.weight_of(g.xi(1, 1)) == 1.0
+    assert weight_of(w, g.xi(1, 1)) == 1.0
 
 
 def test_bad_parameters_rejected():

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import corpus_graphs, cycle_graph, cycle_weight_spec, random_diag_spec
+from util import (
+    calkin_equal,
+    compose,
+    corpus_graphs,
+    cycle_graph,
+    cycle_weight_spec,
+    looped_window_matrix,
+    path_isometry,
+    random_diag_spec,
+)
 from wck import elements as el
 from wck.elements import P, U, US, Z
 from wck.errors import ElementError, WindowUnstableError
 from wck.weights import WeightSpec
 from wck import windows as win
-from wck.windows import (
-    WindowConfig,
-    calkin_equal,
-    calkin_norm,
-    eval_block,
-    window_rep,
-)
+from wck.windows import WindowConfig, calkin_norm, eval_block
 
 T = (2.0, 1.0, 3.0)
 
@@ -105,21 +108,6 @@ def test_block_homomorphism(data, seed):
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_window_rep_product_and_adjoint(c3, c3w):
-    x = el.parse_element(c3, "u(e1).z")
-    y = el.parse_element(c3, "z.u*(e2)")
-    rx = window_rep(x, c3w, 4, 6)
-    ry = window_rep(y, c3w, 4, 6)
-    prod = win.wr_mul(rx, ry)
-    direct = window_rep(el.mul(x, y), c3w, prod.M, prod.W)
-    for k in range(prod.M, prod.hi):
-        assert np.allclose(prod.level(k), direct.level(k), atol=1e-12)
-    adj = win.wr_adjoint(rx)
-    direct_adj = window_rep(el.adjoint(x), c3w, adj.M, adj.W)
-    for k in range(adj.M, adj.hi):
-        assert np.allclose(adj.level(k), direct_adj.level(k), atol=1e-12)
-
-
 def test_window_rep_character_example(c3, c3w):
     # p(v1)(z - t_1) over levels 12..17: each block holds at most one
     # diagonal entry, at the unique path ending at v1; odd levels cycle
@@ -128,10 +116,9 @@ def test_window_rep_character_example(c3, c3w):
         el.parse_element(c3, "p(v1)"),
         el.sub(el.parse_element(c3, "z"), el.scale(T[0], el.unit(c3))),
     )
-    rep = window_rep(x, c3w, 12, 6)
+    blocks = [eval_block(x, k, c3w) for k in range(12, 18)]
     odd_values = []
-    for k in range(12, 18):
-        block = rep.level(k)
+    for k, block in zip(range(12, 18), blocks):
         nz = block[np.abs(block) > 0]
         if k % 2 == 0:
             assert nz.size == 1 and nz[0] == 1.0 - T[0]
@@ -139,7 +126,38 @@ def test_window_rep_character_example(c3, c3w):
             assert nz.size <= 1
             odd_values.append(complex(nz[0]).real if nz.size else 0.0)
     assert sorted(odd_values) == [-1.0, 0.0, 1.0]
-    assert {complex(v) for v in np.round(rep.vector(), 12)} == {0j, 1 + 0j, -1 + 0j}
+    values = np.concatenate([block.ravel() for block in blocks])
+    assert {complex(v) for v in np.round(values, 12)} == {0j, 1 + 0j, -1 + 0j}
+
+
+WINDOW_ELEMENTS = [
+    ("C3w", "z"),
+    ("C3w", "1"),
+    ("C3w", "u(e1)"),
+    ("C3w", "z^2 - 3*z + 2"),
+    ("C3w", "z.u(e1).u*(e1) - u(e1).u*(e1).z"),
+    ("C3w", "u(e1) + u*(e2).z + 2*z.z - p(v1)"),
+    ("O2w", "z"),
+    ("O2w", "u(e).u*(e) + u(f).u*(f) - 1"),
+    ("O2w", "u(e).z.u*(f) + u*(e).z - z"),
+    ("O2w", "u(e).u(f) + 0.5j*u*(f)"),
+]
+
+
+@pytest.mark.parametrize("key, text", WINDOW_ELEMENTS)
+def test_window_matrix_matches_the_per_word_loop(c3w, key, text):
+    """Each homogeneous part filled by eval_block equals the sum word by word."""
+    if key == "C3w":
+        w = c3w
+    else:
+        g = corpus_graphs()["O2"]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+    x = el.parse_element(w.graph, text)
+    for M in range(2, 6):
+        for W in (2, 4, 6):
+            assert np.array_equal(
+                win._window_matrix(x, w, M, W), looped_window_matrix(x, w, M, W)
+            ), (M, W)
 
 
 def test_calkin_norm_of_z(c3, cfg):
@@ -184,18 +202,18 @@ def test_inclusion_identity(c3, c3w, cfg):
     alpha = c3.parse_path("e1")
     beta = c3.parse_path("e1")
     x = el.mul(
-        el.path_isometry(c3, alpha),
-        el.mul(el.parse_element(c3, "z"), el.adjoint(el.path_isometry(c3, beta))),
+        path_isometry(c3, alpha),
+        el.mul(el.parse_element(c3, "z"), el.adjoint(path_isometry(c3, beta))),
     )
     total = el.zero(c3)
     for gamma in c3.paths(2):
         if c3.range_of(gamma) != alpha.source:
             continue
-        ag = c3.compose(alpha, gamma)
-        bg = c3.compose(beta, gamma)
+        ag = compose(c3, alpha, gamma)
+        bg = compose(c3, beta, gamma)
         term = el.mul(
-            el.path_isometry(c3, ag),
-            el.mul(el.parse_element(c3, "z"), el.adjoint(el.path_isometry(c3, bg))),
+            path_isometry(c3, ag),
+            el.mul(el.parse_element(c3, "z"), el.adjoint(path_isometry(c3, bg))),
         )
         total = el.add(total, term)
     assert calkin_equal(x, total, cfg)
@@ -217,12 +235,6 @@ def test_dimension_guard_raises():
     cfg = WindowConfig(weights=w, max_level_dim=2)
     with pytest.raises(WindowUnstableError, match="guard"):
         calkin_norm(el.parse_element(g, "z"), cfg)
-
-
-def test_window_vector_shape(c3, c3w):
-    rep = window_rep(el.unit(c3), c3w, 3, 4)
-    assert rep.vector().shape == (4 * 9,)
-    assert rep.vector(4, 2).shape == (2 * 9,)
 
 
 # -- span helpers -------------------------------------------------------------

@@ -15,8 +15,16 @@ per-basis-element transport and the per-entry tau and tau_inverse
 loops, the linear-algebra search for invariant families, the corner
 ideal of a summand subset built and verified as one subspace, the
 stage ideals gathered from path conjugates, the cubic cover search
-of a lattice, and the truncated Fock representation as sparse
-operators with its relations checked by sparse products.
+of a lattice, the truncated Fock representation as sparse
+operators with its relations checked by sparse products, the per-word
+window matrix and the inline I_p (x) Z_k extension of the level
+matrices.
+
+Small path, weight, stage and norm helpers that only tests use live
+here too: path composition and the adjacency matrix, the path isometry
+u_a, the weight entries read off by stripping periods, the stage unit,
+product and adjoint in corner coordinates, and equality modulo the
+compacts.
 
 wck stores an algebra only as orthonormal rows and its elements as
 coordinates over them; the block-list helpers here (element,
@@ -31,10 +39,14 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
+from wck import elements as el
+from wck.elements import word_offset
 from wck.errors import (
     ClosureOverflowError,
     DecompositionError,
+    GraphError,
     MultiplicityError,
+    WeightError,
     WindowUnstableError,
 )
 from wck.findim import (
@@ -53,7 +65,17 @@ from wck.findim import (
 from wck.graphs import Edge, Graph, Path
 from wck.ideals import IdealFamily, _parallel_edge_pairs, pi_map
 from wck.tower import COORD_TOL
-from wck.windows import RANK_TOL, in_span, onb, span_contains, span_residual
+from wck.windows import (
+    NORM_TOL,
+    RANK_TOL,
+    calkin_norm,
+    in_span,
+    level_dim,
+    onb,
+    span_contains,
+    span_residual,
+    word_matrix,
+)
 
 INT_TOL = 1e-4
 MAX_RESAMPLE = 8
@@ -1160,4 +1182,123 @@ def graded_commutator_decay(r, path):
         block = C[rlo:rhi, clo:chi]
         block = block.toarray() if sp.issparse(block) else np.asarray(block)
         out.append(float(np.linalg.norm(block, 2)) if block.size else 0.0)
+    return out
+
+
+# -- paths, weights, stages and norms -----------------------------------------
+
+
+def compose(g, a, b):
+    """The path a*b, defined when r(b) = s(a)."""
+    if g.range_of(b) != g.source_of(a):
+        raise GraphError("composition undefined: r(b) != s(a)")
+    return Path(a.edges + b.edges, b.source)
+
+
+def adjacency(g):
+    """A[i][j] = number of edges with s(e) = v_j and r(e) = v_i."""
+    a = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+    for ei in range(g.n_edges):
+        a[g.edst[ei], g.esrc[ei]] += 1
+    return a
+
+
+def path_isometry(g, path):
+    """u_a = u(e_1)...u(e_k) for a path a in operator order; p(v) at length 0."""
+    word = tuple((el.U, e) for e in path.edges)
+    if len(path) == 0:
+        word = ((el.P, path.source),)
+    return el.make(g, word)
+
+
+def weight_entry(w, a, b):
+    """Entry of Z_k between two level-k paths, by stripping whole periods.
+
+    Above the stored range the entry vanishes unless the length-p
+    prefixes agree, and then equals the entry of the suffixes.
+    """
+    if len(a) != len(b):
+        raise WeightError("weight entries pair paths of equal length")
+    ea, eb = a.edges, b.edges
+    while len(ea) >= w.N + w.p:
+        if ea[: w.p] != eb[: w.p]:
+            return 0.0
+        ea, eb = ea[w.p:], eb[w.p:]
+    k = len(ea)
+    if k == 0:
+        return 1.0 if a.source == b.source else 0.0
+    ia = w.graph.path_index(Path(ea, a.source))
+    ib = w.graph.path_index(Path(eb, b.source))
+    if w.kind == "diagonal":
+        return float(w.level_diag(k)[ia]) if ia == ib else 0.0
+    return complex(w.level_matrix(k)[ia, ib])
+
+
+def weight_of(w, path):
+    """Diagonal entry of Z_{|path|} at the path's basis vector."""
+    return weight_entry(w, path, path)
+
+
+def inline_level_matrix(w, k):
+    """Z_k with the periodic branch written out as I_p (x) Z_{k-p}."""
+    if w.kind == "diagonal":
+        return np.diag(w.level_diag(k)).astype(np.complex128)
+    if k == 0:
+        return np.eye(w.graph.n_vertices, dtype=np.complex128)
+    if k < w.N + w.p:
+        return w.seed_levels[k].astype(np.complex128)
+    pre, suf = w.split_table(k, w.p)
+    inner = inline_level_matrix(w, k - w.p)
+    return inner[np.ix_(suf, suf)] * (pre[:, None] == pre[None, :])
+
+
+def stage_unit(tower, n):
+    """The unit of stage n: the corner unit on every diagonal entry."""
+    x = tower.stage_zero(n)
+    for v, blk in x.items():
+        for a in range(blk.shape[0]):
+            blk[a, a] = tower.corners[v].algebra.unit
+    return x
+
+
+def stage_mul(tower, n, x, y):
+    """Product of two stage-n elements through the corner structure tensors."""
+    out = tower.stage_zero(n)
+    for v, blk in out.items():
+        blk[...] = np.einsum("abi,bcj,ijk->ack", x[v], y[v], tower.corners[v].T)
+    return out
+
+
+def stage_adjoint(tower, n, x):
+    """Adjoint of a stage-n element: transpose the matrix, adjoint each entry."""
+    out = tower.stage_zero(n)
+    for v, blk in out.items():
+        blk[...] = np.einsum("baj,jk->abk", np.conj(x[v]), tower.corners[v].S)
+    return out
+
+
+def calkin_equal(x, y, cfg):
+    """Whether x - y has stable window norm within NORM_TOL."""
+    return calkin_norm(el.sub(x, y), cfg) <= NORM_TOL
+
+
+def looped_window_matrix(x, w, M, W):
+    """Compression of x to levels [M, M + W), summed word by word per block."""
+    g = x.graph
+    dims = [level_dim(g, k) for k in range(M, M + W)]
+    starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    total = int(starts[-1])
+    out = np.zeros((total, total), dtype=np.complex128)
+    by_offset = {}
+    for word, c in x.terms.items():
+        by_offset.setdefault(word_offset(word), []).append((word, c))
+    for d, terms in by_offset.items():
+        for i, k in enumerate(range(M, M + W)):
+            j = k + d - M
+            if not 0 <= j < W:
+                continue
+            blk = np.zeros((dims[j], dims[i]), dtype=np.complex128)
+            for word, c in terms:
+                blk += c * word_matrix(w, word, k)
+            out[starts[j]:starts[j] + dims[j], starts[i]:starts[i] + dims[i]] += blk
     return out
