@@ -56,3 +56,11 @@ class DecompositionError(ProtocolError):
 
 class MultiplicityError(ProtocolError):
     """An embedding multiplicity failed its integrality or consistency check."""
+
+
+def check_index(value, lo, hi, what):
+    """Raise DomainError unless value is an int, not a bool, in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise DomainError(
+            "%s must be an int in [%d, %d], got %r" % (what, lo, hi, value)
+        )

@@ -75,16 +75,21 @@ def blocks_eye(dims):
 
 
 def blocks_vec(a):
+    """The blocks raveled and joined; leading axes of the blocks stay."""
     if not a:
         return np.zeros(0, dtype=np.complex128)
-    return np.concatenate([x.ravel() for x in a])
+    return np.concatenate(
+        [x.reshape(x.shape[:-2] + (math.prod(x.shape[-2:]),)) for x in a], axis=-1
+    )
 
 
 def blocks_unvec(vec, dims):
+    """The d x d blocks of a blocks_vec layout; leading axes of vec stay."""
+    vec = np.asarray(vec)
     out = []
     pos = 0
     for d in dims:
-        out.append(np.asarray(vec[pos:pos + d * d]).reshape(d, d))
+        out.append(vec[..., pos:pos + d * d].reshape(vec.shape[:-1] + (d, d)))
         pos += d * d
     return out
 
@@ -198,7 +203,8 @@ def _stack_layout(pieces):
         perm = np.arange(x.size).reshape(x.shape).swapaxes(1, 2)
         tpos.append(off + perm.ravel())
         off += x.size
-    return stacks, blocks_vec(tpos).astype(int), blocks_vec(pieces).astype(int)
+    flat = blocks_vec([x.ravel() for x in pieces])
+    return stacks, blocks_vec(tpos).astype(int), flat.astype(int)
 
 
 def _distinct_blocks(stacks, vecs):

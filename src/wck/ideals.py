@@ -47,10 +47,13 @@ the connecting map psi sends each stage of the ideal into the next.
 Everything here computes in structural stage coordinates: a stage-n
 element is a dict keyed by source vertex with one coordinate tensor
 per pair of index paths, and the maps between stages reuse the
-certified tower fibers. Window renders enter only where a statement
-genuinely lives on the observable window (the transport gathers and
-the strip / push re-verification), always behind a residual
-certificate.
+certified tower fibers. The rows of a stage basis travel as one
+stack: Tower.stage_unvec gives their blocks a leading row axis, psi
+and tau_inverse map the whole stack, and each span certificate is one
+stacked in_span or span_residual. Window renders enter only where a
+statement genuinely lives on the observable window (the transport
+gathers and the strip / push re-verification), always behind a
+residual certificate.
 
 The classical unweighted theory doubles as an oracle: hereditary and
 saturated vertex sets, enumerated by brute force, must biject with the
@@ -64,12 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GraphError, WeightError, WindowUnstableError
+from .errors import check_index
 from .findim import blocks_vec
 from .graphs import Path
 from .tower import TowerConfig, build_tower
 from .weights import minimal_period, reperiodize
-from .windows import RANK_TOL, in_span, onb, span_contains, span_intersect
-from .windows import span_residual
+from .windows import RANK_TOL, in_span, onb, span_intersect, span_residual
 
 
 # -- families and the lattice -------------------------------------------------
@@ -93,8 +96,8 @@ class IdealFamily:
         if len(self.choices) != len(self.summand_counts):
             raise DomainError("family needs one summand subset per vertex")
         for c, s in zip(self.choices, self.summand_counts):
-            if any(i < 0 or i >= s for i in c):
-                raise DomainError("summand index out of range in family")
+            for i in c:
+                check_index(i, 0, s - 1, "a summand index of the family")
         self.j0_dim = None
 
     @property
@@ -257,12 +260,13 @@ def ideal_subspace(tower, v, subset):
     certified against the identity.
     """
     corner = tower.corners[v]
-    subset = sorted(frozenset(subset))
-    if any(i < 0 or i >= len(corner.dec.summands) for i in subset):
-        raise DomainError(
-            "summand index out of range at vertex %r"
-            % tower.graph.vertices[v]
-        )
+    where = "at vertex %r" % tower.graph.vertices[v]
+    try:
+        subset = sorted(frozenset(subset))
+    except TypeError:
+        raise DomainError("the summands %s are not a set of ints" % where) from None
+    for i in subset:
+        check_index(i, 0, len(corner.dec.summands) - 1, "a summand index " + where)
     if not subset:
         return np.zeros((0, corner.r), dtype=np.complex128)
     basis = np.concatenate([corner.summand_ideal(i) for i in subset])
@@ -471,51 +475,37 @@ def check_S(tower, family):
 # -- invariant ideals stage by stage ------------------------------------------
 
 
-def _stage_unvec(tower, n, vec):
-    x = tower.stage_zero(n)
-    off = 0
-    for v in sorted(x):
-        size = x[v].size
-        x[v][...] = np.asarray(vec)[off:off + size].reshape(x[v].shape)
-        off += size
-    return x
-
-
 def _placed(tower, subs, m):
     """Stage-m rows of the pattern with J_v in every block entry at v.
 
-    At vertex v the rows are kron(eye(m_v^2), J_v), in the layout of
-    Tower.stage_vec; the vertex blocks sit on the diagonal.
+    At vertex v, row (a, b, j) holds row j of J_v in block entry (a, b);
+    these are the rows of kron(eye(m_v^2), J_v), and the vertex blocks
+    sit on the diagonal. The rows are laid out by Tower.stage_unvec.
     """
     counts = tower.stages[m].counts
-    blocks = [np.kron(np.eye(counts[v] ** 2), subs[v]) for v in sorted(counts)]
-    out = np.zeros(
-        (sum(b.shape[0] for b in blocks), tower.stages[m].dim),
-        dtype=np.complex128,
-    )
-    row = col = 0
-    for b in blocks:
-        out[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row += b.shape[0]
-        col += b.shape[1]
+    sizes = [counts[v] ** 2 * len(subs[v]) for v in sorted(counts)]
+    out = np.zeros((sum(sizes), tower.stages[m].dim), dtype=np.complex128)
+    x = tower.stage_unvec(m, out)
+    for v, row in zip(sorted(counts), np.cumsum([0] + sizes)):
+        a, b, j = np.indices((counts[v], counts[v], len(subs[v]))).reshape(3, -1)
+        x[v][row + np.arange(len(j)), a, b] = subs[v][j]
     return out
 
 
 def _ideal_chain(tower, family, n):
-    if n > tower.config.n_max:
-        raise DomainError("stage %d exceeds the built tower" % n)
+    """Stages 0..n of the placed ideal, each certified to map into the next."""
+    check_index(n, 0, tower.config.n_max, "the ideal stage")
     subs = _family_subspaces(tower, family)
     chain = [_placed(tower, subs, m) for m in range(n + 1)]
     for m in range(1, n + 1):
-        for row in chain[m - 1]:
-            lifted = tower.stage_vec(
-                m, tower.psi(m - 1, _stage_unvec(tower, m - 1, row))
+        lifted = tower.stage_vec(
+            m, tower.psi(m - 1, tower.stage_unvec(m - 1, chain[m - 1]))
+        )
+        if not in_span(lifted, chain[m]):
+            raise WindowUnstableError(
+                "the stage-%d ideal does not include into stage %d"
+                % (m - 1, m)
             )
-            if not in_span(lifted, chain[m]):
-                raise WindowUnstableError(
-                    "the stage-%d ideal does not include into stage %d"
-                    % (m - 1, m)
-                )
     return chain
 
 
@@ -549,36 +539,29 @@ class VerificationReport:
     failures: list
 
 
-def _sample_pairs(m):
-    pairs = [(0, 0)]
-    if m > 1:
-        pairs += [(0, m - 1), (m - 1, m - 1)]
-    return pairs
-
-
-def _flatten_levels(blocks, k0, k1):
-    return np.concatenate([blocks[kk].ravel() for kk in range(k0, k1)])
-
-
 def _edge_render(tower, blocks, e, f, push):
-    """Render of u_e^* x u_f on levels [M, M+W-1) from the render of x,
-    or with push, of u_e x u_f^* on levels [M+1, M+W)."""
+    """Renders of u_e^* x u_f on levels [M, M+W-1), one row per x.
+
+    blocks are the stacked window blocks of the elements x, as
+    tau_inverse gives them; with push the rows render u_e x u_f^* on
+    levels [M+1, M+W). Each level is one gather of the whole stack.
+    """
     g = tower.graph
     out = []
     for kk in range(tower.W - 1):
         k = tower.M + kk
-        rows = g.ending_at(k, g.esrc[e])
+        rows = g.ending_at(k, g.esrc[e])[:, None]
         cols = g.ending_at(k, g.esrc[f])
         up_r = g.prepend_index(k, Path((e,), g.esrc[e]))[rows]
         up_c = g.prepend_index(k, Path((f,), g.esrc[f]))[cols]
         dim = g.level_dim(k + 1 if push else k)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
+        mat = np.zeros((len(blocks[kk]), dim, dim), dtype=np.complex128)
         if push:
-            mat[np.ix_(up_r, up_c)] = blocks[kk][np.ix_(rows, cols)]
+            mat[:, up_r, up_c] = blocks[kk][:, rows, cols]
         else:
-            mat[np.ix_(rows, cols)] = blocks[kk + 1][np.ix_(up_r, up_c)]
+            mat[:, rows, cols] = blocks[kk + 1][:, up_r, up_c]
         out.append(mat)
-    return np.concatenate([m.ravel() for m in out])
+    return blocks_vec(out)
 
 
 def verify_fully_invariant(tower, family, n_cap=None):
@@ -594,43 +577,37 @@ def verify_fully_invariant(tower, family, n_cap=None):
       edges stays inside the stage-0 ideal (window render comparison);
     * push invariance: conjugating the stage-0 ideal by any two edges
       lands inside the stage-1 ideal.
+
+    Each chain stage is rendered on the window by one stacked
+    tau_inverse, one row per basis row, and every span certificate runs
+    on the whole stack. n_cap is an int in [1, n_max], min(3, n_max)
+    when None.
     """
     g = tower.graph
-    cap = min(3, tower.config.n_max) if n_cap is None else int(n_cap)
-    if cap > tower.config.n_max:
-        raise DomainError(
-            "stage cap %d exceeds the built tower (n_max=%d)"
-            % (cap, tower.config.n_max)
-        )
-    if cap < 1:
-        raise DomainError("verification needs at least one stage")
+    cap = min(3, tower.config.n_max) if n_cap is None else n_cap
+    check_index(cap, 1, tower.config.n_max, "the verification stage cap")
     subs = _family_subspaces(tower, family)
     chain = _ideal_chain(tower, family, cap)
     failures = []
     fiber_checks = []
     for nprime in sorted({1, cap}):
-        dicts = [_stage_unvec(tower, nprime, row) for row in chain[nprime]]
-        renders = [blocks_vec(tower.tau_inverse(nprime, x)) for x in dicts]
+        renders = blocks_vec(
+            tower.tau_inverse(nprime, tower.stage_unvec(nprime, chain[nprime]))
+        )
         for nlow in range(nprime + 1):
             lo = tower.M - nlow * tower.p
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                mat = corner.restricted(lo, hi)[0]
-                corner_span = onb(mat)
+                corner_span = onb(corner.restricted(lo, hi)[0])
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
                 index = tower.window_index(nlow, v)
-                for i1, i2 in _sample_pairs(len(paths_low)):
+                last = len(paths_low) - 1
+                for i1, i2 in sorted({(0, 0), (0, last), (last, last)}):
                     mu1 = index_paths[paths_low[i1]]
                     mu2 = index_paths[paths_low[i2]]
-                    strips = [rnd[index[i1, i2]] for rnd in renders]
-                    if strips:
-                        strip_span = onb(np.array(strips))
-                    else:
-                        strip_span = np.zeros(
-                            (0, mat.shape[1]), dtype=np.complex128
-                        )
+                    strip_span = onb(renders[:, index[i1, i2]])
                     inter = span_intersect(strip_span, corner_span)
                     rows, resid = corner.certified_coords(
                         lo, hi, inter,
@@ -652,8 +629,8 @@ def verify_fully_invariant(tower, family, n_cap=None):
                         )
                     else:
                         rec = onb(rows)
-                        contained = span_contains(subs[v], rec)
-                        covers = span_contains(rec, subs[v])
+                        contained = in_span(rec, subs[v])
+                        covers = in_span(subs[v], rec)
                         if contained and covers:
                             entry["relation"] = "equal"
                         elif covers:
@@ -676,61 +653,37 @@ def verify_fully_invariant(tower, family, n_cap=None):
                             )
                     fiber_checks.append(entry)
 
-    j0_dicts = [_stage_unvec(tower, 0, row) for row in chain[0]]
-    j0_renders = [tower.tau_inverse(0, x) for x in j0_dicts]
-    strip_checks = []
-    push_checks = []
-    if j0_renders:
-        j0_low = onb(
-            np.array(
-                [_flatten_levels(r, 0, tower.W - 1) for r in j0_renders]
-            )
-        )
-        j1_dicts = [_stage_unvec(tower, 1, row) for row in chain[1]]
-        j1_high = onb(
-            np.array(
-                [
-                    _flatten_levels(tower.tau_inverse(1, x), 1, tower.W)
-                    for x in j1_dicts
-                ]
-            )
+    # the strip checks stay in the stage-0 ideal on levels [M, M+W-1),
+    # the push checks land in the stage-1 ideal on levels [M+1, M+W)
+    checks = {False: [], True: []}
+    if len(chain[0]):
+        j0 = tower.tau_inverse(0, tower.stage_unvec(0, chain[0]))
+        j1 = tower.tau_inverse(1, tower.stage_unvec(1, chain[1]))
+        j0_low = onb(blocks_vec(j0[:-1]))
+        j1_high = onb(blocks_vec(j1[1:]))
+        targets = (
+            (False, j0_low, "strip of the stage-0 ideal between %s leaves it"),
+            (True, j1_high, "push of the stage-0 ideal by %s leaves stage 1"),
         )
         for e in range(g.n_edges):
             for f in range(g.n_edges):
-                worst_strip = 0.0
-                worst_push = 0.0
-                for rnd in j0_renders:
-                    cand = _edge_render(tower, rnd, e, f, push=False)
-                    resid = span_residual(cand, j0_low)
-                    scale = max(1.0, float(np.linalg.norm(cand)))
-                    worst_strip = max(worst_strip, resid / scale)
-                    cand = _edge_render(tower, rnd, e, f, push=True)
-                    resid = span_residual(cand, j1_high)
-                    scale = max(1.0, float(np.linalg.norm(cand)))
-                    worst_push = max(worst_push, resid / scale)
                 names = (g.edges[e].name, g.edges[f].name)
-                strip_checks.append(
-                    {"pair": names, "residual": worst_strip}
-                )
-                push_checks.append(
-                    {"pair": names, "residual": worst_push}
-                )
-                if worst_strip > RANK_TOL:
-                    failures.append(
-                        "strip of the stage-0 ideal between %s leaves it "
-                        "(residual %.3g)" % (names, worst_strip)
-                    )
-                if worst_push > RANK_TOL:
-                    failures.append(
-                        "push of the stage-0 ideal by %s leaves stage 1 "
-                        "(residual %.3g)" % (names, worst_push)
-                    )
+                for push, basis, message in targets:
+                    # the largest residual of a render, relative as in in_span
+                    cand = _edge_render(tower, j0, e, f, push)
+                    scale = np.maximum(1.0, np.linalg.norm(cand, axis=1))
+                    worst = float(np.max(span_residual(cand, basis) / scale))
+                    checks[push].append({"pair": names, "residual": worst})
+                    if worst > RANK_TOL:
+                        failures.append(
+                            message % (names,) + " (residual %.3g)" % worst
+                        )
     return VerificationReport(
         ok=not failures,
         n_cap=cap,
         fiber_checks=fiber_checks,
-        strip_checks=strip_checks,
-        push_checks=push_checks,
+        strip_checks=checks[False],
+        push_checks=checks[True],
         failures=failures,
     )
 

@@ -42,15 +42,16 @@ raises instead of returning silently wrong structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DomainError,
     GraphError,
     MultiplicityError,
     WindowUnstableError,
+    check_index,
 )
 from .findim import (
     StarAlgebra,
@@ -133,23 +134,16 @@ class Corner:
     def _tabulate(self):
         """Structure constants of the corner, certified closed.
 
-        T and S come from the algebra's tables. Per basis element, first
-        its adjoint and then its products must stay within 1e-7 of the
-        span, or the call raises WindowUnstableError.
+        T and S come from the algebra's tables. Over all basis elements,
+        first the adjoints and then the products must stay within 1e-7
+        of the span, or the call raises WindowUnstableError.
         """
         self.T, self.S, resid = self.algebra.tables
-        for row in resid:
-            for value, under in zip(row, ("adjoints", "products")):
-                if value > 1e-7:
-                    raise WindowUnstableError(
-                        "corner basis is not closed under %s" % under
-                    )
-
-    def mul_coords(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.T)
-
-    def adjoint_coords(self, x):
-        return np.einsum("j,jk->k", np.conj(x), self.S)
+        for value, under in zip(resid.max(axis=0), ("adjoints", "products")):
+            if value > 1e-7:
+                raise WindowUnstableError(
+                    "corner basis is not closed under %s" % under
+                )
 
     def columns(self, lo, hi):
         """The columns of onb on the levels [lo, hi)."""
@@ -188,28 +182,25 @@ class Corner:
         if got is not None:
             return got
         summand = self.dec.summands[i]
-        eye = np.eye(self.r, dtype=np.complex128)
-        basis = onb([self.mul_coords(summand.z, e) for e in eye])
+        # row j of z_i e_j, and the products e_j u and u e_j per basis row u
+        basis = onb(np.einsum("i,ijk->jk", summand.z, self.T))
         if basis.shape[0] != summand.d ** 2:
             raise WindowUnstableError(
                 "ideal of summand %d at vertex %r has dimension %d, its size "
                 "gives %d" % (i, self.vertex, basis.shape[0], summand.d ** 2)
             )
-        for u in basis:
-            if not in_span(self.adjoint_coords(u), basis):
-                raise WindowUnstableError(
-                    "ideal of summand %d at vertex %r is not adjoint-closed"
-                    % (i, self.vertex)
-                )
-            for e in eye:
-                if not (
-                    in_span(self.mul_coords(e, u), basis)
-                    and in_span(self.mul_coords(u, e), basis)
-                ):
-                    raise WindowUnstableError(
-                        "ideal of summand %d at vertex %r is not a two-sided "
-                        "ideal" % (i, self.vertex)
-                    )
+        if not in_span(basis.conj() @ self.S, basis):
+            raise WindowUnstableError(
+                "ideal of summand %d at vertex %r is not adjoint-closed"
+                % (i, self.vertex)
+            )
+        left = np.einsum("ul,jlk->ujk", basis, self.T).reshape(-1, self.r)
+        right = np.einsum("ul,ljk->ujk", basis, self.T).reshape(-1, self.r)
+        if not (in_span(left, basis) and in_span(right, basis)):
+            raise WindowUnstableError(
+                "ideal of summand %d at vertex %r is not a two-sided ideal"
+                % (i, self.vertex)
+            )
         basis.flags.writeable = False
         self._summand_ideals[i] = basis
         return basis
@@ -361,12 +352,7 @@ class Tower:
     # -- structural stage elements ----------------------------------------
 
     def stage_zero(self, n):
-        return {
-            v: np.zeros(
-                (m, m, self.corners[v].r), dtype=np.complex128
-            )
-            for v, m in self.stages[n].counts.items()
-        }
+        return self.stage_unvec(n, np.zeros(self.stages[n].dim, dtype=np.complex128))
 
     def stage_random(self, n, rng):
         x = self.stage_zero(n)
@@ -377,9 +363,29 @@ class Tower:
         return x
 
     def stage_vec(self, n, x):
+        """The blocks x[v] raveled in vertex order; leading axes stay."""
+        blocks = [x[v] for v in sorted(x)]
         return np.concatenate(
-            [x[v].ravel() for v in sorted(x)]
-        ) if x else np.zeros(0)
+            [b.reshape(b.shape[:-3] + (math.prod(b.shape[-3:]),)) for b in blocks],
+            axis=-1,
+        )
+
+    def stage_unvec(self, n, vecs):
+        """The stage-n element of each row of vecs, inverse to stage_vec.
+
+        Leading axes of vecs stay in front of every block, and the
+        blocks are views of vecs.
+        """
+        check_index(n, 0, self.config.n_max, "the stage")
+        vecs = np.asarray(vecs)
+        out = {}
+        off = 0
+        for v, m in sorted(self.stages[n].counts.items()):
+            size = m * m * self.corners[v].r
+            shape = vecs.shape[:-1] + (m, m, self.corners[v].r)
+            out[v] = vecs[..., off:off + size].reshape(shape)
+            off += size
+        return out
 
     # -- between stages ----------------------------------------------------
 
@@ -388,11 +394,14 @@ class Tower:
 
         A stage-(n + 1) index path factors uniquely into a length-p tail
         followed by a stage-n index path, so each summand of the image
-        is assembled from one fiber map per length-p path.
+        is assembled from one fiber map per length-p path. Leading axes
+        of the blocks x[v] (m, m, r) stack elements that map together.
         """
-        if n + 1 > self.config.n_max:
-            raise DomainError("stage %d exceeds the built tower" % (n + 1))
-        out = self.stage_zero(n + 1)
+        check_index(n, 0, self.config.n_max - 1, "the stage psi maps from")
+        lead = next(iter(x.values())).shape[:-3]
+        out = self.stage_unvec(
+            n + 1, np.zeros(lead + (self.stages[n + 1].dim,), dtype=np.complex128)
+        )
         g = self.graph
         alphas = g.paths(n * self.p + self.q)
         for mi, mu in enumerate(g.paths(self.p)):
@@ -402,8 +411,8 @@ class Tower:
             lo = self.stages[n].paths[w]
             hi = [g.prepend_index(self.p, alphas[i])[mi] for i in lo]
             rows = np.searchsorted(self.stages[n + 1].paths[v], hi)
-            lifted = np.einsum("abj,ij->abi", x[w], self.fibers[mi])
-            out[v][np.ix_(rows, rows)] += lifted
+            lifted = np.einsum("...abj,ij->...abi", x[w], self.fibers[mi])
+            out[v][..., rows[:, None], rows, :] += lifted
         return out
 
     def stage_rows(self, n, v):
@@ -475,13 +484,19 @@ class Tower:
         return cs.certified_coords(lo, hi, vecs, scales, message)[0].T
 
     def tau_inverse(self, n, x):
-        """Concrete window blocks of a structural stage element."""
+        """Concrete window blocks of a structural stage element.
+
+        Leading axes of the blocks x[v] (m, m, r) stack elements, and
+        every window block carries them in front.
+        """
+        check_index(n, 0, self.config.n_max, "the stage")
         g = self.graph
         dims = [g.level_dim(k) for k in range(self.M, self.M + self.W)]
         lo = self.M - n * self.p
-        flat = np.zeros(sum(d * d for d in dims), dtype=np.complex128)
+        lead = next(iter(x.values())).shape[:-3]
+        flat = np.zeros(lead + (sum(d * d for d in dims),), dtype=np.complex128)
         for v, blk in x.items():
-            flat[self.window_index(n, v)] = blk @ self.corners[v].columns(
+            flat[..., self.window_index(n, v)] = blk @ self.corners[v].columns(
                 lo, lo + self.W
             )
         return blocks_unvec(flat, dims)
@@ -493,6 +508,7 @@ class Tower:
         lies in the corner span, against its largest absolute entry (at
         least 1); garbage input raises.
         """
+        check_index(n, 0, self.config.n_max, "the stage")
         lo = self.M - n * self.p
         flat = blocks_vec(blocks)
         x = self.stage_zero(n)

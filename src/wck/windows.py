@@ -120,12 +120,15 @@ def max_rise(x):
     return rise
 
 
-def _window_matrix(x, w, M, W):
+def _window_matrix(x, w, M, W, blocks=None):
     """Compression of x to the span of levels [M, M + W), as one matrix.
 
     Each homogeneous part of x fills its block diagonal by eval_block.
+    blocks, when given, keeps the evaluated blocks of x by (offset,
+    level), so calls on overlapping windows evaluate each block once.
     """
     g = x.graph
+    blocks = {} if blocks is None else blocks
     starts = np.cumsum([0] + [level_dim(g, k) for k in range(M, M + W)])
     out = np.zeros((starts[-1], starts[-1]), dtype=np.complex128)
     parts = {}
@@ -134,8 +137,10 @@ def _window_matrix(x, w, M, W):
     for d, terms in parts.items():
         part = CalkinElement(g, terms)
         for i in range(max(0, -d), min(W, W - d)):
+            if (d, M + i) not in blocks:
+                blocks[d, M + i] = eval_block(part, M + i, w)
             out[starts[i + d]:starts[i + d + 1], starts[i]:starts[i + 1]] = (
-                eval_block(part, M + i, w)
+                blocks[d, M + i]
             )
     return out
 
@@ -170,16 +175,19 @@ def calkin_norm(x, cfg):
             "window levels exceed the dimension guard before any norm "
             "estimate is possible; the graph grows too fast for this window"
         )
-    prev = float(np.linalg.norm(_window_matrix(x, w, M, W), 2))
+    blocks = {}
+    prev = float(np.linalg.norm(_window_matrix(x, w, M, W, blocks), 2))
     for _ in range(MAX_WIDENINGS):
         wider = W + p
         if not fits(wider):
             raise WindowUnstableError(
                 "norm did not stabilize before the level-dimension guard"
             )
-        cur = float(np.linalg.norm(_window_matrix(x, w, M, wider), 2))
+        cur = float(np.linalg.norm(_window_matrix(x, w, M, wider, blocks), 2))
         if abs(cur - prev) <= NORM_TOL:
-            shifted = float(np.linalg.norm(_window_matrix(x, w, M + p, wider), 2))
+            shifted = float(
+                np.linalg.norm(_window_matrix(x, w, M + p, wider, blocks), 2)
+            )
             if abs(shifted - cur) <= NORM_TOL:
                 return cur
         prev = cur
@@ -204,22 +212,27 @@ def onb(rows, tol=RANK_TOL):
     return vh[keep]
 
 
-def span_residual(vec, basis):
-    """Norm of the part of vec off the row span of an orthonormal basis."""
-    if basis.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    coeffs = basis.conj() @ vec
-    return float(np.linalg.norm(vec - basis.T @ coeffs))
+def span_residual(vecs, basis):
+    """Norm of the part of each row of vecs off the row span of an onb.
+
+    A 2-D vecs is a stack of rows and gives one residual per row; a 1-D
+    vecs is one row and gives one float.
+    """
+    vecs = np.asarray(vecs)
+    if basis.shape[0]:
+        vecs = vecs - (vecs @ basis.conj().T) @ basis
+    out = np.linalg.norm(vecs, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def in_span(vec, basis, tol=RANK_TOL):
-    """Whether vec lies in the row span of an orthonormal basis."""
-    return span_residual(vec, basis) <= tol * max(1.0, float(np.linalg.norm(vec)))
+def in_span(vecs, basis, tol=RANK_TOL):
+    """Whether every row of vecs lies in the row span of an onb.
 
-
-def span_contains(big, small, tol=RANK_TOL):
-    """Whether every row of `small` lies in the span of onb `big`."""
-    return all(in_span(row, big, tol) for row in small)
+    A row passes when its residual is at most tol * max(1, |row|). A 1-D
+    vecs is one row, and an empty stack passes.
+    """
+    bound = tol * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+    return bool(np.all(span_residual(vecs, basis) <= bound))
 
 
 def span_intersect(a, b, tol=RANK_TOL):
@@ -233,13 +246,9 @@ def span_intersect(a, b, tol=RANK_TOL):
         return np.zeros((0, a.shape[1]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a.conj() @ b.T, full_matrices=False)
     keep = s > 1.0 - tol
-    if not np.any(keep):
-        return np.zeros((0, a.shape[1]), dtype=np.complex128)
     # a.conj() @ b.T = U S V^H, so the principal vectors in span(a) are
     # the combinations u[:, k] of the rows of a, without conjugation
-    vecs = u[:, keep].T @ a
-    vecs = onb(vecs, tol)
-    out = [v for v in vecs if in_span(v, a, 10 * tol) and in_span(v, b, 10 * tol)]
-    if not out:
-        return np.zeros((0, a.shape[1]), dtype=np.complex128)
-    return np.asarray(out)
+    vecs = onb(u[:, keep].T @ a, tol)
+    bound = 10 * tol * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+    inside = (span_residual(vecs, a) <= bound) & (span_residual(vecs, b) <= bound)
+    return vecs[inside]

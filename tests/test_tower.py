@@ -318,6 +318,39 @@ class TestChoiceInvariance:
         )
 
 
+# calls with a stage index, a stage cap or a summand index that is not
+# an int in range, on the C3w tower (n_max = 2) with its stage-0 zero x
+# and the full family on its first vertex
+BAD_INDEX_CALLS = {
+    "tau_inverse(5)": lambda tw, x, fam: tw.tau_inverse(5, x),
+    "tau_inverse(-1)": lambda tw, x, fam: tw.tau_inverse(-1, x),
+    "tau_inverse(True)": lambda tw, x, fam: tw.tau_inverse(True, x),
+    "tau(-1)": lambda tw, x, fam: tw.tau(-1, tw.tau_inverse(0, x)),
+    "tau(3)": lambda tw, x, fam: tw.tau(3, tw.tau_inverse(0, x)),
+    "tau(1.0)": lambda tw, x, fam: tw.tau(1.0, tw.tau_inverse(0, x)),
+    "psi(-1)": lambda tw, x, fam: tw.psi(-1, x),
+    "psi(2)": lambda tw, x, fam: tw.psi(2, x),
+    "psi(False)": lambda tw, x, fam: tw.psi(False, x),
+    "stage_unvec(-1)": lambda tw, x, fam: tw.stage_unvec(-1, tw.stage_vec(0, x)),
+    "stage_unvec(3)": lambda tw, x, fam: tw.stage_unvec(3, tw.stage_vec(0, x)),
+    "stage_unvec('0')": lambda tw, x, fam: tw.stage_unvec("0", tw.stage_vec(0, x)),
+    "n_cap=2.7": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, 2.7),
+    "n_cap=True": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, True),
+    "n_cap='2'": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, "2"),
+    "n_cap='abc'": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, "abc"),
+    "n_cap=0": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, 0),
+    "n_cap=3": lambda tw, x, fam: ideals.verify_fully_invariant(tw, fam, 3),
+    "ideal stage -1": lambda tw, x, fam: ideals.build_fully_invariant(tw, fam, -1),
+    "summands {'a'}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {"a"}),
+    "summands 3": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, 3),
+    "summands {1, 'a'}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {1, "a"}),
+    "summands {True}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {True}),
+    "summands {-1}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {-1}),
+    "summands {5}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {5}),
+    "family {'a'}": lambda tw, x, fam: ideals.IdealFamily([{"a"}, (), ()], [5, 5, 5]),
+}
+
+
 class TestGuards:
     def test_source_or_sink_rejected(self):
         g = mkgraph(["v1", "v2"], [("e", "v1", "v2"), ("f", "v2", "v2")])
@@ -372,6 +405,17 @@ class TestGuards:
         x = tw.stage_zero(tw.config.n_max)
         with pytest.raises(DomainError):
             tw.psi(tw.config.n_max, x)
+
+    @pytest.mark.parametrize(
+        "call", BAD_INDEX_CALLS.values(), ids=list(BAD_INDEX_CALLS)
+    )
+    def test_bad_indices_raise_domain_error(self, c3_weighted, call):
+        """Stage indices, stage caps and summand indices are ints in range."""
+        tw = c3_weighted
+        assert tw.config.n_max == 2
+        fam = ideals.family_of_subset(tw, {tw.graph.vertices[0]})
+        with pytest.raises(DomainError):
+            call(tw, tw.stage_zero(0), fam)
 
     def test_corrupted_window_data_detected(self, c3_weighted):
         # tau certifies the entries it gathers, so the corruption has to
@@ -470,6 +514,24 @@ def test_window_gathers_match_looped_oracles(corpus, key):
         assert max(np.abs(a - b).max() for a, b in zip(got, ref)) <= 1e-12
         got, ref = tw.tau(n, ref), looped_tau(tw, n, ref)
         assert max(np.abs(got[v] - ref[v]).max() for v in got) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["C3w", "O2w", "G2p3", "G2", "theta", "chain13"])
+def test_stacked_stage_maps_match_single_calls(corpus, key):
+    """psi and tau_inverse on a stack of 5 elements, element by element."""
+    tw = fiber_tower(corpus, key)
+    rng = np.random.default_rng(5)
+    for n in range(tw.config.n_max + 1):
+        xs = [tw.stage_random(n, rng) for _ in range(5)]
+        stack = tw.stage_unvec(n, np.array([tw.stage_vec(n, x) for x in xs]))
+        got = tw.tau_inverse(n, stack)
+        for i, x in enumerate(xs):
+            ref = tw.tau_inverse(n, x)
+            assert max(np.abs(a[i] - b).max() for a, b in zip(got, ref)) <= 1e-12
+        if n < tw.config.n_max:
+            got = tw.stage_vec(n + 1, tw.psi(n, stack))
+            ref = [tw.stage_vec(n + 1, tw.psi(n, x)) for x in xs]
+            assert np.abs(got - np.array(ref)).max() <= 1e-12
 
 
 def test_g3_generic_draws_agree():

@@ -11,6 +11,7 @@ from util import (
     corpus_graphs,
     cycle_graph,
     cycle_weight_spec,
+    load_workloads,
     looped_window_matrix,
     path_isometry,
     random_diag_spec,
@@ -229,6 +230,32 @@ def test_unweighted_norms():
     assert calkin_equal(x, el.unit(g), cfg)
 
 
+def test_norm_evaluates_each_block_once(monkeypatch):
+    """The benchmark's norm elements: one eval_block per (part, level).
+
+    Before the blocks were kept within a call, every trial width and
+    the translated window evaluated them again: 72 calls for the 40
+    distinct (homogeneous part, level) pairs. The norms are unchanged
+    to the last bit.
+    """
+    workloads = load_workloads()
+    sweep = workloads.WORKLOADS["corpus-sweep"]
+    loaded = sweep.load(sweep.inputs(2))
+    calls = []
+
+    def counted(x, k, w):
+        calls.append(k)
+        return eval_block(x, k, w)
+
+    monkeypatch.setattr(win, "eval_block", counted)
+    norms = [
+        repr(calkin_norm(build(loaded[key][0]), WindowConfig(weights=loaded[key][1])))
+        for key, _, build in workloads.NORM_ELEMENTS
+    ]
+    assert len(calls) == 40
+    assert norms == ["3.0", "1.0", "1.0", "2.0", "0.0", "1.0", "0.0"]
+
+
 def test_dimension_guard_raises():
     g = corpus_graphs()["O2"]
     w = WeightSpec.unweighted(g)
@@ -249,6 +276,34 @@ def test_onb_and_membership():
     assert np.allclose(basis.conj() @ basis.T, np.eye(3), atol=1e-10)
     assert win.in_span(rows[3], basis)
     assert not win.in_span(rng.normal(size=8), basis)
+
+
+def test_stacked_span_residuals():
+    """A row and the same row as a one-row stack give the same answer."""
+    rng = np.random.default_rng(4)
+    basis = win.onb(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+    inside = rng.normal(size=3) @ basis
+    outside = rng.normal(size=8) + 1j * rng.normal(size=8)
+    for row in (inside, outside):
+        one = win.span_residual(row, basis)
+        stack = win.span_residual(row[None, :], basis)
+        assert isinstance(one, float) and stack.shape == (1,)
+        assert abs(one - stack[0]) <= 1e-14
+        assert win.in_span(row, basis) == win.in_span(row[None, :], basis)
+    both = np.array([inside, outside])
+    rows = [win.span_residual(inside, basis), win.span_residual(outside, basis)]
+    assert np.abs(win.span_residual(both, basis) - rows).max() <= 1e-12
+    assert win.in_span(both[:1], basis) and not win.in_span(both, basis)
+    # an empty stack has no residuals and lies in every span
+    assert win.span_residual(np.zeros((0, 8)), basis).shape == (0,)
+    assert win.in_span(np.zeros((0, 8)), basis)
+    # against an empty basis the residual is the norm
+    empty = np.zeros((0, 8), dtype=np.complex128)
+    assert win.span_residual(outside, empty) == np.linalg.norm(outside)
+    assert np.array_equal(
+        win.span_residual(both, empty), np.linalg.norm(both, axis=1)
+    )
+    assert win.in_span(np.zeros(8), empty) and not win.in_span(outside, empty)
 
 
 def test_span_intersection():

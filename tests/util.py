@@ -12,19 +12,20 @@ decomposition on full blocks, the concrete stage algebra
 of a tower, the multiplicity matrix of an embedding read off corner
 ranks, the per-pair loop of the fiber multiplicities, the
 per-basis-element transport and the per-entry tau and tau_inverse
-loops, the linear-algebra search for invariant families, the corner
-ideal of a summand subset built and verified as one subspace, the
-stage ideals gathered from path conjugates, the cubic cover search
-of a lattice, the truncated Fock representation as sparse
+loops, the re-verification of an invariant ideal one chain row and one
+render at a time, the linear-algebra search for invariant families,
+the corner ideal of a summand subset built and verified as one
+subspace, the stage ideals gathered from path conjugates, the cubic
+cover search of a lattice, the truncated Fock representation as sparse
 operators with its relations checked by sparse products, the per-word
 window matrix and the inline I_p (x) Z_k extension of the level
 matrices.
 
 Small path, weight, stage and norm helpers that only tests use live
 here too: path composition and the adjacency matrix, the path isometry
-u_a, the weight entries read off by stripping periods, the stage unit,
-product and adjoint in corner coordinates, and equality modulo the
-compacts.
+u_a, the weight entries read off by stripping periods, the corner
+product and the stage unit, product and adjoint in corner coordinates,
+and equality modulo the compacts.
 
 wck stores an algebra only as orthonormal rows and its elements as
 coordinates over them; the block-list helpers here (element,
@@ -44,6 +45,7 @@ from wck.elements import word_offset
 from wck.errors import (
     ClosureOverflowError,
     DecompositionError,
+    DomainError,
     GraphError,
     MultiplicityError,
     WeightError,
@@ -63,7 +65,14 @@ from wck.findim import (
     star_closure,
 )
 from wck.graphs import Edge, Graph, Path
-from wck.ideals import IdealFamily, _parallel_edge_pairs, pi_map
+from wck.ideals import (
+    IdealFamily,
+    VerificationReport,
+    _parallel_edge_pairs,
+    _placed,
+    ideal_subspace,
+    pi_map,
+)
 from wck.tower import COORD_TOL
 from wck.windows import (
     NORM_TOL,
@@ -72,7 +81,7 @@ from wck.windows import (
     in_span,
     level_dim,
     onb,
-    span_contains,
+    span_intersect,
     span_residual,
     word_matrix,
 )
@@ -692,6 +701,11 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
     return m
 
 
+def mul_coords(corner, x, y):
+    """Product of two corner elements in coordinates, by the structure tensor."""
+    return np.einsum("i,j,ijk->k", x, y, corner.T)
+
+
 def pairwise_fiber_multiplicities(tower, mu, fib):
     """Integer multiplicity block of one fiber map, one summand pair at a time.
 
@@ -710,7 +724,7 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
     out = np.zeros((len(cw.dec.summands), len(cv.dec.summands)), dtype=int)
     for i, sw in enumerate(cw.dec.summands):
         y = fib @ sw.f
-        yy = cv.mul_coords(y, y)
+        yy = mul_coords(cv, y, y)
         if np.linalg.norm(yy - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
             raise MultiplicityError(
                 "fiber along %s does not send minimal projections to "
@@ -718,10 +732,10 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
             )
         for j, sv in enumerate(cv.dec.summands):
             zj = sv.z
-            zy = cv.mul_coords(zj, y)
-            yz = cv.mul_coords(y, zj)
+            zy = mul_coords(cv, zj, y)
+            yz = mul_coords(cv, y, zj)
             rows = [
-                cv.mul_coords(zy, cv.mul_coords(e, yz))
+                mul_coords(cv, zy, mul_coords(cv, e, yz))
                 for e in np.eye(cv.r, dtype=np.complex128)
             ]
             # absolute floor on the rank cut: when the compression is zero
@@ -757,19 +771,13 @@ def dense_ideal_subspace(tower, v, subset, tol=RANK_TOL):
     if basis.shape[0] != sum(summands[i].d ** 2 for i in subset):
         raise WindowUnstableError("ideal dimension off the summand sizes")
     adjoints = np.conj(basis) @ corner.S
-    if not _rows_in_span(adjoints, basis, tol):
+    if not in_span(adjoints, basis, tol):
         raise WindowUnstableError("ideal is not adjoint-closed")
     left = np.einsum("ul,jlk->ujk", basis, corner.T).reshape(-1, corner.r)
     right = np.einsum("ul,ljk->ujk", basis, corner.T).reshape(-1, corner.r)
-    if not (_rows_in_span(left, basis, tol) and _rows_in_span(right, basis, tol)):
+    if not (in_span(left, basis, tol) and in_span(right, basis, tol)):
         raise WindowUnstableError("ideal is not two-sided")
     return basis
-
-
-def _rows_in_span(rows, basis, tol):
-    """Whether every row lies in the span of an orthonormal basis (in_span)."""
-    off = np.linalg.norm(rows - (rows @ basis.conj().T) @ basis, axis=1)
-    return bool(np.all(off <= tol * np.maximum(1.0, np.linalg.norm(rows, axis=1))))
 
 
 def _transport(tower, e, f):
@@ -837,11 +845,10 @@ def dense_check_S(tower, family, tol=RANK_TOL):
                 nxt.append(_null_rows(np.concatenate(rows, axis=0), tol))
             else:
                 nxt.append(np.eye(tower.corners[v].r, dtype=np.complex128))
-        if not all(span_contains(subs[v], nxt[v], tol) for v in range(nv)):
+        if not all(in_span(nxt[v], subs[v], tol) for v in range(nv)):
             return False
         if all(
-            nxt[v].shape[0] == cur[v].shape[0]
-            and span_contains(cur[v], nxt[v], tol)
+            nxt[v].shape[0] == cur[v].shape[0] and in_span(nxt[v], cur[v], tol)
             for v in range(nv)
         ):
             return True
@@ -968,6 +975,247 @@ def dense_ideal_chain(tower, family, n, tol=RANK_TOL):
             raise WindowUnstableError("stage-%d ideal off the summand pattern" % m)
         chain.append(basis)
     return chain
+
+
+def _looped_residual(vec, basis):
+    """Norm of the part of one vector off the row span of an onb."""
+    if basis.shape[0] == 0:
+        return float(np.linalg.norm(vec))
+    coeffs = basis.conj() @ vec
+    return float(np.linalg.norm(vec - basis.T @ coeffs))
+
+
+def _looped_contains(big, small, tol=RANK_TOL):
+    """Whether every row of `small` lies in the span of onb `big`, row by row."""
+    return all(
+        _looped_residual(row, big) <= tol * max(1.0, float(np.linalg.norm(row)))
+        for row in small
+    )
+
+
+def _looped_subspaces(tower, family):
+    return {
+        v: ideal_subspace(tower, v, family.choices[v])
+        for v in range(tower.graph.n_vertices)
+    }
+
+
+def _looped_stage_unvec(tower, n, vec):
+    x = tower.stage_zero(n)
+    off = 0
+    for v in sorted(x):
+        size = x[v].size
+        x[v][...] = np.asarray(vec)[off:off + size].reshape(x[v].shape)
+        off += size
+    return x
+
+
+def _looped_ideal_chain(tower, family, n):
+    if n > tower.config.n_max:
+        raise DomainError("stage %d exceeds the built tower" % n)
+    subs = _looped_subspaces(tower, family)
+    chain = [_placed(tower, subs, m) for m in range(n + 1)]
+    for m in range(1, n + 1):
+        for row in chain[m - 1]:
+            lifted = tower.stage_vec(
+                m, tower.psi(m - 1, _looped_stage_unvec(tower, m - 1, row))
+            )
+            if not _looped_contains(chain[m], [lifted]):
+                raise WindowUnstableError(
+                    "the stage-%d ideal does not include into stage %d"
+                    % (m - 1, m)
+                )
+    return chain
+
+
+def _looped_sample_pairs(m):
+    pairs = [(0, 0)]
+    if m > 1:
+        pairs += [(0, m - 1), (m - 1, m - 1)]
+    return pairs
+
+
+def _looped_flatten_levels(blocks, k0, k1):
+    return np.concatenate([blocks[kk].ravel() for kk in range(k0, k1)])
+
+
+def _looped_edge_render(tower, blocks, e, f, push):
+    """Render of u_e^* x u_f on levels [M, M+W-1) from the render of x,
+    or with push, of u_e x u_f^* on levels [M+1, M+W)."""
+    g = tower.graph
+    out = []
+    for kk in range(tower.W - 1):
+        k = tower.M + kk
+        rows = g.ending_at(k, g.esrc[e])
+        cols = g.ending_at(k, g.esrc[f])
+        up_r = g.prepend_index(k, Path((e,), g.esrc[e]))[rows]
+        up_c = g.prepend_index(k, Path((f,), g.esrc[f]))[cols]
+        dim = g.level_dim(k + 1 if push else k)
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        if push:
+            mat[np.ix_(up_r, up_c)] = blocks[kk][np.ix_(rows, cols)]
+        else:
+            mat[np.ix_(rows, cols)] = blocks[kk + 1][np.ix_(up_r, up_c)]
+        out.append(mat)
+    return np.concatenate([m.ravel() for m in out])
+
+
+def looped_verify_fully_invariant(tower, family, n_cap=None):
+    """verify_fully_invariant as it was before the span checks were stacked.
+
+    Every chain row makes its own dict, psi call, tau_inverse render
+    and span check, and the strip and push residuals are taken render
+    by render. The checks:
+
+    Three independent checks, reported with witnesses instead of
+    raising:
+
+    * recovered fibers: stripping the deep ideal bases along sampled
+      index-path pairs must recover exactly the chosen corner ideal at
+      every vertex and every lower stage;
+    * strip invariance: compressing the stage-0 ideal between any two
+      edges stays inside the stage-0 ideal (window render comparison);
+    * push invariance: conjugating the stage-0 ideal by any two edges
+      lands inside the stage-1 ideal.
+    """
+    g = tower.graph
+    cap = min(3, tower.config.n_max) if n_cap is None else int(n_cap)
+    if cap > tower.config.n_max:
+        raise DomainError(
+            "stage cap %d exceeds the built tower (n_max=%d)"
+            % (cap, tower.config.n_max)
+        )
+    if cap < 1:
+        raise DomainError("verification needs at least one stage")
+    subs = _looped_subspaces(tower, family)
+    chain = _looped_ideal_chain(tower, family, cap)
+    failures = []
+    fiber_checks = []
+    for nprime in sorted({1, cap}):
+        dicts = [_looped_stage_unvec(tower, nprime, row) for row in chain[nprime]]
+        renders = [blocks_vec(tower.tau_inverse(nprime, x)) for x in dicts]
+        for nlow in range(nprime + 1):
+            lo = tower.M - nlow * tower.p
+            hi = tower.M + tower.W - nlow * tower.p
+            for v in range(g.n_vertices):
+                corner = tower.corners[v]
+                mat = corner.restricted(lo, hi)[0]
+                corner_span = onb(mat)
+                index_paths = g.paths(nlow * tower.p + tower.q)
+                paths_low = tower.stages[nlow].paths[v]
+                index = tower.window_index(nlow, v)
+                for i1, i2 in _looped_sample_pairs(len(paths_low)):
+                    mu1 = index_paths[paths_low[i1]]
+                    mu2 = index_paths[paths_low[i2]]
+                    strips = [rnd[index[i1, i2]] for rnd in renders]
+                    if strips:
+                        strip_span = onb(np.array(strips))
+                    else:
+                        strip_span = np.zeros(
+                            (0, mat.shape[1]), dtype=np.complex128
+                        )
+                    inter = span_intersect(strip_span, corner_span)
+                    rows, resid = corner.certified_coords(
+                        lo, hi, inter,
+                        np.maximum(1.0, np.linalg.norm(inter, axis=1)),
+                    )
+                    entry = {
+                        "stage": nprime,
+                        "strip_stage": nlow,
+                        "vertex": g.vertices[v],
+                        "pair": (g.path_str(mu1), g.path_str(mu2)),
+                    }
+                    if rows is None:
+                        entry["relation"] = "uncertified"
+                        entry["residual"] = max(resid)
+                        failures.append(
+                            "a corner component of the stage-%d strip at %r "
+                            "could not be certified (residual %.3g)"
+                            % (nprime, g.vertices[v], max(resid))
+                        )
+                    else:
+                        rec = onb(rows)
+                        contained = _looped_contains(subs[v], rec)
+                        covers = _looped_contains(rec, subs[v])
+                        if contained and covers:
+                            entry["relation"] = "equal"
+                        elif covers:
+                            entry["relation"] = "grew"
+                        elif contained:
+                            entry["relation"] = "shrank"
+                        else:
+                            entry["relation"] = "moved"
+                        if entry["relation"] != "equal":
+                            failures.append(
+                                "recovered fiber at %r from stage %d "
+                                "stripped at stage %d %s (pair %s)"
+                                % (
+                                    g.vertices[v],
+                                    nprime,
+                                    nlow,
+                                    entry["relation"],
+                                    entry["pair"],
+                                )
+                            )
+                    fiber_checks.append(entry)
+
+    j0_dicts = [_looped_stage_unvec(tower, 0, row) for row in chain[0]]
+    j0_renders = [tower.tau_inverse(0, x) for x in j0_dicts]
+    strip_checks = []
+    push_checks = []
+    if j0_renders:
+        j0_low = onb(
+            np.array(
+                [_looped_flatten_levels(r, 0, tower.W - 1) for r in j0_renders]
+            )
+        )
+        j1_dicts = [_looped_stage_unvec(tower, 1, row) for row in chain[1]]
+        j1_high = onb(
+            np.array(
+                [
+                    _looped_flatten_levels(tower.tau_inverse(1, x), 1, tower.W)
+                    for x in j1_dicts
+                ]
+            )
+        )
+        for e in range(g.n_edges):
+            for f in range(g.n_edges):
+                worst_strip = 0.0
+                worst_push = 0.0
+                for rnd in j0_renders:
+                    cand = _looped_edge_render(tower, rnd, e, f, push=False)
+                    resid = _looped_residual(cand, j0_low)
+                    scale = max(1.0, float(np.linalg.norm(cand)))
+                    worst_strip = max(worst_strip, resid / scale)
+                    cand = _looped_edge_render(tower, rnd, e, f, push=True)
+                    resid = _looped_residual(cand, j1_high)
+                    scale = max(1.0, float(np.linalg.norm(cand)))
+                    worst_push = max(worst_push, resid / scale)
+                names = (g.edges[e].name, g.edges[f].name)
+                strip_checks.append(
+                    {"pair": names, "residual": worst_strip}
+                )
+                push_checks.append(
+                    {"pair": names, "residual": worst_push}
+                )
+                if worst_strip > RANK_TOL:
+                    failures.append(
+                        "strip of the stage-0 ideal between %s leaves it "
+                        "(residual %.3g)" % (names, worst_strip)
+                    )
+                if worst_push > RANK_TOL:
+                    failures.append(
+                        "push of the stage-0 ideal by %s leaves stage 1 "
+                        "(residual %.3g)" % (names, worst_push)
+                    )
+    return VerificationReport(
+        ok=not failures,
+        n_cap=cap,
+        fiber_checks=fiber_checks,
+        strip_checks=strip_checks,
+        push_checks=push_checks,
+        failures=failures,
+    )
 
 
 def dense_hasse_edges(lattice):
