@@ -28,6 +28,7 @@ import numpy as np
 from . import elements as el
 from .elements import P, U, US, Z
 from .errors import DomainError, ElementError, ProtocolError, WeightError
+from .errors import check_index
 from .graphs import Edge, Graph
 from .ideals import (
     IdealFamily,
@@ -156,10 +157,9 @@ def char_phi(model, n, i, x):
     """
     if x.graph is not model.graph:
         raise ElementError("the element lives over a different graph")
-    i = int(i)
-    if not 0 <= i < model.k:
-        raise DomainError("start vertex index %d out of range" % i)
-    nres = int(n) % model.L
+    check_index(i, 0, model.k - 1, "the start vertex index")
+    check_index(n, -math.inf, math.inf, "the level residue")
+    nres = n % model.L
     floor_level = max(
         annihilation_depth(x) + 1, model.weights.N + model.p
     )

@@ -59,8 +59,11 @@ class MultiplicityError(ProtocolError):
 
 
 def check_index(value, lo, hi, what):
-    """Raise DomainError unless value is an int, not a bool, in [lo, hi]."""
+    """Raise DomainError unless value is an int, not a bool, in [lo, hi].
+
+    Either bound may be infinite.
+    """
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
         raise DomainError(
-            "%s must be an int in [%d, %d], got %r" % (what, lo, hi, value)
+            "%s must be an int in [%s, %s], got %r" % (what, lo, hi, value)
         )

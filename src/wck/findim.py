@@ -51,6 +51,11 @@ is a line, the line of one central projection; a minimal projection is
 split off each summand the same way, inside the commutative span of
 one hermitian element. Every result is certified, and a failed
 certificate raises; a wrong answer is never returned silently.
+
+The integers, the sizes d^2 and ambient ranks of the summands, are
+traces of certified projections (integer_traces), never numerical
+ranks: x -> z x and x -> f x f are idempotents on coordinates, and the
+rows of onb are orthonormal for tr(a^* b).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .errors import ClosureOverflowError, DecompositionError
 from .windows import RANK_TOL, onb
 
 CLUSTER_GAP = 1e-6
+INT_TOL = 1e-6
 
 
 # -- block elements ----------------------------------------------------------
@@ -456,9 +462,16 @@ def _projection_defect(x, T, S):
     return off / scale
 
 
-def _rank(p):
-    """Rank of a coordinate matrix that is an orthogonal projection."""
-    return int(np.sum(np.linalg.svd(p, compute_uv=False) > 0.5))
+def integer_traces(traces, error, what):
+    """Traces of certified projections, which are their ranks, as ints.
+
+    Raises error unless every trace is within INT_TOL of an integer.
+    """
+    traces = np.asarray(traces)
+    ints = np.rint(traces.real)
+    if np.any(np.abs(traces - ints) > INT_TOL):
+        raise error("the traces %s of %s are not integers" % (traces, what))
+    return ints.astype(int)
 
 
 def _summand_sort_key(A, sm):
@@ -477,8 +490,9 @@ def central_decomposition(A):
     one h at a time (_refine) down to one line per summand, and each
     line is scaled to its central projection z. The result is certified
     or the call raises DecompositionError: each z is a self-adjoint
-    idempotent, the z sum to the unit, the rank of x -> z x is a square
-    d^2, the d^2 sum to dim A and d divides the ambient rank of z.
+    idempotent, the z sum to the unit, the trace of x -> z x is a square
+    d^2, the d^2 sum to dim A and d divides the ambient rank of z, its
+    trace in the block space; both traces must be integers.
     Nothing is random, and the summands come back in a canonical order
     that only depends on the projections.
     """
@@ -506,9 +520,10 @@ def central_decomposition(A):
         z = _idempotent(v[:, 0], T)
         if _projection_defect(z, T, S) > 100 * RANK_TOL:
             raise DecompositionError("a central piece is not a projection")
-        rank = _rank(_left(z, T))
+        rank, ambient_rank = integer_traces(
+            [np.einsum("i,ijj->", z, T), trace @ z], DecompositionError, "a summand"
+        ).tolist()
         d = math.isqrt(rank)
-        ambient_rank = int(round(float(np.real(trace @ z))))
         if d == 0 or d * d != rank or ambient_rank % d:
             raise DecompositionError(
                 "central projection of rank %d in the algebra and %d in the "
@@ -545,7 +560,8 @@ def _minimal_projection(z, T, S):
     f = z
     for _ in range(len(z)):
         corner = _left(f, T) @ np.einsum("j,ijk->ki", f, T)
-        k = math.isqrt(_rank(corner))
+        k2 = integer_traces(np.trace(corner), DecompositionError, "f A f")
+        k = math.isqrt(int(k2))
         if k == 1 and _projection_defect(f, T, S) <= 100 * RANK_TOL:
             return f
         for h in (h for x in corner.T for h in _hermitian_parts(x, S)):

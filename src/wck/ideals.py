@@ -62,6 +62,7 @@ lattice of invariant families once every weight equals 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,18 +231,9 @@ class GaugeIdealLattice:
 
 @dataclass(frozen=True)
 class HereditarySaturatedSet:
-    """A vertex subset with its two closure predicates."""
+    """A vertex subset that is hereditary and saturated."""
 
     subset: frozenset
-    hereditary: bool
-    saturated: bool
-
-    def as_dict(self):
-        return {
-            "subset": sorted(self.subset),
-            "hereditary": self.hereditary,
-            "saturated": self.saturated,
-        }
 
 
 # -- corner ideal subspaces ---------------------------------------------------
@@ -832,11 +824,7 @@ def hereditary_saturated(g):
         )
         if hered and satur:
             out.append(
-                HereditarySaturatedSet(
-                    subset=frozenset(g.vertices[v] for v in W),
-                    hereditary=True,
-                    saturated=True,
-                )
+                HereditarySaturatedSet(frozenset(g.vertices[v] for v in W))
             )
     out.sort(key=lambda h: (len(h.subset), tuple(sorted(h.subset))))
     return out
@@ -845,16 +833,22 @@ def hereditary_saturated(g):
 def family_of_subset(tower, subset):
     """The family with the full corner ideal on subset, zero elsewhere."""
     g = tower.graph
+    if not isinstance(subset, Iterable):
+        raise GraphError("the subset must be a collection of vertices")
     idx = set()
     for item in subset:
-        if isinstance(item, str):
-            if item not in g.vindex:
-                raise GraphError("unknown vertex %r" % item)
+        if isinstance(item, str) and item in g.vindex:
             idx.add(g.vindex[item])
+        elif (
+            isinstance(item, int)
+            and not isinstance(item, bool)
+            and 0 <= item < g.n_vertices
+        ):
+            idx.add(item)
         else:
-            if not 0 <= int(item) < g.n_vertices:
-                raise GraphError("vertex index %r out of range" % (item,))
-            idx.add(int(item))
+            raise GraphError(
+                "%r is neither a vertex id nor a vertex index in range" % (item,)
+            )
     counts = [len(tower.corners[v].dec.summands) for v in range(g.n_vertices)]
     choices = [
         frozenset(range(counts[v])) if v in idx else frozenset()

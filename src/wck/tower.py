@@ -37,7 +37,10 @@ tau and tau_inverse.
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
 dimension bookkeeping between consecutive stages) is certified and
-raises instead of returning silently wrong structure.
+raises instead of returning silently wrong structure. The integers of
+the Bratteli diagram, the summand sizes and the fiber multiplicities,
+are traces of certified projections (findim.integer_traces), not
+numerical ranks.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 from .errors import (
     GraphError,
     MultiplicityError,
+    WeightError,
     WindowUnstableError,
     check_index,
 )
@@ -59,6 +63,7 @@ from .findim import (
     blocks_unvec,
     blocks_vec,
     central_decomposition,
+    integer_traces,
     star_closure,
 )
 from .windows import in_span, onb
@@ -102,7 +107,7 @@ class Corner:
 
     def __init__(self, graph, q, C0, v, levels, config):
         g = graph
-        self.vertex = v
+        self.vertex = g.vertices[v]
         self.xi = g.xi(v, q, config.xi_choice)
         self.levels = levels
         self.slot_lists = [g.ending_at(k - q, v) for k in levels]
@@ -249,6 +254,14 @@ class Tower:
 
     def __init__(self, graph, weights, config):
         g = graph
+        if weights.graph is not graph:
+            raise WeightError("the weights were built on a different graph")
+        check_index(config.n_max, 0, math.inf, "n_max")
+        if config.M is not None:
+            check_index(config.M, 0, math.inf, "M")
+        if config.W is not None:
+            check_index(config.W, 1, math.inf, "W")
+        check_index(config.max_level_dim, 1, math.inf, "max_level_dim")
         shape = g.validate()
         if not (shape.no_sources and shape.no_sinks):
             raise GraphError(
@@ -284,31 +297,23 @@ class Tower:
             for v in range(g.n_vertices)
         }
 
+        nsummands = [len(c.dec.summands) for c in self.corners.values()]
+        self.labels = [(v, i) for v, s in enumerate(nsummands) for i in range(s)]
+        off = np.cumsum([0] + nsummands)
+        mult = np.zeros((len(self.labels), len(self.labels)), dtype=int)
+
         # one fiber per length-p path; the Bratteli diagram is stationary
         self.fibers = []
-        fiber_mults = []
         for mu in g.paths(p):
-            # the fiber b -> V* b V of mu prepends mu on slots
-            message = "fiber image along %s left the corner at %r" % (
-                g.path_str(mu), g.vertices[g.source_of(mu)]
-            )
-            self.fibers.append(self.transport(mu, mu, message))
-            fiber_mults.append(_fiber_multiplicities(self, mu, self.fibers[-1]))
-
-        self.labels = [
-            (v, i)
-            for v in range(g.n_vertices)
-            for i in range(len(self.corners[v].dec.summands))
-        ]
-        lab_pos = {lab: k for k, lab in enumerate(self.labels)}
-        mult = np.zeros((len(self.labels), len(self.labels)), dtype=int)
-        for mi, mu in enumerate(g.paths(p)):
             v = g.source_of(mu)
             w = g.range_of(mu)
-            block = fiber_mults[mi]
-            for i in range(block.shape[0]):
-                for j in range(block.shape[1]):
-                    mult[lab_pos[(w, i)], lab_pos[(v, j)]] += block[i, j]
+            # the fiber b -> V* b V of mu prepends mu on slots
+            message = "fiber image along %s left the corner at %r" % (
+                g.path_str(mu), g.vertices[v]
+            )
+            self.fibers.append(self.transport(mu, mu, message))
+            block = _fiber_multiplicities(self, mu, self.fibers[-1])
+            mult[off[w]:off[w + 1], off[v]:off[v + 1]] += block
         self.multiplicity = mult
         for row in range(mult.shape[0]):
             if not np.any(mult[row]):
@@ -335,19 +340,15 @@ class Tower:
             self.stages.append(StageData(n, paths, counts, sizes, dim))
 
         # dimension bookkeeping between consecutive stages
-        for n in range(config.n_max):
-            lo, hi = self.stages[n], self.stages[n + 1]
-            for bi in range(len(self.labels)):
-                got = sum(
-                    mult[ai, bi] * lo.summand_sizes[ai]
-                    for ai in range(len(self.labels))
-                )
-                if got != hi.summand_sizes[bi]:
-                    raise MultiplicityError(
-                        "stage %d summand %s has size %d, connecting maps "
-                        "give %d"
-                        % (n + 1, self.labels[bi], hi.summand_sizes[bi], got)
-                    )
+        stage_sizes = np.array([st.summand_sizes for st in self.stages])
+        got = stage_sizes[:-1] @ mult
+        bad = np.argwhere(got != stage_sizes[1:])
+        if len(bad):
+            n, bi = bad[0]
+            raise MultiplicityError(
+                "stage %d summand %s has size %d, connecting maps give %d"
+                % (n + 1, self.labels[bi], stage_sizes[n + 1, bi], got[n, bi])
+            )
 
     # -- structural stage elements ----------------------------------------
 
@@ -653,51 +654,32 @@ def _fiber_multiplicities(tower, mu, fib):
     """Integer multiplicity block of one fiber map.
 
     Entry (i, j): how often summand i of the corner at r(mu) appears in
-    summand j of the corner at s(mu)) under the fiber. Computed as the
-    square root of the dimension of the compressed corner, which is
-    insensitive to the scalar the fiber puts on minimal projections.
-
-    Everything is stacked over the summand pairs in corner coordinates:
-    the images y_i of the minimal projections are checked to be
-    projections in one product, the rows (z_j y_i) e (y_i z_j) of every
-    compressed corner, e over the corner basis, come from one einsum
-    chain over the structure tensor, and every (i, j) rank comes from
-    one stacked SVD of the (s_w, s_v, r, r) row array.
+    summand j of the corner at s(mu) under the fiber. The fiber sends
+    the minimal projection f_i to y_i, which must be a projection, or
+    the call raises MultiplicityError. Then z_j y_i is a projection of
+    rank m_ij in the summand M_{d_j}, which acts on the block space
+    multiplicity_j times, so m_ij is tr(z_j y_i) / multiplicity_j. The
+    corner coordinates are orthonormal for tr(a^* b), so these traces
+    are the inner products of the coordinate vectors, one matmul.
     """
     g = tower.graph
     cv = tower.corners[g.source_of(mu)]
     cw = tower.corners[g.range_of(mu)]
-    T = cv.T
     F = np.array([sw.f for sw in cw.dec.summands])
     Z = np.array([sv.z for sv in cv.dec.summands])
     Y = F @ fib.T
-    YY = np.einsum("ia,ib,abk->ik", Y, Y, T)
+    YY = np.einsum("ia,ib,abk->ik", Y, Y, cv.T)
     bound = 1e-6 * np.maximum(1.0, np.linalg.norm(Y, axis=1))
     if np.any(np.linalg.norm(YY - Y, axis=1) > bound):
         raise MultiplicityError(
             "fiber along %s does not send minimal projections to "
             "projections" % g.path_str(mu)
         )
-    ZY = np.einsum("ja,ib,abk->ijk", Z, Y, T)
-    YZ = np.einsum("ia,jb,abk->ijk", Y, Z, T)
-    # row e is (zy) (e (yz)): right multiplication of e by yz, then of
-    # that by the left-multiplication matrix of zy
-    rows = np.einsum("ebc,ijb->ijec", T, YZ) @ np.einsum(
-        "ija,abk->ijbk", ZY, T
+    return integer_traces(
+        Y @ Z.conj().T / [sv.multiplicity for sv in cv.dec.summands],
+        MultiplicityError,
+        "a fiber multiplicity along %s" % g.path_str(mu),
     )
-    # absolute floor on the rank cut: when the compression is zero the
-    # rows are pure roundoff and a relative cut would count them
-    sing = np.linalg.svd(rows, compute_uv=False)
-    cut = 1e-8 * np.maximum(1.0, sing[..., :1])
-    ranks = np.sum(sing > cut, axis=-1)
-    out = np.rint(np.sqrt(ranks)).astype(int)
-    bad = np.argwhere(out * out != ranks)
-    if len(bad):
-        raise MultiplicityError(
-            "corner dimension %d along %s is not a perfect square"
-            % (ranks[tuple(bad[0])], g.path_str(mu))
-        )
-    return out
 
 
 def build_tower(graph, weights, config=None):

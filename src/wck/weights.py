@@ -29,7 +29,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import GraphError, WeightError
+from .errors import GraphError, WeightError, check_index
 
 EXACTNESS_TOL = 1e-12
 
@@ -222,12 +222,10 @@ def check_condition_Ap(w, p_test, k_max=None):
     k above N, so the default horizon N + p + p_test decides exactness
     for all levels.
     """
-    if p_test < 1:
-        raise WeightError("p_test must be a positive integer")
+    check_index(p_test, 1, math.inf, "p_test")
     if k_max is None:
         k_max = w.N + w.p + p_test
-    if k_max < w.N + p_test:
-        raise WeightError("k_max must be at least N + p_test")
+    check_index(k_max, w.N + p_test, math.inf, "k_max")
     residuals = []
     for k in range(k_max + 1):
         diff = w.tensor_extension(k, p_test) - w.level_matrix(k + p_test)
@@ -255,6 +253,7 @@ def reperiodize(w, p_new):
     level matrices everywhere. Raises when the sequence is not exactly
     self-similar with period p_new.
     """
+    check_index(p_new, 1, math.inf, "the new period")
     if p_new == w.p:
         return w
     if not check_condition_Ap(w, p_new).exact:

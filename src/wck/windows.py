@@ -157,6 +157,8 @@ def calkin_norm(x, cfg):
     stabilization raises, it never degrades the answer silently.
     """
     w = cfg.weights
+    if x.graph is not w.graph:
+        raise ElementError("the element lives over a different graph")
     if x.is_zero:
         return 0.0
     p = w.p

@@ -1,6 +1,7 @@
 """The input boundary is total: the loaders and the element parser either
 succeed or raise a WckError, whatever JSON or text they are given, and a
-parsed element has finite coefficients.
+parsed element has finite coefficients. Scalars of the wrong type and
+weights or elements over another graph raise a DomainError.
 
 Documents are loaded against the 3-cycle, whose level dimensions stay at
 3, and level keys are at most three characters long, so no draw can ask
@@ -10,16 +11,22 @@ for a deep path table.
 import cmath
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from util import cycle_graph
+from util import corpus_graphs, cycle_graph, cycle_weight_spec
+from wck.cycle_demo import build_cycle, char_phi
 from wck.elements import parse_element
-from wck.errors import WckError
+from wck.errors import DomainError, WckError
 from wck.graphs import load_graph
-from wck.weights import load_weights
+from wck.ideals import family_of_subset
+from wck.tower import TowerConfig, build_tower
+from wck.weights import WeightSpec, check_condition_Ap, load_weights, reperiodize
+from wck.windows import WindowConfig, calkin_norm
 
 C3 = cycle_graph(3)
+O2 = corpus_graphs()["O2"]
 
 SCALARS = (
     st.none()
@@ -117,3 +124,53 @@ def test_parse_element_is_total(text):
     except WckError:
         return
     assert all(map(cmath.isfinite, x.terms.values())), text
+
+
+def _c3w():
+    return cycle_weight_spec(C3, (2.0, 1.0, 3.0))
+
+
+def _c3w_tower(**config):
+    return build_tower(C3, _c3w(), TowerConfig(**config))
+
+
+def _subset(subset):
+    tw = build_tower(C3, WeightSpec.unweighted(C3), TowerConfig(n_max=1))
+    return family_of_subset(tw, subset)
+
+
+def _char_phi(n, i):
+    g, _, model = build_cycle(3, (2.0, 1.0, 3.0))
+    return char_phi(model, n, i, parse_element(g, "z"))
+
+
+MALFORMED = {
+    "tower-n_max-float": lambda: _c3w_tower(n_max=1.5),
+    "tower-n_max-negative": lambda: _c3w_tower(n_max=-1),
+    "tower-M-str": lambda: _c3w_tower(M="a"),
+    "tower-W-zero": lambda: _c3w_tower(W=0),
+    "tower-W-negative": lambda: _c3w_tower(W=-2),
+    "tower-max_level_dim-none": lambda: _c3w_tower(max_level_dim=None),
+    "tower-weights-of-C3-on-O2": lambda: build_tower(O2, _c3w()),
+    "subset-float": lambda: _subset([2.7]),
+    "subset-bool": lambda: _subset([True]),
+    "subset-none": lambda: _subset([None]),
+    "subset-int": lambda: _subset(5),
+    "char_phi-i-float": lambda: _char_phi(0, 2.7),
+    "char_phi-i-str": lambda: _char_phi(0, "a"),
+    "char_phi-n-float": lambda: _char_phi(1.5, 0),
+    "Ap-p_test-bool": lambda: check_condition_Ap(_c3w(), True),
+    "Ap-p_test-float": lambda: check_condition_Ap(_c3w(), 2.5),
+    "Ap-p_test-str": lambda: check_condition_Ap(_c3w(), "2"),
+    "Ap-k_max-float": lambda: check_condition_Ap(_c3w(), 2, k_max=2.5),
+    "reperiodize-float": lambda: reperiodize(_c3w(), 1.5),
+    "calkin_norm-O2-element": lambda: calkin_norm(
+        parse_element(O2, "z"), WindowConfig(weights=_c3w())
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scalars_and_foreign_graphs_raise_domain_errors(name):
+    with pytest.raises(DomainError):
+        MALFORMED[name]()

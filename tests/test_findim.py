@@ -31,6 +31,7 @@ from wck.findim import (
     blocks_eye,
     blocks_vec,
     central_decomposition,
+    integer_traces,
     star_closure,
 )
 from wck.weights import from_dict
@@ -200,6 +201,15 @@ class TestCentralDecomposition:
         A.tables = (mutate(T), S, resid)
         with pytest.raises(DecompositionError):
             central_decomposition(A)
+
+
+@pytest.mark.parametrize("error", [DecompositionError, MultiplicityError])
+def test_integer_traces_raise_the_given_error(error):
+    got = integer_traces([2 + 1e-9, 3 - 1e-9j, -1e-12], error, "traces")
+    assert got.tolist() == [2, 3, 0]
+    for off in (1e-3, -1e-3, 1e-3j):
+        with pytest.raises(error, match="not integers"):
+            integer_traces(np.array([2.0, 3 + off]), error, "traces")
 
 
 class TestEmbeddings:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from util import (
+    THETA_BLOCK,
     adjacency,
     assert_matches_oracle,
     concrete_stage_algebra,
@@ -20,6 +21,7 @@ from util import (
     looped_transport,
     mkgraph,
     pairwise_fiber_multiplicities,
+    projection_rank,
     random_diag_spec,
     stage_adjoint,
     stage_mul,
@@ -32,11 +34,11 @@ from wck.errors import (
     MultiplicityError,
     WindowUnstableError,
 )
-from wck.findim import blocks_vec, central_decomposition
+from wck.findim import _left, blocks_vec, central_decomposition
 from wck.graphs import Path, load_graph
 from wck.ideals import _parallel_edge_pairs
 from wck.tower import TowerConfig, build_C0, build_tower
-from wck.weights import WeightSpec, load_weights
+from wck.weights import WeightSpec, from_dict, load_weights
 
 RT_TOL = 1e-8
 
@@ -464,19 +466,53 @@ def fiber_tower(corpus, key):
         g = corpus["O2"]
         w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
         return build_tower(g, w, TowerConfig(n_max=1, M=6, W=2))
+    if key == "THETA_BLOCK":
+        g = corpus["theta"]
+        w = from_dict(THETA_BLOCK, g)
+        return build_tower(g, w, TowerConfig(n_max=1, M=7, W=2))
+    if key.startswith("G3:"):
+        g = corpus["G3"]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(int(key[3:])))
+        return build_tower(g, w, TowerConfig(n_max=1, M=9, W=3))
     g = corpus["G2"]
     w = random_diag_spec(g, 3, 0, np.random.default_rng(1))
     return build_tower(g, w, TowerConfig(n_max=1, M=9, W=3))
 
 
-@pytest.mark.parametrize(
-    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3"]
-)
+# towers whose integers are read off traces, checked against numerical ranks
+TRACE_KEYS = sorted(UNWEIGHTED_DIMS) + [
+    "C3w",
+    "O2w",
+    "G2p3",
+    "C3chord:generic",
+    "THETA_BLOCK",
+    "G3:1",
+    "G3:2",
+    "G3:15",
+]
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
 def test_fiber_multiplicities_match_pairwise_loop(corpus, key):
     tw = fiber_tower(corpus, key)
     for mu, fib in zip(tw.graph.paths(tw.p), tw.fibers):
         got = tower._fiber_multiplicities(tw, mu, fib)
         assert np.array_equal(got, pairwise_fiber_multiplicities(tw, mu, fib))
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_summand_sizes_match_svd_ranks(corpus, key):
+    """d^2 and the ambient rank of each summand against SVD ranks.
+
+    The decomposition reads both off traces; the ranks are those of the
+    map x -> z x on coordinates and of the rendered central projection.
+    """
+    tw = fiber_tower(corpus, key)
+    for corner in tw.corners.values():
+        for sm in corner.dec.summands:
+            assert sm.d ** 2 == projection_rank(_left(sm.z, corner.T))
+            blocks = corner.algebra.render(sm.z)
+            assert sm.ambient_rank == sum(projection_rank(b) for b in blocks)
 
 
 @pytest.mark.parametrize(
@@ -589,3 +625,28 @@ def test_scaled_fiber_is_rejected(c3_weighted):
     mu = tw.graph.paths(tw.p)[0]
     with pytest.raises(MultiplicityError):
         tower._fiber_multiplicities(tw, mu, 2 * tw.fibers[0])
+
+
+def test_doubled_ambient_rank_breaks_fiber_integrality(c3_weighted, monkeypatch):
+    """Doubling a summand's ambient rank halves the multiplicities into it."""
+    tw = c3_weighted
+    mu, fib = tw.graph.paths(tw.p)[0], tw.fibers[0]
+    block = tower._fiber_multiplicities(tw, mu, fib)
+    j = np.flatnonzero(block.any(axis=0))[0]
+    assert block[:, j].max() == 1
+    sm = tw.corners[tw.graph.source_of(mu)].dec.summands[j]
+    monkeypatch.setattr(sm, "ambient_rank", 2 * sm.ambient_rank)
+    with pytest.raises(MultiplicityError, match="not integers"):
+        tower._fiber_multiplicities(tw, mu, fib)
+
+
+def test_doubled_connecting_maps_fail_the_stage_sizes(corpus, monkeypatch):
+    fiber_multiplicities = tower._fiber_multiplicities
+    monkeypatch.setattr(
+        tower,
+        "_fiber_multiplicities",
+        lambda tw, mu, fib: 2 * fiber_multiplicities(tw, mu, fib),
+    )
+    g = corpus["C3"]
+    with pytest.raises(MultiplicityError, match="connecting maps give"):
+        build_tower(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)), TowerConfig(n_max=1))

@@ -620,6 +620,11 @@ def looped_tau(tower, n, blocks):
 # -- finite-dimensional references ---------------------------------------------
 
 
+def projection_rank(p):
+    """Rank of a matrix that is an orthogonal projection, by its SVD."""
+    return int(np.sum(np.linalg.svd(p, compute_uv=False) > 0.5))
+
+
 def blocks_rank(a, tol=RANK_TOL):
     total = 0
     for x in a:
@@ -709,12 +714,13 @@ def mul_coords(corner, x, y):
 def pairwise_fiber_multiplicities(tower, mu, fib):
     """Integer multiplicity block of one fiber map, one summand pair at a time.
 
-    The loop that tower._fiber_multiplicities stacks, kept as its
-    reference. Entry (i, j): how often summand i of the corner at r(mu)
-    appears in summand j of the corner at s(mu)) under the fiber.
-    Computed as the square root of the dimension of the compressed
-    corner, which is insensitive to the scalar the fiber puts on
-    minimal projections.
+    The reference for tower._fiber_multiplicities, which reads the same
+    integers off traces. Entry (i, j): how often summand i of the corner
+    at r(mu) appears in summand j of the corner at s(mu) under the
+    fiber. With y_i the image of the minimal projection f_i, which must
+    be a projection, the compressed corner (z_j y_i) A (y_i z_j) is a
+    full matrix algebra M_m, and m is the square root of its dimension,
+    a numerical rank.
     """
     g = tower.graph
     v = g.source_of(mu)
