@@ -74,10 +74,7 @@ def build_cycle(k, t):
     construction exists to exhibit a weighting with more ideals than
     the unweighted cycle.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise DomainError("the cycle length must be an int, got %r" % (k,))
-    if k < 2:
-        raise DomainError("the cycle needs at least two vertices")
+    check_index(k, 2, math.inf, "the cycle length")
     if not isinstance(t, (list, tuple, np.ndarray)) or not all(
         isinstance(x, Real) and not isinstance(x, bool) for x in t
     ):
@@ -135,8 +132,7 @@ def _verify_generator_period(model):
 
 def _diag_entry(model, level, i, x):
     """Diagonal entry of x at the level path starting at vertex i."""
-    g = model.graph
-    pos = g.path_index(g.xi(i, level))
+    pos = model.graph.starting_at(level, i)[0]
     total = 0j
     for word, c in x.terms.items():
         if el.word_offset(word) != 0:

@@ -58,12 +58,12 @@ class MultiplicityError(ProtocolError):
     """An embedding multiplicity failed its integrality or consistency check."""
 
 
-def check_index(value, lo, hi, what):
-    """Raise DomainError unless value is an int, not a bool, in [lo, hi].
+def check_index(value, lo, hi, what, error=DomainError):
+    """Raise error unless value is an int, not a bool, in [lo, hi].
 
-    Either bound may be infinite.
+    Either bound may be infinite; error is a DomainError subclass.
     """
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise DomainError(
+        raise error(
             "%s must be an int in [%s, %s], got %r" % (what, lo, hi, value)
         )

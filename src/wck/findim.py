@@ -12,25 +12,37 @@ under products and adjoints, split the center into its minimal
 projections, one per matrix summand, and certify a minimal projection
 in each.
 
-The closure runs on the support blocks of its input. Per level, the
-indices i and j are joined when some generator, adjoint or the unit has
-an exact nonzero at (i, j); the classes of that relation split the
-level into diagonal blocks. Sums, products and adjoints of elements
-supported on those blocks stay on them, and every entry off them is an
-exact 0.0, so the closure is computed on the compressed blocks alone
-and scattered back at the end. A dense generator set is one class per
-level and takes the same route.
+Generators come in as sparse entries, (positions, values) pairs over
+the blocks_vec layout, and the algebra they generate is found on the
+support blocks of its input. Per level, the indices i and j are joined
+when some generator or the unit has an entry at (i, j); the classes of
+that relation (one min-label propagation over the entry pairs) split
+the level into diagonal blocks. Sums, products and adjoints of
+elements supported on those blocks stay on them, and every entry off
+them is an exact 0.0, so the algebra is computed on the compressed
+blocks alone and scattered back at the end. A dense generator set is
+one class per level and takes the same route.
 
 Many of those blocks are copies: eventually periodic weights repeat
 the same entries at many levels and positions, so class blocks of one
 size hold bit-identical entries in the unit and in every generator.
 Products, sums and adjoints act block by block, so copies stay copies,
 and keeping one block per distinct content is an injective
-*-homomorphism. The closure runs on the distinct blocks only, found by
-exact byte equality; this needs no tolerance of its own. At the end
-the rows are orthonormalized once with each entry weighted by its
-number of copies and then copied back to every block, so they are
-orthonormal at full length.
+*-homomorphism. The algebra is found on the distinct blocks only,
+found by exact byte equality; this needs no tolerance of its own.
+
+On the distinct blocks the generators often generate all of + M_s,
+one full matrix algebra per block. That is certified without a
+closure, by the bicommutant theorem: the algebra is + M_s exactly when
+its commutant is one scalar per block. The commutant is the set of
+block matrices X with X g = g X for every generator and adjoint g; a
+pair (t, u) of blocks of one size contributes the nullspace of a small
+Gram matrix, and all pairs of one size are decided by one batched
+eigvalsh (_scalar_commutant). Blocks of different sizes need no check,
+since an intertwiner between irreducible blocks of different sizes
+vanishes (Schur's lemma). The rows are then the matrix units of the
+distinct blocks. When the certificate fails (block weights, no
+generators, reducible blocks), the generators are closed up.
 
 The closure works per element, not per candidate: the products of one
 fresh orthonormal row with all the rows, on both sides, are one stacked
@@ -41,6 +53,10 @@ two is fresh, so the closure is complete when a round adds nothing.
 Only one block is held at a time, 2 n L entries, the size of the rows
 already held; a whole round (every fresh row against the rows) is never
 stacked at once.
+
+On either path the rows come out orthonormal with each distinct entry
+weighted by its number of copies, and are copied back to every block,
+so they are orthonormal at full length.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
@@ -135,7 +151,9 @@ class StarAlgebra:
         once, on the support blocks of the rows, copies included.
         """
         q = self.onb
-        stacks, tpos, pos = _support_layout(self.dims, np.any(q != 0, axis=0))
+        stacks, tpos, pos = _support_layout(
+            self.dims, np.flatnonzero(np.any(q != 0, axis=0))
+        )
         q = q[:, pos]
         adj = q[:, tpos].conj()
         S = adj @ q.conj().T
@@ -149,14 +167,14 @@ class StarAlgebra:
         return T, S, resid
 
 
-def _components(mask):
-    """Class label of each index under the relation mask[i, j].
+def _components(rows, cols, n):
+    """Class label of each of n indices under the pairs (rows[i], cols[i]).
 
     Min-label propagation with pointer jumping; each class ends up
-    labelled by its smallest index.
+    labelled by its smallest index, and an index in no pair is a class
+    of its own.
     """
-    rows, cols = np.nonzero(mask)
-    lab = np.arange(mask.shape[0])
+    lab = np.arange(n)
     while True:
         low = np.minimum(lab[rows], lab[cols])
         new = lab.copy()
@@ -168,29 +186,37 @@ def _components(mask):
         lab = new
 
 
-def _support_layout(dims, support):
+def _support_layout(dims, positions):
     """Stacks, transpose and vector positions of the support blocks.
 
-    support flags the entries of a full vector that may be nonzero.
-    The classes of each level are grouped by size into one (count, s, s)
-    stack per (level, size), each class in ascending index order; a
-    compressed vector is the concatenation of the raveled stacks.
-    stacks lists (offset, count, s) per stack, tpos is the permutation
-    that transposes every block of a compressed vector, and pos[i] is
-    the position in blocks_vec of the full element of entry i of the
-    compressed vector.
+    positions lists, in any order and with repeats, the positions in
+    blocks_vec of the entries that may be nonzero. Per level, indices i
+    and j are joined when some listed entry sits at (i, j); every index
+    is in a class, its own at least. The classes of each level are
+    grouped by size into one (count, s, s) stack per (level, size), in
+    ascending order of size and then of smallest index, each class in
+    ascending index order; a compressed vector is the concatenation of
+    the raveled stacks. stacks lists (offset, count, s) per stack, tpos
+    is the permutation that transposes every block of a compressed
+    vector, and pos[i] is the position in blocks_vec of the full element
+    of entry i of the compressed vector.
     """
-    numbered = blocks_unvec(np.arange(sum(d * d for d in dims)), dims)
+    dims = np.asarray(dims, dtype=int)
+    starts = np.concatenate([[0], np.cumsum(dims * dims)])
+    first = np.concatenate([[0], np.cumsum(dims)])
+    lev = np.searchsorted(starts, positions, side="right") - 1
+    i, j = np.divmod(positions - starts[lev], dims[lev])
+    lab = _components(first[lev] + i, first[lev] + j, first[-1])
+    order = np.argsort(lab, kind="stable")
+    _, begin, sizes = np.unique(lab[order], return_index=True, return_counts=True)
+    levels = np.searchsorted(first, order[begin], side="right") - 1
     pieces = []
-    for lev, mask in enumerate(blocks_unvec(support, dims)):
-        lab = _components(mask)
-        order = np.argsort(lab, kind="stable")
-        _, starts, sizes = np.unique(
-            lab[order], return_index=True, return_counts=True
-        )
-        for s in np.unique(sizes):
-            idx = np.array([order[i:i + s] for i in starts[sizes == s]])
-            pieces.append(numbered[lev][idx[:, :, None], idx[:, None, :]])
+    for lv, d in enumerate(dims):
+        here = levels == lv
+        for s in np.unique(sizes[here]):
+            sel = begin[here & (sizes == s)]
+            idx = order[sel[:, None] + np.arange(s)] - first[lv]
+            pieces.append(starts[lv] + idx[:, :, None] * d + idx[:, None, :])
     return _stack_layout(pieces)
 
 
@@ -218,14 +244,14 @@ def _distinct_blocks(stacks, vecs):
 
     vecs holds compressed vectors, one per row, in the layout of stacks.
     The class blocks of each size s, over all levels, are compared by
-    the bytes of their entries in every row, with one np.unique per
-    size; blocks that differ in any bit, -0.0 against 0.0 included, stay
-    apart. Returns (stacks, tpos, rep, copy, copies): the stacks and
-    transpose of the distinct blocks, one stack per size; rep, the
-    compressed position of each distinct entry in its first copy; copy,
-    the distinct position of each compressed entry, so that x[:, copy]
-    puts every copy back; and copies, how many class blocks share each
-    distinct entry.
+    the bytes of their entries in every row, one dict lookup per block,
+    and numbered in order of first appearance; blocks that differ in any
+    bit, -0.0 against 0.0 included, stay apart. Returns (stacks, tpos,
+    rep, copy, copies): the stacks and transpose of the distinct blocks,
+    one stack per size; rep, the compressed position of each distinct
+    entry in its first copy; copy, the distinct position of each
+    compressed entry, so that x[:, copy] puts every copy back; and
+    copies, how many class blocks share each distinct entry.
     """
     pieces = []
     groups = []
@@ -235,17 +261,15 @@ def _distinct_blocks(stacks, vecs):
             for off, c, t in stacks
             if t == s
         ])
-        content = np.ascontiguousarray(vecs[:, blocks].swapaxes(0, 1))
-        content = content.view(np.uint64).reshape(len(blocks), -1)
-        _, first, inv, count = np.unique(
-            content,
-            axis=0,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
+        content = vecs[:, blocks].swapaxes(0, 1).reshape(len(blocks), -1)
+        ids = {}
+        inv = np.array(
+            [ids.setdefault(row.tobytes(), len(ids)) for row in content],
+            dtype=int,
         )
+        _, first, count = np.unique(inv, return_index=True, return_counts=True)
         pieces.append(blocks[first].reshape(-1, s, s))
-        groups.append((blocks, inv.ravel(), count))
+        groups.append((blocks, inv, count))
     stacks, tpos, rep = _stack_layout(pieces)
     copy = np.empty(vecs.shape[1], dtype=int)
     copies = [np.zeros(0, dtype=int)]
@@ -278,21 +302,43 @@ def _stack_products(a, basis, stacks):
     return out
 
 
-def star_closure(dims, gens, max_dim=4096):
-    """Close generators under span, products, and adjoints.
+def _scalar_commutant(stacks, pool):
+    """Whether the commutant of pool on the distinct blocks is scalar.
 
-    The identity of the block space is always included, so the result
-    is unital. Growth beyond max_dim raises.
+    pool holds compressed vectors in the layout of stacks, closed under
+    adjoints. For every pair (t, u) of distinct blocks of one size s,
+    the intertwiners X with X g_u = g_t X for every g in pool are the
+    nullspace of sum_g K_g^H K_g, with K_g = kron(I, g_u^T) - kron(g_t,
+    I) on row-major vec(X). The Gram matrices of one size are assembled
+    from per-block sums and one cross product of the pool, never from
+    the K_g, and their eigenvalues come from one batched eigvalsh. The
+    commutant is one scalar per block when t = u has exactly one
+    eigenvalue at or below the cut RANK_TOL times the largest one (the
+    scalars) and t != u has none. Intertwiners between irreducible
+    blocks of different sizes vanish (Schur's lemma), so sizes are not
+    paired.
+    """
+    for off, c, s in stacks:
+        g = pool[:, off:off + c * s * s].reshape(len(pool), c, s, s)
+        eye = np.eye(s)[None]
+        # per block, the pool sums of kron(I, (g_u g_u^H)^T) and of
+        # kron(g_t^H g_t, I), the squares of the two terms of K_g
+        left = np.kron(eye, np.einsum("gubx,gudx->udb", g, g.conj()))
+        right = np.kron(np.einsum("gtxa,gtxc->tac", g.conj(), g), eye)
+        # per pair, the pool sum of kron(g_t, conj(g_u)), the cross term
+        flat = g.reshape(len(pool), -1)
+        cross = (flat.T @ flat.conj()).reshape(c, s, s, c, s, s)
+        cross = cross.transpose(0, 3, 1, 4, 2, 5).reshape(c, c, s * s, s * s)
+        gram = left[None] + right[:, None] - cross - cross.conj().swapaxes(-1, -2)
+        vals = np.linalg.eigvalsh(gram)
+        low = np.sum(vals <= RANK_TOL * vals.max(), axis=-1)
+        if not np.array_equal(low, np.eye(c, dtype=int)):
+            return False
+    return True
 
-    The closure runs on one block per distinct content among the support
-    class blocks of the unit and the generators (see the module
-    docstring): it is an isomorphic copy of the algebra, and its vectors
-    are the full-length ones with exact zeros and repeated blocks
-    dropped. The rows are held as an (n, L) array of these compressed
-    vectors. At the end they are scaled by the square root of each
-    entry's copy count, orthonormalized once (onb), scaled back, and
-    gathered to every copy at full length. The coordinates of the unit
-    are read off the distinct entries, each weighted by its copy count.
+
+def _close(pool, stacks, max_dim):
+    """Orthonormal rows of the closure of pool, as compressed vectors.
 
     The pool (unit, then each generator and its adjoint) is absorbed
     first. Then, for each fresh row a in turn, the candidates a*b and
@@ -306,23 +352,9 @@ def star_closure(dims, gens, max_dim=4096):
     product x*y of rows is therefore tried in the round in which the
     later of x and y is fresh, so the span is closed when a round adds
     nothing. Only one block is held at a time: 2 n L entries, the order
-    of the rows themselves.
+    of the rows themselves. More than max_dim rows raise.
     """
-    dims = tuple(dims)
-    unit = blocks_eye(dims)
-    support = blocks_vec(unit) != 0
-    for gen in gens:
-        support |= blocks_vec(gen) != 0
-    stacks, _, pos = _support_layout(dims, support)
-    vecs = np.array(
-        [blocks_vec(x)[pos] for x in [unit, *gens]], dtype=np.complex128
-    )
-    stacks, tpos, rep, copy, copies = _distinct_blocks(stacks, vecs)
-    pool = [vecs[0, rep]]
-    for gen in vecs[1:, rep]:
-        pool.append(gen)
-        pool.append(gen[tpos].conj())
-    length = len(rep)
+    length = pool.shape[1]
     rows = np.empty((min(length, 64), length), dtype=np.complex128)
     n = 0
 
@@ -354,20 +386,77 @@ def star_closure(dims, gens, max_dim=4096):
                 )
         return range(start, n)
 
-    fresh = absorb(np.array(pool, dtype=np.complex128))
+    fresh = absorb(pool)
     while fresh:
         new = []
         for a in fresh:
             block = _stack_products(rows[a], rows[:n], stacks)
             new.extend(absorb(block.reshape(-1, length)))
         fresh = new
-    # a distinct entry stands for `copies` entries of the full vector, so
-    # the rows are orthonormal at full length when they are orthonormal
-    # with those counts as weights; the weighted rows have singular values
-    # in [1, sqrt(max copies)], so onb keeps all n of them
+    return rows[:n]
+
+
+def star_closure(dims, gens, max_dim=4096):
+    """Close generators under span, products, and adjoints.
+
+    Each generator is a pair (positions, values): the positions in
+    blocks_vec of its nonzero entries and their values; every other
+    entry is an exact zero. The identity of the block space is always
+    included, so the result is unital. Growth beyond max_dim raises.
+
+    The algebra is found on one block per distinct content among the
+    support class blocks of the unit and the generators (see the module
+    docstring): an isomorphic copy of it, whose vectors are the
+    full-length ones with exact zeros and repeated blocks dropped. The
+    entries are placed in these compressed vectors by one searchsorted
+    per generator.
+
+    When the generators are not empty and the commutant of the
+    generators and their adjoints on the distinct blocks is one scalar
+    per block (_scalar_commutant), the algebra is the whole of + M_s
+    over the distinct blocks, by the bicommutant theorem, and its rows
+    are their matrix units; no closure runs. Otherwise (block weights,
+    no generators, reducible blocks) the unit, the generators and
+    their adjoints are closed up by _close, and the closed rows are
+    scaled by the square root of each entry's copy count,
+    orthonormalized once (onb) and scaled back.
+
+    On either path the rows are orthonormal with each distinct entry
+    weighted by its copy count, and are gathered to every copy at full
+    length. The coordinates of the unit are read off the distinct
+    entries, each weighted by its copy count.
+    """
+    dims = tuple(dims)
+    starts = np.cumsum([0] + [d * d for d in dims])
+    diag = np.concatenate(
+        [off + np.arange(d) * (d + 1) for off, d in zip(starts, dims)]
+    )
+    stacks, _, pos = _support_layout(
+        dims, np.concatenate([diag] + [p for p, _ in gens])
+    )
+    order = np.argsort(pos)
+    vecs = np.zeros((1 + len(gens), len(pos)), dtype=np.complex128)
+    for vec, (p, values) in zip(vecs, [(diag, 1.0), *gens]):
+        vec[order[np.searchsorted(pos[order], p)]] = values
+    stacks, tpos, rep, copy, copies = _distinct_blocks(stacks, vecs)
+    pool = [vecs[0, rep]]
+    for gen in vecs[1:, rep]:
+        pool.append(gen)
+        pool.append(gen[tpos].conj())
+    pool = np.array(pool, dtype=np.complex128)
     root = np.sqrt(copies)
-    q = onb(rows[:n] * root) / root
-    full = np.zeros((n, len(support)), dtype=np.complex128)
+    if gens and _scalar_commutant(stacks, pool[1:]):
+        if len(rep) > max_dim:
+            raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
+        # one matrix unit per distinct entry, of norm 1 over its copies
+        q = np.diag(1 / root).astype(np.complex128)
+    else:
+        # a distinct entry stands for `copies` entries of the full vector,
+        # so the rows are orthonormal at full length when they are
+        # orthonormal with those counts as weights; the weighted rows have
+        # singular values in [1, sqrt(max copies)], so onb keeps them all
+        q = onb(_close(pool, stacks, max_dim) * root) / root
+    full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])
 

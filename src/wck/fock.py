@@ -14,11 +14,12 @@ form (S_a, P_v, Q_k, Z as matrices) lives on as the test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import WeightError, check_index
 from .graphs import Path
 
 
@@ -30,8 +31,9 @@ class FockRep:
     """
 
     def __init__(self, graph, weights, K):
-        if isinstance(K, bool) or not isinstance(K, int) or K < 0:
-            raise DomainError("Fock depth K must be a nonnegative integer")
+        if weights.graph is not graph:
+            raise WeightError("the weights were built on a different graph")
+        check_index(K, 0, math.inf, "the Fock depth K")
         self.graph = graph
         self.weights = weights
         self.K = K

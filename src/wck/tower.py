@@ -13,10 +13,16 @@ length q = p - 1 out of v. All of this is computed concretely on a
 window of levels of the path space:
 
   - C_0 is generated by the degree-zero words u_a Z^j u_b^* with
-    s(a) = s(b), |a| = |b| < p and j < 3, and closed up with
-    findim.star_closure, which works on one copy of each distinct
+    s(a) = s(b), |a| = |b| < p and j < 3. Each generator is built as
+    its nonzero entries, gathered by prepend_index from the entries
+    of Z^j on the tails (for block weights, the nonzeros of the small
+    seed powers repeated over the heads), so no window block is ever
+    formed. findim.star_closure works on one copy of each distinct
     support block of these generators (the periodic weights repeat
-    most blocks bit for bit across the window);
+    most blocks bit for bit across the window); when the commutant of
+    the generators there is one scalar per block, C_0 is certified to
+    be the full matrix algebra on each distinct block and no closure
+    runs, and otherwise the generators are closed up;
   - corners are plain submatrix compressions onto slots, the int arrays
     Graph.ending_at gives for the paths that end at v; a corner, like
     C_0, is stored only as the orthonormal rows of its span
@@ -595,46 +601,76 @@ def _block_positions(offset, d, rows, cols):
     return offset + (rows[:, None] * d + cols[None, :]).ravel()
 
 
-def _c0_generators(graph, weights, levels):
-    """Window blocks of the stage-zero generators.
+def _z_entries(weights, level, tails):
+    """Nonzero entries of Z^j on the level paths tails, for j < Z_POWERS.
 
-    The generators are the degree-zero words with a weight power in the
-    middle and matching-source index paths of length below p on the
-    outside. Higher weight powers come out of the closure, so only the
-    first Z_POWERS are seeded explicitly.
+    One (x, y, values) per power: positions x and y into tails and the
+    exact entry values. A diagonal weight gives level_diag ** j on the
+    diagonal. A block weight has Z_level = I (x) Z_seed over the heads
+    of split_table, where the seed level is the one below N + p that
+    the extension rule repeats, so the nonzeros of each small seed
+    power are repeated over the heads that some tail carries.
+    """
+    if weights.kind == "diagonal":
+        diag = weights.level_diag(level)[tails]
+        x = np.arange(len(tails))
+        return [(x, x, diag ** j) for j in range(Z_POWERS)]
+    seed = level
+    while seed >= weights.N + weights.p:
+        seed -= weights.p
+    if seed < level:
+        pre, suf = (t[tails] for t in weights.split_table(level, level - seed))
+    else:
+        pre, suf = np.zeros_like(tails), tails
+    zs = weights.seed_levels[seed] if seed else np.eye(weights.graph.n_vertices)
+    lookup = np.full((pre.max(initial=0) + 1, len(zs)), -1)
+    lookup[pre, suf] = np.arange(len(tails))
+    out = []
+    for j in range(Z_POWERS):
+        zj = np.linalg.matrix_power(zs, j)
+        r, c = np.nonzero(zj)
+        x, y = lookup[:, r], lookup[:, c]
+        keep = (x >= 0) & (y >= 0)
+        out.append((x[keep], y[keep], np.broadcast_to(zj[r, c], x.shape)[keep]))
+    return out
+
+
+def _c0_generators(graph, weights, levels):
+    """Entries of the stage-zero generators on the window levels.
+
+    The generators are the degree-zero words u_a Z^j u_b^* with a
+    weight power in the middle and matching-source index paths a, b of
+    length below p on the outside. Higher weight powers come out of the
+    closure, so only the first Z_POWERS are seeded explicitly. Each
+    generator is (positions, values): the positions in blocks_vec of
+    its nonzero entries over the window and their values, gathered
+    through prepend_index from the entries of Z^j on the tails; no
+    window block is formed.
     """
     g = graph
-    gens = []
     dims = [g.level_dim(k) for k in levels]
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    gens = []
     for a in range(weights.p):
-        zpow = [
-            [
-                np.linalg.matrix_power(weights.level_matrix(k - a), power)
-                for power in range(Z_POWERS)
-            ]
-            for k in levels
-        ]
         by_source = {}
         for pth in g.paths(a):
             by_source.setdefault(pth.source, []).append(pth)
         for v, group in by_source.items():
-            tails = [g.ending_at(k - a, v) for k in levels]
-            rows = [
-                [g.prepend_index(k - a, pth)[t] for pth in group]
-                for k, t in zip(levels, tails)
-            ]
+            per_level = []
+            for k, off, d in zip(levels, offsets, dims):
+                tails = g.ending_at(k - a, v)
+                rows = [g.prepend_index(k - a, pth)[tails] for pth in group]
+                per_level.append((off, d, rows, _z_entries(weights, k - a, tails)))
             for ai in range(len(group)):
                 for bi in range(len(group)):
                     for power in range(Z_POWERS):
-                        blocks = [
-                            np.zeros((d, d), dtype=np.complex128)
-                            for d in dims
-                        ]
-                        for li, t in enumerate(tails):
-                            blocks[li][
-                                np.ix_(rows[li][ai], rows[li][bi])
-                            ] = zpow[li][power][np.ix_(t, t)]
-                        gens.append(blocks)
+                        pos = []
+                        values = []
+                        for off, d, rows, zpow in per_level:
+                            x, y, val = zpow[power]
+                            pos.append(off + rows[ai][x] * d + rows[bi][y])
+                            values.append(val)
+                        gens.append((np.concatenate(pos), np.concatenate(values)))
     return gens
 
 

@@ -58,10 +58,8 @@ class WeightSpec:
     def __init__(self, graph, kind, p, N, seed_levels, epsilon=None):
         if kind not in ("diagonal", "block"):
             raise WeightError("kind must be 'diagonal' or 'block', got %r" % kind)
-        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-            raise WeightError("period p must be a positive integer")
-        if isinstance(N, bool) or not isinstance(N, int) or N < 0:
-            raise WeightError("stabilization level N must be nonnegative")
+        check_index(p, 1, math.inf, "the period p", WeightError)
+        check_index(N, 0, math.inf, "the stabilization level N", WeightError)
         self.graph = graph
         self.kind = kind
         self.p = p
@@ -286,9 +284,8 @@ def from_dict(doc, graph):
     levels_doc = doc.get("levels", {})
     if not isinstance(levels_doc, dict):
         raise WeightError("'levels' must be an object keyed by level")
-    integers = all(isinstance(x, int) and not isinstance(x, bool) for x in (p, N))
-    if not integers or p < 1 or N < 0:
-        raise WeightError("p must be a positive and N a nonnegative integer")
+    check_index(p, 1, math.inf, "the period p", WeightError)
+    check_index(N, 0, math.inf, "the stabilization level N", WeightError)
     seed_levels = {}
     for key, level_doc in levels_doc.items():
         try:

@@ -1,5 +1,7 @@
 """Structure recovery on finite-dimensional block matrix algebras."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -16,14 +18,16 @@ from util import (
     contains,
     corpus_graphs,
     cycle_weight_spec,
+    dense_c0_generators,
     dense_star_closure,
     dimension_adds_up,
     element,
     embedding_multiplicities,
+    entries_of,
     random_diag_spec,
     support_star_closure,
 )
-from wck import tower
+from wck import findim, tower
 from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
     _distinct_blocks,
@@ -89,38 +93,57 @@ def random_dims(rng):
     return dims
 
 
+@pytest.fixture
+def closure_runs(monkeypatch):
+    """Counts the runs of the general closure loop inside star_closure."""
+    runs = []
+    close = findim._close
+
+    def spy(*args):
+        runs.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(findim, "_close", spy)
+    return runs
+
+
 class TestClosure:
     def test_two_generic_hermitians_generate_full_matrix_algebra(self):
         rng = np.random.default_rng(5)
         gens = conjugated_sum([3], rng)
-        A = star_closure([3], gens)
+        A = star_closure([3], entries_of(gens))
         assert A.dim == 9
 
-    def test_no_generators_leaves_the_scalars(self):
+    def test_no_generators_leaves_the_scalars(self, closure_runs):
         A = star_closure([4], [])
         assert A.dim == 1
         assert contains(A, blocks_eye([4]))
+        assert len(closure_runs) == 1
 
     def test_closure_contains_products_and_adjoints(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        A = star_closure([3], [[x]])
+        A = star_closure([3], entries_of([[x]]))
         assert contains(A, [x @ x])
         assert contains(A, [x.conj().T])
         assert contains(A, [x @ x.conj().T @ x])
 
-    def test_overflow_guard_raises(self):
+    def test_overflow_guard_raises(self, closure_runs):
+        # M_8 is certified by its commutant; M_4 + M_4 on one 8 x 8
+        # block is not, and the closure loop overflows
         rng = np.random.default_rng(11)
-        gens = conjugated_sum([8], rng)
-        with pytest.raises(ClosureOverflowError):
-            star_closure([8], gens, max_dim=10)
+        for dims, runs in (([8], 0), ([4, 4], 1)):
+            gens = conjugated_sum(dims, rng)
+            with pytest.raises(ClosureOverflowError):
+                star_closure([8], entries_of(gens), max_dim=10)
+            assert len(closure_runs) == runs
 
     def test_multi_level_block_space(self):
         # one copy of M_2 acting diagonally on two levels
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        A = star_closure([2, 2], [[x, x], [y, y]])
+        A = star_closure([2, 2], entries_of([[x, x], [y, y]]))
         assert A.dim == 4
 
 
@@ -130,7 +153,7 @@ class TestCentralDecomposition:
         rng = np.random.default_rng(seed)
         dims = random_dims(rng)
         n = sum(dims)
-        A = star_closure([n], conjugated_sum(dims, rng))
+        A = star_closure([n], entries_of(conjugated_sum(dims, rng)))
         assert A.dim == sum(d * d for d in dims)
         dec = central_decomposition(A)
         assert sorted(dec.dims) == sorted(dims)
@@ -146,7 +169,7 @@ class TestCentralDecomposition:
             [np.diag([0, 1.0, 0, 0]).astype(np.complex128)],
             [np.diag([0, 0, 1.0, 0]).astype(np.complex128)],
         ]
-        A = star_closure([4], gens)
+        A = star_closure([4], entries_of(gens))
         assert A.dim == 4
         dec = central_decomposition(A)
         assert dec.dims == [1, 1, 1, 1]
@@ -156,14 +179,14 @@ class TestCentralDecomposition:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        A = star_closure([2, 2], [[x, x], [y, y]])
+        A = star_closure([2, 2], entries_of([[x, x], [y, y]]))
         dec = central_decomposition(A)
         assert dec.dims == [2]
         assert dec.summands[0].ambient_rank == 4
         assert dec.summands[0].multiplicity == 2
 
     def test_minimal_projections_are_certified(self):
-        A = star_closure([3, 2], matrix_units([3, 2]))
+        A = star_closure([3, 2], entries_of(matrix_units([3, 2])))
         dec = central_decomposition(A)
         assert dec.dims == [2, 3]
         for sm in dec.summands:
@@ -178,11 +201,12 @@ class TestCentralDecomposition:
             )
 
     def test_summand_order_is_canonical(self):
-        # the same algebra closed from two generator orders has other
-        # bases, and must still give the same summands in the same order
+        # the same algebra as matrix units (certified by its commutant)
+        # and closed up from the reversed generators has other bases,
+        # and must still give the same summands in the same order
         gens = matrix_units([2, 3])
-        one = central_decomposition(star_closure([2, 3], gens))
-        two = central_decomposition(star_closure([2, 3], gens[::-1]))
+        one = central_decomposition(star_closure([2, 3], entries_of(gens)))
+        two = central_decomposition(dense_star_closure([2, 3], gens[::-1]))
         assert one.dims == two.dims == [2, 3]
         for a, b in zip(one.summands, two.summands):
             assert np.allclose(
@@ -196,7 +220,7 @@ class TestCentralDecomposition:
         lambda T: T + 1e-3 * np.random.default_rng(0).normal(size=T.shape),
     ], ids=["scaled", "perturbed"])
     def test_wrong_structure_tensor_raises(self, mutate):
-        A = star_closure([3, 2], matrix_units([3, 2]))
+        A = star_closure([3, 2], entries_of(matrix_units([3, 2])))
         T, S, resid = A.tables
         A.tables = (mutate(T), S, resid)
         with pytest.raises(DecompositionError):
@@ -215,8 +239,8 @@ def test_integer_traces_raise_the_given_error(error):
 class TestEmbeddings:
     def build_pair(self):
         # A = C + C on levels (1, 1); B = M_3 + M_2 on levels (3, 2)
-        A = star_closure([1, 1], matrix_units([1, 1]))
-        B = star_closure([3, 2], matrix_units([3, 2]))
+        A = star_closure([1, 1], entries_of(matrix_units([1, 1])))
+        B = star_closure([3, 2], entries_of(matrix_units([3, 2])))
         dec_a = central_decomposition(A)
         dec_b = central_decomposition(B)
 
@@ -243,7 +267,7 @@ class TestEmbeddings:
             assert sum(m[i, j] * d_a[i] for i in range(len(d_a))) == dj
 
     def test_identity_embedding(self):
-        A = star_closure([3], matrix_units([3]))
+        A = star_closure([3], entries_of(matrix_units([3])))
         dec = central_decomposition(A)
         m = embedding_multiplicities(dec, dec, lambda x: x)
         assert m.tolist() == [[1]]
@@ -259,7 +283,7 @@ class TestEmbeddings:
             embedding_multiplicities(dec_a, dec_b, phi)
 
     def test_transpose_is_not_multiplicative(self):
-        A = star_closure([2], matrix_units([2]))
+        A = star_closure([2], entries_of(matrix_units([2])))
         dec = central_decomposition(A)
 
         def phi(x):
@@ -272,51 +296,62 @@ class TestEmbeddings:
 # -- support-block closure against the dense reference ------------------------
 
 
-def c0_inputs(g, w, n_max=2, M=None, W=None):
-    """Window dims and C0 generators, on the window a Tower would use."""
+def c0_window(g, w, n_max=2, M=None, W=None):
+    """Graph, weights and the window levels a Tower would use."""
     p, q = w.p, w.q
     M = M if M is not None else w.N + q + (n_max + 3) * p
     W = W if W is not None else 3 * p
-    levels = list(range(M - n_max * p - q, M + W))
-    dims = [g.level_dim(k) for k in levels]
-    return dims, tower._c0_generators(g, w, levels)
+    return g, w, list(range(M - n_max * p - q, M + W))
+
+
+def c0_inputs(g, w, n_max=2, M=None, W=None):
+    """Window dims and C0 generators as dense blocks, on a Tower's window."""
+    g, w, levels = c0_window(g, w, n_max, M, W)
+    return [g.level_dim(k) for k in levels], dense_c0_generators(g, w, levels)
 
 
 def closure_case(name):
-    corpus = corpus_graphs()
     kind, _, key = name.partition(":")
-    if kind == "unweighted":
-        g = corpus[key]
-        return c0_inputs(g, from_dict({"p": 1, "N": 0}, g))
     if kind == "dense":
         rng = np.random.default_rng(int(key))
         dims = random_dims(rng)
         return [sum(dims)], conjugated_sum(dims, rng)
+    g, w, levels = c0_case(name)
+    return [g.level_dim(k) for k in levels], dense_c0_generators(g, w, levels)
+
+
+def c0_case(name):
+    """(graph, weights, window levels) of a named stage-zero case."""
+    corpus = corpus_graphs()
+    kind, _, key = name.partition(":")
+    if kind == "unweighted":
+        g = corpus[key]
+        return c0_window(g, from_dict({"p": 1, "N": 0}, g))
     if name == "C3w":
         g = corpus["C3"]
-        return c0_inputs(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)))
+        return c0_window(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)))
     if name == "O2w":
         g = corpus["O2"]
         w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
-        return c0_inputs(g, w, n_max=0, M=4, W=3)
+        return c0_window(g, w, n_max=0, M=4, W=3)
     if name == "G2p3":
         g = corpus["G2"]
         w = random_diag_spec(g, 3, 0, np.random.default_rng(7))
-        return c0_inputs(g, w, n_max=1, M=9, W=3)
+        return c0_window(g, w, n_max=1, M=9, W=3)
     if name == "theta_block":
         g = corpus["theta"]
-        return c0_inputs(g, from_dict(THETA_BLOCK, g), n_max=1, M=5, W=2)
+        return c0_window(g, from_dict(THETA_BLOCK, g), n_max=1, M=5, W=2)
     if kind == "generic":
         g = corpus[key]
         w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
-        return c0_inputs(g, w, n_max=1, M=6, W=2)
+        return c0_window(g, w, n_max=1, M=6, W=2)
     if name == "C3w223":
         g = corpus["C3"]
-        return c0_inputs(g, cycle_weight_spec(g, (2.0, 2.0, 3.0)))
+        return c0_window(g, cycle_weight_spec(g, (2.0, 2.0, 3.0)))
     if kind == "G3":
         g = corpus["G3"]
         w = random_diag_spec(g, 2, 1, np.random.default_rng(int(key)))
-        return c0_inputs(g, w, n_max=1, M=9, W=3)
+        return c0_window(g, w, n_max=1, M=9, W=3)
     raise KeyError(name)
 
 
@@ -331,11 +366,25 @@ FULL_BLOCK_CASES = (
     ["generic:" + name for name in sorted(corpus_graphs())] + ["C3w", "C3w223"]
 )
 
+# star_closure certifies + M_s by the commutant on all of these
+CERTIFIED_CASES = (
+    ["unweighted:" + name for name in sorted(corpus_graphs())]
+    + FULL_BLOCK_CASES
+    + ["G2p3"]
+)
+
+ENTRY_CASES = (
+    ["unweighted:" + name for name in sorted(corpus_graphs())]
+    + ["generic:" + name for name in sorted(corpus_graphs())]
+    + ["C3w", "theta_block", "G2p3"]
+)
+
 
 def distinct_block_sizes(dims, gens):
     """Size of each distinct class block that star_closure closes on."""
     vecs = np.array([blocks_vec(x) for x in [blocks_eye(dims), *gens]])
-    stacks, _, pos = _support_layout(dims, np.any(vecs != 0, axis=0))
+    support = np.flatnonzero(np.any(vecs != 0, axis=0))
+    stacks, _, pos = _support_layout(dims, support)
     stacks = _distinct_blocks(stacks, vecs[:, pos])[0]
     return [s for _, c, s in stacks for _ in range(c)]
 
@@ -357,11 +406,46 @@ def projector_gap(q1, q2):
     return float(np.linalg.norm(q2.T - q1.T @ (q1.conj() @ q2.T), 2))
 
 
+class TestStageZeroEntries:
+    @pytest.mark.parametrize("name", ENTRY_CASES)
+    def test_entries_match_the_dense_window_blocks(self, name):
+        g, w, levels = c0_case(name)
+        got = tower._c0_generators(g, w, levels)
+        ref = entries_of(dense_c0_generators(g, w, levels))
+        assert len(got) == len(ref)
+        for (pos, values), (ref_pos, ref_values) in zip(got, ref):
+            order = np.argsort(pos)
+            assert np.array_equal(pos[order], ref_pos)
+            if w.kind == "diagonal":
+                assert np.array_equal(values[order], ref_values)
+            else:
+                assert np.abs(values[order] - ref_values).max(initial=0) <= 1e-14
+
+    def test_no_dense_window_block_is_allocated(self):
+        # the closure-o2 window: O2, p=2, N=1, levels [3, 8), where dense
+        # d x d window blocks peaked at 5.9 MB; a first call warms the
+        # graph's path caches, and the weights of the measured call are
+        # a fresh copy of the same draw
+        g = corpus_graphs()["O2"]
+        levels = list(range(3, 8))
+        draw = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        tower._c0_generators(g, draw, levels)
+        fresh = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            gens = tower._c0_generators(g, fresh, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(pos) for pos, _ in gens) == 2232
+        assert peak < 1 << 20, peak
+
+
 class TestSupportBlockClosure:
     @pytest.mark.parametrize("name", CLOSURE_CASES)
     def test_matches_dense_closure(self, name):
         dims, gens = closure_case(name)
-        A = star_closure(dims, gens)
+        A = star_closure(dims, entries_of(gens))
         ref = dense_star_closure(dims, gens)
         assert A.dim == ref.dim
         assert projector_gap(A.onb, ref.onb) <= 1e-8
@@ -370,12 +454,25 @@ class TestSupportBlockClosure:
         assert not np.any(A.onb[:, off])
 
     @pytest.mark.parametrize("seed", [1, 2, 15])
-    def test_g3_matches_closure_on_every_class_block(self, seed):
+    def test_g3_matches_closure_on_every_class_block(self, seed, closure_runs):
         # the dense reference takes about 17 s per draw here
         dims, gens = closure_case("G3:%d" % seed)
-        A = star_closure(dims, gens)
+        A = star_closure(dims, entries_of(gens))
+        assert not closure_runs
         ref = support_star_closure(dims, gens)
         assert A.dim == ref.dim == 56
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+
+    @pytest.mark.parametrize("name", CERTIFIED_CASES)
+    def test_commutant_certificate_matches_closure_on_every_class_block(
+        self, name, closure_runs
+    ):
+        dims, gens = closure_case(name)
+        A = star_closure(dims, entries_of(gens))
+        assert not closure_runs
+        ref = support_star_closure(dims, gens)
+        assert A.dim == ref.dim
         assert projector_gap(A.onb, ref.onb) <= 1e-8
         assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
 
@@ -383,13 +480,14 @@ class TestSupportBlockClosure:
     def test_dim_is_the_sum_of_squares_of_distinct_blocks(self, name):
         dims, gens = closure_case(name)
         sizes = distinct_block_sizes(dims, gens)
-        assert star_closure(dims, gens).dim == sum(s * s for s in sizes)
+        assert star_closure(dims, entries_of(gens)).dim == sum(s * s for s in sizes)
 
-    def test_block_weights_give_a_proper_subalgebra(self):
+    def test_block_weights_give_a_proper_subalgebra(self, closure_runs):
         dims, gens = closure_case("theta_block")
         sizes = distinct_block_sizes(dims, gens)
         assert sum(s * s for s in sizes) == 40
-        assert star_closure(dims, gens).dim == 16
+        assert star_closure(dims, entries_of(gens)).dim == 16
+        assert len(closure_runs) == 1
 
     def test_blocks_merge_only_when_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -398,10 +496,25 @@ class TestSupportBlockClosure:
         y[0, 1] = complex(np.nextafter(x[0, 1].real, np.inf), x[0, 1].imag)
         for gens, distinct in (([[x, x]], 1), ([[x, y]], 2)):
             assert distinct_block_sizes([2, 2], gens) == [2] * distinct
-            A = star_closure([2, 2], gens)
+            A = star_closure([2, 2], entries_of(gens))
             ref = dense_star_closure([2, 2], gens)
             assert A.dim == ref.dim
             assert projector_gap(A.onb, ref.onb) <= 1e-8
+
+    def test_unitarily_equivalent_blocks_are_not_certified(self, closure_runs):
+        # two distinct blocks carrying x and v x v^*: v intertwines them,
+        # so the algebra is one M_2, not M_2 + M_2
+        rng = np.random.default_rng(4)
+        v = random_unitary(2, rng)
+        gens = []
+        for _ in range(2):
+            x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            gens.append([x, v @ x @ v.conj().T])
+        A = star_closure([2, 2], entries_of(gens))
+        assert len(closure_runs) == 1
+        ref = dense_star_closure([2, 2], gens)
+        assert A.dim == ref.dim == 4
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
 
     def test_block_weights_give_coarser_classes(self):
         theta = corpus_graphs()["theta"]
@@ -420,7 +533,7 @@ class TestSupportBlockClosure:
         masks = support_masks(dims, [blocks_eye(dims)] + gens)
         sizes = {int(n) for m in masks for n in m.sum(axis=1)}
         assert sizes == {1, 3}
-        A = star_closure(dims, gens)
+        A = star_closure(dims, entries_of(gens))
         q = A.onb
         assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
         basis = basis_elements(A)
@@ -432,7 +545,7 @@ class TestSupportBlockClosure:
             blocks_vec(A.render(c)), blocks_vec(element(A, c)), atol=1e-12
         )
         with pytest.raises(ClosureOverflowError):
-            star_closure(dims, gens, max_dim=A.dim - 1)
+            star_closure(dims, entries_of(gens), max_dim=A.dim - 1)
 
     @pytest.mark.parametrize("name", sorted(corpus_graphs()))
     def test_unit_coordinates_match_the_full_window(self, name):
@@ -447,6 +560,6 @@ class TestSupportBlockClosure:
             assert np.abs(C0.unit - full).max() <= 1e-12, (name, seed)
 
     def test_empty_levels_and_zero_generators(self):
-        A = star_closure([0, 2], [blocks_zero([0, 2])])
+        A = star_closure([0, 2], entries_of([blocks_zero([0, 2])]))
         assert A.dim == 1
         assert A.onb.shape == (1, 4)

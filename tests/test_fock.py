@@ -17,7 +17,7 @@ from util import (
     random_diag_spec,
     sparse_relations,
 )
-from wck.errors import DomainError
+from wck.errors import DomainError, WeightError
 from wck.fock import build_truncated, verify_relations
 from wck.weights import WeightSpec, from_dict
 
@@ -151,6 +151,14 @@ def test_corrupted_edge_map_matches_sparse_oracle(kind):
 def test_depth_must_be_a_nonnegative_int(c3, K):
     with pytest.raises(DomainError):
         build_truncated(c3, WeightSpec.unweighted(c3), K)
+
+
+def test_weights_of_another_graph_raise_before_any_work(c3):
+    o2 = corpus_graphs()["O2"]
+    o2_weights = random_diag_spec(o2, 2, 1, np.random.default_rng(7))
+    for g, w in ((c3, o2_weights), (o2, cycle_weight_spec(c3, T))):
+        with pytest.raises(WeightError, match="different graph"):
+            build_truncated(g, w, 3)
 
 
 def test_depth_zero_reports_no_deviation(c3):

@@ -6,20 +6,20 @@ single-vertex multi-loop, non-transitive loop chains, plain cycles of
 several lengths, cycles with parallel edges, and a transitive non-cycle.
 
 It also holds the slow references that fast paths in wck are tested
-against: the dense full-length closure loop, the closure on every
-support class block (copies included), the randomized central
-decomposition on full blocks, the concrete stage algebra
-of a tower, the multiplicity matrix of an embedding read off corner
-ranks, the per-pair loop of the fiber multiplicities, the
-per-basis-element transport and the per-entry tau and tau_inverse
-loops, the re-verification of an invariant ideal one chain row and one
-render at a time, the linear-algebra search for invariant families,
-the corner ideal of a summand subset built and verified as one
-subspace, the stage ideals gathered from path conjugates, the cubic
-cover search of a lattice, the truncated Fock representation as sparse
-operators with its relations checked by sparse products, the per-word
-window matrix and the inline I_p (x) Z_k extension of the level
-matrices.
+against: the stage-zero generators as dense window blocks, the dense
+full-length closure loop, the closure on every support class block
+(copies included), the randomized central decomposition on full blocks,
+the concrete stage algebra of a tower, the multiplicity matrix of an
+embedding read off corner ranks, the per-pair loop of the fiber
+multiplicities, the per-basis-element transport and the per-entry tau
+and tau_inverse loops, the re-verification of an invariant ideal one
+chain row and one render at a time, the linear-algebra search for
+invariant families, the corner ideal of a summand subset built and
+verified as one subspace, the stage ideals gathered from path
+conjugates, the cubic cover search of a lattice, the truncated Fock
+representation as sparse operators with its relations checked by sparse
+products, the per-word window matrix and the inline I_p (x) Z_k
+extension of the level matrices.
 
 Small path, weight, stage and norm helpers that only tests use live
 here too: path composition and the adjacency matrix, the path isometry
@@ -73,7 +73,7 @@ from wck.ideals import (
     ideal_subspace,
     pi_map,
 )
-from wck.tower import COORD_TOL
+from wck.tower import COORD_TOL, Z_POWERS
 from wck.windows import (
     NORM_TOL,
     RANK_TOL,
@@ -238,6 +238,59 @@ def random_diag_spec(g, p, N, rng):
     return WeightSpec(g, "diagonal", p, N, seeds)
 
 
+def entries_of(elements):
+    """Block elements as star_closure takes them: (positions, values).
+
+    One pair per element: the positions in blocks_vec of its nonzero
+    entries, and those entries.
+    """
+    out = []
+    for x in elements:
+        vec = blocks_vec(x)
+        pos = np.flatnonzero(vec)
+        out.append((pos, vec[pos]))
+    return out
+
+
+def dense_c0_generators(graph, weights, levels):
+    """Window blocks of the stage-zero generators, as dense d x d blocks.
+
+    The reference for tower._c0_generators: the same words
+    u_a Z^j u_b^*, in the same order, written into zero blocks through
+    level_matrix and matrix_power.
+    """
+    g = graph
+    gens = []
+    dims = [g.level_dim(k) for k in levels]
+    for a in range(weights.p):
+        zpow = [
+            [
+                np.linalg.matrix_power(weights.level_matrix(k - a), power)
+                for power in range(Z_POWERS)
+            ]
+            for k in levels
+        ]
+        by_source = {}
+        for pth in g.paths(a):
+            by_source.setdefault(pth.source, []).append(pth)
+        for v, group in by_source.items():
+            tails = [g.ending_at(k - a, v) for k in levels]
+            rows = [
+                [g.prepend_index(k - a, pth)[t] for pth in group]
+                for k, t in zip(levels, tails)
+            ]
+            for ai in range(len(group)):
+                for bi in range(len(group)):
+                    for power in range(Z_POWERS):
+                        blocks = blocks_zero(dims)
+                        for li, t in enumerate(tails):
+                            blocks[li][
+                                np.ix_(rows[li][ai], rows[li][bi])
+                            ] = zpow[li][power][np.ix_(t, t)]
+                        gens.append(blocks)
+    return gens
+
+
 def _dense_absorb(onb_mat, vec, tol=RANK_TOL, floor=1e-9):
     """Extend an orthonormal row basis by one vector, or return None."""
     scale = float(np.linalg.norm(vec))
@@ -306,7 +359,7 @@ def support_star_closure(dims, gens, unit=None, max_dim=4096):
     support = blocks_vec(unit) != 0
     for gen in gens:
         support |= blocks_vec(gen) != 0
-    stacks, tpos, pos = _support_layout(dims, support)
+    stacks, tpos, pos = _support_layout(dims, np.flatnonzero(support))
     pool = [blocks_vec(unit)[pos]]
     for gen in gens:
         pool.append(blocks_vec(gen)[pos])
@@ -537,7 +590,7 @@ def concrete_stage_algebra(tower, n):
                     x = tower.stage_zero(n)
                     x[v][a, b, t] = 1.0
                     gens.append(tower.tau_inverse(n, x))
-    return star_closure(dims, gens)
+    return star_closure(dims, entries_of(gens))
 
 
 # -- the per-element window loops ------------------------------------------------
