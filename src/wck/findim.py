@@ -7,10 +7,9 @@ the orthonormal rows onb of its span, each row the vectorization
 central and minimal projections included, are coordinate vectors c
 over those rows; c @ onb is the vectorized element, and
 StarAlgebra.render turns it into blocks for the few readers that need
-them. The analysis follows the standard route: close the generators
-under products and adjoints, split the center into its minimal
-projections, one per matrix summand, and certify a minimal projection
-in each.
+them. The analysis follows the standard route: find the algebra the
+generators generate, split the center into its minimal projections,
+one per matrix summand, and certify a minimal projection in each.
 
 Generators come in as sparse entries, (positions, values) pairs over
 the blocks_vec layout, and the algebra they generate is found on the
@@ -31,30 +30,24 @@ and keeping one block per distinct content is an injective
 *-homomorphism. The algebra is found on the distinct blocks only,
 found by exact byte equality; this needs no tolerance of its own.
 
-On the distinct blocks the generators often generate all of + M_s,
-one full matrix algebra per block. That is certified without a
-closure, by the bicommutant theorem: the algebra is + M_s exactly when
-its commutant is one scalar per block. The commutant is the set of
-block matrices X with X g = g X for every generator and adjoint g; a
-pair (t, u) of blocks of one size contributes the nullspace of a small
-Gram matrix, and all pairs of one size are decided by one batched
-eigvalsh (_scalar_commutant). Blocks of different sizes need no check,
-since an intertwiner between irreducible blocks of different sizes
-vanishes (Schur's lemma). The rows are then the matrix units of the
-distinct blocks. When the certificate fails (block weights, no
-generators, reducible blocks), the generators are closed up.
+On the distinct blocks the algebra is found by the bicommutant
+theorem: a unital *-algebra is the commutant of its commutant. The
+commutant is the set of block matrices X with X g = g X for every
+generator and adjoint g; it splits into the intertwiners of the pairs
+(t, u) of distinct blocks, the nullspace of one small Gram matrix per
+pair (_commutant_grams). Often the generators generate all of + M_s,
+one full matrix algebra per block. That holds exactly when the
+commutant is one scalar per block, which one batched eigvalsh per
+block size decides (_scalar_commutant); blocks of different sizes need
+no check, since an intertwiner between irreducible blocks of different
+sizes vanishes (Schur's lemma). The rows are then the matrix units of
+the distinct blocks. Otherwise (block weights, reducible blocks) the
+intertwiners of every pair come from one batched eigh per pair of
+sizes, and the algebra is the nullspace of one Gram matrix over the
+compressed vectors, which sums the constraints Y_t X = X Y_u over them
+(_bicommutant). No product of two elements is formed.
 
-The closure works per element, not per candidate: the products of one
-fresh orthonormal row with all the rows, on both sides, are one stacked
-(n, 2, L) block over the compressed length L, projected off the rows by
-matmuls. Candidates are taken in the order a*b_0, b_0*a, a*b_1, ...,
-and every pair of rows is tried in the round in which the later of the
-two is fresh, so the closure is complete when a round adds nothing.
-Only one block is held at a time, 2 n L entries, the size of the rows
-already held; a whole round (every fresh row against the rows) is never
-stacked at once.
-
-On either path the rows come out orthonormal with each distinct entry
+On either route the rows come out orthonormal with each distinct entry
 weighted by its number of copies, and are copied back to every block,
 so they are orthonormal at full length.
 
@@ -79,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -302,102 +296,98 @@ def _stack_products(a, basis, stacks):
     return out
 
 
+def _commutant_grams(stacks, pool, i, j):
+    """Gram matrices whose nullspaces are the intertwiners of pool.
+
+    pool holds compressed vectors in the layout of stacks, closed under
+    adjoints. For stacks i and j of sizes s and r, a block t of stack i
+    and a block u of stack j, the intertwiners X (s x r) with g_t X =
+    X g_u for every g in pool are the nullspace of sum_g K_g^H K_g, with
+    K_g = kron(I, g_u^T) - kron(g_t, I) on row-major vec(X). All of
+    them, (c_i, c_j, s r, s r), are assembled from per-block sums and
+    one cross product of the pool, never from the K_g.
+    """
+    (oi, ci, s), (oj, cj, r) = stacks[i], stacks[j]
+    at = pool[:, oi:oi + ci * s * s]
+    au = pool[:, oj:oj + cj * r * r]
+    gt = at.reshape(len(pool), ci, s, s)
+    gu = au.reshape(len(pool), cj, r, r)
+    # per block, the pool sums of kron(I, (g_u g_u^H)^T) and of
+    # kron(g_t^H g_t, I), the squares of the two terms of K_g
+    left = np.kron(np.eye(s)[None], np.einsum("gubx,gudx->udb", gu, gu.conj()))
+    right = np.kron(np.einsum("gtxa,gtxc->tac", gt.conj(), gt), np.eye(r)[None])
+    # per pair, the pool sum of kron(g_t, conj(g_u)), the cross term
+    cross = (at.T @ au.conj()).reshape(ci, s, s, cj, r, r)
+    cross = cross.transpose(0, 3, 1, 4, 2, 5).reshape(ci, cj, s * r, s * r)
+    return left[None] + right[:, None] - cross - cross.conj().swapaxes(-1, -2)
+
+
 def _scalar_commutant(stacks, pool):
     """Whether the commutant of pool on the distinct blocks is scalar.
 
-    pool holds compressed vectors in the layout of stacks, closed under
-    adjoints. For every pair (t, u) of distinct blocks of one size s,
-    the intertwiners X with X g_u = g_t X for every g in pool are the
-    nullspace of sum_g K_g^H K_g, with K_g = kron(I, g_u^T) - kron(g_t,
-    I) on row-major vec(X). The Gram matrices of one size are assembled
-    from per-block sums and one cross product of the pool, never from
-    the K_g, and their eigenvalues come from one batched eigvalsh. The
-    commutant is one scalar per block when t = u has exactly one
-    eigenvalue at or below the cut RANK_TOL times the largest one (the
-    scalars) and t != u has none. Intertwiners between irreducible
-    blocks of different sizes vanish (Schur's lemma), so sizes are not
-    paired.
+    The Grams of the pairs of blocks of one size are decided by one
+    batched eigvalsh per size: the commutant is one scalar per block
+    when t = u has exactly one eigenvalue at or below the cut RANK_TOL
+    times the largest one (the scalars) and t != u has none.
+    Intertwiners between irreducible blocks of different sizes vanish
+    (Schur's lemma), so sizes are not paired.
     """
-    for off, c, s in stacks:
-        g = pool[:, off:off + c * s * s].reshape(len(pool), c, s, s)
-        eye = np.eye(s)[None]
-        # per block, the pool sums of kron(I, (g_u g_u^H)^T) and of
-        # kron(g_t^H g_t, I), the squares of the two terms of K_g
-        left = np.kron(eye, np.einsum("gubx,gudx->udb", g, g.conj()))
-        right = np.kron(np.einsum("gtxa,gtxc->tac", g.conj(), g), eye)
-        # per pair, the pool sum of kron(g_t, conj(g_u)), the cross term
-        flat = g.reshape(len(pool), -1)
-        cross = (flat.T @ flat.conj()).reshape(c, s, s, c, s, s)
-        cross = cross.transpose(0, 3, 1, 4, 2, 5).reshape(c, c, s * s, s * s)
-        gram = left[None] + right[:, None] - cross - cross.conj().swapaxes(-1, -2)
-        vals = np.linalg.eigvalsh(gram)
+    for i, (_, c, _) in enumerate(stacks):
+        vals = np.linalg.eigvalsh(_commutant_grams(stacks, pool, i, i))
         low = np.sum(vals <= RANK_TOL * vals.max(), axis=-1)
         if not np.array_equal(low, np.eye(c, dtype=int)):
             return False
     return True
 
 
-def _close(pool, stacks, max_dim):
-    """Orthonormal rows of the closure of pool, as compressed vectors.
+def _block_diag(y):
+    """The block-diagonal matrix of a (c, m, m) stack."""
+    c, m, _ = y.shape
+    out = np.zeros((c, m, c, m), dtype=y.dtype)
+    out[np.arange(c), :, np.arange(c)] = y
+    return out.reshape(c * m, c * m)
 
-    The pool (unit, then each generator and its adjoint) is absorbed
-    first. Then, for each fresh row a in turn, the candidates a*b and
-    b*a for every row b as the rows stand are built as one (n, 2, L)
-    block, in the order a*b_0, b_0*a, a*b_1, ... The block is projected
-    off the rows by two rounds of Gram-Schmidt, each one matmul. A
-    candidate below the 1e-9 floor or with a relative residual at most
-    RANK_TOL is dropped; the survivors, in candidate order, are
-    projected again off the rows accepted earlier in the same block and
-    pass the same test. Accepted rows are fresh in the next round. A
-    product x*y of rows is therefore tried in the round in which the
-    later of x and y is fresh, so the span is closed when a round adds
-    nothing. Only one block is held at a time: 2 n L entries, the order
-    of the rows themselves. More than max_dim rows raise.
+
+def _bicommutant(stacks, pool):
+    """Rows of the bicommutant of pool on the distinct blocks.
+
+    The intertwiners of every ordered pair of stacks are the eigenvectors
+    of their Grams (_commutant_grams), one batched eigh per pair, cut as
+    in _scalar_commutant. A unital *-algebra is its own bicommutant, so
+    + Y_t is in the algebra exactly when Y_t X = X Y_u for every
+    intertwiner X from block u to block t: the nullspace of the Gram
+    matrix sum_X C_X^H C_X of the maps C_X: Y -> Y_t X - X Y_u, with X
+    over an orthonormal basis of each pair's intertwiners. It is
+    accumulated one pair of stacks at a time from the sums of X X^H, of
+    X^H X and of kron(X, conj(X)); the constraint rows are never
+    stacked. The rows are its eigenvectors with eigenvalue at most
+    RANK_TOL times max(1, the largest one): each X has norm 1, so the
+    Gram is O(1), and it is all rounding when the commutant is scalar.
     """
-    length = pool.shape[1]
-    rows = np.empty((min(length, 64), length), dtype=np.complex128)
-    n = 0
-
-    def absorb(cands, tol=RANK_TOL, floor=1e-9):
-        """Append the candidates that leave the span; return their indices."""
-        nonlocal rows, n
-        scale = np.linalg.norm(cands, axis=1)
-        idx = np.flatnonzero(scale > floor)
-        w = cands[idx]
-        q = rows[:n]
-        for _ in range(2):
-            w -= (w @ q.conj().T) @ q
-        keep = np.linalg.norm(w, axis=1) > tol * scale[idx]
-        start = n
-        for k, vec in zip(idx[keep], w[keep]):
-            new = rows[start:n]
-            for _ in range(2):
-                vec -= (new.conj() @ vec) @ new
-            resid = float(np.linalg.norm(vec))
-            if resid <= tol * scale[k]:
-                continue
-            if n == len(rows):
-                rows = np.concatenate([rows, np.empty_like(rows)])
-            rows[n] = vec / resid
-            n += 1
-            if n > max_dim:
-                raise ClosureOverflowError(
-                    "closure exceeded %d dimensions" % max_dim
-                )
-        return range(start, n)
-
-    fresh = absorb(pool)
-    while fresh:
-        new = []
-        for a in fresh:
-            block = _stack_products(rows[a], rows[:n], stacks)
-            new.extend(absorb(block.reshape(-1, length)))
-        fresh = new
-    return rows[:n]
+    length = sum(c * s * s for _, c, s in stacks)
+    gram = np.zeros((length, length), dtype=np.complex128)
+    for i, j in product(range(len(stacks)), repeat=2):
+        (oi, ci, s), (oj, cj, r) = stacks[i], stacks[j]
+        t = slice(oi, oi + ci * s * s)
+        u = slice(oj, oj + cj * r * r)
+        vals, vecs = np.linalg.eigh(_commutant_grams(stacks, pool, i, j))
+        x = vecs * (vals <= RANK_TOL * vals.max())[..., None, :]
+        x = x.reshape(ci, cj, s, r, s * r)
+        xx = np.einsum("tuack,tubck->tba", x, x.conj())
+        hh = np.einsum("tuack,tuadk->ucd", x.conj(), x)
+        cross = np.einsum("tuack,tubdk->tabucd", x, x.conj()).reshape(
+            ci * s * s, cj * r * r
+        )
+        gram[t, t] += _block_diag(np.kron(np.eye(s)[None], xx))
+        gram[u, u] += _block_diag(np.kron(hh, np.eye(r)[None]))
+        gram[t, u] -= cross
+        gram[u, t] -= cross.conj().T
+    vals, vecs = np.linalg.eigh(gram)
+    return vecs[:, vals <= RANK_TOL * max(1.0, vals.max())].T
 
 
 def star_closure(dims, gens, max_dim=4096):
-    """Close generators under span, products, and adjoints.
+    """The unital *-algebra that the generators generate.
 
     Each generator is a pair (positions, values): the positions in
     blocks_vec of its nonzero entries and their values; every other
@@ -411,17 +401,16 @@ def star_closure(dims, gens, max_dim=4096):
     entries are placed in these compressed vectors by one searchsorted
     per generator.
 
-    When the generators are not empty and the commutant of the
-    generators and their adjoints on the distinct blocks is one scalar
-    per block (_scalar_commutant), the algebra is the whole of + M_s
-    over the distinct blocks, by the bicommutant theorem, and its rows
-    are their matrix units; no closure runs. Otherwise (block weights,
-    no generators, reducible blocks) the unit, the generators and
-    their adjoints are closed up by _close, and the closed rows are
-    scaled by the square root of each entry's copy count,
-    orthonormalized once (onb) and scaled back.
+    When the commutant of the generators and their adjoints on the
+    distinct blocks is one scalar per block (_scalar_commutant), the
+    algebra is the whole of + M_s over the distinct blocks, by the
+    bicommutant theorem, and its rows are their matrix units. Otherwise
+    (block weights, reducible blocks) the algebra is that bicommutant,
+    found as one nullspace (_bicommutant); its rows are scaled by the
+    square root of each entry's copy count, orthonormalized once (onb)
+    and scaled back.
 
-    On either path the rows are orthonormal with each distinct entry
+    On either route the rows are orthonormal with each distinct entry
     weighted by its copy count, and are gathered to every copy at full
     length. The coordinates of the unit are read off the distinct
     entries, each weighted by its copy count.
@@ -439,15 +428,10 @@ def star_closure(dims, gens, max_dim=4096):
     for vec, (p, values) in zip(vecs, [(diag, 1.0), *gens]):
         vec[order[np.searchsorted(pos[order], p)]] = values
     stacks, tpos, rep, copy, copies = _distinct_blocks(stacks, vecs)
-    pool = [vecs[0, rep]]
-    for gen in vecs[1:, rep]:
-        pool.append(gen)
-        pool.append(gen[tpos].conj())
-    pool = np.array(pool, dtype=np.complex128)
+    gen = vecs[1:, rep]
+    pool = np.stack([gen, gen[:, tpos].conj()], axis=1).reshape(-1, len(rep))
     root = np.sqrt(copies)
-    if gens and _scalar_commutant(stacks, pool[1:]):
-        if len(rep) > max_dim:
-            raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
+    if _scalar_commutant(stacks, pool):
         # one matrix unit per distinct entry, of norm 1 over its copies
         q = np.diag(1 / root).astype(np.complex128)
     else:
@@ -455,7 +439,9 @@ def star_closure(dims, gens, max_dim=4096):
         # so the rows are orthonormal at full length when they are
         # orthonormal with those counts as weights; the weighted rows have
         # singular values in [1, sqrt(max copies)], so onb keeps them all
-        q = onb(_close(pool, stacks, max_dim) * root) / root
+        q = onb(_bicommutant(stacks, pool) * root) / root
+    if len(q) > max_dim:
+        raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
     full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])

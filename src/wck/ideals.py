@@ -347,25 +347,27 @@ def _transport_edges(tower):
 
     The margin is the largest component in the summand ideal of b of
     the image of a summand-ideal row of a, relative to max(1, |image|)
-    as in in_span; the edge exists when it exceeds RANK_TOL.
+    as in in_span; the edge exists when it exceeds RANK_TOL. Per
+    parallel edge pair, the stacked summand ideals at the range are
+    mapped and projected on the stacked ones at the source by one
+    product, which is reduced per pair of summands at their offsets.
     """
     g = tower.graph
     pos = {lab: k for k, lab in enumerate(tower.labels)}
-    single = {
-        (v, i): tower.corners[v].summand_ideal(i) for v, i in tower.labels
-    }
+    stacked = {}
+    for v, corner in tower.corners.items():
+        rows = [corner.summand_ideal(i) for i in range(len(corner.dec.summands))]
+        stacked[v] = np.concatenate(rows), np.cumsum([0] + [len(x) for x in rows[:-1]])
     edges = []
     for e, f in _parallel_edge_pairs(g):
         w, s = g.edst[e], g.esrc[e]
-        mat = pi_map(tower, Path((e,), s), Path((f,), s))
-        for i in range(len(tower.corners[w].dec.summands)):
-            img = single[(w, i)] @ mat.T
-            scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
-            for j in range(len(tower.corners[s].dec.summands)):
-                comp = np.linalg.norm(img @ single[(s, j)].conj().T, axis=1)
-                margin = float((comp / scale).max())
-                if margin > RANK_TOL:
-                    edges.append((e, f, pos[(w, i)], pos[(s, j)], margin))
+        (w_rows, w_off), (s_rows, s_off) = stacked[w], stacked[s]
+        img = w_rows @ pi_map(tower, Path((e,), s), Path((f,), s)).T
+        scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
+        comp = np.add.reduceat(np.abs(img @ s_rows.conj().T) ** 2, s_off, axis=1)
+        margins = np.maximum.reduceat(np.sqrt(comp) / scale[:, None], w_off, axis=0)
+        for i, j in np.argwhere(margins > RANK_TOL).tolist():
+            edges.append((e, f, pos[(w, i)], pos[(s, j)], float(margins[i, j])))
     return edges
 
 

@@ -19,10 +19,10 @@ window of levels of the path space:
     seed powers repeated over the heads), so no window block is ever
     formed. findim.star_closure works on one copy of each distinct
     support block of these generators (the periodic weights repeat
-    most blocks bit for bit across the window); when the commutant of
-    the generators there is one scalar per block, C_0 is certified to
-    be the full matrix algebra on each distinct block and no closure
-    runs, and otherwise the generators are closed up;
+    most blocks bit for bit across the window), where C_0 is the
+    bicommutant of the generators: when their commutant is one scalar
+    per block, C_0 is the full matrix algebra on each distinct block,
+    and otherwise it is found as one nullspace;
   - corners are plain submatrix compressions onto slots, the int arrays
     Graph.ending_at gives for the paths that end at v; a corner, like
     C_0, is stored only as the orthonormal rows of its span
@@ -127,14 +127,7 @@ class Corner:
             off += d * d
         unit = blocks_vec(blocks_eye(slot_dims))
         rows = C0.onb[:, np.concatenate(cols)]
-        rows = np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]])
-        # the span is zero wherever every row is; orthonormalizing on the
-        # other entries keeps those exact zeros, so the tabulation runs on
-        # the support blocks of the corner
-        support = np.any(rows != 0, axis=0)
-        part = onb(rows[:, support])
-        mat = np.zeros((len(part), rows.shape[1]), dtype=np.complex128)
-        mat[:, support] = part
+        mat = onb(np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]]))
         self.algebra = StarAlgebra(slot_dims, mat, mat.conj() @ unit)
         self.r = self.algebra.dim
         self._restricted = {}
@@ -169,14 +162,15 @@ class Corner:
         if got is not None:
             return got
         mat = self.columns(lo, hi)
-        if self.r:
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0]):
-                raise WindowUnstableError(
-                    "corner at %r is not faithful on levels [%d, %d); "
-                    "widen the window" % (self.vertex, lo, hi)
-                )
-        pinv = np.linalg.pinv(mat.T)
+        # one SVD gives the certificate and the pseudo-inverse of mat.T,
+        # formed as np.linalg.pinv forms it
+        u, sv, vt = np.linalg.svd(mat.T.conj(), full_matrices=False)
+        if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
+            raise WindowUnstableError(
+                "corner at %r is not faithful on levels [%d, %d); "
+                "widen the window" % (self.vertex, lo, hi)
+            )
+        pinv = vt.T @ ((1 / sv)[:, None] * u.T)
         self._restricted[key] = (mat, pinv)
         return mat, pinv
 
@@ -675,7 +669,7 @@ def _c0_generators(graph, weights, levels):
 
 
 def build_C0(graph, weights, levels):
-    """Stage-zero algebra closed up on the given window levels."""
+    """Stage-zero algebra generated on the given window levels."""
     if min(levels) < weights.p - 1:
         raise GraphError(
             "stage-zero window levels must be at least p - 1 = %d"

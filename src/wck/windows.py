@@ -203,15 +203,21 @@ def calkin_norm(x, cfg):
 
 
 def onb(rows, tol=RANK_TOL):
-    """Orthonormal row basis of the row span, rank cut at tol (relative)."""
+    """Orthonormal row basis of the row span, rank cut at tol (relative).
+
+    Only the columns where some row is nonzero are orthonormalized, and
+    the result is scattered back: a column that is zero in every row
+    changes no singular value, and stays an exact zero in the basis.
+    """
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.size == 0:
         return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((0, rows.shape[1]), dtype=np.complex128)
-    keep = s > tol * s[0]
-    return vh[keep]
+    cols = np.flatnonzero(np.any(rows != 0, axis=0))
+    s, vh = np.linalg.svd(rows[:, cols], full_matrices=False)[1:]
+    keep = s > tol * s.max(initial=0.0)
+    out = np.zeros((np.count_nonzero(keep), rows.shape[1]), dtype=np.complex128)
+    out[:, cols] = vh[keep]
+    return out
 
 
 def span_residual(vecs, basis):

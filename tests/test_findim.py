@@ -95,15 +95,15 @@ def random_dims(rng):
 
 @pytest.fixture
 def closure_runs(monkeypatch):
-    """Counts the runs of the general closure loop inside star_closure."""
+    """Counts the runs of the general bicommutant solve inside star_closure."""
     runs = []
-    close = findim._close
+    solve = findim._bicommutant
 
     def spy(*args):
         runs.append(args)
-        return close(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(findim, "_close", spy)
+    monkeypatch.setattr(findim, "_bicommutant", spy)
     return runs
 
 
@@ -115,10 +115,13 @@ class TestClosure:
         assert A.dim == 9
 
     def test_no_generators_leaves_the_scalars(self, closure_runs):
+        # the unit alone splits the level into 1 x 1 class blocks, all
+        # bit-identical, so the distinct block is one 1 x 1 block and
+        # its commutant is its scalars: the closed form gives C
         A = star_closure([4], [])
         assert A.dim == 1
         assert contains(A, blocks_eye([4]))
-        assert len(closure_runs) == 1
+        assert not closure_runs
 
     def test_closure_contains_products_and_adjoints(self):
         rng = np.random.default_rng(7)
@@ -130,7 +133,7 @@ class TestClosure:
 
     def test_overflow_guard_raises(self, closure_runs):
         # M_8 is certified by its commutant; M_4 + M_4 on one 8 x 8
-        # block is not, and the closure loop overflows
+        # block is not, and the general solve overflows
         rng = np.random.default_rng(11)
         for dims, runs in (([8], 0), ([4, 4], 1)):
             gens = conjugated_sum(dims, rng)
@@ -475,6 +478,39 @@ class TestSupportBlockClosure:
         assert A.dim == ref.dim
         assert projector_gap(A.onb, ref.onb) <= 1e-8
         assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+
+    @pytest.mark.parametrize("name", CERTIFIED_CASES)
+    def test_general_solve_matches_the_closed_form(
+        self, name, monkeypatch, closure_runs
+    ):
+        dims, gens = closure_case(name)
+        closed = star_closure(dims, entries_of(gens))
+        monkeypatch.setattr(findim, "_scalar_commutant", lambda *args: False)
+        A = star_closure(dims, entries_of(gens))
+        assert len(closure_runs) == 1
+        sizes = distinct_block_sizes(dims, gens)
+        assert A.dim == closed.dim == sum(s * s for s in sizes)
+        assert projector_gap(A.onb, closed.onb) <= 1e-8
+        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+
+    def test_blocks_of_different_sizes_are_intertwined(self, closure_runs):
+        # x on a 2 x 2 block and u (x + x) u^* on a 4 x 4 block: the
+        # algebra is one M_2, of ambient rank 2 + 4
+        rng = np.random.default_rng(8)
+        u = random_unitary(4, rng)
+        gens = []
+        for _ in range(2):
+            x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            gens.append([x, u @ np.kron(np.eye(2), x) @ u.conj().T])
+        A = star_closure([2, 4], entries_of(gens))
+        assert len(closure_runs) == 1
+        ref = dense_star_closure([2, 4], gens)
+        assert A.dim == ref.dim == 4
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        summands = central_decomposition(A).summands
+        assert [(sm.d, sm.ambient_rank, sm.multiplicity) for sm in summands] == [
+            (2, 6, 3)
+        ]
 
     @pytest.mark.parametrize("name", FULL_BLOCK_CASES)
     def test_dim_is_the_sum_of_squares_of_distinct_blocks(self, name):

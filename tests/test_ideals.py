@@ -16,9 +16,12 @@ from util import (
     dense_hasse_edges,
     dense_ideal_chain,
     dense_ideal_subspace,
+    looped_transport_edges,
     looped_verify_fully_invariant,
     random_diag_spec,
 )
+from test_golden import KEYS as GOLDEN_KEYS
+from test_golden import golden_case
 from wck import ideals
 from wck.cycle_demo import build_cycle, demo_tower_config
 from wck.errors import DomainError, GraphError, WckError
@@ -356,6 +359,17 @@ def _split_residuals(checks):
     """The check entries without residuals, and the residuals in order."""
     keys = [{k: v for k, v in c.items() if k != "residual"} for c in checks]
     return keys, np.array([c.get("residual", 0.0) for c in checks])
+
+
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_transport_edges_match_looped_oracle(key):
+    """The stacked transport products give the per-summand loop's edges."""
+    tw = build_tower(*golden_case(key))
+    got = ideals._transport_edges(tw)
+    ref = looped_transport_edges(tw)
+    assert [edge[:4] for edge in got] == [edge[:4] for edge in ref]
+    margins = np.array([edge[4] for edge in got]) - [edge[4] for edge in ref]
+    assert np.abs(margins).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("key", sorted(ORACLE_CAPS))

@@ -278,6 +278,24 @@ def test_onb_and_membership():
     assert not win.in_span(rng.normal(size=8), basis)
 
 
+def test_onb_on_nonzero_columns_matches_the_dense_svd():
+    """onb works on the nonzero columns only; the span is the dense one."""
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
+    rows[4] = rows[0] - 2j * rows[1]
+    zero = rng.permutation(40)[:25]
+    rows[:, zero] = 0.0
+    basis = win.onb(rows)
+    s, vh = np.linalg.svd(rows, full_matrices=False)[1:]
+    ref = vh[s > win.RANK_TOL * s[0]]
+    assert basis.shape == ref.shape == (5, 40)
+    assert not np.any(basis[:, zero])
+    gap = basis.T @ basis.conj() - ref.T @ ref.conj()
+    assert np.linalg.norm(gap, 2) <= 1e-12
+    # a stack that is zero everywhere has no basis
+    assert win.onb(np.zeros((3, 40))).shape == (0, 40)
+
+
 def test_stacked_span_residuals():
     """A row and the same row as a one-row stack give the same answer."""
     rng = np.random.default_rng(4)

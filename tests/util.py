@@ -11,7 +11,8 @@ full-length closure loop, the closure on every support class block
 (copies included), the randomized central decomposition on full blocks,
 the concrete stage algebra of a tower, the multiplicity matrix of an
 embedding read off corner ranks, the per-pair loop of the fiber
-multiplicities, the per-basis-element transport and the per-entry tau
+multiplicities, the per-summand-pair loop of the transport edges, the
+per-basis-element transport and the per-entry tau
 and tau_inverse loops, the re-verification of an invariant ideal one
 chain row and one render at a time, the linear-algebra search for
 invariant families, the corner ideal of a summand subset built and
@@ -307,11 +308,12 @@ def _dense_absorb(onb_mat, vec, tol=RANK_TOL, floor=1e-9):
 
 
 def dense_star_closure(dims, gens, unit=None, max_dim=4096):
-    """star_closure on full-length vectors: the reference for the fast path.
+    """The generated algebra by a product-closure loop on full-length vectors.
 
-    Same candidate order, rank cut and floor as findim.star_closure:
-    products of the orthonormal rows, as block elements, projected at
-    the full ambient length one candidate at a time.
+    The reference for findim.star_closure: products of the orthonormal
+    rows, as block elements, projected at the full ambient length one
+    candidate at a time, with the rank cut RANK_TOL and a 1e-9 floor,
+    until a round adds nothing.
     """
     dims = tuple(dims)
     if unit is None:
@@ -348,9 +350,9 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
 def support_star_closure(dims, gens, unit=None, max_dim=4096):
     """star_closure on every support class block, copies included.
 
-    The reference for the closure on distinct blocks where the dense
-    loop is too slow: the same absorb loop over stacked products, run on
-    all class blocks of every level, with the rows scattered back as
+    The reference for star_closure where the dense loop is too slow:
+    the closure loop of dense_star_closure over stacked products, run
+    on all class blocks of every level, with the rows scattered back as
     they come out of Gram-Schmidt.
     """
     dims = tuple(dims)
@@ -1117,6 +1119,31 @@ def _looped_edge_render(tower, blocks, e, f, push):
             mat[np.ix_(rows, cols)] = blocks[kk + 1][np.ix_(up_r, up_c)]
         out.append(mat)
     return np.concatenate([m.ravel() for m in out])
+
+
+def looped_transport_edges(tower):
+    """ideals._transport_edges with one product per pair of summands.
+
+    The reference for the stacked products: per parallel edge pair, each
+    summand ideal at the range is mapped by pi_map and projected on each
+    summand ideal at the source separately.
+    """
+    g = tower.graph
+    pos = {lab: k for k, lab in enumerate(tower.labels)}
+    edges = []
+    for e, f in _parallel_edge_pairs(g):
+        w, s = g.edst[e], g.esrc[e]
+        mat = pi_map(tower, Path((e,), s), Path((f,), s))
+        for i in range(len(tower.corners[w].dec.summands)):
+            img = tower.corners[w].summand_ideal(i) @ mat.T
+            scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
+            for j in range(len(tower.corners[s].dec.summands)):
+                ideal = tower.corners[s].summand_ideal(j)
+                comp = np.linalg.norm(img @ ideal.conj().T, axis=1)
+                margin = float((comp / scale).max())
+                if margin > RANK_TOL:
+                    edges.append((e, f, pos[(w, i)], pos[(s, j)], margin))
+    return edges
 
 
 def looped_verify_fully_invariant(tower, family, n_cap=None):
