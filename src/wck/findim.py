@@ -35,21 +35,18 @@ theorem: a unital *-algebra is the commutant of its commutant. The
 commutant is the set of block matrices X with X g = g X for every
 generator and adjoint g; it splits into the intertwiners of the pairs
 (t, u) of distinct blocks, the nullspace of one small Gram matrix per
-pair (_commutant_grams). Often the generators generate all of + M_s,
-one full matrix algebra per block. That holds exactly when the
-commutant is one scalar per block, which one batched eigvalsh per
-block size decides (_scalar_commutant); blocks of different sizes need
-no check, since an intertwiner between irreducible blocks of different
-sizes vanishes (Schur's lemma). The rows are then the matrix units of
-the distinct blocks. Otherwise (block weights, reducible blocks) the
-intertwiners of every pair come from one batched eigh per pair of
-sizes, and the algebra is the nullspace of one Gram matrix over the
-compressed vectors, which sums the constraints Y_t X = X Y_u over them
-(_bicommutant). No product of two elements is formed.
-
-On either route the rows come out orthonormal with each distinct entry
-weighted by its number of copies, and are copied back to every block,
-so they are orthonormal at full length.
+pair (_commutant_grams). Often the commutant is one scalar per block,
+which one batched eigvalsh per block size decides (_scalar_commutant;
+by Schur's lemma blocks of different sizes need no check), and the
+rows are the matrix units of the distinct blocks. Otherwise (block
+weights, reducible blocks) the algebra is the nullspace of one Gram
+matrix of the constraints Y_t X = X Y_u over the intertwiners X
+(_bicommutant). Both nullspaces are cut on singular values, refined
+from the Gram's eigenvectors on their images (_null), and the result
+must hold the unit and every generator, or the call raises. No
+product of two elements is formed. The rows come out orthonormal
+with each distinct entry weighted by its number of copies, and are
+copied back to every block, so they are orthonormal at full length.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
@@ -79,6 +76,7 @@ import numpy as np
 from .errors import ClosureOverflowError, DecompositionError
 from .windows import RANK_TOL, onb
 
+CHUNK = 1 << 20  # entries in one batch of images in _null's refinement
 CLUSTER_GAP = 1e-6
 INT_TOL = 1e-6
 
@@ -296,6 +294,13 @@ def _stack_products(a, basis, stacks):
     return out
 
 
+def _kron(a, b):
+    """Kronecker products of (..., m, m) and (..., n, n) stacks."""
+    m, n = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * n, m * n))
+
+
 def _commutant_grams(stacks, pool, i, j):
     """Gram matrices whose nullspaces are the intertwiners of pool.
 
@@ -314,8 +319,8 @@ def _commutant_grams(stacks, pool, i, j):
     gu = au.reshape(len(pool), cj, r, r)
     # per block, the pool sums of kron(I, (g_u g_u^H)^T) and of
     # kron(g_t^H g_t, I), the squares of the two terms of K_g
-    left = np.kron(np.eye(s)[None], np.einsum("gubx,gudx->udb", gu, gu.conj()))
-    right = np.kron(np.einsum("gtxa,gtxc->tac", gt.conj(), gt), np.eye(r)[None])
+    left = _kron(np.eye(s), np.einsum("gubx,gudx->udb", gu, gu.conj()))
+    right = _kron(np.einsum("gtxa,gtxc->tac", gt.conj(), gt), np.eye(r))
     # per pair, the pool sum of kron(g_t, conj(g_u)), the cross term
     cross = (at.T @ au.conj()).reshape(ci, s, s, cj, r, r)
     cross = cross.transpose(0, 3, 1, 4, 2, 5).reshape(ci, cj, s * r, s * r)
@@ -328,9 +333,11 @@ def _scalar_commutant(stacks, pool):
     The Grams of the pairs of blocks of one size are decided by one
     batched eigvalsh per size: the commutant is one scalar per block
     when t = u has exactly one eigenvalue at or below the cut RANK_TOL
-    times the largest one (the scalars) and t != u has none.
-    Intertwiners between irreducible blocks of different sizes vanish
-    (Schur's lemma), so sizes are not paired.
+    times the largest one (the scalars) and t != u has none. That cuts
+    squared singular values, so it errs towards failing, and a failure
+    goes to the general route, which cuts finer (_null). Intertwiners
+    between irreducible blocks of different sizes vanish (Schur's
+    lemma), so sizes are not paired.
     """
     for i, (_, c, _) in enumerate(stacks):
         vals = np.linalg.eigvalsh(_commutant_grams(stacks, pool, i, i))
@@ -340,50 +347,108 @@ def _scalar_commutant(stacks, pool):
     return True
 
 
-def _block_diag(y):
-    """The block-diagonal matrix of a (c, m, m) stack."""
+def _null(gram, floor, image_gram):
+    """Orthonormal null vectors of a map K from gram = K^H K, batched.
+
+    Rounding blurs the eigenvalues of gram, the squared singular values
+    of K, below about eps times the largest, so the cut RANK_TOL on
+    singular values cannot be read off them. The eigenvectors with
+    eigenvalue at most RANK_TOL top, top = max(floor, the largest), are
+    candidates; image_gram(v) is the Gram of their images K v, accurate
+    at its own scale, and its eigenvectors with eigenvalue at most
+    RANK_TOL^2 top are kept. Short items are padded with zero columns.
+    """
+    vals, vecs = np.linalg.eigh(gram)
+    top = max(floor, vals.max())
+    v = vecs[..., :np.sum(vals <= RANK_TOL * top, axis=-1).max()]
+    if not v.shape[-1]:
+        return v
+    mu, w = np.linalg.eigh(image_gram(v))
+    keep = mu <= RANK_TOL ** 2 * top
+    return v @ (w * keep[..., None, :])[..., :keep.sum(axis=-1).max()]
+
+
+def _intertwiners(stacks, pool, i, j):
+    """Orthonormal bases (c_i, c_j, m, s, r) of the intertwiners of pool.
+
+    The Grams are those of _commutant_grams; the images g_t X - X g_u
+    are formed a few pool elements at a time, CHUNK entries at most.
+    """
+    (oi, ci, s), (oj, cj, r) = stacks[i], stacks[j]
+    gt = pool[:, oi:oi + ci * s * s].reshape(-1, ci, s, s)
+    gu = pool[:, oj:oj + cj * r * r].reshape(-1, cj, r, r)
+
+    def image_gram(v):
+        x = np.moveaxis(v.reshape(ci, cj, s, r, -1), -1, 2)
+        step = max(1, CHUNK // x.size)
+        out = 0
+        for g in range(0, len(pool), step):
+            d = np.einsum("gtab,tukbc->gtukac", gt[g:g + step], x)
+            d -= np.einsum("tukab,gubc->gtukac", x, gu[g:g + step])
+            out = out + np.einsum("gtuksr,gtulsr->tukl", d.conj(), d)
+        return out
+
+    x = _null(_commutant_grams(stacks, pool, i, j), 0.0, image_gram)
+    return np.moveaxis(x.reshape(ci, cj, s, r, -1), -1, 2)
+
+
+def _add_block_diag(out, y):
+    """Add the block-diagonal matrix of a (c, m, m) stack to out in place."""
     c, m, _ = y.shape
-    out = np.zeros((c, m, c, m), dtype=y.dtype)
-    out[np.arange(c), :, np.arange(c)] = y
-    return out.reshape(c * m, c * m)
+    out.reshape(c, m, c, m)[np.arange(c), :, np.arange(c)] += y
 
 
 def _bicommutant(stacks, pool):
     """Rows of the bicommutant of pool on the distinct blocks.
 
-    The intertwiners of every ordered pair of stacks are the eigenvectors
-    of their Grams (_commutant_grams), one batched eigh per pair, cut as
-    in _scalar_commutant. A unital *-algebra is its own bicommutant, so
-    + Y_t is in the algebra exactly when Y_t X = X Y_u for every
-    intertwiner X from block u to block t: the nullspace of the Gram
-    matrix sum_X C_X^H C_X of the maps C_X: Y -> Y_t X - X Y_u, with X
-    over an orthonormal basis of each pair's intertwiners. It is
-    accumulated one pair of stacks at a time from the sums of X X^H, of
-    X^H X and of kron(X, conj(X)); the constraint rows are never
-    stacked. The rows are its eigenvectors with eigenvalue at most
-    RANK_TOL times max(1, the largest one): each X has norm 1, so the
-    Gram is O(1), and it is all rounding when the commutant is scalar.
+    A unital *-algebra is its own bicommutant, so + Y_t is in the
+    algebra exactly when Y_t X = X Y_u for every intertwiner X from
+    block u to block t: the null vectors of the maps C_X: Y -> Y_t X -
+    X Y_u, X over the bases of _intertwiners for every ordered pair of
+    stacks. Their L x L Gram sum_X C_X^H C_X, L the number of distinct
+    entries, is accumulated one pair of stacks at a time from the sums
+    of X X^H, of X^H X and of kron(X, conj(X)), and the images C_X Y a
+    few X at a time; the constraint rows are never stacked. Each X has
+    norm 1, so _null cuts relative to max(1, the largest eigenvalue):
+    the Gram is all rounding when the commutant is scalar.
     """
     length = sum(c * s * s for _, c, s in stacks)
     gram = np.zeros((length, length), dtype=np.complex128)
+    pairs = {}
     for i, j in product(range(len(stacks)), repeat=2):
         (oi, ci, s), (oj, cj, r) = stacks[i], stacks[j]
         t = slice(oi, oi + ci * s * s)
         u = slice(oj, oj + cj * r * r)
-        vals, vecs = np.linalg.eigh(_commutant_grams(stacks, pool, i, j))
-        x = vecs * (vals <= RANK_TOL * vals.max())[..., None, :]
-        x = x.reshape(ci, cj, s, r, s * r)
-        xx = np.einsum("tuack,tubck->tba", x, x.conj())
-        hh = np.einsum("tuack,tuadk->ucd", x.conj(), x)
-        cross = np.einsum("tuack,tubdk->tabucd", x, x.conj()).reshape(
-            ci * s * s, cj * r * r
-        )
-        gram[t, t] += _block_diag(np.kron(np.eye(s)[None], xx))
-        gram[u, u] += _block_diag(np.kron(hh, np.eye(r)[None]))
-        gram[t, u] -= cross
-        gram[u, t] -= cross.conj().T
-    vals, vecs = np.linalg.eigh(gram)
-    return vecs[:, vals <= RANK_TOL * max(1.0, vals.max())].T
+        if j < i:
+            # pool is closed under adjoints, so the X^H of (j, i) serve
+            x = pairs[j, i][2].transpose(1, 0, 2, 4, 3).conj()
+        else:
+            x = _intertwiners(stacks, pool, i, j)
+        pairs[i, j] = (t, u, x)
+        xx = np.einsum("tumac,tumbc->tba", x, x.conj())
+        hh = np.einsum("tumac,tumad->ucd", x.conj(), x)
+        cross = np.einsum("tumac,tumbd->tabucd", x, x.conj())
+        _add_block_diag(gram[t, t], _kron(np.eye(s), xx))
+        _add_block_diag(gram[u, u], _kron(hh, np.eye(r)))
+        gram[t, u] -= cross.reshape(ci * s * s, cj * r * r)
+        gram[u, t] -= cross.reshape(ci * s * s, cj * r * r).conj().T
+
+    def image_gram(v):
+        out = 0
+        for t, u, x in pairs.values():
+            ci, cj, m, s, r = x.shape
+            yt = v[t].reshape(ci, s, s, -1)
+            yu = v[u].reshape(cj, r, r, -1)
+            step = max(1, CHUNK // (ci * cj * s * r * v.shape[1]))
+            for n in range(0, m, step):
+                xn = x[:, :, n:n + step]
+                d = np.einsum("tack,tumcb->tumabk", yt, xn)
+                d -= np.einsum("tumac,ucbk->tumabk", xn, yu)
+                d = d.reshape(-1, v.shape[1])
+                out = out + d.conj().T @ d
+        return out
+
+    return _null(gram, 1.0, image_gram).T
 
 
 def star_closure(dims, gens, max_dim=4096):
@@ -392,28 +457,20 @@ def star_closure(dims, gens, max_dim=4096):
     Each generator is a pair (positions, values): the positions in
     blocks_vec of its nonzero entries and their values; every other
     entry is an exact zero. The identity of the block space is always
-    included, so the result is unital. Growth beyond max_dim raises.
+    included, so the result is unital. Growth beyond max_dim raises
+    ClosureOverflowError; the general route holds L x L Grams, L the
+    number of distinct entries, before that check.
 
     The algebra is found on one block per distinct content among the
-    support class blocks of the unit and the generators (see the module
-    docstring): an isomorphic copy of it, whose vectors are the
-    full-length ones with exact zeros and repeated blocks dropped. The
-    entries are placed in these compressed vectors by one searchsorted
-    per generator.
-
-    When the commutant of the generators and their adjoints on the
-    distinct blocks is one scalar per block (_scalar_commutant), the
-    algebra is the whole of + M_s over the distinct blocks, by the
-    bicommutant theorem, and its rows are their matrix units. Otherwise
-    (block weights, reducible blocks) the algebra is that bicommutant,
-    found as one nullspace (_bicommutant); its rows are scaled by the
-    square root of each entry's copy count, orthonormalized once (onb)
-    and scaled back.
-
-    On either route the rows are orthonormal with each distinct entry
-    weighted by its copy count, and are gathered to every copy at full
-    length. The coordinates of the unit are read off the distinct
-    entries, each weighted by its copy count.
+    support class blocks of the unit and the generators, whose entries
+    are placed by one searchsorted per generator, as the module
+    docstring sets out: the matrix units of the distinct blocks when
+    their commutant is scalar (_scalar_commutant), and otherwise the
+    bicommutant (_bicommutant), orthonormalized once with each entry
+    weighted by its copy count (onb) and certified to hold the unit,
+    the generators and their adjoints, or DecompositionError is raised.
+    The rows are gathered to every copy at full length, and the unit's
+    coordinates are read off the distinct entries by their copy counts.
     """
     dims = tuple(dims)
     starts = np.cumsum([0] + [d * d for d in dims])
@@ -431,17 +488,21 @@ def star_closure(dims, gens, max_dim=4096):
     gen = vecs[1:, rep]
     pool = np.stack([gen, gen[:, tpos].conj()], axis=1).reshape(-1, len(rep))
     root = np.sqrt(copies)
-    if _scalar_commutant(stacks, pool):
-        # one matrix unit per distinct entry, of norm 1 over its copies
-        q = np.diag(1 / root).astype(np.complex128)
-    else:
-        # a distinct entry stands for `copies` entries of the full vector,
-        # so the rows are orthonormal at full length when they are
-        # orthonormal with those counts as weights; the weighted rows have
-        # singular values in [1, sqrt(max copies)], so onb keeps them all
-        q = onb(_bicommutant(stacks, pool) * root) / root
-    if len(q) > max_dim:
+    rows = None
+    if not _scalar_commutant(stacks, pool):
+        # the weighted rows have singular values in [1, sqrt(max copies)],
+        # so onb keeps them all
+        rows = onb(_bicommutant(stacks, pool) * root)
+        held = np.vstack([vecs[:1, rep], pool]) * root
+        miss = np.linalg.norm(held - held @ rows.conj().T @ rows, axis=1)
+        if np.any(miss > RANK_TOL * np.linalg.norm(held, axis=1)):
+            raise DecompositionError("the algebra found misses a generator")
+    if (len(rep) if rows is None else len(rows)) > max_dim:
         raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
+    # a distinct entry stands for `copies` entries of the full vector, so
+    # rows orthonormal with those counts as weights are, divided by root,
+    # orthonormal at full length; the closed form is the matrix units
+    q = (np.eye(len(rep), dtype=np.complex128) if rows is None else rows) / root
     full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])

@@ -162,15 +162,14 @@ class Corner:
         if got is not None:
             return got
         mat = self.columns(lo, hi)
-        # one SVD gives the certificate and the pseudo-inverse of mat.T,
-        # formed as np.linalg.pinv forms it
-        u, sv, vt = np.linalg.svd(mat.T.conj(), full_matrices=False)
+        # one SVD of mat.T gives the certificate and the pseudo-inverse
+        u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
         if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
             raise WindowUnstableError(
                 "corner at %r is not faithful on levels [%d, %d); "
                 "widen the window" % (self.vertex, lo, hi)
             )
-        pinv = vt.T @ ((1 / sv)[:, None] * u.T)
+        pinv = (vh.conj().T / sv) @ u.conj().T
         self._restricted[key] = (mat, pinv)
         return mat, pinv
 

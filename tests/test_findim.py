@@ -552,6 +552,35 @@ class TestSupportBlockClosure:
         assert A.dim == ref.dim == 4
         assert projector_gap(A.onb, ref.onb) <= 1e-8
 
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7])
+    def test_close_block_values_stay_apart(self, gap, closure_runs):
+        # blocks 1 and 1 + gap: the closed-form check cuts eigenvalues of
+        # the commutant Grams, squared singular values, and sends them to
+        # the general solve, which cuts singular values and keeps them apart
+        gens = [[np.diag([1.0, 1.0 + gap, 2.0]).astype(complex)]]
+        A = star_closure([3], entries_of(gens))
+        assert len(closure_runs) == 1
+        ref = dense_star_closure([3], gens)
+        assert A.dim == ref.dim == 3
+        assert projector_gap(A.onb, ref.onb) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["theta_block", "dense:0"])
+    def test_image_batches_give_the_same_algebra(self, name, monkeypatch):
+        # with CHUNK = 1 every image of the refinement is its own batch
+        dims, gens = closure_case(name)
+        A = star_closure(dims, entries_of(gens))
+        monkeypatch.setattr(findim, "CHUNK", 1)
+        B = star_closure(dims, entries_of(gens))
+        assert A.dim == B.dim
+        assert projector_gap(A.onb, B.onb) <= 1e-10
+
+    def test_general_solve_missing_a_generator_raises(self, monkeypatch):
+        solve = findim._bicommutant
+        monkeypatch.setattr(findim, "_bicommutant", lambda *args: solve(*args)[:1])
+        dims, gens = closure_case("theta_block")
+        with pytest.raises(DecompositionError, match="misses a generator"):
+            star_closure(dims, entries_of(gens))
+
     def test_block_weights_give_coarser_classes(self):
         theta = corpus_graphs()["theta"]
         diagonal = dict(THETA_BLOCK, kind="diagonal", levels={"1": {}})
