@@ -45,8 +45,18 @@ matrix of the constraints Y_t X = X Y_u over the intertwiners X
 from the Gram's eigenvectors on their images (_null), and the result
 must hold the unit and every generator, or the call raises. No
 product of two elements is formed. The rows come out orthonormal
-with each distinct entry weighted by its number of copies, and are
-copied back to every block, so they are orthonormal at full length.
+with each distinct entry weighted by its number of copies; copied back
+to every block, they are orthonormal at full length. The closed form
+is kept as that map (_MatrixUnits), and the copy to full length is
+made only when onb is read.
+
+A compression of the closed form onto a set of block-space positions,
+as a corner by a projection of the algebra, is read off the map by
+index arithmetic (_compress_units): when every distinct block keeps
+the same S x S entries on each of its copies, the compression is the
+full matrix algebra M_|S| on each block that keeps any, and its
+structure constants, central and minimal projections and summand
+ideals are exact, with no numerical step.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
@@ -157,6 +167,32 @@ class StarAlgebra:
             T[i] = prods @ q.conj().T
             resid[i, 1] = np.linalg.norm(prods - T[i] @ q, axis=1).max()
         return T, S, resid
+
+
+class _MatrixUnits(StarAlgebra):
+    """The closed form of star_closure, kept as its map.
+
+    Row i of onb is the matrix unit of distinct entry i, 1/sqrt(copies[i])
+    on each of its copies: entry j of the compressed layout of the support
+    class blocks sits at position pos[j] of blocks_vec and is a copy of
+    distinct entry copy[j]; stacks lists (offset, count, s) per stack of
+    distinct s x s blocks. onb is scattered to full length when first read.
+    """
+
+    def __init__(self, dims, unit, stacks, pos, copy, copies):
+        self.dims = tuple(dims)
+        self.unit = unit
+        self.stacks, self.pos, self.copy, self.copies = stacks, pos, copy, copies
+
+    @property
+    def dim(self):
+        return len(self.copies)
+
+    @cached_property
+    def onb(self):
+        full = np.zeros((self.dim, sum(d * d for d in self.dims)), dtype=np.complex128)
+        full[self.copy, self.pos] = 1 / np.sqrt(self.copies)[self.copy]
+        return full
 
 
 def _components(rows, cols, n):
@@ -469,8 +505,10 @@ def star_closure(dims, gens, max_dim=4096):
     bicommutant (_bicommutant), orthonormalized once with each entry
     weighted by its copy count (onb) and certified to hold the unit,
     the generators and their adjoints, or DecompositionError is raised.
-    The rows are gathered to every copy at full length, and the unit's
-    coordinates are read off the distinct entries by their copy counts.
+    The unit's coordinates are read off the distinct entries by their
+    copy counts. The closed form comes back as its map (_MatrixUnits),
+    scattered to full length only when onb is read; the general route's
+    rows are gathered to every copy at full length.
     """
     dims = tuple(dims)
     starts = np.cumsum([0] + [d * d for d in dims])
@@ -502,7 +540,10 @@ def star_closure(dims, gens, max_dim=4096):
     # a distinct entry stands for `copies` entries of the full vector, so
     # rows orthonormal with those counts as weights are, divided by root,
     # orthonormal at full length; the closed form is the matrix units
-    q = (np.eye(len(rep), dtype=np.complex128) if rows is None else rows) / root
+    if rows is None:
+        unit = 1 / root * copies * vecs[0, rep]
+        return _MatrixUnits(dims, unit, stacks, pos, copy, copies)
+    q = rows / root
     full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])
@@ -713,3 +754,74 @@ def _minimal_projection(z, T, S):
         else:
             break
     raise DecompositionError("no certified minimal projection in a summand")
+
+
+# -- compressions of the closed form -------------------------------------------
+
+
+def _compress_units(A, dims, positions):
+    """The compression of a _MatrixUnits algebra onto block-space positions.
+
+    positions lists distinct positions in A's blocks_vec; position i of
+    the list is entry i of the compression, a vector of the block space
+    of dims. A compression by a projection of A, as a corner by u_xi
+    u_xi^*, keeps the units E_xy, x and y in one index set S, of each
+    distinct block on all of its copies. Two exact integer checks hold
+    it to that, or DecompositionError is raised: every distinct entry has
+    all of its copies among the positions or none, and the entries kept
+    in each distinct block form a square S x S. The compression is then
+    + M_|S| over the blocks with S nonempty, each copied c times, and
+    everything is read off the map: row (b, x, y) of its onb is E_xy of
+    block b, 1/sqrt(c) on each copy; e_xy e_yw = e_xw / sqrt(c) and
+    e_xy^* = e_yx give T and S; the summand of b has z the sum of the
+    sqrt(c) e_xx, f = sqrt(c) e_11 for the first x in S, d = |S| and
+    ambient rank d c, and its ideal rows are the coordinate rows of its
+    units.
+
+    Returns (algebra, T, S, summands, ideals), the summands in the order
+    of central_decomposition and ideals[i] the read-only rows of summand i.
+    """
+    order = np.argsort(A.pos)
+    at = order[np.minimum(np.searchsorted(A.pos[order], positions), len(order) - 1)]
+    hit = A.pos[at] == positions
+    entry = A.copy[at[hit]]
+    count = np.bincount(entry, minlength=A.dim)
+    kept = count > 0
+    if not np.array_equal(count[kept], A.copies[kept]):
+        raise DecompositionError("the positions split the copies of a block")
+    new = np.cumsum(kept) - 1
+    r = int(kept.sum())
+    root = np.sqrt(A.copies)
+    rows = np.zeros((r, len(positions)), dtype=np.complex128)
+    rows[new[entry], np.flatnonzero(hit)] = 1 / root[entry]
+    unit = np.zeros(r, dtype=np.complex128)
+    T = np.zeros((r, r, r), dtype=np.complex128)
+    S = np.zeros((r, r), dtype=np.complex128)
+    found = []
+    for off, c, s in A.stacks:
+        mask = kept[off:off + c * s * s].reshape(c, s, s)
+        diag = mask[:, np.arange(s), np.arange(s)]
+        if not np.array_equal(mask, diag[:, :, None] & diag[:, None, :]):
+            raise DecompositionError(
+                "the positions keep a part of a block that is not square"
+            )
+        for b in np.flatnonzero(diag.any(axis=1)):
+            first = off + b * s * s
+            scale = root[first]
+            d = int(diag[b].sum())
+            units = new[first + np.flatnonzero(mask[b])].reshape(d, d)
+            T[units[:, :, None], units[None, :, :], units[:, None, :]] = 1 / scale
+            S[units, units.T] = 1
+            z = np.zeros(r, dtype=np.complex128)
+            z[np.diagonal(units)] = scale
+            unit += z
+            f = np.zeros(r, dtype=np.complex128)
+            f[units[0, 0]] = scale
+            ideal = np.eye(r, dtype=np.complex128)[units.ravel()]
+            ideal.flags.writeable = False
+            found.append((Summand(0, z, d, d * int(A.copies[first]), f), ideal))
+    algebra = StarAlgebra(dims, rows, unit)
+    found.sort(key=lambda pair: _summand_sort_key(algebra, pair[0]))
+    for i, (sm, _) in enumerate(found):
+        sm.index = i
+    return algebra, T, S, [sm for sm, _ in found], [x for _, x in found]

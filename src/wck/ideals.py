@@ -593,7 +593,7 @@ def verify_fully_invariant(tower, family, n_cap=None):
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                corner_span = onb(corner.restricted(lo, hi)[0])
+                corner_span = corner.restricted(lo, hi)[2]
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
                 index = tower.window_index(nlow, v)

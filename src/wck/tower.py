@@ -22,12 +22,17 @@ window of levels of the path space:
     most blocks bit for bit across the window), where C_0 is the
     bicommutant of the generators: when their commutant is one scalar
     per block, C_0 is the full matrix algebra on each distinct block,
-    and otherwise it is found as one nullspace;
+    kept as the map of those blocks to their copies, and otherwise it
+    is found as one nullspace;
   - corners are plain submatrix compressions onto slots, the int arrays
-    Graph.ending_at gives for the paths that end at v; a corner, like
-    C_0, is stored only as the orthonormal rows of its span
-    (findim.StarAlgebra), and its elements are coordinate vectors over
-    those rows;
+    Graph.ending_at gives for the paths that end at v. The slot
+    projection u_xi u_xi^* is itself a generator of C_0, so on the
+    matrix units of C_0 a corner keeps an S x S part of each distinct
+    block on all of its copies and is read off the map with its
+    decomposition, by index arithmetic; otherwise it is one gather of
+    C_0's rows, decomposed numerically. A corner, like C_0, is stored
+    as the orthonormal rows of its span (findim.StarAlgebra), and its
+    elements are coordinate vectors over those rows;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
     gathers (Graph.prepend_index shifts the slot basis by mu), so the
@@ -35,10 +40,11 @@ window of levels of the path space:
 
 Stage index paths, slots and all gathers are int arrays of positions in
 Graph.paths(k); Path objects appear only as prefixes and in messages.
-Moving between corner coordinates and window data is one gather or
-scatter of onb columns through a precomputed int array of entry
-positions (_block_positions): the corner compression, the transports,
-tau and tau_inverse.
+Moving between corner coordinates and window data goes through a
+precomputed int array of entry positions (_block_positions): the corner
+compression looks its positions up in C_0's map, or gathers them from
+C0.onb, and the transports, tau and tau_inverse are one gather or
+scatter of onb columns.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -64,7 +70,10 @@ from .errors import (
     check_index,
 )
 from .findim import (
+    CentralDecomposition,
     StarAlgebra,
+    _compress_units,
+    _MatrixUnits,
     blocks_eye,
     blocks_unvec,
     blocks_vec,
@@ -101,10 +110,14 @@ class Corner:
 
     A slot at global level l is the family of paths of length l - q
     that end at the vertex; the corner of C_0 acts on it as a plain
-    submatrix, so its rows are one column gather of C0.onb. Elements are
-    coordinate vectors over the orthonormalized rows, and products are
-    tabulated once into a structure-constant tensor so later stage
-    arithmetic never touches matrices again.
+    submatrix. When C_0 is the closed form of star_closure, the corner,
+    its structure constants, its central decomposition and its summand
+    ideals are read off C_0's matrix units (findim._compress_units).
+    Otherwise its rows are one column gather of C0.onb, orthonormalized;
+    products are tabulated into a structure-constant tensor and the
+    tensor is decomposed numerically (central_decomposition). Either way
+    elements are coordinate vectors over orthonormal rows, and later
+    stage arithmetic never touches matrices again.
 
     slot_lists[l - levels[0]] holds the ascending indices of the slot
     paths inside paths(l - q), so a slot position is a searchsorted;
@@ -125,15 +138,23 @@ class Corner:
             idx = g.prepend_index(k - q, self.xi)[slots]
             cols.append(_block_positions(off, d, idx, idx))
             off += d * d
-        unit = blocks_vec(blocks_eye(slot_dims))
-        rows = C0.onb[:, np.concatenate(cols)]
-        mat = onb(np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]]))
-        self.algebra = StarAlgebra(slot_dims, mat, mat.conj() @ unit)
-        self.r = self.algebra.dim
+        cols = np.concatenate(cols)
         self._restricted = {}
-        self._summand_ideals = {}
-        self._tabulate()
-        self.dec = central_decomposition(self.algebra)
+        if isinstance(C0, _MatrixUnits):
+            self.algebra, self.T, self.S, summands, ideals = _compress_units(
+                C0, slot_dims, cols
+            )
+            self.dec = CentralDecomposition(self.algebra, summands)
+            self._summand_ideals = dict(enumerate(ideals))
+        else:
+            unit = blocks_vec(blocks_eye(slot_dims))
+            rows = C0.onb[:, cols]
+            mat = onb(np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]]))
+            self.algebra = StarAlgebra(slot_dims, mat, mat.conj() @ unit)
+            self._summand_ideals = {}
+            self._tabulate()
+            self.dec = central_decomposition(self.algebra)
+        self.r = self.algebra.dim
 
     def _tabulate(self):
         """Structure constants of the corner, certified closed.
@@ -156,13 +177,18 @@ class Corner:
         return self.algebra.onb[:, self.offsets[i0]:self.offsets[i1]]
 
     def restricted(self, lo, hi):
-        """Columns of onb over a sub-range of levels, rank certified."""
+        """Columns of onb over a sub-range of levels, rank certified.
+
+        Returns (mat, pinv, span): the columns, their pseudo-inverse and
+        an orthonormal basis of their row span, all from one SVD of
+        mat.T = u s vh. The rank r is certified, so the rows of u^T span
+        the rows of mat = vh^T s u^T.
+        """
         key = (lo, hi)
         got = self._restricted.get(key)
         if got is not None:
             return got
         mat = self.columns(lo, hi)
-        # one SVD of mat.T gives the certificate and the pseudo-inverse
         u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
         if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
             raise WindowUnstableError(
@@ -170,8 +196,8 @@ class Corner:
                 "widen the window" % (self.vertex, lo, hi)
             )
         pinv = (vh.conj().T / sv) @ u.conj().T
-        self._restricted[key] = (mat, pinv)
-        return mat, pinv
+        got = self._restricted[key] = (mat, pinv, u.T)
+        return got
 
     def summand_ideal(self, i):
         """Orthonormal coordinate rows of the ideal of central summand i.
@@ -180,7 +206,9 @@ class Corner:
         matrix algebra of size d_i. It is verified once and cached: the
         span must have dimension d_i^2 and be closed under adjoints and
         under products on both sides with every basis element, or the
-        call raises WindowUnstableError. The cached rows are read-only.
+        call raises WindowUnstableError. A corner read off C_0's matrix
+        units has its exact rows cached from the start. The cached rows
+        are read-only.
         """
         got = self._summand_ideals.get(i)
         if got is not None:
@@ -218,7 +246,7 @@ class Corner:
         WindowUnstableError(message), or returns None for the
         coordinates when no message is given.
         """
-        mat, pinv = self.restricted(lo, hi)
+        mat, pinv, _ = self.restricted(lo, hi)
         coords = vecs @ pinv.T
         resid = np.linalg.norm(coords @ mat - vecs, axis=1)
         if np.any(resid > 100 * COORD_TOL * scales):

@@ -24,13 +24,17 @@ from util import (
     element,
     embedding_multiplicities,
     entries_of,
+    projector_gap,
     random_diag_spec,
+    scattered_units,
     support_star_closure,
 )
 from wck import findim, tower
 from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
+    _compress_units,
     _distinct_blocks,
+    _MatrixUnits,
     _support_layout,
     blocks_eye,
     blocks_vec,
@@ -404,11 +408,6 @@ def support_masks(dims, elements):
     return masks
 
 
-def projector_gap(q1, q2):
-    """||P1 - P2|| for the projectors onto two row spans of equal dimension."""
-    return float(np.linalg.norm(q2.T - q1.T @ (q1.conj() @ q2.T), 2))
-
-
 class TestStageZeroEntries:
     @pytest.mark.parametrize("name", ENTRY_CASES)
     def test_entries_match_the_dense_window_blocks(self, name):
@@ -628,3 +627,72 @@ class TestSupportBlockClosure:
         A = star_closure([0, 2], entries_of([blocks_zero([0, 2])]))
         assert A.dim == 1
         assert A.onb.shape == (1, 4)
+
+
+# -- the closed form kept as its map -------------------------------------------
+
+
+class TestMatrixUnitMap:
+    def test_build_C0_allocates_no_full_window(self):
+        # the closure-o2 window, O2, p=2, N=1, levels [3, 8): the closed
+        # form used to be scattered to 32 x 21,824 complex rows, 11.2 MB;
+        # a first call warms the graph's path caches, and the weights of
+        # the measured call are a fresh copy of the same draw
+        g = corpus_graphs()["O2"]
+        levels = list(range(3, 8))
+        tower.build_C0(g, random_diag_spec(g, 2, 1, np.random.default_rng(7)), levels)
+        fresh = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            C0 = tower.build_C0(g, fresh, levels)
+            assert (C0.dim, len(C0.unit)) == (32, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(C0, _MatrixUnits) and "onb" not in vars(C0)
+        assert peak < 2 << 20, peak
+
+    # generic:O2 is on the closure-o2 window, levels [3, 8)
+    @pytest.mark.parametrize(
+        "name", ["generic:O2"] + ["unweighted:" + name for name in sorted(corpus_graphs())]
+    )
+    def test_onb_read_is_the_full_scatter(self, name):
+        g, w, levels = c0_case(name)
+        C0 = tower.build_C0(g, w, levels)
+        assert isinstance(C0, _MatrixUnits) and "onb" not in vars(C0)
+        ref = scattered_units(C0.dims, tower._c0_generators(g, w, levels))
+        assert np.array_equal(C0.onb, ref)
+        full = C0.onb.conj() @ blocks_vec(blocks_eye(C0.dims))
+        assert np.abs(C0.unit - full).max() <= 1e-12
+
+    @staticmethod
+    def two_copies():
+        """M_2 copied on two levels of [2, 2], as its matrix units."""
+        x = np.array([[1.0, 2.0], [3.0, 5.0]], dtype=complex)
+        A = star_closure([2, 2], entries_of([[x, x]]))
+        assert isinstance(A, _MatrixUnits)
+        assert (A.dim, A.copies.tolist()) == (4, [2, 2, 2, 2])
+        return A
+
+    def test_a_corner_is_read_off_the_map(self):
+        # entry (0, 0) of each level: M_1, copied twice
+        A = self.two_copies()
+        alg, T, S, summands, ideals = _compress_units(A, [1, 1], np.array([0, 4]))
+        assert alg.dim == 1
+        assert np.allclose(alg.onb, [[2 ** -0.5, 2 ** -0.5]], rtol=0, atol=1e-15)
+        assert np.allclose(T, [[[2 ** -0.5]]]) and np.array_equal(S, [[1]])
+        [sm] = summands
+        assert (sm.d, sm.ambient_rank, sm.multiplicity) == (1, 2, 2)
+        assert np.array_equal(ideals[0], [[1]]) and not ideals[0].flags.writeable
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [([0, 1, 2, 3], "split the copies"), ([0, 1, 4, 5], "not square")],
+        ids=["split-copies", "not-square"],
+    )
+    def test_a_set_that_is_no_compression_raises(self, positions, message):
+        # level 0 alone keeps one copy of each entry; the entries (0, 0)
+        # and (0, 1) of both levels keep a 1 x 2 part of the block
+        A = self.two_copies()
+        with pytest.raises(DecompositionError, match=message):
+            _compress_units(A, [2], np.array(positions))

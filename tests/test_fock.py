@@ -17,8 +17,8 @@ from util import (
     random_diag_spec,
     sparse_relations,
 )
-from wck.errors import DomainError, WeightError
-from wck.fock import build_truncated, verify_relations
+from wck.errors import DomainError, WeightError, WindowUnstableError
+from wck.fock import MAX_LEVEL_DIM, build_truncated, verify_relations
 from wck.weights import WeightSpec, from_dict
 
 T = (2.0, 1.0, 3.0)
@@ -159,6 +159,25 @@ def test_weights_of_another_graph_raise_before_any_work(c3):
     for g, w in ((c3, o2_weights), (o2, cycle_weight_spec(c3, T))):
         with pytest.raises(WeightError, match="different graph"):
             build_truncated(g, w, 3)
+
+
+@pytest.mark.parametrize("K", [12, 40])
+def test_a_level_above_the_guard_is_refused_before_any_work(K):
+    # O2 has 2^K paths at level K; at K = 40 the maps alone would take
+    # 32 TB, so the count has to come first, and no level above the guard
+    # is enumerated into the path caches
+    g = corpus_graphs()["O2"]
+    with pytest.raises(WindowUnstableError, match="exceeds the guard %d" % MAX_LEVEL_DIM):
+        build_truncated(g, WeightSpec.unweighted(g), K)
+    built = set(g._paths) | set(g._levels)
+    assert all(g.level_dim(k) <= MAX_LEVEL_DIM for k in built)
+
+
+def test_the_deepest_theta_depth_builds():
+    # theta at K = 8 has 512 paths on its top level, under the guard
+    g = corpus_graphs()["theta"]
+    assert g.level_dim(8) == 512 <= MAX_LEVEL_DIM
+    assert build_truncated(g, from_dict(THETA_BLOCK, g), 8).dim == 1022
 
 
 def test_depth_zero_reports_no_deviation(c3):

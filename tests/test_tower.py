@@ -22,23 +22,33 @@ from util import (
     mkgraph,
     pairwise_fiber_multiplicities,
     projection_rank,
+    projector_gap,
     random_diag_spec,
     stage_adjoint,
     stage_mul,
     stage_unit,
 )
-from wck import ideals, tower
+from wck import findim, ideals, tower
 from wck.errors import (
     DomainError,
     GraphError,
     MultiplicityError,
+    ProtocolError,
     WindowUnstableError,
 )
-from wck.findim import _left, blocks_vec, central_decomposition
+from wck.findim import (
+    StarAlgebra,
+    _left,
+    _MatrixUnits,
+    _summand_sort_key,
+    blocks_vec,
+    central_decomposition,
+)
 from wck.graphs import Path, load_graph
 from wck.ideals import _parallel_edge_pairs
 from wck.tower import TowerConfig, build_C0, build_tower
 from wck.weights import WeightSpec, from_dict, load_weights
+from wck.windows import onb
 
 RT_TOL = 1e-8
 
@@ -186,14 +196,18 @@ class TestWeightedCycle:
             assert roundtrip_dev(c3_weighted, n, rng) <= RT_TOL
 
     def test_restricted_pinv_is_numpy_pinv(self, c3_weighted, corpus):
-        # the certificate and the pseudo-inverse share one SVD; the
-        # pseudo-inverse is the one np.linalg.pinv gives
+        # the certificate, the pseudo-inverse and the span share one SVD;
+        # the pseudo-inverse is the one np.linalg.pinv gives, and the span
+        # is an orthonormal basis of the rows of mat
         for corner in c3_weighted.corners.values():
             assert corner._restricted
             for lo, hi in corner._restricted:
-                mat, pinv = corner.restricted(lo, hi)
+                mat, pinv, span = corner.restricted(lo, hi)
                 ref = np.linalg.pinv(mat.T)
                 assert np.linalg.norm(pinv - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert span.shape == (corner.r, mat.shape[1])
+                assert np.linalg.norm(span @ span.conj().T - np.eye(corner.r)) <= 1e-12
+                assert projector_gap(span, onb(mat)) <= 1e-12
         w = cycle_weight_spec(corpus["C3"], (2.0, 1.0, 3.0))
         with pytest.raises(WindowUnstableError, match="not faithful on levels"):
             build_tower(corpus["C3"], w, TowerConfig(n_max=0))
@@ -663,3 +677,143 @@ def test_doubled_connecting_maps_fail_the_stage_sizes(corpus, monkeypatch):
     g = corpus["C3"]
     with pytest.raises(MultiplicityError, match="connecting maps give"):
         build_tower(g, cycle_weight_spec(g, (2.0, 1.0, 3.0)), TowerConfig(n_max=1))
+
+
+# -- corners read off C0's matrix units against the numerical route -------------
+
+
+def closure_o2_tower(seed=1):
+    """The closure-o2 benchmark tower: O2 near the fixed point, M=6, W=2."""
+    workloads = load_workloads()
+    g = load_graph(json.dumps(workloads.corpus_docs()["O2"]))
+    wdoc = workloads.o2_weights_doc(np.random.default_rng(seed))
+    return build_tower(g, load_weights(json.dumps(wdoc), g), TowerConfig(n_max=1, M=6, W=2))
+
+
+def route_tower(corpus, key):
+    """A tower whose C0 is the closed form of star_closure."""
+    if key == "closure-o2":
+        return closure_o2_tower()
+    if key.startswith("generic:"):
+        g = corpus[key[8:]]
+        w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
+        if key[8:] in ("O2", "theta"):
+            return build_tower(g, w, TowerConfig(n_max=1, M=6, W=2))
+        return build_tower(g, w, TowerConfig(n_max=1))
+    if key.startswith("unweighted:"):
+        g = corpus[key[11:]]
+        return build_tower(g, WeightSpec.unweighted(g))
+    return fiber_tower(corpus, key)
+
+
+# C5 with generic weights is refused ("not faithful") on both routes
+MAP_ROUTE_KEYS = (
+    ["unweighted:" + name for name in sorted(UNWEIGHTED_DIMS)]
+    + ["generic:" + name for name in sorted(UNWEIGHTED_DIMS) if name != "C5"]
+    + ["C3w", "G2p3", "G3:1", "G3:2", "G3:15"]
+)
+
+
+def drop_the_map(monkeypatch):
+    """Make Tower build its C0 as a plain StarAlgebra, full-length rows."""
+    build = tower.build_C0
+
+    def plain(*args):
+        C0 = build(*args)
+        return StarAlgebra(C0.dims, C0.onb, C0.unit)
+
+    monkeypatch.setattr(tower, "build_C0", plain)
+
+
+def rendered(corner, coords):
+    return blocks_vec(corner.algebra.render(coords))
+
+
+@pytest.mark.parametrize("key", MAP_ROUTE_KEYS)
+def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
+    tw = route_tower(corpus, key)
+    assert isinstance(tw.C0, _MatrixUnits)
+    lattice = ideals.enumerate_families(tw).to_json()
+    drop_the_map(monkeypatch)
+    ref = route_tower(corpus, key)
+    assert not isinstance(ref.C0, _MatrixUnits)
+    assert tw.bratteli_json() == ref.bratteli_json()
+    assert lattice == ideals.enumerate_families(ref).to_json()
+    for v, corner in tw.corners.items():
+        other = ref.corners[v]
+        assert corner.r == other.r
+        assert [
+            (sm.d, sm.ambient_rank, _summand_sort_key(corner.algebra, sm))
+            for sm in corner.dec.summands
+        ] == [
+            (sm.d, sm.ambient_rank, _summand_sort_key(other.algebra, sm))
+            for sm in other.dec.summands
+        ]
+        assert projector_gap(corner.algebra.onb, other.algebra.onb) <= 1e-12
+        for i, (sm, rm) in enumerate(zip(corner.dec.summands, other.dec.summands)):
+            # the map's z renders to a 0/1 diagonal up to one rounding; the
+            # numerical z is off by up to 3.6e-12 on G2p3
+            z = rendered(corner, sm.z)
+            assert np.abs(z - np.round(z.real)).max() <= 1e-15
+            assert np.abs(z - rendered(other, rm.z)).max() <= 1e-11
+            assert projector_gap(
+                corner.summand_ideal(i) @ corner.algebra.onb,
+                other.summand_ideal(i) @ other.algebra.onb,
+            ) <= 1e-12
+
+
+@pytest.fixture
+def numerical_calls(monkeypatch):
+    """Names of the numerical decomposition steps that ran, one per call."""
+    calls = []
+    decompose = tower.central_decomposition
+    tables = findim.StarAlgebra.tables.func
+
+    def spy_decompose(A):
+        calls.append("central_decomposition")
+        return decompose(A)
+
+    def spy_tables(A):
+        calls.append("tables")
+        return tables(A)
+
+    monkeypatch.setattr(tower, "central_decomposition", spy_decompose)
+    monkeypatch.setattr(findim.StarAlgebra, "tables", property(spy_tables))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "key", ["unweighted:" + name for name in sorted(UNWEIGHTED_DIMS)]
+    + ["C3w", "closure-o2", "G2p3"]
+)
+def test_closed_form_corners_run_no_numerical_decomposition(
+    corpus, key, numerical_calls
+):
+    tw = route_tower(corpus, key)
+    assert isinstance(tw.C0, _MatrixUnits)
+    assert "onb" not in vars(tw.C0)
+    assert numerical_calls == []
+
+
+def test_block_weight_corners_are_decomposed_numerically(corpus, numerical_calls):
+    tw = fiber_tower(corpus, "THETA_BLOCK")
+    assert not isinstance(tw.C0, _MatrixUnits)
+    n = tw.graph.n_vertices
+    assert numerical_calls.count("central_decomposition") == n
+    assert "tables" in numerical_calls
+
+
+@pytest.mark.parametrize("M", [7, 8])
+def test_o2_p3_deep_windows_are_refused_with_a_certificate(M):
+    """O2 with p=3, N=1 at W=3: a corner or a multiplicity is refused.
+
+    These windows used to end in a raw MemoryError, from the full-length
+    rows of C0 and of its corners (2.7 GB at M=7, 10 GiB asked at M=8).
+    """
+    workloads = load_workloads()
+    doc = workloads.corpus_docs()["O2"]
+    g = load_graph(json.dumps(doc))
+    wdoc = workloads.diagonal_weights_doc(doc, 3, 1, np.random.default_rng(1))
+    cfg = TowerConfig(n_max=1, M=M, W=3, max_level_dim=4100)
+    with pytest.raises(ProtocolError):
+        build_tower(g, load_weights(json.dumps(wdoc), g), cfg)

@@ -57,6 +57,7 @@ from wck.findim import (
     StarAlgebra,
     Summand,
     _cluster_eigenvalues,
+    _distinct_blocks,
     _stack_products,
     _summand_sort_key,
     _support_layout,
@@ -402,6 +403,30 @@ def support_star_closure(dims, gens, unit=None, max_dim=4096):
     return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
 
 
+def scattered_units(dims, gens):
+    """The rows of star_closure's closed form, scattered at full length.
+
+    The reference for _MatrixUnits.onb: gens are (positions, values)
+    pairs, laid out on the support class blocks with the unit, and the
+    matrix unit of each distinct entry is written, 1/sqrt(copies), to
+    every copy in one scatter, as star_closure did before it kept the map.
+    """
+    starts = np.cumsum([0] + [d * d for d in dims])
+    diag = np.concatenate(
+        [off + np.arange(d) * (d + 1) for off, d in zip(starts, dims)]
+    )
+    stacks, _, pos = _support_layout(dims, np.concatenate([diag] + [p for p, _ in gens]))
+    order = np.argsort(pos)
+    vecs = np.zeros((1 + len(gens), len(pos)), dtype=np.complex128)
+    for vec, (p, values) in zip(vecs, [(diag, 1.0), *gens]):
+        vec[order[np.searchsorted(pos[order], p)]] = values
+    _, _, rep, copy, copies = _distinct_blocks(stacks, vecs)
+    q = np.eye(len(rep), dtype=np.complex128) / np.sqrt(copies)
+    full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
+    full[:, pos] = q[:, copy]
+    return full
+
+
 # -- the randomized central decomposition ---------------------------------------
 
 
@@ -673,6 +698,11 @@ def looped_tau(tower, n, blocks):
 
 
 # -- finite-dimensional references ---------------------------------------------
+
+
+def projector_gap(q1, q2):
+    """||P1 - P2|| for the projectors onto two row spans of equal dimension."""
+    return float(np.linalg.norm(q2.T - q1.T @ (q1.conj() @ q2.T), 2))
 
 
 def projection_rank(p):
