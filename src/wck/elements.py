@@ -5,35 +5,42 @@ An element is a complex linear combination of words over the letters
     u(e)   partial isometry of an edge e,
     u*(e)  its adjoint,
     p(v)   vertex projection,
-    z      the diagonal weight operator (kept as a free letter),
+    z      the weight operator,
     z^m    integer powers of it, including negative ones.
 
-Words are rewritten with the defining relations of the quotient:
-adjacent letters either merge, annihilate the word, or drop out, except
-that z is never resolved against the graph structure; it stays a free
-letter and all weight dependence enters later through evaluation.
-A normalized element stores each surviving word once with its
-accumulated coefficient, so syntactically different expressions of the
-same combination compare equal. The unit is the empty word, never
-expanded into vertex projections: the normal form of a product of
-normal forms is then the normal form of the concatenated raw words, so
-mul is associative on normal forms. An expanded unit would break that,
-since no p(v) rewrites against the free letter z: z . (z^-1 . z) would
-be the sum of the words z.p(v).
+Words are typed by vertices. Every letter but z has a left and a right
+vertex: u(e) is r(e) | s(e), u*(e) is s(e) | r(e) and p(v) is v | v.
+The weights are bimodule maps, so z commutes with every p(v) and the
+typing skips over it; all weight dependence enters later, through
+evaluation. One left-to-right pass rewrites a word:
+
+    a letter whose left vertex differs from the right vertex of the
+    previous typed letter kills the word;
+    an adjacent pair u*(e) u(f) becomes p(s(e)), or 0 when e != f;
+    adjacent powers of z merge;
+    a p(v) records its vertex and is dropped.
+
+A word left with no u or u* keeps one leading p(v) of its vertex. A
+word with no vertex at all (the empty word or a power of z) is the sum
+of its copies at every vertex, so the unit is the sum of the p(v).
+Every element then has exactly one normal form, which stores each
+surviving word once with its accumulated coefficient: equal elements
+compare equal, and mul is associative on normal forms.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
 
-from .errors import ElementError
+from .errors import ElementError, check_index
 
 # letter kinds
 U = "u"      # u(e), payload: edge index
 US = "u*"    # u*(e), payload: edge index
 P = "p"      # p(v), payload: vertex index
-Z = "z"      # z^m, payload: nonzero integer exponent
+Z = "z"      # z^m, payload: integer exponent
 
 
 class CalkinElement:
@@ -61,108 +68,70 @@ class CalkinElement:
 def _normalize_word(graph, word):
     """Rewrite a letter tuple to normal form; None when the word dies.
 
-    Implemented as a left-to-right stack pass: each incoming letter is
-    resolved against the top of the stack, and any replacement letters
-    are pushed back through the same resolution step.
+    One left-to-right pass of the typing rule in the module docstring.
+    A word with no vertex comes back as its merged z letters alone.
     """
     esrc, edst = graph.esrc, graph.edst
-    stack = []
-    pending = list(word)
-    pending.reverse()
-    while pending:
-        letter = pending.pop()
+    out = []
+    vertex = None  # right vertex of the last typed letter
+    for letter in word:
         kind, payload = letter
-        if kind == Z and payload == 0:
+        if kind == Z:
+            if out and out[-1][0] == Z:
+                payload += out.pop()[1]
+            if payload:
+                out.append((Z, payload))
             continue
-        if not stack:
-            stack.append(letter)
-            continue
-        tkind, tpayload = stack[-1]
-        # merge z powers
-        if tkind == Z and kind == Z:
-            stack.pop()
-            m = tpayload + payload
-            if m != 0:
-                pending.append((Z, m))
-            continue
-        # p against p
-        if tkind == P and kind == P:
-            if tpayload != payload:
+        if kind == U:
+            left, right = edst[payload], esrc[payload]
+        elif kind == US:
+            left, right = esrc[payload], edst[payload]
+        else:
+            left = right = payload
+        if vertex is not None and left != vertex:
+            return None
+        vertex = right
+        if kind == U and out and out[-1][0] == US:
+            if out.pop()[1] != payload:
                 return None
-            continue
-        # u* u -> p(s(e)) or 0
-        if tkind == US and kind == U:
-            if tpayload != payload:
-                return None
-            stack.pop()
-            pending.append((P, esrc[payload]))
-            continue
-        # projections absorb into adjacent edge letters
-        if tkind == P and kind == U:
-            if edst[payload] != tpayload:
-                return None
-            stack.pop()
-            pending.append(letter)
-            continue
-        if tkind == U and kind == P:
-            if esrc[tpayload] != payload:
-                return None
-            continue
-        if tkind == P and kind == US:
-            if esrc[payload] != tpayload:
-                return None
-            stack.pop()
-            pending.append(letter)
-            continue
-        if tkind == US and kind == P:
-            if edst[tpayload] != payload:
-                return None
-            continue
-        # range/source compatibility of edge letters
-        if tkind == U and kind == U:
-            if esrc[tpayload] != edst[payload]:
-                return None
-            stack.append(letter)
-            continue
-        if tkind == US and kind == US:
-            if esrc[payload] != edst[tpayload]:
-                return None
-            stack.append(letter)
-            continue
-        if tkind == U and kind == US:
-            if esrc[tpayload] != esrc[payload]:
-                return None
-            stack.append(letter)
-            continue
-        # z is a free letter: no structural resolution
-        stack.append(letter)
-    return tuple(stack)
+        elif kind != P:
+            out.append(letter)
+    if vertex is not None and all(kind == Z for kind, _ in out):
+        out.insert(0, (P, vertex))
+    return tuple(out)
 
 
 def _accumulate(graph, terms, word, coeff):
-    """Add coeff times the normalized word into a term dict."""
+    """Add coeff times the normalized word into a term dict.
+
+    A word with no vertex is added once at every vertex.
+    """
     normal = _normalize_word(graph, word)
     if normal is None or coeff == 0:
         return
-    c = terms.get(normal, 0j) + coeff
-    if c == 0:
-        terms.pop(normal, None)
+    if all(kind == Z for kind, _ in normal):
+        copies = [((P, v),) + normal for v in range(graph.n_vertices)]
     else:
-        terms[normal] = c
+        copies = [normal]
+    for key in copies:
+        c = terms.get(key, 0j) + coeff
+        if c == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = c
 
 
 def make(graph, word, coeff=1.0):
     """Element from one letter tuple, e.g. ((U, 0), (Z, 1), (US, 2))."""
     for kind, payload in word:
         if kind in (U, US):
-            if not 0 <= payload < graph.n_edges:
-                raise ElementError("edge index %r out of range" % (payload,))
+            check_index(payload, 0, graph.n_edges - 1, "an edge index", ElementError)
         elif kind == P:
-            if not 0 <= payload < graph.n_vertices:
-                raise ElementError("vertex index %r out of range" % (payload,))
+            check_index(
+                payload, 0, graph.n_vertices - 1, "a vertex index", ElementError
+            )
         elif kind == Z:
-            if not isinstance(payload, int):
-                raise ElementError("z exponent must be an integer")
+            check_index(payload, -math.inf, math.inf, "a z exponent", ElementError)
         else:
             raise ElementError("unknown letter kind %r" % (kind,))
     terms = {}
@@ -175,8 +144,8 @@ def zero(graph):
 
 
 def unit(graph):
-    """The unit: the empty word, which acts as Σ_v p(v)."""
-    return CalkinElement(graph, {(): 1.0 + 0j})
+    """The unit: the sum of the vertex projections p(v)."""
+    return make(graph, ())
 
 
 def add(a, b):
@@ -422,10 +391,10 @@ def element_str(a):
                 factors.append("p(%s)" % a.graph.vertices[payload])
             else:
                 factors.append("z" if payload == 1 else "z^%d" % payload)
-        body = ".".join(factors) if factors else "1"
+        body = ".".join(factors)
         if c.real != 0:
             mag = abs(c.real)
-            prefix = body if mag == 1 and factors else "%s*%s" % (_fmt_scalar(mag), body)
+            prefix = body if mag == 1 else "%s*%s" % (_fmt_scalar(mag), body)
             pieces.append((c.real < 0, prefix))
         if c.imag != 0:
             mag = abs(c.imag)

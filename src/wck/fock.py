@@ -19,20 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import WeightError, WindowUnstableError, check_index
 from .graphs import Path
-
-# the largest level a FockRep holds, the default guard of TowerConfig and
-# WindowConfig; level dims are counted before anything is allocated
-MAX_LEVEL_DIM = 600
 
 
 class FockRep:
     """Levels 0..K of the path Fock space, with each creator as an index map.
 
     maps[e, j] is the index of e*b_j when r(b_j) = s(e) and b_j lies
-    below level K, and -1 otherwise. A level of more than MAX_LEVEL_DIM
-    paths raises WindowUnstableError before any map is allocated.
+    below level K, and -1 otherwise. A level of more than
+    graphs.MAX_LEVEL_DIM paths raises WindowUnstableError before any map
+    is allocated.
     """
 
     def __init__(self, graph, weights, K):
@@ -43,10 +41,10 @@ class FockRep:
         self.weights = weights
         self.K = K
         dims = [graph.level_dim(k) for k in range(K + 1)]
-        if max(dims) > MAX_LEVEL_DIM:
+        if max(dims) > graphs.MAX_LEVEL_DIM:
             raise WindowUnstableError(
                 "level dimension %d exceeds the guard %d; pass a smaller "
-                "depth K" % (max(dims), MAX_LEVEL_DIM)
+                "depth K" % (max(dims), graphs.MAX_LEVEL_DIM)
             )
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.dim = int(self.offsets[-1])

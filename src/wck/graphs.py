@@ -44,6 +44,10 @@ import numpy as np
 
 from .errors import GraphError
 
+# the largest Graph.level_dim a tower window, a norm window or a Fock
+# space may hold; each guard counts first and reads it at call time
+MAX_LEVEL_DIM = 600
+
 
 @dataclass(frozen=True)
 class Edge:

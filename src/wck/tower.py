@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import (
     GraphError,
     MultiplicityError,
@@ -102,7 +103,6 @@ class TowerConfig:
     xi_choice: str = "min"
     M: int | None = None
     W: int | None = None
-    max_level_dim: int = 600
 
 
 class Corner:
@@ -288,7 +288,6 @@ class Tower:
             check_index(config.M, 0, math.inf, "M")
         if config.W is not None:
             check_index(config.W, 1, math.inf, "W")
-        check_index(config.max_level_dim, 1, math.inf, "max_level_dim")
         shape = g.validate()
         if not (shape.no_sources and shape.no_sinks):
             raise GraphError(
@@ -312,10 +311,10 @@ class Tower:
         self._window_index = {}
         levels = list(range(G0, M + W))
         worst = max(g.level_dim(k) for k in levels)
-        if worst > config.max_level_dim:
+        if worst > graphs.MAX_LEVEL_DIM:
             raise WindowUnstableError(
                 "level dimension %d exceeds the guard %d; pass a smaller "
-                "window" % (worst, config.max_level_dim)
+                "window" % (worst, graphs.MAX_LEVEL_DIM)
             )
 
         self.C0 = build_C0(g, weights, levels)

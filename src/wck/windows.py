@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .elements import P, U, US, Z, CalkinElement, word_offset
 from .elements import offset as element_offset
 from .errors import ElementError, WindowUnstableError
@@ -37,7 +38,6 @@ class WindowConfig:
     """Window-protocol parameters bound to a weight spec."""
 
     weights: object
-    max_level_dim: int = 600
 
 
 def level_dim(graph, k):
@@ -153,7 +153,7 @@ def calkin_norm(x, cfg):
     the reach of x plus p. It is widened by p until the norm stops moving
     (within NORM_TOL), at most MAX_WIDENINGS times, then certified
     against the window translated by p. Levels are capped so no single
-    level exceeds cfg.max_level_dim; hitting the cap before
+    level exceeds graphs.MAX_LEVEL_DIM; hitting the cap before
     stabilization raises, it never degrades the answer silently.
     """
     w = cfg.weights
@@ -169,13 +169,15 @@ def calkin_norm(x, cfg):
 
     def fits(width):
         return all(
-            level_dim(g, k) <= cfg.max_level_dim for k in range(M, M + width + p)
+            level_dim(g, k) <= graphs.MAX_LEVEL_DIM
+            for k in range(M, M + width + p)
         )
 
     if not fits(W):
         raise WindowUnstableError(
-            "window levels exceed the dimension guard before any norm "
+            "window levels exceed the dimension guard %d before any norm "
             "estimate is possible; the graph grows too fast for this window"
+            % graphs.MAX_LEVEL_DIM
         )
     blocks = {}
     prev = float(np.linalg.norm(_window_matrix(x, w, M, W, blocks), 2))
@@ -183,7 +185,8 @@ def calkin_norm(x, cfg):
         wider = W + p
         if not fits(wider):
             raise WindowUnstableError(
-                "norm did not stabilize before the level-dimension guard"
+                "norm did not stabilize before the level-dimension guard %d"
+                % graphs.MAX_LEVEL_DIM
             )
         cur = float(np.linalg.norm(_window_matrix(x, w, M, wider, blocks), 2))
         if abs(cur - prev) <= NORM_TOL:

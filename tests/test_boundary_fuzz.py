@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from util import corpus_graphs, cycle_graph, cycle_weight_spec
 from wck.cycle_demo import build_cycle, char_phi
-from wck.elements import parse_element
+from wck.elements import P, U, Z, make, parse_element
 from wck.errors import DomainError, WckError
 from wck.graphs import load_graph
 from wck.ideals import family_of_subset
@@ -150,7 +150,6 @@ MALFORMED = {
     "tower-M-str": lambda: _c3w_tower(M="a"),
     "tower-W-zero": lambda: _c3w_tower(W=0),
     "tower-W-negative": lambda: _c3w_tower(W=-2),
-    "tower-max_level_dim-none": lambda: _c3w_tower(max_level_dim=None),
     "tower-weights-of-C3-on-O2": lambda: build_tower(O2, _c3w()),
     "subset-float": lambda: _subset([2.7]),
     "subset-bool": lambda: _subset([True]),
@@ -164,6 +163,10 @@ MALFORMED = {
     "Ap-p_test-str": lambda: check_condition_Ap(_c3w(), "2"),
     "Ap-k_max-float": lambda: check_condition_Ap(_c3w(), 2, k_max=2.5),
     "reperiodize-float": lambda: reperiodize(_c3w(), 1.5),
+    "make-edge-float": lambda: make(C3, ((U, 1.0),)),
+    "make-edge-bool": lambda: make(C3, ((U, True),)),
+    "make-vertex-float": lambda: make(C3, ((P, 0.0),)),
+    "make-z-bool": lambda: make(C3, ((Z, True),)),
     "calkin_norm-O2-element": lambda: calkin_norm(
         parse_element(O2, "z"), WindowConfig(weights=_c3w())
     ),

@@ -2,8 +2,10 @@
 
 The ground-truth oracle is matrix evaluation: a raw letter word acts on
 the graded path spaces through its product of letter matrices, and the
-normalizer must preserve that action while it rewrites. Rewriting never
-touches z, so syntactically distinct normal forms can still act
+normalizer must preserve that action while it rewrites. Normal forms
+are canonical for the rewrites the normalizer knows (vertex typing,
+u*(e) u(f), z powers, z commuting with p(v)). It does not use the
+Cuntz-Krieger sum relation, so distinct normal forms can still act
 identically; those pairs are compared through evaluation instead.
 """
 
@@ -42,6 +44,11 @@ def raw_words(g, max_len=4):
     return st.lists(
         st.sampled_from(letters_of(g)), min_size=0, max_size=max_len
     ).map(tuple)
+
+
+def at_every_vertex(g, word, coeff=1.0 + 0j):
+    """Terms of a word with no vertex: one copy p(v).word per vertex."""
+    return {((P, v),) + word: coeff for v in range(g.n_vertices)}
 
 
 def elem_matrix(w, x, k):
@@ -118,7 +125,7 @@ def test_z_powers_merge(c3):
     x = el.make(c3, ((Z, 1), (Z, 2), (Z, -3)))
     assert x == el.unit(c3)
     y = el.mul(el.make(c3, ((Z, 2),)), el.make(c3, ((Z, 1),)))
-    assert list(y.terms) == [((Z, 3),)]
+    assert y.terms == at_every_vertex(c3, ((Z, 3),))
 
 
 def test_partial_isometry_word(c3):
@@ -127,8 +134,9 @@ def test_partial_isometry_word(c3):
 
 
 def test_z_is_not_rewritten(c3):
+    # z stays left of u(e1); the p(v2) before it only types the word
     x = el.make(c3, ((P, 1), (Z, 1), (U, 0)))
-    assert list(x.terms) == [((P, 1), (Z, 1), (U, 0))]
+    assert list(x.terms) == [((Z, 1), (U, 0))]
 
 
 def test_path_mismatch_annihilates(c3):
@@ -153,12 +161,40 @@ C3 = corpus_graphs()["C3"]
 
 @settings(deadline=None, max_examples=80)
 @given(raw_words(C3, 3), raw_words(C3, 3), raw_words(C3, 3))
-# the unit z . z^-1 inside a product: expanded into vertex projections,
-# it would make z . (z . z^-1) the sum of the words z.p(v), not z
+# the unit z . z^-1 inside a product is expanded into the p(v); the typing
+# rule moves each p(v) past z, so both brackets give the words p(v).z
 @example(((Z, 1),), ((Z, 1),), ((Z, -1),))
+# z.p(v2).z, bracketed through z.p(v2) and through p(v2).z
+@example(((Z, 1),), ((P, 1),), ((Z, 1),))
+# u*(e1).z.p(v2).z.u(e1): the p(v2) between the z powers drops out
+@example(((US, 0), (Z, 1)), ((P, 1),), ((Z, 1), (U, 0)))
 def test_mul_is_associative(wa, wb, wc):
     a, b, c = (el.make(C3, w) for w in (wa, wb, wc))
     assert el.mul(el.mul(a, b), c) == el.mul(a, el.mul(b, c))
+
+
+# -- canonical forms ------------------------------------------------------------
+
+
+def test_vertex_projections_sum_to_unit(c3):
+    assert el.parse_element(c3, "p(v1) + p(v2) + p(v3)") == el.parse_element(c3, "1")
+
+
+def test_z_commutes_with_vertex_projections(c3):
+    assert el.parse_element(c3, "z.p(v1)") == el.parse_element(c3, "p(v1).z")
+
+
+def test_typing_sees_through_z(c3):
+    assert el.parse_element(c3, "p(v1).z.u(e1)").is_zero  # r(e1) = v2
+
+
+def test_projection_between_z_powers_drops(c3):
+    x = el.parse_element(c3, "u(e1).z.u*(e1).u(e1).z.u*(e1)")
+    assert x == el.parse_element(c3, "u(e1).z^2.u*(e1)")
+
+
+def test_dead_word_has_no_offset(c3):
+    assert el.offset(el.parse_element(c3, "p(v1) + p(v1).z.u(e1)")) == 0
 
 
 def test_offsets(c3):
@@ -173,8 +209,10 @@ def test_offsets(c3):
 
 
 def test_parse_basic_word(c3):
-    x = el.parse_element(c3, "u(e1).z^2.u*(e3)")
-    assert x.terms == {((U, 0), (Z, 2), (US, 2)): 1.0 + 0j}
+    x = el.parse_element(c3, "u(e1).z^2.u*(e1)")
+    assert x.terms == {((U, 0), (Z, 2), (US, 0)): 1.0 + 0j}
+    # s(e1) = v1 but s(e3) = v3: the typing rule sees through z^2
+    assert el.parse_element(c3, "u(e1).z^2.u*(e3)").is_zero
 
 
 def test_parse_adjoint_letter(c3):
@@ -188,20 +226,21 @@ def test_parse_scalar_prefix(c3):
     x = el.parse_element(c3, "2.5*u(e1)")
     assert x.terms == {((U, 0),): 2.5 + 0j}
     y = el.parse_element(c3, "1e-3*z")
-    assert y.terms == {((Z, 1),): 0.001 + 0j}
+    assert y.terms == at_every_vertex(c3, ((Z, 1),), 0.001 + 0j)
 
 
 def test_parse_negative_z_power(c3):
-    assert el.parse_element(c3, "z^-2").terms == {((Z, -2),): 1.0 + 0j}
+    assert el.parse_element(c3, "z^-2").terms == at_every_vertex(c3, ((Z, -2),))
 
 
 def test_parse_sums_and_signs(c3):
     x = el.parse_element(c3, "u(e1) + 2*p(v2) - z^2")
     assert x.terms[((U, 0),)] == 1.0
     assert x.terms[((P, 1),)] == 2.0
-    assert x.terms[((Z, 2),)] == -1.0
+    assert all(x.terms[((P, v), (Z, 2))] == -1.0 for v in range(3))
     assert el.parse_element(c3, "z - z").is_zero
-    assert el.parse_element(c3, "-z").terms == {((Z, 1),): -1.0 + 0j}
+    minus_z = el.parse_element(c3, "-z")
+    assert minus_z.terms == at_every_vertex(c3, ((Z, 1),), -1.0 + 0j)
 
 
 def test_parse_unit_terms(c3):
@@ -210,12 +249,12 @@ def test_parse_unit_terms(c3):
     three = el.parse_element(c3, "3")
     assert three == el.scale(3.0, el.unit(c3))
     mixed = el.parse_element(c3, "z.1.z")
-    assert mixed.terms == {((Z, 2),): 1.0 + 0j}
+    assert mixed.terms == at_every_vertex(c3, ((Z, 2),))
 
 
 def test_parse_integer_factor_scales(c3):
     x = el.parse_element(c3, "2.z")
-    assert x.terms == {((Z, 1),): 2.0 + 0j}
+    assert x.terms == at_every_vertex(c3, ((Z, 1),), 2.0 + 0j)
 
 
 def test_parse_errors(c3):

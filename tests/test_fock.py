@@ -18,7 +18,8 @@ from util import (
     sparse_relations,
 )
 from wck.errors import DomainError, WeightError, WindowUnstableError
-from wck.fock import MAX_LEVEL_DIM, build_truncated, verify_relations
+from wck.fock import build_truncated, verify_relations
+from wck.graphs import MAX_LEVEL_DIM
 from wck.weights import WeightSpec, from_dict
 
 T = (2.0, 1.0, 3.0)

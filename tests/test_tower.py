@@ -28,7 +28,7 @@ from util import (
     stage_mul,
     stage_unit,
 )
-from wck import findim, ideals, tower
+from wck import findim, graphs, ideals, tower
 from wck.errors import (
     DomainError,
     GraphError,
@@ -389,7 +389,7 @@ class TestGuards:
     def test_level_dimension_guard(self):
         # fresh graphs: the refusal must come before any level above the
         # guard is enumerated into the path caches
-        guard = TowerConfig().max_level_dim
+        guard = graphs.MAX_LEVEL_DIM
         for name in ("O2", "theta"):
             g = corpus_graphs()[name]
             w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
@@ -504,6 +504,36 @@ def fiber_tower(corpus, key):
     g = corpus["G2"]
     w = random_diag_spec(g, 3, 0, np.random.default_rng(1))
     return build_tower(g, w, TowerConfig(n_max=1, M=9, W=3))
+
+
+@pytest.mark.parametrize("key", ["C3w", "G2", "G2p3"])
+def test_bratteli_dot_draws_the_diagram(corpus, key):
+    """One node per (stage, label), one edge per nonzero multiplicity
+    between consecutive stages, labelled exactly where it is above 1."""
+    tw = fiber_tower(corpus, key)
+    dot = tw.bratteli_dot()
+    nodes = re.findall(
+        r'^    "s(\d+)_(\d+)" \[label="([^:"]+):(\d+)\\nM_(\d+)"\];$', dot, re.M
+    )
+    assert nodes == [
+        (str(n), str(li), tw.graph.vertices[v], str(i), str(st.summand_sizes[li]))
+        for n, st in enumerate(tw.stages)
+        for li, (v, i) in enumerate(tw.labels)
+    ]
+    edges = re.findall(
+        r'^  "s(\d+)_(\d+)" -> "s(\d+)_(\d+)"(?: \[label="(\d+)"\])?;$', dot, re.M
+    )
+    mult = tw.multiplicity
+    assert sorted(edges) == sorted(
+        (str(n), str(a), str(n + 1), str(b), str(mult[a, b]) if mult[a, b] > 1 else "")
+        for n in range(len(tw.stages) - 1)
+        for a, b in zip(*np.nonzero(mult))
+    )
+    if key == "G2p3":
+        assert any(m for *_, m in edges)
+    # nothing else: the header, a rank group per stage, the edges, the close
+    per_stage = 2 + len(tw.labels)
+    assert dot.count("\n") == 3 + len(tw.stages) * per_stage + len(edges)
 
 
 # towers whose integers are read off traces, checked against numerical ranks
@@ -804,7 +834,7 @@ def test_block_weight_corners_are_decomposed_numerically(corpus, numerical_calls
 
 
 @pytest.mark.parametrize("M", [7, 8])
-def test_o2_p3_deep_windows_are_refused_with_a_certificate(M):
+def test_o2_p3_deep_windows_are_refused_with_a_certificate(M, monkeypatch):
     """O2 with p=3, N=1 at W=3: a corner or a multiplicity is refused.
 
     These windows used to end in a raw MemoryError, from the full-length
@@ -814,6 +844,7 @@ def test_o2_p3_deep_windows_are_refused_with_a_certificate(M):
     doc = workloads.corpus_docs()["O2"]
     g = load_graph(json.dumps(doc))
     wdoc = workloads.diagonal_weights_doc(doc, 3, 1, np.random.default_rng(1))
-    cfg = TowerConfig(n_max=1, M=M, W=3, max_level_dim=4100)
+    monkeypatch.setattr(graphs, "MAX_LEVEL_DIM", 4100)
+    cfg = TowerConfig(n_max=1, M=M, W=3)
     with pytest.raises(ProtocolError):
         build_tower(g, load_weights(json.dumps(wdoc), g), cfg)

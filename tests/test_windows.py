@@ -17,6 +17,7 @@ from util import (
     random_diag_spec,
 )
 from wck import elements as el
+from wck import graphs
 from wck.elements import P, U, US, Z
 from wck.errors import ElementError, WindowUnstableError
 from wck.weights import WeightSpec
@@ -256,11 +257,12 @@ def test_norm_evaluates_each_block_once(monkeypatch):
     assert norms == ["3.0", "1.0", "1.0", "2.0", "0.0", "1.0", "0.0"]
 
 
-def test_dimension_guard_raises():
+def test_dimension_guard_raises(monkeypatch):
     g = corpus_graphs()["O2"]
     w = WeightSpec.unweighted(g)
-    cfg = WindowConfig(weights=w, max_level_dim=2)
-    with pytest.raises(WindowUnstableError, match="guard"):
+    monkeypatch.setattr(graphs, "MAX_LEVEL_DIM", 2)
+    cfg = WindowConfig(weights=w)
+    with pytest.raises(WindowUnstableError, match="guard 2"):
         calkin_norm(el.parse_element(g, "z"), cfg)
 
 
