@@ -65,13 +65,28 @@ class CalkinElement:
         return not self.terms
 
 
+def _typing(graph, letter):
+    """(left, right) vertices of a letter other than z."""
+    kind, payload = letter
+    if kind == U:
+        return graph.edst[payload], graph.esrc[payload]
+    if kind == US:
+        return graph.esrc[payload], graph.edst[payload]
+    return payload, payload
+
+
+def _end_vertex(graph, word, side):
+    """Left (side 0) or right (side 1) vertex of a word; None without one."""
+    typed = [letter for letter in word if letter[0] != Z]
+    return _typing(graph, typed[-side])[side] if typed else None
+
+
 def _normalize_word(graph, word):
     """Rewrite a letter tuple to normal form; None when the word dies.
 
     One left-to-right pass of the typing rule in the module docstring.
     A word with no vertex comes back as its merged z letters alone.
     """
-    esrc, edst = graph.esrc, graph.edst
     out = []
     vertex = None  # right vertex of the last typed letter
     for letter in word:
@@ -82,12 +97,7 @@ def _normalize_word(graph, word):
             if payload:
                 out.append((Z, payload))
             continue
-        if kind == U:
-            left, right = edst[payload], esrc[payload]
-        elif kind == US:
-            left, right = esrc[payload], edst[payload]
-        else:
-            left = right = payload
+        left, right = _typing(graph, letter)
         if vertex is not None and left != vertex:
             return None
         vertex = right
@@ -171,12 +181,23 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """The product; a term of a meets the terms of b at its right vertex.
+
+    A word with no vertex, which no normal form has, meets every term.
+    """
     _check_same_graph(a, b)
+    g = a.graph
+    groups = [[] for _ in range(g.n_vertices)]
+    for wb, cb in b.terms.items():
+        v = _end_vertex(g, wb, 0)
+        for group in groups if v is None else [groups[v]]:
+            group.append((wb, cb))
     terms = {}
     for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            _accumulate(a.graph, terms, wa + wb, ca * cb)
-    return CalkinElement(a.graph, terms)
+        v = _end_vertex(g, wa, 1)
+        for wb, cb in b.terms.items() if v is None else groups[v]:
+            _accumulate(g, terms, wa + wb, ca * cb)
+    return CalkinElement(g, terms)
 
 
 def adjoint(a):

@@ -4,12 +4,14 @@ Elements live in a fixed block space: a direct sum of full matrix
 blocks, one per window level. A *-algebra is stored in one form only:
 the orthonormal rows onb of its span, each row the vectorization
 (blocks_vec) of one basis element. Its elements, the unit and the
-central and minimal projections included, are coordinate vectors c
-over those rows; c @ onb is the vectorized element, and
-StarAlgebra.render turns it into blocks for the few readers that need
-them. The analysis follows the standard route: find the algebra the
-generators generate, split the center into its minimal projections,
-one per matrix summand, and certify a minimal projection in each.
+central projections included, are coordinate vectors c over those
+rows; c @ onb is the vectorized element, and StarAlgebra.render turns
+it into blocks for the few readers that need them. The analysis
+follows the standard route: find the algebra the generators generate
+and split its center into its minimal projections, one per matrix
+summand. A summand is its central projection z: its size d and its
+ambient rank are traces of z, and so are the multiplicities of a
+*-homomorphism between two such algebras (tower._fiber_multiplicities).
 
 Generators come in as sparse entries, (positions, values) pairs over
 the blocks_vec layout, and the algebra they generate is found on the
@@ -55,23 +57,22 @@ as a corner by a projection of the algebra, is read off the map by
 index arithmetic (_compress_units): when every distinct block keeps
 the same S x S entries on each of its copies, the compression is the
 full matrix algebra M_|S| on each block that keeps any, and its
-structure constants, central and minimal projections and summand
-ideals are exact, with no numerical step.
+structure constants, central projections and summand ideals are
+exact, with no numerical step.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
 (StarAlgebra.tables). The center is the nullspace of the commutator
 map. Its joint eigenspaces under left multiplication by the hermitian
 parts of a center basis are refined one element at a time until each
-is a line, the line of one central projection; a minimal projection is
-split off each summand the same way, inside the commutative span of
-one hermitian element. Every result is certified, and a failed
-certificate raises; a wrong answer is never returned silently.
+is a line, the line of one central projection. Every result is
+certified, and a failed certificate raises; a wrong answer is never
+returned silently.
 
 The integers, the sizes d^2 and ambient ranks of the summands, are
 traces of certified projections (integer_traces), never numerical
-ranks: x -> z x and x -> f x f are idempotents on coordinates, and the
-rows of onb are orthonormal for tr(a^* b).
+ranks: x -> z x is an idempotent on coordinates, and the rows of onb
+are orthonormal for tr(a^* b).
 """
 
 from __future__ import annotations
@@ -556,14 +557,13 @@ def star_closure(dims, gens, max_dim=4096):
 class Summand:
     """One matrix summand M_d of a finite-dimensional algebra.
 
-    z and f are coordinate vectors over the rows of the algebra's onb.
+    The summand is its central projection z, a coordinate vector over
+    the rows of the algebra's onb; M_d acts ambient_rank / d times.
     """
 
-    index: int
     z: np.ndarray       # central projection
     d: int              # matrix size
     ambient_rank: int   # rank of z in the block space
-    f: np.ndarray       # minimal projection, dim(f A f) = 1
 
     @property
     def multiplicity(self):
@@ -596,11 +596,6 @@ def _left(h, T):
     return np.einsum("i,ijk->kj", h, T)
 
 
-def _hermitian_parts(x, S):
-    """The self-adjoint elements (x + x^*) / 2 and (i x + (i x)^*) / 2."""
-    return [0.5 * (y + np.conj(y) @ S) for y in (x, 1j * x)]
-
-
 def _refine(pieces, hs, T):
     """Split subspaces into the joint eigenspaces of the maps x -> h x.
 
@@ -621,22 +616,6 @@ def _refine(pieces, hs, T):
             out.extend(v @ vecs[:, c] for c in _cluster_eigenvalues(vals))
         pieces = out
     return pieces
-
-
-def _idempotent(e, T):
-    """The idempotent on the line of e, where e e is a multiple of e."""
-    alpha = np.vdot(e, np.einsum("i,j,ijk->k", e, e, T)) / np.vdot(e, e)
-    if abs(alpha) <= RANK_TOL:
-        raise DecompositionError("a central piece squares to zero")
-    return e / alpha
-
-
-def _projection_defect(x, T, S):
-    """Largest of |x x - x| and |x^* - x|, relative to max(1, |x|)."""
-    xx = np.einsum("i,j,ijk->k", x, x, T)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    off = max(np.linalg.norm(xx - x), np.linalg.norm(np.conj(x) @ S - x))
-    return off / scale
 
 
 def integer_traces(traces, error, what):
@@ -669,9 +648,11 @@ def central_decomposition(A):
     or the call raises DecompositionError: each z is a self-adjoint
     idempotent, the z sum to the unit, the trace of x -> z x is a square
     d^2, the d^2 sum to dim A and d divides the ambient rank of z, its
-    trace in the block space; both traces must be integers.
-    Nothing is random, and the summands come back in a canonical order
-    that only depends on the projections.
+    trace in the block space; both traces must be integers. A summand
+    is that z with d and the ambient rank; the multiplicities of a map
+    out of A are traces of the images of the z. Nothing is random, and
+    the summands come back in a canonical order that only depends on
+    the projections.
     """
     T, S, _ = A.tables
     r = A.dim
@@ -683,7 +664,8 @@ def central_decomposition(A):
     s = len(center)
     if s == 0:
         raise DecompositionError("algebra has no central elements")
-    hs = [h for c in center for h in _hermitian_parts(c, S)]
+    # the hermitian parts (y + y^*) / 2 of y = c and y = i c
+    hs = [0.5 * (y + np.conj(y) @ S) for c in center for y in (c, 1j * c)]
     pieces = _refine([center.T], hs, T)
     if len(pieces) != s:
         raise DecompositionError(
@@ -694,8 +676,15 @@ def central_decomposition(A):
     summands = []
     total = np.zeros_like(unit)
     for v in pieces:
-        z = _idempotent(v[:, 0], T)
-        if _projection_defect(z, T, S) > 100 * RANK_TOL:
+        # e e is a multiple of e, and z is the idempotent on its line
+        e = v[:, 0]
+        alpha = np.vdot(e, np.einsum("i,j,ijk->k", e, e, T)) / np.vdot(e, e)
+        if abs(alpha) <= RANK_TOL:
+            raise DecompositionError("a central piece squares to zero")
+        z = e / alpha
+        zz = np.einsum("i,j,ijk->k", z, z, T)
+        off = max(np.linalg.norm(zz - z), np.linalg.norm(np.conj(z) @ S - z))
+        if off / max(1.0, float(np.linalg.norm(z))) > 100 * RANK_TOL:
             raise DecompositionError("a central piece is not a projection")
         rank, ambient_rank = integer_traces(
             [np.einsum("i,ijj->", z, T), trace @ z], DecompositionError, "a summand"
@@ -707,9 +696,7 @@ def central_decomposition(A):
                 "block space is not a matrix summand" % (rank, ambient_rank)
             )
         total += z
-        summands.append(
-            Summand(0, z, d, ambient_rank, _minimal_projection(z, T, S))
-        )
+        summands.append(Summand(z, d, ambient_rank))
     bound = 100 * RANK_TOL * max(1.0, np.linalg.norm(unit))
     if np.linalg.norm(total - unit) > bound:
         raise DecompositionError(
@@ -720,40 +707,7 @@ def central_decomposition(A):
             "summand sizes do not add up to the dimension %d" % r
         )
     summands.sort(key=lambda sm: _summand_sort_key(A, sm))
-    for i, sm in enumerate(summands):
-        sm.index = i
     return CentralDecomposition(algebra=A, summands=summands)
-
-
-def _minimal_projection(z, T, S):
-    """Coordinates of a projection f <= z with dim(f A f) = 1.
-
-    f starts at z. While f A f has dimension k^2 > 1, the first
-    hermitian part h of a column f e_j f of x -> f x f that is not a
-    multiple of f splits f: the span of f, h f, ..., h^k f is refined
-    by x -> h x into lines, and the first line, scaled to an idempotent,
-    replaces f. Each step lowers the rank of f; the result is certified.
-    """
-    f = z
-    for _ in range(len(z)):
-        corner = _left(f, T) @ np.einsum("j,ijk->ki", f, T)
-        k2 = integer_traces(np.trace(corner), DecompositionError, "f A f")
-        k = math.isqrt(int(k2))
-        if k == 1 and _projection_defect(f, T, S) <= 100 * RANK_TOL:
-            return f
-        for h in (h for x in corner.T for h in _hermitian_parts(x, S)):
-            lh = _left(h, T)
-            powers = [f]
-            for _ in range(k):
-                w = lh @ powers[-1]
-                powers.append(w / max(float(np.linalg.norm(w)), RANK_TOL))
-            pieces = _refine([onb(powers).T], [h], T)
-            if len(pieces) > 1:
-                f = _idempotent(pieces[0][:, 0], T)
-                break
-        else:
-            break
-    raise DecompositionError("no certified minimal projection in a summand")
 
 
 # -- compressions of the closed form -------------------------------------------
@@ -774,9 +728,8 @@ def _compress_units(A, dims, positions):
     everything is read off the map: row (b, x, y) of its onb is E_xy of
     block b, 1/sqrt(c) on each copy; e_xy e_yw = e_xw / sqrt(c) and
     e_xy^* = e_yx give T and S; the summand of b has z the sum of the
-    sqrt(c) e_xx, f = sqrt(c) e_11 for the first x in S, d = |S| and
-    ambient rank d c, and its ideal rows are the coordinate rows of its
-    units.
+    sqrt(c) e_xx, d = |S| and ambient rank d c, and its ideal rows are
+    the coordinate rows of its units.
 
     Returns (algebra, T, S, summands, ideals), the summands in the order
     of central_decomposition and ideals[i] the read-only rows of summand i.
@@ -815,13 +768,9 @@ def _compress_units(A, dims, positions):
             z = np.zeros(r, dtype=np.complex128)
             z[np.diagonal(units)] = scale
             unit += z
-            f = np.zeros(r, dtype=np.complex128)
-            f[units[0, 0]] = scale
             ideal = np.eye(r, dtype=np.complex128)[units.ravel()]
             ideal.flags.writeable = False
-            found.append((Summand(0, z, d, d * int(A.copies[first]), f), ideal))
+            found.append((Summand(z, d, d * int(A.copies[first])), ideal))
     algebra = StarAlgebra(dims, rows, unit)
     found.sort(key=lambda pair: _summand_sort_key(algebra, pair[0]))
-    for i, (sm, _) in enumerate(found):
-        sm.index = i
     return algebra, T, S, [sm for sm, _ in found], [x for _, x in found]

@@ -91,8 +91,6 @@ class ShapeReport:
     no_sinks: bool
     transitive: bool
     is_cycle: bool
-    is_cycle_with_entry: bool
-    out_degree_all_one: bool
 
     def as_dict(self):
         return {
@@ -100,8 +98,6 @@ class ShapeReport:
             "no_sinks": self.no_sinks,
             "transitive": self.transitive,
             "is_cycle": self.is_cycle,
-            "is_cycle_with_entry": self.is_cycle_with_entry,
-            "out_degree_all_one": self.out_degree_all_one,
         }
 
 
@@ -362,22 +358,14 @@ class Graph:
         transitive = all(
             reach[u][w] for u in range(n) for w in range(n) if u != w
         )
-        out_one = all(d == 1 for d in outdeg)
-        connected = self._weakly_connected()
-        is_cycle = out_one and connected and all(d == 1 for d in indeg)
-        entry_profile = (
-            sorted(indeg) == [0] + [1] * (n - 2) + [2] if n >= 2 else False
-        )
-        is_cycle_with_entry = out_one and connected and (
-            all(d == 1 for d in indeg) or entry_profile
+        is_cycle = (
+            all(d == 1 for d in outdeg + indeg) and self._weakly_connected()
         )
         self._shape = ShapeReport(
             no_sources=no_sources,
             no_sinks=no_sinks,
             transitive=transitive,
             is_cycle=is_cycle,
-            is_cycle_with_entry=is_cycle_with_entry,
-            out_degree_all_one=out_one,
         )
         return self._shape
 

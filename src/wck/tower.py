@@ -52,7 +52,8 @@ dimension bookkeeping between consecutive stages) is certified and
 raises instead of returning silently wrong structure. The integers of
 the Bratteli diagram, the summand sizes and the fiber multiplicities,
 are traces of certified projections (findim.integer_traces), not
-numerical ranks.
+numerical ranks: the fiber multiplicities are read off the images of
+the central projections.
 """
 
 from __future__ import annotations
@@ -711,28 +712,29 @@ def _fiber_multiplicities(tower, mu, fib):
 
     Entry (i, j): how often summand i of the corner at r(mu) appears in
     summand j of the corner at s(mu) under the fiber. The fiber sends
-    the minimal projection f_i to y_i, which must be a projection, or
-    the call raises MultiplicityError. Then z_j y_i is a projection of
-    rank m_ij in the summand M_{d_j}, which acts on the block space
-    multiplicity_j times, so m_ij is tr(z_j y_i) / multiplicity_j. The
+    the central projection z_i, the sum of d_i minimal projections, to
+    y_i, which must be a projection, or the call raises
+    MultiplicityError. Then z_j y_i is a projection of rank m_ij d_i in
+    the summand M_{d_j}, which acts on the block space multiplicity_j
+    times, so m_ij is tr(z_j y_i) / multiplicity_j / d_i (Bratteli). The
     corner coordinates are orthonormal for tr(a^* b), so these traces
     are the inner products of the coordinate vectors, one matmul.
     """
     g = tower.graph
     cv = tower.corners[g.source_of(mu)]
     cw = tower.corners[g.range_of(mu)]
-    F = np.array([sw.f for sw in cw.dec.summands])
-    Z = np.array([sv.z for sv in cv.dec.summands])
-    Y = F @ fib.T
+    Z_v = np.array([sv.z for sv in cv.dec.summands])
+    Y = np.array([sw.z for sw in cw.dec.summands]) @ fib.T
     YY = np.einsum("ia,ib,abk->ik", Y, Y, cv.T)
     bound = 1e-6 * np.maximum(1.0, np.linalg.norm(Y, axis=1))
     if np.any(np.linalg.norm(YY - Y, axis=1) > bound):
         raise MultiplicityError(
-            "fiber along %s does not send minimal projections to "
+            "fiber along %s does not send central projections to "
             "projections" % g.path_str(mu)
         )
+    d = [[sw.d] for sw in cw.dec.summands]
     return integer_traces(
-        Y @ Z.conj().T / [sv.multiplicity for sv in cv.dec.summands],
+        Y @ Z_v.conj().T / [sv.multiplicity for sv in cv.dec.summands] / d,
         MultiplicityError,
         "a fiber multiplicity along %s" % g.path_str(mu),
     )

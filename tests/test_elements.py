@@ -148,12 +148,31 @@ def test_path_mismatch_annihilates(c3):
 
 
 def test_adjoint_involution_and_products(c3):
-    a = el.parse_element(c3, "u(e1).z.u*(e2) + 2*p(v1)")
+    assert not el.parse_element(c3, "u(e1).z.u*(e1)").is_zero
+    a = el.parse_element(c3, "u(e1).z.u*(e1) + 2*p(v1)")
     assert el.adjoint(el.adjoint(a)) == a
     b = el.parse_element(c3, "z^2 - u(e3)")
     left = el.adjoint(el.mul(a, b))
     right = el.mul(el.adjoint(b), el.adjoint(a))
     assert left == right
+
+
+def test_mul_normalizes_only_typed_pairs(c3, monkeypatch):
+    """z - 1 has one term per vertex, and p(v) meets only p(v)."""
+    a = el.parse_element(c3, "z - 1")
+    b = el.parse_element(c3, "z - 2")
+    ref = el.parse_element(c3, "z^2 - 3*z + 2")
+    calls = []
+    normalize = el._normalize_word
+    monkeypatch.setattr(
+        el, "_normalize_word", lambda g, w: calls.append(w) or normalize(g, w)
+    )
+    assert el.mul(a, b) == ref
+    assert len(calls) == 12
+    # a word with no vertex, never a normal form, meets every term
+    raw = el.CalkinElement(c3, {((Z, 1),): 1 + 0j})
+    z = el.parse_element(c3, "z")
+    assert el.mul(raw, b) == el.mul(z, b) and el.mul(b, raw) == el.mul(b, z)
 
 
 C3 = corpus_graphs()["C3"]
@@ -198,7 +217,9 @@ def test_dead_word_has_no_offset(c3):
 
 
 def test_offsets(c3):
-    assert el.offset(el.parse_element(c3, "u(e1).z.u*(e2)")) == 0
+    x = el.parse_element(c3, "u(e1).z.u*(e1)")
+    assert not x.is_zero
+    assert el.offset(x) == 0
     assert el.offset(el.parse_element(c3, "u(e1).u(e3)")) == 2
     assert el.offset(el.zero(c3)) == 0
     with pytest.raises(ElementError, match="mixes grading"):
@@ -274,13 +295,14 @@ def test_parse_non_string_raises_element_error(c3, bad):
 
 def test_render_roundtrip(c3):
     for text in [
-        "u(e1).z^2.u*(e3)",
+        "u(e1).z^2.u*(e1)",
         "u(e1) + 2*p(v2) - z^2",
         "z^-1",
         "3",
-        "p(v1).z.u(e1)",
+        "p(v2).z.u(e1)",
     ]:
         x = el.parse_element(c3, text)
+        assert not x.is_zero
         assert el.parse_element(c3, el.element_str(x)) == x
 
 

@@ -1,6 +1,7 @@
 """Structure recovery on finite-dimensional block matrix algebras."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from util import (
     THETA_BLOCK,
     assert_matches_oracle,
     basis_elements,
-    blocks_adj,
     blocks_mul,
-    blocks_rank,
     blocks_zero,
     contains,
+    coords,
     corpus_graphs,
     cycle_weight_spec,
     dense_c0_generators,
@@ -24,6 +24,7 @@ from util import (
     element,
     embedding_multiplicities,
     entries_of,
+    pairwise_fiber_multiplicities,
     projector_gap,
     random_diag_spec,
     scattered_units,
@@ -192,21 +193,6 @@ class TestCentralDecomposition:
         assert dec.summands[0].ambient_rank == 4
         assert dec.summands[0].multiplicity == 2
 
-    def test_minimal_projections_are_certified(self):
-        A = star_closure([3, 2], entries_of(matrix_units([3, 2])))
-        dec = central_decomposition(A)
-        assert dec.dims == [2, 3]
-        for sm in dec.summands:
-            f = element(A, sm.f)
-            assert blocks_rank(f) == 1
-            assert contains(A, f)
-            assert np.allclose(
-                blocks_vec(blocks_mul(f, f)), blocks_vec(f), atol=1e-8
-            )
-            assert np.allclose(
-                blocks_vec(blocks_adj(f)), blocks_vec(f), atol=1e-8
-            )
-
     def test_summand_order_is_canonical(self):
         # the same algebra as matrix units (certified by its commutant)
         # and closed up from the reversed generators has other bases,
@@ -278,6 +264,36 @@ class TestEmbeddings:
         dec = central_decomposition(A)
         m = embedding_multiplicities(dec, dec, lambda x: x)
         assert m.tolist() == [[1]]
+
+    def test_fiber_multiplicities_divide_by_the_source_size(self):
+        """The image of z_i is d_i minimal projections, so its trace is
+        divided by d_i; every corner of the corpus towers has d_i = 1.
+
+        A = M_2 goes into B = M_2 + M_4 by x -> (x, x (x) I_2), read as a
+        fiber between two corners of a stand-in tower.
+        """
+        A = star_closure([2], entries_of(matrix_units([2])))
+        B = star_closure([4, 2], entries_of(matrix_units([4, 2])))
+        dec_a, dec_b = central_decomposition(A), central_decomposition(B)
+
+        def phi(x):
+            return [np.kron(x[0], np.eye(2)), x[0]]
+
+        fib = np.array([coords(B, phi(blocks)) for blocks in basis_elements(A)]).T
+        corners = {
+            name: SimpleNamespace(
+                dec=dec, algebra=dec.algebra, T=dec.algebra.tables[0], r=dec.algebra.dim
+            )
+            for name, dec in (("a", dec_a), ("b", dec_b))
+        }
+        graph = SimpleNamespace(
+            source_of=lambda mu: "b", range_of=lambda mu: "a", path_str=str
+        )
+        stand_in = SimpleNamespace(graph=graph, corners=corners)
+        got = tower._fiber_multiplicities(stand_in, "mu", fib)
+        assert got.tolist() == [[1, 2]]
+        assert np.array_equal(got, embedding_multiplicities(dec_a, dec_b, phi))
+        assert np.array_equal(got, pairwise_fiber_multiplicities(stand_in, "mu", fib))
 
     def test_non_unital_map_rejected(self):
         dec_a, dec_b, _ = self.build_pair()

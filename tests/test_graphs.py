@@ -114,13 +114,10 @@ def test_shape_reports():
         "no_sinks": True,
         "transitive": True,
         "is_cycle": True,
-        "is_cycle_with_entry": True,
-        "out_degree_all_one": True,
     }
     o2 = CORPUS["O2"].validate()
     assert o2.transitive and not o2.is_cycle
     assert o2.no_sources and o2.no_sinks
-    assert not o2.out_degree_all_one
     g2 = CORPUS["G2"].validate()
     assert g2.no_sources and g2.no_sinks
     assert not g2.transitive and not g2.is_cycle
@@ -128,21 +125,9 @@ def test_shape_reports():
     assert chord.transitive and not chord.is_cycle
     assert not CORPUS["chain13"].validate().transitive
     assert CORPUS["theta"].validate().transitive
-
-
-def test_cycle_with_entry_shapes():
-    rho = mkgraph(
-        ["v1", "v2", "v3"],
-        [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v2")],
-    )
-    rep = rho.validate()
-    assert rep.is_cycle_with_entry and not rep.is_cycle
-    assert rep.out_degree_all_one
-    assert CORPUS["C2"].validate().is_cycle_with_entry
     # two disjoint loops: degree profile of a cycle but not connected
     two = mkgraph(["v1", "v2"], [("e1", "v1", "v1"), ("e2", "v2", "v2")])
     assert not two.validate().is_cycle
-    assert not two.validate().is_cycle_with_entry
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

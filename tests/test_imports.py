@@ -1,10 +1,17 @@
-"""Import cost of the package: no heavy module rides on `import wck`."""
+"""Imports of the package: no heavy module rides on `import wck`, and
+every console script declared in pyproject.toml resolves."""
 
+import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import wck
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import pkgutil, sys
@@ -32,3 +39,11 @@ def test_importing_every_module_leaves_scipy_unloaded():
     ).stdout.split()
     assert int(out[0]) >= 10
     assert out[1] == "False"
+
+
+def test_declared_console_scripts_import():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    for name, target in doc["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -677,11 +677,16 @@ def test_formerly_failing_uniform_o2_draw_builds():
     assert tw.bratteli_json() == ref.bratteli_json()
 
 
-def test_scaled_fiber_is_rejected(c3_weighted):
-    tw = c3_weighted
-    mu = tw.graph.paths(tw.p)[0]
-    with pytest.raises(MultiplicityError):
-        tower._fiber_multiplicities(tw, mu, 2 * tw.fibers[0])
+@pytest.mark.parametrize("key", ["C3w", "THETA_BLOCK"])
+def test_scaled_fiber_is_rejected(corpus, key):
+    """Twice a fiber sends the z_i, and the f_i of the oracle, to 2 y_i."""
+    tw = fiber_tower(corpus, key)
+    mu, fib = tw.graph.paths(tw.p)[0], 2 * tw.fibers[0]
+    path = re.escape(tw.graph.path_str(mu))
+    with pytest.raises(MultiplicityError, match="along %s .*central" % path):
+        tower._fiber_multiplicities(tw, mu, fib)
+    with pytest.raises(MultiplicityError, match="along %s " % path):
+        pairwise_fiber_multiplicities(tw, mu, fib)
 
 
 def test_doubled_ambient_rank_breaks_fiber_integrality(c3_weighted, monkeypatch):

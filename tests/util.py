@@ -556,7 +556,7 @@ def dense_central_decomposition(A, seed=0):
             ambient_rank = int(round(sum(np.trace(b).real for b in proj)))
             if abs(d * d - corner_dim) > INT_TOL or d == 0 or ambient_rank % d:
                 break
-            found.append((Summand(0, coords(A, proj), d, ambient_rank, None), proj))
+            found.append((Summand(coords(A, proj), d, ambient_rank), proj))
         if len(found) != s or sum(sm.d ** 2 for sm, _ in found) != A.dim:
             continue
         total = blocks_zero(A.dims)
@@ -565,9 +565,6 @@ def dense_central_decomposition(A, seed=0):
         if not np.allclose(blocks_vec(total), blocks_vec(unit), atol=1e-7):
             continue
         found.sort(key=lambda pair: _summand_sort_key(A, pair[0]))
-        for i, (sm, proj) in enumerate(found):
-            sm.index = i
-            sm.f = coords(A, _dense_minimal_projection(A, proj, sm.d, rng))
         return CentralDecomposition(algebra=A, summands=[sm for sm, _ in found])
     raise DecompositionError(
         "no generic central element produced a certified decomposition"
@@ -578,9 +575,7 @@ def assert_matches_oracle(dec):
     """dec agrees with dense_central_decomposition of its algebra.
 
     Sizes, ambient ranks and central projections must agree summand by
-    summand, order included. Minimal projections are not unique, so
-    each is certified instead: a self-adjoint idempotent in the algebra
-    with dim(fAf) = 1, of ambient rank the summand's multiplicity.
+    summand, order included.
     """
     A = dec.algebra
     ref = dense_central_decomposition(A)
@@ -591,12 +586,6 @@ def assert_matches_oracle(dec):
         # coordinates over orthonormal rows: distances are those of the
         # rendered projections
         assert np.allclose(sm.z, rm.z, atol=1e-7)
-        f = element(A, sm.f)
-        assert blocks_rank(f) == sm.multiplicity
-        assert contains(A, f)
-        assert np.allclose(blocks_vec(blocks_mul(f, f)), blocks_vec(f), atol=1e-8)
-        assert np.allclose(blocks_vec(blocks_adj(f)), blocks_vec(f), atol=1e-8)
-        assert _corner_dim(A, f) == 1
 
 
 def concrete_stage_algebra(tower, n):
@@ -710,17 +699,6 @@ def projection_rank(p):
     return int(np.sum(np.linalg.svd(p, compute_uv=False) > 0.5))
 
 
-def blocks_rank(a, tol=RANK_TOL):
-    total = 0
-    for x in a:
-        if x.size == 0:
-            continue
-        s = np.linalg.svd(x, compute_uv=False)
-        if s.size and s[0] > 0:
-            total += int(np.sum(s > tol * max(1.0, s[0])))
-    return total
-
-
 def dimension_adds_up(dec):
     """Whether the summand sizes of a decomposition account for its algebra."""
     return sum(s.d ** 2 for s in dec.summands) == dec.algebra.dim
@@ -732,7 +710,9 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
     phi is applied to block elements of A and must land in B. The entry
     m[i][j] counts how often summand i of A sits inside summand j of B:
     the corner of B over phi(minimal projection of summand i), cut to
-    summand j, is a full matrix algebra of size m[i][j].
+    summand j, is a full matrix algebra of size m[i][j]. The minimal
+    projections are found here from random elements; the decompositions
+    carry only central projections.
     """
     A, B = dec_a.algebra, dec_b.algebra
     rng = np.random.default_rng(seed)
@@ -762,7 +742,7 @@ def embedding_multiplicities(dec_a, dec_b, phi, samples=12, seed=0, tol=RANK_TOL
 
     m = np.zeros((len(dec_a.summands), len(dec_b.summands)), dtype=int)
     for i, sa in enumerate(dec_a.summands):
-        q = phi(element(A, sa.f))
+        q = phi(_dense_minimal_projection(A, element(A, sa.z), sa.d, rng))
         for j, sb in enumerate(dec_b.summands):
             zq = blocks_mul(element(B, sb.z), q)
             rows = np.array([
@@ -800,12 +780,14 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
     """Integer multiplicity block of one fiber map, one summand pair at a time.
 
     The reference for tower._fiber_multiplicities, which reads the same
-    integers off traces. Entry (i, j): how often summand i of the corner
-    at r(mu) appears in summand j of the corner at s(mu) under the
-    fiber. With y_i the image of the minimal projection f_i, which must
-    be a projection, the compressed corner (z_j y_i) A (y_i z_j) is a
-    full matrix algebra M_m, and m is the square root of its dimension,
-    a numerical rank.
+    integers off traces of the images of the central projections. Entry
+    (i, j): how often summand i of the corner at r(mu) appears in
+    summand j of the corner at s(mu) under the fiber. Here f_i is a
+    minimal projection of summand i, found from random elements
+    (_dense_minimal_projection); with y_i its image, which must be a
+    projection, the compressed corner (z_j y_i) A (y_i z_j) is a full
+    matrix algebra M_m, and m is the square root of its dimension, a
+    numerical rank.
     """
     g = tower.graph
     v = g.source_of(mu)
@@ -813,8 +795,11 @@ def pairwise_fiber_multiplicities(tower, mu, fib):
     cv = tower.corners[v]
     cw = tower.corners[w]
     out = np.zeros((len(cw.dec.summands), len(cv.dec.summands)), dtype=int)
+    A = cw.algebra
+    rng = np.random.default_rng(0)
     for i, sw in enumerate(cw.dec.summands):
-        y = fib @ sw.f
+        f = _dense_minimal_projection(A, element(A, sw.z), sw.d, rng)
+        y = fib @ coords(A, f)
         yy = mul_coords(cv, y, y)
         if np.linalg.norm(yy - y) > 1e-6 * max(1.0, np.linalg.norm(y)):
             raise MultiplicityError(
