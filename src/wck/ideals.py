@@ -593,10 +593,12 @@ def verify_fully_invariant(tower, family, n_cap=None):
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                corner_span = corner.restricted(lo, hi)[2]
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
                 index = tower.window_index(nlow, v)
+                _, _, span, sup = corner.restricted(lo, hi)
+                corner_span = np.zeros((len(span), index.shape[2]), dtype=np.complex128)
+                corner_span[:, sup] = span
                 last = len(paths_low) - 1
                 for i1, i2 in sorted({(0, 0), (0, last), (last, last)}):
                     mu1 = index_paths[paths_low[i1]]

@@ -40,11 +40,15 @@ window of levels of the path space:
 
 Stage index paths, slots and all gathers are int arrays of positions in
 Graph.paths(k); Path objects appear only as prefixes and in messages.
-Moving between corner coordinates and window data goes through a
-precomputed int array of entry positions (_block_positions): the corner
-compression looks its positions up in C_0's map, or gathers them from
-C0.onb, and the transports, tau and tau_inverse are one gather or
-scatter of onb columns.
+Moving between corner coordinates and window data goes through int
+arrays of entry positions (_block_positions): the corner compression
+looks its positions up in C_0's map, or gathers them from C0.onb, and
+the transports are one gather of onb columns. A corner keeps its column
+support, the entries where some onb row is nonzero, and its
+certificates solve on those columns alone: tau gathers each window
+level once per vertex and splits it into support entries and the norm
+of the rest, and tau_inverse scatters only the support entries, through
+an index of their window positions (Tower.support_index).
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -65,6 +69,7 @@ import numpy as np
 
 from . import graphs
 from .errors import (
+    ElementError,
     GraphError,
     MultiplicityError,
     WeightError,
@@ -123,6 +128,10 @@ class Corner:
     slot_lists[l - levels[0]] holds the ascending indices of the slot
     paths inside paths(l - q), so a slot position is a searchsorted;
     offsets[l - levels[0]] is where level l starts in a corner vector.
+    support holds the ascending positions where some onb row is nonzero
+    (on C_0's matrix units, the positions the compression keeps); an
+    element is zero everywhere else, so the stage maps and certificates
+    read and write only these columns.
     """
 
     def __init__(self, graph, q, C0, v, levels, config):
@@ -141,6 +150,7 @@ class Corner:
             off += d * d
         cols = np.concatenate(cols)
         self._restricted = {}
+        self._levels = {}
         if isinstance(C0, _MatrixUnits):
             self.algebra, self.T, self.S, summands, ideals = _compress_units(
                 C0, slot_dims, cols
@@ -156,6 +166,7 @@ class Corner:
             self._tabulate()
             self.dec = central_decomposition(self.algebra)
         self.r = self.algebra.dim
+        self.support = np.flatnonzero(np.any(self.algebra.onb != 0, axis=0))
 
     def _tabulate(self):
         """Structure constants of the corner, certified closed.
@@ -177,19 +188,32 @@ class Corner:
         i1 = hi - self.levels[0]
         return self.algebra.onb[:, self.offsets[i0]:self.offsets[i1]]
 
-    def restricted(self, lo, hi):
-        """Columns of onb over a sub-range of levels, rank certified.
+    def support_columns(self, lo, hi):
+        """(sup, mat): the support columns of onb on levels [lo, hi).
 
-        Returns (mat, pinv, span): the columns, their pseudo-inverse and
-        an orthonormal basis of their row span, all from one SVD of
-        mat.T = u s vh. The rank r is certified, so the rows of u^T span
-        the rows of mat = vh^T s u^T.
+        sup holds their positions in columns(lo, hi), in ascending
+        order, and mat the columns themselves.
+        """
+        base, end = self.offsets[[lo - self.levels[0], hi - self.levels[0]]]
+        cut = np.searchsorted(self.support, [base, end])
+        sup = self.support[cut[0]:cut[1]] - base
+        return sup, self.algebra.onb[:, base + sup]
+
+    def restricted(self, lo, hi):
+        """The support columns of onb on levels [lo, hi), rank certified.
+
+        Returns (mat, pinv, span, sup) with (sup, mat) from
+        support_columns, and pinv and span the pseudo-inverse of mat
+        and an orthonormal basis of its row span, all from one SVD of
+        mat.T = u s vh. A zero column changes no singular value, so the
+        rank r certified here is that of all of columns(lo, hi), and
+        the rows of u^T span the rows of mat = vh^T s u^T.
         """
         key = (lo, hi)
         got = self._restricted.get(key)
         if got is not None:
             return got
-        mat = self.columns(lo, hi)
+        sup, mat = self.support_columns(lo, hi)
         u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
         if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
             raise WindowUnstableError(
@@ -197,7 +221,26 @@ class Corner:
                 "widen the window" % (self.vertex, lo, hi)
             )
         pinv = (vh.conj().T / sv) @ u.conj().T
-        got = self._restricted[key] = (mat, pinv, u.T)
+        got = self._restricted[key] = (mat, pinv, u.T, sup)
+        return got
+
+    def level_support(self, lo, hi):
+        """The support columns on levels [lo, hi), level by level.
+
+        Entry i lists the positions of the support columns on level
+        lo + i in that level's raveled S x S slot block; together they
+        are the columns of support_columns(lo, hi) in order. Built once
+        per (lo, hi).
+        """
+        got = self._levels.get((lo, hi))
+        if got is None:
+            sup = self.support_columns(lo, hi)[0]
+            i0 = lo - self.levels[0]
+            starts = self.offsets[i0:hi - self.levels[0] + 1] - self.offsets[i0]
+            cuts = np.searchsorted(sup, starts)
+            got = self._levels[(lo, hi)] = [
+                sup[a:b] - start for a, b, start in zip(cuts[:-1], cuts[1:], starts)
+            ]
         return got
 
     def summand_ideal(self, i):
@@ -238,18 +281,27 @@ class Corner:
         self._summand_ideals[i] = basis
         return basis
 
-    def certified_coords(self, lo, hi, vecs, scales, message=None):
+    def certified_coords(self, lo, hi, vecs, scales, message=None, off=None):
         """Coordinates of slot data on levels [lo, hi), and the residuals.
 
         vecs holds one slot vector per row, laid out like columns(lo,
-        hi). The least-squares residual of each row must stay within
-        100 * COORD_TOL times its scale. Past that bound the call raises
+        hi); or, with off given, only its support columns (the sup of
+        support_columns), with off the norms of the rest of each row. The
+        coordinates come from the support columns, and the residual of
+        a row is the hypotenuse of its least-squares residual there and
+        its norm off the support. It must stay within 100 * COORD_TOL
+        times the row's scale. Past that bound the call raises
         WindowUnstableError(message), or returns None for the
         coordinates when no message is given.
         """
-        mat, pinv, _ = self.restricted(lo, hi)
+        mat, pinv, _, sup = self.restricted(lo, hi)
+        if off is None:
+            rest = np.ones(vecs.shape[1], dtype=bool)
+            rest[sup] = False
+            off = np.linalg.norm(vecs[:, rest], axis=1)
+            vecs = vecs[:, sup]
         coords = vecs @ pinv.T
-        resid = np.linalg.norm(coords @ mat - vecs, axis=1)
+        resid = np.hypot(np.linalg.norm(coords @ mat - vecs, axis=1), off)
         if np.any(resid > 100 * COORD_TOL * scales):
             if message is not None:
                 raise WindowUnstableError(message)
@@ -309,7 +361,9 @@ class Tower:
                 "window start %d leaves no room for the stage paths" % M
             )
         self.M, self.W, self.G0, self.G1 = M, W, G0, M + W
+        self._stage_rows = {}
         self._window_index = {}
+        self._support_index = {}
         levels = list(range(G0, M + W))
         worst = max(g.level_dim(k) for k in levels)
         if worst > graphs.MAX_LEVEL_DIM:
@@ -406,6 +460,7 @@ class Tower:
         """
         check_index(n, 0, self.config.n_max, "the stage")
         vecs = np.asarray(vecs)
+        _stage_lead("a stage-%d vector" % n, [vecs], [(self.stages[n].dim,)])
         out = {}
         off = 0
         for v, m in sorted(self.stages[n].counts.items()):
@@ -426,7 +481,7 @@ class Tower:
         of the blocks x[v] (m, m, r) stack elements that map together.
         """
         check_index(n, 0, self.config.n_max - 1, "the stage psi maps from")
-        lead = next(iter(x.values())).shape[:-3]
+        lead = _stage_lead("a stage-%d element" % n, x, self.block_shapes(n))
         out = self.stage_unvec(
             n + 1, np.zeros(lead + (self.stages[n + 1].dim,), dtype=np.complex128)
         )
@@ -443,26 +498,38 @@ class Tower:
             out[v][..., rows[:, None], rows, :] += lifted
         return out
 
+    def block_shapes(self, n):
+        """The shape (m, m, r) of the block x[v] of a stage-n element, per v."""
+        return {
+            v: (m, m, self.corners[v].r)
+            for v, m in sorted(self.stages[n].counts.items())
+        }
+
     def stage_rows(self, n, v):
         """Window rows of the stage-n index paths at v, level by level.
 
         Entry kk is an int array with one row per index path gamma
         starting at v: the level-(M + kk) indices of gamma*d over the
-        corner slot at level M + kk - n p, in slot order.
+        corner slot at level M + kk - n p, in slot order. Built once per
+        (n, v); the arrays are read-only.
         """
+        got = self._stage_rows.get((n, v))
+        if got is not None:
+            return got
         g = self.graph
         length = n * self.p + self.q
         gammas = [g.paths(length)[i] for i in self.stages[n].paths[v]]
         out = []
         for k in range(self.M, self.M + self.W):
             slot = self.corners[v].slot_lists[k - n * self.p - self.G0]
-            out.append(
-                np.array(
-                    [g.prepend_index(k - length, gam)[slot] for gam in gammas],
-                    dtype=int,
-                )
+            rows = np.array(
+                [g.prepend_index(k - length, gam)[slot] for gam in gammas],
+                dtype=int,
             )
-        return out
+            rows.flags.writeable = False
+            out.append(rows)
+        got = self._stage_rows[(n, v)] = out
+        return got
 
     def window_index(self, n, v):
         """Window positions of the stage-n entries at v, an (m, m, L) array.
@@ -474,15 +541,41 @@ class Tower:
         """
         got = self._window_index.get((n, v))
         if got is None:
-            parts = []
-            off = 0
-            for kk, r in enumerate(self.stage_rows(n, v)):
-                d = self.graph.level_dim(self.M + kk)
-                pos = off + r[:, None, :, None] * d + r[None, :, None, :]
-                parts.append(pos.reshape(len(r), len(r), -1))
-                off += d * d
-            got = self._window_index[(n, v)] = np.concatenate(parts, axis=2)
+            grids = [np.arange(r.shape[1] ** 2) for r in self.stage_rows(n, v)]
+            got = self._window_index[(n, v)] = self._positions(n, v, grids)
         return got
+
+    def support_index(self, n, v):
+        """Window positions of the stage-n support entries at v, (m, m, S).
+
+        Like window_index, restricted to the corner's support columns on
+        levels [M - n p, M + W - n p), in the order of support_columns;
+        S is the support size, a small part of L where the corner is
+        sparse. Built once per (n, v).
+        """
+        got = self._support_index.get((n, v))
+        if got is None:
+            lo = self.M - n * self.p
+            entries = self.corners[v].level_support(lo, lo + self.W)
+            got = self._support_index[(n, v)] = self._positions(n, v, entries)
+        return got
+
+    def _positions(self, n, v, entries):
+        """Positions in blocks_vec of slot entries of the stage-n blocks at v.
+
+        entries[kk] lists positions x S + y in the raveled S x S slot
+        block of window level M + kk; the result is (m, m, total), entry
+        [a, b] holding the window positions of those slot entries of
+        block entry (a, b), level by level.
+        """
+        parts = []
+        off = 0
+        for kk, (r, ent) in enumerate(zip(self.stage_rows(n, v), entries)):
+            d = self.graph.level_dim(self.M + kk)
+            x, y = divmod(ent, r.shape[1])
+            parts.append(off + r[:, None, x] * d + r[None, :, y])
+            off += d * d
+        return np.concatenate(parts, axis=2)
 
     def transport(self, a, b, message):
         """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
@@ -515,41 +608,58 @@ class Tower:
         """Concrete window blocks of a structural stage element.
 
         Leading axes of the blocks x[v] (m, m, r) stack elements, and
-        every window block carries them in front.
+        every window block carries them in front. Each vertex's blocks
+        are multiplied out on the corner's support columns only and
+        scattered through support_index; every other window entry stays
+        zero.
         """
         check_index(n, 0, self.config.n_max, "the stage")
-        g = self.graph
-        dims = [g.level_dim(k) for k in range(self.M, self.M + self.W)]
+        lead = _stage_lead("a stage-%d element" % n, x, self.block_shapes(n))
+        dims = [self.graph.level_dim(k) for k in range(self.M, self.M + self.W)]
         lo = self.M - n * self.p
-        lead = next(iter(x.values())).shape[:-3]
         flat = np.zeros(lead + (sum(d * d for d in dims),), dtype=np.complex128)
         for v, blk in x.items():
-            flat[..., self.window_index(n, v)] = blk @ self.corners[v].columns(
-                lo, lo + self.W
-            )
+            mat = self.corners[v].support_columns(lo, lo + self.W)[1]
+            flat[..., self.support_index(n, v)] = blk @ mat
         return blocks_unvec(flat, dims)
 
     def tau(self, n, blocks):
         """Structural coordinates of concrete window blocks.
 
-        The extraction certifies that every compressed entry actually
-        lies in the corner span, against its largest absolute entry (at
-        least 1); garbage input raises.
+        Per window level and vertex, one gather of the stage rows is
+        split into the corner's support entries and the norm of the
+        rest. The extraction certifies that every compressed entry lies
+        in the corner span, against its largest absolute entry (at least
+        1), off-support entries included; garbage input raises.
         """
         check_index(n, 0, self.config.n_max, "the stage")
+        window = range(self.M, self.M + self.W)
+        dims = [(self.graph.level_dim(k),) * 2 for k in window]
+        _stage_lead("stage-%d window blocks" % n, blocks, dims, stacked=False)
         lo = self.M - n * self.p
-        flat = blocks_vec(blocks)
         x = self.stage_zero(n)
         for v, blk in x.items():
-            idx = self.window_index(n, v)
-            vecs = flat[idx].reshape(-1, idx.shape[2])
-            scales = np.maximum(1.0, np.abs(vecs).max(axis=1, initial=0.0))
+            corner = self.corners[v]
+            m = len(blk)
+            vals = []
+            off = np.zeros(m * m)
+            scales = np.ones(m * m)
+            parts = corner.level_support(lo, lo + self.W)
+            for data, r, entries in zip(blocks, self.stage_rows(n, v), parts):
+                got = data[r[:, None, :, None], r[None, :, None, :]]
+                got = got.reshape(m * m, -1)
+                vals.append(got[:, entries])
+                got = np.abs(got)
+                scales = np.maximum(scales, got.max(axis=1, initial=0.0))
+                got[:, entries] = 0
+                off += np.einsum("ij,ij->i", got, got)
             message = (
                 "window data at vertex %r does not lie in the stage-%d "
                 "algebra" % (self.graph.vertices[v], n)
             )
-            coords = self.corners[v].certified_coords(
-                lo, lo + self.W, vecs, scales, message
+            coords = corner.certified_coords(
+                lo, lo + self.W, np.concatenate(vals, axis=1), scales, message,
+                off=np.sqrt(off),
             )[0]
             blk[...] = coords.reshape(blk.shape)
         return x
@@ -611,6 +721,41 @@ class Tower:
 
 
 # -- construction ---------------------------------------------------------
+
+
+def _stage_lead(what, got, want, stacked=True):
+    """The leading axes of the arrays of got, shaped as want gives.
+
+    want is a dict of shapes (vertex -> block) or a list of them (level
+    -> block); got must be a dict of arrays on the same keys, or a list
+    of arrays of the same length. Every array must end in the shape
+    want gives for it, after leading axes common to all, and with
+    stacked False there are none. Otherwise the call raises
+    ElementError naming the shapes.
+    """
+    pairs = []
+    if isinstance(want, dict) and isinstance(got, dict):
+        have = {k: getattr(a, "shape", None) for k, a in got.items()}
+        if have.keys() == want.keys():
+            pairs = [(have[k], want[k]) for k in want]
+    elif not isinstance(want, dict) and isinstance(got, (list, tuple)):
+        have = [getattr(a, "shape", None) for a in got]
+        if len(have) == len(want):
+            pairs = list(zip(have, want))
+    else:
+        have = type(got).__name__
+    leads = {
+        h[:len(h) - len(w)] if h is not None and h[len(h) - len(w):] == w else None
+        for h, w in pairs
+    }
+    if len(leads) != 1 or None in leads or not (stacked or leads == {()}):
+        raise ElementError(
+            "%s must %s %s, got %s%s" % (
+                what, "end in the shapes" if stacked else "have the shapes",
+                want, have, " (after leading axes common to all)" if stacked else "",
+            )
+        )
+    return leads.pop()
 
 
 def _block_positions(offset, d, rows, cols):

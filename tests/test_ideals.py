@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import util
 from util import (
+    O2_BLOCK,
     compose,
     corpus_graphs,
     cycle_weight_spec,
@@ -41,7 +42,7 @@ from wck.ideals import (
     verify_fully_invariant,
 )
 from wck.tower import TowerConfig, build_tower
-from wck.weights import WeightSpec
+from wck.weights import WeightSpec, from_dict
 
 RT_TOL = 1e-8
 
@@ -114,6 +115,10 @@ WEIGHTED = {
     "O2w:tight": lambda: _o2_weighted(TowerConfig(n_max=0, M=4, W=3)),
     "demo:3": lambda: _demo_tower(3, [2, 1, 1]),
     "demo:4": lambda: _demo_tower(4, [2, 1, 3, 1]),
+    # two summands of size d = 4 on its one vertex
+    "O2block": lambda: build_tower(
+        CORPUS["O2"], from_dict(O2_BLOCK, CORPUS["O2"]), TowerConfig(n_max=1, M=6, W=2)
+    ),
 }
 
 
@@ -595,6 +600,16 @@ def test_hasse_edges_match_triple_search(key, request):
 def test_families_match_linear_search(key):
     tw = tower_of(key)
     assert set(enumerate_families(tw)) == set(dense_enumerate_families(tw))
+
+
+def test_o2_block_label_checks_match_linear_ones():
+    """Every label subset of the d = 4 tower, by labels and by linear algebra."""
+    tw = tower_of("O2block")
+    assert [sm.d for sm in tw.corners[0].dec.summands] == [4, 4]
+    for mask in range(2 ** len(tw.labels)):
+        fam = _family(tw, mask)
+        assert check_H(tw, fam)[0] == dense_check_H(tw, fam)
+        assert check_S(tw, fam)[0] == dense_check_S(tw, fam)
 
 
 @settings(deadline=None, max_examples=40)

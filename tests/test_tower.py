@@ -2,17 +2,21 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from util import (
+    O2_BLOCK,
     THETA_BLOCK,
     adjacency,
     assert_matches_oracle,
     concrete_stage_algebra,
     corpus_graphs,
     cycle_weight_spec,
+    dense_tau,
+    dense_tau_inverse,
     element,
     embedding_multiplicities,
     load_workloads,
@@ -31,6 +35,7 @@ from util import (
 from wck import findim, graphs, ideals, tower
 from wck.errors import (
     DomainError,
+    ElementError,
     GraphError,
     MultiplicityError,
     ProtocolError,
@@ -198,11 +203,15 @@ class TestWeightedCycle:
     def test_restricted_pinv_is_numpy_pinv(self, c3_weighted, corpus):
         # the certificate, the pseudo-inverse and the span share one SVD;
         # the pseudo-inverse is the one np.linalg.pinv gives, and the span
-        # is an orthonormal basis of the rows of mat
+        # is an orthonormal basis of the rows of mat; mat is the support
+        # part of the columns, which are zero off it
         for corner in c3_weighted.corners.values():
             assert corner._restricted
             for lo, hi in corner._restricted:
-                mat, pinv, span = corner.restricted(lo, hi)
+                mat, pinv, span, sup = corner.restricted(lo, hi)
+                full = corner.columns(lo, hi)
+                assert np.array_equal(full[:, sup], mat)
+                assert not np.delete(full, sup, axis=1).any()
                 ref = np.linalg.pinv(mat.T)
                 assert np.linalg.norm(pinv - ref) <= 1e-12 * np.linalg.norm(ref)
                 assert span.shape == (corner.r, mat.shape[1])
@@ -493,6 +502,9 @@ def fiber_tower(corpus, key):
         g = corpus["O2"]
         w = random_diag_spec(g, 2, 1, np.random.default_rng(7))
         return build_tower(g, w, TowerConfig(n_max=1, M=6, W=2))
+    if key == "O2block":
+        g = corpus["O2"]
+        return build_tower(g, from_dict(O2_BLOCK, g), TowerConfig(n_max=1, M=6, W=2))
     if key == "THETA_BLOCK":
         g = corpus["theta"]
         w = from_dict(THETA_BLOCK, g)
@@ -546,6 +558,7 @@ TRACE_KEYS = sorted(UNWEIGHTED_DIMS) + [
     "G3:1",
     "G3:2",
     "G3:15",
+    "O2block",
 ]
 
 
@@ -573,7 +586,8 @@ def test_summand_sizes_match_svd_ranks(corpus, key):
 
 
 @pytest.mark.parametrize(
-    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "C3chord:generic"]
+    "key",
+    sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "C3chord:generic", "O2block"],
 )
 def test_corner_decompositions_match_oracle(corpus, key):
     tw = fiber_tower(corpus, key)
@@ -591,7 +605,7 @@ def transport_pairs(tw):
 
 
 @pytest.mark.parametrize(
-    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3"]
+    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "O2block"]
 )
 def test_window_gathers_match_looped_oracles(corpus, key):
     """transport, tau_inverse and tau against their per-element loops."""
@@ -607,6 +621,134 @@ def test_window_gathers_match_looped_oracles(corpus, key):
         assert max(np.abs(a - b).max() for a, b in zip(got, ref)) <= 1e-12
         got, ref = tw.tau(n, ref), looped_tau(tw, n, ref)
         assert max(np.abs(got[v] - ref[v]).max() for v in got) <= 1e-12
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_support_stage_maps_match_dense_oracle(corpus, key):
+    """tau_inverse and tau on the corner support against the full window.
+
+    The oracle renders through the (m, m, L) window index and solves on
+    all columns; renders and coordinates agree within 1e-12 at every
+    stage.
+    """
+    tw = fiber_tower(corpus, key)
+    rng = np.random.default_rng(6)
+    for n in range(tw.config.n_max + 1):
+        x = tw.stage_random(n, rng)
+        got, ref = tw.tau_inverse(n, x), dense_tau_inverse(tw, n, x)
+        assert max(np.abs(a - b).max() for a, b in zip(got, ref)) <= 1e-12
+        got, ref = tw.tau(n, ref), dense_tau(tw, n, ref)
+        assert max(np.abs(got[v] - ref[v]).max() for v in got) <= 1e-12
+
+
+def test_off_support_entry_is_refused_on_both_routes(corpus):
+    """An entry off the corner support, inside a compressed entry, is seen.
+
+    On unweighted theta the corner support is the slot diagonal; entry
+    (0, 1) of the slot block of stage-2 block entry (0, 0) is off it.
+    """
+    tw = fiber_tower(corpus, "theta")
+    first = tw.M - 2 * tw.p
+    assert 1 not in tw.corners[0].level_support(first, first + tw.W)[2]
+    lo = tw.tau_inverse(2, tw.stage_random(2, np.random.default_rng(8)))
+    r = tw.stage_rows(2, 0)[2]
+    lo[2][r[0, 0], r[0, 1]] += 1e-3
+    for route in (tw.tau, lambda n, blocks: dense_tau(tw, n, blocks)):
+        with pytest.raises(WindowUnstableError, match="does not lie in the stage-2"):
+            route(2, lo)
+
+
+def test_o2_block_corners_are_noncommutative(corpus):
+    """O2 with block weights: two summands of size 4 on one vertex.
+
+    Stage sizes are counts times d, and the fibers join each summand to
+    itself 4 times; round trips and the inclusion hold on the window.
+    """
+    tw = fiber_tower(corpus, "O2block")
+    assert isinstance(tw.C0, _MatrixUnits)
+    assert tw.stage_dims() == [128, 2048]
+    assert [sm.d for sm in tw.corners[0].dec.summands] == [4, 4]
+    assert tw.multiplicity.tolist() == [[4, 0], [0, 4]]
+    assert [st.summand_sizes for st in tw.stages] == [[8, 8], [32, 32]]
+    rng = np.random.default_rng(12)
+    for n in range(2):
+        assert roundtrip_dev(tw, n, rng) <= RT_TOL
+    x = tw.stage_random(0, rng)
+    lo, hi = tw.tau_inverse(0, x), tw.tau_inverse(1, tw.psi(0, x))
+    assert max(np.abs(a - b).max() for a, b in zip(lo, hi)) <= RT_TOL
+
+
+def traced_peak(call):
+    """The result of call() and the peak of the memory traced during it."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_maps_stay_within_their_memory_budget(corpus):
+    """On unweighted theta, n_max=3, the stage maps allocate no window copy.
+
+    After one warm-up call per stage, which fills the per-(n, v) and
+    per-level index caches, tau's traced peak stays below the bytes of one
+    window render (5.5 MB), and tau_inverse's below 1.2 times the blocks
+    it returns.
+    """
+    tw = fiber_tower(corpus, "theta")
+    rng = np.random.default_rng(10)
+    for n in range(tw.config.n_max + 1):
+        x = tw.stage_random(n, rng)
+        tw.tau(n, tw.tau_inverse(n, x))
+        blocks, peak = traced_peak(lambda: tw.tau_inverse(n, x))
+        render = sum(b.nbytes for b in blocks)
+        assert render > 5e6
+        assert peak < 1.2 * render, (n, peak, render)
+        _, peak = traced_peak(lambda: tw.tau(n, blocks))
+        assert peak < render, (n, peak, render)
+
+
+# malformed stage elements and window blocks on unweighted theta
+# (n_max = 3, stage dims 2, 8, 32, 128); x0 is a stage-0 element
+BAD_SHAPE_CALLS = {
+    "stage_unvec(1, 100 entries)": lambda tw, x0: tw.stage_unvec(1, np.zeros(100)),
+    "psi(1, stage-0 element)": lambda tw, x0: tw.psi(1, x0),
+    "psi(0, list)": lambda tw, x0: tw.psi(0, list(x0.values())),
+    "tau_inverse(0, vertex missing)": lambda tw, x0: tw.tau_inverse(0, {0: x0[0]}),
+    "tau_inverse(0, leading axes differ)": lambda tw, x0: tw.tau_inverse(
+        0, {0: x0[0], 1: np.stack([x0[1]] * 2)}
+    ),
+    "tau(0, one level short)": lambda tw, x0: tw.tau(0, tw.tau_inverse(0, x0)[:-1]),
+    "tau(0, wrong block sizes)": lambda tw, x0: tw.tau(
+        0, [b[:-1] for b in tw.tau_inverse(0, x0)]
+    ),
+    "tau(0, stacked blocks)": lambda tw, x0: tw.tau(
+        0, tw.tau_inverse(0, {v: b[None] for v, b in x0.items()})
+    ),
+    "tau(0, dict)": lambda tw, x0: tw.tau(0, dict(enumerate(tw.tau_inverse(0, x0)))),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SHAPE_CALLS.values(), ids=list(BAD_SHAPE_CALLS))
+def test_malformed_stage_data_is_refused(corpus, call):
+    """Stage elements and window blocks of the wrong shape raise ElementError.
+
+    The message names the shapes the stage expects.
+    """
+    tw = fiber_tower(corpus, "theta")
+    assert tw.stage_dims() == [2, 8, 32, 128]
+    with pytest.raises(ElementError, match=r"must (end in|have) the shapes") as info:
+        call(tw, tw.stage_zero(0))
+    assert isinstance(info.value, DomainError)
+
+
+def test_short_stage_vector_names_the_stage_dimension(corpus):
+    tw = fiber_tower(corpus, "theta")
+    with pytest.raises(ElementError, match=re.escape("shapes [(8,)], got [(100,)]")):
+        tw.stage_unvec(1, np.zeros(100))
+    with pytest.raises(ElementError, match=re.escape("{0: (2, 2, 1), 1: (2, 2, 1)}")):
+        tw.tau_inverse(1, tw.stage_zero(0))
 
 
 @pytest.mark.parametrize("key", ["C3w", "O2w", "G2p3", "G2", "theta", "chain13"])

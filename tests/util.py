@@ -12,8 +12,9 @@ full-length closure loop, the closure on every support class block
 the concrete stage algebra of a tower, the multiplicity matrix of an
 embedding read off corner ranks, the per-pair loop of the fiber
 multiplicities, the per-summand-pair loop of the transport edges, the
-per-basis-element transport and the per-entry tau
-and tau_inverse loops, the re-verification of an invariant ideal one
+per-basis-element transport, the per-entry tau
+and tau_inverse loops, the dense restricted, tau and tau_inverse on all
+window columns, the re-verification of an invariant ideal one
 chain row and one render at a time, the linear-algebra search for
 invariant families, the corner ideal of a summand subset built and
 verified as one subspace, the stage ideals gathered from path
@@ -217,6 +218,27 @@ THETA_BLOCK = {
     "p": 2,
     "N": 0,
     "levels": {"1": {"v1:v2": [[2.0, 1.0], [1.0, 2.0]]}},
+}
+
+
+# O2 with block weights, p=2, N=1; each block is a @ a.T + n * I for a
+# normal n x n draw, rounded to 3 decimals. Its corner splits into two
+# summands of size d = 4, so its fibers meet d > 1.
+O2_BLOCK = {
+    "kind": "block",
+    "p": 2,
+    "N": 1,
+    "levels": {
+        "1": {"v:v": [[12.697, 2.304], [2.304, 2.497]]},
+        "2": {
+            "v:v": [
+                [8.386, -0.699, 2.493, -2.055],
+                [-0.699, 15.966, -2.077, -0.923],
+                [2.493, -2.077, 5.791, -0.909],
+                [-2.055, -0.923, -0.909, 5.246],
+            ]
+        },
+    },
 }
 
 
@@ -683,6 +705,65 @@ def looped_tau(tower, n, blocks):
                     tower.corners[v], lo, lo + tower.W, slot_blocks, scale,
                     "window data does not lie in the stage algebra",
                 )
+    return x
+
+
+def dense_restricted(corner, lo, hi):
+    """Corner.restricted on all columns of levels [lo, hi), zero or not.
+
+    Returns (mat, pinv, span) from one SVD of the dense columns, with
+    the same faithfulness cut.
+    """
+    mat = corner.columns(lo, hi)
+    u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
+    if corner.r and (sv.size < corner.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
+        raise WindowUnstableError(
+            "corner at %r is not faithful on levels [%d, %d); "
+            "widen the window" % (corner.vertex, lo, hi)
+        )
+    return mat, (vh.conj().T / sv) @ u.conj().T, u.T
+
+
+def dense_tau_inverse(tower, n, x):
+    """Tower.tau_inverse as one scatter into the full blocks_vec layout.
+
+    The element is rendered on all columns of the corner, through the
+    (m, m, L) window index, and the flat window is cut into blocks.
+    """
+    g = tower.graph
+    dims = [g.level_dim(k) for k in range(tower.M, tower.M + tower.W)]
+    lo = tower.M - n * tower.p
+    lead = next(iter(x.values())).shape[:-3]
+    flat = np.zeros(lead + (sum(d * d for d in dims),), dtype=np.complex128)
+    for v, blk in x.items():
+        columns = tower.corners[v].columns(lo, lo + tower.W)
+        flat[..., tower.window_index(n, v)] = blk @ columns
+    return blocks_unvec(flat, dims)
+
+
+def dense_tau(tower, n, blocks):
+    """Tower.tau on the full blocks_vec copy of the window.
+
+    Every (m, m, L) gather is solved against dense_restricted, and its
+    residual is taken over all L columns against 100 * COORD_TOL times
+    the largest absolute entry of the row (at least 1).
+    """
+    lo = tower.M - n * tower.p
+    flat = blocks_vec(blocks)
+    x = tower.stage_zero(n)
+    for v, blk in x.items():
+        mat, pinv, _ = dense_restricted(tower.corners[v], lo, lo + tower.W)
+        idx = tower.window_index(n, v)
+        vecs = flat[idx].reshape(-1, idx.shape[2])
+        scales = np.maximum(1.0, np.abs(vecs).max(axis=1, initial=0.0))
+        coords = vecs @ pinv.T
+        resid = np.linalg.norm(coords @ mat - vecs, axis=1)
+        if np.any(resid > 100 * COORD_TOL * scales):
+            raise WindowUnstableError(
+                "window data at vertex %r does not lie in the stage-%d "
+                "algebra" % (tower.graph.vertices[v], n)
+            )
+        blk[...] = coords.reshape(blk.shape)
     return x
 
 
@@ -1200,7 +1281,7 @@ def looped_verify_fully_invariant(tower, family, n_cap=None):
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                mat = corner.restricted(lo, hi)[0]
+                mat = dense_restricted(corner, lo, hi)[0]
                 corner_span = onb(mat)
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
