@@ -114,9 +114,9 @@ def build_cycle(k, t):
 def _verify_generator_period(model):
     """Certify the claimed character period on the generator set.
 
-    Every char_phi call compares two levels L apart, so sweeping the
-    generators through all (n, i) pairs turns the period claim into a
-    checked property instead of an assumption.
+    Every character evaluation compares two levels L apart, so sweeping
+    the generators through all (n, i) pairs turns the period claim into
+    a checked property instead of an assumption.
     """
     g = model.graph
     gens = [el.unit(g), el.make(g, ((Z, 1),))]
@@ -124,21 +124,62 @@ def _verify_generator_period(model):
     gens.extend(
         el.make(g, ((U, e), (US, e))) for e in range(g.n_edges)
     )
-    for x in gens:
-        for n in range(model.L):
-            for i in range(model.k):
-                char_phi(model, n, i, x)
+    for n in range(model.L):
+        _char_values(model, n, gens)
 
 
-def _diag_entry(model, level, i, x):
-    """Diagonal entry of x at the level path starting at vertex i."""
-    pos = model.graph.starting_at(level, i)[0]
-    total = 0j
+def _diag_entries(model, level, x, pos):
+    """Diagonal entries of x at the level-path positions pos.
+
+    pos holds the level path out of each start vertex i; each word of
+    offset zero is one level matrix, read at all of them at once.
+    """
+    total = np.zeros(len(pos), dtype=np.complex128)
     for word, c in x.terms.items():
         if el.word_offset(word) != 0:
             continue
         total += c * word_matrix(model.weights, word, level)[pos, pos]
     return total
+
+
+def _char_values(model, n, xs):
+    """The values phi[n, i](x) for every x of xs and start vertex i.
+
+    Row j holds the diagonal entries of the level matrices of xs[j] at
+    the paths starting at each vertex, read off at a deep level
+    congruent to n mod L, deep enough that no annihilator in x reaches
+    below level zero. They are computed at two such levels L apart and
+    must agree to 1e-12 each; disagreement means the model itself is
+    broken and raises instead of returning numbers. The start paths of
+    a level are looked up once for all of xs.
+    """
+    g = model.graph
+    nres = n % model.L
+    starts = {}
+    rows = []
+    for x in xs:
+        floor_level = max(
+            annihilation_depth(x) + 1, model.weights.N + model.p
+        )
+        shifts = max(1, -(-(floor_level - nres) // model.L))
+        base = nres + shifts * model.L
+        for level in (base, base + model.L):
+            if level not in starts:
+                starts[level] = [g.starting_at(level, i)[0] for i in range(model.k)]
+        val, val2 = (
+            _diag_entries(model, level, x, starts[level])
+            for level in (base, base + model.L)
+        )
+        scale = np.maximum(1.0, np.maximum(np.abs(val), np.abs(val2)))
+        bad = np.flatnonzero(np.abs(val - val2) > PHI_STABLE_TOL * scale)
+        if len(bad):
+            i = bad[0]
+            raise ProtocolError(
+                "character (%d, %d) is unstable between levels %d and %d "
+                "(delta %.3g)" % (nres, i, base, base + model.L, abs(val[i] - val2[i]))
+            )
+        rows.append(val)
+    return np.array(rows)
 
 
 def char_phi(model, n, i, x):
@@ -149,27 +190,13 @@ def char_phi(model, n, i, x):
     mod L, deep enough that no annihilator in x reaches below level
     zero. The entry is computed at two such levels L apart and must
     agree to 1e-12; disagreement means the model itself is broken and
-    raises instead of returning a number.
+    raises instead of returning a number (_char_values).
     """
     if x.graph is not model.graph:
         raise ElementError("the element lives over a different graph")
     check_index(i, 0, model.k - 1, "the start vertex index")
     check_index(n, -math.inf, math.inf, "the level residue")
-    nres = n % model.L
-    floor_level = max(
-        annihilation_depth(x) + 1, model.weights.N + model.p
-    )
-    shifts = max(1, -(-(floor_level - nres) // model.L))
-    base = nres + shifts * model.L
-    val = _diag_entry(model, base, i, x)
-    val2 = _diag_entry(model, base + model.L, i, x)
-    scale = max(1.0, abs(val), abs(val2))
-    if abs(val - val2) > PHI_STABLE_TOL * scale:
-        raise ProtocolError(
-            "character (%d, %d) is unstable between levels %d and %d "
-            "(delta %.3g)" % (nres, i, base, base + model.L, abs(val - val2))
-        )
-    return complex(val)
+    return complex(_char_values(model, n, [x])[0, i])
 
 
 def K1_membership(model, x):
@@ -346,7 +373,7 @@ def demo_report(k, t):
     )
     linear = el.sub(zel, el.scale(model.t[-1], unit))
     table = [
-        [_real_value(char_phi(model, n, i, zel)) for i in range(model.k)]
+        [_real_value(complex(val)) for val in _char_values(model, n, [zel])[0]]
         for n in range(model.L)
     ]
     return {

@@ -49,11 +49,20 @@ element is a dict keyed by source vertex with one coordinate tensor
 per pair of index paths, and the maps between stages reuse the
 certified tower fibers. The rows of a stage basis travel as one
 stack: Tower.stage_unvec gives their blocks a leading row axis, psi
-and tau_inverse map the whole stack, and each span certificate is one
-stacked in_span or span_residual. Window renders enter only where a
-statement genuinely lives on the observable window (the transport
-gathers and the strip / push re-verification), always behind a
+maps the whole stack, and each span certificate is one stacked in_span
+or span_residual. Window renders enter only where a statement
+genuinely lives on the observable window (the transport gathers and
+the re-verification of verify_fully_invariant), always behind a
 residual certificate.
+
+The re-verification never holds a stack at window length. A placed
+row lives in one block entry, so its render lives on that entry's
+corner support positions, and distinct entries render on disjoint
+positions: every stack carries its own column support, the union of
+its operands' nonzero columns, and a column that is zero in every
+row of both operands changes no singular value and no residual. The
+per-row and per-strip loops are kept as the test oracle
+(tests/util.py::looped_verify_fully_invariant).
 
 The classical unweighted theory doubles as an oracle: hereditary and
 saturated vertex sets, enumerated by brute force, must biject with the
@@ -62,6 +71,7 @@ lattice of invariant families once every weight equals 1.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -69,11 +79,13 @@ import numpy as np
 
 from .errors import DomainError, GraphError, WeightError, WindowUnstableError
 from .errors import check_index
-from .findim import blocks_vec
 from .graphs import Path
-from .tower import TowerConfig, build_tower
+from .tower import COORD_TOL, TowerConfig, build_tower
 from .weights import minimal_period, reperiodize
 from .windows import RANK_TOL, in_span, onb, span_intersect, span_residual
+
+# the most entries a verification stack may hold (512 MiB of complex)
+MAX_STACK_ENTRIES = 2 ** 25
 
 
 # -- families and the lattice -------------------------------------------------
@@ -271,8 +283,20 @@ def ideal_subspace(tower, v, subset):
     return basis
 
 
+def _check_fits(tower, family):
+    """Raise DomainError unless the family has the tower's summand counts."""
+    want = tuple(len(c.dec.summands) for _, c in sorted(tower.corners.items()))
+    got = getattr(family, "summand_counts", None)
+    if got != want:
+        raise DomainError(
+            "the family has summand counts %s per vertex, the tower %s"
+            % (got, want)
+        )
+
+
 def _family_subspaces(tower, family):
     """The corner ideal subspace the family picks at every vertex."""
+    _check_fits(tower, family)
     return {
         v: ideal_subspace(tower, v, family.choices[v])
         for v in range(tower.graph.n_vertices)
@@ -304,7 +328,9 @@ def pi_map(tower, a, b):
     that the gathered data lies in the target corner span.
 
     Concatenation reverses order: the map of the composed pair
-    (a1*a2, b1*b2) equals pi_map(a2, b2) @ pi_map(a1, b1).
+    (a1*a2, b1*b2) equals pi_map(a2, b2) @ pi_map(a1, b1). The matrix
+    is Tower.transport's, computed once per path pair and read-only;
+    on p = 1 the pair (e, e) gives the fiber along e.
     """
     g = tower.graph
     a = _as_path(g, a)
@@ -420,8 +446,10 @@ def check_H(tower, family):
     The family fails when an H-edge leaves it. Returns (ok,
     violations); a violation records the edge pair, the vertex the
     ideal came from, the vertex it had to land in, and the largest
-    relative component that escapes.
+    relative component that escapes. A family that does not fit the
+    tower raises DomainError.
     """
+    _check_fits(tower, family)
     g = tower.graph
     mask = family.mask
     worst = {}
@@ -454,8 +482,9 @@ def check_S(tower, family):
     of vertex sets.
 
     Returns (ok, violations); a violation names a label of sat(J)
-    outside J.
+    outside J. A family that does not fit the tower raises DomainError.
     """
+    _check_fits(tower, family)
     g = tower.graph
     mask = family.mask
     violations = [
@@ -486,10 +515,9 @@ def _placed(tower, subs, m):
     return out
 
 
-def _ideal_chain(tower, family, n):
+def _ideal_chain(tower, subs, n):
     """Stages 0..n of the placed ideal, each certified to map into the next."""
     check_index(n, 0, tower.config.n_max, "the ideal stage")
-    subs = _family_subspaces(tower, family)
     chain = [_placed(tower, subs, m) for m in range(n + 1)]
     for m in range(1, n + 1):
         lifted = tower.stage_vec(
@@ -515,9 +543,10 @@ def build_fully_invariant(tower, family, n):
     the rows are placed, not gathered, and they are orthonormal because
     those of J_v are. The certificate kept is the stage inclusion: psi
     maps each stage of the ideal into the next. Rows live in the
-    stage-n layout of Tower.stage_vec.
+    stage-n layout of Tower.stage_vec. A family that does not fit the
+    tower raises DomainError.
     """
-    return _ideal_chain(tower, family, n)[n]
+    return _ideal_chain(tower, _family_subspaces(tower, family), n)[n]
 
 
 # -- independent re-verification ----------------------------------------------
@@ -533,29 +562,340 @@ class VerificationReport:
     failures: list
 
 
-def _edge_render(tower, blocks, e, f, push):
-    """Renders of u_e^* x u_f on levels [M, M+W-1), one row per x.
+def _zeros(shape, what):
+    """A complex zero stack, its entries counted before it is allocated.
 
-    blocks are the stacked window blocks of the elements x, as
-    tau_inverse gives them; with push the rows render u_e x u_f^* on
-    levels [M+1, M+W). Each level is one gather of the whole stack.
+    More than MAX_STACK_ENTRIES entries raise WindowUnstableError naming
+    the count.
+    """
+    count = math.prod(shape)
+    if count > MAX_STACK_ENTRIES:
+        raise WindowUnstableError(
+            "the %s stack would hold %d entries, more than %d; pass a "
+            "smaller window" % (what, count, MAX_STACK_ENTRIES)
+        )
+    return np.zeros(shape, dtype=np.complex128)
+
+
+def _render(tower, n, rows):
+    """Window render of stacked stage-n rows, one stack per vertex.
+
+    A row that is nonzero in one block entry (a, b) at v renders on that
+    entry's support positions alone (Tower.support_index), and distinct
+    entries render on disjoint positions. The rows of the placed chain
+    are such rows, so the render is block diagonal: per vertex, (v,
+    entries, pos, vals), with entries the G raveled block entries a m +
+    b that some row is nonzero in, pos (G, S) their window positions and
+    vals (G, n, S) their rows' renders, zero padded to the largest row
+    count. It is what tau_inverse scatters, with no window allocated.
+    """
+    lo = tower.M - n * tower.p
+    out = []
+    for v, blk in tower.stage_unvec(n, rows).items():
+        m = blk.shape[-2]
+        t, key = np.nonzero(np.any(blk != 0, axis=-1).reshape(len(blk), m * m))
+        if not len(t):
+            continue
+        order = np.argsort(key, kind="stable")
+        t, key = t[order], key[order]
+        entries, first, counts = np.unique(key, return_index=True, return_counts=True)
+        group = np.repeat(np.arange(len(entries)), counts)
+        mat = tower.corners[v].support_columns(lo, lo + tower.W)[1]
+        vals = _zeros((len(entries), counts.max(), mat.shape[1]), "stage-%d render" % n)
+        rank = np.arange(len(key)) - first[group]
+        vals[group, rank] = blk[t, key // m, key % m] @ mat
+        pos = tower.support_index(n, v).reshape(m * m, -1)[entries]
+        out.append((v, entries, pos, vals))
+    return out
+
+
+def _lookup(keys, pos):
+    """Index into the sorted int array keys of each entry of pos, and a hit mask."""
+    i = np.minimum(np.searchsorted(keys, pos), len(keys) - 1)
+    return i, keys[i] == pos
+
+
+def _fiber_plan(tower, cap):
+    """The family-independent part of the fiber checks up to stage cap.
+
+    A member is the strip of one (stage n', strip stage n, vertex v,
+    index-path pair) in report order. Returns (members, maps, corner).
+    members lists (n', n, v, pair), pair the names of the two index
+    paths. maps[n'][w] is (owner, column), two (n' + 1, m * m, S) arrays
+    over the strip stages and the raveled support_index(n', w): the
+    member whose strip each support entry meets (-1 for none; the strips
+    of one strip stage are disjoint) and its column there. A member's
+    columns are the strip columns that some support entry meets and the
+    corner's support columns, in ascending order: a render is zero on
+    every other one. corner stacks (span, pinv, mat) of
+    Corner.restricted on them, zero padded. Built once per (tower,
+    cap).
+    """
+    plans = tower.plans
+    if ("fiber", cap) in plans:
+        return plans[("fiber", cap)]
+    g = tower.graph
+    members, corner, hits = [], [], {}
+    width = 0
+    for nprime in sorted({1, cap}):
+        for nlow in range(nprime + 1):
+            lo = tower.M - nlow * tower.p
+            paths = g.paths(nlow * tower.p + tower.q)
+            strips = []
+            first = len(members)
+            for v in range(g.n_vertices):
+                last = tower.stages[nlow].counts[v] - 1
+                pairs = sorted({(0, 0), (0, last), (last, last)})
+                strips.extend(tower.block_positions(nlow, v, *ij) for ij in pairs)
+                name = {i: g.path_str(paths[tower.stages[nlow].paths[v][i]])
+                        for i in (0, last)}
+                members.extend((nprime, nlow, v, (name[a], name[b])) for a, b in pairs)
+                data = tower.corners[v].restricted(lo, lo + tower.W)
+                corner.extend([data] * len(pairs))
+            width = max(width, max(len(x) for x in strips))
+            flat = np.concatenate(strips)
+            order = np.argsort(flat)
+            owner = np.repeat(np.arange(first, len(members)), [len(x) for x in strips])
+            column = np.concatenate([np.arange(len(x)) for x in strips])
+            for w in range(g.n_vertices):
+                pos = tower.support_index(nprime, w)
+                i, hit = _lookup(flat[order], pos.reshape(-1, pos.shape[2]))
+                hits.setdefault((nprime, w), []).append(
+                    (np.where(hit, owner[order][i], -1), column[order][i])
+                )
+    keys = [m * width + data[3] for m, data in enumerate(corner)] + [
+        (own * width + col)[own >= 0] for parts in hits.values() for own, col in parts
+    ]
+    cols = np.unique(np.concatenate(keys))
+    start = np.searchsorted(cols, np.arange(len(members)) * width)
+    maps = {}
+    for (nprime, w), parts in hits.items():
+        owner = np.array([own for own, _ in parts])
+        column = np.searchsorted(cols, owner * width + [col for _, col in parts])
+        maps.setdefault(nprime, {})[w] = owner, column - start[owner]
+    stacks = _zeros(
+        (3, len(members), max(len(c[0]) for c in corner),
+         np.bincount(cols // width).max()),
+        "corner",
+    )
+    for m, (data, key) in enumerate(zip(corner, keys)):
+        c_mat, c_pinv, c_span, _ = data
+        local = np.searchsorted(cols, key) - start[m]
+        rows = np.array([c_span, c_pinv, c_mat])
+        stacks[:, m, :len(c_mat), local] = rows.transpose(2, 0, 1)
+    plans[("fiber", cap)] = members, maps, stacks
+    return plans[("fiber", cap)]
+
+
+def _fiber_checks(tower, subs, renders, cap):
+    """The recovered fibers of the stage renders, stripped at every stage.
+
+    The strip rows of a member (_fiber_plan) are the render entries that
+    meet it, and distinct entries meet disjoint columns, so its strip
+    span is the sum of one onb per (entry, member) unit, from one
+    stacked SVD per render and vertex, cut against the member's largest
+    singular value. The intersection with the corner span, the certified
+    corner coordinates and the comparison with the chosen ideal run on
+    one zero-padded stack of all members (windows.span_intersect, onb).
+    Returns (entries, failures) in member order.
     """
     g = tower.graph
-    out = []
+    members, maps, (span, pinv, mat) = _fiber_plan(tower, cap)
+    nm = len(members)
+    slot = np.array([m[1] for m in members])
+    units = []
+    top = np.zeros(nm)
+    for nprime, by_vertex in maps.items():
+        for v, entries, _, vals in renders[nprime]:
+            owner, column = by_vertex[v]
+            mem = owner[:, entries]
+            hit = mem >= 0
+            key = np.unique(mem[hit] * len(entries) + np.nonzero(hit)[1])
+            um, ug = divmod(key, len(entries))
+            mask = mem[slot[um], ug] == um[:, None]
+            s, vh = np.linalg.svd(vals[ug] * mask[:, None, :], full_matrices=False)[1:]
+            np.maximum.at(top, um, s[:, 0])
+            units.append((um, column[slot[um], entries[ug]][mask], mask, s, vh))
+
+    # one row block per unit, in unit order per member
+    height = sum(
+        np.bincount(um, minlength=nm) * vh.shape[1] for um, _, _, _, vh in units
+    )
+    strip = _zeros((nm, np.max(height, initial=0), span.shape[2]), "fiber strip")
+    nrows = np.zeros(nm, dtype=int)
+    for um, col, mask, s, vh in units:
+        k = vh.shape[1]
+        base = nrows[um] + (np.arange(len(um)) - np.searchsorted(um, um)) * k
+        nrows += np.bincount(um, minlength=nm) * k
+        u, c = np.nonzero(mask)
+        kept = vh[u, :, c] * (s[u] > RANK_TOL * top[um[u], None])
+        strip[um[u, None], base[u, None] + np.arange(k), col[:, None]] = kept
+    ideal = _zeros((nm, max(len(x) for x in subs.values()), span.shape[1]), "ideal")
+    for m, (_, _, v, _) in enumerate(members):
+        ideal[m, :len(subs[v]), :subs[v].shape[1]] = subs[v]
+
+    inter = span_intersect(strip, span)
+    coords = inter @ np.swapaxes(pinv, -1, -2)
+    resid = np.linalg.norm(coords @ mat - inter, axis=-1)
+    scales = np.maximum(1.0, np.linalg.norm(inter, axis=-1))
+    certified = np.all(resid <= 100 * COORD_TOL * scales, axis=1)
+    rec = onb(coords)
+    contained = _all_in_span(rec, ideal)
+    covers = _all_in_span(ideal, rec)
+
+    entries, failures = [], []
+    for m, (nprime, nlow, v, pair) in enumerate(members):
+        entry = {
+            "stage": nprime,
+            "strip_stage": nlow,
+            "vertex": g.vertices[v],
+            "pair": pair,
+        }
+        if not certified[m]:
+            entry["relation"] = "uncertified"
+            entry["residual"] = resid[m].max()
+            failures.append(
+                "a corner component of the stage-%d strip at %r "
+                "could not be certified (residual %.3g)"
+                % (nprime, g.vertices[v], entry["residual"])
+            )
+        else:
+            entry["relation"] = _RELATIONS[contained[m], covers[m]]
+            if entry["relation"] != "equal":
+                failures.append(
+                    "recovered fiber at %r from stage %d stripped at stage "
+                    "%d %s (pair %s)"
+                    % (g.vertices[v], nprime, nlow, entry["relation"], entry["pair"])
+                )
+        entries.append(entry)
+    return entries, failures
+
+
+# the relation of a recovered fiber to the chosen ideal, by (contained, covers)
+_RELATIONS = {
+    (True, True): "equal",
+    (False, True): "grew",
+    (True, False): "shrank",
+    (False, False): "moved",
+}
+
+
+def _all_in_span(vecs, basis):
+    """Per member of two zero-padded stacks, whether in_span(vecs, basis)."""
+    bound = RANK_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+    return np.all(span_residual(vecs, basis) <= bound, axis=1)
+
+
+def _edge_plan(tower, push):
+    """Where the edge pair maps take each stage-0 support entry.
+
+    Returns (src, out): src holds the window positions of the stage-0
+    support entries of all vertices, ascending, and row e * n_edges + f
+    of out the window position that u_e^* x u_f takes each of them to,
+    from levels [M+1, M+W) down to [M, M+W-1); with push, u_e x u_f^*
+    from levels [M, M+W-1) up to [M+1, M+W). An entry that drops out
+    gets -1. Built once per (tower, push).
+    """
+    plans = tower.plans
+    if ("edge", push) in plans:
+        return plans[("edge", push)]
+    g = tower.graph
+    ne = g.n_edges
+    src = np.sort(np.concatenate([
+        tower.support_index(0, v).ravel() for v in range(g.n_vertices)
+    ]))
+    dims = [g.level_dim(k) for k in range(tower.M, tower.G1)]
+    off = np.cumsum([0] + [d * d for d in dims])
+    pairs, a, b = [], [], []
     for kk in range(tower.W - 1):
         k = tower.M + kk
-        rows = g.ending_at(k, g.esrc[e])[:, None]
-        cols = g.ending_at(k, g.esrc[f])
-        up_r = g.prepend_index(k, Path((e,), g.esrc[e]))[rows]
-        up_c = g.prepend_index(k, Path((f,), g.esrc[f]))[cols]
-        dim = g.level_dim(k + 1 if push else k)
-        mat = np.zeros((len(blocks[kk]), dim, dim), dtype=np.complex128)
-        if push:
-            mat[:, up_r, up_c] = blocks[kk][:, rows, cols]
-        else:
-            mat[:, rows, cols] = blocks[kk + 1][:, up_r, up_c]
-        out.append(mat)
-    return blocks_vec(out)
+        # per edge e, the level-k paths x ending at s(e) and the level-(k + 1) e*x
+        low = [g.ending_at(k, g.esrc[e]) for e in range(ne)]
+        high = [g.prepend_index(k, Path((e,), g.esrc[e]))[x] for e, x in enumerate(low)]
+        for e in range(ne):
+            for f in range(ne):
+                rows = off[kk] + (low[e][:, None] * dims[kk] + low[f]).ravel()
+                up = off[kk + 1] + (high[e][:, None] * dims[kk + 1] + high[f]).ravel()
+                pairs.append(np.full(len(rows), e * ne + f))
+                a.append(rows if push else up)
+                b.append(up if push else rows)
+    i, hit = _lookup(src, np.concatenate(a))
+    out = np.full((ne * ne, len(src)), -1)
+    out[np.concatenate(pairs)[hit], i[hit]] = np.concatenate(b)[hit]
+    plans[("edge", push)] = src, out
+    return src, out
+
+
+def _edge_renders(tower, render, push):
+    """Renders of u_e^* x u_f on levels [M, M+W-1) for all (e, f) and rows x.
+
+    render is the stage-0 render of the rows x (_render); with push the
+    candidates are u_e x u_f^* on levels [M+1, M+W). Candidate c = (e *
+    n_edges + f) * rows + row holds the row's render values at the
+    positions _edge_plan gives. Returns (rows, cand, pos, vals), one
+    entry of a candidate per position.
+    """
+    src, plan = _edge_plan(tower, push)
+    nrows = sum(vals.shape[0] * vals.shape[1] for _, _, _, vals in render)
+    cand, pos, vals = [], [], []
+    row = 0
+    for _, _, gpos, gvals in render:
+        n = gvals.shape[1]
+        tgt = plan[:, np.searchsorted(src, gpos)]
+        pair, grp, col = np.nonzero(tgt >= 0)
+        cand.append(pair[:, None] * nrows + row + grp[:, None] * n + np.arange(n))
+        pos.append(np.repeat(tgt[pair, grp, col], n))
+        vals.append(gvals[grp, :, col])
+        row += gvals.shape[0] * n
+    return nrows, *(np.concatenate([x.ravel() for x in y]) for y in (cand, pos, vals))
+
+
+def _stage_basis(render, lo, hi):
+    """Onb of a stage render on window positions [lo, hi), block by block.
+
+    The render's entries sit on disjoint positions, so the onb of the
+    whole is one onb per entry, from one stacked SVD per vertex, cut
+    against the largest singular value of all: per vertex, (pos, rows)
+    with the cut rows zero. Every entry's positions follow one level
+    layout per vertex, so one position mask cuts all of them.
+    """
+    parts = []
+    for _, _, pos, vals in render:
+        keep = (pos[0] >= lo) & (pos[0] < hi)
+        if keep.any():
+            s, vh = np.linalg.svd(vals[:, :, keep], full_matrices=False)[1:]
+            parts.append((pos[:, keep], s, vh))
+    top = max((s.max() for _, s, _ in parts), default=0.0)
+    return [(pos, vh * (s > RANK_TOL * top)[..., None]) for pos, s, vh in parts]
+
+
+def _edge_residuals(cands, basis, npairs):
+    """Per edge pair, the largest residual of its candidates off the basis.
+
+    Relative as in in_span. A candidate's entries off the basis
+    positions are all residual; on them, it is projected block by block,
+    each block of the basis an onb on its own positions.
+    """
+    nrows, cand, pos, vals = cands
+    total = npairs * nrows
+    norm2 = np.bincount(cand, np.abs(vals) ** 2, total)
+    flat = np.concatenate([p.ravel() for p, _ in basis])
+    order = np.argsort(flat)
+    i, hit = _lookup(flat[order], pos)
+    at = order[i]
+    resid2 = np.bincount(cand[~hit], np.abs(vals[~hit]) ** 2, total) + 0.0
+    start = 0
+    for bpos, q in basis:
+        sel = hit & (at >= start) & (at < start + bpos.size)
+        grp, col = divmod(at[sel] - start, bpos.shape[1])
+        start += bpos.size
+        c = _zeros((bpos.shape[0], total, bpos.shape[1]), "edge render")
+        c[grp, cand[sel], col] = vals[sel]
+        c -= (c @ np.swapaxes(q.conj(), -1, -2)) @ q
+        resid2 += np.einsum("gcs,gcs->c", c.real, c.real)
+        resid2 += np.einsum("gcs,gcs->c", c.imag, c.imag)
+    ratio = np.sqrt(resid2) / np.maximum(1.0, np.sqrt(norm2))
+    return ratio.reshape(npairs, nrows).max(axis=1, initial=0.0)
 
 
 def verify_fully_invariant(tower, family, n_cap=None):
@@ -572,108 +912,54 @@ def verify_fully_invariant(tower, family, n_cap=None):
     * push invariance: conjugating the stage-0 ideal by any two edges
       lands inside the stage-1 ideal.
 
-    Each chain stage is rendered on the window by one stacked
-    tau_inverse, one row per basis row, and every span certificate runs
-    on the whole stack. n_cap is an int in [1, n_max], min(3, n_max)
-    when None.
+    Each chain stage is rendered once, on the corner support entries of
+    the block entries its rows occupy (_render), and no stack spans the
+    window. The fiber checks run as one zero-padded stack of all (stage,
+    strip stage, vertex, pair) strips (_fiber_checks), and the strip and
+    push checks of one target as one stack of all edge pairs' renders
+    (_edge_renders), projected entry block by entry block on the
+    target's onb; the index plans of both are kept in tower.plans. A
+    stack of more than MAX_STACK_ENTRIES entries raises
+    WindowUnstableError before it is allocated. n_cap is an int in [1,
+    n_max], min(3, n_max) when None; a family that does not fit the
+    tower raises DomainError.
     """
     g = tower.graph
     cap = min(3, tower.config.n_max) if n_cap is None else n_cap
     check_index(cap, 1, tower.config.n_max, "the verification stage cap")
     subs = _family_subspaces(tower, family)
-    chain = _ideal_chain(tower, family, cap)
-    failures = []
-    fiber_checks = []
-    for nprime in sorted({1, cap}):
-        renders = blocks_vec(
-            tower.tau_inverse(nprime, tower.stage_unvec(nprime, chain[nprime]))
-        )
-        for nlow in range(nprime + 1):
-            lo = tower.M - nlow * tower.p
-            hi = tower.M + tower.W - nlow * tower.p
-            for v in range(g.n_vertices):
-                corner = tower.corners[v]
-                index_paths = g.paths(nlow * tower.p + tower.q)
-                paths_low = tower.stages[nlow].paths[v]
-                index = tower.window_index(nlow, v)
-                _, _, span, sup = corner.restricted(lo, hi)
-                corner_span = np.zeros((len(span), index.shape[2]), dtype=np.complex128)
-                corner_span[:, sup] = span
-                last = len(paths_low) - 1
-                for i1, i2 in sorted({(0, 0), (0, last), (last, last)}):
-                    mu1 = index_paths[paths_low[i1]]
-                    mu2 = index_paths[paths_low[i2]]
-                    strip_span = onb(renders[:, index[i1, i2]])
-                    inter = span_intersect(strip_span, corner_span)
-                    rows, resid = corner.certified_coords(
-                        lo, hi, inter,
-                        np.maximum(1.0, np.linalg.norm(inter, axis=1)),
-                    )
-                    entry = {
-                        "stage": nprime,
-                        "strip_stage": nlow,
-                        "vertex": g.vertices[v],
-                        "pair": (g.path_str(mu1), g.path_str(mu2)),
-                    }
-                    if rows is None:
-                        entry["relation"] = "uncertified"
-                        entry["residual"] = max(resid)
-                        failures.append(
-                            "a corner component of the stage-%d strip at %r "
-                            "could not be certified (residual %.3g)"
-                            % (nprime, g.vertices[v], max(resid))
-                        )
-                    else:
-                        rec = onb(rows)
-                        contained = in_span(rec, subs[v])
-                        covers = in_span(subs[v], rec)
-                        if contained and covers:
-                            entry["relation"] = "equal"
-                        elif covers:
-                            entry["relation"] = "grew"
-                        elif contained:
-                            entry["relation"] = "shrank"
-                        else:
-                            entry["relation"] = "moved"
-                        if entry["relation"] != "equal":
-                            failures.append(
-                                "recovered fiber at %r from stage %d "
-                                "stripped at stage %d %s (pair %s)"
-                                % (
-                                    g.vertices[v],
-                                    nprime,
-                                    nlow,
-                                    entry["relation"],
-                                    entry["pair"],
-                                )
-                            )
-                    fiber_checks.append(entry)
+    chain = _ideal_chain(tower, subs, cap)
+    renders = {n: _render(tower, n, chain[n]) for n in sorted({0, 1, cap})}
+    fiber_checks, failures = _fiber_checks(tower, subs, renders, cap)
 
     # the strip checks stay in the stage-0 ideal on levels [M, M+W-1),
     # the push checks land in the stage-1 ideal on levels [M+1, M+W)
     checks = {False: [], True: []}
     if len(chain[0]):
-        j0 = tower.tau_inverse(0, tower.stage_unvec(0, chain[0]))
-        j1 = tower.tau_inverse(1, tower.stage_unvec(1, chain[1]))
-        j0_low = onb(blocks_vec(j0[:-1]))
-        j1_high = onb(blocks_vec(j1[1:]))
-        targets = (
-            (False, j0_low, "strip of the stage-0 ideal between %s leaves it"),
-            (True, j1_high, "push of the stage-0 ideal by %s leaves stage 1"),
+        dims = [g.level_dim(k) for k in range(tower.M, tower.G1)]
+        off = np.cumsum([0] + [d * d for d in dims])
+        worst = {
+            push: _edge_residuals(
+                _edge_renders(tower, renders[0], push),
+                _stage_basis(
+                    renders[int(push)], off[int(push)], off[tower.W - 1 + push]
+                ),
+                g.n_edges ** 2,
+            )
+            for push in (False, True)
+        }
+        messages = (
+            (False, "strip of the stage-0 ideal between %s leaves it"),
+            (True, "push of the stage-0 ideal by %s leaves stage 1"),
         )
         for e in range(g.n_edges):
             for f in range(g.n_edges):
                 names = (g.edges[e].name, g.edges[f].name)
-                for push, basis, message in targets:
-                    # the largest residual of a render, relative as in in_span
-                    cand = _edge_render(tower, j0, e, f, push)
-                    scale = np.maximum(1.0, np.linalg.norm(cand, axis=1))
-                    worst = float(np.max(span_residual(cand, basis) / scale))
-                    checks[push].append({"pair": names, "residual": worst})
-                    if worst > RANK_TOL:
-                        failures.append(
-                            message % (names,) + " (residual %.3g)" % worst
-                        )
+                for push, message in messages:
+                    resid = float(worst[push][e * g.n_edges + f])
+                    checks[push].append({"pair": names, "residual": resid})
+                    if resid > RANK_TOL:
+                        failures.append(message % (names,) + " (residual %.3g)" % resid)
     return VerificationReport(
         ok=not failures,
         n_cap=cap,

@@ -43,12 +43,16 @@ Graph.paths(k); Path objects appear only as prefixes and in messages.
 Moving between corner coordinates and window data goes through int
 arrays of entry positions (_block_positions): the corner compression
 looks its positions up in C_0's map, or gathers them from C0.onb, and
-the transports are one gather of onb columns. A corner keeps its column
-support, the entries where some onb row is nonzero, and its
-certificates solve on those columns alone: tau gathers each window
-level once per vertex and splits it into support entries and the norm
-of the rest, and tau_inverse scatters only the support entries, through
-an index of their window positions (Tower.support_index).
+the transports are one gather of onb columns, computed once per path
+pair and shared read-only by the fibers and ideals.pi_map. A corner
+keeps its column support, the entries where some onb row is nonzero,
+and its certificates solve on those columns alone: tau gathers each
+window level once per vertex and splits it into support entries and
+the norm of the rest, and tau_inverse scatters only the support
+entries, through an index of their window positions
+(Tower.support_index). No map builds an index of all window positions
+of a stage: Tower.block_positions gives those of one block entry, for
+the strips of the ideal re-verification.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -149,6 +153,7 @@ class Corner:
             cols.append(_block_positions(off, d, idx, idx))
             off += d * d
         cols = np.concatenate(cols)
+        self._columns = {}
         self._restricted = {}
         self._levels = {}
         if isinstance(C0, _MatrixUnits):
@@ -192,12 +197,18 @@ class Corner:
         """(sup, mat): the support columns of onb on levels [lo, hi).
 
         sup holds their positions in columns(lo, hi), in ascending
-        order, and mat the columns themselves.
+        order, and mat the columns themselves. Built once per (lo, hi);
+        the arrays are read-only.
         """
-        base, end = self.offsets[[lo - self.levels[0], hi - self.levels[0]]]
-        cut = np.searchsorted(self.support, [base, end])
-        sup = self.support[cut[0]:cut[1]] - base
-        return sup, self.algebra.onb[:, base + sup]
+        got = self._columns.get((lo, hi))
+        if got is None:
+            base, end = self.offsets[[lo - self.levels[0], hi - self.levels[0]]]
+            cut = np.searchsorted(self.support, [base, end])
+            sup = self.support[cut[0]:cut[1]] - base
+            got = self._columns[(lo, hi)] = (sup, self.algebra.onb[:, base + sup])
+            for arr in got:
+                arr.flags.writeable = False
+        return got
 
     def restricted(self, lo, hi):
         """The support columns of onb on levels [lo, hi), rank certified.
@@ -329,7 +340,9 @@ class Tower:
 
     The window holds levels [G0, G1): the top evaluation window [M,
     M + W) plus the n_max * p + q levels below it that the stage index
-    paths need.
+    paths need. plans keeps the index plans that ideals derives from the
+    tower once (the strips and edge maps of its re-verification), keyed
+    by name.
     """
 
     def __init__(self, graph, weights, config):
@@ -362,8 +375,9 @@ class Tower:
             )
         self.M, self.W, self.G0, self.G1 = M, W, G0, M + W
         self._stage_rows = {}
-        self._window_index = {}
         self._support_index = {}
+        self._transports = {}
+        self.plans = {}
         levels = list(range(G0, M + W))
         worst = max(g.level_dim(k) for k in levels)
         if worst > graphs.MAX_LEVEL_DIM:
@@ -531,27 +545,14 @@ class Tower:
         got = self._stage_rows[(n, v)] = out
         return got
 
-    def window_index(self, n, v):
-        """Window positions of the stage-n entries at v, an (m, m, L) array.
-
-        Entry [a, b] lists the positions in blocks_vec of the window
-        blocks of the corner entries of block entry (a, b), laid out
-        like the columns of the corner on levels [M - n p, M + W - n p).
-        Built once per (n, v).
-        """
-        got = self._window_index.get((n, v))
-        if got is None:
-            grids = [np.arange(r.shape[1] ** 2) for r in self.stage_rows(n, v)]
-            got = self._window_index[(n, v)] = self._positions(n, v, grids)
-        return got
-
     def support_index(self, n, v):
         """Window positions of the stage-n support entries at v, (m, m, S).
 
-        Like window_index, restricted to the corner's support columns on
-        levels [M - n p, M + W - n p), in the order of support_columns;
-        S is the support size, a small part of L where the corner is
-        sparse. Built once per (n, v).
+        Entry [a, b] lists the positions in blocks_vec of the window
+        blocks of the corner's support columns in block entry (a, b), on
+        levels [M - n p, M + W - n p) and in the order of
+        support_columns; S is the support size, a small part of the
+        corner's columns where it is sparse. Built once per (n, v).
         """
         got = self._support_index.get((n, v))
         if got is None:
@@ -559,6 +560,20 @@ class Tower:
             entries = self.corners[v].level_support(lo, lo + self.W)
             got = self._support_index[(n, v)] = self._positions(n, v, entries)
         return got
+
+    def block_positions(self, n, v, a, b):
+        """Window positions of all corner columns of stage-n block entry (a, b) at v.
+
+        The positions of the corner columns on levels [M - n p, M + W -
+        n p), laid out like columns(lo, hi).
+        """
+        parts = []
+        off = 0
+        for kk, r in enumerate(self.stage_rows(n, v)):
+            d = self.graph.level_dim(self.M + kk)
+            parts.append((off + r[a][:, None] * d + r[b]).ravel())
+            off += d * d
+        return np.concatenate(parts)
 
     def _positions(self, n, v, entries):
         """Positions in blocks_vec of slot entries of the stage-n blocks at v.
@@ -581,28 +596,14 @@ class Tower:
         """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
 
         Columns run over the corner basis at r(a), rows over the corner
-        at s(a). On the window the image is an index gather len(a)
-        levels down, one column gather of the onb rows at r(a), certified
-        column by column against 100 * COORD_TOL (the basis is
-        orthonormal, so no entry exceeds 1); a failure raises
-        WindowUnstableError(message).
+        at s(a). Computed once per path pair by _transport and kept
+        read-only, so the fibers and pi_map share their matrices; a
+        failure raises WindowUnstableError(message) and keeps nothing.
         """
-        g = self.graph
-        cs = self.corners[g.source_of(a)]
-        cw = self.corners[g.range_of(a)]
-        lo, hi = self.G0, self.G1 - len(a)
-        cols = []
-        for ell in range(lo, hi):
-            # slot positions of a*d and b*d, d over the slot of cs at ell
-            slot = cs.slot_lists[ell - self.G0]
-            li = ell + len(a) - self.G0
-            image = cw.slot_lists[li]
-            r1 = np.searchsorted(image, g.prepend_index(ell - self.q, a)[slot])
-            r2 = np.searchsorted(image, g.prepend_index(ell - self.q, b)[slot])
-            cols.append(_block_positions(cw.offsets[li], len(image), r1, r2))
-        vecs = cw.algebra.onb[:, np.concatenate(cols)]
-        scales = np.ones(len(vecs))
-        return cs.certified_coords(lo, hi, vecs, scales, message)[0].T
+        got = self._transports.get((a, b))
+        if got is None:
+            got = self._transports[(a, b)] = _transport(self, a, b, message)
+        return got
 
     def tau_inverse(self, n, x):
         """Concrete window blocks of a structural stage element.
@@ -721,6 +722,33 @@ class Tower:
 
 
 # -- construction ---------------------------------------------------------
+
+
+def _transport(tower, a, b, message):
+    """The transport of Tower.transport, computed.
+
+    On the window the image is an index gather len(a) levels down, one
+    column gather of the onb rows at r(a), certified column by column
+    against 100 * COORD_TOL (the basis is orthonormal, so no entry
+    exceeds 1); a failure raises WindowUnstableError(message).
+    """
+    g = tower.graph
+    cs = tower.corners[g.source_of(a)]
+    cw = tower.corners[g.range_of(a)]
+    lo, hi = tower.G0, tower.G1 - len(a)
+    cols = []
+    for ell in range(lo, hi):
+        # slot positions of a*d and b*d, d over the slot of cs at ell
+        slot = cs.slot_lists[ell - tower.G0]
+        li = ell + len(a) - tower.G0
+        image = cw.slot_lists[li]
+        r1 = np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot])
+        r2 = np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot])
+        cols.append(_block_positions(cw.offsets[li], len(image), r1, r2))
+    vecs = cw.algebra.onb[:, np.concatenate(cols)]
+    mat = cs.certified_coords(lo, hi, vecs, np.ones(len(vecs)), message)[0].T
+    mat.flags.writeable = False
+    return mat
 
 
 def _stage_lead(what, got, want, stacked=True):

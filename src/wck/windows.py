@@ -211,10 +211,22 @@ def onb(rows, tol=RANK_TOL):
     Only the columns where some row is nonzero are orthonormalized, and
     the result is scattered back: a column that is zero in every row
     changes no singular value, and stays an exact zero in the basis.
+
+    A 3-D rows is a stack of members (B, n, L), one stacked SVD; each
+    member is cut against its own largest singular value, and its basis
+    comes back zero padded to (B, min(n, L), L). Zero rows and zero
+    columns are exact padding: they change no singular value, span and
+    residual.
     """
     rows = np.asarray(rows, dtype=np.complex128)
+    if rows.ndim == 3:
+        if 0 in rows.shape:
+            return np.zeros(rows.shape[:1] + (0,) + rows.shape[2:], dtype=np.complex128)
+        s, vh = np.linalg.svd(rows, full_matrices=False)[1:]
+        return vh * (s > tol * s.max(axis=1, keepdims=True))[..., None]
     if rows.size == 0:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0), dtype=np.complex128)
+        width = rows.shape[1] if rows.ndim == 2 else 0
+        return np.zeros((0, width), dtype=np.complex128)
     cols = np.flatnonzero(np.any(rows != 0, axis=0))
     s, vh = np.linalg.svd(rows[:, cols], full_matrices=False)[1:]
     keep = s > tol * s.max(initial=0.0)
@@ -223,15 +235,24 @@ def onb(rows, tol=RANK_TOL):
     return out
 
 
+def _inner(x, y):
+    """x.conj() @ y.T on the last two axes, conjugating the smaller operand."""
+    if x.size <= y.size:
+        return x.conj() @ np.swapaxes(y, -1, -2)
+    return np.conj(x @ np.swapaxes(y.conj(), -1, -2))
+
+
 def span_residual(vecs, basis):
     """Norm of the part of each row of vecs off the row span of an onb.
 
     A 2-D vecs is a stack of rows and gives one residual per row; a 1-D
-    vecs is one row and gives one float.
+    vecs is one row and gives one float. A 3-D vecs and basis are
+    stacks of members (B, n, L) and (B, k, L), zero padded as onb gives
+    them, with one residual per member row.
     """
     vecs = np.asarray(vecs)
-    if basis.shape[0]:
-        vecs = vecs - (vecs @ basis.conj().T) @ basis
+    if basis.shape[-2]:
+        vecs = vecs - np.conj(_inner(vecs, basis)) @ basis
     out = np.linalg.norm(vecs, axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -252,14 +273,21 @@ def span_intersect(a, b, tol=RANK_TOL):
     Principal vectors with singular value within tol of 1 are taken as
     the intersection, then each is rechecked for membership in both
     spans so a near-miss never slips through.
+
+    3-D a and b are stacks of zero-padded onbs (B, ka, L) and (B, kb,
+    L), as onb gives them; the intersection of each member comes back
+    zero padded, with one stacked SVD for the principal angles and one
+    for the principal vectors.
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a.conj() @ b.T, full_matrices=False)
-    keep = s > 1.0 - tol
+    if a.ndim == 2:
+        out = span_intersect(a[None], b[None], tol)[0]
+        return out[np.any(out != 0, axis=1)]
+    if 0 in a.shape[1:] or 0 in b.shape[1:]:
+        return np.zeros(a.shape[:1] + (0,) + a.shape[2:], dtype=np.complex128)
+    u, s, _ = np.linalg.svd(_inner(a, b), full_matrices=False)
     # a.conj() @ b.T = U S V^H, so the principal vectors in span(a) are
     # the combinations u[:, k] of the rows of a, without conjugation
-    vecs = onb(u[:, keep].T @ a, tol)
-    bound = 10 * tol * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+    vecs = onb(np.swapaxes(u * (s > 1.0 - tol)[:, None, :], -1, -2) @ a, tol)
+    bound = 10 * tol * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
     inside = (span_residual(vecs, a) <= bound) & (span_residual(vecs, b) <= bound)
-    return vecs[inside]
+    return vecs * inside[..., None]

@@ -4,7 +4,9 @@ import pytest
 
 from wck import cycle_demo
 from wck.cycle_demo import build_cycle, demo_report
+from wck.elements import parse_element
 from wck.errors import DomainError
+from wck.windows import eval_block
 
 
 @pytest.mark.parametrize(
@@ -13,22 +15,42 @@ from wck.errors import DomainError
 )
 def test_demo_report_family_counts(k, t, weighted, unweighted, monkeypatch):
     read = set()
-    diag_entry = cycle_demo._diag_entry
+    diag_entries = cycle_demo._diag_entries
 
-    def spy(model, level, i, x):
-        read.add((model.graph, level, i))
-        return diag_entry(model, level, i, x)
+    def spy(model, level, x, pos):
+        read.add((model.graph, level, tuple(pos)))
+        return diag_entries(model, level, x, pos)
 
-    monkeypatch.setattr(cycle_demo, "_diag_entry", spy)
+    monkeypatch.setattr(cycle_demo, "_diag_entries", spy)
     rep = demo_report(k, t)
     assert rep["weighted_family_count"] == weighted
     assert rep["unweighted_family_count"] == unweighted
     assert rep["verify_ok"]
     assert rep["kernel_family_nontrivial"]
-    # _diag_entry reads the one level path out of i as starting_at(level, i)[0]
+    # _diag_entries reads, for each i, the one level path out of i
     assert read
-    for g, level, i in read:
-        assert g.starting_at(level, i)[0] == g.path_index(g.xi(i, level))
+    for g, level, pos in read:
+        assert len(pos) == k
+        for i, j in enumerate(pos):
+            assert j == g.path_index(g.xi(i, level))
+
+
+@pytest.mark.parametrize("k, t", [(3, [2, 1, 1]), (4, [2, 1, 3, 1])])
+def test_character_table_reads_each_start_vertex(k, t):
+    """Row n of the z table holds the level-matrix entries of the k paths.
+
+    Entry i is the diagonal entry of z at the level path out of vertex
+    i, on a deep level congruent to n mod L, evaluated on its own.
+    """
+    g, w, model = build_cycle(k, t)
+    z = parse_element(g, "z")
+    table = demo_report(k, t)["character_table_z"]
+    for n, row in enumerate(table):
+        level = n + 2 * model.L
+        block = eval_block(z, level, w)
+        paths = [g.path_index(g.xi(i, level)) for i in range(k)]
+        ref = [block[j, j].real for j in paths]
+        assert row == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Invariant corner-ideal machinery: transports, families, lattices."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +20,17 @@ from util import (
     dense_hasse_edges,
     dense_ideal_chain,
     dense_ideal_subspace,
+    load_workloads,
     looped_transport_edges,
     looped_verify_fully_invariant,
     random_diag_spec,
 )
 from test_golden import KEYS as GOLDEN_KEYS
 from test_golden import golden_case
-from wck import ideals
+from wck import ideals, tower
 from wck.cycle_demo import build_cycle, demo_tower_config
-from wck.errors import DomainError, GraphError, WckError
+from wck.errors import DomainError, GraphError, ProtocolError, WckError
+from wck.graphs import load_graph
 from wck.ideals import (
     IdealFamily,
     _family,
@@ -42,7 +47,7 @@ from wck.ideals import (
     verify_fully_invariant,
 )
 from wck.tower import TowerConfig, build_tower
-from wck.weights import WeightSpec, from_dict
+from wck.weights import WeightSpec, from_dict, load_weights
 
 RT_TOL = 1e-8
 
@@ -409,17 +414,30 @@ def test_strip_and_push_failures_match_looped_oracle(monkeypatch):
     """Renders moved off the ideals give the oracle's failures and residuals.
 
     No family that passes the stage inclusion fails a strip or push
-    check, so both sides get the same shift added to every edge render.
+    check, so both sides get the same shift added to every entry of
+    every edge render on its levels: the stacked renders come back as
+    every position of those levels, the render's own entries included.
     """
     tw = tower_of("C3w")
     fam = enumerate_families(tw).families[3]
-    for module, name in ((ideals, "_edge_render"), (util, "_looped_edge_render")):
-        render = getattr(module, name)
-        monkeypatch.setattr(
-            module, name,
-            lambda tw, b, e, f, push, render=render: render(tw, b, e, f, push)
-            + (0.5 if push else 0.25),
-        )
+    dims = [tw.graph.level_dim(k) for k in range(tw.M, tw.G1)]
+    off = np.cumsum([0] + [d * d for d in dims])
+    stacked, looped = ideals._edge_renders, util._looped_edge_render
+
+    def shifted(tw, render, push):
+        nrows, cand, pos, vals = stacked(tw, render, push)
+        lo, hi = off[int(push)], off[tw.W - 1 + int(push)]
+        dense = np.zeros((tw.graph.n_edges ** 2 * nrows, hi - lo), dtype=complex)
+        dense[cand, pos - lo] = vals
+        dense += 0.5 if push else 0.25
+        rows, cols = np.indices(dense.shape)
+        return nrows, rows.ravel(), cols.ravel() + lo, dense.ravel()
+
+    monkeypatch.setattr(ideals, "_edge_renders", shifted)
+    monkeypatch.setattr(
+        util, "_looped_edge_render",
+        lambda tw, b, e, f, push: looped(tw, b, e, f, push) + (0.5 if push else 0.25),
+    )
     got = verify_fully_invariant(tw, fam, 1)
     ref = looped_verify_fully_invariant(tw, fam, 1)
     assert len(got.failures) == 2 * tw.graph.n_edges ** 2
@@ -636,3 +654,99 @@ def test_subset_families_match_closure_predicates(data):
     fam = _family(tw, data.draw(st.integers(0, 2 ** len(tw.labels) - 1)))
     assert check_H(tw, fam)[0] == dense_check_H(tw, fam)
     assert check_S(tw, fam)[0] == dense_check_S(tw, fam)
+
+
+# families shaped for another tower than C3w, where every vertex has 5
+# summands: too few vertices, too many, and one summand per vertex
+MISFITS = {
+    "two_vertices": ([{0}, {0}], [5, 5]),
+    "four_vertices": ([{0}] * 4, [5] * 4),
+    "one_summand_each": ([{0}] * 3, [1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISFITS))
+def test_family_that_does_not_fit_the_tower_is_refused(c3w_tower, key):
+    """Every family check names both shapes instead of misreading labels."""
+    assert [len(c.dec.summands) for c in c3w_tower.corners.values()] == [5, 5, 5]
+    fam = IdealFamily(*MISFITS[key])
+    calls = (
+        lambda: verify_fully_invariant(c3w_tower, fam, 1),
+        lambda: build_fully_invariant(c3w_tower, fam, 1),
+        lambda: check_H(c3w_tower, fam),
+        lambda: check_S(c3w_tower, fam),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"\(5, 5, 5\)"):
+            call()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fibers_are_the_shared_edge_transports(name, monkeypatch):
+    """On p = 1 the fiber along e is pi_map(e, e), the same read-only matrix.
+
+    A build and its lattice compute each path pair's transport once.
+    """
+    computed = []
+    compute = tower._transport
+
+    def counted(tw, a, b, message):
+        computed.append((a, b))
+        return compute(tw, a, b, message)
+
+    monkeypatch.setattr(tower, "_transport", counted)
+    g = CORPUS[name]
+    tw = build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=3))
+    enumerate_families(tw)
+    assert len(computed) == len(set(computed))
+    assert len(tw.fibers) == g.n_edges
+    for mu, fib in zip(g.paths(1), tw.fibers):
+        edge = g.edges[mu.edges[0]].name
+        assert pi_map(tw, edge, edge) is fib
+        assert not fib.flags.writeable
+    assert len(computed) == len(set(computed))
+
+
+def _generic_theta():
+    """Theta with the benchmark's generic p=2, N=1 draw of seed 1, M=6, W=2."""
+    workloads = load_workloads()
+    doc = workloads.corpus_docs()["theta"]
+    g = load_graph(json.dumps(doc))
+    wdoc = workloads.diagonal_weights_doc(doc, 2, 1, np.random.default_rng(1))
+    cfg = TowerConfig(n_max=1, M=6, W=2)
+    return build_tower(g, load_weights(json.dumps(wdoc), g), cfg)
+
+
+def test_theta_verification_stays_within_its_memory_budget():
+    """Family 1 and the full family of generic theta verify below 200 MB.
+
+    The dense stacks of their verification took 575 MB and, on the full
+    family, ended in a MemoryError; the stacks now carry their support.
+    """
+    tw = _generic_theta()
+    lattice = enumerate_families(tw)
+    for fam in (lattice.families[1], lattice.maximum):
+        tracemalloc.start()
+        try:
+            report = verify_fully_invariant(tw, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.failures
+        assert peak < 200e6, peak
+
+
+def test_o2_block_full_family_verifies(monkeypatch):
+    """The full family of the d = 4 tower verifies, its stacks counted first.
+
+    Its dense stacks needed 640 MiB copies and ended in a MemoryError.
+    Below the entry limit of a stack the verification is refused with a
+    certified error naming the count, before anything is allocated.
+    """
+    tw = tower_of("O2block")
+    fam = enumerate_families(tw).maximum
+    report = verify_fully_invariant(tw, fam)
+    assert report.ok, report.failures
+    monkeypatch.setattr(ideals, "MAX_STACK_ENTRIES", 10_000)
+    with pytest.raises(ProtocolError, match=r"would hold \d+ entries"):
+        verify_fully_invariant(tw, fam)

@@ -14,7 +14,8 @@ embedding read off corner ranks, the per-pair loop of the fiber
 multiplicities, the per-summand-pair loop of the transport edges, the
 per-basis-element transport, the per-entry tau
 and tau_inverse loops, the dense restricted, tau and tau_inverse on all
-window columns, the re-verification of an invariant ideal one
+window columns and the (m, m, L) window index they read, the
+re-verification of an invariant ideal one
 chain row and one render at a time, the linear-algebra search for
 invariant families, the corner ideal of a summand subset built and
 verified as one subspace, the stage ideals gathered from path
@@ -708,6 +709,17 @@ def looped_tau(tower, n, blocks):
     return x
 
 
+def window_index(tower, n, v):
+    """Window positions of the stage-n entries at v, an (m, m, L) array.
+
+    Entry [a, b] lists the positions in blocks_vec of the window blocks
+    of the corner entries of block entry (a, b), laid out like the
+    columns of the corner on levels [M - n p, M + W - n p).
+    """
+    grids = [np.arange(r.shape[1] ** 2) for r in tower.stage_rows(n, v)]
+    return tower._positions(n, v, grids)
+
+
 def dense_restricted(corner, lo, hi):
     """Corner.restricted on all columns of levels [lo, hi), zero or not.
 
@@ -737,7 +749,7 @@ def dense_tau_inverse(tower, n, x):
     flat = np.zeros(lead + (sum(d * d for d in dims),), dtype=np.complex128)
     for v, blk in x.items():
         columns = tower.corners[v].columns(lo, lo + tower.W)
-        flat[..., tower.window_index(n, v)] = blk @ columns
+        flat[..., window_index(tower, n, v)] = blk @ columns
     return blocks_unvec(flat, dims)
 
 
@@ -753,7 +765,7 @@ def dense_tau(tower, n, blocks):
     x = tower.stage_zero(n)
     for v, blk in x.items():
         mat, pinv, _ = dense_restricted(tower.corners[v], lo, lo + tower.W)
-        idx = tower.window_index(n, v)
+        idx = window_index(tower, n, v)
         vecs = flat[idx].reshape(-1, idx.shape[2])
         scales = np.maximum(1.0, np.abs(vecs).max(axis=1, initial=0.0))
         coords = vecs @ pinv.T
@@ -1285,7 +1297,7 @@ def looped_verify_fully_invariant(tower, family, n_cap=None):
                 corner_span = onb(mat)
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
-                index = tower.window_index(nlow, v)
+                index = window_index(tower, nlow, v)
                 for i1, i2 in _looped_sample_pairs(len(paths_low)):
                     mu1 = index_paths[paths_low[i1]]
                     mu2 = index_paths[paths_low[i2]]
