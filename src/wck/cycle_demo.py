@@ -20,7 +20,7 @@ deeper.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -51,7 +51,9 @@ class CycleModel:
 
     k is the cycle length, t the level-1 weight values (t[i] sits on
     the edge leaving vertex i), p the weight period, and L the verified
-    level period of the characters.
+    level period of the characters. diagonals maps each (word, level)
+    evaluated so far to its level-matrix entries at the level paths out
+    of the k vertices (_diag_entries), so each is computed once.
     """
 
     graph: Graph
@@ -60,6 +62,7 @@ class CycleModel:
     t: tuple
     p: int
     L: int
+    diagonals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_cycle(k, t):
@@ -132,13 +135,18 @@ def _diag_entries(model, level, x, pos):
     """Diagonal entries of x at the level-path positions pos.
 
     pos holds the level path out of each start vertex i; each word of
-    offset zero is one level matrix, read at all of them at once.
+    offset zero is one level matrix, read at all of them at once, and
+    kept in model.diagonals.
     """
     total = np.zeros(len(pos), dtype=np.complex128)
     for word, c in x.terms.items():
         if el.word_offset(word) != 0:
             continue
-        total += c * word_matrix(model.weights, word, level)[pos, pos]
+        got = model.diagonals.get((word, level))
+        if got is None:
+            got = word_matrix(model.weights, word, level)[pos, pos]
+            model.diagonals[(word, level)] = got
+        total += c * got
     return total
 
 

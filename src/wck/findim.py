@@ -58,7 +58,8 @@ index arithmetic (_compress_units): when every distinct block keeps
 the same S x S entries on each of its copies, the compression is the
 full matrix algebra M_|S| on each block that keeps any, and its
 structure constants, central projections and summand ideals are
-exact, with no numerical step.
+exact, with no numerical step. The compression is kept as a map of
+the same form, whose columns, renders and diagonals are read off it.
 
 The decomposition is deterministic and works on the structure
 constants of the algebra in the coordinates of its orthonormal rows
@@ -139,9 +140,27 @@ class StarAlgebra:
     def dim(self):
         return len(self.onb)
 
+    @cached_property
+    def support(self):
+        """Ascending block-space positions where some row of onb is nonzero."""
+        return np.flatnonzero(np.any(self.onb != 0, axis=0))
+
+    def support_columns(self, start, end):
+        """(pos, mat): the support positions in [start, end), and onb there."""
+        pos = self.support[slice(*np.searchsorted(self.support, [start, end]))]
+        return pos, self.onb[:, pos]
+
+    def onb_columns(self, positions):
+        """The columns of onb at the given block-space positions."""
+        return self.onb[:, positions]
+
     def render(self, coeffs):
         """Blocks of the element with the given coordinates."""
         return blocks_unvec(coeffs @ self.onb, self.dims)
+
+    def diagonal(self, coeffs):
+        """Diagonal entries of the blocks of the element, levels joined."""
+        return np.concatenate([np.diag(blk) for blk in self.render(coeffs)])
 
     @cached_property
     def tables(self):
@@ -171,13 +190,15 @@ class StarAlgebra:
 
 
 class _MatrixUnits(StarAlgebra):
-    """The closed form of star_closure, kept as its map.
+    """Matrix units of distinct blocks and their copies, kept as a map.
 
-    Row i of onb is the matrix unit of distinct entry i, 1/sqrt(copies[i])
-    on each of its copies: entry j of the compressed layout of the support
-    class blocks sits at position pos[j] of blocks_vec and is a copy of
-    distinct entry copy[j]; stacks lists (offset, count, s) per stack of
-    distinct s x s blocks. onb is scattered to full length when first read.
+    The closed form of star_closure and its compressions (_compress_units)
+    take this form. Row i of onb is the matrix unit of distinct entry i,
+    1/sqrt(copies[i]) on each of its copies: entry j of the map sits at
+    position pos[j] of blocks_vec and is a copy of distinct entry copy[j];
+    stacks lists (offset, count, s) per stack of distinct s x s blocks.
+    Support, columns, renders and diagonals are read off the map; onb is
+    scattered to full length only when it is read.
     """
 
     def __init__(self, dims, unit, stacks, pos, copy, copies):
@@ -194,6 +215,69 @@ class _MatrixUnits(StarAlgebra):
         full = np.zeros((self.dim, sum(d * d for d in self.dims)), dtype=np.complex128)
         full[self.copy, self.pos] = 1 / np.sqrt(self.copies)[self.copy]
         return full
+
+    @cached_property
+    def entries(self):
+        """(pos, copy) of the map, in ascending order of position."""
+        order = np.argsort(self.pos, kind="stable")
+        return self.pos[order], self.copy[order]
+
+    @property
+    def support(self):
+        return self.entries[0]
+
+    def lookup(self, positions):
+        """(unit, hit): the distinct entry at each block-space position.
+
+        hit marks the positions that hold an entry of the map; unit is
+        arbitrary where it is False.
+        """
+        pos, copy = self.entries
+        at = np.minimum(np.searchsorted(pos, positions), len(pos) - 1)
+        return copy[at], pos[at] == positions
+
+    def support_columns(self, start, end):
+        pos, copy = self.entries
+        cut = slice(*np.searchsorted(pos, [start, end]))
+        unit = copy[cut]
+        return pos[cut], self._unit_columns(unit, np.arange(len(unit)), len(unit))
+
+    def onb_columns(self, positions):
+        unit, hit = self.lookup(positions)
+        return self._unit_columns(unit[hit], np.flatnonzero(hit), len(positions))
+
+    def _unit_columns(self, unit, at, width):
+        """width columns of onb, holding distinct entry unit[i] at column at[i].
+
+        Every other entry is zero.
+        """
+        out = np.zeros((self.dim, width), dtype=np.complex128)
+        out[unit, at] = 1 / np.sqrt(self.copies[unit])
+        return out
+
+    def render(self, coeffs):
+        coeffs = np.asarray(coeffs)
+        full = np.zeros(
+            coeffs.shape[:-1] + (sum(d * d for d in self.dims),), dtype=np.complex128
+        )
+        full[..., self.pos] = coeffs[..., self.copy] / np.sqrt(self.copies)[self.copy]
+        return blocks_unvec(full, self.dims)
+
+    @cached_property
+    def _diagonal(self):
+        """The columns of onb on the block diagonals, read once."""
+        return self.onb_columns(_diagonal_positions(self.dims))
+
+    def diagonal(self, coeffs):
+        return coeffs @ self._diagonal
+
+
+def _diagonal_positions(dims):
+    """Positions in blocks_vec of the diagonal entries of every block."""
+    starts = np.cumsum([0] + [d * d for d in dims])
+    return np.concatenate(
+        [off + np.arange(d) * (d + 1) for off, d in zip(starts, dims)]
+    )
 
 
 def _components(rows, cols, n):
@@ -512,10 +596,7 @@ def star_closure(dims, gens, max_dim=4096):
     rows are gathered to every copy at full length.
     """
     dims = tuple(dims)
-    starts = np.cumsum([0] + [d * d for d in dims])
-    diag = np.concatenate(
-        [off + np.arange(d) * (d + 1) for off, d in zip(starts, dims)]
-    )
+    diag = _diagonal_positions(dims)
     stacks, _, pos = _support_layout(
         dims, np.concatenate([diag] + [p for p, _ in gens])
     )
@@ -545,7 +626,7 @@ def star_closure(dims, gens, max_dim=4096):
         unit = 1 / root * copies * vecs[0, rep]
         return _MatrixUnits(dims, unit, stacks, pos, copy, copies)
     q = rows / root
-    full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
+    full = np.zeros((len(q), sum(d * d for d in dims)), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])
 
@@ -631,7 +712,7 @@ def integer_traces(traces, error, what):
 
 
 def _summand_sort_key(A, sm):
-    diag = np.concatenate([np.diag(blk).real for blk in A.render(sm.z)])
+    diag = A.diagonal(sm.z).real
     return (sm.d, sm.ambient_rank, tuple(np.round(diag, 6)))
 
 
@@ -725,19 +806,19 @@ def _compress_units(A, dims, positions):
     all of its copies among the positions or none, and the entries kept
     in each distinct block form a square S x S. The compression is then
     + M_|S| over the blocks with S nonempty, each copied c times, and
-    everything is read off the map: row (b, x, y) of its onb is E_xy of
-    block b, 1/sqrt(c) on each copy; e_xy e_yw = e_xw / sqrt(c) and
-    e_xy^* = e_yx give T and S; the summand of b has z the sum of the
-    sqrt(c) e_xx, d = |S| and ambient rank d c, and its ideal rows are
-    the coordinate rows of its units.
+    everything is read off the map: its algebra is the _MatrixUnits of
+    the kept units, their copy counts and their positions in the
+    compression, in ascending order, with unit e_xy of block b 1/sqrt(c)
+    on each copy; e_xy e_yw = e_xw / sqrt(c) and e_xy^* = e_yx give T and
+    S; the summand of b has z the sum of the sqrt(c) e_xx, d = |S| and
+    ambient rank d c, and its ideal rows are the coordinate rows of its
+    units. No dense row is formed.
 
     Returns (algebra, T, S, summands, ideals), the summands in the order
     of central_decomposition and ideals[i] the read-only rows of summand i.
     """
-    order = np.argsort(A.pos)
-    at = order[np.minimum(np.searchsorted(A.pos[order], positions), len(order) - 1)]
-    hit = A.pos[at] == positions
-    entry = A.copy[at[hit]]
+    entry, hit = A.lookup(positions)
+    entry = entry[hit]
     count = np.bincount(entry, minlength=A.dim)
     kept = count > 0
     if not np.array_equal(count[kept], A.copies[kept]):
@@ -745,11 +826,10 @@ def _compress_units(A, dims, positions):
     new = np.cumsum(kept) - 1
     r = int(kept.sum())
     root = np.sqrt(A.copies)
-    rows = np.zeros((r, len(positions)), dtype=np.complex128)
-    rows[new[entry], np.flatnonzero(hit)] = 1 / root[entry]
     unit = np.zeros(r, dtype=np.complex128)
     T = np.zeros((r, r, r), dtype=np.complex128)
     S = np.zeros((r, r), dtype=np.complex128)
+    stacks = []
     found = []
     for off, c, s in A.stacks:
         mask = kept[off:off + c * s * s].reshape(c, s, s)
@@ -770,7 +850,10 @@ def _compress_units(A, dims, positions):
             unit += z
             ideal = np.eye(r, dtype=np.complex128)[units.ravel()]
             ideal.flags.writeable = False
+            stacks.append((int(units[0, 0]), 1, d))
             found.append((Summand(z, d, d * int(A.copies[first])), ideal))
-    algebra = StarAlgebra(dims, rows, unit)
+    algebra = _MatrixUnits(
+        dims, unit, stacks, np.flatnonzero(hit), new[entry], A.copies[kept]
+    )
     found.sort(key=lambda pair: _summand_sort_key(algebra, pair[0]))
     return algebra, T, S, [sm for sm, _ in found], [x for _, x in found]

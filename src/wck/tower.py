@@ -29,10 +29,11 @@ window of levels of the path space:
     projection u_xi u_xi^* is itself a generator of C_0, so on the
     matrix units of C_0 a corner keeps an S x S part of each distinct
     block on all of its copies and is read off the map with its
-    decomposition, by index arithmetic; otherwise it is one gather of
-    C_0's rows, decomposed numerically. A corner, like C_0, is stored
-    as the orthonormal rows of its span (findim.StarAlgebra), and its
-    elements are coordinate vectors over those rows;
+    decomposition, by index arithmetic, and kept as a map of the same
+    form; otherwise it is one gather of C_0's rows, decomposed
+    numerically. A corner, like C_0, is an algebra of orthonormal rows
+    (findim.StarAlgebra), held dense or as the map, and its elements
+    are coordinate vectors over those rows;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
     gathers (Graph.prepend_index shifts the slot basis by mu), so the
@@ -42,11 +43,14 @@ Stage index paths, slots and all gathers are int arrays of positions in
 Graph.paths(k); Path objects appear only as prefixes and in messages.
 Moving between corner coordinates and window data goes through int
 arrays of entry positions (_block_positions): the corner compression
-looks its positions up in C_0's map, or gathers them from C0.onb, and
-the transports are one gather of onb columns, computed once per path
-pair and shared read-only by the fibers and ideals.pi_map. A corner
-keeps its column support, the entries where some onb row is nonzero,
-and its certificates solve on those columns alone: tau gathers each
+looks its positions up in C_0's map, or gathers them from C0.onb. A
+transport is computed once per path pair and shared read-only by the
+fibers and ideals.pi_map. Between corners kept as maps it maps matrix
+units to matrix units, so it is counted on the maps, with exact
+integer checks in place of a certificate; otherwise it is one gather of
+onb columns, solved by least squares. A corner keeps its column
+support, the entries where some onb row is nonzero, and its
+certificates solve on those columns alone: tau gathers each
 window level once per vertex and splits it into support entries and
 the norm of the rest, and tau_inverse scatters only the support
 entries, through an index of their window positions
@@ -122,7 +126,10 @@ class Corner:
     that end at the vertex; the corner of C_0 acts on it as a plain
     submatrix. When C_0 is the closed form of star_closure, the corner,
     its structure constants, its central decomposition and its summand
-    ideals are read off C_0's matrix units (findim._compress_units).
+    ideals are read off C_0's matrix units (findim._compress_units), and
+    the corner algebra is kept as its own map of units (a
+    findim._MatrixUnits): its support, columns and renders are read off
+    that map, and no dense row is formed.
     Otherwise its rows are one column gather of C0.onb, orthonormalized;
     products are tabulated into a structure-constant tensor and the
     tensor is decomposed numerically (central_decomposition). Either way
@@ -171,7 +178,7 @@ class Corner:
             self._tabulate()
             self.dec = central_decomposition(self.algebra)
         self.r = self.algebra.dim
-        self.support = np.flatnonzero(np.any(self.algebra.onb != 0, axis=0))
+        self.support = self.algebra.support
 
     def _tabulate(self):
         """Structure constants of the corner, certified closed.
@@ -191,7 +198,7 @@ class Corner:
         """The columns of onb on the levels [lo, hi)."""
         i0 = lo - self.levels[0]
         i1 = hi - self.levels[0]
-        return self.algebra.onb[:, self.offsets[i0]:self.offsets[i1]]
+        return self.algebra.onb_columns(np.arange(self.offsets[i0], self.offsets[i1]))
 
     def support_columns(self, lo, hi):
         """(sup, mat): the support columns of onb on levels [lo, hi).
@@ -203,9 +210,8 @@ class Corner:
         got = self._columns.get((lo, hi))
         if got is None:
             base, end = self.offsets[[lo - self.levels[0], hi - self.levels[0]]]
-            cut = np.searchsorted(self.support, [base, end])
-            sup = self.support[cut[0]:cut[1]] - base
-            got = self._columns[(lo, hi)] = (sup, self.algebra.onb[:, base + sup])
+            pos, mat = self.algebra.support_columns(base, end)
+            got = self._columns[(lo, hi)] = (pos - base, mat)
             for arr in got:
                 arr.flags.writeable = False
         return got
@@ -227,10 +233,7 @@ class Corner:
         sup, mat = self.support_columns(lo, hi)
         u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
         if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
-            raise WindowUnstableError(
-                "corner at %r is not faithful on levels [%d, %d); "
-                "widen the window" % (self.vertex, lo, hi)
-            )
+            raise _not_faithful(self, lo, hi)
         pinv = (vh.conj().T / sv) @ u.conj().T
         got = self._restricted[key] = (mat, pinv, u.T, sup)
         return got
@@ -631,7 +634,11 @@ class Tower:
         split into the corner's support entries and the norm of the
         rest. The extraction certifies that every compressed entry lies
         in the corner span, against its largest absolute entry (at least
-        1), off-support entries included; garbage input raises.
+        1), off-support entries included. The stage rows of the vertices
+        partition each level, and the entries between the rows of two
+        vertices must have a norm within 100 * COORD_TOL times the
+        largest absolute entry of the vertices' own blocks (at least 1).
+        Garbage input raises WindowUnstableError.
         """
         check_index(n, 0, self.config.n_max, "the stage")
         window = range(self.M, self.M + self.W)
@@ -639,6 +646,7 @@ class Tower:
         _stage_lead("stage-%d window blocks" % n, blocks, dims, stacked=False)
         lo = self.M - n * self.p
         x = self.stage_zero(n)
+        top = 1.0
         for v, blk in x.items():
             corner = self.corners[v]
             m = len(blk)
@@ -663,6 +671,19 @@ class Tower:
                 off=np.sqrt(off),
             )[0]
             blk[...] = coords.reshape(blk.shape)
+            top = max(top, scales.max())
+        cross = 0.0
+        for kk, data in enumerate(blocks):
+            vertex = np.empty(len(data), dtype=int)
+            for v in x:
+                vertex[self.stage_rows(n, v)[kk]] = v
+            out = data[vertex[:, None] != vertex]
+            cross += np.vdot(out, out).real
+        if math.sqrt(cross) > 100 * COORD_TOL * top:
+            raise WindowUnstableError(
+                "window data between the rows of two vertices does not "
+                "vanish, so it does not lie in the stage-%d algebra" % n
+            )
         return x
 
     # -- reporting ----------------------------------------------------------
@@ -727,28 +748,106 @@ class Tower:
 def _transport(tower, a, b, message):
     """The transport of Tower.transport, computed.
 
-    On the window the image is an index gather len(a) levels down, one
+    On the window the image is an index gather len(a) levels down: the
+    slot block of the corner at s(a) on level ell reads the rows a*d and
+    columns b*d of the slot block at r(a) on level ell + len(a), d over
+    its slot. On corners read off C_0's matrix units the matrix is
+    counted on their maps (_counted_transport). Otherwise it is one
     column gather of the onb rows at r(a), certified column by column
     against 100 * COORD_TOL (the basis is orthonormal, so no entry
-    exceeds 1); a failure raises WindowUnstableError(message).
+    exceeds 1). A failure raises WindowUnstableError(message).
     """
     g = tower.graph
     cs = tower.corners[g.source_of(a)]
     cw = tower.corners[g.range_of(a)]
     lo, hi = tower.G0, tower.G1 - len(a)
-    cols = []
+    gathers = []
     for ell in range(lo, hi):
-        # slot positions of a*d and b*d, d over the slot of cs at ell
         slot = cs.slot_lists[ell - tower.G0]
-        li = ell + len(a) - tower.G0
-        image = cw.slot_lists[li]
-        r1 = np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot])
-        r2 = np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot])
-        cols.append(_block_positions(cw.offsets[li], len(image), r1, r2))
-    vecs = cw.algebra.onb[:, np.concatenate(cols)]
-    mat = cs.certified_coords(lo, hi, vecs, np.ones(len(vecs)), message)[0].T
+        image = cw.slot_lists[ell + len(a) - tower.G0]
+        gathers.append((
+            len(image),
+            np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
+            np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
+        ))
+    if isinstance(cs.algebra, _MatrixUnits):
+        mat = _counted_transport(cs, cw, lo, len(a), gathers, message)
+    else:
+        first = lo + len(a) - tower.G0
+        cols = np.concatenate([
+            _block_positions(cw.offsets[first + i], n, r1, r2)
+            for i, (n, r1, r2) in enumerate(gathers)
+        ])
+        vecs = cw.algebra.onb[:, cols]
+        mat = cs.certified_coords(lo, hi, vecs, np.ones(len(vecs)), message)[0].T
     mat.flags.writeable = False
     return mat
+
+
+def _counted_transport(cs, cw, lo, shift, gathers, message):
+    """The transport between two corners read off C_0's matrix units.
+
+    gathers[i] is (n, r1, r2) for source level lo + i: the target slot
+    size n on level lo + i + shift and the target slot positions of the
+    source slot's rows and columns. The gather maps matrix units to
+    matrix units, so the transport is counted on the maps: entry (j, i)
+    is sqrt(c_j / c_i), c the copy counts, when the copies of source
+    unit j on the levels of gathers all gather from copies of target
+    unit i. Three exact integer checks stand in for a least-squares
+    certificate: every source unit has a copy on those levels (or the
+    corner is not faithful there), no target support entry lands off
+    the source support, and the copies of each source unit gather from
+    one target unit or from none. A failure raises WindowUnstableError,
+    the faithfulness one naming the levels and the others message.
+    """
+    src, dst = cs.algebra, cw.algebra
+    base = lo - cs.levels[0]
+    end = base + len(gathers)
+    spos, sunit = src.entries
+    have = np.bincount(
+        sunit[slice(*np.searchsorted(spos, cs.offsets[[base, end]]))], minlength=cs.r
+    )
+    if not have.all():
+        raise _not_faithful(cs, lo, lo + len(gathers))
+    # the gathers inverted, levels joined: rows[first[i] + X] is the source
+    # slot row that reads target slot row X on level i, or -1
+    sizes = np.array([n for n, _, _ in gathers])
+    slots = np.array([len(r1) for _, r1, _ in gathers])
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    rows = np.full(first[-1], -1)
+    cols = np.full(first[-1], -1)
+    for f, (_, r1, r2) in zip(first, gathers):
+        rows[f + r1] = cols[f + r2] = np.arange(len(r1))
+    # the target support entries on those levels, at their source positions
+    tpos, tunit = dst.entries
+    starts = cw.offsets[base + shift:end + shift + 1]
+    a, b = np.searchsorted(tpos, starts[[0, -1]])
+    lev = np.searchsorted(starts, tpos[a:b], side="right") - 1
+    x, y = np.divmod(tpos[a:b] - starts[lev], sizes[lev])
+    x, y = rows[first[lev] + x], cols[first[lev] + y]
+    land = (x >= 0) & (y >= 0)
+    lev = lev[land]
+    at = cs.offsets[base + lev] + x[land] * slots[lev] + y[land]
+    target = tunit[a:b][land]
+    source, hit = src.lookup(at)
+    if not hit.all():
+        raise WindowUnstableError(message)
+    # count[j, i]: the copies of source unit j that gather from target unit
+    # i; the gather is injective, so a row sums to at most have[j]
+    count = np.bincount(source * cw.r + target, minlength=cs.r * cw.r)
+    count = count.reshape(cs.r, cw.r)
+    if np.any((count != 0) & (count != have[:, None])):
+        raise WindowUnstableError(message)
+    ratio = np.sqrt(src.copies[:, None] / dst.copies)
+    return ((count != 0) * ratio).astype(np.complex128)
+
+
+def _not_faithful(corner, lo, hi):
+    """The error for a corner whose units do not all show on levels [lo, hi)."""
+    return WindowUnstableError(
+        "corner at %r is not faithful on levels [%d, %d); "
+        "widen the window" % (corner.vertex, lo, hi)
+    )
 
 
 def _stage_lead(what, got, want, stacked=True):

@@ -35,6 +35,21 @@ def test_demo_report_family_counts(k, t, weighted, unweighted, monkeypatch):
             assert j == g.path_index(g.xi(i, level))
 
 
+@pytest.mark.parametrize("k, t, pairs", [(3, [2, 1, 1], 144), (4, [2, 1, 3, 1], 128)])
+def test_demo_report_evaluates_each_word_once(k, t, pairs, monkeypatch):
+    """Each distinct (word, level) is one word_matrix call per model."""
+    calls = []
+    word_matrix = cycle_demo.word_matrix
+
+    def spy(weights, word, level):
+        calls.append((word, level))
+        return word_matrix(weights, word, level)
+
+    monkeypatch.setattr(cycle_demo, "word_matrix", spy)
+    demo_report(k, t)
+    assert len(calls) == len(set(calls)) == pairs
+
+
 @pytest.mark.parametrize("k, t", [(3, [2, 1, 1]), (4, [2, 1, 3, 1])])
 def test_character_table_reads_each_start_vertex(k, t):
     """Row n of the z table holds the level-matrix entries of the k paths.

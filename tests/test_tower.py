@@ -205,9 +205,10 @@ class TestWeightedCycle:
         # the pseudo-inverse is the one np.linalg.pinv gives, and the span
         # is an orthonormal basis of the rows of mat; mat is the support
         # part of the columns, which are zero off it
-        for corner in c3_weighted.corners.values():
-            assert corner._restricted
-            for lo, hi in corner._restricted:
+        tw = c3_weighted
+        for corner in tw.corners.values():
+            for n in range(tw.config.n_max + 1):
+                lo, hi = tw.M - n * tw.p, tw.M + tw.W - n * tw.p
                 mat, pinv, span, sup = corner.restricted(lo, hi)
                 full = corner.columns(lo, hi)
                 assert np.array_equal(full[:, sup], mat)
@@ -218,7 +219,8 @@ class TestWeightedCycle:
                 assert np.linalg.norm(span @ span.conj().T - np.eye(corner.r)) <= 1e-12
                 assert projector_gap(span, onb(mat)) <= 1e-12
         w = cycle_weight_spec(corpus["C3"], (2.0, 1.0, 3.0))
-        with pytest.raises(WindowUnstableError, match="not faithful on levels"):
+        refused = r"not faithful on levels \[6, 11\)"
+        with pytest.raises(WindowUnstableError, match=refused):
             build_tower(corpus["C3"], w, TowerConfig(n_max=0))
 
     def test_psi_agrees_with_inclusion(self, c3_weighted):
@@ -641,6 +643,23 @@ def test_support_stage_maps_match_dense_oracle(corpus, key):
         assert max(np.abs(got[v] - ref[v]).max() for v in got) <= 1e-12
 
 
+@pytest.mark.parametrize("key", ["C3", "theta", "G2"])
+def test_entry_between_two_vertices_is_refused(corpus, key):
+    """tau certifies the window entries between the rows of two vertices.
+
+    A stage-1 render with one entry of 1e3 placed between the first rows
+    of vertices 0 and 1, at the first window level, is refused.
+    """
+    tw = fiber_tower(corpus, key)
+    x = tw.stage_random(1, np.random.default_rng(0))
+    blocks = tw.tau_inverse(1, x)
+    assert max(np.abs(tw.tau(1, blocks)[v] - x[v]).max() for v in x) <= RT_TOL
+    r0, r1 = tw.stage_rows(1, 0)[0], tw.stage_rows(1, 1)[0]
+    blocks[0][r0[0, 0], r1[0, 0]] = 1e3
+    with pytest.raises(WindowUnstableError, match="between the rows of two vertices"):
+        tw.tau(1, blocks)
+
+
 def test_off_support_entry_is_refused_on_both_routes(corpus):
     """An entry off the corner support, inside a compressed entry, is seen.
 
@@ -902,12 +921,22 @@ def drop_the_map(monkeypatch):
     monkeypatch.setattr(tower, "build_C0", plain)
 
 
+# every tower whose corners are read off C0's matrix units
+CLOSED_FORM_KEYS = MAP_ROUTE_KEYS + ["O2block", "closure-o2"]
+
+
 def rendered(corner, coords):
     return blocks_vec(corner.algebra.render(coords))
 
 
-@pytest.mark.parametrize("key", MAP_ROUTE_KEYS)
+@pytest.mark.parametrize("key", CLOSED_FORM_KEYS)
 def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
+    """Corners, decompositions, transports and lattices of both routes.
+
+    The counted transports (fibers and pi_map alike) must match the
+    looped least-squares oracle in their own bases, and the numerical
+    route's transports once both are rendered on the source corner.
+    """
     tw = route_tower(corpus, key)
     assert isinstance(tw.C0, _MatrixUnits)
     lattice = ideals.enumerate_families(tw).to_json()
@@ -916,6 +945,16 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
     assert not isinstance(ref.C0, _MatrixUnits)
     assert tw.bratteli_json() == ref.bratteli_json()
     assert lattice == ideals.enumerate_families(ref).to_json()
+    g = tw.graph
+    assert tw._transports.keys() == ref._transports.keys()
+    for (a, b), got in tw._transports.items():
+        assert np.abs(got - looped_transport(tw, a, b)).max() <= 1e-12
+        # the image of each target unit, rendered on the source corner
+        cs, cw = tw.corners[g.source_of(a)], tw.corners[g.range_of(a)]
+        rs, rw = ref.corners[g.source_of(a)], ref.corners[g.range_of(a)]
+        change = cw.algebra.onb @ rw.algebra.onb.conj().T
+        image = change @ ref._transports[(a, b)].T @ rs.algebra.onb
+        assert np.abs(got.T @ cs.algebra.onb - image).max() <= 1e-12
     for v, corner in tw.corners.items():
         other = ref.corners[v]
         assert corner.r == other.r
@@ -941,43 +980,115 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
 
 @pytest.fixture
 def numerical_calls(monkeypatch):
-    """Names of the numerical decomposition steps that ran, one per call."""
+    """Names of the numerical steps that ran, one per call.
+
+    The steps are the decomposition (central_decomposition, tables) and
+    the least-squares corner coordinates (Corner.restricted and
+    Corner.certified_coords).
+    """
     calls = []
-    decompose = tower.central_decomposition
     tables = findim.StarAlgebra.tables.func
 
-    def spy_decompose(A):
-        calls.append("central_decomposition")
-        return decompose(A)
+    def spy(name, call):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+        return run
 
-    def spy_tables(A):
-        calls.append("tables")
-        return tables(A)
-
-    monkeypatch.setattr(tower, "central_decomposition", spy_decompose)
-    monkeypatch.setattr(findim.StarAlgebra, "tables", property(spy_tables))
+    monkeypatch.setattr(
+        tower, "central_decomposition",
+        spy("central_decomposition", tower.central_decomposition),
+    )
+    monkeypatch.setattr(findim.StarAlgebra, "tables", property(spy("tables", tables)))
+    for name in ("restricted", "certified_coords"):
+        monkeypatch.setattr(tower.Corner, name, spy(name, getattr(tower.Corner, name)))
     return calls
 
 
-@pytest.mark.parametrize(
-    "key", ["unweighted:" + name for name in sorted(UNWEIGHTED_DIMS)]
-    + ["C3w", "closure-o2", "G2p3"]
-)
+@pytest.mark.parametrize("key", CLOSED_FORM_KEYS)
 def test_closed_form_corners_run_no_numerical_decomposition(
     corpus, key, numerical_calls
 ):
+    """Build and lattice of a closed-form tower run no numerical step.
+
+    Corners are read off C0's matrix units and transports are counted
+    on them, so neither C0 nor any corner scatters its dense onb.
+    """
     tw = route_tower(corpus, key)
+    ideals.enumerate_families(tw)
     assert isinstance(tw.C0, _MatrixUnits)
     assert "onb" not in vars(tw.C0)
+    for corner in tw.corners.values():
+        assert isinstance(corner.algebra, _MatrixUnits)
+        assert "onb" not in vars(corner.algebra)
     assert numerical_calls == []
 
 
 def test_block_weight_corners_are_decomposed_numerically(corpus, numerical_calls):
     tw = fiber_tower(corpus, "THETA_BLOCK")
+    ideals.enumerate_families(tw)
     assert not isinstance(tw.C0, _MatrixUnits)
     n = tw.graph.n_vertices
     assert numerical_calls.count("central_decomposition") == n
     assert "tables" in numerical_calls
+    assert numerical_calls.count("certified_coords") == len(tw._transports)
+    assert "restricted" in numerical_calls
+
+
+def counted_witness(corpus):
+    """A closed-form transport and two of its source units j, j2.
+
+    j and j2 gather from two different target units, and j2 has at least
+    two copies on the source levels. Returns (tower, a, b, source corner,
+    cut, j, j2), cut the range of the source map's entries on those
+    levels.
+    """
+    tw = route_tower(corpus, "closure-o2")
+    g = tw.graph
+    for a, b in transport_pairs(tw):
+        got = tw.transport(a, b, "transport left the corner")
+        cs = tw.corners[g.source_of(a)]
+        bounds = cs.offsets[[0, tw.G1 - len(a) - tw.G0]]
+        cut = np.searchsorted(cs.algebra.entries[0], bounds)
+        have = np.bincount(cs.algebra.entries[1][slice(*cut)], minlength=cs.r)
+        target = {j: np.flatnonzero(row) for j, row in enumerate(got)}
+        for j, j2 in zip(range(cs.r), range(1, cs.r)):
+            if len(target[j]) == len(target[j2]) == 1 and have[j2] > 1:
+                if target[j][0] != target[j2][0]:
+                    return tw, a, b, cs, cut, j, j2
+    raise AssertionError("no witness transport")
+
+
+def test_counted_transport_refuses_copies_from_two_target_units(corpus, monkeypatch):
+    """Relabelling one copy of source unit j2 as j makes j gather from two
+    target units; the count refuses it."""
+    tw, a, b, cs, cut, j, j2 = counted_witness(corpus)
+    pos, copy = cs.algebra.entries
+    copy = copy.copy()
+    copy[cut[0] + np.flatnonzero(copy[slice(*cut)] == j2)[1:]] = j
+    monkeypatch.setattr(cs.algebra, "entries", (pos, copy))
+    with pytest.raises(WindowUnstableError, match="witness left the corner"):
+        tower._transport(tw, a, b, "witness left the corner")
+
+
+def test_counted_transport_refuses_an_image_off_the_source_support(corpus, monkeypatch):
+    """Moving one copy of source unit j2 to the next free position of its
+    level leaves the target entry that gathered into it off the source
+    support. Every source unit keeps its copy count, so only the support
+    check can refuse it."""
+    tw, a, b, cs, cut, j, j2 = counted_witness(corpus)
+    pos, copy = cs.algebra.entries
+    pos = pos.copy()
+    ends = cs.offsets[1:]
+    for at in cut[0] + np.flatnonzero(copy[slice(*cut)] == j2):
+        if pos[at] + 1 not in pos and pos[at] + 1 not in ends:
+            pos[at] += 1
+            break
+    else:
+        raise AssertionError("no free position after a copy of j2")
+    monkeypatch.setattr(cs.algebra, "entries", (pos, copy))
+    with pytest.raises(WindowUnstableError, match="witness left the corner"):
+        tower._transport(tw, a, b, "witness left the corner")
 
 
 @pytest.mark.parametrize("M", [7, 8])
