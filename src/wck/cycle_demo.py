@@ -257,7 +257,7 @@ def corner_character_vectors(model, tower, v):
     one path per level, so the restriction is the window-block entry at
     the level with the right residue, and the returned dict maps n to
     the vector of values on the corner basis: the column of the corner's
-    onb at that level.
+    basis at that level.
     """
     corner = tower.corners[v]
     out = {}

@@ -1,12 +1,11 @@
 """Structure analysis of finite-dimensional *-algebras of block matrices.
 
 Elements live in a fixed block space: a direct sum of full matrix
-blocks, one per window level. A *-algebra is stored in one form only:
-the orthonormal rows onb of its span, each row the vectorization
-(blocks_vec) of one basis element. Its elements, the unit and the
-central projections included, are coordinate vectors c over those
-rows; c @ onb is the vectorized element, and StarAlgebra.render turns
-it into blocks for the few readers that need them. The analysis
+blocks, one per window level. A *-algebra has one form (StarAlgebra):
+orthonormal rows over the distinct entries of its support, with the
+map of those entries to their copies. Its elements, the unit and the
+central projections included, are coordinate vectors over the rows,
+and StarAlgebra.render turns one into blocks where needed. The analysis
 follows the standard route: find the algebra the generators generate
 and split its center into its minimal projections, one per matrix
 summand. A summand is its central projection z: its size d and its
@@ -21,16 +20,16 @@ that relation (one min-label propagation over the entry pairs) split
 the level into diagonal blocks. Sums, products and adjoints of
 elements supported on those blocks stay on them, and every entry off
 them is an exact 0.0, so the algebra is computed on the compressed
-blocks alone and scattered back at the end. A dense generator set is
-one class per level and takes the same route.
+blocks alone. A dense generator set is one class per level and takes
+the same route.
 
 Many of those blocks are copies: eventually periodic weights repeat
 the same entries at many levels and positions, so class blocks of one
 size hold bit-identical entries in the unit and in every generator.
 Products, sums and adjoints act block by block, so copies stay copies,
-and keeping one block per distinct content is an injective
-*-homomorphism. The algebra is found on the distinct blocks only,
-found by exact byte equality; this needs no tolerance of its own.
+and keeping one block per distinct content, found by exact byte
+equality, is an injective *-homomorphism that needs no tolerance. The
+algebra is found and kept on the distinct blocks only.
 
 On the distinct blocks the algebra is found by the bicommutant
 theorem: a unital *-algebra is the commutant of its commutant. The
@@ -40,40 +39,36 @@ generator and adjoint g; it splits into the intertwiners of the pairs
 pair (_commutant_grams). Often the commutant is one scalar per block,
 which one batched eigvalsh per block size decides (_scalar_commutant;
 by Schur's lemma blocks of different sizes need no check), and the
-rows are the matrix units of the distinct blocks. Otherwise (block
-weights, reducible blocks) the algebra is the nullspace of one Gram
-matrix of the constraints Y_t X = X Y_u over the intertwiners X
-(_bicommutant). Both nullspaces are cut on singular values, refined
-from the Gram's eigenvectors on their images (_null), and the result
-must hold the unit and every generator, or the call raises. No
-product of two elements is formed. The rows come out orthonormal
-with each distinct entry weighted by its number of copies; copied back
-to every block, they are orthonormal at full length. The closed form
-is kept as that map (_MatrixUnits), and the copy to full length is
-made only when onb is read.
+rows are the matrix units of the distinct blocks: the closed form,
+whose rows stay implicit. Otherwise (block weights, reducible blocks)
+the algebra is the nullspace of one Gram matrix of the constraints
+Y_t X = X Y_u over the intertwiners X (_bicommutant). Both nullspaces
+are cut on singular values, refined from the Gram's eigenvectors on
+their images (_null), and the result must hold the unit and every
+generator, or the call raises. No product of two elements is formed.
+The rows come out orthonormal with each distinct entry weighted by its
+number of copies, as they would be at full length.
 
-A compression of the closed form onto a set of block-space positions,
-as a corner by a projection of the algebra, is read off the map by
-index arithmetic (_compress_units): when every distinct block keeps
-the same S x S entries on each of its copies, the compression is the
-full matrix algebra M_|S| on each block that keeps any, and its
-structure constants, central projections and summand ideals are
-exact, with no numerical step. The compression is kept as a map of
-the same form, whose columns, renders and diagonals are read off it.
+A compression onto block-space positions, as a corner by a projection
+of the algebra, is read off the map (_compress_units): two exact
+integer checks hold it to the same S x S entries of every distinct
+block on all of its copies, and it keeps the algebra's rows there,
+orthonormalized. On matrix units it is M_|S| on each block that keeps
+any, with exact structure constants, central projections and summand
+ideals (_unit_structure).
 
-The decomposition is deterministic and works on the structure
-constants of the algebra in the coordinates of its orthonormal rows
-(StarAlgebra.tables). The center is the nullspace of the commutator
-map. Its joint eigenspaces under left multiplication by the hermitian
-parts of a center basis are refined one element at a time until each
-is a line, the line of one central projection. Every result is
-certified, and a failed certificate raises; a wrong answer is never
-returned silently.
+Otherwise the decomposition is numerical and deterministic, on the
+structure constants in the coordinates of the rows (tables). The
+center is the nullspace of the commutator map. Its joint eigenspaces
+under left multiplication by the hermitian parts of a center basis are
+refined one element at a time until each is a line, the line of one
+central projection. Every result is certified, and a failed
+certificate raises; a wrong answer is never returned silently.
 
 The integers, the sizes d^2 and ambient ranks of the summands, are
 traces of certified projections (integer_traces), never numerical
-ranks: x -> z x is an idempotent on coordinates, and the rows of onb
-are orthonormal for tr(a^* b).
+ranks: x -> z x is an idempotent on coordinates, and the rows are
+orthonormal for tr(a^* b).
 """
 
 from __future__ import annotations
@@ -94,10 +89,6 @@ INT_TOL = 1e-6
 
 
 # -- block elements ----------------------------------------------------------
-
-
-def blocks_eye(dims):
-    return [np.eye(d, dtype=np.complex128) for d in dims]
 
 
 def blocks_vec(a):
@@ -124,97 +115,42 @@ def blocks_unvec(vec, dims):
 
 
 class StarAlgebra:
-    """A unital *-subalgebra of a block space, as orthonormal rows.
+    """A unital *-subalgebra of a block space, on its distinct entries.
 
-    Row i of onb is the vectorized i-th element of an orthonormal basis
-    of the algebra; an element is its coordinate vector over the rows,
-    and unit holds the coordinates of the unit.
+    Entry j of the map sits at position pos[j] of blocks_vec and is a
+    copy of distinct entry copy[j], one of copies[copy[j]]; stacks lists
+    (offset, count, s) per stack of distinct s x s blocks, the layout of
+    the distinct entries. Row i of rows is the i-th element of an
+    orthonormal basis, its values on the distinct entries times
+    sqrt(copies), so that the rows are orthonormal for tr(a^* b) on the
+    block space. An element is its coordinate vector over the rows, and
+    unit holds the unit's. On the matrix units of the distinct blocks
+    (the closed form of star_closure and its compressions) rows is None,
+    and rows_at reads the unit rows without forming them. Every reader
+    works off the map; no full-length row is formed.
     """
 
-    def __init__(self, dims, onb, unit):
-        self.dims = tuple(dims)
-        self.onb = onb
-        self.unit = unit
-
-    @property
-    def dim(self):
-        return len(self.onb)
-
-    @cached_property
-    def support(self):
-        """Ascending block-space positions where some row of onb is nonzero."""
-        return np.flatnonzero(np.any(self.onb != 0, axis=0))
-
-    def support_columns(self, start, end):
-        """(pos, mat): the support positions in [start, end), and onb there."""
-        pos = self.support[slice(*np.searchsorted(self.support, [start, end]))]
-        return pos, self.onb[:, pos]
-
-    def onb_columns(self, positions):
-        """The columns of onb at the given block-space positions."""
-        return self.onb[:, positions]
-
-    def render(self, coeffs):
-        """Blocks of the element with the given coordinates."""
-        return blocks_unvec(coeffs @ self.onb, self.dims)
-
-    def diagonal(self, coeffs):
-        """Diagonal entries of the blocks of the element, levels joined."""
-        return np.concatenate([np.diag(blk) for blk in self.render(coeffs)])
-
-    @cached_property
-    def tables(self):
-        """Structure constants in the coordinates of the rows of onb.
-
-        (T, S, resid): with e_i the element whose vector is row i of
-        onb, e_i e_j = sum_k T[i, j, k] e_k and e_i^* = sum_k S[i, k] e_k
-        up to what the span misses; resid[i] holds the norms of the part
-        of e_i^* and of the worst product e_i e_j off the span. Computed
-        once, on the support blocks of the rows, copies included.
-        """
-        q = self.onb
-        stacks, tpos, pos = _support_layout(
-            self.dims, np.flatnonzero(np.any(q != 0, axis=0))
-        )
-        q = q[:, pos]
-        adj = q[:, tpos].conj()
-        S = adj @ q.conj().T
-        resid = np.zeros((len(q), 2))
-        resid[:, 0] = np.linalg.norm(adj - S @ q, axis=1)
-        T = np.empty((len(q),) * 3, dtype=np.complex128)
-        for i, a in enumerate(q):
-            prods = _stack_products(a, q, stacks)[:, 0]
-            T[i] = prods @ q.conj().T
-            resid[i, 1] = np.linalg.norm(prods - T[i] @ q, axis=1).max()
-        return T, S, resid
-
-
-class _MatrixUnits(StarAlgebra):
-    """Matrix units of distinct blocks and their copies, kept as a map.
-
-    The closed form of star_closure and its compressions (_compress_units)
-    take this form. Row i of onb is the matrix unit of distinct entry i,
-    1/sqrt(copies[i]) on each of its copies: entry j of the map sits at
-    position pos[j] of blocks_vec and is a copy of distinct entry copy[j];
-    stacks lists (offset, count, s) per stack of distinct s x s blocks.
-    Support, columns, renders and diagonals are read off the map; onb is
-    scattered to full length only when it is read.
-    """
-
-    def __init__(self, dims, unit, stacks, pos, copy, copies):
+    def __init__(self, dims, unit, stacks, pos, copy, copies, rows=None):
         self.dims = tuple(dims)
         self.unit = unit
         self.stacks, self.pos, self.copy, self.copies = stacks, pos, copy, copies
+        self.rows = rows
 
     @property
     def dim(self):
-        return len(self.copies)
+        return len(self.copies) if self.rows is None else len(self.rows)
 
-    @cached_property
-    def onb(self):
-        full = np.zeros((self.dim, sum(d * d for d in self.dims)), dtype=np.complex128)
-        full[self.copy, self.pos] = 1 / np.sqrt(self.copies)[self.copy]
-        return full
+    def rows_at(self, entries):
+        """The columns of the weighted rows at the given distinct entries."""
+        if self.rows is not None:
+            return self.rows[:, entries]
+        out = np.zeros((self.dim, len(entries)), dtype=np.complex128)
+        out[entries, np.arange(len(entries))] = 1
+        return out
+
+    def _entry_columns(self, entries):
+        """Block-space columns of the basis at copies of the given entries."""
+        return self.rows_at(entries) / np.sqrt(self.copies[entries])
 
     @cached_property
     def entries(self):
@@ -222,14 +158,10 @@ class _MatrixUnits(StarAlgebra):
         order = np.argsort(self.pos, kind="stable")
         return self.pos[order], self.copy[order]
 
-    @property
-    def support(self):
-        return self.entries[0]
-
     def lookup(self, positions):
-        """(unit, hit): the distinct entry at each block-space position.
+        """(entry, hit): the distinct entry at each block-space position.
 
-        hit marks the positions that hold an entry of the map; unit is
+        hit marks the positions that hold an entry of the map; entry is
         arbitrary where it is False.
         """
         pos, copy = self.entries
@@ -237,39 +169,71 @@ class _MatrixUnits(StarAlgebra):
         return copy[at], pos[at] == positions
 
     def support_columns(self, start, end):
+        """(pos, mat): the support positions in [start, end), and the
+        block-space columns of the basis there."""
         pos, copy = self.entries
         cut = slice(*np.searchsorted(pos, [start, end]))
-        unit = copy[cut]
-        return pos[cut], self._unit_columns(unit, np.arange(len(unit)), len(unit))
+        return pos[cut], self._entry_columns(copy[cut])
 
-    def onb_columns(self, positions):
-        unit, hit = self.lookup(positions)
-        return self._unit_columns(unit[hit], np.flatnonzero(hit), len(positions))
-
-    def _unit_columns(self, unit, at, width):
-        """width columns of onb, holding distinct entry unit[i] at column at[i].
-
-        Every other entry is zero.
-        """
-        out = np.zeros((self.dim, width), dtype=np.complex128)
-        out[unit, at] = 1 / np.sqrt(self.copies[unit])
+    def columns(self, positions):
+        """The block-space columns of the basis at the given positions."""
+        entry, hit = self.lookup(positions)
+        out = np.zeros((self.dim, len(positions)), dtype=np.complex128)
+        out[:, hit] = self._entry_columns(entry[hit])
         return out
 
+    def coordinates(self, values):
+        """(coords, off): the coordinates of elements given by their
+        weighted values, one element per row of values, and the norm of
+        each element's part off the span of the rows."""
+        if self.rows is None:
+            return values, np.zeros(len(values))
+        coords = values @ self.rows.conj().T
+        return coords, np.linalg.norm(values - coords @ self.rows, axis=1)
+
     def render(self, coeffs):
+        """Blocks of the element with the given coordinates."""
         coeffs = np.asarray(coeffs)
+        values = coeffs if self.rows is None else coeffs @ self.rows
         full = np.zeros(
             coeffs.shape[:-1] + (sum(d * d for d in self.dims),), dtype=np.complex128
         )
-        full[..., self.pos] = coeffs[..., self.copy] / np.sqrt(self.copies)[self.copy]
+        full[..., self.pos] = (values / np.sqrt(self.copies))[..., self.copy]
         return blocks_unvec(full, self.dims)
 
     @cached_property
     def _diagonal(self):
-        """The columns of onb on the block diagonals, read once."""
-        return self.onb_columns(_diagonal_positions(self.dims))
+        """The columns of the basis on the block diagonals, read once."""
+        return self.columns(_diagonal_positions(self.dims))
 
     def diagonal(self, coeffs):
+        """Diagonal entries of the blocks of the element, levels joined."""
         return coeffs @ self._diagonal
+
+    @cached_property
+    def tables(self):
+        """Structure constants in the coordinates of the rows.
+
+        (T, S, resid): with e_i the element of row i, e_i e_j = sum_k
+        T[i, j, k] e_k and e_i^* = sum_k S[i, k] e_k up to what the span
+        misses; resid[i] holds the norms of the part of e_i^* and of the
+        worst product e_i e_j off the span. Computed once, on the
+        distinct stacks, each entry weighted by its copies.
+        """
+        root = np.sqrt(self.copies)
+        rows = self.rows_at(np.arange(len(root)))
+        q = rows / root
+        dual = (rows.conj() * root).T
+        adj = q[:, _transpose(self.stacks)].conj()
+        S = adj @ dual
+        resid = np.zeros((len(q), 2))
+        resid[:, 0] = np.linalg.norm((adj - S @ q) * root, axis=1)
+        T = np.empty((len(q),) * 3, dtype=np.complex128)
+        for i, a in enumerate(q):
+            prods = _stack_products(a, q, self.stacks)[:, 0]
+            T[i] = prods @ dual
+            resid[i, 1] = np.linalg.norm((prods - T[i] @ q) * root, axis=1).max()
+        return T, S, resid
 
 
 def _diagonal_positions(dims):
@@ -340,16 +304,21 @@ def _stack_layout(pieces):
     block b of stack i; the layout concatenates the raveled stacks.
     """
     stacks = []
-    tpos = []
     off = 0
     for x in pieces:
         c, s, _ = x.shape
         stacks.append((off, c, s))
-        perm = np.arange(x.size).reshape(x.shape).swapaxes(1, 2)
-        tpos.append(off + perm.ravel())
         off += x.size
     flat = blocks_vec([x.ravel() for x in pieces])
-    return stacks, blocks_vec(tpos).astype(int), flat.astype(int)
+    return stacks, _transpose(stacks), flat.astype(int)
+
+
+def _transpose(stacks):
+    """The permutation of a stack layout that transposes every block."""
+    return blocks_vec([
+        off + np.arange(c * s * s).reshape(c, s, s).swapaxes(1, 2).ravel()
+        for off, c, s in stacks
+    ]).astype(int)
 
 
 def _distinct_blocks(stacks, vecs):
@@ -590,10 +559,9 @@ def star_closure(dims, gens, max_dim=4096):
     bicommutant (_bicommutant), orthonormalized once with each entry
     weighted by its copy count (onb) and certified to hold the unit,
     the generators and their adjoints, or DecompositionError is raised.
-    The unit's coordinates are read off the distinct entries by their
-    copy counts. The closed form comes back as its map (_MatrixUnits),
-    scattered to full length only when onb is read; the general route's
-    rows are gathered to every copy at full length.
+    Either way the result keeps the map of the distinct entries to their
+    copies, and the closed form keeps its unit rows implicit. The unit's
+    coordinates are read off the distinct entries by their copy counts.
     """
     dims = tuple(dims)
     diag = _diagonal_positions(dims)
@@ -620,15 +588,11 @@ def star_closure(dims, gens, max_dim=4096):
     if (len(rep) if rows is None else len(rows)) > max_dim:
         raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
     # a distinct entry stands for `copies` entries of the full vector, so
-    # rows orthonormal with those counts as weights are, divided by root,
-    # orthonormal at full length; the closed form is the matrix units
-    if rows is None:
-        unit = 1 / root * copies * vecs[0, rep]
-        return _MatrixUnits(dims, unit, stacks, pos, copy, copies)
-    q = rows / root
-    full = np.zeros((len(q), sum(d * d for d in dims)), dtype=np.complex128)
-    full[:, pos] = q[:, copy]
-    return StarAlgebra(dims, full, (q.conj() * copies) @ vecs[0, rep])
+    # the unit's weighted values are root on its diagonal entries
+    unit = root * vecs[0, rep]
+    if rows is not None:
+        unit = rows.conj() @ unit
+    return StarAlgebra(dims, unit, stacks, pos, copy, copies, rows)
 
 
 # -- central decomposition ----------------------------------------------------
@@ -639,7 +603,7 @@ class Summand:
     """One matrix summand M_d of a finite-dimensional algebra.
 
     The summand is its central projection z, a coordinate vector over
-    the rows of the algebra's onb; M_d acts ambient_rank / d times.
+    the rows of the algebra; M_d acts ambient_rank / d times.
     """
 
     z: np.ndarray       # central projection
@@ -753,7 +717,7 @@ def central_decomposition(A):
             "the center of dimension %d split into %d pieces"
             % (s, len(pieces))
         )
-    trace = A.onb @ blocks_vec(blocks_eye(A.dims))
+    trace = A._diagonal.sum(axis=1)
     summands = []
     total = np.zeros_like(unit)
     for v in pieces:
@@ -791,46 +755,32 @@ def central_decomposition(A):
     return CentralDecomposition(algebra=A, summands=summands)
 
 
-# -- compressions of the closed form -------------------------------------------
+# -- compressions --------------------------------------------------------------
 
 
 def _compress_units(A, dims, positions):
-    """The compression of a _MatrixUnits algebra onto block-space positions.
+    """The compression of an algebra onto block-space positions.
 
-    positions lists distinct positions in A's blocks_vec; position i of
-    the list is entry i of the compression, a vector of the block space
-    of dims. A compression by a projection of A, as a corner by u_xi
-    u_xi^*, keeps the units E_xy, x and y in one index set S, of each
-    distinct block on all of its copies. Two exact integer checks hold
-    it to that, or DecompositionError is raised: every distinct entry has
-    all of its copies among the positions or none, and the entries kept
-    in each distinct block form a square S x S. The compression is then
-    + M_|S| over the blocks with S nonempty, each copied c times, and
-    everything is read off the map: its algebra is the _MatrixUnits of
-    the kept units, their copy counts and their positions in the
-    compression, in ascending order, with unit e_xy of block b 1/sqrt(c)
-    on each copy; e_xy e_yw = e_xw / sqrt(c) and e_xy^* = e_yx give T and
-    S; the summand of b has z the sum of the sqrt(c) e_xx, d = |S| and
-    ambient rank d c, and its ideal rows are the coordinate rows of its
-    units. No dense row is formed.
-
-    Returns (algebra, T, S, summands, ideals), the summands in the order
-    of central_decomposition and ideals[i] the read-only rows of summand i.
+    positions lists distinct positions in A's blocks_vec; position i is
+    entry i of the compression, a vector of the block space of dims. A
+    compression by a projection of A, as a corner by u_xi u_xi^*, keeps
+    an S x S part of each distinct block on all of its copies. Two exact
+    integer checks hold it to that, or DecompositionError is raised:
+    every distinct entry has all of its copies among the positions or
+    none, and the entries kept in each distinct block form a square.
+    The compression keeps those entries, one stack (offset, 1, |S|) per
+    block, and A's rows there, orthonormalized (onb); on matrix units
+    they stay implicit. No dense row is formed.
     """
     entry, hit = A.lookup(positions)
     entry = entry[hit]
-    count = np.bincount(entry, minlength=A.dim)
+    count = np.bincount(entry, minlength=len(A.copies))
     kept = count > 0
     if not np.array_equal(count[kept], A.copies[kept]):
         raise DecompositionError("the positions split the copies of a block")
     new = np.cumsum(kept) - 1
-    r = int(kept.sum())
-    root = np.sqrt(A.copies)
-    unit = np.zeros(r, dtype=np.complex128)
-    T = np.zeros((r, r, r), dtype=np.complex128)
-    S = np.zeros((r, r), dtype=np.complex128)
     stacks = []
-    found = []
+    on_diagonal = np.zeros(len(kept), dtype=bool)
     for off, c, s in A.stacks:
         mask = kept[off:off + c * s * s].reshape(c, s, s)
         diag = mask[:, np.arange(s), np.arange(s)]
@@ -838,22 +788,62 @@ def _compress_units(A, dims, positions):
             raise DecompositionError(
                 "the positions keep a part of a block that is not square"
             )
-        for b in np.flatnonzero(diag.any(axis=1)):
-            first = off + b * s * s
-            scale = root[first]
-            d = int(diag[b].sum())
-            units = new[first + np.flatnonzero(mask[b])].reshape(d, d)
-            T[units[:, :, None], units[None, :, :], units[:, None, :]] = 1 / scale
-            S[units, units.T] = 1
-            z = np.zeros(r, dtype=np.complex128)
-            z[np.diagonal(units)] = scale
-            unit += z
-            ideal = np.eye(r, dtype=np.complex128)[units.ravel()]
-            ideal.flags.writeable = False
-            stacks.append((int(units[0, 0]), 1, d))
-            found.append((Summand(z, d, d * int(A.copies[first])), ideal))
-    algebra = _MatrixUnits(
-        dims, unit, stacks, np.flatnonzero(hit), new[entry], A.copies[kept]
-    )
-    found.sort(key=lambda pair: _summand_sort_key(algebra, pair[0]))
-    return algebra, T, S, [sm for sm, _ in found], [x for _, x in found]
+        blocks = np.flatnonzero(diag.any(axis=1))
+        first = mask[blocks].reshape(len(blocks), s * s).argmax(axis=1)
+        first = new[off + blocks * s * s + first].tolist()
+        sizes = diag[blocks].sum(axis=1).tolist()
+        stacks.extend((o, 1, d) for o, d in zip(first, sizes))
+        entries = np.arange(c)[:, None] * s * s + np.arange(s) * (s + 1)
+        on_diagonal[off + entries] = True
+    copies = A.copies[kept]
+    # the unit's weighted values, sqrt(copies) on the kept diagonal entries
+    unit = (np.sqrt(A.copies) * on_diagonal)[kept].astype(np.complex128)
+    rows = None
+    if A.rows is not None:
+        rows = onb(A.rows[:, kept])
+        unit = rows.conj() @ unit
+    pos = np.flatnonzero(hit)
+    return StarAlgebra(dims, unit, stacks, pos, new[entry], copies, rows)
+
+
+def _unit_structure(A):
+    """Structure constants, summands and summand ideals of matrix units.
+
+    A keeps its unit rows implicit. Unit e_xy of a distinct block with c
+    copies is 1/sqrt(c) on each copy, so e_xy e_yw = e_xw / sqrt(c) and
+    e_xy^* = e_yx give T and S; the block is one summand M_s, with z the
+    sum of the sqrt(c) e_xx and ambient rank s c, and its ideal rows are
+    the coordinate rows of its units. All of it is exact, with no
+    numerical step.
+
+    Returns (T, S, summands, ideals), the summands in the order of
+    central_decomposition and ideals[i] the read-only rows of summand i.
+    """
+    r = A.dim
+    root = np.sqrt(A.copies)
+    T = np.zeros((r, r, r), dtype=np.complex128)
+    S = np.zeros((r, r), dtype=np.complex128)
+    found = []
+    for s in sorted({s for _, _, s in A.stacks}):
+        # the units of every distinct s x s block, (blocks, s, s)
+        first = np.concatenate(
+            [off + np.arange(c) * s * s for off, c, t in A.stacks if t == s]
+        )
+        units = first[:, None, None] + np.arange(s * s).reshape(s, s)
+        scale = root[first]
+        T[units[:, :, :, None], units[:, None], units[:, :, None]] = (
+            1 / scale[:, None, None, None]
+        )
+        S[units, units.swapaxes(1, 2)] = 1
+        z = np.zeros((len(first), r), dtype=np.complex128)
+        z[np.arange(len(first))[:, None], np.diagonal(units, axis1=1, axis2=2)] = (
+            scale[:, None]
+        )
+        ideals = np.eye(r, dtype=np.complex128)[units.reshape(len(first), -1)]
+        ideals.flags.writeable = False
+        found.extend(
+            (Summand(zb, s, s * int(A.copies[f])), ideal)
+            for zb, f, ideal in zip(z, first, ideals)
+        )
+    found.sort(key=lambda pair: _summand_sort_key(A, pair[0]))
+    return T, S, [sm for sm, _ in found], [x for _, x in found]

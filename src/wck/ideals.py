@@ -53,8 +53,8 @@ maps the whole stack, and each span certificate is one stacked in_span
 or span_residual. Window renders enter only where a statement
 genuinely lives on the observable window (the transport gathers and
 the re-verification of verify_fully_invariant), always behind a
-certificate: a residual, or exact counts where the transport is counted
-on corners kept as maps of matrix units.
+certificate: a residual, with exact counts for the entry map of a
+transport.
 
 The re-verification never holds a stack at window length. A placed
 row lives in one block entry, so its render lives on that entry's
@@ -326,9 +326,9 @@ def pi_map(tower, a, b):
     returned matrix acts on corner coordinates, columns indexed by the
     corner at w. On the window the image is a pure index gather of the
     input render one level band down, and the extraction certifies
-    that the gathered data lies in the target corner span (by exact
-    counts on corners read off C0's matrix units, by a least-squares
-    residual otherwise).
+    that the gathered data lies in the target corner span (exact counts
+    for the map of distinct entries, and the residual of the carried
+    rows off the target rows).
 
     Concatenation reverses order: the map of the composed pair
     (a1*a2, b1*b2) equals pi_map(a2, b2) @ pi_map(a1, b1). The matrix

@@ -22,18 +22,17 @@ window of levels of the path space:
     most blocks bit for bit across the window), where C_0 is the
     bicommutant of the generators: when their commutant is one scalar
     per block, C_0 is the full matrix algebra on each distinct block,
-    kept as the map of those blocks to their copies, and otherwise it
-    is found as one nullspace;
+    and otherwise it is found as one nullspace; either way its rows are
+    kept on the distinct entries, with the map of those to their copies;
   - corners are plain submatrix compressions onto slots, the int arrays
     Graph.ending_at gives for the paths that end at v. The slot
-    projection u_xi u_xi^* is itself a generator of C_0, so on the
-    matrix units of C_0 a corner keeps an S x S part of each distinct
-    block on all of its copies and is read off the map with its
-    decomposition, by index arithmetic, and kept as a map of the same
-    form; otherwise it is one gather of C_0's rows, decomposed
-    numerically. A corner, like C_0, is an algebra of orthonormal rows
-    (findim.StarAlgebra), held dense or as the map, and its elements
-    are coordinate vectors over those rows;
+    projection u_xi u_xi^* is itself a generator of C_0, so a corner
+    keeps an S x S part of each distinct block of C_0 on all of its
+    copies; it is read off C_0's map by index arithmetic, with C_0's
+    rows on the kept entries, and kept as a map of the same form
+    (findim.StarAlgebra). Its decomposition is exact on matrix units
+    and numerical otherwise. Its elements are coordinate vectors over
+    its orthonormal rows;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
     gathers (Graph.prepend_index shifts the slot basis by mu), so the
@@ -42,21 +41,20 @@ window of levels of the path space:
 Stage index paths, slots and all gathers are int arrays of positions in
 Graph.paths(k); Path objects appear only as prefixes and in messages.
 Moving between corner coordinates and window data goes through int
-arrays of entry positions (_block_positions): the corner compression
-looks its positions up in C_0's map, or gathers them from C0.onb. A
-transport is computed once per path pair and shared read-only by the
-fibers and ideals.pi_map. Between corners kept as maps it maps matrix
-units to matrix units, so it is counted on the maps, with exact
-integer checks in place of a certificate; otherwise it is one gather of
-onb columns, solved by least squares. A corner keeps its column
-support, the entries where some onb row is nonzero, and its
-certificates solve on those columns alone: tau gathers each
-window level once per vertex and splits it into support entries and
-the norm of the rest, and tau_inverse scatters only the support
-entries, through an index of their window positions
-(Tower.support_index). No map builds an index of all window positions
-of a stage: Tower.block_positions gives those of one block entry, for
-the strips of the ideal re-verification.
+arrays of entry positions: the corner compression looks the positions
+of its slot blocks up in C_0's map. A transport is computed once per
+path pair and shared read-only by the fibers and ideals.pi_map. It
+maps distinct entries of one corner to distinct entries of the other,
+so the entry map is counted with exact integer checks and the matrix
+is the corners' rows carried over that map, with one residual
+certificate (_transport). A corner keeps its column
+support, the entries of its map, and its certificates solve on those
+columns alone: tau gathers each window level once per vertex and
+splits it into support entries and the norm of the rest, and
+tau_inverse scatters only the support entries, through an index of
+their window positions (Tower.support_index). No map builds an index
+of all window positions of a stage: Tower.block_positions gives those
+of one block entry, for the strips of the ideal re-verification.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -86,12 +84,9 @@ from .errors import (
 )
 from .findim import (
     CentralDecomposition,
-    StarAlgebra,
     _compress_units,
-    _MatrixUnits,
-    blocks_eye,
+    _unit_structure,
     blocks_unvec,
-    blocks_vec,
     central_decomposition,
     integer_traces,
     star_closure,
@@ -99,6 +94,12 @@ from .findim import (
 from .windows import in_span, onb
 
 COORD_TOL = 1e-8
+# bound on the part of a corner basis adjoint or product off the span
+CLOSED_TOL = 1e-7
+# relative cut on the smallest singular value of a corner's columns
+FAITHFUL_TOL = 1e-8
+# bound on y^2 - y for the fiber image y of a central projection
+PROJECTION_TOL = 1e-6
 Z_POWERS = 3
 
 
@@ -124,13 +125,14 @@ class Corner:
 
     A slot at global level l is the family of paths of length l - q
     that end at the vertex; the corner of C_0 acts on it as a plain
-    submatrix. When C_0 is the closed form of star_closure, the corner,
-    its structure constants, its central decomposition and its summand
-    ideals are read off C_0's matrix units (findim._compress_units), and
-    the corner algebra is kept as its own map of units (a
-    findim._MatrixUnits): its support, columns and renders are read off
-    that map, and no dense row is formed.
-    Otherwise its rows are one column gather of C0.onb, orthonormalized;
+    submatrix. It is built one way: findim._compress_units checks by two
+    exact integer checks that the slot positions keep an S x S part of
+    each distinct block of C_0 on all of its copies, and keeps C_0's
+    rows on those entries, orthonormalized when they are not units, as
+    an algebra of the same form (findim.StarAlgebra). Its support,
+    columns and renders are read off that map, and no dense row is
+    formed. On units the structure constants, the central decomposition
+    and the summand ideals are exact (findim._unit_structure); otherwise
     products are tabulated into a structure-constant tensor and the
     tensor is decomposed numerically (central_decomposition). Either way
     elements are coordinate vectors over orthonormal rows, and later
@@ -139,10 +141,8 @@ class Corner:
     slot_lists[l - levels[0]] holds the ascending indices of the slot
     paths inside paths(l - q), so a slot position is a searchsorted;
     offsets[l - levels[0]] is where level l starts in a corner vector.
-    support holds the ascending positions where some onb row is nonzero
-    (on C_0's matrix units, the positions the compression keeps); an
-    element is zero everywhere else, so the stage maps and certificates
-    read and write only these columns.
+    An element is zero off the positions the compression keeps, so the
+    stage maps and certificates read and write only those columns.
     """
 
     def __init__(self, graph, q, C0, v, levels, config):
@@ -153,55 +153,49 @@ class Corner:
         self.slot_lists = [g.ending_at(k - q, v) for k in levels]
         slot_dims = [len(slots) for slots in self.slot_lists]
         self.offsets = np.cumsum([0] + [d * d for d in slot_dims])
+        # the positions in C_0's blocks_vec of the slot blocks, row-major
         cols = []
         off = 0
         for k, slots, d in zip(levels, self.slot_lists, C0.dims):
             idx = g.prepend_index(k - q, self.xi)[slots]
-            cols.append(_block_positions(off, d, idx, idx))
+            cols.append(off + (idx[:, None] * d + idx).ravel())
             off += d * d
-        cols = np.concatenate(cols)
         self._columns = {}
         self._restricted = {}
         self._levels = {}
-        if isinstance(C0, _MatrixUnits):
-            self.algebra, self.T, self.S, summands, ideals = _compress_units(
-                C0, slot_dims, cols
-            )
+        self.algebra = _compress_units(C0, slot_dims, np.concatenate(cols))
+        if self.algebra.rows is None:
+            self.T, self.S, summands, ideals = _unit_structure(self.algebra)
             self.dec = CentralDecomposition(self.algebra, summands)
             self._summand_ideals = dict(enumerate(ideals))
         else:
-            unit = blocks_vec(blocks_eye(slot_dims))
-            rows = C0.onb[:, cols]
-            mat = onb(np.vstack([unit, rows[np.linalg.norm(rows, axis=1) > 1e-9]]))
-            self.algebra = StarAlgebra(slot_dims, mat, mat.conj() @ unit)
             self._summand_ideals = {}
             self._tabulate()
             self.dec = central_decomposition(self.algebra)
         self.r = self.algebra.dim
-        self.support = self.algebra.support
 
     def _tabulate(self):
         """Structure constants of the corner, certified closed.
 
         T and S come from the algebra's tables. Over all basis elements,
-        first the adjoints and then the products must stay within 1e-7
-        of the span, or the call raises WindowUnstableError.
+        first the adjoints and then the products must stay within
+        CLOSED_TOL of the span, or the call raises WindowUnstableError.
         """
         self.T, self.S, resid = self.algebra.tables
         for value, under in zip(resid.max(axis=0), ("adjoints", "products")):
-            if value > 1e-7:
+            if value > CLOSED_TOL:
                 raise WindowUnstableError(
                     "corner basis is not closed under %s" % under
                 )
 
     def columns(self, lo, hi):
-        """The columns of onb on the levels [lo, hi)."""
+        """The block-space columns of the basis on the levels [lo, hi)."""
         i0 = lo - self.levels[0]
         i1 = hi - self.levels[0]
-        return self.algebra.onb_columns(np.arange(self.offsets[i0], self.offsets[i1]))
+        return self.algebra.columns(np.arange(self.offsets[i0], self.offsets[i1]))
 
     def support_columns(self, lo, hi):
-        """(sup, mat): the support columns of onb on levels [lo, hi).
+        """(sup, mat): the support columns of the basis on levels [lo, hi).
 
         sup holds their positions in columns(lo, hi), in ascending
         order, and mat the columns themselves. Built once per (lo, hi);
@@ -217,14 +211,16 @@ class Corner:
         return got
 
     def restricted(self, lo, hi):
-        """The support columns of onb on levels [lo, hi), rank certified.
+        """The support columns of the basis on levels [lo, hi), rank certified.
 
         Returns (mat, pinv, span, sup) with (sup, mat) from
         support_columns, and pinv and span the pseudo-inverse of mat
         and an orthonormal basis of its row span, all from one SVD of
         mat.T = u s vh. A zero column changes no singular value, so the
-        rank r certified here is that of all of columns(lo, hi), and
-        the rows of u^T span the rows of mat = vh^T s u^T.
+        rank r certified here, the smallest singular value above
+        FAITHFUL_TOL times the largest (at least 1), is that of all of
+        columns(lo, hi), and the rows of u^T span the rows of mat = vh^T
+        s u^T.
         """
         key = (lo, hi)
         got = self._restricted.get(key)
@@ -232,7 +228,7 @@ class Corner:
             return got
         sup, mat = self.support_columns(lo, hi)
         u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
-        if self.r and (sv.size < self.r or sv[-1] <= 1e-8 * max(1.0, sv[0])):
+        if self.r and (sv.size < self.r or sv[-1] <= FAITHFUL_TOL * max(1.0, sv[0])):
             raise _not_faithful(self, lo, hi)
         pinv = (vh.conj().T / sv) @ u.conj().T
         got = self._restricted[key] = (mat, pinv, u.T, sup)
@@ -751,11 +747,15 @@ def _transport(tower, a, b, message):
     On the window the image is an index gather len(a) levels down: the
     slot block of the corner at s(a) on level ell reads the rows a*d and
     columns b*d of the slot block at r(a) on level ell + len(a), d over
-    its slot. On corners read off C_0's matrix units the matrix is
-    counted on their maps (_counted_transport). Otherwise it is one
-    column gather of the onb rows at r(a), certified column by column
-    against 100 * COORD_TOL (the basis is orthonormal, so no entry
-    exceeds 1). A failure raises WindowUnstableError(message).
+    its slot. It maps distinct entries to distinct entries, phi from
+    source to target, certified by the integer checks of _entry_map. The
+    image of target row i then has the weighted values W = R_w[:, phi]
+    sqrt(c_s / c_w[phi]) on the source entries, c the copy counts (zero
+    where phi reads nothing), and the matrix is R_s^* W^T. Its residual
+    off the source rows must stay within 100 * COORD_TOL (the rows are
+    orthonormal, so no entry exceeds 1); on matrix units it is exactly
+    zero and entry (j, i) is sqrt(c_j / c_i) where unit j reads unit i.
+    A failure raises WindowUnstableError(message).
     """
     g = tower.graph
     cs = tower.corners[g.source_of(a)]
@@ -770,42 +770,40 @@ def _transport(tower, a, b, message):
             np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
             np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
         ))
-    if isinstance(cs.algebra, _MatrixUnits):
-        mat = _counted_transport(cs, cw, lo, len(a), gathers, message)
-    else:
-        first = lo + len(a) - tower.G0
-        cols = np.concatenate([
-            _block_positions(cw.offsets[first + i], n, r1, r2)
-            for i, (n, r1, r2) in enumerate(gathers)
-        ])
-        vecs = cw.algebra.onb[:, cols]
-        mat = cs.certified_coords(lo, hi, vecs, np.ones(len(vecs)), message)[0].T
+    phi = _entry_map(cs, cw, lo, len(a), gathers, message)
+    src, dst = cs.algebra, cw.algebra
+    # a source entry that reads no target entry is weighted 0
+    at = np.maximum(phi, 0)
+    image = dst.rows_at(at) * (np.sqrt(src.copies / dst.copies[at]) * (phi >= 0))
+    coords, off = src.coordinates(image)
+    if np.any(off > 100 * COORD_TOL):
+        raise WindowUnstableError(message)
+    mat = coords.T
     mat.flags.writeable = False
     return mat
 
 
-def _counted_transport(cs, cw, lo, shift, gathers, message):
-    """The transport between two corners read off C_0's matrix units.
+def _entry_map(cs, cw, lo, shift, gathers, message):
+    """The distinct target entry that each distinct source entry reads.
 
     gathers[i] is (n, r1, r2) for source level lo + i: the target slot
     size n on level lo + i + shift and the target slot positions of the
-    source slot's rows and columns. The gather maps matrix units to
-    matrix units, so the transport is counted on the maps: entry (j, i)
-    is sqrt(c_j / c_i), c the copy counts, when the copies of source
-    unit j on the levels of gathers all gather from copies of target
-    unit i. Three exact integer checks stand in for a least-squares
-    certificate: every source unit has a copy on those levels (or the
-    corner is not faithful there), no target support entry lands off
-    the source support, and the copies of each source unit gather from
-    one target unit or from none. A failure raises WindowUnstableError,
-    the faithfulness one naming the levels and the others message.
+    source slot's rows and columns. Three exact integer checks make the
+    gather a map of distinct entries: every source entry has a copy on
+    those levels (or the corner is not faithful there), no target
+    support entry lands off the source support, and the copies of each
+    source entry there gather from one target entry or from none.
+    Returns phi, the target entry of each source entry or -1 for none.
+    A failure raises WindowUnstableError, the faithfulness one naming
+    the levels and the others message.
     """
     src, dst = cs.algebra, cw.algebra
     base = lo - cs.levels[0]
     end = base + len(gathers)
     spos, sunit = src.entries
     have = np.bincount(
-        sunit[slice(*np.searchsorted(spos, cs.offsets[[base, end]]))], minlength=cs.r
+        sunit[slice(*np.searchsorted(spos, cs.offsets[[base, end]]))],
+        minlength=len(src.copies),
     )
     if not have.all():
         raise _not_faithful(cs, lo, lo + len(gathers))
@@ -832,14 +830,13 @@ def _counted_transport(cs, cw, lo, shift, gathers, message):
     source, hit = src.lookup(at)
     if not hit.all():
         raise WindowUnstableError(message)
-    # count[j, i]: the copies of source unit j that gather from target unit
-    # i; the gather is injective, so a row sums to at most have[j]
-    count = np.bincount(source * cw.r + target, minlength=cs.r * cw.r)
-    count = count.reshape(cs.r, cw.r)
-    if np.any((count != 0) & (count != have[:, None])):
+    # the gather is injective, so a source entry is read at most have times
+    phi = np.full(len(have), -1)
+    phi[source] = target
+    count = np.bincount(source, minlength=len(have))
+    if np.any(phi[source] != target) or np.any((count != 0) & (count != have)):
         raise WindowUnstableError(message)
-    ratio = np.sqrt(src.copies[:, None] / dst.copies)
-    return ((count != 0) * ratio).astype(np.complex128)
+    return phi
 
 
 def _not_faithful(corner, lo, hi):
@@ -883,15 +880,6 @@ def _stage_lead(what, got, want, stacked=True):
             )
         )
     return leads.pop()
-
-
-def _block_positions(offset, d, rows, cols):
-    """Positions in a vector of the entries rows x cols of one d x d block.
-
-    The block starts at offset and is raveled row-major, as in
-    blocks_vec; the positions come out raveled the same way.
-    """
-    return offset + (rows[:, None] * d + cols[None, :]).ravel()
 
 
 def _z_entries(weights, level, tails):
@@ -985,7 +973,7 @@ def _fiber_multiplicities(tower, mu, fib):
     Entry (i, j): how often summand i of the corner at r(mu) appears in
     summand j of the corner at s(mu) under the fiber. The fiber sends
     the central projection z_i, the sum of d_i minimal projections, to
-    y_i, which must be a projection, or the call raises
+    y_i, which must be a projection within PROJECTION_TOL, or the call raises
     MultiplicityError. Then z_j y_i is a projection of rank m_ij d_i in
     the summand M_{d_j}, which acts on the block space multiplicity_j
     times, so m_ij is tr(z_j y_i) / multiplicity_j / d_i (Bratteli). The
@@ -998,7 +986,7 @@ def _fiber_multiplicities(tower, mu, fib):
     Z_v = np.array([sv.z for sv in cv.dec.summands])
     Y = np.array([sw.z for sw in cw.dec.summands]) @ fib.T
     YY = np.einsum("ia,ib,abk->ik", Y, Y, cv.T)
-    bound = 1e-6 * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    bound = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(Y, axis=1))
     if np.any(np.linalg.norm(YY - Y, axis=1) > bound):
         raise MultiplicityError(
             "fiber along %s does not send central projections to "

@@ -12,6 +12,7 @@ from util import (
     THETA_BLOCK,
     assert_matches_oracle,
     basis_elements,
+    blocks_eye,
     blocks_mul,
     blocks_zero,
     contains,
@@ -24,6 +25,7 @@ from util import (
     element,
     embedding_multiplicities,
     entries_of,
+    full_rows,
     pairwise_fiber_multiplicities,
     projector_gap,
     random_diag_spec,
@@ -34,10 +36,9 @@ from wck import findim, tower
 from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
     _compress_units,
+    _unit_structure,
     _distinct_blocks,
-    _MatrixUnits,
     _support_layout,
-    blocks_eye,
     blocks_vec,
     central_decomposition,
     integer_traces,
@@ -466,10 +467,10 @@ class TestSupportBlockClosure:
         A = star_closure(dims, entries_of(gens))
         ref = dense_star_closure(dims, gens)
         assert A.dim == ref.dim
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
         masks = support_masks(dims, [blocks_eye(dims)] + gens)
         off = np.concatenate([~m.ravel() for m in masks])
-        assert not np.any(A.onb[:, off])
+        assert not np.any(full_rows(A)[:, off])
 
     @pytest.mark.parametrize("seed", [1, 2, 15])
     def test_g3_matches_closure_on_every_class_block(self, seed, closure_runs):
@@ -479,8 +480,9 @@ class TestSupportBlockClosure:
         assert not closure_runs
         ref = support_star_closure(dims, gens)
         assert A.dim == ref.dim == 56
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
-        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
+        q = full_rows(A)
+        assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
 
     @pytest.mark.parametrize("name", CERTIFIED_CASES)
     def test_commutant_certificate_matches_closure_on_every_class_block(
@@ -491,8 +493,9 @@ class TestSupportBlockClosure:
         assert not closure_runs
         ref = support_star_closure(dims, gens)
         assert A.dim == ref.dim
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
-        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
+        q = full_rows(A)
+        assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
 
     @pytest.mark.parametrize("name", CERTIFIED_CASES)
     def test_general_solve_matches_the_closed_form(
@@ -505,8 +508,9 @@ class TestSupportBlockClosure:
         assert len(closure_runs) == 1
         sizes = distinct_block_sizes(dims, gens)
         assert A.dim == closed.dim == sum(s * s for s in sizes)
-        assert projector_gap(A.onb, closed.onb) <= 1e-8
-        assert np.linalg.norm(A.onb @ A.onb.conj().T - np.eye(A.dim), 2) <= 1e-12
+        assert projector_gap(full_rows(A), full_rows(closed)) <= 1e-8
+        q = full_rows(A)
+        assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
 
     def test_blocks_of_different_sizes_are_intertwined(self, closure_runs):
         # x on a 2 x 2 block and u (x + x) u^* on a 4 x 4 block: the
@@ -521,7 +525,7 @@ class TestSupportBlockClosure:
         assert len(closure_runs) == 1
         ref = dense_star_closure([2, 4], gens)
         assert A.dim == ref.dim == 4
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
         summands = central_decomposition(A).summands
         assert [(sm.d, sm.ambient_rank, sm.multiplicity) for sm in summands] == [
             (2, 6, 3)
@@ -550,7 +554,7 @@ class TestSupportBlockClosure:
             A = star_closure([2, 2], entries_of(gens))
             ref = dense_star_closure([2, 2], gens)
             assert A.dim == ref.dim
-            assert projector_gap(A.onb, ref.onb) <= 1e-8
+            assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
 
     def test_unitarily_equivalent_blocks_are_not_certified(self, closure_runs):
         # two distinct blocks carrying x and v x v^*: v intertwines them,
@@ -565,7 +569,7 @@ class TestSupportBlockClosure:
         assert len(closure_runs) == 1
         ref = dense_star_closure([2, 2], gens)
         assert A.dim == ref.dim == 4
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-7])
     def test_close_block_values_stay_apart(self, gap, closure_runs):
@@ -577,7 +581,7 @@ class TestSupportBlockClosure:
         assert len(closure_runs) == 1
         ref = dense_star_closure([3], gens)
         assert A.dim == ref.dim == 3
-        assert projector_gap(A.onb, ref.onb) <= 1e-8
+        assert projector_gap(full_rows(A), full_rows(ref)) <= 1e-8
 
     @pytest.mark.parametrize("name", ["theta_block", "dense:0"])
     def test_image_batches_give_the_same_algebra(self, name, monkeypatch):
@@ -587,7 +591,7 @@ class TestSupportBlockClosure:
         monkeypatch.setattr(findim, "CHUNK", 1)
         B = star_closure(dims, entries_of(gens))
         assert A.dim == B.dim
-        assert projector_gap(A.onb, B.onb) <= 1e-10
+        assert projector_gap(full_rows(A), full_rows(B)) <= 1e-10
 
     def test_general_solve_missing_a_generator_raises(self, monkeypatch):
         solve = findim._bicommutant
@@ -614,7 +618,7 @@ class TestSupportBlockClosure:
         sizes = {int(n) for m in masks for n in m.sum(axis=1)}
         assert sizes == {1, 3}
         A = star_closure(dims, entries_of(gens))
-        q = A.onb
+        q = full_rows(A)
         assert np.linalg.norm(q @ q.conj().T - np.eye(A.dim), 2) <= 1e-12
         basis = basis_elements(A)
         for a in basis:
@@ -636,13 +640,13 @@ class TestSupportBlockClosure:
         for seed in (1, 2):
             w = random_diag_spec(g, 2, 1, np.random.default_rng(seed))
             C0 = tower.build_C0(g, w, list(range(3, 7)))
-            full = C0.onb.conj() @ blocks_vec(blocks_eye(C0.dims))
+            full = full_rows(C0).conj() @ blocks_vec(blocks_eye(C0.dims))
             assert np.abs(C0.unit - full).max() <= 1e-12, (name, seed)
 
     def test_empty_levels_and_zero_generators(self):
         A = star_closure([0, 2], entries_of([blocks_zero([0, 2])]))
         assert A.dim == 1
-        assert A.onb.shape == (1, 4)
+        assert full_rows(A).shape == (1, 4)
 
 
 # -- the closed form kept as its map -------------------------------------------
@@ -665,7 +669,7 @@ class TestMatrixUnitMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert isinstance(C0, _MatrixUnits) and "onb" not in vars(C0)
+        assert C0.rows is None and "onb" not in vars(C0)
         assert peak < 2 << 20, peak
 
     # generic:O2 is on the closure-o2 window, levels [3, 8)
@@ -675,10 +679,10 @@ class TestMatrixUnitMap:
     def test_onb_read_is_the_full_scatter(self, name):
         g, w, levels = c0_case(name)
         C0 = tower.build_C0(g, w, levels)
-        assert isinstance(C0, _MatrixUnits) and "onb" not in vars(C0)
+        assert C0.rows is None and "onb" not in vars(C0)
         ref = scattered_units(C0.dims, tower._c0_generators(g, w, levels))
-        assert np.array_equal(C0.onb, ref)
-        full = C0.onb.conj() @ blocks_vec(blocks_eye(C0.dims))
+        assert np.array_equal(full_rows(C0), ref)
+        full = full_rows(C0).conj() @ blocks_vec(blocks_eye(C0.dims))
         assert np.abs(C0.unit - full).max() <= 1e-12
 
     @staticmethod
@@ -686,16 +690,17 @@ class TestMatrixUnitMap:
         """M_2 copied on two levels of [2, 2], as its matrix units."""
         x = np.array([[1.0, 2.0], [3.0, 5.0]], dtype=complex)
         A = star_closure([2, 2], entries_of([[x, x]]))
-        assert isinstance(A, _MatrixUnits)
+        assert A.rows is None
         assert (A.dim, A.copies.tolist()) == (4, [2, 2, 2, 2])
         return A
 
     def test_a_corner_is_read_off_the_map(self):
         # entry (0, 0) of each level: M_1, copied twice
         A = self.two_copies()
-        alg, T, S, summands, ideals = _compress_units(A, [1, 1], np.array([0, 4]))
-        assert alg.dim == 1
-        assert np.allclose(alg.onb, [[2 ** -0.5, 2 ** -0.5]], rtol=0, atol=1e-15)
+        alg = _compress_units(A, [1, 1], np.array([0, 4]))
+        T, S, summands, ideals = _unit_structure(alg)
+        assert alg.dim == 1 and alg.rows is None
+        assert np.allclose(full_rows(alg), [[2 ** -0.5] * 2], rtol=0, atol=1e-15)
         assert np.allclose(T, [[[2 ** -0.5]]]) and np.array_equal(S, [[1]])
         [sm] = summands
         assert (sm.d, sm.ambient_rank, sm.multiplicity) == (1, 2, 2)

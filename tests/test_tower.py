@@ -9,6 +9,8 @@ import pytest
 
 from util import (
     O2_BLOCK,
+    O2_BLOCK_D2,
+    O2_BLOCK_N0,
     THETA_BLOCK,
     adjacency,
     assert_matches_oracle,
@@ -19,6 +21,7 @@ from util import (
     dense_tau_inverse,
     element,
     embedding_multiplicities,
+    full_rows,
     load_workloads,
     looped_tau,
     looped_tau_inverse,
@@ -42,9 +45,7 @@ from wck.errors import (
     WindowUnstableError,
 )
 from wck.findim import (
-    StarAlgebra,
     _left,
-    _MatrixUnits,
     _summand_sort_key,
     blocks_vec,
     central_decomposition,
@@ -507,6 +508,10 @@ def fiber_tower(corpus, key):
     if key == "O2block":
         g = corpus["O2"]
         return build_tower(g, from_dict(O2_BLOCK, g), TowerConfig(n_max=1, M=6, W=2))
+    if key in ("O2block:N0", "O2block:d2"):
+        g = corpus["O2"]
+        spec = O2_BLOCK_N0 if key == "O2block:N0" else O2_BLOCK_D2
+        return build_tower(g, from_dict(spec, g), TowerConfig(n_max=1, M=6, W=2))
     if key == "THETA_BLOCK":
         g = corpus["theta"]
         w = from_dict(THETA_BLOCK, g)
@@ -561,7 +566,12 @@ TRACE_KEYS = sorted(UNWEIGHTED_DIMS) + [
     "G3:2",
     "G3:15",
     "O2block",
+    "O2block:N0",
+    "O2block:d2",
 ]
+
+# the towers whose C0 takes the general route of star_closure
+GENERAL_ROUTE_KEYS = ["THETA_BLOCK", "O2block:N0", "O2block:d2"]
 
 
 @pytest.mark.parametrize("key", TRACE_KEYS)
@@ -589,7 +599,8 @@ def test_summand_sizes_match_svd_ranks(corpus, key):
 
 @pytest.mark.parametrize(
     "key",
-    sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "C3chord:generic", "O2block"],
+    sorted(UNWEIGHTED_DIMS)
+    + ["C3w", "O2w", "G2p3", "C3chord:generic", "O2block", "O2block:N0", "O2block:d2"],
 )
 def test_corner_decompositions_match_oracle(corpus, key):
     tw = fiber_tower(corpus, key)
@@ -607,7 +618,8 @@ def transport_pairs(tw):
 
 
 @pytest.mark.parametrize(
-    "key", sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "O2block"]
+    "key",
+    sorted(UNWEIGHTED_DIMS) + ["C3w", "O2w", "G2p3", "O2block"] + GENERAL_ROUTE_KEYS,
 )
 def test_window_gathers_match_looped_oracles(corpus, key):
     """transport, tau_inverse and tau against their per-element loops."""
@@ -684,7 +696,7 @@ def test_o2_block_corners_are_noncommutative(corpus):
     itself 4 times; round trips and the inclusion hold on the window.
     """
     tw = fiber_tower(corpus, "O2block")
-    assert isinstance(tw.C0, _MatrixUnits)
+    assert tw.C0.rows is None
     assert tw.stage_dims() == [128, 2048]
     assert [sm.d for sm in tw.corners[0].dec.summands] == [4, 4]
     assert tw.multiplicity.tolist() == [[4, 0], [0, 4]]
@@ -911,14 +923,19 @@ MAP_ROUTE_KEYS = (
 
 
 def drop_the_map(monkeypatch):
-    """Make Tower build its C0 as a plain StarAlgebra, full-length rows."""
+    """Make Tower build its C0 with the closed form's unit rows marked general.
+
+    The corners then orthonormalize their kept rows and are decomposed
+    numerically, and the transports carry general rows.
+    """
     build = tower.build_C0
 
-    def plain(*args):
+    def general(*args):
         C0 = build(*args)
-        return StarAlgebra(C0.dims, C0.onb, C0.unit)
+        C0.rows = np.eye(C0.dim, dtype=np.complex128)
+        return C0
 
-    monkeypatch.setattr(tower, "build_C0", plain)
+    monkeypatch.setattr(tower, "build_C0", general)
 
 
 # every tower whose corners are read off C0's matrix units
@@ -933,16 +950,16 @@ def rendered(corner, coords):
 def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
     """Corners, decompositions, transports and lattices of both routes.
 
-    The counted transports (fibers and pi_map alike) must match the
-    looped least-squares oracle in their own bases, and the numerical
-    route's transports once both are rendered on the source corner.
+    The transports on units (fibers and pi_map alike) must match the
+    looped least-squares oracle in their own bases, and the transports
+    of the general rows once both are rendered on the source corner.
     """
     tw = route_tower(corpus, key)
-    assert isinstance(tw.C0, _MatrixUnits)
+    assert tw.C0.rows is None
     lattice = ideals.enumerate_families(tw).to_json()
     drop_the_map(monkeypatch)
     ref = route_tower(corpus, key)
-    assert not isinstance(ref.C0, _MatrixUnits)
+    assert all(c.algebra.rows is not None for c in ref.corners.values())
     assert tw.bratteli_json() == ref.bratteli_json()
     assert lattice == ideals.enumerate_families(ref).to_json()
     g = tw.graph
@@ -952,9 +969,9 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
         # the image of each target unit, rendered on the source corner
         cs, cw = tw.corners[g.source_of(a)], tw.corners[g.range_of(a)]
         rs, rw = ref.corners[g.source_of(a)], ref.corners[g.range_of(a)]
-        change = cw.algebra.onb @ rw.algebra.onb.conj().T
-        image = change @ ref._transports[(a, b)].T @ rs.algebra.onb
-        assert np.abs(got.T @ cs.algebra.onb - image).max() <= 1e-12
+        change = full_rows(cw.algebra) @ full_rows(rw.algebra).conj().T
+        image = change @ ref._transports[(a, b)].T @ full_rows(rs.algebra)
+        assert np.abs(got.T @ full_rows(cs.algebra) - image).max() <= 1e-12
     for v, corner in tw.corners.items():
         other = ref.corners[v]
         assert corner.r == other.r
@@ -965,7 +982,8 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
             (sm.d, sm.ambient_rank, _summand_sort_key(other.algebra, sm))
             for sm in other.dec.summands
         ]
-        assert projector_gap(corner.algebra.onb, other.algebra.onb) <= 1e-12
+        gap = projector_gap(full_rows(corner.algebra), full_rows(other.algebra))
+        assert gap <= 1e-12
         for i, (sm, rm) in enumerate(zip(corner.dec.summands, other.dec.summands)):
             # the map's z renders to a 0/1 diagonal up to one rounding; the
             # numerical z is off by up to 3.6e-12 on G2p3
@@ -973,8 +991,8 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
             assert np.abs(z - np.round(z.real)).max() <= 1e-15
             assert np.abs(z - rendered(other, rm.z)).max() <= 1e-11
             assert projector_gap(
-                corner.summand_ideal(i) @ corner.algebra.onb,
-                other.summand_ideal(i) @ other.algebra.onb,
+                corner.summand_ideal(i) @ full_rows(corner.algebra),
+                other.summand_ideal(i) @ full_rows(other.algebra),
             ) <= 1e-12
 
 
@@ -1012,27 +1030,76 @@ def test_closed_form_corners_run_no_numerical_decomposition(
     """Build and lattice of a closed-form tower run no numerical step.
 
     Corners are read off C0's matrix units and transports are counted
-    on them, so neither C0 nor any corner scatters its dense onb.
+    on them, so C0 and every corner keep their unit rows implicit.
     """
     tw = route_tower(corpus, key)
     ideals.enumerate_families(tw)
-    assert isinstance(tw.C0, _MatrixUnits)
-    assert "onb" not in vars(tw.C0)
+    assert tw.C0.rows is None
     for corner in tw.corners.values():
-        assert isinstance(corner.algebra, _MatrixUnits)
-        assert "onb" not in vars(corner.algebra)
+        assert corner.algebra.rows is None
     assert numerical_calls == []
 
 
-def test_block_weight_corners_are_decomposed_numerically(corpus, numerical_calls):
-    tw = fiber_tower(corpus, "THETA_BLOCK")
+@pytest.mark.parametrize(
+    "key, dim, sizes",
+    [
+        ("THETA_BLOCK", 16, [[1, 1], [1, 1]]),
+        ("O2block:N0", 12, [[1, 1, 1]]),
+        ("O2block:d2", 64, [[2, 2, 2, 2]]),
+    ],
+)
+def test_block_weight_corners_are_decomposed_numerically(
+    corpus, key, dim, sizes, numerical_calls
+):
+    """One numerical decomposition per vertex, and no least squares.
+
+    The general route gives C0 of the given dim and corners with the
+    given summand sizes. The transports carry the corners' general rows
+    over the counted entry map, so building the tower and its lattice
+    solves no corner coordinates.
+    """
+    tw = fiber_tower(corpus, key)
     ideals.enumerate_families(tw)
-    assert not isinstance(tw.C0, _MatrixUnits)
+    assert tw.C0.rows is not None and tw.C0.dim == dim
+    assert [[sm.d for sm in c.dec.summands] for c in tw.corners.values()] == sizes
     n = tw.graph.n_vertices
     assert numerical_calls.count("central_decomposition") == n
     assert "tables" in numerical_calls
-    assert numerical_calls.count("certified_coords") == len(tw._transports)
-    assert "restricted" in numerical_calls
+    assert tw._transports
+    assert "certified_coords" not in numerical_calls
+    assert "restricted" not in numerical_calls
+
+
+def test_block_weight_build_allocates_no_window_row(corpus):
+    """The THETA_BLOCK build stays below the bytes of one complex row of
+    window length, where its dense C0 rows took 16 such rows (85 MB).
+
+    A first build warms the graph's path caches.
+    """
+    g = corpus["theta"]
+    cfg = TowerConfig(n_max=1, M=7, W=2)
+    build_tower(g, from_dict(THETA_BLOCK, g), cfg)
+    tw, peak = traced_peak(lambda: build_tower(g, from_dict(THETA_BLOCK, g), cfg))
+    length = sum(d * d for d in tw.C0.dims)
+    assert length == 349184
+    assert peak < 16 * length, peak
+
+
+@pytest.mark.parametrize("key", sorted(set(TRACE_KEYS + CLOSED_FORM_KEYS)))
+def test_no_algebra_keeps_full_length_rows(corpus, key):
+    """C0 and the corners keep their rows on their distinct entries.
+
+    After the build, the lattice and the re-verification of its middle
+    family, no algebra holds an onb, and general rows run over the
+    distinct entries alone.
+    """
+    tw = route_tower(corpus, key)
+    families = ideals.enumerate_families(tw).families
+    family = families[len(families) // 2]
+    assert ideals.verify_fully_invariant(tw, family, n_cap=1).ok
+    for alg in [tw.C0] + [c.algebra for c in tw.corners.values()]:
+        assert "onb" not in vars(alg)
+        assert alg.rows is None or alg.rows.shape == (alg.dim, len(alg.copies))
 
 
 def counted_witness(corpus):
@@ -1087,6 +1154,20 @@ def test_counted_transport_refuses_an_image_off_the_source_support(corpus, monke
     else:
         raise AssertionError("no free position after a copy of j2")
     monkeypatch.setattr(cs.algebra, "entries", (pos, copy))
+    with pytest.raises(WindowUnstableError, match="witness left the corner"):
+        tower._transport(tw, a, b, "witness left the corner")
+
+
+def test_transport_refuses_an_image_off_the_source_rows(corpus, monkeypatch):
+    """Dropping a row of a general-route source corner leaves the images
+    of the target rows off its span; the residual certificate refuses
+    them, while the integer checks on the entries still pass."""
+    tw = fiber_tower(corpus, "THETA_BLOCK")
+    g = tw.graph
+    a, b = next((a, b) for a, b in transport_pairs(tw) if len(a) == 1)
+    cs = tw.corners[g.source_of(a)]
+    assert cs is not tw.corners[g.range_of(a)]
+    monkeypatch.setattr(cs.algebra, "rows", cs.algebra.rows[:-1])
     with pytest.raises(WindowUnstableError, match="witness left the corner"):
         tower._transport(tw, a, b, "witness left the corner")
 

@@ -30,10 +30,13 @@ u_a, the weight entries read off by stripping periods, the corner
 product and the stage unit, product and adjoint in corner coordinates,
 and equality modulo the compacts.
 
-wck stores an algebra only as orthonormal rows and its elements as
-coordinates over them; the block-list helpers here (element,
-basis_elements, contains, coords) move between the two for the
-references, which work on full blocks.
+wck stores an algebra only as orthonormal rows over the distinct
+entries of its support, with the map of those entries to their copies,
+and its elements as coordinates over the rows. full_rows scatters the
+rows to full length, and dense_algebra wraps full-length rows in the
+same form, one whole block per level; the block-list helpers here
+(element, basis_elements, contains, coords) move between the two for
+the references, which work on full blocks.
 """
 
 import importlib.util
@@ -63,7 +66,6 @@ from wck.findim import (
     _stack_products,
     _summand_sort_key,
     _support_layout,
-    blocks_eye,
     blocks_unvec,
     blocks_vec,
     star_closure,
@@ -94,6 +96,10 @@ INT_TOL = 1e-4
 MAX_RESAMPLE = 8
 
 
+def blocks_eye(dims):
+    return [np.eye(d, dtype=np.complex128) for d in dims]
+
+
 def blocks_zero(dims):
     return [np.zeros((d, d), dtype=np.complex128) for d in dims]
 
@@ -118,6 +124,33 @@ def blocks_norm(a):
     return max((float(np.linalg.norm(x, 2)) for x in a if x.size), default=0.0)
 
 
+def full_rows(A):
+    """The rows of A at full length, each the blocks_vec of a basis element.
+
+    Each distinct entry is written, divided by the root of its copy
+    count, to every copy of it in one scatter.
+    """
+    rows = A.rows_at(np.arange(len(A.copies))) / np.sqrt(A.copies)
+    full = np.zeros((A.dim, sum(d * d for d in A.dims)), dtype=np.complex128)
+    full[:, A.pos] = rows[:, A.copy]
+    return full
+
+
+def dense_algebra(dims, rows, unit):
+    """The algebra of orthonormal full-length rows, one whole block per level.
+
+    Every position is a distinct entry of its own, so the map is the
+    identity; unit holds the unit's coordinates.
+    """
+    dims = tuple(dims)
+    starts = np.cumsum([0] + [d * d for d in dims])
+    stacks = [(int(off), 1, d) for off, d in zip(starts, dims) if d]
+    every = np.arange(starts[-1])
+    return StarAlgebra(
+        dims, unit, stacks, every, every, np.ones(starts[-1], dtype=int), rows
+    )
+
+
 def element(A, coeffs):
     """Blocks of the element of A with coordinates coeffs.
 
@@ -125,23 +158,23 @@ def element(A, coeffs):
     StarAlgebra.render.
     """
     out = blocks_zero(A.dims)
-    for c, row in zip(coeffs, A.onb):
+    for c, row in zip(coeffs, full_rows(A)):
         out = blocks_add(out, blocks_unvec(row, A.dims), c)
     return out
 
 
 def basis_elements(A):
     """The orthonormal basis of A as block elements."""
-    return [blocks_unvec(row, A.dims) for row in A.onb]
+    return [blocks_unvec(row, A.dims) for row in full_rows(A)]
 
 
 def coords(A, x):
-    """Coordinates of the block element x over the rows of A.onb."""
-    return A.onb.conj() @ blocks_vec(x)
+    """Coordinates of the block element x over the rows of A."""
+    return full_rows(A).conj() @ blocks_vec(x)
 
 
 def contains(A, x, tol=RANK_TOL):
-    return in_span(blocks_vec(x), A.onb, tol)
+    return in_span(blocks_vec(x), full_rows(A), tol)
 
 
 def mkgraph(vertices, edges):
@@ -219,6 +252,38 @@ THETA_BLOCK = {
     "p": 2,
     "N": 0,
     "levels": {"1": {"v1:v2": [[2.0, 1.0], [1.0, 2.0]]}},
+}
+
+
+# O2 with one level-1 block on v:v, p=2, N=0: C0 of dim 12 takes the general
+# route, and its corner splits into 3 summands of size d = 1
+O2_BLOCK_N0 = {
+    "kind": "block",
+    "p": 2,
+    "N": 0,
+    "levels": {"1": {"v:v": [[2.0, 1.0], [1.0, 2.0]]}},
+}
+
+
+# O2 with block weights, p=2, N=1: the level-1 block of O2_BLOCK_N0 and
+# its Kronecker product with [[3, 1], [1, 1]] at level 2. C0 of dim 64
+# takes the general route, and its corner splits into 4 summands of size
+# d = 2
+O2_BLOCK_D2 = {
+    "kind": "block",
+    "p": 2,
+    "N": 1,
+    "levels": {
+        "1": {"v:v": [[2.0, 1.0], [1.0, 2.0]]},
+        "2": {
+            "v:v": [
+                [6.0, 2.0, 3.0, 1.0],
+                [2.0, 2.0, 1.0, 1.0],
+                [3.0, 1.0, 6.0, 2.0],
+                [1.0, 1.0, 2.0, 2.0],
+            ]
+        },
+    },
 }
 
 
@@ -368,7 +433,7 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
                 for cand in (blocks_mul(a, b), blocks_mul(b, a)):
                     new.extend(absorb(cand))
         fresh = new
-    return StarAlgebra(dims, basis_onb, basis_onb.conj() @ blocks_vec(unit))
+    return dense_algebra(dims, basis_onb, basis_onb.conj() @ blocks_vec(unit))
 
 
 def support_star_closure(dims, gens, unit=None, max_dim=4096):
@@ -423,16 +488,17 @@ def support_star_closure(dims, gens, unit=None, max_dim=4096):
         fresh = new
     full = np.zeros((len(rows), len(support)), dtype=np.complex128)
     full[:, pos] = rows
-    return StarAlgebra(dims, full, full.conj() @ blocks_vec(unit))
+    return dense_algebra(dims, full, full.conj() @ blocks_vec(unit))
 
 
 def scattered_units(dims, gens):
     """The rows of star_closure's closed form, scattered at full length.
 
-    The reference for _MatrixUnits.onb: gens are (positions, values)
-    pairs, laid out on the support class blocks with the unit, and the
-    matrix unit of each distinct entry is written, 1/sqrt(copies), to
-    every copy in one scatter, as star_closure did before it kept the map.
+    The reference for full_rows on the closed form: gens are (positions,
+    values) pairs, laid out on the support class blocks with the unit,
+    and the matrix unit of each distinct entry is written, 1/sqrt(copies),
+    to every copy in one scatter, as star_closure did before it kept the
+    map.
     """
     starts = np.cumsum([0] + [d * d for d in dims])
     diag = np.concatenate(
@@ -612,7 +678,7 @@ def assert_matches_oracle(dec):
 
 
 def concrete_stage_algebra(tower, n):
-    """The stage algebra as a plain StarAlgebra on the top window.
+    """The stage algebra as a StarAlgebra on the top window.
 
     Used to cross-check the structural construction against the generic
     finite-dimensional machinery.
