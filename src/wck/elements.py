@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 
 from .errors import ElementError, check_index
@@ -131,8 +132,23 @@ def _accumulate(graph, terms, word, coeff):
             terms[key] = c
 
 
+def _coefficient(c):
+    """c as a complex number; anything but a finite number raises ElementError."""
+    if isinstance(c, numbers.Number) and not isinstance(c, bool):
+        try:
+            value = complex(c)
+        except OverflowError:
+            value = None
+        if value is not None and cmath.isfinite(value):
+            return value
+    raise ElementError("a coefficient must be a finite number, got %r" % (c,))
+
+
 def make(graph, word, coeff=1.0):
-    """Element from one letter tuple, e.g. ((U, 0), (Z, 1), (US, 2))."""
+    """Element from one letter tuple, e.g. ((U, 0), (Z, 1), (US, 2)).
+
+    coeff must be a finite number, or the call raises ElementError.
+    """
     for kind, payload in word:
         if kind in (U, US):
             check_index(payload, 0, graph.n_edges - 1, "an edge index", ElementError)
@@ -145,7 +161,7 @@ def make(graph, word, coeff=1.0):
         else:
             raise ElementError("unknown letter kind %r" % (kind,))
     terms = {}
-    _accumulate(graph, terms, word, complex(coeff))
+    _accumulate(graph, terms, word, _coefficient(coeff))
     return CalkinElement(graph, terms)
 
 
@@ -171,9 +187,11 @@ def add(a, b):
 
 
 def scale(c, a):
+    """c times a; c must be a finite number, or the call raises ElementError."""
+    c = _coefficient(c)
     if c == 0:
         return CalkinElement(a.graph, {})
-    return CalkinElement(a.graph, {w: complex(c) * x for w, x in a.terms.items()})
+    return CalkinElement(a.graph, {w: c * x for w, x in a.terms.items()})
 
 
 def sub(a, b):

@@ -101,12 +101,21 @@ class IdealFamily:
     A subset of central summands is automatically a two-sided *-closed
     ideal of the corner; Corner.summand_ideal verifies that on the
     coordinate level once per summand. j0_dim is the dimension of the
-    family's stage-0 ideal; enumerate_families sets it.
+    family's stage-0 ideal; enumerate_families sets it. Choices that are
+    not sets of summand indices, or counts that are not ints, raise
+    DomainError.
     """
 
     def __init__(self, choices, summand_counts):
-        self.choices = tuple(frozenset(c) for c in choices)
-        self.summand_counts = tuple(int(s) for s in summand_counts)
+        try:
+            self.choices = tuple(frozenset(c) for c in choices)
+            self.summand_counts = tuple(summand_counts)
+        except TypeError:
+            raise DomainError(
+                "a family needs a set of summands and a summand count per vertex"
+            ) from None
+        for s in self.summand_counts:
+            check_index(s, 0, math.inf, "a summand count of the family")
         if len(self.choices) != len(self.summand_counts):
             raise DomainError("family needs one summand subset per vertex")
         for c, s in zip(self.choices, self.summand_counts):
@@ -264,6 +273,7 @@ def ideal_subspace(tower, v, subset):
     already an orthonormal basis of the sum; their Gram matrix is
     certified against the identity.
     """
+    check_index(v, 0, tower.graph.n_vertices - 1, "a vertex index")
     corner = tower.corners[v]
     where = "at vertex %r" % tower.graph.vertices[v]
     try:
@@ -584,7 +594,7 @@ def _render(tower, n, rows):
     """Window render of stacked stage-n rows, one stack per vertex.
 
     A row that is nonzero in one block entry (a, b) at v renders on that
-    entry's support positions alone (Tower.support_index), and distinct
+    entry's support positions alone (Placement.index), and distinct
     entries render on disjoint positions. The rows of the placed chain
     are such rows, so the render is block diagonal: per vertex, (v,
     entries, pos, vals), with entries the G raveled block entries a m +
@@ -592,7 +602,6 @@ def _render(tower, n, rows):
     vals (G, n, S) their rows' renders, zero padded to the largest row
     count. It is what tau_inverse scatters, with no window allocated.
     """
-    lo = tower.M - n * tower.p
     out = []
     for v, blk in tower.stage_unvec(n, rows).items():
         m = blk.shape[-2]
@@ -603,11 +612,13 @@ def _render(tower, n, rows):
         t, key = t[order], key[order]
         entries, first, counts = np.unique(key, return_index=True, return_counts=True)
         group = np.repeat(np.arange(len(entries)), counts)
-        mat = tower.corners[v].support_columns(lo, lo + tower.W)[1]
-        vals = _zeros((len(entries), counts.max(), mat.shape[1]), "stage-%d render" % n)
+        place = tower.placement(n, v)
+        vals = _zeros(
+            (len(entries), counts.max(), place.mat.shape[1]), "stage-%d render" % n
+        )
         rank = np.arange(len(key)) - first[group]
-        vals[group, rank] = blk[t, key // m, key % m] @ mat
-        pos = tower.support_index(n, v).reshape(m * m, -1)[entries]
+        vals[group, rank] = blk[t, key // m, key % m] @ place.mat
+        pos = place.index.reshape(m * m, -1)[entries]
         out.append((v, entries, pos, vals))
     return out
 
@@ -625,14 +636,14 @@ def _fiber_plan(tower, cap):
     index-path pair) in report order. Returns (members, maps, corner).
     members lists (n', n, v, pair), pair the names of the two index
     paths. maps[n'][w] is (owner, column), two (n' + 1, m * m, S) arrays
-    over the strip stages and the raveled support_index(n', w): the
-    member whose strip each support entry meets (-1 for none; the strips
-    of one strip stage are disjoint) and its column there. A member's
-    columns are the strip columns that some support entry meets and the
-    corner's support columns, in ascending order: a render is zero on
-    every other one. corner stacks (span, pinv, mat) of
-    Corner.restricted on them, zero padded. Built once per (tower,
-    cap).
+    over the strip stages and the raveled index of the placement (n',
+    w): the member whose strip each support entry meets (-1 for none;
+    the strips of one strip stage are disjoint) and its column there. A
+    member's columns are the strip columns that some support entry meets
+    and the corner's support columns, in ascending order: a render is
+    zero on every other one. corner stacks (span, pinv, mat) of the
+    placement's solver and support columns on them, zero padded. Built
+    once per (tower, cap).
     """
     plans = tower.plans
     if ("fiber", cap) in plans:
@@ -642,31 +653,31 @@ def _fiber_plan(tower, cap):
     width = 0
     for nprime in sorted({1, cap}):
         for nlow in range(nprime + 1):
-            lo = tower.M - nlow * tower.p
             paths = g.paths(nlow * tower.p + tower.q)
             strips = []
             first = len(members)
             for v in range(g.n_vertices):
                 last = tower.stages[nlow].counts[v] - 1
                 pairs = sorted({(0, 0), (0, last), (last, last)})
-                strips.extend(tower.block_positions(nlow, v, *ij) for ij in pairs)
+                place = tower.placement(nlow, v)
+                strips.extend(place.block_positions(*ij) for ij in pairs)
                 name = {i: g.path_str(paths[tower.stages[nlow].paths[v][i]])
                         for i in (0, last)}
                 members.extend((nprime, nlow, v, (name[a], name[b])) for a, b in pairs)
-                data = tower.corners[v].restricted(lo, lo + tower.W)
-                corner.extend([data] * len(pairs))
+                pinv, span = place.solver
+                corner.extend([(place.sup, span, pinv, place.mat)] * len(pairs))
             width = max(width, max(len(x) for x in strips))
             flat = np.concatenate(strips)
             order = np.argsort(flat)
             owner = np.repeat(np.arange(first, len(members)), [len(x) for x in strips])
             column = np.concatenate([np.arange(len(x)) for x in strips])
             for w in range(g.n_vertices):
-                pos = tower.support_index(nprime, w)
+                pos = tower.placement(nprime, w).index
                 i, hit = _lookup(flat[order], pos.reshape(-1, pos.shape[2]))
                 hits.setdefault((nprime, w), []).append(
                     (np.where(hit, owner[order][i], -1), column[order][i])
                 )
-    keys = [m * width + data[3] for m, data in enumerate(corner)] + [
+    keys = [m * width + data[0] for m, data in enumerate(corner)] + [
         (own * width + col)[own >= 0] for parts in hits.values() for own, col in parts
     ]
     cols = np.unique(np.concatenate(keys))
@@ -677,15 +688,13 @@ def _fiber_plan(tower, cap):
         column = np.searchsorted(cols, owner * width + [col for _, col in parts])
         maps.setdefault(nprime, {})[w] = owner, column - start[owner]
     stacks = _zeros(
-        (3, len(members), max(len(c[0]) for c in corner),
+        (3, len(members), max(len(c[3]) for c in corner),
          np.bincount(cols // width).max()),
         "corner",
     )
-    for m, (data, key) in enumerate(zip(corner, keys)):
-        c_mat, c_pinv, c_span, _ = data
+    for m, ((_, *data), key) in enumerate(zip(corner, keys)):
         local = np.searchsorted(cols, key) - start[m]
-        rows = np.array([c_span, c_pinv, c_mat])
-        stacks[:, m, :len(c_mat), local] = rows.transpose(2, 0, 1)
+        stacks[:, m, :len(data[0]), local] = np.array(data).transpose(2, 0, 1)
     plans[("fiber", cap)] = members, maps, stacks
     return plans[("fiber", cap)]
 
@@ -805,7 +814,7 @@ def _edge_plan(tower, push):
     g = tower.graph
     ne = g.n_edges
     src = np.sort(np.concatenate([
-        tower.support_index(0, v).ravel() for v in range(g.n_vertices)
+        tower.placement(0, v).index.ravel() for v in range(g.n_vertices)
     ]))
     dims = [g.level_dim(k) for k in range(tower.M, tower.G1)]
     off = np.cumsum([0] + [d * d for d in dims])

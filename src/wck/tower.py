@@ -47,14 +47,16 @@ path pair and shared read-only by the fibers and ideals.pi_map. It
 maps distinct entries of one corner to distinct entries of the other,
 so the entry map is counted with exact integer checks and the matrix
 is the corners' rows carried over that map, with one residual
-certificate (_transport). A corner keeps its column
-support, the entries of its map, and its certificates solve on those
-columns alone: tau gathers each window level once per vertex and
-splits it into support entries and the norm of the rest, and
-tau_inverse scatters only the support entries, through an index of
-their window positions (Tower.support_index). No map builds an index
-of all window positions of a stage: Tower.block_positions gives those
-of one block entry, for the strips of the ideal re-verification.
+certificate (_transport). Stage n at vertex v is placed on the window
+once, by one Placement (Tower.placement): the stage rows, and the
+corner's support columns on the stage window [M - n p, M - n p + W),
+the entries of its map there, level by level and at their window
+positions. The certificates solve on those columns alone: tau gathers
+each window level once per vertex and splits it into support entries
+and the norm of the rest, and tau_inverse scatters only the support
+entries. No map builds an index of all window positions of a stage:
+Placement.block_positions gives those of one block entry, for the
+strips of the ideal re-verification.
 
 Every numerical identification (coordinates of an element in a corner,
 fiber images landing in the right corner, multiplicity integrality,
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,8 +144,8 @@ class Corner:
     slot_lists[l - levels[0]] holds the ascending indices of the slot
     paths inside paths(l - q), so a slot position is a searchsorted;
     offsets[l - levels[0]] is where level l starts in a corner vector.
-    An element is zero off the positions the compression keeps, so the
-    stage maps and certificates read and write only those columns.
+    An element is zero off the positions the compression keeps, so a
+    stage reads and writes only those columns (Placement).
     """
 
     def __init__(self, graph, q, C0, v, levels, config):
@@ -160,9 +163,6 @@ class Corner:
             idx = g.prepend_index(k - q, self.xi)[slots]
             cols.append(off + (idx[:, None] * d + idx).ravel())
             off += d * d
-        self._columns = {}
-        self._restricted = {}
-        self._levels = {}
         self.algebra = _compress_units(C0, slot_dims, np.concatenate(cols))
         if self.algebra.rows is None:
             self.T, self.S, summands, ideals = _unit_structure(self.algebra)
@@ -193,65 +193,6 @@ class Corner:
         i0 = lo - self.levels[0]
         i1 = hi - self.levels[0]
         return self.algebra.columns(np.arange(self.offsets[i0], self.offsets[i1]))
-
-    def support_columns(self, lo, hi):
-        """(sup, mat): the support columns of the basis on levels [lo, hi).
-
-        sup holds their positions in columns(lo, hi), in ascending
-        order, and mat the columns themselves. Built once per (lo, hi);
-        the arrays are read-only.
-        """
-        got = self._columns.get((lo, hi))
-        if got is None:
-            base, end = self.offsets[[lo - self.levels[0], hi - self.levels[0]]]
-            pos, mat = self.algebra.support_columns(base, end)
-            got = self._columns[(lo, hi)] = (pos - base, mat)
-            for arr in got:
-                arr.flags.writeable = False
-        return got
-
-    def restricted(self, lo, hi):
-        """The support columns of the basis on levels [lo, hi), rank certified.
-
-        Returns (mat, pinv, span, sup) with (sup, mat) from
-        support_columns, and pinv and span the pseudo-inverse of mat
-        and an orthonormal basis of its row span, all from one SVD of
-        mat.T = u s vh. A zero column changes no singular value, so the
-        rank r certified here, the smallest singular value above
-        FAITHFUL_TOL times the largest (at least 1), is that of all of
-        columns(lo, hi), and the rows of u^T span the rows of mat = vh^T
-        s u^T.
-        """
-        key = (lo, hi)
-        got = self._restricted.get(key)
-        if got is not None:
-            return got
-        sup, mat = self.support_columns(lo, hi)
-        u, sv, vh = np.linalg.svd(mat.T, full_matrices=False)
-        if self.r and (sv.size < self.r or sv[-1] <= FAITHFUL_TOL * max(1.0, sv[0])):
-            raise _not_faithful(self, lo, hi)
-        pinv = (vh.conj().T / sv) @ u.conj().T
-        got = self._restricted[key] = (mat, pinv, u.T, sup)
-        return got
-
-    def level_support(self, lo, hi):
-        """The support columns on levels [lo, hi), level by level.
-
-        Entry i lists the positions of the support columns on level
-        lo + i in that level's raveled S x S slot block; together they
-        are the columns of support_columns(lo, hi) in order. Built once
-        per (lo, hi).
-        """
-        got = self._levels.get((lo, hi))
-        if got is None:
-            sup = self.support_columns(lo, hi)[0]
-            i0 = lo - self.levels[0]
-            starts = self.offsets[i0:hi - self.levels[0] + 1] - self.offsets[i0]
-            cuts = np.searchsorted(sup, starts)
-            got = self._levels[(lo, hi)] = [
-                sup[a:b] - start for a, b, start in zip(cuts[:-1], cuts[1:], starts)
-            ]
-        return got
 
     def summand_ideal(self, i):
         """Orthonormal coordinate rows of the ideal of central summand i.
@@ -291,32 +232,114 @@ class Corner:
         self._summand_ideals[i] = basis
         return basis
 
-    def certified_coords(self, lo, hi, vecs, scales, message=None, off=None):
-        """Coordinates of slot data on levels [lo, hi), and the residuals.
 
-        vecs holds one slot vector per row, laid out like columns(lo,
-        hi); or, with off given, only its support columns (the sup of
-        support_columns), with off the norms of the rest of each row. The
-        coordinates come from the support columns, and the residual of
-        a row is the hypotenuse of its least-squares residual there and
-        its norm off the support. It must stay within 100 * COORD_TOL
-        times the row's scale. Past that bound the call raises
-        WindowUnstableError(message), or returns None for the
-        coordinates when no message is given.
+class Placement:
+    """Stage n at vertex v, placed on the window.
+
+    Block entry (a, b) of the stage-n block at v sits on window level k
+    as the corner's slot block on level k - n p, at the rows of index
+    paths a and b, so the stage reads the corner on its stage window
+    [lo, hi) = [M - n p, M - n p + W). Tower.placement builds one per
+    (n, v) on first use; rows, sup and mat are read-only:
+
+      - rows[kk] has one int row per index path gamma starting at v:
+        the level-(M + kk) indices of gamma*d over the corner slot at
+        level lo + kk, in slot order;
+      - sup and mat are the corner's support columns on [lo, hi): their
+        positions in columns(lo, hi), ascending, and the columns;
+      - levels[kk] lists the positions of the support columns on level
+        lo + kk in that level's raveled S x S slot block, in the order
+        of sup;
+      - index, built on first use, is the (m, m, S) array of window
+        positions of the support entries: entry [a, b] lists the
+        positions in blocks_vec of the window blocks of the support
+        columns in block entry (a, b), S the support size, a small part
+        of the corner's columns where it is sparse;
+      - solver, built only where coordinates are solved, holds the
+        rank-certified pseudo-inverse and row span of mat.
+    """
+
+    def __init__(self, tower, n, v):
+        g = tower.graph
+        self.corner = corner = tower.corners[v]
+        self.lo = tower.M - n * tower.p
+        self.hi = self.lo + tower.W
+        window = range(tower.M, tower.G1)
+        self.dims = [g.level_dim(k) for k in window]
+        first = self.lo - corner.levels[0]
+        length = n * tower.p + tower.q
+        gammas = [g.paths(length)[i] for i in tower.stages[n].paths[v]]
+        self.rows = []
+        for k, slot in zip(window, corner.slot_lists[first:]):
+            rows = np.array(
+                [g.prepend_index(k - length, gam)[slot] for gam in gammas], dtype=int
+            )
+            rows.flags.writeable = False
+            self.rows.append(rows)
+        starts = corner.offsets[first:first + tower.W + 1]
+        pos, self.mat = corner.algebra.support_columns(starts[0], starts[-1])
+        self.sup = pos - starts[0]
+        for arr in (self.sup, self.mat):
+            arr.flags.writeable = False
+        cuts = np.searchsorted(pos, starts)
+        self.levels = [pos[a:b] - s for a, b, s in zip(cuts[:-1], cuts[1:], starts)]
+
+    @cached_property
+    def index(self):
+        """The (m, m, S) window positions of the support entries."""
+        parts = []
+        off = 0
+        for r, ent, d in zip(self.rows, self.levels, self.dims):
+            x, y = divmod(ent, r.shape[1])
+            parts.append(off + r[:, None, x] * d + r[None, :, y])
+            off += d * d
+        return np.concatenate(parts, axis=2)
+
+    def block_positions(self, a, b):
+        """Window positions of all corner columns of block entry (a, b).
+
+        The positions of the corner columns on levels [lo, hi), laid out
+        like columns(lo, hi).
         """
-        mat, pinv, _, sup = self.restricted(lo, hi)
-        if off is None:
-            rest = np.ones(vecs.shape[1], dtype=bool)
-            rest[sup] = False
-            off = np.linalg.norm(vecs[:, rest], axis=1)
-            vecs = vecs[:, sup]
-        coords = vecs @ pinv.T
-        resid = np.hypot(np.linalg.norm(coords @ mat - vecs, axis=1), off)
+        parts = []
+        off = 0
+        for r, d in zip(self.rows, self.dims):
+            parts.append((off + r[a][:, None] * d + r[b]).ravel())
+            off += d * d
+        return np.concatenate(parts)
+
+    @cached_property
+    def solver(self):
+        """(pinv, span): the pseudo-inverse of mat and an orthonormal basis
+        of its row span, from one SVD of mat.T = u s vh.
+
+        A zero column changes no singular value, so the rank r certified
+        here, the smallest singular value above FAITHFUL_TOL times the
+        largest (at least 1), is that of all of columns(lo, hi), and the
+        rows of u^T span the rows of mat = vh^T s u^T. Below it the
+        corner is not faithful on [lo, hi), and the call raises
+        WindowUnstableError.
+        """
+        u, sv, vh = np.linalg.svd(self.mat.T, full_matrices=False)
+        r = self.corner.r
+        if r and (sv.size < r or sv[-1] <= FAITHFUL_TOL * max(1.0, sv[0])):
+            raise _not_faithful(self.corner, self.lo, self.hi)
+        return (vh.conj().T / sv) @ u.conj().T, u.T
+
+    def certified_coords(self, vecs, off, scales, message):
+        """Corner coordinates of support data, one slot vector per row.
+
+        vecs holds the support columns of each row, in the order of sup,
+        and off the norms of the rest of each row. The residual of a row
+        is the hypotenuse of its least-squares residual on the support
+        and its norm off it. It must stay within 100 * COORD_TOL times
+        the row's scale, or the call raises WindowUnstableError(message).
+        """
+        coords = vecs @ self.solver[0].T
+        resid = np.hypot(np.linalg.norm(coords @ self.mat - vecs, axis=1), off)
         if np.any(resid > 100 * COORD_TOL * scales):
-            if message is not None:
-                raise WindowUnstableError(message)
-            coords = None
-        return coords, resid
+            raise WindowUnstableError(message)
+        return coords
 
 
 @dataclass
@@ -373,8 +396,7 @@ class Tower:
                 "window start %d leaves no room for the stage paths" % M
             )
         self.M, self.W, self.G0, self.G1 = M, W, G0, M + W
-        self._stage_rows = {}
-        self._support_index = {}
+        self._placements = {}
         self._transports = {}
         self.plans = {}
         levels = list(range(G0, M + W))
@@ -518,78 +540,12 @@ class Tower:
             for v, m in sorted(self.stages[n].counts.items())
         }
 
-    def stage_rows(self, n, v):
-        """Window rows of the stage-n index paths at v, level by level.
-
-        Entry kk is an int array with one row per index path gamma
-        starting at v: the level-(M + kk) indices of gamma*d over the
-        corner slot at level M + kk - n p, in slot order. Built once per
-        (n, v); the arrays are read-only.
-        """
-        got = self._stage_rows.get((n, v))
-        if got is not None:
-            return got
-        g = self.graph
-        length = n * self.p + self.q
-        gammas = [g.paths(length)[i] for i in self.stages[n].paths[v]]
-        out = []
-        for k in range(self.M, self.M + self.W):
-            slot = self.corners[v].slot_lists[k - n * self.p - self.G0]
-            rows = np.array(
-                [g.prepend_index(k - length, gam)[slot] for gam in gammas],
-                dtype=int,
-            )
-            rows.flags.writeable = False
-            out.append(rows)
-        got = self._stage_rows[(n, v)] = out
-        return got
-
-    def support_index(self, n, v):
-        """Window positions of the stage-n support entries at v, (m, m, S).
-
-        Entry [a, b] lists the positions in blocks_vec of the window
-        blocks of the corner's support columns in block entry (a, b), on
-        levels [M - n p, M + W - n p) and in the order of
-        support_columns; S is the support size, a small part of the
-        corner's columns where it is sparse. Built once per (n, v).
-        """
-        got = self._support_index.get((n, v))
+    def placement(self, n, v):
+        """The Placement of stage n at vertex v, built once per (n, v)."""
+        got = self._placements.get((n, v))
         if got is None:
-            lo = self.M - n * self.p
-            entries = self.corners[v].level_support(lo, lo + self.W)
-            got = self._support_index[(n, v)] = self._positions(n, v, entries)
+            got = self._placements[(n, v)] = Placement(self, n, v)
         return got
-
-    def block_positions(self, n, v, a, b):
-        """Window positions of all corner columns of stage-n block entry (a, b) at v.
-
-        The positions of the corner columns on levels [M - n p, M + W -
-        n p), laid out like columns(lo, hi).
-        """
-        parts = []
-        off = 0
-        for kk, r in enumerate(self.stage_rows(n, v)):
-            d = self.graph.level_dim(self.M + kk)
-            parts.append((off + r[a][:, None] * d + r[b]).ravel())
-            off += d * d
-        return np.concatenate(parts)
-
-    def _positions(self, n, v, entries):
-        """Positions in blocks_vec of slot entries of the stage-n blocks at v.
-
-        entries[kk] lists positions x S + y in the raveled S x S slot
-        block of window level M + kk; the result is (m, m, total), entry
-        [a, b] holding the window positions of those slot entries of
-        block entry (a, b), level by level.
-        """
-        parts = []
-        off = 0
-        for kk, (r, ent) in enumerate(zip(self.stage_rows(n, v), entries)):
-            d = self.graph.level_dim(self.M + kk)
-            x, y = divmod(ent, r.shape[1])
-            parts.append(off + r[:, None, x] * d + r[None, :, y])
-            off += d * d
-        return np.concatenate(parts, axis=2)
 
     def transport(self, a, b, message):
         """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
@@ -610,17 +566,16 @@ class Tower:
         Leading axes of the blocks x[v] (m, m, r) stack elements, and
         every window block carries them in front. Each vertex's blocks
         are multiplied out on the corner's support columns only and
-        scattered through support_index; every other window entry stays
-        zero.
+        scattered through the placement's index; every other window
+        entry stays zero.
         """
         check_index(n, 0, self.config.n_max, "the stage")
         lead = _stage_lead("a stage-%d element" % n, x, self.block_shapes(n))
         dims = [self.graph.level_dim(k) for k in range(self.M, self.M + self.W)]
-        lo = self.M - n * self.p
         flat = np.zeros(lead + (sum(d * d for d in dims),), dtype=np.complex128)
         for v, blk in x.items():
-            mat = self.corners[v].support_columns(lo, lo + self.W)[1]
-            flat[..., self.support_index(n, v)] = blk @ mat
+            place = self.placement(n, v)
+            flat[..., place.index] = blk @ place.mat
         return blocks_unvec(flat, dims)
 
     def tau(self, n, blocks):
@@ -634,23 +589,25 @@ class Tower:
         partition each level, and the entries between the rows of two
         vertices must have a norm within 100 * COORD_TOL times the
         largest absolute entry of the vertices' own blocks (at least 1).
-        Garbage input raises WindowUnstableError.
+        Blocks that are not all finite numbers raise ElementError, and
+        garbage input WindowUnstableError.
         """
         check_index(n, 0, self.config.n_max, "the stage")
         window = range(self.M, self.M + self.W)
         dims = [(self.graph.level_dim(k),) * 2 for k in window]
         _stage_lead("stage-%d window blocks" % n, blocks, dims, stacked=False)
-        lo = self.M - n * self.p
+        refused = ElementError("stage-%d window blocks must hold finite numbers" % n)
+        if not all(data.dtype.kind in "iufc" for data in blocks):
+            raise refused
         x = self.stage_zero(n)
-        top = 1.0
+        parts = []
         for v, blk in x.items():
-            corner = self.corners[v]
+            place = self.placement(n, v)
             m = len(blk)
             vals = []
             off = np.zeros(m * m)
             scales = np.ones(m * m)
-            parts = corner.level_support(lo, lo + self.W)
-            for data, r, entries in zip(blocks, self.stage_rows(n, v), parts):
+            for data, r, entries in zip(blocks, place.rows, place.levels):
                 got = data[r[:, None, :, None], r[None, :, None, :]]
                 got = got.reshape(m * m, -1)
                 vals.append(got[:, entries])
@@ -658,24 +615,29 @@ class Tower:
                 scales = np.maximum(scales, got.max(axis=1, initial=0.0))
                 got[:, entries] = 0
                 off += np.einsum("ij,ij->i", got, got)
-            message = (
-                "window data at vertex %r does not lie in the stage-%d "
-                "algebra" % (self.graph.vertices[v], n)
-            )
-            coords = corner.certified_coords(
-                lo, lo + self.W, np.concatenate(vals, axis=1), scales, message,
-                off=np.sqrt(off),
-            )[0]
-            blk[...] = coords.reshape(blk.shape)
-            top = max(top, scales.max())
+            vals = np.concatenate(vals, axis=1)
+            parts.append((place, vals, np.sqrt(off), scales, scales.max()))
         cross = 0.0
         for kk, data in enumerate(blocks):
             vertex = np.empty(len(data), dtype=int)
             for v in x:
-                vertex[self.stage_rows(n, v)[kk]] = v
+                vertex[self.placement(n, v).rows[kk]] = v
             out = data[vertex[:, None] != vertex]
             cross += np.vdot(out, out).real
-        if math.sqrt(cross) > 100 * COORD_TOL * top:
+        # every entry is in the scale of a row or in the cross norm, so
+        # their sum is finite unless an entry is not; only then are all read
+        peaks = [part[-1] for part in parts]
+        if not math.isfinite(cross + sum(peaks)):
+            if not all(np.isfinite(data).all() for data in blocks):
+                raise refused
+        for (v, blk), (place, vals, off, scales, _) in zip(x.items(), parts):
+            message = (
+                "window data at vertex %r does not lie in the stage-%d "
+                "algebra" % (self.graph.vertices[v], n)
+            )
+            coords = place.certified_coords(vals, off, scales, message)
+            blk[...] = coords.reshape(blk.shape)
+        if math.sqrt(cross) > 100 * COORD_TOL * max([1.0] + peaks):
             raise WindowUnstableError(
                 "window data between the rows of two vertices does not "
                 "vanish, so it does not lie in the stage-%d algebra" % n

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from util import corpus_graphs, cycle_graph, cycle_weight_spec
 from wck.cycle_demo import build_cycle, char_phi
-from wck.elements import P, U, Z, make, parse_element
+from wck.elements import P, U, Z, make, parse_element, scale, unit
 from wck.errors import DomainError, WckError
 from wck.graphs import load_graph
-from wck.ideals import family_of_subset
+from wck.ideals import IdealFamily, family_of_subset, ideal_subspace
 from wck.tower import TowerConfig, build_tower
 from wck.weights import WeightSpec, check_condition_Ap, load_weights, reperiodize
 from wck.windows import WindowConfig, calkin_norm
@@ -139,6 +139,11 @@ def _subset(subset):
     return family_of_subset(tw, subset)
 
 
+def _ideal_subspace(v):
+    tw = build_tower(C3, WeightSpec.unweighted(C3), TowerConfig(n_max=1))
+    return ideal_subspace(tw, v, ())
+
+
 def _char_phi(n, i):
     g, _, model = build_cycle(3, (2.0, 1.0, 3.0))
     return char_phi(model, n, i, parse_element(g, "z"))
@@ -167,6 +172,21 @@ MALFORMED = {
     "make-edge-bool": lambda: make(C3, ((U, True),)),
     "make-vertex-float": lambda: make(C3, ((P, 0.0),)),
     "make-z-bool": lambda: make(C3, ((Z, True),)),
+    "make-coeff-str": lambda: make(C3, ((U, 0),), "abc"),
+    "make-coeff-none": lambda: make(C3, ((U, 0),), None),
+    "make-coeff-list": lambda: make(C3, ((U, 0),), [1]),
+    "make-coeff-nan": lambda: make(C3, ((U, 0),), float("nan")),
+    "make-coeff-inf-imag": lambda: make(C3, ((U, 0),), complex(1, float("inf"))),
+    "scale-coeff-str": lambda: scale("abc", unit(C3)),
+    "scale-coeff-none": lambda: scale(None, unit(C3)),
+    "scale-coeff-list": lambda: scale([1], unit(C3)),
+    "scale-coeff-nan": lambda: scale(float("nan"), unit(C3)),
+    "scale-coeff-inf-imag": lambda: scale(complex(1, float("inf")), unit(C3)),
+    "ideal_subspace-vertex-99": lambda: _ideal_subspace(99),
+    "ideal_subspace-vertex-negative": lambda: _ideal_subspace(-1),
+    "ideal_subspace-vertex-str": lambda: _ideal_subspace("a"),
+    "family-choices-ints": lambda: IdealFamily([1, 2, 3], [1, 1, 1]),
+    "family-count-str": lambda: IdealFamily([(), (), ()], [1, "a", 1]),
     "calkin_norm-O2-element": lambda: calkin_norm(
         parse_element(O2, "z"), WindowConfig(weights=_c3w())
     ),

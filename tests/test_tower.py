@@ -207,10 +207,13 @@ class TestWeightedCycle:
         # is an orthonormal basis of the rows of mat; mat is the support
         # part of the columns, which are zero off it
         tw = c3_weighted
-        for corner in tw.corners.values():
+        for v, corner in tw.corners.items():
             for n in range(tw.config.n_max + 1):
                 lo, hi = tw.M - n * tw.p, tw.M + tw.W - n * tw.p
-                mat, pinv, span, sup = corner.restricted(lo, hi)
+                place = tw.placement(n, v)
+                assert (place.lo, place.hi) == (lo, hi)
+                mat, sup = place.mat, place.sup
+                pinv, span = place.solver
                 full = corner.columns(lo, hi)
                 assert np.array_equal(full[:, sup], mat)
                 assert not np.delete(full, sup, axis=1).any()
@@ -666,7 +669,7 @@ def test_entry_between_two_vertices_is_refused(corpus, key):
     x = tw.stage_random(1, np.random.default_rng(0))
     blocks = tw.tau_inverse(1, x)
     assert max(np.abs(tw.tau(1, blocks)[v] - x[v]).max() for v in x) <= RT_TOL
-    r0, r1 = tw.stage_rows(1, 0)[0], tw.stage_rows(1, 1)[0]
+    r0, r1 = tw.placement(1, 0).rows[0], tw.placement(1, 1).rows[0]
     blocks[0][r0[0, 0], r1[0, 0]] = 1e3
     with pytest.raises(WindowUnstableError, match="between the rows of two vertices"):
         tw.tau(1, blocks)
@@ -679,14 +682,36 @@ def test_off_support_entry_is_refused_on_both_routes(corpus):
     (0, 1) of the slot block of stage-2 block entry (0, 0) is off it.
     """
     tw = fiber_tower(corpus, "theta")
-    first = tw.M - 2 * tw.p
-    assert 1 not in tw.corners[0].level_support(first, first + tw.W)[2]
+    place = tw.placement(2, 0)
+    assert place.lo == tw.M - 2 * tw.p
+    assert 1 not in place.levels[2]
     lo = tw.tau_inverse(2, tw.stage_random(2, np.random.default_rng(8)))
-    r = tw.stage_rows(2, 0)[2]
+    r = place.rows[2]
     lo[2][r[0, 0], r[0, 1]] += 1e-3
     for route in (tw.tau, lambda n, blocks: dense_tau(tw, n, blocks)):
         with pytest.raises(WindowUnstableError, match="does not lie in the stage-2"):
             route(2, lo)
+
+
+# a non-finite or non-numeric value in a stage-1 window block of unweighted
+# C3, at the first row of vertex 0 on the first window level: on its slot
+# diagonal (a support entry) or between the rows of vertices 0 and 1
+NOT_FINITE = {"nan": np.nan, "inf": np.inf, "object": "a"}
+
+
+@pytest.mark.parametrize("where", ["support", "off the support"])
+@pytest.mark.parametrize("value", sorted(NOT_FINITE))
+def test_tau_refuses_blocks_that_are_not_finite_numbers(corpus, value, where):
+    tw = build_tower(corpus["C3"], WeightSpec.unweighted(corpus["C3"]),
+                     TowerConfig(n_max=1))
+    blocks = tw.tau_inverse(1, tw.stage_random(1, np.random.default_rng(4)))
+    r0, r1 = tw.placement(1, 0).rows[0], tw.placement(1, 1).rows[0]
+    col = r0[0, 0] if where == "support" else r1[0, 0]
+    if value == "object":
+        blocks[0] = blocks[0].astype(object)
+    blocks[0][r0[0, 0], col] = NOT_FINITE[value]
+    with pytest.raises(ElementError, match="stage-1 window blocks"):
+        tw.tau(1, blocks)
 
 
 def test_o2_block_corners_are_noncommutative(corpus):
@@ -1001,8 +1026,8 @@ def numerical_calls(monkeypatch):
     """Names of the numerical steps that ran, one per call.
 
     The steps are the decomposition (central_decomposition, tables) and
-    the least-squares corner coordinates (Corner.restricted and
-    Corner.certified_coords).
+    the least-squares corner coordinates (the SVD Placement.solver and
+    Placement.certified_coords).
     """
     calls = []
     tables = findim.StarAlgebra.tables.func
@@ -1018,8 +1043,12 @@ def numerical_calls(monkeypatch):
         spy("central_decomposition", tower.central_decomposition),
     )
     monkeypatch.setattr(findim.StarAlgebra, "tables", property(spy("tables", tables)))
-    for name in ("restricted", "certified_coords"):
-        monkeypatch.setattr(tower.Corner, name, spy(name, getattr(tower.Corner, name)))
+    solver = tower.Placement.solver.func
+    monkeypatch.setattr(tower.Placement, "solver", property(spy("solver", solver)))
+    monkeypatch.setattr(
+        tower.Placement, "certified_coords",
+        spy("certified_coords", tower.Placement.certified_coords),
+    )
     return calls
 
 
@@ -1067,7 +1096,28 @@ def test_block_weight_corners_are_decomposed_numerically(
     assert "tables" in numerical_calls
     assert tw._transports
     assert "certified_coords" not in numerical_calls
-    assert "restricted" not in numerical_calls
+    assert "solver" not in numerical_calls
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_renders_solve_no_corner_coordinates(corpus, key, numerical_calls):
+    """tau_inverse, psi and the ideal renders never run the placement SVD.
+
+    Only tau solves corner coordinates, so only tau can raise the
+    faithfulness error of Placement.solver.
+    """
+    tw = fiber_tower(corpus, key)
+    rng = np.random.default_rng(9)
+    for n in range(tw.config.n_max + 1):
+        x = tw.stage_random(n, rng)
+        tw.tau_inverse(n, x)
+        if n < tw.config.n_max:
+            tw.psi(n, x)
+        assert ideals._render(tw, n, tw.stage_vec(n, x)[None])
+    assert "solver" not in numerical_calls
+    assert "certified_coords" not in numerical_calls
+    tw.tau(0, tw.tau_inverse(0, tw.stage_random(0, rng)))
+    assert "solver" in numerical_calls
 
 
 def test_block_weight_build_allocates_no_window_row(corpus):

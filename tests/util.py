@@ -14,7 +14,8 @@ embedding read off corner ranks, the per-pair loop of the fiber
 multiplicities, the per-summand-pair loop of the transport edges, the
 per-basis-element transport, the per-entry tau
 and tau_inverse loops, the dense restricted, tau and tau_inverse on all
-window columns and the (m, m, L) window index they read, the
+window columns and the (m, m, L) window index they read (from window
+rows read off the path tables, not off a Placement), the
 re-verification of an invariant ideal one
 chain row and one render at a time, the linear-algebra search for
 invariant families, the corner ideal of a summand subset built and
@@ -705,7 +706,7 @@ def _looped_coords(corner, lo, hi, slot_blocks, scale, message):
     """Certified corner coordinates of one list of slot blocks.
 
     The restricted basis matrix is rebuilt from the basis elements on
-    levels [lo, hi), so nothing is shared with Corner.restricted.
+    levels [lo, hi), so nothing is shared with Placement.solver.
     """
     i0, i1 = lo - corner.levels[0], hi - corner.levels[0]
     mat = np.array([blocks_vec(b[i0:i1]) for b in basis_elements(corner.algebra)])
@@ -747,7 +748,7 @@ def looped_tau_inverse(tower, n, x):
     ]
     first = tower.M - n * tower.p - tower.G0
     for v, blk in x.items():
-        rows = tower.stage_rows(n, v)
+        rows = window_rows(tower, n, v)
         for a in range(blk.shape[0]):
             for b in range(blk.shape[0]):
                 mats = element(tower.corners[v].algebra, blk[a, b])
@@ -761,7 +762,7 @@ def looped_tau(tower, n, blocks):
     lo = tower.M - n * tower.p
     x = tower.stage_zero(n)
     for v, blk in x.items():
-        rows = tower.stage_rows(n, v)
+        rows = window_rows(tower, n, v)
         for a in range(blk.shape[0]):
             for b in range(blk.shape[0]):
                 slot_blocks = [
@@ -775,6 +776,23 @@ def looped_tau(tower, n, blocks):
     return x
 
 
+def window_rows(tower, n, v):
+    """Window rows of the stage-n index paths at v, level by level.
+
+    Entry kk has one row per index path gamma starting at v: the
+    level-(M + kk) indices of gamma*d over the paths d of length
+    M + kk - n p - q that end at v, read off the path tables.
+    """
+    g = tower.graph
+    length = n * tower.p + tower.q
+    gammas = [g.paths(length)[i] for i in tower.stages[n].paths[v]]
+    return [
+        np.array([g.prepend_index(k - length, gam)[g.ending_at(k - length, v)]
+                  for gam in gammas])
+        for k in range(tower.M, tower.M + tower.W)
+    ]
+
+
 def window_index(tower, n, v):
     """Window positions of the stage-n entries at v, an (m, m, L) array.
 
@@ -782,12 +800,19 @@ def window_index(tower, n, v):
     of the corner entries of block entry (a, b), laid out like the
     columns of the corner on levels [M - n p, M + W - n p).
     """
-    grids = [np.arange(r.shape[1] ** 2) for r in tower.stage_rows(n, v)]
-    return tower._positions(n, v, grids)
+    parts = []
+    off = 0
+    for k, r in zip(range(tower.M, tower.M + tower.W), window_rows(tower, n, v)):
+        d = tower.graph.level_dim(k)
+        m, s = r.shape
+        parts.append((off + r[:, None, :, None] * d + r[None, :, None, :])
+                     .reshape(m, m, s * s))
+        off += d * d
+    return np.concatenate(parts, axis=2)
 
 
 def dense_restricted(corner, lo, hi):
-    """Corner.restricted on all columns of levels [lo, hi), zero or not.
+    """Placement.solver on all columns of levels [lo, hi), zero or not.
 
     Returns (mat, pinv, span) from one SVD of the dense columns, with
     the same faithfulness cut.
@@ -1359,7 +1384,7 @@ def looped_verify_fully_invariant(tower, family, n_cap=None):
             hi = tower.M + tower.W - nlow * tower.p
             for v in range(g.n_vertices):
                 corner = tower.corners[v]
-                mat = dense_restricted(corner, lo, hi)[0]
+                mat, pinv, _ = dense_restricted(corner, lo, hi)
                 corner_span = onb(mat)
                 index_paths = g.paths(nlow * tower.p + tower.q)
                 paths_low = tower.stages[nlow].paths[v]
@@ -1375,10 +1400,11 @@ def looped_verify_fully_invariant(tower, family, n_cap=None):
                             (0, mat.shape[1]), dtype=np.complex128
                         )
                     inter = span_intersect(strip_span, corner_span)
-                    rows, resid = corner.certified_coords(
-                        lo, hi, inter,
-                        np.maximum(1.0, np.linalg.norm(inter, axis=1)),
-                    )
+                    rows = inter @ pinv.T
+                    resid = np.linalg.norm(rows @ mat - inter, axis=1)
+                    scales = np.maximum(1.0, np.linalg.norm(inter, axis=1))
+                    if np.any(resid > 100 * COORD_TOL * scales):
+                        rows = None
                     entry = {
                         "stage": nprime,
                         "strip_stage": nlow,
