@@ -189,6 +189,7 @@ def add(a, b):
 def scale(c, a):
     """c times a; c must be a finite number, or the call raises ElementError."""
     c = _coefficient(c)
+    _check_element(a)
     if c == 0:
         return CalkinElement(a.graph, {})
     return CalkinElement(a.graph, {w: c * x for w, x in a.terms.items()})
@@ -219,6 +220,7 @@ def mul(a, b):
 
 
 def adjoint(a):
+    _check_element(a)
     terms = {}
     for word, c in a.terms.items():
         conj = []
@@ -243,6 +245,7 @@ def offset(a):
 
     The zero element reports offset 0; mixed-grading elements raise.
     """
+    _check_element(a)
     offsets = {word_offset(w) for w in a.terms}
     if not offsets:
         return 0
@@ -251,7 +254,14 @@ def offset(a):
     return offsets.pop()
 
 
+def _check_element(a):
+    if not isinstance(a, CalkinElement):
+        raise ElementError("not an element: %r" % (a,))
+
+
 def _check_same_graph(a, b):
+    _check_element(a)
+    _check_element(b)
     if a.graph is not b.graph:
         raise ElementError("elements live over different graphs")
 
@@ -415,6 +425,7 @@ def element_str(a):
     over the same word, since scalars in the grammar are real or purely
     imaginary; parsing re-adds them.
     """
+    _check_element(a)
     if not a.terms:
         return "0"
     pieces = []

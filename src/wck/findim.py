@@ -7,9 +7,9 @@ map of those entries to their copies. Its elements, the unit and the
 central projections included, are coordinate vectors over the rows,
 and StarAlgebra.render turns one into blocks where needed. The analysis
 follows the standard route: find the algebra the generators generate
-and split its center into its minimal projections, one per matrix
-summand. A summand is its central projection z: its size d and its
-ambient rank are traces of z, and so are the multiplicities of a
+and put it on matrix units, one system per matrix summand. A summand is
+its central projection z, the sum of its diagonal units: its size d and
+its ambient rank are traces of z, and so are the multiplicities of a
 *-homomorphism between two such algebras (tower._fiber_multiplicities).
 
 Generators come in as sparse entries, (positions, values) pairs over
@@ -54,21 +54,23 @@ of the algebra, is read off the map (_compress_units): two exact
 integer checks hold it to the same S x S entries of every distinct
 block on all of its copies, and it keeps the algebra's rows there,
 orthonormalized. On matrix units it is M_|S| on each block that keeps
-any, with exact structure constants, central projections and summand
-ideals (_unit_structure).
+any.
 
-Otherwise the decomposition is numerical and deterministic, on the
-structure constants in the coordinates of the rows (tables). The
-center is the nullspace of the commutator map. Its joint eigenspaces
-under left multiplication by the hermitian parts of a center basis are
-refined one element at a time until each is a line, the line of one
-central projection. Every result is certified, and a failed
+Every algebra is decomposed one way: on matrix units, with exact
+structure constants, central projections and summand ideals
+(_unit_structure). The closed form is on its units already. General
+rows are first rotated onto units read off the algebra's own distinct
+blocks (_rotate), as in the block-diagonalization of Murota, Kanno,
+Kojima and Kojima (Japan J. Indust. Appl. Math. 27, 2010): the
+eigenspaces of one generic self-adjoint element, grouped across blocks,
+are the minimal projections, the nonzero compressions between them
+join them into summands, and one compression per pair pairs them by a
+unitary on every block. The rotation is certified, and a failed
 certificate raises; a wrong answer is never returned silently.
 
-The integers, the sizes d^2 and ambient ranks of the summands, are
-traces of certified projections (integer_traces), never numerical
-ranks: x -> z x is an idempotent on coordinates, and the rows are
-orthonormal for tr(a^* b).
+The integers, the sizes d and ambient ranks of the summands, are counts
+of minimal projections and of the eigenvalues in them, the traces of
+certified projections, never numerical ranks.
 """
 
 from __future__ import annotations
@@ -210,31 +212,6 @@ class StarAlgebra:
         """Diagonal entries of the blocks of the element, levels joined."""
         return coeffs @ self._diagonal
 
-    @cached_property
-    def tables(self):
-        """Structure constants in the coordinates of the rows.
-
-        (T, S, resid): with e_i the element of row i, e_i e_j = sum_k
-        T[i, j, k] e_k and e_i^* = sum_k S[i, k] e_k up to what the span
-        misses; resid[i] holds the norms of the part of e_i^* and of the
-        worst product e_i e_j off the span. Computed once, on the
-        distinct stacks, each entry weighted by its copies.
-        """
-        root = np.sqrt(self.copies)
-        rows = self.rows_at(np.arange(len(root)))
-        q = rows / root
-        dual = (rows.conj() * root).T
-        adj = q[:, _transpose(self.stacks)].conj()
-        S = adj @ dual
-        resid = np.zeros((len(q), 2))
-        resid[:, 0] = np.linalg.norm((adj - S @ q) * root, axis=1)
-        T = np.empty((len(q),) * 3, dtype=np.complex128)
-        for i, a in enumerate(q):
-            prods = _stack_products(a, q, self.stacks)[:, 0]
-            T[i] = prods @ dual
-            resid[i, 1] = np.linalg.norm((prods - T[i] @ q) * root, axis=1).max()
-        return T, S, resid
-
 
 def _diagonal_positions(dims):
     """Positions in blocks_vec of the diagonal entries of every block."""
@@ -359,29 +336,6 @@ def _distinct_blocks(stacks, vecs):
         copy[blocks] = off + inv[:, None] * s * s + np.arange(s * s)
         copies.append(np.repeat(count, s * s))
     return stacks, tpos, rep, copy, np.concatenate(copies)
-
-
-def _stack_products(a, basis, stacks):
-    """Products a b and b a for every row b of basis, as an (n, 2, L) block.
-
-    a and the rows of basis are compressed vectors. Each stack is
-    multiplied by a loop over the inner index with broadcast products,
-    which on stacks of small blocks beats einsum and stacked matmul.
-    """
-    n, length = basis.shape
-    out = np.empty((n, 2, length), dtype=np.complex128)
-    for off, c, s in stacks:
-        end = off + c * s * s
-        x = a[off:end].reshape(c, s, s)
-        y = basis[:, off:end].reshape(n, c, s, s)
-        ab = np.zeros((n, c, s, s), dtype=np.complex128)
-        ba = np.zeros((n, c, s, s), dtype=np.complex128)
-        for j in range(s):
-            ab += x[None, :, :, j, None] * y[:, :, j, None, :]
-            ba += y[:, :, :, j, None] * x[None, :, j, None, :]
-        out[:, 0, off:end] = ab.reshape(n, -1)
-        out[:, 1, off:end] = ba.reshape(n, -1)
-    return out
 
 
 def _kron(a, b):
@@ -617,50 +571,22 @@ class Summand:
 
 @dataclass
 class CentralDecomposition:
+    """An algebra on its matrix units, split into its summands.
+
+    T and S are its structure constants, e_i e_j = sum_k T[i, j, k] e_k
+    and e_i^* = sum_k S[i, k] e_k, and ideals[i] holds the read-only
+    coordinate rows of the ideal of summand i: its own units.
+    """
+
     algebra: StarAlgebra
     summands: list
+    T: np.ndarray
+    S: np.ndarray
+    ideals: list
 
     @property
     def dims(self):
         return [s.d for s in self.summands]
-
-
-def _cluster_eigenvalues(values):
-    order = np.argsort(values)
-    clusters = []
-    for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= CLUSTER_GAP:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
-
-
-def _left(h, T):
-    """Matrix of x -> h x on coordinate vectors."""
-    return np.einsum("i,ijk->kj", h, T)
-
-
-def _refine(pieces, hs, T):
-    """Split subspaces into the joint eigenspaces of the maps x -> h x.
-
-    Each piece is an (r, m) matrix of orthonormal coordinate columns
-    spanning a subspace that every x -> h x maps into itself. For each
-    hermitian h in turn, every piece of dimension above one is split by
-    the eigenvalue clusters of that map restricted to it, in ascending
-    order of the eigenvalues.
-    """
-    for h in hs:
-        lh = _left(h, T)
-        out = []
-        for v in pieces:
-            if v.shape[1] == 1:
-                out.append(v)
-                continue
-            vals, vecs = np.linalg.eigh(v.conj().T @ lh @ v)
-            out.extend(v @ vecs[:, c] for c in _cluster_eigenvalues(vals))
-        pieces = out
-    return pieces
 
 
 def integer_traces(traces, error, what):
@@ -675,84 +601,174 @@ def integer_traces(traces, error, what):
     return ints.astype(int)
 
 
-def _summand_sort_key(A, sm):
-    diag = A.diagonal(sm.z).real
-    return (sm.d, sm.ambient_rank, tuple(np.round(diag, 6)))
+def _summand_order(A, summands):
+    """The canonical order of the summands, as indices.
+
+    Summands are ordered by d, ambient rank and the rounded diagonal of
+    the rendered z, and ties by the whole rounded rendered z. Each key
+    is the same in every basis of A.
+    """
+    keys = [
+        (sm.d, sm.ambient_rank, tuple(np.round(A.diagonal(sm.z).real, 6)))
+        for sm in summands
+    ]
+    if len(set(keys)) < len(keys):
+        keys = [
+            key + tuple(np.round(blocks_vec(A.render(sm.z)), 6).view(float))
+            for key, sm in zip(keys, summands)
+        ]
+    return sorted(range(len(summands)), key=keys.__getitem__)
+
+
+def _generic(n):
+    """Weights cos(i + 1) of a generic combination of n elements: fixed,
+    and with no ratio among the small rationals that copy counts make."""
+    return np.cos(np.arange(n) + 1.0)
+
+
+def _pairing(ys, copies):
+    """The unitaries U_b of compressions y_b = c U_b, c > 0 common.
+
+    ys holds one square compression per block and copies the copy count
+    of each block. c is their norm over the ranks, both counted on all
+    copies, and every U_b must be unitary within RANK_TOL, or the call
+    raises DecompositionError.
+    """
+    c = math.sqrt(
+        sum(k * np.vdot(y, y).real for y, k in zip(ys, copies))
+        / sum(k * len(y) for y, k in zip(ys, copies))
+    )
+    us = [y / c for y in ys]
+    for u in us:
+        if np.linalg.norm(u.conj().T @ u - np.eye(len(u))) > RANK_TOL:
+            raise DecompositionError(
+                "a pairing of minimal projections is not unitary"
+            )
+    return us
+
+
+def _rotate(A):
+    """A on matrix units read off its own distinct blocks.
+
+    h = sum_i w_i (x_i + x_i^*), x_i the basis elements and w _generic,
+    is a generic self-adjoint element: one eigh per stack splits each
+    distinct block into its eigenspaces, and the eigenvalues grouped
+    across blocks (gaps above CLUSTER_GAP) are the minimal projections
+    e_k. Two of them are in one summand when e_k x_i e_l is not zero
+    (cut at RANK_TOL) for some i. Within a summand the largest
+    compression e_1 x_i e_j is c U_b on every block b (_pairing), and V_j
+    is rotated by U_b, so that e_1j = sum_b V_1 V_j^* are matrix units;
+    each unit is divided by the root of its ambient multiplicity c_k,
+    the sum over blocks of copies times rank, so that the units are
+    orthonormal rows. The sizes d_k^2 must add up to dim A and every
+    unit row must lie within RANK_TOL of A's rows, or the call raises
+    DecompositionError: orthonormal matrix units in A that span it are
+    A, closed under products and adjoints, and summand by summand its
+    ideals.
+
+    Returns (B, first, sizes, mult): B is A with the unit rows, and the
+    units of summand k are rows first[k] + x sizes[k] + y, of ambient
+    multiplicity mult[k].
+    """
+    x = A.rows / np.sqrt(A.copies)
+    hv = _generic(A.dim) @ x
+    # per distinct block: its offset, size, copies and eigenvectors of h
+    blocks, vals = [], []
+    for off, c, s in A.stacks:
+        h = hv[off:off + c * s * s].reshape(c, s, s)
+        w, v = np.linalg.eigh(h + h.conj().swapaxes(1, 2))
+        vals.append(w.ravel())
+        for b in range(c):
+            o = off + b * s * s
+            blocks.append((o, s, int(A.copies[o]), v[b]))
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    cluster = np.empty(len(vals), dtype=int)
+    cluster[order] = np.cumsum(np.diff(vals[order], prepend=-np.inf) > CLUSTER_GAP) - 1
+    n = cluster.max() + 1
+    labels = np.split(cluster, np.cumsum([s for _, s, _, _ in blocks])[:-1])
+    # the squared norms of e_k x_i e_l on all copies, per basis element
+    norms = np.zeros((A.dim, n * n))
+    for (o, s, k, v), lab in zip(blocks, labels):
+        y = v.conj().T @ x[:, o:o + s * s].reshape(-1, s, s) @ v
+        pair = (lab[:, None] * n + lab).ravel()
+        np.add.at(norms, (slice(None), pair), k * np.abs(y.reshape(len(y), -1)) ** 2)
+    norms = norms.reshape(-1, n, n)
+    linked = np.argwhere(norms.max(axis=0) > RANK_TOL ** 2)
+    summand = _components(linked[:, 0], linked[:, 1], n)
+    rows, sizes, mult = [], [], []
+    for lead in np.unique(summand):
+        members = np.flatnonzero(summand == lead)
+        d = len(members)
+        # the blocks the summand sits on, with the eigenvectors of each
+        # of its minimal projections there
+        parts = [
+            (o, s, k, [v[:, lab == m] for m in members])
+            for (o, s, k, v), lab in zip(blocks, labels)
+            if np.isin(lab, members).any()
+        ]
+        for j in range(1, d):
+            i = norms[:, members[0], members[j]].argmax()
+            ys = []
+            for o, s, _, vs in parts:
+                if vs[0].shape != vs[j].shape:
+                    raise DecompositionError(
+                        "a pairing of minimal projections is not square"
+                    )
+                ys.append(vs[0].conj().T @ x[i, o:o + s * s].reshape(s, s) @ vs[j])
+            for (*_, vs), u in zip(parts, _pairing(ys, [k for _, _, k, _ in parts])):
+                vs[j] = vs[j] @ u.conj().T
+        c = sum(k * vs[0].shape[1] for _, _, k, vs in parts)
+        units = np.zeros((d * d, len(A.copies)), dtype=np.complex128)
+        for o, s, k, vs in parts:
+            vs = np.stack(vs)
+            e = np.einsum("iam,jbm->ijab", vs, vs.conj())
+            units[:, o:o + s * s] = e.reshape(d * d, s * s) * math.sqrt(k / c)
+        rows.append(units)
+        sizes.append(d)
+        mult.append(c)
+    rows = np.concatenate(rows)
+    if len(rows) != A.dim:
+        raise DecompositionError(
+            "summand sizes do not add up to the dimension %d" % A.dim
+        )
+    off = np.linalg.norm(rows - rows @ A.rows.conj().T @ A.rows, axis=1)
+    if np.any(off > RANK_TOL):
+        raise DecompositionError("a matrix unit is off the algebra")
+    sizes, mult = np.array(sizes), np.array(mult)
+    first = np.cumsum(sizes * sizes) - sizes * sizes
+    unit = np.zeros(A.dim, dtype=np.complex128)
+    for f, d, c in zip(first, sizes, mult):
+        unit[f + np.arange(d) * (d + 1)] = math.sqrt(c)
+    B = StarAlgebra(A.dims, unit, A.stacks, A.pos, A.copy, A.copies, rows)
+    return B, first, sizes, mult
 
 
 def central_decomposition(A):
     """Split a finite-dimensional *-algebra into matrix summands.
 
-    Everything runs on the structure constants A.tables, in the
-    coordinates of the orthonormal rows of A, where x -> h x is a
-    hermitian matrix for self-adjoint h. The center is the nullspace of
-    the commutator map, from a thin SVD. Its joint eigenspaces under
-    x -> h x, h over the hermitian parts of a center basis, are refined
-    one h at a time (_refine) down to one line per summand, and each
-    line is scaled to its central projection z. The result is certified
-    or the call raises DecompositionError: each z is a self-adjoint
-    idempotent, the z sum to the unit, the trace of x -> z x is a square
-    d^2, the d^2 sum to dim A and d divides the ambient rank of z, its
-    trace in the block space; both traces must be integers. A summand
-    is that z with d and the ambient rank; the multiplicities of a map
-    out of A are traces of the images of the z. Nothing is random, and
-    the summands come back in a canonical order that only depends on
-    the projections.
+    Every summand is read off matrix units, exactly (_unit_structure).
+    The closed form is on its units already, one summand per distinct
+    block; general rows are rotated onto units read off A's own
+    distinct blocks first (_rotate), which is certified or raises
+    DecompositionError. The result's algebra is A on its units. A
+    summand is its central projection z, the sum of the root of its
+    ambient multiplicity times its diagonal units, with d and the
+    ambient rank; the multiplicities of a map out of A are traces of the
+    images of the z. Nothing is random, and the summands come back in a
+    canonical order that only depends on the projections
+    (_summand_order).
     """
-    T, S, _ = A.tables
-    r = A.dim
-    unit = A.unit
-    comm = (T - T.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
-    sv, vh = np.linalg.svd(comm, full_matrices=False)[1:]
-    rank = int(np.sum(sv > RANK_TOL * max(1.0, *sv[:1])))
-    center = vh[rank:].conj()
-    s = len(center)
-    if s == 0:
-        raise DecompositionError("algebra has no central elements")
-    # the hermitian parts (y + y^*) / 2 of y = c and y = i c
-    hs = [0.5 * (y + np.conj(y) @ S) for c in center for y in (c, 1j * c)]
-    pieces = _refine([center.T], hs, T)
-    if len(pieces) != s:
-        raise DecompositionError(
-            "the center of dimension %d split into %d pieces"
-            % (s, len(pieces))
+    if A.rows is None:
+        first = np.array(
+            [off + b * s * s for off, c, s in A.stacks for b in range(c)], dtype=int
         )
-    trace = A._diagonal.sum(axis=1)
-    summands = []
-    total = np.zeros_like(unit)
-    for v in pieces:
-        # e e is a multiple of e, and z is the idempotent on its line
-        e = v[:, 0]
-        alpha = np.vdot(e, np.einsum("i,j,ijk->k", e, e, T)) / np.vdot(e, e)
-        if abs(alpha) <= RANK_TOL:
-            raise DecompositionError("a central piece squares to zero")
-        z = e / alpha
-        zz = np.einsum("i,j,ijk->k", z, z, T)
-        off = max(np.linalg.norm(zz - z), np.linalg.norm(np.conj(z) @ S - z))
-        if off / max(1.0, float(np.linalg.norm(z))) > 100 * RANK_TOL:
-            raise DecompositionError("a central piece is not a projection")
-        rank, ambient_rank = integer_traces(
-            [np.einsum("i,ijj->", z, T), trace @ z], DecompositionError, "a summand"
-        ).tolist()
-        d = math.isqrt(rank)
-        if d == 0 or d * d != rank or ambient_rank % d:
-            raise DecompositionError(
-                "central projection of rank %d in the algebra and %d in the "
-                "block space is not a matrix summand" % (rank, ambient_rank)
-            )
-        total += z
-        summands.append(Summand(z, d, ambient_rank))
-    bound = 100 * RANK_TOL * max(1.0, np.linalg.norm(unit))
-    if np.linalg.norm(total - unit) > bound:
-        raise DecompositionError(
-            "the central projections do not sum to the unit"
-        )
-    if sum(sm.d ** 2 for sm in summands) != r:
-        raise DecompositionError(
-            "summand sizes do not add up to the dimension %d" % r
-        )
-    summands.sort(key=lambda sm: _summand_sort_key(A, sm))
-    return CentralDecomposition(algebra=A, summands=summands)
+        sizes = np.array([s for _, c, s in A.stacks for _ in range(c)], dtype=int)
+        mult = A.copies[first]
+    else:
+        A, first, sizes, mult = _rotate(A)
+    T, S, summands, ideals = _unit_structure(A, first, sizes, mult)
+    return CentralDecomposition(A, summands, T, S, ideals)
 
 
 # -- compressions --------------------------------------------------------------
@@ -806,44 +822,43 @@ def _compress_units(A, dims, positions):
     return StarAlgebra(dims, unit, stacks, pos, new[entry], copies, rows)
 
 
-def _unit_structure(A):
+def _unit_structure(A, first, sizes, mult):
     """Structure constants, summands and summand ideals of matrix units.
 
-    A keeps its unit rows implicit. Unit e_xy of a distinct block with c
-    copies is 1/sqrt(c) on each copy, so e_xy e_yw = e_xw / sqrt(c) and
-    e_xy^* = e_yx give T and S; the block is one summand M_s, with z the
-    sum of the sqrt(c) e_xx and ambient rank s c, and its ideal rows are
-    the coordinate rows of its units. All of it is exact, with no
-    numerical step.
+    The rows of A are matrix units, laid out by summand: unit e_xy of
+    summand k is row first[k] + x sizes[k] + y, the unit of the block
+    space over sqrt(c), c = mult[k] its ambient multiplicity. So
+    e_xy e_yw = e_xw / sqrt(c) and e_xy^* = e_yx give T and S; z is the
+    sum of the sqrt(c) e_xx, of ambient rank sizes[k] c, and the ideal
+    rows are the coordinate rows of the units. All of it is exact, with
+    no numerical step.
 
-    Returns (T, S, summands, ideals), the summands in the order of
-    central_decomposition and ideals[i] the read-only rows of summand i.
+    Returns (T, S, summands, ideals), the summands in canonical order
+    (_summand_order) and ideals[i] the read-only rows of summand i.
     """
     r = A.dim
-    root = np.sqrt(A.copies)
     T = np.zeros((r, r, r), dtype=np.complex128)
     S = np.zeros((r, r), dtype=np.complex128)
     found = []
-    for s in sorted({s for _, _, s in A.stacks}):
-        # the units of every distinct s x s block, (blocks, s, s)
-        first = np.concatenate(
-            [off + np.arange(c) * s * s for off, c, t in A.stacks if t == s]
-        )
-        units = first[:, None, None] + np.arange(s * s).reshape(s, s)
-        scale = root[first]
+    for s in sorted(set(sizes.tolist())):
+        sel = sizes == s
+        units = first[sel, None, None] + np.arange(s * s).reshape(s, s)
+        scale = np.sqrt(mult[sel])
         T[units[:, :, :, None], units[:, None], units[:, :, None]] = (
             1 / scale[:, None, None, None]
         )
         S[units, units.swapaxes(1, 2)] = 1
-        z = np.zeros((len(first), r), dtype=np.complex128)
-        z[np.arange(len(first))[:, None], np.diagonal(units, axis1=1, axis2=2)] = (
+        z = np.zeros((len(units), r), dtype=np.complex128)
+        z[np.arange(len(units))[:, None], np.diagonal(units, axis1=1, axis2=2)] = (
             scale[:, None]
         )
-        ideals = np.eye(r, dtype=np.complex128)[units.reshape(len(first), -1)]
+        ideals = np.eye(r, dtype=np.complex128)[units.reshape(len(units), -1)]
         ideals.flags.writeable = False
         found.extend(
-            (Summand(zb, s, s * int(A.copies[f])), ideal)
-            for zb, f, ideal in zip(z, first, ideals)
+            (Summand(zb, s, s * int(c)), ideal)
+            for zb, c, ideal in zip(z, mult[sel], ideals)
         )
-    found.sort(key=lambda pair: _summand_sort_key(A, pair[0]))
-    return T, S, [sm for sm, _ in found], [x for _, x in found]
+    order = _summand_order(A, [sm for sm, _ in found])
+    return (
+        T, S, [found[i][0] for i in order], [found[i][1] for i in order]
+    )

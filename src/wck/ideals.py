@@ -31,9 +31,10 @@ The ideals themselves are assembled, not searched for, from two facts:
 
 * summand ideals are orthogonal: for central summands i != j,
   <z_i a, z_j b> = tr(a^* z_i z_j b) = 0, and corner coordinates are
-  isometric. Each summand ideal is verified once per tower
-  (Corner.summand_ideal), and the ideal of a label set at a vertex is
-  the stack of their rows;
+  isometric. Each summand ideal is the coordinate rows of the
+  summand's own matrix units (corner.dec.ideals), exact on every
+  corner, and the ideal of a label set at a vertex is the stack of
+  their rows;
 * stage ideals are placements: every stage-m index path at v factors
   uniquely as delta*alpha with |delta| = m p and alpha a stage-0 index
   path at v, and path conjugation is an exact index copy, so stage m
@@ -99,11 +100,10 @@ class IdealFamily:
     at vertex v whose direct sum is the chosen ideal J_v; the empty set
     is the zero ideal and the full index range is the corner itself.
     A subset of central summands is automatically a two-sided *-closed
-    ideal of the corner; Corner.summand_ideal verifies that on the
-    coordinate level once per summand. j0_dim is the dimension of the
-    family's stage-0 ideal; enumerate_families sets it. Choices that are
-    not sets of summand indices, or counts that are not ints, raise
-    DomainError.
+    ideal of the corner, spanned by the summands' matrix units
+    (corner.dec.ideals). j0_dim is the dimension of the family's stage-0
+    ideal; enumerate_families sets it. Choices that are not sets of
+    summand indices, or counts that are not ints, raise DomainError.
     """
 
     def __init__(self, choices, summand_counts):
@@ -266,8 +266,8 @@ def ideal_subspace(tower, v, subset):
 
     The ideal is the direct sum of the ideals of the chosen central
     summands; the rows are coordinates with respect to the corner's
-    orthonormal basis. Each summand ideal is verified once per tower
-    (Corner.summand_ideal). Distinct central summands are orthogonal,
+    orthonormal basis. Each summand ideal is the rows of its matrix
+    units (corner.dec.ideals). Distinct central summands are orthogonal,
     <z_i a, z_j b> = tr(a^* z_i z_j b) = 0, and corner coordinates are
     isometric, so the stacked rows, in ascending summand order, are
     already an orthonormal basis of the sum; their Gram matrix is
@@ -284,7 +284,7 @@ def ideal_subspace(tower, v, subset):
         check_index(i, 0, len(corner.dec.summands) - 1, "a summand index " + where)
     if not subset:
         return np.zeros((0, corner.r), dtype=np.complex128)
-    basis = np.concatenate([corner.summand_ideal(i) for i in subset])
+    basis = np.concatenate([corner.dec.ideals[i] for i in subset])
     gram = basis.conj() @ basis.T
     if np.linalg.norm(gram - np.eye(len(basis))) > RANK_TOL:
         raise WindowUnstableError(
@@ -395,7 +395,7 @@ def _transport_edges(tower):
     pos = {lab: k for k, lab in enumerate(tower.labels)}
     stacked = {}
     for v, corner in tower.corners.items():
-        rows = [corner.summand_ideal(i) for i in range(len(corner.dec.summands))]
+        rows = corner.dec.ideals
         stacked[v] = np.concatenate(rows), np.cumsum([0] + [len(x) for x in rows[:-1]])
     edges = []
     for e, f in _parallel_edge_pairs(g):

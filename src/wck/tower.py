@@ -30,9 +30,9 @@ window of levels of the path space:
     keeps an S x S part of each distinct block of C_0 on all of its
     copies; it is read off C_0's map by index arithmetic, with C_0's
     rows on the kept entries, and kept as a map of the same form
-    (findim.StarAlgebra). Its decomposition is exact on matrix units
-    and numerical otherwise. Its elements are coordinate vectors over
-    its orthonormal rows;
+    (findim.StarAlgebra), which findim.central_decomposition puts on
+    matrix units: the closed form's own, or units that general rows are
+    rotated onto. Its elements are coordinate vectors over the units;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
     gathers (Graph.prepend_index shifts the slot basis by mu), so the
@@ -86,19 +86,14 @@ from .errors import (
     check_index,
 )
 from .findim import (
-    CentralDecomposition,
     _compress_units,
-    _unit_structure,
     blocks_unvec,
     central_decomposition,
     integer_traces,
     star_closure,
 )
-from .windows import in_span, onb
 
 COORD_TOL = 1e-8
-# bound on the part of a corner basis adjoint or product off the span
-CLOSED_TOL = 1e-7
 # relative cut on the smallest singular value of a corner's columns
 FAITHFUL_TOL = 1e-8
 # bound on y^2 - y for the fiber image y of a central projection
@@ -134,12 +129,12 @@ class Corner:
     rows on those entries, orthonormalized when they are not units, as
     an algebra of the same form (findim.StarAlgebra). Its support,
     columns and renders are read off that map, and no dense row is
-    formed. On units the structure constants, the central decomposition
-    and the summand ideals are exact (findim._unit_structure); otherwise
-    products are tabulated into a structure-constant tensor and the
-    tensor is decomposed numerically (central_decomposition). Either way
-    elements are coordinate vectors over orthonormal rows, and later
-    stage arithmetic never touches matrices again.
+    formed. findim.central_decomposition puts it on matrix units
+    (rotating general rows onto them, certified), so the structure
+    constants T and S, the central decomposition dec and the summand
+    ideals dec.ideals are exact, and elements are coordinate vectors
+    over the units; later stage arithmetic never touches matrices
+    again.
 
     slot_lists[l - levels[0]] holds the ascending indices of the slot
     paths inside paths(l - q), so a slot position is a searchsorted;
@@ -163,74 +158,18 @@ class Corner:
             idx = g.prepend_index(k - q, self.xi)[slots]
             cols.append(off + (idx[:, None] * d + idx).ravel())
             off += d * d
-        self.algebra = _compress_units(C0, slot_dims, np.concatenate(cols))
-        if self.algebra.rows is None:
-            self.T, self.S, summands, ideals = _unit_structure(self.algebra)
-            self.dec = CentralDecomposition(self.algebra, summands)
-            self._summand_ideals = dict(enumerate(ideals))
-        else:
-            self._summand_ideals = {}
-            self._tabulate()
-            self.dec = central_decomposition(self.algebra)
+        self.dec = central_decomposition(
+            _compress_units(C0, slot_dims, np.concatenate(cols))
+        )
+        self.algebra = self.dec.algebra
+        self.T, self.S = self.dec.T, self.dec.S
         self.r = self.algebra.dim
-
-    def _tabulate(self):
-        """Structure constants of the corner, certified closed.
-
-        T and S come from the algebra's tables. Over all basis elements,
-        first the adjoints and then the products must stay within
-        CLOSED_TOL of the span, or the call raises WindowUnstableError.
-        """
-        self.T, self.S, resid = self.algebra.tables
-        for value, under in zip(resid.max(axis=0), ("adjoints", "products")):
-            if value > CLOSED_TOL:
-                raise WindowUnstableError(
-                    "corner basis is not closed under %s" % under
-                )
 
     def columns(self, lo, hi):
         """The block-space columns of the basis on the levels [lo, hi)."""
         i0 = lo - self.levels[0]
         i1 = hi - self.levels[0]
         return self.algebra.columns(np.arange(self.offsets[i0], self.offsets[i1]))
-
-    def summand_ideal(self, i):
-        """Orthonormal coordinate rows of the ideal of central summand i.
-
-        The ideal is the corner times the central projection z_i, a full
-        matrix algebra of size d_i. It is verified once and cached: the
-        span must have dimension d_i^2 and be closed under adjoints and
-        under products on both sides with every basis element, or the
-        call raises WindowUnstableError. A corner read off C_0's matrix
-        units has its exact rows cached from the start. The cached rows
-        are read-only.
-        """
-        got = self._summand_ideals.get(i)
-        if got is not None:
-            return got
-        summand = self.dec.summands[i]
-        # row j of z_i e_j, and the products e_j u and u e_j per basis row u
-        basis = onb(np.einsum("i,ijk->jk", summand.z, self.T))
-        if basis.shape[0] != summand.d ** 2:
-            raise WindowUnstableError(
-                "ideal of summand %d at vertex %r has dimension %d, its size "
-                "gives %d" % (i, self.vertex, basis.shape[0], summand.d ** 2)
-            )
-        if not in_span(basis.conj() @ self.S, basis):
-            raise WindowUnstableError(
-                "ideal of summand %d at vertex %r is not adjoint-closed"
-                % (i, self.vertex)
-            )
-        left = np.einsum("ul,jlk->ujk", basis, self.T).reshape(-1, self.r)
-        right = np.einsum("ul,ljk->ujk", basis, self.T).reshape(-1, self.r)
-        if not (in_span(left, basis) and in_span(right, basis)):
-            raise WindowUnstableError(
-                "ideal of summand %d at vertex %r is not a two-sided ideal"
-                % (i, self.vertex)
-            )
-        basis.flags.writeable = False
-        self._summand_ideals[i] = basis
-        return basis
 
 
 class Placement:

@@ -17,7 +17,21 @@ from hypothesis import strategies as st
 
 from util import corpus_graphs, cycle_graph, cycle_weight_spec
 from wck.cycle_demo import build_cycle, char_phi
-from wck.elements import P, U, Z, make, parse_element, scale, unit
+from wck.elements import (
+    P,
+    U,
+    Z,
+    add,
+    adjoint,
+    element_str,
+    make,
+    mul,
+    offset,
+    parse_element,
+    scale,
+    sub,
+    unit,
+)
 from wck.errors import DomainError, WckError
 from wck.graphs import load_graph
 from wck.ideals import IdealFamily, family_of_subset, ideal_subspace
@@ -182,6 +196,15 @@ MALFORMED = {
     "scale-coeff-list": lambda: scale([1], unit(C3)),
     "scale-coeff-nan": lambda: scale(float("nan"), unit(C3)),
     "scale-coeff-inf-imag": lambda: scale(complex(1, float("inf")), unit(C3)),
+    "scale-element-str": lambda: scale(2.0, "abc"),
+    "add-element-str": lambda: add(unit(C3), "abc"),
+    "add-element-none": lambda: add(None, unit(C3)),
+    "sub-element-int": lambda: sub(unit(C3), 3),
+    "mul-element-int": lambda: mul(unit(C3), 3),
+    "mul-element-str": lambda: mul("x", unit(C3)),
+    "adjoint-element-str": lambda: adjoint("x"),
+    "offset-element-list": lambda: offset([1]),
+    "element_str-element-str": lambda: element_str("x"),
     "ideal_subspace-vertex-99": lambda: _ideal_subspace(99),
     "ideal_subspace-vertex-negative": lambda: _ideal_subspace(-1),
     "ideal_subspace-vertex-str": lambda: _ideal_subspace("a"),

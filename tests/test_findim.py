@@ -36,7 +36,6 @@ from wck import findim, tower
 from wck.errors import ClosureOverflowError, DecompositionError, MultiplicityError
 from wck.findim import (
     _compress_units,
-    _unit_structure,
     _distinct_blocks,
     _support_layout,
     blocks_vec,
@@ -209,14 +208,47 @@ class TestCentralDecomposition:
                 atol=1e-7,
             )
 
-    @pytest.mark.parametrize("mutate", [
-        lambda T: 2 * T,
-        lambda T: T + 1e-3 * np.random.default_rng(0).normal(size=T.shape),
-    ], ids=["scaled", "perturbed"])
-    def test_wrong_structure_tensor_raises(self, mutate):
-        A = star_closure([3, 2], entries_of(matrix_units([3, 2])))
-        T, S, resid = A.tables
-        A.tables = (mutate(T), S, resid)
+    @staticmethod
+    def mutated(mutation, monkeypatch):
+        """An algebra and a mutation of its rotation onto matrix units.
+
+        equal-weights: the units of M_3 + M_2 marked general, as
+        test_tower.drop_the_map does, with all weights 1, so that h is
+        twice the all-ones matrix on each block and its eigenvalue 0 is
+        double on the M_3 block; dropped-row: the theta_block closure
+        less its last row; scaled-pairing: the theta_block closure,
+        whose summands sit on several blocks, with the compression on
+        the first block of every pairing doubled.
+        """
+        if mutation == "equal-weights":
+            A = star_closure([3, 2], entries_of(matrix_units([3, 2])))
+            monkeypatch.setattr(findim, "_generic", np.ones)
+            return findim.StarAlgebra(
+                A.dims, A.unit, A.stacks, A.pos, A.copy, A.copies,
+                np.eye(A.dim, dtype=np.complex128),
+            )
+        dims, gens = closure_case("theta_block")
+        A = star_closure(dims, entries_of(gens))
+        if mutation == "dropped-row":
+            A.rows = A.rows[:-1]
+            return A
+        pairing = findim._pairing
+
+        def doubled(ys, copies):
+            return pairing([2 * ys[0]] + ys[1:], copies)
+
+        monkeypatch.setattr(findim, "_pairing", doubled)
+        return A
+
+    @pytest.mark.parametrize(
+        "mutation", ["equal-weights", "dropped-row", "scaled-pairing"]
+    )
+    def test_a_wrong_rotation_raises(self, mutation, monkeypatch):
+        """Each mutation is refused, never decomposed wrongly: unequal
+        ranks in a summand make a pairing that is not square, a missing
+        row leaves sizes that do not add up, and a pairing that is not
+        one multiple of unitaries on all blocks is not unitary."""
+        A = self.mutated(mutation, monkeypatch)
         with pytest.raises(DecompositionError):
             central_decomposition(A)
 
@@ -283,7 +315,7 @@ class TestEmbeddings:
         fib = np.array([coords(B, phi(blocks)) for blocks in basis_elements(A)]).T
         corners = {
             name: SimpleNamespace(
-                dec=dec, algebra=dec.algebra, T=dec.algebra.tables[0], r=dec.algebra.dim
+                dec=dec, algebra=dec.algebra, T=dec.T, r=dec.algebra.dim
             )
             for name, dec in (("a", dec_a), ("b", dec_b))
         }
@@ -698,8 +730,9 @@ class TestMatrixUnitMap:
         # entry (0, 0) of each level: M_1, copied twice
         A = self.two_copies()
         alg = _compress_units(A, [1, 1], np.array([0, 4]))
-        T, S, summands, ideals = _unit_structure(alg)
-        assert alg.dim == 1 and alg.rows is None
+        dec = central_decomposition(alg)
+        T, S, summands, ideals = dec.T, dec.S, dec.summands, dec.ideals
+        assert dec.algebra is alg and alg.dim == 1 and alg.rows is None
         assert np.allclose(full_rows(alg), [[2 ** -0.5] * 2], rtol=0, atol=1e-15)
         assert np.allclose(T, [[[2 ** -0.5]]]) and np.array_equal(S, [[1]])
         [sm] = summands

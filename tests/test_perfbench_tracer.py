@@ -67,6 +67,8 @@ def test_traced_functions_resolve_and_are_restored():
     assert calls["tower.build_tower.calls"] == 1
     assert calls["ideals.enumerate_families.calls"] == 1
     assert calls["graphs.paths.calls"] > 0
+    # every corner is decomposed by central_decomposition, one summand per label
+    assert calls["findim.central_decomposition.summands_out"] == len(tw.labels)
     for metric, modname, owner, attr in spans.TRACED:
         assert vars(_holder(modname, owner))[attr] is originals[metric], metric
     assert _bindings(originals) == bindings

@@ -11,6 +11,7 @@ from util import (
     O2_BLOCK,
     O2_BLOCK_D2,
     O2_BLOCK_N0,
+    P2_BLOCK,
     THETA_BLOCK,
     adjacency,
     assert_matches_oracle,
@@ -44,12 +45,7 @@ from wck.errors import (
     ProtocolError,
     WindowUnstableError,
 )
-from wck.findim import (
-    _left,
-    _summand_sort_key,
-    blocks_vec,
-    central_decomposition,
-)
+from wck.findim import blocks_vec, central_decomposition
 from wck.graphs import Path, load_graph
 from wck.ideals import _parallel_edge_pairs
 from wck.tower import TowerConfig, build_C0, build_tower
@@ -515,6 +511,9 @@ def fiber_tower(corpus, key):
         g = corpus["O2"]
         spec = O2_BLOCK_N0 if key == "O2block:N0" else O2_BLOCK_D2
         return build_tower(g, from_dict(spec, g), TowerConfig(n_max=1, M=6, W=2))
+    if key == "P2block":
+        g = corpus["P2"]
+        return build_tower(g, from_dict(P2_BLOCK, g), TowerConfig(n_max=1, M=6, W=2))
     if key == "THETA_BLOCK":
         g = corpus["theta"]
         w = from_dict(THETA_BLOCK, g)
@@ -571,10 +570,11 @@ TRACE_KEYS = sorted(UNWEIGHTED_DIMS) + [
     "O2block",
     "O2block:N0",
     "O2block:d2",
+    "P2block",
 ]
 
 # the towers whose C0 takes the general route of star_closure
-GENERAL_ROUTE_KEYS = ["THETA_BLOCK", "O2block:N0", "O2block:d2"]
+GENERAL_ROUTE_KEYS = ["THETA_BLOCK", "O2block:N0", "O2block:d2", "P2block"]
 
 
 @pytest.mark.parametrize("key", TRACE_KEYS)
@@ -595,7 +595,7 @@ def test_summand_sizes_match_svd_ranks(corpus, key):
     tw = fiber_tower(corpus, key)
     for corner in tw.corners.values():
         for sm in corner.dec.summands:
-            assert sm.d ** 2 == projection_rank(_left(sm.z, corner.T))
+            assert sm.d ** 2 == projection_rank(np.einsum("i,ijk->kj", sm.z, corner.T))
             blocks = corner.algebra.render(sm.z)
             assert sm.ambient_rank == sum(projection_rank(b) for b in blocks)
 
@@ -1000,37 +1000,83 @@ def test_map_route_corners_match_the_numerical_route(corpus, key, monkeypatch):
     for v, corner in tw.corners.items():
         other = ref.corners[v]
         assert corner.r == other.r
-        assert [
-            (sm.d, sm.ambient_rank, _summand_sort_key(corner.algebra, sm))
-            for sm in corner.dec.summands
-        ] == [
-            (sm.d, sm.ambient_rank, _summand_sort_key(other.algebra, sm))
-            for sm in other.dec.summands
+        assert [(sm.d, sm.ambient_rank) for sm in corner.dec.summands] == [
+            (sm.d, sm.ambient_rank) for sm in other.dec.summands
         ]
         gap = projector_gap(full_rows(corner.algebra), full_rows(other.algebra))
         assert gap <= 1e-12
         for i, (sm, rm) in enumerate(zip(corner.dec.summands, other.dec.summands)):
-            # the map's z renders to a 0/1 diagonal up to one rounding; the
-            # numerical z is off by up to 3.6e-12 on G2p3
+            # the map's z renders to a 0/1 diagonal up to one rounding
             z = rendered(corner, sm.z)
             assert np.abs(z - np.round(z.real)).max() <= 1e-15
-            assert np.abs(z - rendered(other, rm.z)).max() <= 1e-11
+            assert np.abs(z - rendered(other, rm.z)).max() <= 1e-14
             assert projector_gap(
-                corner.summand_ideal(i) @ full_rows(corner.algebra),
-                other.summand_ideal(i) @ full_rows(other.algebra),
+                corner.dec.ideals[i] @ full_rows(corner.algebra),
+                other.dec.ideals[i] @ full_rows(other.algebra),
             ) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "key, drop",
+    [(key, False) for key in GENERAL_ROUTE_KEYS]
+    + [(key, True) for key in CLOSED_FORM_KEYS],
+)
+def test_rotated_structure_constants_are_the_dense_products(
+    corpus, key, drop, monkeypatch
+):
+    """corner.T and corner.S of corners rotated onto matrix units are the
+    products and adjoints of the rendered basis, level by level: on the
+    general-route towers, and on every closed-form tower with its map
+    dropped."""
+    if drop:
+        drop_the_map(monkeypatch)
+    tw = route_tower(corpus, key)
+    for corner in tw.corners.values():
+        assert corner.algebra.rows is not None
+        q = full_rows(corner.algebra)
+        at = 0
+        for d in corner.algebra.dims:
+            e = q[:, at:at + d * d].reshape(-1, d, d)
+            at += d * d
+            adj = np.einsum("il,lab->iab", corner.S, e)
+            assert np.abs(e.conj().swapaxes(1, 2) - adj).max() <= 1e-12
+            for i, x in enumerate(e):
+                prod = np.einsum("jl,lab->jab", corner.T[i], e)
+                assert np.abs(x @ e - prod).max() <= 1e-12
+
+
+def test_tied_summands_keep_their_order_in_every_basis(corpus, monkeypatch):
+    """The O2block:d2 corner has two pairs of summands with equal d,
+    ambient rank and rounded diagonal of z; the rendered z breaks the
+    ties. A second weight sequence of the rotation gives other units,
+    and still the same summands in the same order and the same lattice."""
+    tw = fiber_tower(corpus, "O2block:d2")
+    [corner] = tw.corners.values()
+    keys = [
+        (sm.d, sm.ambient_rank, tuple(np.round(corner.algebra.diagonal(sm.z).real, 6)))
+        for sm in corner.dec.summands
+    ]
+    assert len(keys) == 4 and len(set(keys)) == 2
+    monkeypatch.setattr(findim, "_generic", lambda n: np.sin(0.7 * np.arange(n) + 0.3))
+    ref = fiber_tower(corpus, "O2block:d2")
+    [other] = ref.corners.values()
+    assert np.abs(full_rows(corner.algebra) - full_rows(other.algebra)).max() > 0.1
+    for sm, rm in zip(corner.dec.summands, other.dec.summands):
+        assert np.abs(rendered(corner, sm.z) - rendered(other, rm.z)).max() <= 1e-12
+    assert tw.bratteli_json() == ref.bratteli_json()
+    lattice = ideals.enumerate_families(tw).to_json()
+    assert lattice == ideals.enumerate_families(ref).to_json()
 
 
 @pytest.fixture
 def numerical_calls(monkeypatch):
     """Names of the numerical steps that ran, one per call.
 
-    The steps are the decomposition (central_decomposition, tables) and
-    the least-squares corner coordinates (the SVD Placement.solver and
-    Placement.certified_coords).
+    The steps are the rotation of general rows onto matrix units
+    (findim._rotate) and the least-squares corner coordinates (the SVD
+    Placement.solver and Placement.certified_coords).
     """
     calls = []
-    tables = findim.StarAlgebra.tables.func
 
     def spy(name, call):
         def run(*args, **kwargs):
@@ -1038,11 +1084,7 @@ def numerical_calls(monkeypatch):
             return call(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(
-        tower, "central_decomposition",
-        spy("central_decomposition", tower.central_decomposition),
-    )
-    monkeypatch.setattr(findim.StarAlgebra, "tables", property(spy("tables", tables)))
+    monkeypatch.setattr(findim, "_rotate", spy("rotate", findim._rotate))
     solver = tower.Placement.solver.func
     monkeypatch.setattr(tower.Placement, "solver", property(spy("solver", solver)))
     monkeypatch.setattr(
@@ -1075,28 +1117,29 @@ def test_closed_form_corners_run_no_numerical_decomposition(
         ("THETA_BLOCK", 16, [[1, 1], [1, 1]]),
         ("O2block:N0", 12, [[1, 1, 1]]),
         ("O2block:d2", 64, [[2, 2, 2, 2]]),
+        ("P2block", 30, [[1, 1, 2], [1, 1, 2]]),
     ],
 )
 def test_block_weight_corners_are_decomposed_numerically(
     corpus, key, dim, sizes, numerical_calls
 ):
-    """One numerical decomposition per vertex, and no least squares.
+    """One rotation onto matrix units per vertex, and no least squares.
 
     The general route gives C0 of the given dim and corners with the
-    given summand sizes. The transports carry the corners' general rows
+    given summand sizes. The transports carry the corners' unit rows
     over the counted entry map, so building the tower and its lattice
-    solves no corner coordinates.
+    solves no corner coordinates. The full family verifies.
     """
     tw = fiber_tower(corpus, key)
-    ideals.enumerate_families(tw)
+    lattice = ideals.enumerate_families(tw)
     assert tw.C0.rows is not None and tw.C0.dim == dim
     assert [[sm.d for sm in c.dec.summands] for c in tw.corners.values()] == sizes
     n = tw.graph.n_vertices
-    assert numerical_calls.count("central_decomposition") == n
-    assert "tables" in numerical_calls
+    assert numerical_calls.count("rotate") == n
     assert tw._transports
     assert "certified_coords" not in numerical_calls
     assert "solver" not in numerical_calls
+    assert ideals.verify_fully_invariant(tw, lattice.maximum).ok
 
 
 @pytest.mark.parametrize("key", TRACE_KEYS)

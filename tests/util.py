@@ -59,13 +59,12 @@ from wck.errors import (
     WindowUnstableError,
 )
 from wck.findim import (
+    CLUSTER_GAP,
     CentralDecomposition,
     StarAlgebra,
     Summand,
-    _cluster_eigenvalues,
     _distinct_blocks,
-    _stack_products,
-    _summand_sort_key,
+    _summand_order,
     _support_layout,
     blocks_unvec,
     blocks_vec,
@@ -309,6 +308,27 @@ O2_BLOCK = {
 }
 
 
+# P2 with symmetric positive block weights, p=2, N=1. C0 of dim 30 takes
+# the general route, and each corner splits into summands of sizes d = 1,
+# 1 and 2, the first general-route corners with d = 1 and d = 2 in one
+# corner; the multiplicity matrix is 2 I, so no edge joins d_i != d_j
+P2_BLOCK = {
+    "kind": "block",
+    "p": 2,
+    "N": 1,
+    "levels": {
+        "1": {
+            "v1:v2": [[1.016]],
+            "v2:v1": [[2.428, -0.357], [-0.357, 2.298]],
+        },
+        "2": {
+            "v2:v2": [[3.831, -0.575], [-0.575, 3.392]],
+            "v1:v1": [[3.99, 1.397], [1.397, 7.407]],
+        },
+    },
+}
+
+
 def cycle_weight_doc(t, p=2, N=0):
     """Weights document for a cycle: edge e_i carries value t[i-1] at level 1."""
     level1 = {"e%d" % (i + 1): float(t[i]) for i in range(len(t))}
@@ -437,6 +457,23 @@ def dense_star_closure(dims, gens, unit=None, max_dim=4096):
     return dense_algebra(dims, basis_onb, basis_onb.conj() @ blocks_vec(unit))
 
 
+def _stack_products(a, basis, stacks):
+    """Products a b and b a for every row b of basis, as an (n, 2, L) block.
+
+    a and the rows of basis are compressed vectors in the layout of
+    stacks, multiplied stack by stack.
+    """
+    n, length = basis.shape
+    out = np.empty((n, 2, length), dtype=np.complex128)
+    for off, c, s in stacks:
+        end = off + c * s * s
+        x = a[off:end].reshape(c, s, s)
+        y = basis[:, off:end].reshape(n, c, s, s)
+        out[:, 0, off:end] = (x @ y).reshape(n, -1)
+        out[:, 1, off:end] = (y @ x).reshape(n, -1)
+    return out
+
+
 def support_star_closure(dims, gens, unit=None, max_dim=4096):
     """star_closure on every support class block, copies included.
 
@@ -562,6 +599,18 @@ def _dense_center_basis(A):
     return [blocks_unvec(row[:length] + 1j * row[length:], A.dims) for row in vh[:rank]]
 
 
+def _cluster_eigenvalues(values):
+    """Index lists of the eigenvalues, ascending, cut at gaps above CLUSTER_GAP."""
+    order = np.argsort(values)
+    clusters = []
+    for idx in order:
+        if clusters and values[idx] - values[clusters[-1][-1]] <= CLUSTER_GAP:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
 def _spectral_projections(y):
     """Projections onto global eigenvalue clusters of a hermitian element."""
     pairs = [np.linalg.eigh(blk) for blk in y]
@@ -654,8 +703,9 @@ def dense_central_decomposition(A, seed=0):
             total = blocks_add(total, proj)
         if not np.allclose(blocks_vec(total), blocks_vec(unit), atol=1e-7):
             continue
-        found.sort(key=lambda pair: _summand_sort_key(A, pair[0]))
-        return CentralDecomposition(algebra=A, summands=[sm for sm, _ in found])
+        summands = [sm for sm, _ in found]
+        order = _summand_order(A, summands)
+        return CentralDecomposition(A, [summands[i] for i in order], None, None, None)
     raise DecompositionError(
         "no generic central element produced a certified decomposition"
     )
@@ -1334,10 +1384,10 @@ def looped_transport_edges(tower):
         w, s = g.edst[e], g.esrc[e]
         mat = pi_map(tower, Path((e,), s), Path((f,), s))
         for i in range(len(tower.corners[w].dec.summands)):
-            img = tower.corners[w].summand_ideal(i) @ mat.T
+            img = tower.corners[w].dec.ideals[i] @ mat.T
             scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
             for j in range(len(tower.corners[s].dec.summands)):
-                ideal = tower.corners[s].summand_ideal(j)
+                ideal = tower.corners[s].dec.ideals[j]
                 comp = np.linalg.norm(img @ ideal.conj().T, axis=1)
                 margin = float((comp / scale).max())
                 if margin > RANK_TOL:
