@@ -186,12 +186,13 @@ class StarAlgebra:
 
     def coordinates(self, values):
         """(coords, off): the coordinates of elements given by their
-        weighted values, one element per row of values, and the norm of
-        each element's part off the span of the rows."""
+        weighted values, one element per row of values (leading axes
+        stay), and the norm of each element's part off the span of the
+        rows."""
         if self.rows is None:
-            return values, np.zeros(len(values))
+            return values, np.zeros(values.shape[:-1])
         coords = values @ self.rows.conj().T
-        return coords, np.linalg.norm(values - coords @ self.rows, axis=1)
+        return coords, np.linalg.norm(values - coords @ self.rows, axis=-1)
 
     def render(self, coeffs):
         """Blocks of the element with the given coordinates."""

@@ -20,7 +20,7 @@ ordered like their tails. Hence
 where start_{k+1}[e] is the index of the first level-(k+1) path that
 starts with e, and rank_k[b] is the position of b among the level-k
 paths with the same range. These arrays, with the range and the source
-of every path, are cached per level as small int arrays, and two
+of every path, are cached per level as small int arrays, and three
 methods read all index gathers off them:
 
   - prepend_index(k, prefix) is an int array over paths(k): entry i is
@@ -28,7 +28,11 @@ methods read all index gathers off them:
     r(b_i) != s(prefix);
   - ending_at(k, v) is the ascending int array of the indices of the
     level-k paths whose range is v; starting_at(k, v) is the same for
-    the paths whose source is v.
+    the paths whose source is v;
+  - prepend_rank(k, prefix) is the one int that prepending shifts
+    ranks by: prefix*b sits at prepend_rank(k, prefix) + rank_k[b]
+    inside ending_at(k + len(prefix), r(prefix)), read off the path
+    counts that level_dim caches.
 
 Path objects remain for parsing, printing and paths(); path_index()
 reads a Path's position off the same arrays.
@@ -136,6 +140,7 @@ class Graph:
         self._counts = [[1] * len(self.vertices)]
         self._levels = {}
         self._prepend = {}
+        self._ranks = {}
         self._shape = None
 
     # -- basic queries ---------------------------------------------------
@@ -266,6 +271,32 @@ class Graph:
             got[fits] = idx
             got.setflags(write=False)
             self._prepend[key] = got
+        return got
+
+    def prepend_rank(self, k, prefix):
+        """The rank shift c of prefix on level k, an int.
+
+        For b in ending_at(k, s(prefix)), prefix*b is entry c + rank_k[b]
+        of ending_at(k + len(prefix), r(prefix)). Level j + 1 lists the
+        paths by first edge, then by tail rank, so among the paths that
+        end at r(e) the path (e,) + b comes after the tails of the
+        earlier edges into r(e): its rank is rank_j[b] plus the level-j
+        path counts at their sources. c sums that over the edges of the
+        prefix, last edge first. The int is cached.
+        """
+        key = (k, prefix.edges)
+        got = self._ranks.get(key)
+        if got is None:
+            if k < 0:
+                raise GraphError("path length must be nonnegative")
+            self.level_dim(k + len(prefix))
+            got = 0
+            for j, e in enumerate(reversed(prefix.edges)):
+                counts = self._counts[k + j]
+                got += sum(
+                    counts[self.esrc[f]] for f in self.in_edges[self.edst[e]] if f < e
+                )
+            self._ranks[key] = got
         return got
 
     def ending_at(self, k, v):

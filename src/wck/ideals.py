@@ -335,37 +335,30 @@ def pi_map(tower, a, b):
     u_{xi_s}^* carries the corner at w into the corner at s. The
     returned matrix acts on corner coordinates, columns indexed by the
     corner at w. On the window the image is a pure index gather of the
-    input render one level band down, and the extraction certifies
-    that the gathered data lies in the target corner span (exact counts
-    for the map of distinct entries, and the residual of the carried
-    rows off the target rows).
+    input render one level band down, a shift of the slot rows by one
+    int per level (Graph.prepend_rank, as each level lists its paths by
+    first edge, then by tail rank), and the extraction certifies that
+    the gathered data lies in the target corner span (exact counts for
+    the map of distinct entries, and the residual of the carried rows
+    off the target rows).
 
     Concatenation reverses order: the map of the composed pair
     (a1*a2, b1*b2) equals pi_map(a2, b2) @ pi_map(a1, b1). The matrix
-    is Tower.transport's, computed once per path pair and read-only;
-    on p = 1 the pair (e, e) gives the fiber along e.
+    is Tower.transport's, which checks the pair (GraphError unless the
+    paths are parallel, of one positive length, and the window carries
+    them): computed once per path pair, in one stack per class of common
+    source, range and length, and read-only; on p = 1 the pair (e, e)
+    gives the fiber along e.
     """
     g = tower.graph
     a = _as_path(g, a)
-    b = _as_path(g, b)
-    if len(a) != len(b) or len(a) == 0:
-        raise GraphError(
-            "transport needs two paths of equal positive length"
-        )
-    if g.source_of(a) != g.source_of(b) or g.range_of(a) != g.range_of(b):
-        raise GraphError(
-            "transport needs paths with a common start and a common end"
-        )
-    lo, hi = tower.G0, tower.G1 - len(a)
-    if hi <= lo:
-        raise GraphError(
-            "the window is too short to transport a length-%d path" % len(a)
-        )
-    return tower.transport(
-        a,
-        b,
-        "transported corner element leaves the corner span at %r"
-        % g.vertices[g.source_of(a)],
+    return tower.transport(a, _as_path(g, b), _leaves(g, a))
+
+
+def _leaves(g, a):
+    """The message of a transport along a that leaves the corner span."""
+    return "transported corner element leaves the corner span at %r" % (
+        g.vertices[g.source_of(a)]
     )
 
 
@@ -390,6 +383,9 @@ def _transport_edges(tower):
     parallel edge pair, the stacked summand ideals at the range are
     mapped and projected on the stacked ones at the source by one
     product, which is reduced per pair of summands at their offsets.
+    The transports of the pairs come from Tower.transports, one stack
+    per class of common source and range, and a failure raises in the
+    order of the pairs.
     """
     g = tower.graph
     pos = {lab: k for k, lab in enumerate(tower.labels)}
@@ -397,11 +393,16 @@ def _transport_edges(tower):
     for v, corner in tower.corners.items():
         rows = corner.dec.ideals
         stacked[v] = np.concatenate(rows), np.cumsum([0] + [len(x) for x in rows[:-1]])
+    edge_pairs = _parallel_edge_pairs(g)
+    pairs = [(Path((e,), g.esrc[e]), Path((f,), g.esrc[f])) for e, f in edge_pairs]
+    mats = tower.transports(pairs, [_leaves(g, a) for a, _ in pairs])
     edges = []
-    for e, f in _parallel_edge_pairs(g):
+    for (e, f), mat in zip(edge_pairs, mats):
+        if isinstance(mat, Exception):
+            raise mat
         w, s = g.edst[e], g.esrc[e]
         (w_rows, w_off), (s_rows, s_off) = stacked[w], stacked[s]
-        img = w_rows @ pi_map(tower, Path((e,), s), Path((f,), s)).T
+        img = w_rows @ mat.T
         scale = np.maximum(1.0, np.linalg.norm(img, axis=1))
         comp = np.add.reduceat(np.abs(img @ s_rows.conj().T) ** 2, s_off, axis=1)
         margins = np.maximum.reduceat(np.sqrt(comp) / scale[:, None], w_off, axis=0)

@@ -43,11 +43,17 @@ Graph.paths(k); Path objects appear only as prefixes and in messages.
 Moving between corner coordinates and window data goes through int
 arrays of entry positions: the corner compression looks the positions
 of its slot blocks up in C_0's map. A transport is computed once per
-path pair and shared read-only by the fibers and ideals.pi_map. It
-maps distinct entries of one corner to distinct entries of the other,
-so the entry map is counted with exact integer checks and the matrix
-is the corners' rows carried over that map, with one residual
-certificate (_transport). Stage n at vertex v is placed on the window
+path pair and shared read-only by the fibers and ideals.pi_map. Its
+gather is a shift: Graph orders each level by first edge, then by tail
+rank, so the slot rows a*d of a path a are the target slot positions
+c_a + arange(S), with c_a = Graph.prepend_rank one int per level. So
+the transports of one class, a common source, range and length, are
+computed together as one stack (_transport), and the fibers' integers
+are read off the same stack. A transport maps distinct entries of one
+corner to distinct entries of the other, so the entry map is counted
+with exact integer checks and the matrix is the corners' rows carried
+over that map, with one residual certificate per pair, and a failure
+is kept per pair. Stage n at vertex v is placed on the window
 once, by one Placement (Tower.placement): the stage rows, and the
 corner's support columns on the stage window [M - n p, M - n p + W),
 the entries of its map there, level by level and at their window
@@ -137,8 +143,9 @@ class Corner:
     again.
 
     slot_lists[l - levels[0]] holds the ascending indices of the slot
-    paths inside paths(l - q), so a slot position is a searchsorted;
-    offsets[l - levels[0]] is where level l starts in a corner vector.
+    paths inside paths(l - q), so a slot position is a searchsorted, and
+    slot_dims their sizes; offsets[l - levels[0]] is where level l
+    starts in a corner vector.
     An element is zero off the positions the compression keeps, so a
     stage reads and writes only those columns (Placement).
     """
@@ -149,8 +156,9 @@ class Corner:
         self.xi = g.xi(v, q, config.xi_choice)
         self.levels = levels
         self.slot_lists = [g.ending_at(k - q, v) for k in levels]
-        slot_dims = [len(slots) for slots in self.slot_lists]
-        self.offsets = np.cumsum([0] + [d * d for d in slot_dims])
+        dims = [len(slots) for slots in self.slot_lists]
+        self.slot_dims = np.array(dims)
+        self.offsets = np.cumsum([0] + [d * d for d in dims])
         # the positions in C_0's blocks_vec of the slot blocks, row-major
         cols = []
         off = 0
@@ -159,7 +167,7 @@ class Corner:
             cols.append(off + (idx[:, None] * d + idx).ravel())
             off += d * d
         self.dec = central_decomposition(
-            _compress_units(C0, slot_dims, np.concatenate(cols))
+            _compress_units(C0, dims, np.concatenate(cols))
         )
         self.algebra = self.dec.algebra
         self.T, self.S = self.dec.T, self.dec.S
@@ -357,18 +365,30 @@ class Tower:
         off = np.cumsum([0] + nsummands)
         mult = np.zeros((len(self.labels), len(self.labels)), dtype=int)
 
-        # one fiber per length-p path; the Bratteli diagram is stationary
-        self.fibers = []
-        for mu in g.paths(p):
-            v = g.source_of(mu)
-            w = g.range_of(mu)
-            # the fiber b -> V* b V of mu prepends mu on slots
-            message = "fiber image along %s left the corner at %r" % (
-                g.path_str(mu), g.vertices[v]
+        # one fiber per length-p path; the Bratteli diagram is stationary.
+        # The fiber b -> V* b V of mu prepends mu on slots; each class is
+        # one stack, and its multiplicities are read off that stack
+        mus = g.paths(p)
+        pairs = [(mu, mu) for mu in mus]
+        messages = [
+            "fiber image along %s left the corner at %r"
+            % (g.path_str(mu), g.vertices[mu.source])
+            for mu in mus
+        ]
+        blocks = {}
+        for idx, stack, failures in self._stacked(pairs, messages):
+            got = failures if stack is None else _fiber_multiplicities(
+                self, [mus[i] for i in idx], stack
             )
-            self.fibers.append(self.transport(mu, mu, message))
-            block = _fiber_multiplicities(self, mu, self.fibers[-1])
-            mult[off[w]:off[w + 1], off[v]:off[v + 1]] += block
+            for i, failure, block in zip(idx, failures, got):
+                blocks[i] = failure or block
+        self.fibers = []
+        for i, mu in enumerate(mus):
+            if isinstance(blocks[i], Exception):
+                raise blocks[i]
+            self.fibers.append(self._transports[pairs[i]])
+            v, w = mu.source, g.range_of(mu)
+            mult[off[w]:off[w + 1], off[v]:off[v + 1]] += blocks[i]
         self.multiplicity = mult
         for row in range(mult.shape[0]):
             if not np.any(mult[row]):
@@ -490,14 +510,56 @@ class Tower:
         """Corner-coordinate matrix of x -> u_a^* x u_b for parallel a, b.
 
         Columns run over the corner basis at r(a), rows over the corner
-        at s(a). Computed once per path pair by _transport and kept
-        read-only, so the fibers and pi_map share their matrices; a
-        failure raises WindowUnstableError(message) and keeps nothing.
+        at s(a). On each window level the gather is a shift: the slot
+        rows a*d are the target slot positions Graph.prepend_rank + arange,
+        as Graph lists each level by first edge, then by tail rank, so the
+        pairs of one class (common source, range and length) are computed
+        as one stack (_transport). This is transports() of the one pair:
+        computed once per path pair, as a stack of one, and kept
+        read-only, so the fibers and pi_map share their matrices. Paths
+        that are not parallel, of unequal or zero length, or too long for
+        the window raise GraphError; a failed transport raises
+        WindowUnstableError(message) and keeps nothing.
         """
-        got = self._transports.get((a, b))
-        if got is None:
-            got = self._transports[(a, b)] = _transport(self, a, b, message)
+        (got,) = self.transports([(a, b)], [message])
+        if isinstance(got, Exception):
+            raise got
         return got
+
+    def transports(self, pairs, messages):
+        """Tower.transport of each pair (a, b), with messages[i] for pair i.
+
+        Every pair is checked first (_check_pair). The pairs not computed
+        yet go to one stacked _transport call per class of common source,
+        range and length. Returns, in the order of pairs, each pair's
+        read-only matrix or the WindowUnstableError it fails with; the
+        caller raises the failures in its own order.
+        """
+        for a, b in pairs:
+            _check_pair(self, a, b)
+        out = [self._transports.get(pair) for pair in pairs]
+        for idx, _, failures in self._stacked(pairs, messages):
+            for i, failure in zip(idx, failures):
+                out[i] = self._transports[pairs[i]] if failure is None else failure
+        return out
+
+    def _stacked(self, pairs, messages):
+        """Per class of the pairs not computed yet: (indices, stack,
+        failures) of its one _transport call; the matrices of the pairs
+        that pass are kept."""
+        g = self.graph
+        classes = {}
+        for i, (a, b) in enumerate(pairs):
+            if (a, b) not in self._transports:
+                classes.setdefault((a.source, g.range_of(a), len(a)), []).append(i)
+        for idx in classes.values():
+            stack, failures = _transport(
+                self, [pairs[i] for i in idx], [messages[i] for i in idx]
+            )
+            for j, i in enumerate(idx):
+                if failures[j] is None:
+                    self._transports[pairs[i]] = stack[j]
+            yield idx, stack, failures
 
     def tau_inverse(self, n, x):
         """Concrete window blocks of a structural stage element.
@@ -642,102 +704,131 @@ class Tower:
 # -- construction ---------------------------------------------------------
 
 
-def _transport(tower, a, b, message):
-    """The transport of Tower.transport, computed.
+def _check_pair(tower, a, b):
+    """Raise GraphError unless a, b are parallel paths the window can carry.
 
-    On the window the image is an index gather len(a) levels down: the
-    slot block of the corner at s(a) on level ell reads the rows a*d and
-    columns b*d of the slot block at r(a) on level ell + len(a), d over
-    its slot. It maps distinct entries to distinct entries, phi from
-    source to target, certified by the integer checks of _entry_map. The
-    image of target row i then has the weighted values W = R_w[:, phi]
+    They need one positive length, a common source and a common range,
+    and at least one source level below the top of the window.
+    """
+    g = tower.graph
+    if len(a) != len(b) or len(a) == 0:
+        raise GraphError("transport needs two paths of equal positive length")
+    if a.source != b.source or g.range_of(a) != g.range_of(b):
+        raise GraphError(
+            "transport needs paths with a common start and a common end"
+        )
+    if tower.G1 - len(a) <= tower.G0:
+        raise GraphError(
+            "the window is too short to transport a length-%d path" % len(a)
+        )
+
+
+def _transport(tower, pairs, messages):
+    """The transports of Tower.transport for one class of pairs, stacked.
+
+    The pairs share their source s, range w and length L. On the window
+    the image is an index gather L levels down: the slot block of the
+    corner at s on level ell reads the rows a*d and columns b*d of the
+    slot block at w on level ell + L, d over its slot. Graph orders each
+    level by first edge, then by tail rank, so those rows are the target
+    slot positions c_a + arange(S), S the source slot size and c_a =
+    Graph.prepend_rank(ell - q, a): a gather is two ints per pair and
+    level, and _entry_map counts all pairs at once. It maps distinct
+    entries to distinct entries, phi from source to target. The image
+    of target row i then has the weighted values W = R_w[:, phi]
     sqrt(c_s / c_w[phi]) on the source entries, c the copy counts (zero
     where phi reads nothing), and the matrix is R_s^* W^T. Its residual
     off the source rows must stay within 100 * COORD_TOL (the rows are
     orthonormal, so no entry exceeds 1); on matrix units it is exactly
     zero and entry (j, i) is sqrt(c_j / c_i) where unit j reads unit i.
-    A failure raises WindowUnstableError(message).
+
+    Returns (stack, failures): stack[i], read-only, is the matrix of pair
+    i when failures[i] is None, and otherwise failures[i] is its
+    WindowUnstableError(messages[i]) (or the faithfulness error of the
+    class, with stack None).
     """
     g = tower.graph
-    cs = tower.corners[g.source_of(a)]
-    cw = tower.corners[g.range_of(a)]
-    lo, hi = tower.G0, tower.G1 - len(a)
-    gathers = []
-    for ell in range(lo, hi):
-        slot = cs.slot_lists[ell - tower.G0]
-        image = cw.slot_lists[ell + len(a) - tower.G0]
-        gathers.append((
-            len(image),
-            np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
-            np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
-        ))
-    phi = _entry_map(cs, cw, lo, len(a), gathers, message)
+    a0 = pairs[0][0]
+    cs = tower.corners[a0.source]
+    cw = tower.corners[g.range_of(a0)]
+    lo, hi = tower.G0, tower.G1 - len(a0)
+    shifts = np.array(
+        [
+            [g.prepend_rank(ell - tower.q, path) for ell in range(lo, hi)]
+            for pair in pairs
+            for path in pair
+        ],
+        dtype=int,
+    ).reshape(len(pairs), 2, hi - lo)
+    phi, bad = _entry_map(cs, cw, lo, len(a0), shifts)
+    if phi is None:
+        return None, [_not_faithful(cs, lo, hi)] * len(pairs)
     src, dst = cs.algebra, cw.algebra
     # a source entry that reads no target entry is weighted 0
     at = np.maximum(phi, 0)
-    image = dst.rows_at(at) * (np.sqrt(src.copies / dst.copies[at]) * (phi >= 0))
-    coords, off = src.coordinates(image)
-    if np.any(off > 100 * COORD_TOL):
-        raise WindowUnstableError(message)
-    mat = coords.T
-    mat.flags.writeable = False
-    return mat
+    weight = np.sqrt(src.copies / dst.copies[at]) * (phi >= 0)
+    image = dst.rows_at(at.ravel()).reshape(dst.dim, *at.shape).swapaxes(0, 1)
+    coords, off = src.coordinates(image * weight[:, None])
+    bad |= np.any(off > 100 * COORD_TOL, axis=1)
+    stack = coords.swapaxes(1, 2)
+    stack.flags.writeable = False
+    return stack, [
+        WindowUnstableError(message) if fail else None
+        for message, fail in zip(messages, bad)
+    ]
 
 
-def _entry_map(cs, cw, lo, shift, gathers, message):
-    """The distinct target entry that each distinct source entry reads.
+def _entry_map(cs, cw, lo, shift, shifts):
+    """The distinct target entry that each distinct source entry reads,
+    for every pair of one class.
 
-    gathers[i] is (n, r1, r2) for source level lo + i: the target slot
-    size n on level lo + i + shift and the target slot positions of the
-    source slot's rows and columns. Three exact integer checks make the
+    shifts[i] holds the rank shifts (c_a, c_b) of pair i per source level
+    lo + k, so source slot row x reads target slot row c_a + x on level
+    lo + k + shift, and source column y target column c_b + y (Graph
+    lists each level by first edge, then by tail rank). Inverted,
+    a target support entry (X, Y) lands at source entry (X - c_a, Y -
+    c_b) when both lie in [0, S). Three exact integer checks make the
     gather a map of distinct entries: every source entry has a copy on
-    those levels (or the corner is not faithful there), no target
-    support entry lands off the source support, and the copies of each
-    source entry there gather from one target entry or from none.
-    Returns phi, the target entry of each source entry or -1 for none.
-    A failure raises WindowUnstableError, the faithfulness one naming
-    the levels and the others message.
+    those levels (or the corner is not faithful there, for the whole
+    class), no target support entry lands off the source support, and
+    the copies of each source entry there gather from one target entry
+    or from none. Returns (phi, bad): phi[i], the target entry of each
+    source entry or -1 for none, and bad[i], whether pair i fails a
+    check; phi is None when the corner is not faithful.
     """
     src, dst = cs.algebra, cw.algebra
+    npairs, _, nlev = shifts.shape
     base = lo - cs.levels[0]
-    end = base + len(gathers)
+    end = base + nlev
     spos, sunit = src.entries
     have = np.bincount(
         sunit[slice(*np.searchsorted(spos, cs.offsets[[base, end]]))],
         minlength=len(src.copies),
     )
     if not have.all():
-        raise _not_faithful(cs, lo, lo + len(gathers))
-    # the gathers inverted, levels joined: rows[first[i] + X] is the source
-    # slot row that reads target slot row X on level i, or -1
-    sizes = np.array([n for n, _, _ in gathers])
-    slots = np.array([len(r1) for _, r1, _ in gathers])
-    first = np.concatenate([[0], np.cumsum(sizes)])
-    rows = np.full(first[-1], -1)
-    cols = np.full(first[-1], -1)
-    for f, (_, r1, r2) in zip(first, gathers):
-        rows[f + r1] = cols[f + r2] = np.arange(len(r1))
+        return None, None
     # the target support entries on those levels, at their source positions
     tpos, tunit = dst.entries
     starts = cw.offsets[base + shift:end + shift + 1]
     a, b = np.searchsorted(tpos, starts[[0, -1]])
     lev = np.searchsorted(starts, tpos[a:b], side="right") - 1
-    x, y = np.divmod(tpos[a:b] - starts[lev], sizes[lev])
-    x, y = rows[first[lev] + x], cols[first[lev] + y]
-    land = (x >= 0) & (y >= 0)
-    lev = lev[land]
-    at = cs.offsets[base + lev] + x[land] * slots[lev] + y[land]
-    target = tunit[a:b][land]
+    x, y = np.divmod(tpos[a:b] - starts[lev], cw.slot_dims[base + shift + lev])
+    x = x - shifts[:, 0, lev]
+    y = y - shifts[:, 1, lev]
+    s = cs.slot_dims[base + lev]
+    pair, ent = np.nonzero((x >= 0) & (x < s) & (y >= 0) & (y < s))
+    at = cs.offsets[base + lev[ent]] + x[pair, ent] * s[ent] + y[pair, ent]
+    target = tunit[a:b][ent]
     source, hit = src.lookup(at)
-    if not hit.all():
-        raise WindowUnstableError(message)
+    bad = np.zeros(npairs, dtype=bool)
+    bad[pair[~hit]] = True
     # the gather is injective, so a source entry is read at most have times
-    phi = np.full(len(have), -1)
-    phi[source] = target
-    count = np.bincount(source, minlength=len(have))
-    if np.any(phi[source] != target) or np.any((count != 0) & (count != have)):
-        raise WindowUnstableError(message)
-    return phi
+    phi = np.full((npairs, len(have)), -1)
+    phi[pair, source] = target
+    bad[pair[phi[pair, source] != target]] = True
+    count = np.bincount(pair * len(have) + source, minlength=phi.size).reshape(phi.shape)
+    bad |= np.any((count != 0) & (count != have), axis=1)
+    return phi, bad
 
 
 def _not_faithful(corner, lo, hi):
@@ -868,37 +959,48 @@ def build_C0(graph, weights, levels):
     return star_closure(dims, gens)
 
 
-def _fiber_multiplicities(tower, mu, fib):
-    """Integer multiplicity block of one fiber map.
+def _fiber_multiplicities(tower, mus, fibs):
+    """Integer multiplicity blocks of the fibers of one class, stacked.
 
-    Entry (i, j): how often summand i of the corner at r(mu) appears in
-    summand j of the corner at s(mu) under the fiber. The fiber sends
-    the central projection z_i, the sum of d_i minimal projections, to
-    y_i, which must be a projection within PROJECTION_TOL, or the call raises
-    MultiplicityError. Then z_j y_i is a projection of rank m_ij d_i in
-    the summand M_{d_j}, which acts on the block space multiplicity_j
-    times, so m_ij is tr(z_j y_i) / multiplicity_j / d_i (Bratteli). The
-    corner coordinates are orthonormal for tr(a^* b), so these traces
-    are the inner products of the coordinate vectors, one matmul.
+    The paths mus share their source and range, and fibs is the stack of
+    their fibers. Entry (i, j) of a block: how often summand i of the
+    corner at r(mu) appears in summand j of the corner at s(mu) under
+    the fiber. The fiber sends the central projection z_i, the sum of
+    d_i minimal projections, to y_i, which must be a projection within
+    PROJECTION_TOL, or the fiber fails with MultiplicityError. Then z_j
+    y_i is a projection of rank m_ij d_i in the summand M_{d_j}, which
+    acts on the block space multiplicity_j times, so m_ij is tr(z_j y_i)
+    / multiplicity_j / d_i (Bratteli). The corner coordinates are
+    orthonormal for tr(a^* b), so these traces are the inner products of
+    the coordinate vectors, one matmul for the stack. Returns per path
+    its block or the MultiplicityError it fails with.
     """
     g = tower.graph
-    cv = tower.corners[g.source_of(mu)]
-    cw = tower.corners[g.range_of(mu)]
+    cv = tower.corners[g.source_of(mus[0])]
+    cw = tower.corners[g.range_of(mus[0])]
     Z_v = np.array([sv.z for sv in cv.dec.summands])
-    Y = np.array([sw.z for sw in cw.dec.summands]) @ fib.T
-    YY = np.einsum("ia,ib,abk->ik", Y, Y, cv.T)
-    bound = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(Y, axis=1))
-    if np.any(np.linalg.norm(YY - Y, axis=1) > bound):
-        raise MultiplicityError(
-            "fiber along %s does not send central projections to "
-            "projections" % g.path_str(mu)
-        )
+    Y = np.array([sw.z for sw in cw.dec.summands]) @ np.swapaxes(fibs, 1, 2)
+    YY = np.einsum("pia,pib,abk->pik", Y, Y, cv.T)
+    bound = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(Y, axis=2))
+    bad = np.any(np.linalg.norm(YY - Y, axis=2) > bound, axis=1)
     d = [[sw.d] for sw in cw.dec.summands]
-    return integer_traces(
-        Y @ Z_v.conj().T / [sv.multiplicity for sv in cv.dec.summands] / d,
-        MultiplicityError,
-        "a fiber multiplicity along %s" % g.path_str(mu),
-    )
+    traces = Y @ Z_v.conj().T / [sv.multiplicity for sv in cv.dec.summands] / d
+    out = []
+    for mu, fail, tr in zip(mus, bad, traces):
+        path = g.path_str(mu)
+        if fail:
+            out.append(MultiplicityError(
+                "fiber along %s does not send central projections to "
+                "projections" % path
+            ))
+            continue
+        try:
+            out.append(integer_traces(
+                tr, MultiplicityError, "a fiber multiplicity along %s" % path
+            ))
+        except MultiplicityError as exc:
+            out.append(exc)
+    return out
 
 
 def build_tower(graph, weights, config=None):

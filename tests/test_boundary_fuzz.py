@@ -32,7 +32,7 @@ from wck.elements import (
     sub,
     unit,
 )
-from wck.errors import DomainError, WckError
+from wck.errors import DomainError, GraphError, WckError
 from wck.graphs import load_graph
 from wck.ideals import IdealFamily, family_of_subset, ideal_subspace
 from wck.tower import TowerConfig, build_tower
@@ -158,6 +158,12 @@ def _ideal_subspace(v):
     return ideal_subspace(tw, v, ())
 
 
+def _transport(a, b):
+    g = corpus_graphs()["G2"]
+    tw = build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=1))
+    return tw.transport(g.parse_path(a), g.parse_path(b), "left the corner")
+
+
 def _char_phi(n, i):
     g, _, model = build_cycle(3, (2.0, 1.0, 3.0))
     return char_phi(model, n, i, parse_element(g, "z"))
@@ -210,6 +216,10 @@ MALFORMED = {
     "ideal_subspace-vertex-str": lambda: _ideal_subspace("a"),
     "family-choices-ints": lambda: IdealFamily([1, 2, 3], [1, 1, 1]),
     "family-count-str": lambda: IdealFamily([(), (), ()], [1, "a", 1]),
+    "transport-not-parallel": lambda: _transport("l1", "l2"),
+    "transport-unequal-lengths": lambda: _transport("l1", "l1.l1"),
+    "transport-length-zero": lambda: _transport("v1", "v1"),
+    "transport-window-too-short": lambda: _transport("l1.l1.l1.l1", "l1.l1.l1.l1"),
     "calkin_norm-O2-element": lambda: calkin_norm(
         parse_element(O2, "z"), WindowConfig(weights=_c3w())
     ),
@@ -218,5 +228,5 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_scalars_and_foreign_graphs_raise_domain_errors(name):
-    with pytest.raises(DomainError):
+    with pytest.raises(GraphError if name.startswith("transport-") else DomainError):
         MALFORMED[name]()

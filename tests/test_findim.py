@@ -323,7 +323,7 @@ class TestEmbeddings:
             source_of=lambda mu: "b", range_of=lambda mu: "a", path_str=str
         )
         stand_in = SimpleNamespace(graph=graph, corners=corners)
-        got = tower._fiber_multiplicities(stand_in, "mu", fib)
+        (got,) = tower._fiber_multiplicities(stand_in, ["mu"], fib[None])
         assert got.tolist() == [[1, 2]]
         assert np.array_equal(got, embedding_multiplicities(dec_a, dec_b, phi))
         assert np.array_equal(got, pairwise_fiber_multiplicities(stand_in, "mu", fib))

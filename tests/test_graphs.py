@@ -253,3 +253,23 @@ def test_path_index_primitive_matches_composition(name):
                     for b in ps
                 ]
                 assert g.prepend_index(k, prefix).tolist() == expect
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_prepend_rank_is_the_shift_of_prepend_index(name):
+    """prefix*b sits at prepend_rank + rank(b) among the paths ending at r(prefix).
+
+    Against the gather it replaces: the searchsorted of prepend_index
+    inside ending_at, for prefixes of length 1-3 and levels 0-6.
+    """
+    g = CORPUS[name]
+    for length in (1, 2, 3):
+        for a in g.paths(length):
+            for k in range(7):
+                image = g.ending_at(k + length, g.range_of(a))
+                index = g.prepend_index(k, a)[g.ending_at(k, a.source)]
+                got = np.searchsorted(image, index)
+                assert np.array_equal(image[got], index)
+                assert np.array_equal(got, g.prepend_rank(k, a) + np.arange(len(index)))
+    with pytest.raises(GraphError):
+        g.prepend_rank(-1, g.paths(1)[0])

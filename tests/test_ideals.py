@@ -30,7 +30,7 @@ from test_golden import golden_case
 from wck import ideals, tower
 from wck.cycle_demo import build_cycle, demo_tower_config
 from wck.errors import DomainError, GraphError, ProtocolError, WckError
-from wck.graphs import load_graph
+from wck.graphs import Path, load_graph
 from wck.ideals import (
     IdealFamily,
     _family,
@@ -681,30 +681,67 @@ def test_family_that_does_not_fit_the_tower_is_refused(c3w_tower, key):
             call()
 
 
+def spy_transports(monkeypatch):
+    """Record the pairs of every stacked tower._transport call, one list per call."""
+    calls = []
+    compute = tower._transport
+
+    def counted(tw, pairs, messages):
+        calls.append(list(pairs))
+        return compute(tw, pairs, messages)
+
+    monkeypatch.setattr(tower, "_transport", counted)
+    return calls
+
+
+def pair_class(g, pair):
+    return (pair[0].source, g.range_of(pair[0]), len(pair[0]))
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_fibers_are_the_shared_edge_transports(name, monkeypatch):
     """On p = 1 the fiber along e is pi_map(e, e), the same read-only matrix.
 
-    A build and its lattice compute each path pair's transport once.
+    A build and its lattice compute each path pair's transport once, in
+    one stacked call per (source, range, length) class and caller: the
+    build stacks the fibers of each class, and the lattice the parallel
+    edge pairs of each class that the fibers leave.
     """
-    computed = []
-    compute = tower._transport
-
-    def counted(tw, a, b, message):
-        computed.append((a, b))
-        return compute(tw, a, b, message)
-
-    monkeypatch.setattr(tower, "_transport", counted)
+    calls = spy_transports(monkeypatch)
     g = CORPUS[name]
     tw = build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=3))
+    built = len(calls)
     enumerate_families(tw)
+    computed = [pair for pairs in calls for pair in pairs]
     assert len(computed) == len(set(computed))
+    assert all(len({pair_class(g, pair) for pair in pairs}) == 1 for pairs in calls)
+    fibers = [(mu, mu) for mu in g.paths(1)]
+    edge_pairs = [
+        (Path((e,), g.esrc[e]), Path((f,), g.esrc[f]))
+        for e, f in ideals._parallel_edge_pairs(g)
+    ]
+    assert set(computed) == set(fibers + edge_pairs)
+    assert built == len({pair_class(g, pair) for pair in fibers})
+    left = {pair_class(g, pair) for pair in edge_pairs if pair not in fibers}
+    assert len(calls) - built == len(left)
     assert len(tw.fibers) == g.n_edges
     for mu, fib in zip(g.paths(1), tw.fibers):
         edge = g.edges[mu.edges[0]].name
         assert pi_map(tw, edge, edge) is fib
         assert not fib.flags.writeable
-    assert len(computed) == len(set(computed))
+    assert [pair for pairs in calls for pair in pairs] == computed
+
+
+def test_closure_o2_stacks_two_transport_classes(monkeypatch):
+    """The closure-o2 tower and its lattice make two stacked calls: its
+    four fibers (length 2) and its four parallel edge pairs (length 1)."""
+    calls = spy_transports(monkeypatch)
+    workloads = util.load_workloads()
+    g = load_graph(json.dumps(workloads.corpus_docs()["O2"]))
+    w = load_weights(json.dumps(workloads.o2_weights_doc(np.random.default_rng(1))), g)
+    enumerate_families(build_tower(g, w, TowerConfig(n_max=1, M=6, W=2)))
+    assert [len(pairs) for pairs in calls] == [4, 4]
+    assert [len(pairs[0][0]) for pairs in calls] == [2, 1]
 
 
 def _generic_theta():

@@ -25,6 +25,7 @@ from util import (
     full_rows,
     load_workloads,
     looped_tau,
+    looped_gathers,
     looped_tau_inverse,
     looped_transport,
     mkgraph,
@@ -577,12 +578,30 @@ TRACE_KEYS = sorted(UNWEIGHTED_DIMS) + [
 GENERAL_ROUTE_KEYS = ["THETA_BLOCK", "O2block:N0", "O2block:d2", "P2block"]
 
 
+def fiber_multiplicities(tw, mu, fib):
+    """tower._fiber_multiplicities of one fiber, a stack of one; a failure raises."""
+    (got,) = tower._fiber_multiplicities(tw, [mu], fib[None])
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def path_class(tw, a):
+    return (a.source, tw.graph.range_of(a), len(a))
+
+
 @pytest.mark.parametrize("key", TRACE_KEYS)
 def test_fiber_multiplicities_match_pairwise_loop(corpus, key):
+    """Each class's stacked blocks against the per-summand-pair loop."""
     tw = fiber_tower(corpus, key)
+    classes = {}
     for mu, fib in zip(tw.graph.paths(tw.p), tw.fibers):
-        got = tower._fiber_multiplicities(tw, mu, fib)
-        assert np.array_equal(got, pairwise_fiber_multiplicities(tw, mu, fib))
+        classes.setdefault(path_class(tw, mu), []).append((mu, fib))
+    for members in classes.values():
+        mus = [mu for mu, _ in members]
+        got = tower._fiber_multiplicities(tw, mus, np.stack([f for _, f in members]))
+        for block, (mu, fib) in zip(got, members):
+            assert np.array_equal(block, pairwise_fiber_multiplicities(tw, mu, fib))
 
 
 @pytest.mark.parametrize("key", TRACE_KEYS)
@@ -882,7 +901,7 @@ def test_scaled_fiber_is_rejected(corpus, key):
     mu, fib = tw.graph.paths(tw.p)[0], 2 * tw.fibers[0]
     path = re.escape(tw.graph.path_str(mu))
     with pytest.raises(MultiplicityError, match="along %s .*central" % path):
-        tower._fiber_multiplicities(tw, mu, fib)
+        fiber_multiplicities(tw, mu, fib)
     with pytest.raises(MultiplicityError, match="along %s " % path):
         pairwise_fiber_multiplicities(tw, mu, fib)
 
@@ -891,21 +910,21 @@ def test_doubled_ambient_rank_breaks_fiber_integrality(c3_weighted, monkeypatch)
     """Doubling a summand's ambient rank halves the multiplicities into it."""
     tw = c3_weighted
     mu, fib = tw.graph.paths(tw.p)[0], tw.fibers[0]
-    block = tower._fiber_multiplicities(tw, mu, fib)
+    block = fiber_multiplicities(tw, mu, fib)
     j = np.flatnonzero(block.any(axis=0))[0]
     assert block[:, j].max() == 1
     sm = tw.corners[tw.graph.source_of(mu)].dec.summands[j]
     monkeypatch.setattr(sm, "ambient_rank", 2 * sm.ambient_rank)
     with pytest.raises(MultiplicityError, match="not integers"):
-        tower._fiber_multiplicities(tw, mu, fib)
+        fiber_multiplicities(tw, mu, fib)
 
 
 def test_doubled_connecting_maps_fail_the_stage_sizes(corpus, monkeypatch):
-    fiber_multiplicities = tower._fiber_multiplicities
+    stacked = tower._fiber_multiplicities
     monkeypatch.setattr(
         tower,
         "_fiber_multiplicities",
-        lambda tw, mu, fib: 2 * fiber_multiplicities(tw, mu, fib),
+        lambda tw, mus, fibs: [2 * m for m in stacked(tw, mus, fibs)],
     )
     g = corpus["C3"]
     with pytest.raises(MultiplicityError, match="connecting maps give"):
@@ -1219,6 +1238,27 @@ def counted_witness(corpus):
     raise AssertionError("no witness transport")
 
 
+def class_pairs(tw, a):
+    """The transport pairs of the class of a, each once, in order."""
+    pairs = dict.fromkeys(transport_pairs(tw))
+    return [pair for pair in pairs if path_class(tw, pair[0]) == path_class(tw, a)]
+
+
+def assert_witness_refused(tw, a, b):
+    """The pair (a, b) is refused with its own message, alone and as one
+    pair of its whole class in one stacked call, the other pairs named by
+    their index."""
+    whole = class_pairs(tw, a)
+    assert len(whole) > 1
+    for pairs in ([(a, b)], whole):
+        i = pairs.index((a, b))
+        messages = ["pair %d left the corner" % j for j in range(len(pairs))]
+        messages[i] = "witness left the corner"
+        failure = tower._transport(tw, pairs, messages)[1][i]
+        assert isinstance(failure, WindowUnstableError)
+        assert str(failure) == "witness left the corner"
+
+
 def test_counted_transport_refuses_copies_from_two_target_units(corpus, monkeypatch):
     """Relabelling one copy of source unit j2 as j makes j gather from two
     target units; the count refuses it."""
@@ -1227,8 +1267,7 @@ def test_counted_transport_refuses_copies_from_two_target_units(corpus, monkeypa
     copy = copy.copy()
     copy[cut[0] + np.flatnonzero(copy[slice(*cut)] == j2)[1:]] = j
     monkeypatch.setattr(cs.algebra, "entries", (pos, copy))
-    with pytest.raises(WindowUnstableError, match="witness left the corner"):
-        tower._transport(tw, a, b, "witness left the corner")
+    assert_witness_refused(tw, a, b)
 
 
 def test_counted_transport_refuses_an_image_off_the_source_support(corpus, monkeypatch):
@@ -1247,8 +1286,7 @@ def test_counted_transport_refuses_an_image_off_the_source_support(corpus, monke
     else:
         raise AssertionError("no free position after a copy of j2")
     monkeypatch.setattr(cs.algebra, "entries", (pos, copy))
-    with pytest.raises(WindowUnstableError, match="witness left the corner"):
-        tower._transport(tw, a, b, "witness left the corner")
+    assert_witness_refused(tw, a, b)
 
 
 def test_transport_refuses_an_image_off_the_source_rows(corpus, monkeypatch):
@@ -1261,8 +1299,14 @@ def test_transport_refuses_an_image_off_the_source_rows(corpus, monkeypatch):
     cs = tw.corners[g.source_of(a)]
     assert cs is not tw.corners[g.range_of(a)]
     monkeypatch.setattr(cs.algebra, "rows", cs.algebra.rows[:-1])
-    with pytest.raises(WindowUnstableError, match="witness left the corner"):
-        tower._transport(tw, a, b, "witness left the corner")
+    assert_witness_refused(tw, a, b)
+
+
+# the refusal of each deep O2 window: the fibers' corner, or a multiplicity
+DEEP_REFUSALS = {
+    7: (WindowUnstableError, r"^corner at 'v' is not faithful on levels \[2, 7\)"),
+    8: (MultiplicityError, r"^summand \(0, 0\) receives no connecting edges"),
+}
 
 
 @pytest.mark.parametrize("M", [7, 8])
@@ -1271,6 +1315,7 @@ def test_o2_p3_deep_windows_are_refused_with_a_certificate(M, monkeypatch):
 
     These windows used to end in a raw MemoryError, from the full-length
     rows of C0 and of its corners (2.7 GB at M=7, 10 GiB asked at M=8).
+    The refusal keeps its class and message with the fibers stacked.
     """
     workloads = load_workloads()
     doc = workloads.corpus_docs()["O2"]
@@ -1278,5 +1323,63 @@ def test_o2_p3_deep_windows_are_refused_with_a_certificate(M, monkeypatch):
     wdoc = workloads.diagonal_weights_doc(doc, 3, 1, np.random.default_rng(1))
     monkeypatch.setattr(graphs, "MAX_LEVEL_DIM", 4100)
     cfg = TowerConfig(n_max=1, M=M, W=3)
-    with pytest.raises(ProtocolError):
+    error, message = DEEP_REFUSALS[M]
+    with pytest.raises(ProtocolError) as info:
         build_tower(g, load_weights(json.dumps(wdoc), g), cfg)
+    assert type(info.value) is error
+    assert re.search(message, str(info.value))
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_transport_gathers_are_shifts(corpus, key):
+    """The per-level gathers of the looped oracle are the rank shifts.
+
+    Graph lists each level by first edge, then by tail rank, so the
+    target slot positions of a*d are prepend_rank + arange(S).
+    """
+    tw = fiber_tower(corpus, key)
+    g = tw.graph
+    for a, b in transport_pairs(tw):
+        for ell, (_, r1, r2) in zip(range(tw.G0, tw.G1), looped_gathers(tw, a, b)):
+            k = ell - tw.q
+            assert np.array_equal(r1, g.prepend_rank(k, a) + np.arange(len(r1)))
+            assert np.array_equal(r2, g.prepend_rank(k, b) + np.arange(len(r2)))
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_stacked_transports_match_batches_of_one(corpus, key):
+    """Each class's stack against its pairs one at a time, and the cache.
+
+    On closed-form towers the matrices agree exactly, and on the others
+    within 1e-15; no pair fails.
+    """
+    tw = fiber_tower(corpus, key)
+    exact = all(c.algebra.rows is None for c in tw.corners.values())
+    classes = {}
+    for pair in dict.fromkeys(transport_pairs(tw)):
+        classes.setdefault(path_class(tw, pair[0]), []).append(pair)
+
+    def same(x, y):
+        return np.array_equal(x, y) if exact else np.abs(x - y).max() <= 1e-15
+
+    for pairs in classes.values():
+        stack, failures = tower._transport(tw, pairs, ["left"] * len(pairs))
+        assert failures == [None] * len(pairs)
+        for pair, got in zip(pairs, stack):
+            (one,), (failure,) = tower._transport(tw, [pair], ["left"])
+            assert failure is None
+            assert same(got, one)
+            assert same(tw.transport(*pair, "left"), got)
+
+
+def test_transport_refuses_pairs_that_are_not_parallel(corpus):
+    """Tower.transport checks its pair: paths that are not parallel, of
+    unequal or zero length, or too long for the window raise GraphError."""
+    g = corpus["G2"]
+    tw = build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=1))
+    l1, l2, v1 = (g.parse_path(s) for s in ("l1", "l2", "v1"))
+    deep = g.parse_path("l1.l1.l1.l1")
+    assert tw.G1 - tw.G0 == len(deep)
+    for a, b in [(l1, l2), (l1, g.parse_path("l1.l1")), (v1, v1), (deep, deep)]:
+        with pytest.raises(GraphError):
+            tw.transport(a, b, "left")

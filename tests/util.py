@@ -12,7 +12,7 @@ full-length closure loop, the closure on every support class block
 the concrete stage algebra of a tower, the multiplicity matrix of an
 embedding read off corner ranks, the per-pair loop of the fiber
 multiplicities, the per-summand-pair loop of the transport edges, the
-per-basis-element transport, the per-entry tau
+per-basis-element transport and its per-level gathers, the per-entry tau
 and tau_inverse loops, the dense restricted, tau and tau_inverse on all
 window columns and the (m, m, L) window index they read (from window
 rows read off the path tables, not off a Placement), the
@@ -767,14 +767,20 @@ def _looped_coords(corner, lo, hi, slot_blocks, scale, message):
     return coords
 
 
-def looped_transport(tower, a, b, message="transport left the corner"):
-    """Tower.transport, one corner basis element and one level at a time."""
+def looped_gathers(tower, a, b):
+    """The slot gathers of a transport, one level at a time.
+
+    One (i, r1, r2) per source level ell: i = ell + len(a) - G0 indexes
+    the target slot list, and r1, r2 are the target slot positions of
+    a*d and b*d, d over the source slot, found by prepend_index and a
+    searchsorted. tower._transport reads them as shifts by
+    Graph.prepend_rank instead.
+    """
     g = tower.graph
     cs = tower.corners[g.source_of(a)]
     cw = tower.corners[g.range_of(a)]
-    lo, hi = tower.G0, tower.G1 - len(a)
     gathers = []
-    for ell in range(lo, hi):
+    for ell in range(tower.G0, tower.G1 - len(a)):
         slot = cs.slot_lists[ell - tower.G0]
         image = cw.slot_lists[ell + len(a) - tower.G0]
         gathers.append((
@@ -782,6 +788,16 @@ def looped_transport(tower, a, b, message="transport left the corner"):
             np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
             np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
         ))
+    return gathers
+
+
+def looped_transport(tower, a, b, message="transport left the corner"):
+    """Tower.transport, one corner basis element and one level at a time."""
+    g = tower.graph
+    cs = tower.corners[g.source_of(a)]
+    cw = tower.corners[g.range_of(a)]
+    lo, hi = tower.G0, tower.G1 - len(a)
+    gathers = looped_gathers(tower, a, b)
     cols = []
     for blocks in basis_elements(cw.algebra):
         slot_blocks = [blocks[i][np.ix_(r1, r2)] for i, r1, r2 in gathers]
