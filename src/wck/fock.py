@@ -54,7 +54,7 @@ class FockRep:
             for k in range(K):
                 idx = graph.ending_at(k, graph.esrc[e])
                 self.maps[e, self.offsets[k] + idx] = (
-                    self.offsets[k + 1] + graph.prepend_index(k, edge)[idx]
+                    self.offsets[k + 1] + graph.prepend(k, edge)
                 )
 
     def index(self, path):

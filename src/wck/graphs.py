@@ -13,29 +13,24 @@ tuples, so paths multiply the way the shift operators they index do.
 
 Path index. paths(k) is lexicographic in the operator-order edge tuple,
 so the level-(k+1) paths starting with edge e form one contiguous run,
-ordered like their tails. Hence
+ordered like their tails. Among the paths that end at r(e), the path
+(e,) + b therefore comes after the tails of the earlier edges into
+r(e), in the order of b among the level-k paths that end at s(e). The
+range and the source of every path are cached per level as small int
+arrays, and every index gather is read off them:
 
-    index_{k+1}((e,) + b) = start_{k+1}[e] + rank_k[b],
-
-where start_{k+1}[e] is the index of the first level-(k+1) path that
-starts with e, and rank_k[b] is the position of b among the level-k
-paths with the same range. These arrays, with the range and the source
-of every path, are cached per level as small int arrays, and three
-methods read all index gathers off them:
-
-  - prepend_index(k, prefix) is an int array over paths(k): entry i is
-    the index of prefix*b_i at level k + len(prefix), or -1 where
-    r(b_i) != s(prefix);
   - ending_at(k, v) is the ascending int array of the indices of the
     level-k paths whose range is v; starting_at(k, v) is the same for
     the paths whose source is v;
   - prepend_rank(k, prefix) is the one int that prepending shifts
-    ranks by: prefix*b sits at prepend_rank(k, prefix) + rank_k[b]
-    inside ending_at(k + len(prefix), r(prefix)), read off the path
-    counts that level_dim caches.
+    ranks by: for b of rank i in ending_at(k, s(prefix)), prefix*b is
+    entry prepend_rank(k, prefix) + i of ending_at(k + len(prefix),
+    r(prefix)), read off the path counts that level_dim caches;
+  - prepend(k, prefix) is that run itself: the level-(k + len(prefix))
+    indices of prefix*b for all b in ending_at(k, s(prefix)), in order.
 
 Path objects remain for parsing, printing and paths(); path_index()
-reads a Path's position off the same arrays.
+checks a Path against the graph and reads its position off prepend.
 """
 
 from __future__ import annotations
@@ -77,15 +72,10 @@ class Path:
 
 
 class _Level(NamedTuple):
-    """Int arrays over paths(k); start is over edges and None at k = 0.
-
-    ending[v] is the read-only array ending_at(k, v).
-    """
+    """Int arrays over paths(k); ending[v] is the read-only ending_at(k, v)."""
 
     range: np.ndarray
     source: np.ndarray
-    rank: np.ndarray
-    start: np.ndarray | None
     ending: list
 
 
@@ -139,7 +129,6 @@ class Graph:
         self._paths = {}
         self._counts = [[1] * len(self.vertices)]
         self._levels = {}
-        self._prepend = {}
         self._ranks = {}
         self._shape = None
 
@@ -196,20 +185,18 @@ class Graph:
     def path_index(self, path):
         """Position of `path` inside paths(len(path)).
 
-        Read off the level arrays, last edge first: each step checks
-        that the edge starts where the tail so far ends, so a wrong
-        source or a broken concatenation raises.
+        The path is checked first, last edge first: each edge must exist
+        and start where the walk so far ends, so a wrong source or a
+        broken concatenation raises. The position is prepend(0, path).
         """
-        idx = path.source
-        if not 0 <= idx < self.n_vertices:
+        at = path.source
+        if not 0 <= at < self.n_vertices:
             raise GraphError("path not in graph")
-        for j, e in enumerate(reversed(path.edges)):
-            if not 0 <= e < self.n_edges or (
-                self._level(j).range[idx] != self.esrc[e]
-            ):
+        for e in reversed(path.edges):
+            if not 0 <= e < self.n_edges or self.esrc[e] != at:
                 raise GraphError("path not in graph")
-            idx = self._level(j + 1).start[e] + self._level(j).rank[idx]
-        return int(idx)
+            at = self.edst[e]
+        return int(self.prepend(0, path)[0])
 
     def level_dim(self, k):
         """Number of length-k paths, counted without building any.
@@ -236,51 +223,28 @@ class Graph:
             raise GraphError("path length must be nonnegative")
         if k == 0:
             ranges = sources = np.arange(self.n_vertices)
-            start = None
         else:
             prev = self._level(k - 1)
             tails = [prev.ending[s] for s in self.esrc]
-            counts = np.array([len(t) for t in tails], dtype=int)
-            start = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
+            counts = [len(t) for t in tails]
             ranges = np.repeat(np.array(self.edst, dtype=int), counts)
             sources = np.concatenate(
                 [np.zeros(0, dtype=int)] + [prev.source[t] for t in tails]
             )
         ending = [np.flatnonzero(ranges == v) for v in range(self.n_vertices)]
-        rank = np.empty_like(ranges)
         for arr in ending:
-            rank[arr] = np.arange(len(arr))
             arr.setflags(write=False)
-        got = self._levels[k] = _Level(ranges, sources, rank, start, ending)
-        return got
-
-    def prepend_index(self, k, prefix):
-        """Level-(k + len(prefix)) index of prefix*b for each b in paths(k).
-
-        Entries are -1 where r(b) != s(prefix). The array is cached and
-        read-only.
-        """
-        key = (k, prefix.edges, prefix.source)
-        got = self._prepend.get(key)
-        if got is None:
-            fits = self.ending_at(k, prefix.source)
-            idx = fits
-            for j, e in enumerate(reversed(prefix.edges)):
-                idx = self._level(k + j + 1).start[e] + self._level(k + j).rank[idx]
-            got = np.full(len(self._level(k).range), -1, dtype=int)
-            got[fits] = idx
-            got.setflags(write=False)
-            self._prepend[key] = got
+        got = self._levels[k] = _Level(ranges, sources, ending)
         return got
 
     def prepend_rank(self, k, prefix):
         """The rank shift c of prefix on level k, an int.
 
-        For b in ending_at(k, s(prefix)), prefix*b is entry c + rank_k[b]
-        of ending_at(k + len(prefix), r(prefix)). Level j + 1 lists the
+        For b of rank i in ending_at(k, s(prefix)), prefix*b is entry c +
+        i of ending_at(k + len(prefix), r(prefix)). Level j + 1 lists the
         paths by first edge, then by tail rank, so among the paths that
         end at r(e) the path (e,) + b comes after the tails of the
-        earlier edges into r(e): its rank is rank_j[b] plus the level-j
+        earlier edges into r(e): its rank is the rank of b plus the level-j
         path counts at their sources. c sums that over the edges of the
         prefix, last edge first. The int is cached.
         """
@@ -298,6 +262,18 @@ class Graph:
                 )
             self._ranks[key] = got
         return got
+
+    def prepend(self, k, prefix):
+        """The level-(k + len(prefix)) indices of prefix*b, in the order of b.
+
+        b runs over ending_at(k, s(prefix)), and the indices are the run
+        of ending_at(k + len(prefix), r(prefix)) that starts at
+        prepend_rank(k, prefix): a read-only slice, ascending, and all of
+        ending_at(k, s(prefix)) for a length-0 prefix.
+        """
+        c = self.prepend_rank(k, prefix)
+        n = self._counts[k][prefix.source]
+        return self.ending_at(k + len(prefix), self.range_of(prefix))[c:c + n]
 
     def ending_at(self, k, v):
         """Ascending indices of the level-k paths with range v (read-only)."""

@@ -824,7 +824,7 @@ def _edge_plan(tower, push):
         k = tower.M + kk
         # per edge e, the level-k paths x ending at s(e) and the level-(k + 1) e*x
         low = [g.ending_at(k, g.esrc[e]) for e in range(ne)]
-        high = [g.prepend_index(k, Path((e,), g.esrc[e]))[x] for e, x in enumerate(low)]
+        high = [g.prepend(k, Path((e,), g.esrc[e])) for e in range(ne)]
         for e in range(ne):
             for f in range(ne):
                 rows = off[kk] + (low[e][:, None] * dims[kk] + low[f]).ravel()

@@ -14,7 +14,7 @@ window of levels of the path space:
 
   - C_0 is generated by the degree-zero words u_a Z^j u_b^* with
     s(a) = s(b), |a| = |b| < p and j < 3. Each generator is built as
-    its nonzero entries, gathered by prepend_index from the entries
+    its nonzero entries, gathered by Graph.prepend from the entries
     of Z^j on the tails (for block weights, the nonzeros of the small
     seed powers repeated over the heads), so no window block is ever
     formed. findim.star_closure works on one copy of each distinct
@@ -35,7 +35,7 @@ window of levels of the path space:
     rotated onto. Its elements are coordinate vectors over the units;
   - the connecting maps between stages are assembled from one fiber map
     per length-p path mu, which acts on corner elements purely by index
-    gathers (Graph.prepend_index shifts the slot basis by mu), so the
+    gathers (Graph.prepend shifts the slot basis by mu), so the
     Bratteli diagram of the tower is stationary.
 
 Stage index paths, slots and all gathers are int arrays of positions in
@@ -162,8 +162,8 @@ class Corner:
         # the positions in C_0's blocks_vec of the slot blocks, row-major
         cols = []
         off = 0
-        for k, slots, d in zip(levels, self.slot_lists, C0.dims):
-            idx = g.prepend_index(k - q, self.xi)[slots]
+        for k, d in zip(levels, C0.dims):
+            idx = g.prepend(k - q, self.xi)
             cols.append(off + (idx[:, None] * d + idx).ravel())
             off += d * d
         self.dec = central_decomposition(
@@ -191,7 +191,7 @@ class Placement:
 
       - rows[kk] has one int row per index path gamma starting at v:
         the level-(M + kk) indices of gamma*d over the corner slot at
-        level lo + kk, in slot order;
+        level lo + kk, in slot order: Graph.prepend(lo + kk - q, gamma);
       - sup and mat are the corner's support columns on [lo, hi): their
         positions in columns(lo, hi), ascending, and the columns;
       - levels[kk] lists the positions of the support columns on level
@@ -217,10 +217,8 @@ class Placement:
         length = n * tower.p + tower.q
         gammas = [g.paths(length)[i] for i in tower.stages[n].paths[v]]
         self.rows = []
-        for k, slot in zip(window, corner.slot_lists[first:]):
-            rows = np.array(
-                [g.prepend_index(k - length, gam)[slot] for gam in gammas], dtype=int
-            )
+        for k in window:
+            rows = np.array([g.prepend(k - length, gam) for gam in gammas], dtype=int)
             rows.flags.writeable = False
             self.rows.append(rows)
         starts = corner.offsets[first:first + tower.W + 1]
@@ -368,6 +366,7 @@ class Tower:
         # one fiber per length-p path; the Bratteli diagram is stationary.
         # The fiber b -> V* b V of mu prepends mu on slots; each class is
         # one stack, and its multiplicities are read off that stack
+        _check_window(self, p)
         mus = g.paths(p)
         pairs = [(mu, mu) for mu in mus]
         messages = [
@@ -486,7 +485,8 @@ class Tower:
             w = g.range_of(mu)
             # stage-(n + 1) positions of alpha*mu, alpha over the stage-n paths at w
             lo = self.stages[n].paths[w]
-            hi = [g.prepend_index(self.p, alphas[i])[mi] for i in lo]
+            rank = np.searchsorted(g.ending_at(self.p, w), mi)
+            hi = [g.prepend(self.p, alphas[i])[rank] for i in lo]
             rows = np.searchsorted(self.stages[n + 1].paths[v], hi)
             lifted = np.einsum("...abj,ij->...abi", x[w], self.fibers[mi])
             out[v][..., rows[:, None], rows, :] += lifted
@@ -717,9 +717,15 @@ def _check_pair(tower, a, b):
         raise GraphError(
             "transport needs paths with a common start and a common end"
         )
-    if tower.G1 - len(a) <= tower.G0:
+    _check_window(tower, len(a))
+
+
+def _check_window(tower, length):
+    """Raise GraphError unless the window holds a source level for paths
+    of this length: a level ell >= G0 with ell + length < G1."""
+    if tower.G1 - length <= tower.G0:
         raise GraphError(
-            "the window is too short to transport a length-%d path" % len(a)
+            "the window is too short to transport a length-%d path" % length
         )
 
 
@@ -917,7 +923,7 @@ def _c0_generators(graph, weights, levels):
     closure, so only the first Z_POWERS are seeded explicitly. Each
     generator is (positions, values): the positions in blocks_vec of
     its nonzero entries over the window and their values, gathered
-    through prepend_index from the entries of Z^j on the tails; no
+    through Graph.prepend from the entries of Z^j on the tails; no
     window block is formed.
     """
     g = graph
@@ -932,7 +938,7 @@ def _c0_generators(graph, weights, levels):
             per_level = []
             for k, off, d in zip(levels, offsets, dims):
                 tails = g.ending_at(k - a, v)
-                rows = [g.prepend_index(k - a, pth)[tails] for pth in group]
+                rows = [g.prepend(k - a, pth) for pth in group]
                 per_level.append((off, d, rows, _z_entries(weights, k - a, tails)))
             for ai in range(len(group)):
                 for bi in range(len(group)):

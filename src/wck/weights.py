@@ -163,10 +163,9 @@ class WeightSpec:
         suf = np.empty(g.level_dim(k), dtype=np.int64)
         # every level-k path is head*tail for exactly one level-m head
         for h, head in enumerate(g.paths(m)):
-            dst = g.prepend_index(k - m, head)
-            tails = np.flatnonzero(dst >= 0)
-            pre[dst[tails]] = h
-            suf[dst[tails]] = tails
+            dst = g.prepend(k - m, head)
+            pre[dst] = h
+            suf[dst] = g.ending_at(k - m, head.source)
         self._split_cache[key] = (pre, suf)
         return pre, suf
 

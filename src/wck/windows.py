@@ -53,7 +53,7 @@ def letter_matrix(w, letter, k):
         if k >= 0:
             cols = g.ending_at(k, g.esrc[payload])
             edge = Path((payload,), g.esrc[payload])
-            out[g.prepend_index(k, edge)[cols], cols] = 1.0
+            out[g.prepend(k, edge), cols] = 1.0
         return out
     if kind == US:
         return letter_matrix(w, (U, payload), k - 1).conj().T

@@ -64,6 +64,10 @@ def test_level_dim_is_exact_and_builds_no_path():
     g = corpus_graphs()["O2"]
     assert g.level_dim(9) == 512
     assert not g._paths and not g._levels
+    # prepend and path_index read the level arrays, not the Path lists
+    assert g.prepend(4, g.parse_path("e.f")).tolist() == list(range(32, 48))
+    assert g.path_index(g.parse_path("e.f.e")) == 2
+    assert not g._paths
     # past the int64 range: the counts are Python ints
     assert g.level_dim(70) == 2 ** 70
     with pytest.raises(GraphError):
@@ -152,12 +156,20 @@ def test_walk_order_serialization(c3):
 
 @pytest.mark.parametrize(
     "path",
-    [Path((0,), 2), Path((1, 0), 1), Path((0, 0), 0), Path((3,), 0), Path((), 3)],
+    [
+        Path((0,), 2),
+        Path((1, 0), 1),
+        Path((0, 0), 0),
+        Path((3,), 0),
+        Path((-1,), 0),
+        Path((), 3),
+    ],
     ids=[
         "wrong_source",
         "wrong_source_length_2",
         "broken_concatenation",
         "unknown_edge",
+        "negative_edge",
         "unknown_vertex",
     ],
 )
@@ -235,41 +247,34 @@ def test_load_graph_malformed_edges_raise_graph_error(doc):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_path_index_primitive_matches_composition(name):
-    """prepend_index, ending_at and starting_at against the slow path filters."""
+    """ending_at, starting_at and prepend against the slow path filters.
+
+    prepend(k, prefix) lists prefix*b for b ending at s(prefix), found
+    by composing and looking up; they are the run of ending_at(k +
+    len(prefix), r(prefix)) that starts at prepend_rank(k, prefix), for
+    prefixes of length 0-3 (length 0 gives all of ending_at) and levels
+    0-6.
+    """
     g = CORPUS[name]
-    for k in range(6):
+    for k in range(7):
         ps = g.paths(k)
         for v in range(g.n_vertices):
             expect = [i for i, b in enumerate(ps) if g.range_of(b) == v]
             assert g.ending_at(k, v).tolist() == expect
             expect = [i for i, b in enumerate(ps) if g.source_of(b) == v]
             assert g.starting_at(k, v).tolist() == expect
-        for m in range(3):
+        for m in range(4):
+            where = {p: i for i, p in enumerate(g.paths(k + m))}
             for prefix in g.paths(m):
                 expect = [
-                    g.path_index(compose(g, prefix, b))
-                    if g.range_of(b) == g.source_of(prefix)
-                    else -1
+                    where[compose(g, prefix, b)]
                     for b in ps
+                    if g.range_of(b) == g.source_of(prefix)
                 ]
-                assert g.prepend_index(k, prefix).tolist() == expect
-
-
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_prepend_rank_is_the_shift_of_prepend_index(name):
-    """prefix*b sits at prepend_rank + rank(b) among the paths ending at r(prefix).
-
-    Against the gather it replaces: the searchsorted of prepend_index
-    inside ending_at, for prefixes of length 1-3 and levels 0-6.
-    """
-    g = CORPUS[name]
-    for length in (1, 2, 3):
-        for a in g.paths(length):
-            for k in range(7):
-                image = g.ending_at(k + length, g.range_of(a))
-                index = g.prepend_index(k, a)[g.ending_at(k, a.source)]
-                got = np.searchsorted(image, index)
-                assert np.array_equal(image[got], index)
-                assert np.array_equal(got, g.prepend_rank(k, a) + np.arange(len(index)))
+                assert g.prepend(k, prefix).tolist() == expect
+                image = g.ending_at(k + m, g.range_of(prefix))
+                got = np.searchsorted(image, expect)
+                shift = g.prepend_rank(k, prefix) + np.arange(len(expect))
+                assert np.array_equal(got, shift)
     with pytest.raises(GraphError):
         g.prepend_rank(-1, g.paths(1)[0])

@@ -1302,6 +1302,17 @@ def test_transport_refuses_an_image_off_the_source_rows(corpus, monkeypatch):
     assert_witness_refused(tw, a, b)
 
 
+def test_window_without_a_fiber_source_level_is_refused(corpus):
+    """Unweighted O2 at n_max=0, W=1: the fibers (p = 1) have no source
+    level, so the build refuses the window as too short, as
+    Tower.transport does, and names no empty level range."""
+    g = corpus["O2"]
+    with pytest.raises(GraphError) as info:
+        build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=0, W=1))
+    assert type(info.value) is GraphError
+    assert str(info.value) == "the window is too short to transport a length-1 path"
+
+
 # the refusal of each deep O2 window: the fibers' corner, or a multiplicity
 DEEP_REFUSALS = {
     7: (WindowUnstableError, r"^corner at 'v' is not faithful on levels \[2, 7\)"),

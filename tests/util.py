@@ -26,7 +26,8 @@ products, the per-word window matrix and the inline I_p (x) Z_k
 extension of the level matrices.
 
 Small path, weight, stage and norm helpers that only tests use live
-here too: path composition and the adjacency matrix, the path isometry
+here too: path composition, the prefix gather read off a dict over the
+path list, and the adjacency matrix, the path isometry
 u_a, the weight entries read off by stripping periods, the corner
 product and the stage unit, product and adjoint in corner coordinates,
 and equality modulo the compacts.
@@ -40,6 +41,7 @@ same form, one whole block per level; the block-list helpers here
 the references, which work on full blocks.
 """
 
+import functools
 import importlib.util
 import pathlib
 from itertools import combinations
@@ -387,7 +389,7 @@ def dense_c0_generators(graph, weights, levels):
         for v, group in by_source.items():
             tails = [g.ending_at(k - a, v) for k in levels]
             rows = [
-                [g.prepend_index(k - a, pth)[t] for pth in group]
+                [prepend_gather(g, k - a, pth)[t] for pth in group]
                 for k, t in zip(levels, tails)
             ]
             for ai in range(len(group)):
@@ -772,7 +774,7 @@ def looped_gathers(tower, a, b):
 
     One (i, r1, r2) per source level ell: i = ell + len(a) - G0 indexes
     the target slot list, and r1, r2 are the target slot positions of
-    a*d and b*d, d over the source slot, found by prepend_index and a
+    a*d and b*d, d over the source slot, found by prepend_gather and a
     searchsorted. tower._transport reads them as shifts by
     Graph.prepend_rank instead.
     """
@@ -785,8 +787,8 @@ def looped_gathers(tower, a, b):
         image = cw.slot_lists[ell + len(a) - tower.G0]
         gathers.append((
             ell + len(a) - tower.G0,
-            np.searchsorted(image, g.prepend_index(ell - tower.q, a)[slot]),
-            np.searchsorted(image, g.prepend_index(ell - tower.q, b)[slot]),
+            np.searchsorted(image, prepend_gather(g, ell - tower.q, a)[slot]),
+            np.searchsorted(image, prepend_gather(g, ell - tower.q, b)[slot]),
         ))
     return gathers
 
@@ -853,7 +855,7 @@ def window_rows(tower, n, v):
     length = n * tower.p + tower.q
     gammas = [g.paths(length)[i] for i in tower.stages[n].paths[v]]
     return [
-        np.array([g.prepend_index(k - length, gam)[g.ending_at(k - length, v)]
+        np.array([prepend_gather(g, k - length, gam)[g.ending_at(k - length, v)]
                   for gam in gammas])
         for k in range(tower.M, tower.M + tower.W)
     ]
@@ -1248,8 +1250,8 @@ def shift_pair(tower, n, x, delta, gamma):
     out = tower.stage_zero(m)
     for v, blk in x.items():
         src = tower.stages[n].paths[v]
-        dst_d = g.prepend_index(length, delta)[src]
-        dst_g = g.prepend_index(length, gamma)[src]
+        dst_d = prepend_gather(g, length, delta)[src]
+        dst_g = prepend_gather(g, length, gamma)[src]
         rows_d = np.flatnonzero(dst_d >= 0)
         rows_g = np.flatnonzero(dst_g >= 0)
         hi = tower.stages[m].paths[v]
@@ -1374,8 +1376,8 @@ def _looped_edge_render(tower, blocks, e, f, push):
         k = tower.M + kk
         rows = g.ending_at(k, g.esrc[e])
         cols = g.ending_at(k, g.esrc[f])
-        up_r = g.prepend_index(k, Path((e,), g.esrc[e]))[rows]
-        up_c = g.prepend_index(k, Path((f,), g.esrc[f]))[cols]
+        up_r = prepend_gather(g, k, Path((e,), g.esrc[e]))[rows]
+        up_c = prepend_gather(g, k, Path((f,), g.esrc[f]))[cols]
         dim = g.level_dim(k + 1 if push else k)
         mat = np.zeros((dim, dim), dtype=np.complex128)
         if push:
@@ -1625,7 +1627,7 @@ class SparseFock:
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for k in range(self.K):
             idx = g.ending_at(k, g.esrc[e])
-            rows.append(self.offsets[k + 1] + g.prepend_index(k, edge)[idx])
+            rows.append(self.offsets[k + 1] + prepend_gather(g, k, edge)[idx])
             cols.append(self.offsets[k] + idx)
         out = map_matrix(self.dim, np.concatenate(cols), np.concatenate(rows))
         self.creators[e] = out
@@ -1793,6 +1795,29 @@ def compose(g, a, b):
     if g.range_of(b) != g.source_of(a):
         raise GraphError("composition undefined: r(b) != s(a)")
     return Path(a.edges + b.edges, b.source)
+
+
+@functools.lru_cache(maxsize=None)
+def _path_positions(g, k):
+    """(edges, source) -> position in g.paths(k); every vertex has edges ()."""
+    return {(p.edges, p.source): i for i, p in enumerate(g.paths(k))}
+
+
+@functools.lru_cache(maxsize=None)
+def prepend_gather(g, k, prefix):
+    """The level-(k + len(prefix)) index of prefix*b per b in g.paths(k).
+
+    -1 where r(b) != s(prefix). Looked up in a dict over the path list,
+    so it shares no index arithmetic with Graph.prepend; read-only.
+    """
+    where = _path_positions(g, k + len(prefix))
+    out = np.array([
+        where[(prefix.edges + b.edges, b.source)]
+        if g.range_of(b) == prefix.source else -1
+        for b in g.paths(k)
+    ], dtype=int)
+    out.flags.writeable = False
+    return out
 
 
 def adjacency(g):
