@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import adjacency, compose, corpus_graphs, cycle_graph, mkgraph
+from util import adjacency, compose, corpus_graphs, cycle_graph, mkgraph, prepend_gather
 from wck.errors import GraphError
 from wck.graphs import Edge, Graph, Path, load_graph
 
@@ -250,10 +250,8 @@ def test_path_index_primitive_matches_composition(name):
     """ending_at, starting_at and prepend against the slow path filters.
 
     prepend(k, prefix) lists prefix*b for b ending at s(prefix), found
-    by composing and looking up; they are the run of ending_at(k +
-    len(prefix), r(prefix)) that starts at prepend_rank(k, prefix), for
-    prefixes of length 0-3 (length 0 gives all of ending_at) and levels
-    0-6.
+    by composing and looking up, for prefixes of length 0-3 (length 0
+    gives all of ending_at) and levels 0-6.
     """
     g = CORPUS[name]
     for k in range(7):
@@ -272,9 +270,25 @@ def test_path_index_primitive_matches_composition(name):
                     if g.range_of(b) == g.source_of(prefix)
                 ]
                 assert g.prepend(k, prefix).tolist() == expect
-                image = g.ending_at(k + m, g.range_of(prefix))
-                got = np.searchsorted(image, expect)
-                shift = g.prepend_rank(k, prefix) + np.arange(len(expect))
-                assert np.array_equal(got, shift)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_prepend_rank_is_the_shift_of_prepend_index(name):
+    """prefix*b sits at prepend_rank + rank(b) among the paths ending at r(prefix).
+
+    Against the full-level prefix gather that prepend_rank replaced, now
+    the dict-built test oracle prepend_gather: its entries on ending_at,
+    searchsorted into the image, for prefixes of length 0-3 and levels
+    0-6.
+    """
+    g = CORPUS[name]
+    for length in range(4):
+        for a in g.paths(length):
+            for k in range(7):
+                image = g.ending_at(k + length, g.range_of(a))
+                index = prepend_gather(g, k, a)[g.ending_at(k, a.source)]
+                got = np.searchsorted(image, index)
+                assert np.array_equal(image[got], index)
+                assert np.array_equal(got, g.prepend_rank(k, a) + np.arange(len(index)))
     with pytest.raises(GraphError):
         g.prepend_rank(-1, g.paths(1)[0])
