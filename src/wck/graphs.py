@@ -29,8 +29,9 @@ arrays, and every index gather is read off them:
   - prepend(k, prefix) is that run itself: the level-(k + len(prefix))
     indices of prefix*b for all b in ending_at(k, s(prefix)), in order.
 
-Path objects remain for parsing, printing and paths(); path_index()
-checks a Path against the graph and reads its position off prepend.
+Path objects remain for parsing, printing and paths(); prepend_rank
+checks a prefix against the graph before it computes its shift, so
+prepend and path_index() refuse a tuple that is not a path.
 """
 
 from __future__ import annotations
@@ -183,19 +184,7 @@ class Graph:
         return ps
 
     def path_index(self, path):
-        """Position of `path` inside paths(len(path)).
-
-        The path is checked first, last edge first: each edge must exist
-        and start where the walk so far ends, so a wrong source or a
-        broken concatenation raises. The position is prepend(0, path).
-        """
-        at = path.source
-        if not 0 <= at < self.n_vertices:
-            raise GraphError("path not in graph")
-        for e in reversed(path.edges):
-            if not 0 <= e < self.n_edges or self.esrc[e] != at:
-                raise GraphError("path not in graph")
-            at = self.edst[e]
+        """Position of `path` in paths(len(path)); prepend_rank checks it."""
         return int(self.prepend(0, path)[0])
 
     def level_dim(self, k):
@@ -246,13 +235,21 @@ class Graph:
         end at r(e) the path (e,) + b comes after the tails of the
         earlier edges into r(e): its rank is the rank of b plus the level-j
         path counts at their sources. c sums that over the edges of the
-        prefix, last edge first. The int is cached.
+        prefix, last edge first. Before the int is cached per (k, edges,
+        source), a wrong source or a broken concatenation raises GraphError.
         """
-        key = (k, prefix.edges)
+        key = (k, prefix.edges, prefix.source)
         got = self._ranks.get(key)
         if got is None:
             if k < 0:
                 raise GraphError("path length must be nonnegative")
+            at = prefix.source
+            if not 0 <= at < self.n_vertices:
+                raise GraphError("path not in graph")
+            for e in reversed(prefix.edges):
+                if not 0 <= e < self.n_edges or self.esrc[e] != at:
+                    raise GraphError("path not in graph")
+                at = self.edst[e]
             self.level_dim(k + len(prefix))
             got = 0
             for j, e in enumerate(reversed(prefix.edges)):

@@ -57,13 +57,13 @@ the re-verification of verify_fully_invariant), always behind a
 certificate: a residual, with exact counts for the entry map of a
 transport.
 
-The re-verification never holds a stack at window length. A placed
-row lives in one block entry, so its render lives on that entry's
-corner support positions, and distinct entries render on disjoint
-positions: every stack carries its own column support, the union of
-its operands' nonzero columns, and a column that is zero in every
-row of both operands changes no singular value and no residual. The
-per-row and per-strip loops are kept as the test oracle
+The re-verification never holds a stack at window length. Every block
+entry at v of a placed stage holds J_v and renders on its own corner
+support positions, so a stage is rendered once per vertex, shared by
+every block entry. Every stack carries its own column support, the
+union of its operands' nonzero columns, and a column that is zero in
+every row of both operands changes no singular value and no residual.
+The per-row and per-strip loops are kept as the test oracle
 (tests/util.py::looped_verify_fully_invariant).
 
 The classical unweighted theory doubles as an oracle: hereditary and
@@ -591,36 +591,21 @@ def _zeros(shape, what):
     return np.zeros(shape, dtype=np.complex128)
 
 
-def _render(tower, n, rows):
-    """Window render of stacked stage-n rows, one stack per vertex.
+def _render(tower, n, subs):
+    """Window render of stage n of the placed ideal, once per vertex.
 
-    A row that is nonzero in one block entry (a, b) at v renders on that
-    entry's support positions alone (Placement.index), and distinct
-    entries render on disjoint positions. The rows of the placed chain
-    are such rows, so the render is block diagonal: per vertex, (v,
-    entries, pos, vals), with entries the G raveled block entries a m +
-    b that some row is nonzero in, pos (G, S) their window positions and
-    vals (G, n, S) their rows' renders, zero padded to the largest row
-    count. It is what tau_inverse scatters, with no window allocated.
+    Every block entry (a, b) at v holds J_v = subs[v] (_placed) and
+    renders on its own support positions (Placement.index), so per
+    vertex with a nonzero J_v the render is (v, pos, rows): pos the (m^2,
+    S) positions of the raveled entries a m + b, rows = J_v @
+    Placement.mat, shared by every block entry. It allocates no window
+    and no stack; the checks' stacks keep their _zeros guard.
     """
     out = []
-    for v, blk in tower.stage_unvec(n, rows).items():
-        m = blk.shape[-2]
-        t, key = np.nonzero(np.any(blk != 0, axis=-1).reshape(len(blk), m * m))
-        if not len(t):
-            continue
-        order = np.argsort(key, kind="stable")
-        t, key = t[order], key[order]
-        entries, first, counts = np.unique(key, return_index=True, return_counts=True)
-        group = np.repeat(np.arange(len(entries)), counts)
-        place = tower.placement(n, v)
-        vals = _zeros(
-            (len(entries), counts.max(), place.mat.shape[1]), "stage-%d render" % n
-        )
-        rank = np.arange(len(key)) - first[group]
-        vals[group, rank] = blk[t, key // m, key % m] @ place.mat
-        pos = place.index.reshape(m * m, -1)[entries]
-        out.append((v, entries, pos, vals))
+    for v, m in sorted(tower.stages[n].counts.items()):
+        if len(subs[v]):
+            place = tower.placement(n, v)
+            out.append((v, place.index.reshape(m * m, -1), subs[v] @ place.mat))
     return out
 
 
@@ -703,13 +688,14 @@ def _fiber_plan(tower, cap):
 def _fiber_checks(tower, subs, renders, cap):
     """The recovered fibers of the stage renders, stripped at every stage.
 
-    The strip rows of a member (_fiber_plan) are the render entries that
-    meet it, and distinct entries meet disjoint columns, so its strip
-    span is the sum of one onb per (entry, member) unit, from one
-    stacked SVD per render and vertex, cut against the member's largest
-    singular value. The intersection with the corner span, the certified
-    corner coordinates and the comparison with the chosen ideal run on
-    one zero-padded stack of all members (windows.span_intersect, onb).
+    The strip rows of a member (_fiber_plan) are the shared render rows
+    of each block entry that meets it, masked to the columns it meets,
+    and distinct entries meet disjoint columns, so its strip span is the
+    sum of one onb per (entry, member) unit, from one stacked SVD per
+    render and vertex, cut against the member's largest singular value.
+    The intersection with the corner span, the certified corner
+    coordinates and the comparison with the chosen ideal run on one
+    zero-padded stack of all members (windows.span_intersect, onb).
     Returns (entries, failures) in member order.
     """
     g = tower.graph
@@ -719,16 +705,15 @@ def _fiber_checks(tower, subs, renders, cap):
     units = []
     top = np.zeros(nm)
     for nprime, by_vertex in maps.items():
-        for v, entries, _, vals in renders[nprime]:
+        for v, pos, rows in renders[nprime]:
             owner, column = by_vertex[v]
-            mem = owner[:, entries]
-            hit = mem >= 0
-            key = np.unique(mem[hit] * len(entries) + np.nonzero(hit)[1])
-            um, ug = divmod(key, len(entries))
-            mask = mem[slot[um], ug] == um[:, None]
-            s, vh = np.linalg.svd(vals[ug] * mask[:, None, :], full_matrices=False)[1:]
+            hit = owner >= 0
+            key = np.unique(owner[hit] * len(pos) + np.nonzero(hit)[1])
+            um, ug = divmod(key, len(pos))
+            mask = owner[slot[um], ug] == um[:, None]
+            s, vh = np.linalg.svd(rows * mask[:, None, :], full_matrices=False)[1:]
             np.maximum.at(top, um, s[:, 0])
-            units.append((um, column[slot[um], entries[ug]][mask], mask, s, vh))
+            units.append((um, column[slot[um], ug][mask], mask, s, vh))
 
     # one row block per unit, in unit order per member
     height = sum(
@@ -842,52 +827,53 @@ def _edge_plan(tower, push):
 def _edge_renders(tower, render, push):
     """Renders of u_e^* x u_f on levels [M, M+W-1) for all (e, f) and rows x.
 
-    render is the stage-0 render of the rows x (_render); with push the
-    candidates are u_e x u_f^* on levels [M+1, M+W). Candidate c = (e *
-    n_edges + f) * rows + row holds the row's render values at the
-    positions _edge_plan gives. Returns (rows, cand, pos, vals), one
+    render is the stage-0 render (_render); the rows x are J_v in each
+    block entry at v, their values the rows shared by every entry. With
+    push the candidates are u_e x u_f^* on levels [M+1, M+W). Candidate
+    c = (e * n_edges + f) * rows + row holds the row's render values at
+    the positions _edge_plan gives. Returns (rows, cand, pos, vals), one
     entry of a candidate per position.
     """
     src, plan = _edge_plan(tower, push)
-    nrows = sum(vals.shape[0] * vals.shape[1] for _, _, _, vals in render)
+    nrows = sum(len(gpos) * len(rows) for _, gpos, rows in render)
     cand, pos, vals = [], [], []
     row = 0
-    for _, _, gpos, gvals in render:
-        n = gvals.shape[1]
+    for _, gpos, rows in render:
+        n = len(rows)
         tgt = plan[:, np.searchsorted(src, gpos)]
         pair, grp, col = np.nonzero(tgt >= 0)
         cand.append(pair[:, None] * nrows + row + grp[:, None] * n + np.arange(n))
         pos.append(np.repeat(tgt[pair, grp, col], n))
-        vals.append(gvals[grp, :, col])
-        row += gvals.shape[0] * n
+        vals.append(rows[:, col].T)
+        row += len(gpos) * n
     return nrows, *(np.concatenate([x.ravel() for x in y]) for y in (cand, pos, vals))
 
 
 def _stage_basis(render, lo, hi):
     """Onb of a stage render on window positions [lo, hi), block by block.
 
-    The render's entries sit on disjoint positions, so the onb of the
-    whole is one onb per entry, from one stacked SVD per vertex, cut
-    against the largest singular value of all: per vertex, (pos, rows)
-    with the cut rows zero. Every entry's positions follow one level
-    layout per vertex, so one position mask cuts all of them.
+    The render's entries sit on disjoint positions and share their rows,
+    so the onb of the whole is one onb per vertex, from one SVD, shared
+    by every block entry and cut against the largest singular value of
+    all: per vertex, (pos, q) with the cut rows of q zero. Every entry's
+    positions follow one level layout per vertex, so one mask cuts all.
     """
     parts = []
-    for _, _, pos, vals in render:
+    for _, pos, rows in render:
         keep = (pos[0] >= lo) & (pos[0] < hi)
         if keep.any():
-            s, vh = np.linalg.svd(vals[:, :, keep], full_matrices=False)[1:]
+            s, vh = np.linalg.svd(rows[:, keep], full_matrices=False)[1:]
             parts.append((pos[:, keep], s, vh))
     top = max((s.max() for _, s, _ in parts), default=0.0)
-    return [(pos, vh * (s > RANK_TOL * top)[..., None]) for pos, s, vh in parts]
+    return [(pos, vh * (s > RANK_TOL * top)[:, None]) for pos, s, vh in parts]
 
 
 def _edge_residuals(cands, basis, npairs):
     """Per edge pair, the largest residual of its candidates off the basis.
 
     Relative as in in_span. A candidate's entries off the basis
-    positions are all residual; on them, it is projected block by block,
-    each block of the basis an onb on its own positions.
+    positions are all residual; on them, it is projected block by block
+    onto the onb its vertex shares across its blocks' positions.
     """
     nrows, cand, pos, vals = cands
     total = npairs * nrows
@@ -925,13 +911,14 @@ def verify_fully_invariant(tower, family, n_cap=None):
     * push invariance: conjugating the stage-0 ideal by any two edges
       lands inside the stage-1 ideal.
 
-    Each chain stage is rendered once, on the corner support entries of
-    the block entries its rows occupy (_render), and no stack spans the
-    window. The fiber checks run as one zero-padded stack of all (stage,
-    strip stage, vertex, pair) strips (_fiber_checks), and the strip and
-    push checks of one target as one stack of all edge pairs' renders
-    (_edge_renders), projected entry block by entry block on the
-    target's onb; the index plans of both are kept in tower.plans. A
+    The chain's inclusions are certified (_ideal_chain), and each stage
+    is rendered once per vertex, shared by every block entry (_render),
+    and no stack spans the window. The fiber checks run as one
+    zero-padded stack of all (stage, strip stage, vertex, pair) strips
+    (_fiber_checks), and the strip and push checks of one target as one
+    stack of all edge pairs' renders (_edge_renders), projected entry
+    block by entry block on the onb its vertex shares across its
+    entries; the index plans of both are kept in tower.plans. A
     stack of more than MAX_STACK_ENTRIES entries raises
     WindowUnstableError before it is allocated. n_cap is an int in [1,
     n_max], min(3, n_max) when None; a family that does not fit the
@@ -941,14 +928,14 @@ def verify_fully_invariant(tower, family, n_cap=None):
     cap = min(3, tower.config.n_max) if n_cap is None else n_cap
     check_index(cap, 1, tower.config.n_max, "the verification stage cap")
     subs = _family_subspaces(tower, family)
-    chain = _ideal_chain(tower, subs, cap)
-    renders = {n: _render(tower, n, chain[n]) for n in sorted({0, 1, cap})}
+    _ideal_chain(tower, subs, cap)
+    renders = {n: _render(tower, n, subs) for n in sorted({0, 1, cap})}
     fiber_checks, failures = _fiber_checks(tower, subs, renders, cap)
 
     # the strip checks stay in the stage-0 ideal on levels [M, M+W-1),
     # the push checks land in the stage-1 ideal on levels [M+1, M+W)
     checks = {False: [], True: []}
-    if len(chain[0]):
+    if renders[0]:
         dims = [g.level_dim(k) for k in range(tower.M, tower.G1)]
         off = np.cumsum([0] + [d * d for d in dims])
         worst = {

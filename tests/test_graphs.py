@@ -178,6 +178,28 @@ def test_path_index_rejects_paths_not_in_graph(c3, path):
         c3.path_index(path)
 
 
+@pytest.mark.parametrize(
+    "call, path",
+    [
+        ("prepend", Path((0, 0), 0)),
+        ("prepend", Path((1,), 0)),
+        ("prepend_rank", Path((-1,), 0)),
+    ],
+    ids=["broken_concatenation", "wrong_source", "negative_edge"],
+)
+def test_prepend_rejects_prefixes_not_in_graph(call, path):
+    """A prefix that is not a path raises, even after its edges were cached.
+
+    Every edge is gathered at its own source first, so a cached shift
+    cannot vouch for the same edges at a wrong source.
+    """
+    g = corpus_graphs()["C3"]
+    for p in g.paths(1):
+        g.prepend(2, p)
+    with pytest.raises(GraphError, match="path not in graph"):
+        getattr(g, call)(2, path)
+
+
 @given(small_graphs(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_path_str_round_trip(g, k):

@@ -1166,20 +1166,58 @@ def test_renders_solve_no_corner_coordinates(corpus, key, numerical_calls):
     """tau_inverse, psi and the ideal renders never run the placement SVD.
 
     Only tau solves corner coordinates, so only tau can raise the
-    faithfulness error of Placement.solver.
+    faithfulness error of Placement.solver. The renders are those of the
+    maximum family's corner ideals.
     """
     tw = fiber_tower(corpus, key)
+    subs = ideals._family_subspaces(tw, ideals.enumerate_families(tw).maximum)
     rng = np.random.default_rng(9)
     for n in range(tw.config.n_max + 1):
         x = tw.stage_random(n, rng)
         tw.tau_inverse(n, x)
         if n < tw.config.n_max:
             tw.psi(n, x)
-        assert ideals._render(tw, n, tw.stage_vec(n, x)[None])
+        assert ideals._render(tw, n, subs)
     assert "solver" not in numerical_calls
     assert "certified_coords" not in numerical_calls
     tw.tau(0, tw.tau_inverse(0, tw.stage_random(0, rng)))
     assert "solver" in numerical_calls
+
+
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_ideal_render_matches_dense_oracle(corpus, key):
+    """Each placed row renders as the shared rows of its vertex, on its entry.
+
+    Row (v, a, b, j) of stage n of the maximum family's ideal, rendered
+    by dense_tau_inverse through its own window index, is rows[j] of
+    _render's vertex v on pos[a m + b] and zero everywhere else. Stages
+    0 and 1 are checked, stage 1 only where its dense renders hold at
+    most 2e7 entries (the stage-1 renders of THETA_BLOCK, O2block and
+    O2block:d2 hold more, and took over a second each).
+    """
+    tw = fiber_tower(corpus, key)
+    family = ideals.enumerate_families(tw).maximum
+    subs = ideals._family_subspaces(tw, family)
+    window = sum(tw.graph.level_dim(k) ** 2 for k in range(tw.M, tw.G1))
+    for n in range(min(tw.config.n_max, 1) + 1):
+        basis = ideals.build_fully_invariant(tw, family, n)
+        if n and len(basis) * window > 2e7:
+            break
+        render = ideals._render(tw, n, subs)
+        counts = tw.stages[n].counts
+        assert [v for v, _, _ in render] == [v for v in sorted(counts) if len(subs[v])]
+        start = 0
+        for v, pos, rows in render:
+            assert pos.shape == (counts[v] ** 2, rows.shape[1])
+            assert len(rows) == len(subs[v])
+            for entry in pos:
+                block = basis[start:start + len(rows)]
+                start += len(rows)
+                got = blocks_vec(dense_tau_inverse(tw, n, tw.stage_unvec(n, block)))
+                assert np.abs(got[:, entry] - rows).max() <= 1e-12
+                got[:, entry] = 0
+                assert not np.any(got)
+        assert start == len(basis)
 
 
 def test_block_weight_build_allocates_no_window_row(corpus):
