@@ -12,16 +12,20 @@ its central projection z, the sum of its diagonal units: its size d and
 its ambient rank are traces of z, and so are the multiplicities of a
 *-homomorphism between two such algebras (tower._fiber_multiplicities).
 
-Generators come in as sparse entries, (positions, values) pairs over
-the blocks_vec layout, and the algebra they generate is found on the
-support blocks of its input. Per level, the indices i and j are joined
-when some generator or the unit has an entry at (i, j); the classes of
-that relation (one min-label propagation over the entry pairs) split
-the level into diagonal blocks. Sums, products and adjoints of
-elements supported on those blocks stay on them, and every entry off
-them is an exact 0.0, so the algebra is computed on the compressed
-blocks alone. A dense generator set is one class per level and takes
-the same route.
+The algebra is found on a layout of distinct blocks (_close_distinct),
+and a layout has two front ends. A caller that knows the support
+classes and their contents from structure passes the layout itself:
+tower._diagonal_layout reads C_0's off the paths and the weights.
+star_closure enumerates it. Its generators come in as sparse entries,
+(positions, values) pairs over the blocks_vec layout, and the algebra
+they generate is found on the support blocks of its input. Per level,
+the indices i and j are joined when some generator or the unit has an
+entry at (i, j); the classes of that relation (one min-label
+propagation over the entry pairs) split the level into diagonal
+blocks. Sums, products and adjoints of elements supported on those
+blocks stay on them, and every entry off them is an exact 0.0, so the
+algebra is computed on the compressed blocks alone. A dense generator
+set is one class per level and takes the same route.
 
 Many of those blocks are copies: eventually periodic weights repeat
 the same entries at many levels and positions, so class blocks of one
@@ -306,12 +310,12 @@ def _distinct_blocks(stacks, vecs):
     The class blocks of each size s, over all levels, are compared by
     the bytes of their entries in every row, one dict lookup per block,
     and numbered in order of first appearance; blocks that differ in any
-    bit, -0.0 against 0.0 included, stay apart. Returns (stacks, tpos,
-    rep, copy, copies): the stacks and transpose of the distinct blocks,
-    one stack per size; rep, the compressed position of each distinct
-    entry in its first copy; copy, the distinct position of each
-    compressed entry, so that x[:, copy] puts every copy back; and
-    copies, how many class blocks share each distinct entry.
+    bit, -0.0 against 0.0 included, stay apart. Returns (stacks, rep,
+    copy, copies): the stacks of the distinct blocks, one per size; rep,
+    the compressed position of each distinct entry in its first copy;
+    copy, the distinct position of each compressed entry, so that
+    x[:, copy] puts every copy back; and copies, how many class blocks
+    share each distinct entry.
     """
     pieces = []
     groups = []
@@ -330,13 +334,13 @@ def _distinct_blocks(stacks, vecs):
         _, first, count = np.unique(inv, return_index=True, return_counts=True)
         pieces.append(blocks[first].reshape(-1, s, s))
         groups.append((blocks, inv, count))
-    stacks, tpos, rep = _stack_layout(pieces)
+    stacks, _, rep = _stack_layout(pieces)
     copy = np.empty(vecs.shape[1], dtype=int)
     copies = [np.zeros(0, dtype=int)]
     for (off, _, s), (blocks, inv, count) in zip(stacks, groups):
         copy[blocks] = off + inv[:, None] * s * s + np.arange(s * s)
         copies.append(np.repeat(count, s * s))
-    return stacks, tpos, rep, copy, np.concatenate(copies)
+    return stacks, rep, copy, np.concatenate(copies)
 
 
 def _kron(a, b):
@@ -503,22 +507,23 @@ def star_closure(dims, gens, max_dim=4096):
     blocks_vec of its nonzero entries and their values; every other
     entry is an exact zero. The identity of the block space is always
     included, so the result is unital. Growth beyond max_dim raises
-    ClosureOverflowError; the general route holds L x L Grams, L the
-    number of distinct entries, before that check.
+    ClosureOverflowError.
 
-    The algebra is found on one block per distinct content among the
-    support class blocks of the unit and the generators, whose entries
-    are placed by one searchsorted per generator, as the module
-    docstring sets out: the matrix units of the distinct blocks when
-    their commutant is scalar (_scalar_commutant), and otherwise the
-    bicommutant (_bicommutant), orthonormalized once with each entry
-    weighted by its copy count (onb) and certified to hold the unit,
-    the generators and their adjoints, or DecompositionError is raised.
-    Either way the result keeps the map of the distinct entries to their
-    copies, and the closed form keeps its unit rows implicit. The unit's
-    coordinates are read off the distinct entries by their copy counts.
+    The algebra is found by _close_distinct on the layout that
+    _enumerated_layout reads off the generators.
     """
-    dims = tuple(dims)
+    return _close_distinct(dims, *_enumerated_layout(dims, gens), max_dim)
+
+
+def _enumerated_layout(dims, gens):
+    """(stacks, pos, copy, copies, vals): the layout of star_closure.
+
+    The support class blocks of the unit and the generators
+    (_support_layout), their entries placed by one searchsorted per
+    generator, and one block per distinct content (_distinct_blocks), as
+    the module docstring sets out; vals holds the values of the unit and
+    of every generator on the distinct entries.
+    """
     diag = _diagonal_positions(dims)
     stacks, _, pos = _support_layout(
         dims, np.concatenate([diag] + [p for p, _ in gens])
@@ -527,24 +532,44 @@ def star_closure(dims, gens, max_dim=4096):
     vecs = np.zeros((1 + len(gens), len(pos)), dtype=np.complex128)
     for vec, (p, values) in zip(vecs, [(diag, 1.0), *gens]):
         vec[order[np.searchsorted(pos[order], p)]] = values
-    stacks, tpos, rep, copy, copies = _distinct_blocks(stacks, vecs)
-    gen = vecs[1:, rep]
-    pool = np.stack([gen, gen[:, tpos].conj()], axis=1).reshape(-1, len(rep))
+    stacks, rep, copy, copies = _distinct_blocks(stacks, vecs)
+    return stacks, pos, copy, copies, vecs[:, rep]
+
+
+def _close_distinct(dims, stacks, pos, copy, copies, vals, max_dim=4096):
+    """The unital *-algebra generated on a layout of distinct blocks.
+
+    stacks, pos, copy and copies are the map of StarAlgebra; vals holds
+    the values on the distinct entries of the unit (row 0) and of every
+    generator. The algebra is the matrix units of the distinct blocks
+    when their commutant is scalar (_scalar_commutant), and otherwise
+    the bicommutant (_bicommutant), orthonormalized once with each entry
+    weighted by its copy count (onb) and certified to hold the unit, the
+    generators and their adjoints, or DecompositionError is raised; the
+    general route holds L x L Grams, L the number of distinct entries,
+    before the max_dim check. Either way the result keeps the map of
+    the distinct entries to their copies, and the closed form keeps its
+    unit rows implicit. The unit's coordinates are read off the distinct
+    entries by their copy counts.
+    """
+    gen = vals[1:]
+    pool = np.stack([gen, gen[:, _transpose(stacks)].conj()], axis=1)
+    pool = pool.reshape(-1, vals.shape[1])
     root = np.sqrt(copies)
     rows = None
     if not _scalar_commutant(stacks, pool):
         # the weighted rows have singular values in [1, sqrt(max copies)],
         # so onb keeps them all
         rows = onb(_bicommutant(stacks, pool) * root)
-        held = np.vstack([vecs[:1, rep], pool]) * root
+        held = np.vstack([vals[:1], pool]) * root
         miss = np.linalg.norm(held - held @ rows.conj().T @ rows, axis=1)
         if np.any(miss > RANK_TOL * np.linalg.norm(held, axis=1)):
             raise DecompositionError("the algebra found misses a generator")
-    if (len(rep) if rows is None else len(rows)) > max_dim:
+    if (len(copies) if rows is None else len(rows)) > max_dim:
         raise ClosureOverflowError("closure exceeded %d dimensions" % max_dim)
     # a distinct entry stands for `copies` entries of the full vector, so
     # the unit's weighted values are root on its diagonal entries
-    unit = root * vecs[0, rep]
+    unit = root * vals[0]
     if rows is not None:
         unit = rows.conj() @ unit
     return StarAlgebra(dims, unit, stacks, pos, copy, copies, rows)

@@ -13,13 +13,17 @@ length q = p - 1 out of v. All of this is computed concretely on a
 window of levels of the path space:
 
   - C_0 is generated by the degree-zero words u_a Z^j u_b^* with
-    s(a) = s(b), |a| = |b| < p and j < 3. Each generator is built as
-    its nonzero entries, gathered by Graph.prepend from the entries
-    of Z^j on the tails (for block weights, the nonzeros of the small
-    seed powers repeated over the heads), so no window block is ever
-    formed. findim.star_closure works on one copy of each distinct
-    support block of these generators (the periodic weights repeat
-    most blocks bit for bit across the window), where C_0 is the
+    s(a) = s(b), |a| = |b| < p and j < 3, and it is found on one copy
+    of each distinct support block of these generators (the periodic
+    weights repeat most blocks bit for bit across the window). For
+    diagonal weights that layout is read off the paths: the support
+    classes of level k are its paths h*b of one suffix b of length
+    k - q, and a class block is fixed by r(b) and the weights of the
+    paths c*b, c of length at most q (_diagonal_layout). For block
+    weights each generator is built as its nonzero entries, the
+    nonzeros of the small seed powers repeated over the heads and
+    gathered by Graph.prepend, and findim.star_closure lays them out;
+    no window block is ever formed. On the distinct blocks C_0 is the
     bicommutant of the generators: when their commutant is one scalar
     per block, C_0 is the full matrix algebra on each distinct block,
     and otherwise it is found as one nullspace; either way its rows are
@@ -92,6 +96,7 @@ from .errors import (
     check_index,
 )
 from .findim import (
+    _close_distinct,
     _compress_units,
     blocks_unvec,
     central_decomposition,
@@ -365,21 +370,30 @@ class Tower:
 
         # one fiber per length-p path; the Bratteli diagram is stationary.
         # The fiber b -> V* b V of mu prepends mu on slots; each class is
-        # one stack, and its multiplicities are read off that stack
+        # one stack, and its multiplicities are read off that stack. At
+        # p = 1 the lattice's parallel edge pairs share the fibers'
+        # classes, so they ride in the same stacks, after the fibers; a
+        # failed one stays uncached, for the lattice to raise
         _check_window(self, p)
         mus = g.paths(p)
         pairs = [(mu, mu) for mu in mus]
+        if p == 1:
+            pairs += [
+                (a, b) for a in mus for b in mus
+                if a != b and (a.source, g.range_of(a)) == (b.source, g.range_of(b))
+            ]
         messages = [
             "fiber image along %s left the corner at %r"
-            % (g.path_str(mu), g.vertices[mu.source])
-            for mu in mus
+            % (g.path_str(a), g.vertices[a.source])
+            for a, _ in pairs
         ]
         blocks = {}
         for idx, stack, failures in self._stacked(pairs, messages):
+            fibers = idx[:sum(i < len(mus) for i in idx)]
             got = failures if stack is None else _fiber_multiplicities(
-                self, [mus[i] for i in idx], stack
+                self, [mus[i] for i in fibers], stack[:len(fibers)]
             )
-            for i, failure, block in zip(idx, failures, got):
+            for i, failure, block in zip(fibers, failures, got):
                 blocks[i] = failure or block
         self.fibers = []
         for i, mu in enumerate(mus):
@@ -427,6 +441,7 @@ class Tower:
     # -- structural stage elements ----------------------------------------
 
     def stage_zero(self, n):
+        check_index(n, 0, self.config.n_max, "the stage")
         return self.stage_unvec(n, np.zeros(self.stages[n].dim, dtype=np.complex128))
 
     def stage_random(self, n, rng):
@@ -439,6 +454,7 @@ class Tower:
 
     def stage_vec(self, n, x):
         """The blocks x[v] raveled in vertex order; leading axes stay."""
+        check_index(n, 0, self.config.n_max, "the stage")
         blocks = [x[v] for v in sorted(x)]
         return np.concatenate(
             [b.reshape(b.shape[:-3] + (math.prod(b.shape[-3:]),)) for b in blocks],
@@ -494,6 +510,7 @@ class Tower:
 
     def block_shapes(self, n):
         """The shape (m, m, r) of the block x[v] of a stage-n element, per v."""
+        check_index(n, 0, self.config.n_max, "the stage")
         return {
             v: (m, m, self.corners[v].r)
             for v, m in sorted(self.stages[n].counts.items())
@@ -884,16 +901,11 @@ def _z_entries(weights, level, tails):
     """Nonzero entries of Z^j on the level paths tails, for j < Z_POWERS.
 
     One (x, y, values) per power: positions x and y into tails and the
-    exact entry values. A diagonal weight gives level_diag ** j on the
-    diagonal. A block weight has Z_level = I (x) Z_seed over the heads
-    of split_table, where the seed level is the one below N + p that
-    the extension rule repeats, so the nonzeros of each small seed
-    power are repeated over the heads that some tail carries.
+    exact entry values, for block weights. Z_level = I (x) Z_seed over
+    the heads of split_table, where the seed level is the one below
+    N + p that the extension rule repeats, so the nonzeros of each
+    small seed power are repeated over the heads that some tail carries.
     """
-    if weights.kind == "diagonal":
-        diag = weights.level_diag(level)[tails]
-        x = np.arange(len(tails))
-        return [(x, x, diag ** j) for j in range(Z_POWERS)]
     seed = level
     while seed >= weights.N + weights.p:
         seed -= weights.p
@@ -915,7 +927,8 @@ def _z_entries(weights, level, tails):
 
 
 def _c0_generators(graph, weights, levels):
-    """Entries of the stage-zero generators on the window levels.
+    """Entries of the stage-zero generators on the window levels, for
+    block weights.
 
     The generators are the degree-zero words u_a Z^j u_b^* with a
     weight power in the middle and matching-source index paths a, b of
@@ -953,16 +966,134 @@ def _c0_generators(graph, weights, levels):
     return gens
 
 
+def _diagonal_layout(graph, weights, levels):
+    """C_0's layout of distinct blocks for diagonal weights, off the paths.
+
+    With q = p - 1, the support classes of level k are the level-k paths
+    h*b of one suffix b of length k - q: the heads h are the length-q
+    paths out of u = r(b), in the ascending order of paths(q), so the
+    classes at u are the rows of the columns Graph.prepend(k - q, h),
+    one per head. The generator u_a Z^j u_a'^* (|a| = ell < p, s(a) = v)
+    is nonzero in the class of b only at (a*c, a'*c), for c over the
+    length-(q - ell) paths from u to v, where it is z_{k - ell}(c*b)^j.
+    So a class block is a function of its key: u and the z_{k - ell}(c*b)
+    over (ell, c). Each of those is an entry of a j = 1 generator (no
+    vertex is a sink, so some a of length ell leaves r(c)), and keys are
+    compared by their bytes, so two class blocks are equal bytes exactly
+    when their keys are. The distinct blocks of one size are numbered in
+    order of first appearance in the support layout (level, size,
+    smallest index), and the generators follow the order of
+    _c0_generators, so the layout is the one star_closure reads off
+    their entries.
+
+    Returns (stacks, pos, copy, copies, vals) for findim._close_distinct.
+    """
+    g, p, q = graph, weights.p, weights.q
+    heads = [g.starting_at(q, u) for u in range(g.n_vertices)]
+    # the source u of each head and its rank among the heads out of u
+    source = np.empty(g.level_dim(q), dtype=int)
+    rank = np.empty(g.level_dim(q), dtype=int)
+    for u, hs in enumerate(heads):
+        source[hs] = u
+        rank[hs] = np.arange(len(hs))
+    # the key columns at u, (ell, c) for the length-(q - ell) paths c out
+    # of u (for ell = 0, the heads), and col[ell], the column of each path
+    cols = [[] for _ in heads]
+    col = []
+    for ell in range(p):
+        at = np.empty(g.level_dim(q - ell), dtype=int)
+        for u, here in enumerate(cols):
+            cs = g.starting_at(q - ell, u)
+            at[cs] = len(here) + np.arange(len(cs))
+            here.extend((ell, g.paths(q - ell)[c]) for c in cs)
+        col.append(at)
+    # every generator entry of a class block at u: (generator, x, y,
+    # power, key column), over the generators' words, powers and paths c
+    entries = []
+    ngen = 0
+    for ell in range(p):
+        groups = {}
+        for pth in g.paths(ell):
+            groups.setdefault(pth.source, []).append(pth)
+        for v, group in groups.items():
+            tails = g.ending_at(q - ell, v)
+            rows = np.array([g.prepend(q - ell, a) for a in group])
+            n = len(group)
+            a, b, j, t = np.indices((n, n, Z_POWERS, len(tails))).reshape(4, -1)
+            x = rank[rows]
+            entries.append(np.array([
+                source[rows[0, t]], ngen + (a * n + b) * Z_POWERS + j,
+                x[a, t], x[b, t], j, col[ell][tails[t]],
+            ]))
+            ngen += n * n * Z_POWERS
+    entries = np.concatenate(entries, axis=1)
+    fills = [entries[1:, entries[0] == u, None] for u in range(len(heads))]
+    dims = [g.level_dim(k) for k in levels]
+    starts = np.cumsum([0] + [d * d for d in dims])
+    width = 1 + max(len(here) for here in cols)
+    by_size = {}
+    for lv, (k, d) in enumerate(zip(levels, dims)):
+        for u, hs in enumerate(heads):
+            members = np.array([g.prepend(k - q, g.paths(q)[h]) for h in hs]).T
+            key = np.zeros((len(members), width))
+            key[:, 0] = u
+            key[:, 1:1 + len(hs)] = weights.level_diag(k)[members]
+            for i, (ell, c) in enumerate(cols[u][len(hs):], 1 + len(hs)):
+                key[:, i] = weights.level_diag(k - ell)[g.prepend(k - q, c)]
+            places = starts[lv] + members[:, :, None] * d + members[:, None, :]
+            by_size.setdefault(len(hs), []).append((places, key))
+    stacks, pos, copy, copies, vals = [], [], [], [np.zeros(0, dtype=int)], []
+    for s in sorted(by_size):
+        places, key = (np.concatenate(x) for x in zip(*by_size[s]))
+        # a class's first entry orders it by level and smallest index
+        order = np.argsort(places[:, 0, 0])
+        places, key = places[order], key[order]
+        _, first, inv = np.unique(
+            key.view(np.dtype((np.void, width * key.itemsize))).ravel(),
+            return_index=True, return_inverse=True,
+        )
+        ids = np.argsort(first).argsort()[inv]
+        reps = key[np.sort(first)]
+        power = np.array([reps[:, 1:] ** j for j in range(Z_POWERS)])
+        block = np.zeros((1 + ngen, len(first), s, s), dtype=np.complex128)
+        block[0, :, np.arange(s), np.arange(s)] = 1
+        for u in set(reps[:, 0].tolist()):
+            here = np.flatnonzero(reps[:, 0] == u)
+            gi, x, y, j, c = fills[int(u)]
+            block[1 + gi, here, x, y] = power[j, here, c]
+        off = sum(c * t * t for _, c, t in stacks)
+        stacks.append((off, len(first), s))
+        pos.append(places.ravel())
+        copy.append((off + ids[:, None] * s * s + np.arange(s * s)).ravel())
+        copies.append(np.repeat(np.bincount(ids), s * s))
+        vals.append(block.reshape(1 + ngen, -1))
+    # the support layout lists the classes by level, then by size: the
+    # sizes are concatenated in order, each sorted by level already
+    pos = np.concatenate(pos)
+    order = np.argsort(np.searchsorted(starts, pos, "right"), kind="stable")
+    return (
+        stacks, pos[order], np.concatenate(copy)[order], np.concatenate(copies),
+        np.concatenate(vals, axis=1),
+    )
+
+
 def build_C0(graph, weights, levels):
-    """Stage-zero algebra generated on the given window levels."""
+    """Stage-zero algebra generated on the given window levels.
+
+    Two front ends feed one closure core (findim._close_distinct):
+    diagonal weights lay out the distinct blocks straight from the path
+    classes and the weights (_diagonal_layout), and block weights list
+    the generators (_c0_generators) for star_closure to lay out.
+    """
     if min(levels) < weights.p - 1:
         raise GraphError(
             "stage-zero window levels must be at least p - 1 = %d"
             % (weights.p - 1)
         )
     dims = [graph.level_dim(k) for k in levels]
-    gens = _c0_generators(graph, weights, levels)
-    return star_closure(dims, gens)
+    if weights.kind == "diagonal":
+        return _close_distinct(dims, *_diagonal_layout(graph, weights, levels))
+    return star_closure(dims, _c0_generators(graph, weights, levels))
 
 
 def _fiber_multiplicities(tower, mus, fibs):

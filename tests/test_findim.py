@@ -21,6 +21,7 @@ from util import (
     cycle_weight_spec,
     dense_c0_generators,
     dense_star_closure,
+    diagonal_c0_generators,
     dimension_adds_up,
     element,
     embedding_multiplicities,
@@ -460,8 +461,11 @@ def support_masks(dims, elements):
 class TestStageZeroEntries:
     @pytest.mark.parametrize("name", ENTRY_CASES)
     def test_entries_match_the_dense_window_blocks(self, name):
+        # block weights list their generators in build_C0, and diagonal
+        # weights only in the oracle of its direct layout
         g, w, levels = c0_case(name)
-        got = tower._c0_generators(g, w, levels)
+        listed = diagonal_c0_generators if w.kind == "diagonal" else tower._c0_generators
+        got = listed(g, w, levels)
         ref = entries_of(dense_c0_generators(g, w, levels))
         assert len(got) == len(ref)
         for (pos, values), (ref_pos, ref_values) in zip(got, ref):
@@ -480,15 +484,17 @@ class TestStageZeroEntries:
         g = corpus_graphs()["O2"]
         levels = list(range(3, 8))
         draw = random_diag_spec(g, 2, 1, np.random.default_rng(7))
-        tower._c0_generators(g, draw, levels)
+        tower._diagonal_layout(g, draw, levels)
         fresh = random_diag_spec(g, 2, 1, np.random.default_rng(7))
         tracemalloc.start()
         try:
-            gens = tower._c0_generators(g, fresh, levels)
+            stacks, pos, _, copies, vals = tower._diagonal_layout(g, fresh, levels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(pos) for pos, _ in gens) == 2232
+        # 124 class blocks of size 2, 8 of them distinct, and 15 generators
+        assert stacks == [(0, 8, 2)] and len(pos) == copies.sum() == 496
+        assert vals.shape == (16, 32)
         assert peak < 1 << 20, peak
 
 
@@ -712,7 +718,7 @@ class TestMatrixUnitMap:
         g, w, levels = c0_case(name)
         C0 = tower.build_C0(g, w, levels)
         assert C0.rows is None and "onb" not in vars(C0)
-        ref = scattered_units(C0.dims, tower._c0_generators(g, w, levels))
+        ref = scattered_units(C0.dims, diagonal_c0_generators(g, w, levels))
         assert np.array_equal(full_rows(C0), ref)
         full = full_rows(C0).conj() @ blocks_vec(blocks_eye(C0.dims))
         assert np.abs(C0.unit - full).max() <= 1e-12

@@ -703,9 +703,9 @@ def test_fibers_are_the_shared_edge_transports(name, monkeypatch):
     """On p = 1 the fiber along e is pi_map(e, e), the same read-only matrix.
 
     A build and its lattice compute each path pair's transport once, in
-    one stacked call per (source, range, length) class and caller: the
-    build stacks the fibers of each class, and the lattice the parallel
-    edge pairs of each class that the fibers leave.
+    one stacked call per (source, range, length) class: the build stacks
+    the fibers of each class with its parallel edge pairs, and the
+    lattice finds them all computed.
     """
     calls = spy_transports(monkeypatch)
     g = CORPUS[name]
@@ -721,9 +721,7 @@ def test_fibers_are_the_shared_edge_transports(name, monkeypatch):
         for e, f in ideals._parallel_edge_pairs(g)
     ]
     assert set(computed) == set(fibers + edge_pairs)
-    assert built == len({pair_class(g, pair) for pair in fibers})
-    left = {pair_class(g, pair) for pair in edge_pairs if pair not in fibers}
-    assert len(calls) - built == len(left)
+    assert len(calls) == built == len({pair_class(g, pair) for pair in fibers})
     assert len(tw.fibers) == g.n_edges
     for mu, fib in zip(g.paths(1), tw.fibers):
         edge = g.edges[mu.edges[0]].name

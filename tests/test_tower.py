@@ -20,6 +20,7 @@ from util import (
     cycle_weight_spec,
     dense_tau,
     dense_tau_inverse,
+    diagonal_c0_generators,
     element,
     embedding_multiplicities,
     full_rows,
@@ -38,6 +39,7 @@ from util import (
     stage_unit,
 )
 from wck import findim, graphs, ideals, tower
+from wck.cycle_demo import build_cycle, demo_tower_config
 from wck.errors import (
     DomainError,
     ElementError,
@@ -46,7 +48,7 @@ from wck.errors import (
     ProtocolError,
     WindowUnstableError,
 )
-from wck.findim import blocks_vec, central_decomposition
+from wck.findim import _enumerated_layout, blocks_vec, central_decomposition
 from wck.graphs import Path, load_graph
 from wck.ideals import _parallel_edge_pairs
 from wck.tower import TowerConfig, build_C0, build_tower
@@ -390,6 +392,30 @@ BAD_INDEX_CALLS = {
     "summands {5}": lambda tw, x, fam: ideals.ideal_subspace(tw, 0, {5}),
     "family {'a'}": lambda tw, x, fam: ideals.IdealFamily([{"a"}, (), ()], [5, 5, 5]),
 }
+
+
+# stage-element helpers called with a stage index out of range or not an
+# int, on unweighted C3chord at n_max = 2 with its stage-0 zero x
+STAGE_INDEX_CALLS = {
+    "block_shapes(-1)": lambda tw, x: tw.block_shapes(-1),
+    "stage_zero(3)": lambda tw, x: tw.stage_zero(3),
+    "stage_random(3)": lambda tw, x: tw.stage_random(3, np.random.default_rng(0)),
+    "stage_zero(1.0)": lambda tw, x: tw.stage_zero(1.0),
+    "stage_vec(-1)": lambda tw, x: tw.stage_vec(-1, x),
+}
+
+
+@pytest.fixture(scope="module")
+def c3chord_tower(corpus):
+    g = corpus["C3chord"]
+    return build_tower(g, WeightSpec.unweighted(g), TowerConfig(n_max=2))
+
+
+@pytest.mark.parametrize("call", STAGE_INDEX_CALLS.values(), ids=list(STAGE_INDEX_CALLS))
+def test_stage_index_is_checked_first(c3chord_tower, call):
+    tw = c3chord_tower
+    with pytest.raises(DomainError, match="the stage must be an int in \\[0, 2\\]"):
+        call(tw, tw.stage_zero(0))
 
 
 class TestGuards:
@@ -1432,3 +1458,84 @@ def test_transport_refuses_pairs_that_are_not_parallel(corpus):
     for a, b in [(l1, l2), (l1, g.parse_path("l1.l1")), (v1, v1), (deep, deep)]:
         with pytest.raises(GraphError):
             tw.transport(a, b, "left")
+
+
+# -- C0's layout read off the paths against the enumerated layout --------------
+
+
+class _AtC0(Exception):
+    """Stops a tower build at its build_C0 call, holding the arguments."""
+
+
+def c0_arguments(build):
+    """The (graph, weights, levels) that build() passes to build_C0."""
+    def stop(*args):
+        raise _AtC0(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "build_C0", stop)
+        with pytest.raises(_AtC0) as info:
+            build()
+    return info.value.args
+
+
+def demo_tower(k, t):
+    g, w, model = build_cycle(k, t)
+    return build_tower(g, w, demo_tower_config(model))
+
+
+BLOCK_KEYS = GENERAL_ROUTE_KEYS + ["O2block"]
+
+# every diagonal tower of the trace and closed-form keys (G2p3 and
+# closure-o2 among them) and the two towers of the cycle demo
+DIAGONAL_KEYS = [
+    key for key in sorted(set(TRACE_KEYS + CLOSED_FORM_KEYS)) if key not in BLOCK_KEYS
+] + ["demo:3", "demo:4"]
+
+
+def diagonal_build(corpus, key):
+    if key == "demo:3":
+        return lambda: demo_tower(3, (2.0, 1.0, 1.0))
+    if key == "demo:4":
+        return lambda: demo_tower(4, (2.0, 1.0, 3.0, 1.0))
+    return lambda: route_tower(corpus, key)
+
+
+@pytest.mark.parametrize("key", DIAGONAL_KEYS)
+def test_diagonal_layout_is_the_enumerated_layout(corpus, key):
+    """The layout read off the path classes and the weights is the one
+    star_closure reads off the listed generators, bit for bit: the
+    stacks, the map (pos, copy, copies), the values of the unit and the
+    generators on the distinct entries, and C0's unit."""
+    g, w, levels = c0_arguments(diagonal_build(corpus, key))
+    assert w.kind == "diagonal"
+    dims = [g.level_dim(k) for k in levels]
+    gens = diagonal_c0_generators(g, w, levels)
+    stacks, *arrays = tower._diagonal_layout(g, w, levels)
+    want_stacks, *want = _enumerated_layout(dims, gens)
+    assert stacks == want_stacks
+    assert all(type(x) is int for stack in stacks for x in stack)
+    for got, ref in zip(arrays, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    C0, ref = build_C0(g, w, levels), findim.star_closure(dims, gens)
+    assert C0.unit.dtype == ref.unit.dtype and np.array_equal(C0.unit, ref.unit)
+    assert C0.rows is None and ref.rows is None
+
+
+def test_only_block_weights_list_the_generators(corpus, monkeypatch):
+    """Diagonal weights never call _c0_generators; block weights do, once."""
+    calls = []
+    listed = tower._c0_generators
+
+    def spy(graph, weights, levels):
+        calls.append(weights.kind)
+        return listed(graph, weights, levels)
+
+    monkeypatch.setattr(tower, "_c0_generators", spy)
+    for key in ["closure-o2", "C3w", "G2p3", "generic:G3", "unweighted:theta"]:
+        route_tower(corpus, key)
+    demo_tower(3, (2.0, 1.0, 1.0))
+    assert calls == []
+    for key in BLOCK_KEYS:
+        fiber_tower(corpus, key)
+    assert calls == ["block"] * len(BLOCK_KEYS)

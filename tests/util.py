@@ -6,7 +6,9 @@ single-vertex multi-loop, non-transitive loop chains, plain cycles of
 several lengths, cycles with parallel edges, and a transitive non-cycle.
 
 It also holds the slow references that fast paths in wck are tested
-against: the stage-zero generators as dense window blocks, the dense
+against: the stage-zero generators as dense window blocks, the listed
+generators of diagonal weights (the reference for C0's layout read off
+the paths, once star_closure lays them out), the dense
 full-length closure loop, the closure on every support class block
 (copies included), the randomized central decomposition on full blocks,
 the concrete stage algebra of a tower, the multiplicity matrix of an
@@ -65,7 +67,7 @@ from wck.findim import (
     CentralDecomposition,
     StarAlgebra,
     Summand,
-    _distinct_blocks,
+    _enumerated_layout,
     _summand_order,
     _support_layout,
     blocks_unvec,
@@ -531,27 +533,52 @@ def support_star_closure(dims, gens, unit=None, max_dim=4096):
     return dense_algebra(dims, full, full.conj() @ blocks_vec(unit))
 
 
+def diagonal_c0_generators(graph, weights, levels):
+    """Entries of the stage-zero generators for diagonal weights.
+
+    The reference for tower._diagonal_layout, through the layout that
+    star_closure reads off them (findim._enumerated_layout):
+    the words u_a Z^j u_b^* in the order of tower._c0_generators, each
+    (positions, values) on the window, gathered through Graph.prepend
+    with level_diag ** j on the tails.
+    """
+    g = graph
+    dims = [g.level_dim(k) for k in levels]
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    gens = []
+    for a in range(weights.p):
+        by_source = {}
+        for pth in g.paths(a):
+            by_source.setdefault(pth.source, []).append(pth)
+        for v, group in by_source.items():
+            per_level = []
+            for k, off, d in zip(levels, offsets, dims):
+                diag = weights.level_diag(k - a)[g.ending_at(k - a, v)]
+                rows = [g.prepend(k - a, pth) for pth in group]
+                per_level.append((off, d, rows, diag))
+            for ai in range(len(group)):
+                for bi in range(len(group)):
+                    for power in range(Z_POWERS):
+                        pos = []
+                        values = []
+                        for off, d, rows, diag in per_level:
+                            pos.append(off + rows[ai] * d + rows[bi])
+                            values.append(diag ** power)
+                        gens.append((np.concatenate(pos), np.concatenate(values)))
+    return gens
+
+
 def scattered_units(dims, gens):
     """The rows of star_closure's closed form, scattered at full length.
 
     The reference for full_rows on the closed form: gens are (positions,
-    values) pairs, laid out on the support class blocks with the unit,
-    and the matrix unit of each distinct entry is written, 1/sqrt(copies),
-    to every copy in one scatter, as star_closure did before it kept the
-    map.
+    values) pairs, laid out as star_closure lays them out, and the matrix
+    unit of each distinct entry is written, 1/sqrt(copies), to every copy
+    in one scatter, as star_closure did before it kept the map.
     """
-    starts = np.cumsum([0] + [d * d for d in dims])
-    diag = np.concatenate(
-        [off + np.arange(d) * (d + 1) for off, d in zip(starts, dims)]
-    )
-    stacks, _, pos = _support_layout(dims, np.concatenate([diag] + [p for p, _ in gens]))
-    order = np.argsort(pos)
-    vecs = np.zeros((1 + len(gens), len(pos)), dtype=np.complex128)
-    for vec, (p, values) in zip(vecs, [(diag, 1.0), *gens]):
-        vec[order[np.searchsorted(pos[order], p)]] = values
-    _, _, rep, copy, copies = _distinct_blocks(stacks, vecs)
-    q = np.eye(len(rep), dtype=np.complex128) / np.sqrt(copies)
-    full = np.zeros((len(q), starts[-1]), dtype=np.complex128)
+    _, pos, copy, copies, _ = _enumerated_layout(dims, gens)
+    q = np.eye(len(copies), dtype=np.complex128) / np.sqrt(copies)
+    full = np.zeros((len(q), sum(d * d for d in dims)), dtype=np.complex128)
     full[:, pos] = q[:, copy]
     return full
 
